@@ -52,7 +52,6 @@ from .ring import (
     serialize_event,
 )
 from .secure_agg import (
-    Counters,
     EcdhKeyAgreement,
     IdentityRegistry,
     MembershipDelta,
@@ -70,6 +69,7 @@ from .secure_agg import (
     nonce_zeph,
     optimize_b,
     plan_epoch,
+    round_peers,
     setup_pairwise,
     threshold_for_probability,
     unmask_aggregate,

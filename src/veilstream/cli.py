@@ -42,17 +42,6 @@ class UsageError(Exception):
     pass
 
 
-def _to_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off", ""):
-        return False
-    raise UsageError(f"cannot read {value!r} as a boolean")
-
-
 class Resolver:
     """Layered option lookup: flags beat environment beats config file."""
 
@@ -68,8 +57,6 @@ class Resolver:
             value = self.config.get(name)
         if value is None:
             return default
-        if cast is bool:
-            return _to_bool(value)
         if cast is not None:
             try:
                 return cast(value)
@@ -192,7 +179,6 @@ _RUN_OPTIONS = (
     ("latency_mean", "latency_mean", float),
     ("latency_sigma", "latency_sigma", float),
     ("grace", "grace", float),
-    ("parallel", "parallel", bool),
     ("alpha", "colluding_fraction", float),
     ("delta", "failure_budget", float),
 )
@@ -283,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--latency-mean", dest="latency_mean", type=float)
     p_run.add_argument("--latency-sigma", dest="latency_sigma", type=float)
     p_run.add_argument("--grace", type=float)
-    p_run.add_argument("--parallel", action="store_true", default=None)
     p_run.add_argument("--alpha", type=float, help="colluding fraction")
     p_run.add_argument("--delta", type=float, help="connectivity failure budget")
     p_run.add_argument("--out-dir", dest="out_dir")

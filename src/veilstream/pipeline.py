@@ -33,20 +33,17 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .encoding import DecodedStats, EncodingSpec, decode_stats, encode, encode_neutral
+from .encoding import DecodedStats, decode_stats, encode, encode_neutral
 from .policy import (
-    Query,
     Rejection,
     StreamAnnotation,
     StreamSchema,
     ReservationLedger,
-    TransformationPlan,
     parse_query,
     parse_schema,
     plan_query,
@@ -64,17 +61,13 @@ from .ring import (
     chain_sum,
     check_modulus,
     cross_sum,
-    derive_key,
     encrypt,
     merge_elements,
-    prf_input,
     serialize_event,
     DOMAIN_EDGE,
     DOMAIN_MASK,
-    DOMAIN_SELECT,
 )
 from .secure_agg import (
-    Counters,
     IdentityRegistry,
     MembershipDelta,
     PartyId,
@@ -83,6 +76,7 @@ from .secure_agg import (
     mask_vector,
     optimize_b,
     plan_epoch,
+    round_peers,
     setup_pairwise,
     threshold_for_probability,
     unmask_aggregate,
@@ -146,7 +140,7 @@ class SimConfig:
     latency_mean: float = 0.2
     latency_sigma: float = 0.5
     grace: float = 5.0  # assembly waits this long past the border
-    parallel: bool = False
+    parallel: bool = False  # accepted for old callers; partitions run in order
     colluding_fraction: float = 0.5
     failure_budget: float = 1e-7
     modulus: int = MODULUS_DEFAULT
@@ -161,6 +155,8 @@ class SimConfig:
             raise ValueError("need at least one event per window")
         if self.partition_size < 1:
             raise ValueError("partition_size must be at least 1")
+        if self.parallel:
+            raise ValueError("parallel execution was removed; partitions run in order")
 
     @property
     def logical_window(self) -> int:
@@ -697,7 +693,7 @@ class _Partition:
         self.stream_of: dict[PartyId, str] = {}
         self.secrets = {}  # PartyId -> PairwiseSecrets
         self.b: Optional[int] = None
-        self.edge_probability = 1.0
+        self.threshold: Optional[int] = None  # dream selection threshold
         self.epoch_width = 0
         self.epoch_plans: dict[tuple[bytes, int], object] = {}
 
@@ -729,7 +725,7 @@ class _Scenario:
         self.mask = check_modulus(config.modulus)
         self.mask_np = np.uint64(self.mask)
         self.prf = CountingPrf(AesPrf())
-        self.counters = Counters()
+        self.additions = 0
         seq = np.random.SeedSequence(config.seed)
         data_seed, transport_seed = seq.spawn(2)
         self.rng = np.random.default_rng(data_seed)
@@ -943,8 +939,9 @@ class _Scenario:
                 )
                 if res.feasible:
                     part.b = res.b
-                    part.edge_probability = res.edge_probability
                     part.epoch_width = res.rounds
+                    if cfg.protocol == "dream":
+                        part.threshold = threshold_for_probability(res.edge_probability)
             self.partitions.append(part)
         self.partition_of = {
             sid: part for part in self.partitions for sid in part.streams
@@ -1043,7 +1040,7 @@ class _Scenario:
         self.prev_owner_set = owner_set
 
         prf0 = self.prf.calls
-        add0 = self.counters.additions
+        add0 = self.additions
         result = WindowResult(
             window=w,
             status="ok",
@@ -1068,23 +1065,24 @@ class _Scenario:
             self._release_user_window(w, members, window_cts, result)
 
         result.prf_calls = self.prf.calls - prf0
-        result.additions = self.counters.additions - add0
+        result.additions = self.additions - add0
         self.results.append(result)
 
     def _controller_tokens(self, w: int, part: _Partition, active: list[str]):
         """Build and mask one partition's tokens for window w.
 
-        Returns a local Counters so parallel partition workers never race
-        on shared tallies; the caller merges them in partition order.
+        Returns the masked tokens, the first suppression (if any), the
+        bytes sent and the ring additions spent on masks.
         """
         cfg = self.config
         L = cfg.logical_window
         window = (w * L, (w + 1) * L)
-        active_parties = sorted(part.party_of[s] for s in active)
+        live = frozenset(part.party_of[s] for s in active)
+        epoch = w // part.epoch_width if part.epoch_width else 0
         masked = []
         suppressed = None
         bytes_out = 0
-        local = Counters()
+        additions = 0
         for sid in active:
             party = part.party_of[sid]
             store = self.token_stores[sid]
@@ -1111,19 +1109,26 @@ class _Scenario:
             if isinstance(token, Suppressed):
                 suppressed = token
                 break
-            peers = self._round_peers(part, party, active_parties, w, local)
-            epoch = w // part.epoch_width if part.epoch_width else 0
+            plan = self._epoch_plan(part, party, epoch)
+            peers = round_peers(
+                part.secrets[party],
+                w,
+                members=live,
+                plan=plan,
+                threshold=part.threshold,
+                prf=self.prf,
+            )
             nonces = mask_vector(
                 part.secrets[party],
                 peers,
                 len(token.indices),
                 epoch_id=epoch,
                 round_index=w,
-                domain=DOMAIN_MASK if self._uses_epochs(part) else DOMAIN_EDGE,
+                domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
                 prf=self.prf,
                 modulus=cfg.modulus,
-                counters=local,
             )
+            additions += len(peers) * len(token.indices)
             mt = mask_token(
                 token,
                 nonces,
@@ -1134,44 +1139,19 @@ class _Scenario:
             )
             bytes_out += len(mt.serialize())
             masked.append(mt)
-        return masked, suppressed, bytes_out, local
+        return masked, suppressed, bytes_out, additions
 
-    def _uses_epochs(self, part: _Partition) -> bool:
-        return self.config.protocol == "zeph" and part.b is not None
-
-    def _round_peers(
-        self,
-        part: _Partition,
-        party: PartyId,
-        active_parties: list[PartyId],
-        w: int,
-        counters: Counters,
-    ) -> list[PartyId]:
-        others = [p for p in active_parties if p != party]
-        protocol = self.config.protocol
-        if protocol == "clique" or part.b is None:
-            return others
-        if protocol == "dream":
-            threshold = threshold_for_probability(part.edge_probability)
-            secrets = part.secrets[party]
-            msg = prf_input(DOMAIN_SELECT, 0, w)
-            chosen = []
-            for p in others:
-                counters.prf_calls += 1
-                if self.prf.evaluate(secrets.secret_for(p), msg) <= threshold:
-                    chosen.append(p)
-            return chosen
-        # zeph: consult the epoch plan, one PRF per peer per epoch
-        epoch = w // part.epoch_width
+    def _epoch_plan(self, part: _Partition, party: PartyId, epoch: int):
+        """The party's zeph plan for the epoch, derived once; None for the
+        other protocols and for partitions too small to plan."""
+        if self.config.protocol != "zeph" or part.b is None:
+            return None
         key = (party.value, epoch)
         plan = part.epoch_plans.get(key)
         if plan is None:
-            plan = plan_epoch(
-                part.secrets[party], epoch, part.b, prf=self.prf, counters=counters
-            )
+            plan = plan_epoch(part.secrets[party], epoch, part.b, prf=self.prf)
             part.epoch_plans[key] = plan
-        rel = w % part.epoch_width
-        return [p for p in others if plan.active_in_round(p, rel)]
+        return plan
 
     def _noise_rng(self, w: int, party: PartyId) -> np.random.Generator:
         digest = hashlib.sha256(
@@ -1194,31 +1174,16 @@ class _Scenario:
             [s for s in part.streams if s in set(plan_members)] for part in self.partitions
         ]
         t0 = time.perf_counter()
-        if cfg.parallel and len(self.partitions) > 1:
-            with ThreadPoolExecutor(max_workers=len(self.partitions)) as pool:
-                part_tokens = list(
-                    pool.map(
-                        lambda pa: self._controller_tokens(w, pa[0], pa[1]),
-                        [
-                            (part, active)
-                            for part, active in zip(self.partitions, active_by_part)
-                            if active
-                        ],
-                    )
-                )
-        else:
-            part_tokens = [
-                self._controller_tokens(w, part, active)
-                for part, active in zip(self.partitions, active_by_part)
-                if active
-            ]
+        part_tokens = [
+            self._controller_tokens(w, part, active)
+            for part, active in zip(self.partitions, active_by_part)
+            if active
+        ]
         result.t_token = time.perf_counter() - t0
 
-        for masked, suppressed, bytes_out, local in part_tokens:
+        for masked, suppressed, bytes_out, additions in part_tokens:
             result.bytes_controller += bytes_out
-            self.counters.prf_calls += local.prf_calls
-            self.counters.additions += local.additions
-            self.counters.edge_checks += local.edge_checks
+            self.additions += additions
             if suppressed is not None:
                 result.status = "suppressed"
                 result.extras["suppressed"] = suppressed.reason
@@ -1353,7 +1318,7 @@ class _Scenario:
             "liveness": ok / max(1, self.config.windows),
             "shadow_ok": shadow_all,
             "prf_calls_total": self.prf.calls,
-            "additions_total": self.counters.additions,
+            "additions_total": self.additions,
             "bytes_producer_total": sum(r.bytes_producer for r in self.results),
             "bytes_controller_total": sum(r.bytes_controller for r in self.results),
             "bytes_server_total": sum(r.bytes_server for r in self.results),

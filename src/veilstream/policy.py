@@ -33,8 +33,8 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, Union
 
 import yaml
 

@@ -19,6 +19,10 @@ variants trade PRF work against connectivity slack:
             b-bit segments that schedule the edge into one round per
             segment; a round's graph is sparse but known in advance
 
+`round_peers` is the one place these selection rules live and
+`mask_vector` the one definition of an edge mask; the scalar `nonce_*`
+functions are its width-1 case.
+
 The epoch variant ("zeph" on the command line) gives W = floor(128/b) * 2^b
 rounds per epoch with expected round degree (N-1)/2^b. Privacy holds as
 long as each round's graph restricted to honest parties stays connected;
@@ -47,6 +51,7 @@ from .ring import (
     DOMAIN_SELECT,
     MODULUS_DEFAULT,
     DEFAULT_PRF,
+    CountingPrf,
     Prf,
     SplitMixPrf,
     check_modulus,
@@ -65,12 +70,12 @@ __all__ = [
     "StaticKeyAgreement",
     "EcdhKeyAgreement",
     "setup_pairwise",
-    "Counters",
-    "nonce_clique",
-    "nonce_dream",
     "threshold_for_probability",
     "EpochPlan",
     "plan_epoch",
+    "round_peers",
+    "nonce_clique",
+    "nonce_dream",
     "nonce_zeph",
     "MembershipDelta",
     "apply_delta",
@@ -287,43 +292,6 @@ class PairwiseSecrets:
         return len(self._signed)
 
 
-@dataclass
-class Counters:
-    """Operation counters carried through the protocol hot paths."""
-
-    prf_calls: int = 0
-    additions: int = 0
-    edge_checks: int = 0
-
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.prf_calls, self.additions, self.edge_checks)
-
-
-def nonce_clique(
-    secrets: PairwiseSecrets,
-    round_index: int,
-    *,
-    prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
-    counters: Optional[Counters] = None,
-    members=None,
-) -> int:
-    """Round nonce over every live peer: N-1 PRF calls and additions."""
-    mask = check_modulus(modulus)
-    msg = prf_input(DOMAIN_EDGE, 0, round_index)
-    evaluate = prf.evaluate
-    acc = 0
-    n = 0
-    for _, secret, positive in secrets.iter_signed(members):
-        v = evaluate(secret, msg) & mask
-        acc = acc + v if positive else acc - v
-        n += 1
-    if counters is not None:
-        counters.prf_calls += n
-        counters.additions += n
-    return acc & mask
-
-
 def threshold_for_probability(p: float) -> int:
     """128-bit comparison threshold c with P[draw <= c] equal to p.
 
@@ -333,42 +301,6 @@ def threshold_for_probability(p: float) -> int:
     if not 0 <= p <= 1:
         raise ValueError(f"probability must be in [0, 1], got {p}")
     return min(_U128_MAX, round(p * (1 << 128))) - 1
-
-
-def nonce_dream(
-    secrets: PairwiseSecrets,
-    round_index: int,
-    threshold: int,
-    *,
-    prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
-    counters: Optional[Counters] = None,
-    members=None,
-) -> int:
-    """Round nonce over a random peer subset drawn per round.
-
-    Each peer costs one selection draw; selected edges cost one further
-    PRF call for the mask, so a round totals N-1+l calls and l additions.
-    Both endpoints evaluate the same draw on the shared secret, so the
-    selected edge set is consistent without communication.
-    """
-    mask = check_modulus(modulus)
-    msg_select = prf_input(DOMAIN_SELECT, 0, round_index)
-    msg_edge = prf_input(DOMAIN_EDGE, 0, round_index)
-    evaluate = prf.evaluate
-    acc = 0
-    n = 0
-    selected = 0
-    for _, secret, positive in secrets.iter_signed(members):
-        n += 1
-        if evaluate(secret, msg_select) <= threshold:
-            v = evaluate(secret, msg_edge) & mask
-            acc = acc + v if positive else acc - v
-            selected += 1
-    if counters is not None:
-        counters.prf_calls += n + selected
-        counters.additions += selected
-    return acc & mask
 
 
 @dataclass
@@ -411,7 +343,6 @@ def plan_epoch(
     b: int,
     *,
     prf: Prf = DEFAULT_PRF,
-    counters: Optional[Counters] = None,
 ) -> EpochPlan:
     """Derive the epoch's round assignments: one PRF call per peer.
 
@@ -426,28 +357,115 @@ def plan_epoch(
     msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
     seg_mask = (1 << b) - 1
     peer_rounds: dict[PartyId, tuple[int, ...]] = {}
-    n = 0
     for peer, secret, _ in secrets.iter_signed():
         out = prf.evaluate(secret, msg)
-        n += 1
         rounds = tuple(
             (s << b) | ((out >> (128 - (s + 1) * b)) & seg_mask)
             for s in range(segments)
         )
         peer_rounds[peer] = rounds
-    if counters is not None:
-        counters.prf_calls += n
     return EpochPlan(
         epoch_id=epoch_id, b=b, segments=segments, width=width, peer_rounds=peer_rounds
     )
 
 
-def _zeph_mask_msg(epoch_id: int, round_index: int, block: int = 0) -> bytes:
-    if epoch_id >> 40:
-        raise ValueError("epoch id exceeds 40 bits")
-    if block >> 16:
-        raise ValueError("mask block index exceeds 16 bits")
-    return prf_input(DOMAIN_MASK, (epoch_id << 16) | block, round_index)
+def round_peers(
+    secrets: PairwiseSecrets,
+    round_index: int,
+    *,
+    members=None,
+    plan: Optional[EpochPlan] = None,
+    threshold: Optional[int] = None,
+    prf: Prf = DEFAULT_PRF,
+) -> list[PartyId]:
+    """The peers whose edge masks enter this party's nonce in a round.
+
+    With neither `plan` nor `threshold` (clique) that is every live peer.
+    With `threshold` (dream) it is each live peer whose selection draw on
+    the shared secret is at most the threshold: one PRF call per live
+    peer, and both endpoints draw the same value. With `plan` (zeph) it is
+    the plan's peers for round `round_index % plan.width`, at no PRF cost.
+    `members`, when given, holds the live parties.
+
+    An empty result leaves the token unmasked by this party; that is a
+    connectivity failure of the round graph, logged as such, and the
+    parameter optimizer exists to make it vanishingly rare.
+    """
+    if members is not None:
+        members = frozenset(members)
+    if plan is not None:
+        peers = [
+            p
+            for p in plan.peers_in_round(round_index % plan.width)
+            if members is None or p in members
+        ]
+    elif threshold is not None:
+        msg = prf_input(DOMAIN_SELECT, 0, round_index)
+        evaluate = prf.evaluate
+        peers = [
+            p
+            for p, secret, _ in secrets.iter_signed(members)
+            if evaluate(secret, msg) <= threshold
+        ]
+    else:
+        peers = [p for p, _, _ in secrets.iter_signed(members)]
+    if not peers:
+        logger.warning(
+            "round %d has no active peers for %r; nonce is zero and this "
+            "party's token is unprotected against a curious server",
+            round_index,
+            secrets.self_id,
+        )
+    return peers
+
+
+def _nonce(secrets, peers, round_index, plan, prf, modulus) -> int:
+    """Scalar nonce over `peers`: lane 0 of their width-1 mask vector, in
+    the epoch mask domain when a zeph plan schedules the round."""
+    lanes = mask_vector(
+        secrets,
+        peers,
+        1,
+        epoch_id=0 if plan is None else plan.epoch_id,
+        round_index=round_index,
+        domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
+        prf=prf,
+        modulus=modulus,
+    )
+    return int(lanes[0])
+
+
+def nonce_clique(
+    secrets: PairwiseSecrets,
+    round_index: int,
+    *,
+    prf: Prf = DEFAULT_PRF,
+    modulus: int = MODULUS_DEFAULT,
+    members=None,
+) -> int:
+    """Round nonce over every live peer: N-1 PRF calls."""
+    peers = round_peers(secrets, round_index, members=members, prf=prf)
+    return _nonce(secrets, peers, round_index, None, prf, modulus)
+
+
+def nonce_dream(
+    secrets: PairwiseSecrets,
+    round_index: int,
+    threshold: int,
+    *,
+    prf: Prf = DEFAULT_PRF,
+    modulus: int = MODULUS_DEFAULT,
+    members=None,
+) -> int:
+    """Round nonce over a random peer subset drawn per round.
+
+    Each live peer costs one selection draw; selected edges cost one
+    further PRF call for the mask, so a round totals N-1+l calls.
+    """
+    peers = round_peers(
+        secrets, round_index, members=members, threshold=threshold, prf=prf
+    )
+    return _nonce(secrets, peers, round_index, None, prf, modulus)
 
 
 def nonce_zeph(
@@ -457,39 +475,11 @@ def nonce_zeph(
     *,
     prf: Prf = DEFAULT_PRF,
     modulus: int = MODULUS_DEFAULT,
-    counters: Optional[Counters] = None,
     members=None,
 ) -> int:
-    """Round nonce over the epoch plan's active edges: deg(r) PRF calls.
-
-    An empty active set leaves the token unmasked by this party; that is a
-    connectivity failure of the round graph, logged as such, and the
-    parameter optimizer exists to make it vanishingly rare.
-    """
-    mask = check_modulus(modulus)
-    peers = plan.peers_in_round(round_index)
-    msg = _zeph_mask_msg(plan.epoch_id, round_index)
-    evaluate = prf.evaluate
-    acc = 0
-    n = 0
-    for peer in peers:
-        if members is not None and peer not in members:
-            continue
-        v = evaluate(secrets.secret_for(peer), msg) & mask
-        acc = acc + v if secrets.sign_for(peer) > 0 else acc - v
-        n += 1
-    if counters is not None:
-        counters.prf_calls += n
-        counters.additions += n
-    if n == 0:
-        logger.warning(
-            "round %d of epoch %d has no active peers for %r; nonce is zero and "
-            "this party's token is unprotected against a curious server",
-            round_index,
-            plan.epoch_id,
-            secrets.self_id,
-        )
-    return acc & mask
+    """Round nonce over the epoch plan's active edges: deg(r) PRF calls."""
+    peers = round_peers(secrets, round_index, members=members, plan=plan, prf=prf)
+    return _nonce(secrets, peers, round_index, plan, prf, modulus)
 
 
 @dataclass(frozen=True)
@@ -517,36 +507,22 @@ def apply_delta(
     *,
     prf: Prf = DEFAULT_PRF,
     modulus: int = MODULUS_DEFAULT,
-    counters: Optional[Counters] = None,
 ) -> int:
-    """Correct a round nonce for late membership changes.
+    """Correct a zeph round nonce for late membership changes.
 
-    Cost is linear in the delta: each listed party is checked against the
-    plan, and only parties whose edge is active in this round cost a PRF
-    call. Dropped parties' masks are backed out, rejoining parties' masks
-    are restored from the existing pairwise secrets.
+    Returns base - mask(dropped & active) + mask(joined & active), where
+    active is the plan's peer set for the round: dropped parties' masks
+    are backed out and rejoining parties' masks restored from the
+    existing pairwise secrets. Only listed parties whose edge is active
+    in this round cost a PRF call; the party itself is never its own peer.
     """
     mask = check_modulus(modulus)
-    msg = _zeph_mask_msg(plan.epoch_id, round_index)
-    acc = base_nonce
-    touched = 0
-    checked = 0
-    for group, direction in ((delta.dropped, -1), (delta.joined, 1)):
-        for peer in group:
-            if peer == secrets.self_id:
-                continue
-            checked += 1
-            if not plan.active_in_round(peer, round_index):
-                continue
-            v = prf.evaluate(secrets.secret_for(peer), msg) & mask
-            signed = v if secrets.sign_for(peer) > 0 else -v
-            acc = acc + direction * signed
-            touched += 1
-    if counters is not None:
-        counters.prf_calls += touched
-        counters.additions += touched
-        counters.edge_checks += checked
-    return acc & mask
+    active = round_peers(secrets, round_index, plan=plan, prf=prf)
+    dropped, joined = (
+        _nonce(secrets, [p for p in active if p in group], round_index, plan, prf, modulus)
+        for group in (delta.dropped, delta.joined)
+    )
+    return (base_nonce - dropped + joined) & mask
 
 
 def mask_vector(
@@ -559,13 +535,14 @@ def mask_vector(
     domain: int = DOMAIN_MASK,
     prf: Prf = DEFAULT_PRF,
     modulus: int = MODULUS_DEFAULT,
-    counters: Optional[Counters] = None,
 ) -> np.ndarray:
     """Element-wise nonce vector for tokens wider than one ring element.
 
-    Each 128-bit PRF output covers two 64-bit lanes, so an edge costs
-    ceil(width/2) PRF blocks. Peers must already be filtered to the round's
-    active membership.
+    This is the one definition of an edge mask: lane k of an edge is the
+    high (k even) or low (k odd) 64 bits of the edge's PRF block k // 2,
+    reduced by the modulus, so an edge costs ceil(width/2) PRF blocks and
+    a scalar nonce is lane 0. Peers must already be filtered to the
+    round's active membership (see `round_peers`).
     """
     mask = np.uint64(check_modulus(modulus))
     blocks = (width + 1) // 2
@@ -573,6 +550,8 @@ def mask_vector(
     if domain == DOMAIN_MASK:
         if epoch_id >> 40:
             raise ValueError("epoch id exceeds 40 bits")
+        if blocks >> 16:
+            raise ValueError("mask block index exceeds 16 bits")
         msgs[:, 0] = (DOMAIN_MASK << 56) | (epoch_id << 16) | np.arange(blocks, dtype=np.uint64)
     elif domain == DOMAIN_EDGE:
         msgs[:, 0] = (DOMAIN_EDGE << 56) + np.arange(blocks, dtype=np.uint64)
@@ -580,21 +559,20 @@ def mask_vector(
         raise ValueError(f"unsupported mask domain {domain}")
     msgs[:, 1] = round_index
     buf = msgs.tobytes()
-    acc = np.zeros(width, dtype=np.uint64)
-    n = 0
+    added, subtracted = [], []
     for peer in peers:
         out = prf.evaluate_batch(secrets.secret_for(peer), buf)
-        lanes = np.frombuffer(out, dtype=">u8").reshape(-1).astype(np.uint64)[:width]
-        lanes &= mask
-        if secrets.sign_for(peer) > 0:
-            acc = (acc + lanes) & mask
-        else:
-            acc = (acc - lanes) & mask
-        n += 1
-    if counters is not None:
-        counters.prf_calls += blocks * n
-        counters.additions += width * n
-    return acc
+        (added if secrets.sign_for(peer) > 0 else subtracted).append(out)
+    # sums wrap mod 2**64, a multiple of every supported modulus
+    return (_lane_sum(added, width) - _lane_sum(subtracted, width)) & mask
+
+
+def _lane_sum(outputs: list[bytes], width: int) -> np.ndarray:
+    """Lane-wise sum mod 2**64 of the first `width` lanes of PRF outputs."""
+    if not outputs:
+        return np.zeros(width, dtype=np.uint64)
+    lanes = np.frombuffer(b"".join(outputs), dtype=">u8").reshape(len(outputs), -1)
+    return lanes[:, :width].sum(axis=0, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -856,8 +834,10 @@ def simulate_party_counters(
         zeph    one planning call per peer at each epoch boundary, then
                 one mask call and one addition per scheduled live edge
 
-    Peer selection runs through the real planning and selection code paths
-    with the benchmark mixing stub standing in for the PRF; mask calls are
+    The benchmark mixing stub stands in for the PRF. The zeph schedule
+    comes from the real planner; dream draws evaluate the `round_peers`
+    selection rule for all peers at once, since a full epoch at
+    ten thousand parties takes tens of millions of draws. Mask calls are
     tallied at one per edge, the per-edge cost `mask_vector` pays for a
     scalar token. `dropout` removes each peer independently per round.
     When `b` is omitted the epoch parameters (and the dream edge
@@ -926,16 +906,16 @@ def simulate_party_counters(
     pairwise = PairwiseSecrets(
         PartyId(bytes(32)), dict(zip(ids, secrets, strict=True))
     )
-    counters = Counters()
+    counting = CountingPrf(prf)
     width = (128 // b) << b
     degree_hist = np.zeros(width, dtype=np.int64)
     out = []
     for r in range(rounds):
         rel = r % width
         if rel == 0:
-            before = counters.prf_calls
-            plan = plan_epoch(pairwise, r // width, b, prf=prf, counters=counters)
-            setup_calls = counters.prf_calls - before
+            before = counting.calls
+            plan = plan_epoch(pairwise, r // width, b, prf=counting)
+            setup_calls = counting.calls - before
             degree_hist[:] = 0
             scheduled = np.fromiter(
                 (rr for rs in plan.peer_rounds.values() for rr in set(rs)),

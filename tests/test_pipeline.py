@@ -212,10 +212,10 @@ def test_replay_is_deterministic():
     assert a.summary["prf_calls_total"] == b.summary["prf_calls_total"]
 
 
-def test_parallel_execution_changes_nothing():
-    serial = run_scenario(small_config())
-    parallel = run_scenario(small_config(parallel=True))
-    assert replay_projection(serial) == replay_projection(parallel)
+def test_parallel_execution_is_refused():
+    assert small_config(parallel=False).parallel is False
+    with pytest.raises(ValueError, match="parallel"):
+        small_config(parallel=True)
 
 
 def test_dropouts_within_allowance_stay_live():

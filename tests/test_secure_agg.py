@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 
 from veilstream.ring import (
+    DEFAULT_PRF,
     DOMAIN_EDGE,
     DOMAIN_SELECT,
     MODULUS_DEFAULT,
+    CountingPrf,
     MasterSecret,
     SplitMixPrf,
     prf_input,
 )
 from veilstream.secure_agg import (
-    Counters,
     EcdhKeyAgreement,
     IdentityRegistry,
     MembershipDelta,
@@ -39,6 +40,7 @@ from veilstream.secure_agg import (
     nonce_zeph,
     optimize_b,
     plan_epoch,
+    round_peers,
     setup_pairwise,
     simulate_party_counters,
     threshold_for_probability,
@@ -142,13 +144,12 @@ def test_pairwise_secrets_validation_and_signs():
 
 def test_clique_nonces_cancel_and_count():
     ids, secrets = build_parties(6)
-    counters = {pid: Counters() for pid in ids}
     total = 0
     for pid in ids:
-        total += nonce_clique(secrets[pid], 12, counters=counters[pid])
+        prf = CountingPrf(DEFAULT_PRF)
+        total += nonce_clique(secrets[pid], 12, prf=prf)
+        assert prf.calls == 5
     assert total % M == 0
-    for pid in ids:
-        assert counters[pid].snapshot() == (5, 5, 0)
 
 
 def test_clique_nonces_cancel_on_any_member_subset():
@@ -170,9 +171,9 @@ def test_dream_with_p_one_equals_clique():
 def test_dream_with_p_zero_masks_nothing():
     ids, secrets = build_parties(4)
     thr = threshold_for_probability(0.0)
-    counters = Counters()
-    assert nonce_dream(secrets[ids[0]], 3, thr, counters=counters) == 0
-    assert counters.snapshot() == (3, 0, 0)  # draws happen, no masks follow
+    prf = CountingPrf(DEFAULT_PRF)
+    assert nonce_dream(secrets[ids[0]], 3, thr, prf=prf) == 0
+    assert prf.calls == 3  # draws happen, no masks follow
 
 
 def test_dream_nonces_cancel_at_intermediate_p():
@@ -222,9 +223,9 @@ def test_epoch_plan_shape_and_agreement():
 
 def test_epoch_plan_counts_one_prf_call_per_peer():
     ids, secrets = build_parties(6)
-    counters = Counters()
-    plan_epoch(secrets[ids[0]], 0, 4, counters=counters)
-    assert counters.snapshot() == (5, 0, 0)
+    prf = CountingPrf(DEFAULT_PRF)
+    plan_epoch(secrets[ids[0]], 0, 4, prf=prf)
+    assert prf.calls == 5
     with pytest.raises(ValueError, match="segment width"):
         plan_epoch(secrets[ids[0]], 0, 0)
 
@@ -269,14 +270,13 @@ def test_apply_delta_matches_recomputation():
     dropped = frozenset([ids[3], ids[5]])
     survivors = frozenset(ids) - dropped
 
-    counters = Counters()
+    prf = CountingPrf(DEFAULT_PRF)
     delta = MembershipDelta(round_index, joined=frozenset(), dropped=dropped)
-    corrected = apply_delta(
-        plan, secrets[me], full, delta, round_index, counters=counters
-    )
+    corrected = apply_delta(plan, secrets[me], full, delta, round_index, prf=prf)
     expect = nonce_zeph(plan, secrets[me], round_index, members=survivors)
     assert corrected == expect
-    assert counters.edge_checks == 2
+    # one mask call per dropped peer whose edge is active in this round
+    assert prf.calls == len(dropped & set(plan.peers_in_round(round_index)))
 
     # rejoining restores the original nonce
     rejoin = MembershipDelta(round_index, joined=dropped, dropped=frozenset())
@@ -287,13 +287,14 @@ def test_apply_delta_skips_self_and_counts_checks():
     ids, secrets = build_parties(4)
     me = ids[1]
     plan = plan_epoch(secrets[me], 0, 1)
-    counters = Counters()
-    delta = MembershipDelta(
-        2, joined=frozenset([me]), dropped=frozenset(ids[2:])
-    )
+    dropped = frozenset(ids[2:])
+    with_self = MembershipDelta(2, joined=frozenset([me]), dropped=dropped)
+    without_self = MembershipDelta(2, joined=frozenset(), dropped=dropped)
     base = nonce_zeph(plan, secrets[me], 2)
-    apply_delta(plan, secrets[me], base, delta, 2, counters=counters)
-    assert counters.edge_checks == 2  # self excluded from its own delta
+    # a party is never its own peer, so listing it changes nothing
+    assert apply_delta(plan, secrets[me], base, with_self, 2) == apply_delta(
+        plan, secrets[me], base, without_self, 2
+    )
 
 
 # ---- vector masking and the full blind-aggregate flow -----------------------------
@@ -303,17 +304,16 @@ def test_mask_vectors_cancel_elementwise():
     ids, secrets = build_parties(5)
     width = 5
     acc = np.zeros(width, dtype=np.uint64)
-    counters = Counters()
+    prf = CountingPrf(DEFAULT_PRF)
     for pid in ids:
         peers = [q for q in ids if q != pid]
         # uint64 array addition already wraps mod 2**64
         acc = acc + mask_vector(
-            secrets[pid], peers, width, epoch_id=2, round_index=9, counters=counters
+            secrets[pid], peers, width, epoch_id=2, round_index=9, prf=prf
         )
     assert not acc.any()
-    # 5 parties x 4 peers x 3 blocks of two lanes; additions count lanes
-    assert counters.prf_calls == 5 * 4 * 3
-    assert counters.additions == 5 * 4 * width
+    # 5 parties x 4 peers x 3 blocks of two lanes
+    assert prf.calls == 5 * 4 * 3
 
 
 def test_mask_vector_domain_handling():
@@ -326,6 +326,39 @@ def test_mask_vector_domain_handling():
         mask_vector(secrets[ids[0]], peers, 4, round_index=1, domain=DOMAIN_SELECT)
     with pytest.raises(ValueError, match="40 bits"):
         mask_vector(secrets[ids[0]], peers, 4, epoch_id=1 << 40, round_index=1)
+    # block indices share the first input word with the epoch id
+    with pytest.raises(ValueError, match="16 bits"):
+        mask_vector(secrets[ids[0]], peers, (2 << 16) + 1, round_index=1)
+
+
+def test_scalar_nonce_is_lane_zero_of_the_mask_vector():
+    ids, secrets = build_parties(6)
+    me = secrets[ids[0]]
+    members = frozenset(ids[:5])
+    thr = threshold_for_probability(0.5)
+    plan = plan_epoch(me, 3, 1)
+    cases = [
+        (
+            nonce_clique(me, 7, members=members),
+            round_peers(me, 7, members=members),
+            {"domain": DOMAIN_EDGE},
+        ),
+        (
+            nonce_dream(me, 7, thr, members=members),
+            round_peers(me, 7, members=members, threshold=thr),
+            {"domain": DOMAIN_EDGE},
+        ),
+        (
+            nonce_zeph(plan, me, 7, members=members),
+            round_peers(me, 7, members=members, plan=plan),
+            {"epoch_id": 3},
+        ),
+    ]
+    for nonce, peers, kwargs in cases:
+        assert peers and nonce != 0
+        # lane 0 does not depend on the vector's width
+        for width in (1, 5):
+            assert nonce == int(mask_vector(me, peers, width, round_index=7, **kwargs)[0])
 
 
 def masked_flow_fixture(n=4):
