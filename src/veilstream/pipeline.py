@@ -68,6 +68,7 @@ from .ring import (
     DOMAIN_MASK,
 )
 from .secure_agg import (
+    EpochPlan,
     IdentityRegistry,
     MembershipDelta,
     PartyId,
@@ -695,7 +696,7 @@ class _Partition:
         self.b: Optional[int] = None
         self.threshold: Optional[int] = None  # dream selection threshold
         self.epoch_width = 0
-        self.epoch_plans: dict[tuple[bytes, int], object] = {}
+        self.epoch_plans: dict[PartyId, EpochPlan] = {}  # current epoch only
 
 
 class _Scenario:
@@ -852,6 +853,7 @@ class _Scenario:
         if isinstance(plan, Rejection):
             raise RuntimeError(f"preset query was rejected: {plan}")
         self.plan = plan
+        self.plan_member_set = frozenset(plan.members)
         by_id = {a.stream_id: a for a in self.annotations}
         for sid in plan.members:
             verdict = verify_plan(
@@ -1029,7 +1031,7 @@ class _Scenario:
             window_cts[sid] = chain_sum(pieces, modulus=cfg.modulus)
             members.append(sid)
 
-        plan_members = [s for s in members if s in set(self.plan.members)]
+        plan_members = [s for s in members if s in self.plan_member_set]
         owner_set = frozenset(self.owner_party[s] for s in plan_members)
         joined = owner_set - self.prev_owner_set
         dropped = self.prev_owner_set - owner_set
@@ -1071,8 +1073,9 @@ class _Scenario:
     def _controller_tokens(self, w: int, part: _Partition, active: list[str]):
         """Build and mask one partition's tokens for window w.
 
-        Returns the masked tokens, the first suppression (if any), the
-        bytes sent and the ring additions spent on masks.
+        Returns the masked tokens, the bytes sent and the ring additions
+        spent on masks. The window's budgets were checked beforehand, so
+        every charge succeeds.
         """
         cfg = self.config
         L = cfg.logical_window
@@ -1080,7 +1083,6 @@ class _Scenario:
         live = frozenset(part.party_of[s] for s in active)
         epoch = w // part.epoch_width if part.epoch_width else 0
         masked = []
-        suppressed = None
         bytes_out = 0
         additions = 0
         for sid in active:
@@ -1107,8 +1109,7 @@ class _Scenario:
                     modulus=cfg.modulus,
                 )
             if isinstance(token, Suppressed):
-                suppressed = token
-                break
+                raise RuntimeError(f"{sid} was refused a checked budget: {token.reason}")
             plan = self._epoch_plan(part, party, epoch)
             peers = round_peers(
                 part.secrets[party],
@@ -1139,18 +1140,18 @@ class _Scenario:
             )
             bytes_out += len(mt.serialize())
             masked.append(mt)
-        return masked, suppressed, bytes_out, additions
+        return masked, bytes_out, additions
 
     def _epoch_plan(self, part: _Partition, party: PartyId, epoch: int):
-        """The party's zeph plan for the epoch, derived once; None for the
-        other protocols and for partitions too small to plan."""
+        """The party's zeph plan for the epoch, derived once and replacing
+        its plan for the previous epoch; None for the other protocols and
+        for partitions too small to plan."""
         if self.config.protocol != "zeph" or part.b is None:
             return None
-        key = (party.value, epoch)
-        plan = part.epoch_plans.get(key)
-        if plan is None:
+        plan = part.epoch_plans.get(party)
+        if plan is None or plan.epoch_id != epoch:
             plan = plan_epoch(part.secrets[party], epoch, part.b, prf=self.prf)
-            part.epoch_plans[key] = plan
+            part.epoch_plans[party] = plan
         return plan
 
     def _noise_rng(self, w: int, party: PartyId) -> np.random.Generator:
@@ -1170,8 +1171,18 @@ class _Scenario:
         result: WindowResult,
     ):
         cfg = self.config
+        eps = self.plan.dp_epsilon
+        if eps is not None and not all(
+            self.budgets[s].can_charge(eps) for s in plan_members
+        ):
+            # one exhausted member suppresses the whole window before any
+            # token is built, so no other member's budget is charged
+            result.status = "suppressed"
+            result.extras["suppressed"] = "epsilon budget exhausted"
+            return
+        live = frozenset(plan_members)
         active_by_part = [
-            [s for s in part.streams if s in set(plan_members)] for part in self.partitions
+            [s for s in part.streams if s in live] for part in self.partitions
         ]
         t0 = time.perf_counter()
         part_tokens = [
@@ -1181,13 +1192,9 @@ class _Scenario:
         ]
         result.t_token = time.perf_counter() - t0
 
-        for masked, suppressed, bytes_out, additions in part_tokens:
+        for _masked, bytes_out, additions in part_tokens:
             result.bytes_controller += bytes_out
             self.additions += additions
-            if suppressed is not None:
-                result.status = "suppressed"
-                result.extras["suppressed"] = suppressed.reason
-                return
 
         t0 = time.perf_counter()
         released_total = [0] * self.plan.output_width

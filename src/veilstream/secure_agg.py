@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -303,38 +305,50 @@ def threshold_for_probability(p: float) -> int:
     return min(_U128_MAX, round(p * (1 << 128))) - 1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EpochPlan:
     """One party's precomputed round graph for an epoch.
 
-    peer_rounds maps each peer to the rounds (one per b-bit segment) in
-    which the shared edge is active; segment s holding value g activates
-    round s * 2**b + g.
+    Row i of `bits` holds the 128 output bits of the graph PRF for
+    `peers[i]`, most significant first, as a (peers, 128) uint8 matrix.
+    Bits s*b .. s*b+b-1 are segment s; a segment holding value g
+    activates the shared edge in round s * 2**b + g, so each edge is
+    active in exactly one round per segment.
     """
 
     epoch_id: int
     b: int
-    segments: int
-    width: int  # rounds per epoch
-    peer_rounds: dict[PartyId, tuple[int, ...]]
-    _round_peers: dict[int, tuple[PartyId, ...]] = field(default_factory=dict, repr=False)
+    peers: tuple[PartyId, ...]  # sorted, as `PairwiseSecrets.iter_signed`
+    bits: np.ndarray = field(repr=False)
 
-    def peers_in_round(self, round_index: int) -> tuple[PartyId, ...]:
+    @property
+    def segments(self) -> int:
+        return 128 // self.b
+
+    @property
+    def width(self) -> int:
+        """Rounds per epoch."""
+        return self.segments << self.b
+
+    def round_mask(self, round_index: int) -> np.ndarray:
+        """Boolean per peer: is the edge active in this round? One
+        comparison of segment round_index >> b against the round's low b
+        bits, over every row."""
         if not 0 <= round_index < self.width:
             raise ValueError(f"round {round_index} outside epoch of {self.width} rounds")
-        hit = self._round_peers.get(round_index)
-        if hit is None:
-            hit = tuple(
-                peer
-                for peer, rounds in self.peer_rounds.items()
-                if round_index in rounds
-            )
-            self._round_peers[round_index] = hit
-        return hit
+        b = self.b
+        start = (round_index >> b) * b
+        low = (round_index & ((1 << b) - 1)).to_bytes(16, "big")
+        value = np.unpackbits(np.frombuffer(low, np.uint8))[128 - b :]
+        return (self.bits[:, start : start + b] == value).all(axis=1)
+
+    def peers_in_round(self, round_index: int) -> tuple[PartyId, ...]:
+        return tuple(compress(self.peers, self.round_mask(round_index)))
 
     def active_in_round(self, peer: PartyId, round_index: int) -> bool:
-        rounds = self.peer_rounds.get(peer)
-        return rounds is not None and round_index in rounds
+        i = bisect_left(self.peers, peer)
+        found = i < len(self.peers) and self.peers[i] == peer
+        return found and bool(self.round_mask(round_index)[i])
 
 
 def plan_epoch(
@@ -344,7 +358,7 @@ def plan_epoch(
     *,
     prf: Prf = DEFAULT_PRF,
 ) -> EpochPlan:
-    """Derive the epoch's round assignments: one PRF call per peer.
+    """Derive the epoch's round graph: one PRF call per peer.
 
     The 128-bit output for a peer is cut into floor(128/b) segments of b
     bits each (leftover low bits unused); both endpoints derive the same
@@ -352,21 +366,13 @@ def plan_epoch(
     """
     if not 1 <= b <= 128:
         raise ValueError(f"segment width must be in [1, 128], got {b}")
-    segments = 128 // b
-    width = segments << b
     msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
-    seg_mask = (1 << b) - 1
-    peer_rounds: dict[PartyId, tuple[int, ...]] = {}
-    for peer, secret, _ in secrets.iter_signed():
-        out = prf.evaluate(secret, msg)
-        rounds = tuple(
-            (s << b) | ((out >> (128 - (s + 1) * b)) & seg_mask)
-            for s in range(segments)
-        )
-        peer_rounds[peer] = rounds
-    return EpochPlan(
-        epoch_id=epoch_id, b=b, segments=segments, width=width, peer_rounds=peer_rounds
+    outputs = b"".join(
+        prf.evaluate(secret, msg).to_bytes(16, "big") for _, secret, _ in secrets.iter_signed()
     )
+    bits = np.unpackbits(np.frombuffer(outputs, np.uint8)).reshape(-1, 128)
+    bits.setflags(write=False)
+    return EpochPlan(epoch_id=epoch_id, b=b, peers=secrets.peers, bits=bits)
 
 
 def round_peers(
@@ -841,8 +847,8 @@ def simulate_party_counters(
     tallied at one per edge, the per-edge cost `mask_vector` pays for a
     scalar token. `dropout` removes each peer independently per round.
     When `b` is omitted the epoch parameters (and the dream edge
-    probability, 2**-b) come from `optimize_b`. Deterministic given
-    `seed`.
+    probability, 2**-b) come from `optimize_b`; zeph replays at most
+    b = 24. Deterministic given `seed`.
     """
     if parties < 2:
         raise ValueError(f"need at least two parties, got {parties}")
@@ -902,13 +908,19 @@ def simulate_party_counters(
         return out
 
     # zeph: replay the epoch planner, then walk its round schedule
+    if b > 24:
+        raise ValueError(
+            f"segment width {b} is too wide to replay: a segment's degree "
+            "histogram holds 2**b counts, and at most 2**24 are allowed"
+        )
     ids = [PartyId(i.to_bytes(32, "big")) for i in range(1, parties)]
     pairwise = PairwiseSecrets(
         PartyId(bytes(32)), dict(zip(ids, secrets, strict=True))
     )
     counting = CountingPrf(prf)
     width = (128 // b) << b
-    degree_hist = np.zeros(width, dtype=np.int64)
+    seg_mask = (1 << b) - 1
+    weights = 1 << np.arange(b - 1, -1, -1)
     out = []
     for r in range(rounds):
         rel = r % width
@@ -916,15 +928,15 @@ def simulate_party_counters(
             before = counting.calls
             plan = plan_epoch(pairwise, r // width, b, prf=counting)
             setup_calls = counting.calls - before
-            degree_hist[:] = 0
-            scheduled = np.fromiter(
-                (rr for rs in plan.peer_rounds.values() for rr in set(rs)),
-                dtype=np.int64,
-            )
-            degree_hist += np.bincount(scheduled, minlength=width)
         else:
             setup_calls = 0
-        planned = int(degree_hist[rel])
+        if rel & seg_mask == 0:
+            # entering segment rel >> b: every peer is scheduled once in it
+            start = (rel >> b) * b
+            degree_hist = np.bincount(
+                plan.bits[:, start : start + b] @ weights, minlength=1 << b
+            )
+        planned = int(degree_hist[rel & seg_mask])
         degree = int(rng.binomial(planned, 1.0 - dropout)) if dropout else planned
         out.append(RoundCost(r, degree, degree, setup_calls + degree, degree))
     return out

@@ -1,5 +1,6 @@
 """End-to-end scenario simulations checked against their plaintext shadows."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from veilstream.pipeline import (
     ScenarioResult,
     SimConfig,
     SimTransport,
+    _Scenario,
     custom_table,
     encode_neutral_vector,
     measure_bandwidth,
@@ -239,6 +241,94 @@ def test_excessive_dropouts_fail_closed():
     assert all(
         w.shadow_ok for w in result.windows if w.status == "ok" and w.shadow_ok is not None
     )
+
+
+def test_zeph_run_is_pinned():
+    # one partition of 58 plans its epoch (b = 1); every figure below was
+    # recorded from the per-peer tuple plan the bit-matrix plan replaced
+    scenario = _Scenario(
+        small_config(protocol="zeph", partition_size=60, colluding_fraction=0.2, seed=3)
+    )
+    result = scenario.run()
+    assert [part.b for part in scenario.partitions] == [1]
+    assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
+    released = json.dumps([w.released for w in result.windows]).encode()
+    assert (
+        hashlib.sha256(released).hexdigest()
+        == "4ae08884f365504443d3dc1320eca794f5483186090a769449ec0a9b482e43a2"
+    )
+    counts = [
+        (w.prf_calls, w.additions, w.bytes_controller, w.bytes_server) for w in result.windows
+    ]
+    assert counts == [
+        (172174, 177620, 67628, 3007),
+        (168112, 176122, 67628, 0),
+        (160590, 163924, 66462, 48),
+    ]
+    summary = result.summary
+    assert summary["prf_calls_total"] == 1131285
+    assert summary["additions_total"] == 517666
+    assert summary["bytes_producer_total"] == 4742968
+    assert summary["bytes_controller_total"] == 201718
+    assert summary["bytes_server_total"] == 3055
+
+
+def test_zeph_keeps_only_the_current_epoch_plan():
+    config = SimConfig(
+        custom=SOLO_SCENARIO,
+        protocol="zeph",
+        producers=20,
+        partition_size=20,
+        colluding_fraction=0.0,
+        failure_budget=0.1,
+        windows=257,
+        events_per_window=1,
+        drop_rate=0.0,
+        dropout_rate=0.0,
+        seed=1,
+    )
+    scenario = _Scenario(config)
+    (part,) = scenario.partitions
+    assert part.epoch_width == 256  # window 256 opens the second epoch
+    result = scenario.run()
+    assert result.summary["shadow_ok"] is True
+    assert result.summary["windows_ok"] == 257
+    assert sorted(part.epoch_plans) == sorted(part.parties)
+    assert {plan.epoch_id for plan in part.epoch_plans.values()} == {1}
+
+
+def test_suppressed_window_charges_no_budget():
+    # the always-online members exhaust their epsilon budget after 40
+    # windows; window 40 must be suppressed before anyone else is charged
+    scenario = _Scenario(
+        SimConfig(
+            preset="web",
+            protocol="dream",
+            producers=60,
+            partition_size=20,
+            windows=44,
+            dropout_rate=0.05,
+            seed=2,
+        )
+    )
+    assemble = scenario._assemble
+    spent = {}
+
+    def spy(w):
+        before = {sid: b.epsilon_spent for sid, b in scenario.budgets.items()}
+        assemble(w)
+        spent[w] = (before, {sid: b.epsilon_spent for sid, b in scenario.budgets.items()})
+
+    scenario._assemble = spy
+    result = scenario.run()
+    suppressed = [w for w in result.windows if w.status == "suppressed"]
+    assert [w.window for w in suppressed] == [40, 41, 42, 43]
+    for w in suppressed:
+        before, after = spent[w.window]
+        assert before == after
+        assert (w.prf_calls, w.additions, w.bytes_controller) == (0, 0, 0)
+        assert w.extras["suppressed"] == "epsilon budget exhausted"
+    assert all(w.status == "ok" and w.shadow_ok for w in result.windows[:40])
 
 
 # ---- custom scenarios ----------------------------------------------------------------

@@ -11,10 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veilstream.ring import (
     DEFAULT_PRF,
     DOMAIN_EDGE,
+    DOMAIN_GRAPH,
     DOMAIN_SELECT,
     MODULUS_DEFAULT,
     CountingPrf,
@@ -206,19 +209,72 @@ def test_epoch_plan_shape_and_agreement():
     for pid in ids:
         plan = plans[pid]
         assert (plan.segments, plan.width, plan.b) == (segments, width, b)
-        for peer, rounds in plan.peer_rounds.items():
-            assert len(rounds) == segments
-            for s, r in enumerate(rounds):
-                assert s << b <= r < (s + 1) << b
-            # the two endpoints of an edge schedule identical rounds
-            assert plans[peer].peer_rounds[pid] == rounds
-    p = ids[0]
+        assert plan.peers == secrets[pid].peers
+        assert plan.bits.shape == (len(ids) - 1, 128)
+        # each edge is active in exactly one round of every segment
+        masks = np.array([plan.round_mask(r) for r in range(width)])
+        assert (masks.reshape(segments, 1 << b, -1).sum(axis=1) == 1).all()
     for r in range(width):
-        active = plans[p].peers_in_round(r)
-        assert all(r in plans[p].peer_rounds[q] for q in active)
-        assert all(plans[p].active_in_round(q, r) for q in active)
+        for pid in ids:
+            active = plans[pid].peers_in_round(r)
+            # the two endpoints of an edge schedule identical rounds
+            assert all(pid in plans[q].peers_in_round(r) for q in active)
+            assert [q for q in sorted(ids) if plans[pid].active_in_round(q, r)] == list(active)
     with pytest.raises(ValueError, match="outside epoch"):
-        plans[p].peers_in_round(width)
+        plans[ids[0]].peers_in_round(width)
+
+
+def _oracle_rounds(secrets, epoch_id, b, prf):
+    """Scalar expansion of the graph PRF: each peer's round per segment."""
+    msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
+    seg_mask = (1 << b) - 1
+    rounds = {}
+    for peer, secret, _ in secrets.iter_signed():
+        out = prf.evaluate(secret, msg)
+        rounds[peer] = tuple(
+            (s << b) | ((out >> (128 - (s + 1) * b)) & seg_mask)
+            for s in range(128 // b)
+        )
+    return rounds
+
+
+PLAN_IDS, PLAN_SECRETS = build_parties(5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    b=st.integers(1, 128),
+    epoch_id=st.integers(0, (1 << 64) - 1),
+    sampled=st.lists(st.integers(0, (1 << 135) - 1), min_size=8, max_size=8),
+)
+def test_epoch_plan_matches_the_scalar_expansion(b, epoch_id, sampled):
+    prf = CountingPrf(DEFAULT_PRF)
+    plans = {}
+    for pid in PLAN_IDS:
+        before = prf.calls
+        plans[pid] = plan_epoch(PLAN_SECRETS[pid], epoch_id, b, prf=prf)
+        assert prf.calls - before == len(PLAN_IDS) - 1
+    me = PLAN_IDS[0]
+    plan = plans[me]
+    oracle = _oracle_rounds(PLAN_SECRETS[me], epoch_id, b, DEFAULT_PRF)
+    assert plan.peers == tuple(p for p, _, _ in PLAN_SECRETS[me].iter_signed())
+    assert plan.width == (128 // b) << b
+    if plan.width <= 4096:
+        rounds = range(plan.width)
+    else:
+        # every scheduled round, its neighbours and random others
+        scheduled = {r for rs in oracle.values() for r in rs}
+        rounds = sorted(
+            {r + d for r in scheduled for d in (-1, 0, 1) if 0 <= r + d < plan.width}
+            | {x % plan.width for x in sampled}
+            | {0, plan.width - 1}
+        )
+    for r in rounds:
+        expect = tuple(p for p in plan.peers if r in oracle[p])
+        assert plan.peers_in_round(r) == expect
+        for q in plan.peers:
+            assert plan.active_in_round(q, r) == (q in expect)
+            assert plans[q].active_in_round(me, r) == (q in expect)
 
 
 def test_epoch_plan_counts_one_prf_call_per_peer():
@@ -245,8 +301,7 @@ def test_zeph_nonces_cancel_across_the_epoch():
 def test_zeph_empty_round_warns_and_returns_zero(caplog):
     ids, secrets = build_parties(2)
     plan = plan_epoch(secrets[ids[0]], 0, 7)
-    scheduled = set(plan.peer_rounds[ids[1]])
-    empty = next(r for r in range(plan.width) if r not in scheduled)
+    empty = next(r for r in range(plan.width) if not plan.peers_in_round(r))
     with caplog.at_level(logging.WARNING):
         assert nonce_zeph(plan, secrets[ids[0]], empty) == 0
     assert any("no active peers" in rec.getMessage() for rec in caplog.records)
@@ -579,6 +634,37 @@ def test_simulate_zeph_replays_the_epoch_plan():
     # each of the 5 peers is scheduled once per segment
     full = simulate_party_counters(parties, width, "zeph", b=b, seed=seed)
     assert sum(row.degree for row in full) == (parties - 1) * (128 // b)
+
+
+def _rows_digest(rows) -> str:
+    fields = [(r.round_index, r.active_peers, r.degree, r.prf_calls, r.additions) for r in rows]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "parties, rounds, kwargs, digest",
+    [
+        (200, 300, dict(seed=4), "a23b76a738119703a9b13f791a286973cd405fdd004285e518c992d36828ff03"),
+        (
+            300,
+            700,
+            dict(seed=1, dropout=0.05),
+            "e789f6c05067571d4e6d125c18a704c059af6e2cd48c23e9c623ba0e74c02f44",
+        ),
+        (6, 600, dict(b=2, seed=11), "d7fb22ed7cab9150812c66fe7e3919abee1d9fb7963b3fea644b6875f24cc54f"),
+    ],
+)
+def test_simulate_zeph_rows_are_pinned(parties, rounds, kwargs, digest):
+    # digests recorded from the per-peer tuple expansion this replay replaced
+    rows = simulate_party_counters(parties, rounds, "zeph", **kwargs)
+    assert _rows_digest(rows) == digest
+
+
+def test_simulate_zeph_refuses_segments_too_wide_to_tally():
+    with pytest.raises(ValueError, match="too wide to replay"):
+        simulate_party_counters(5, 3, "zeph", b=25)
+    # dream draws need no histogram
+    assert len(simulate_party_counters(5, 3, "dream", b=70)) == 3
 
 
 def test_simulate_dropout_thins_costs():
