@@ -1095,6 +1095,7 @@ class _Scenario:
                     self.masters[sid],
                     window,
                     self.plan.directives,
+                    layout=self.plan.token_layout,
                     prf=self.prf,
                     modulus=cfg.modulus,
                 ),
@@ -1272,7 +1273,12 @@ class _Scenario:
             plan.plan_id,
             window,
             lambda: single_stream_token(
-                self.masters[sid], window, plan.directives, prf=self.prf, modulus=cfg.modulus
+                self.masters[sid],
+                window,
+                plan.directives,
+                layout=plan.token_layout,
+                prf=self.prf,
+                modulus=cfg.modulus,
             ),
         )
         result.bytes_controller += token.wire_size()

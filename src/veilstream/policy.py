@@ -29,6 +29,7 @@ DP plans instead draw down the attribute's epsilon budget and may overlap.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -39,8 +40,15 @@ from typing import Mapping, Optional, Sequence, Union
 import yaml
 
 from .encoding import EncodingSpec, SCALE_DEFAULT
-from .secure_agg import PartyId
-from .tokens import ElementDirective, NoiseSpec, merge, output_layout, release, withhold
+from .tokens import (
+    ElementDirective,
+    NoiseSpec,
+    TokenLayout,
+    merge,
+    output_layout,
+    release,
+    withhold,
+)
 
 __all__ = [
     "OPTION_KINDS",
@@ -417,6 +425,23 @@ class TransformationPlan:
     max_dropouts: int
     dp_epsilon: Optional[float] = None
     noise: Optional[NoiseSpec] = None
+
+    @functools.cached_property
+    def token_layout(self) -> TokenLayout:
+        """Index arrays of `layout`, built once per plan for every token.
+
+        Derived here, never taken from the planner or the wire; `layout`
+        itself is what `verify_plan` checks against the directives.
+        """
+        return TokenLayout.build(self.directives, self.layout)
+
+    @functools.cached_property
+    def _member_rank(self) -> dict[str, int]:
+        """First position of each member, so checks can follow plan order."""
+        rank: dict[str, int] = {}
+        for i, sid in enumerate(self.members):
+            rank.setdefault(sid, i)
+        return rank
 
     @property
     def min_members(self) -> int:
@@ -900,7 +925,9 @@ def verify_plan(
     else:
         level = _level("stream-aggregate")
 
-    mine = [sid for sid in plan.members if sid in own_annotations]
+    # the caller's own streams, in plan order, without a pass over members
+    rank = plan._member_rank
+    mine = sorted((sid for sid in own_annotations if sid in rank), key=rank.__getitem__)
     if not mine:
         return Verdict.refuse("not_a_member")
     for sid in mine:
@@ -931,8 +958,6 @@ def verify_plan(
                         return Verdict.refuse("epsilon_budget")
                 elif kind == "dp-aggregate" and plan.dp_epsilon > option.epsilon_budget + 1e-9:
                     return Verdict.refuse("epsilon_budget")
-    if registry is not None:
-        for owner in plan.owners:
-            if PartyId(owner) not in registry:
-                return Verdict.refuse("unknown_identity")
+    if registry is not None and not registry.knows_all(plan.owners):
+        return Verdict.refuse("unknown_identity")
     return Verdict.accept()

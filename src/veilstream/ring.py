@@ -260,22 +260,34 @@ def derive_key(
     t: int,
     width: int,
     *,
+    elements: Optional[np.ndarray] = None,
     prf: Prf = DEFAULT_PRF,
     modulus: int = MODULUS_DEFAULT,
 ) -> np.ndarray:
     """Key vector for timestamp t: element j is the PRF output on input
-    (t, j), truncated to the ring. Returns a uint64 array of length width."""
+    (t, j), truncated to the ring. Returns a uint64 array of length width,
+    or, given integer `elements` in [0, width), the entries at those
+    indices only, in their order, at one PRF block each."""
     mask = check_modulus(modulus)
     if t < 0 or t >> 64:
         raise ValueError(f"timestamp out of range: {t}")
     if width < 1 or width >= 1 << 32:
         raise ValueError(f"bad key vector width: {width}")
-    words = np.empty((width, 2), dtype=">u8")
-    words[:, 0] = (DOMAIN_KEYSTREAM << 56) + np.arange(width, dtype=np.uint64)
+    if elements is None:
+        index = np.arange(width, dtype=np.uint64)
+    else:
+        index = np.asarray(elements)
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError("key elements must be a 1-d integer array")
+        if index.size and (index.min() < 0 or index.max() >= width):
+            raise ValueError(f"key elements outside width {width}")
+        index = index.astype(np.uint64)
+    words = np.empty((len(index), 2), dtype=">u8")
+    words[:, 0] = (DOMAIN_KEYSTREAM << 56) + index
     words[:, 1] = t
     out = prf.evaluate_batch(master.key, words.tobytes())
     # low 64 bits of each 128-bit output, then truncate to the ring
-    ks = np.frombuffer(out, dtype=">u8").reshape(width, 2)[:, 1].astype(np.uint64)
+    ks = np.frombuffer(out, dtype=">u8").reshape(-1, 2)[:, 1].astype(np.uint64)
     return ks & np.uint64(mask)
 
 

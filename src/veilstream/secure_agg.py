@@ -56,6 +56,7 @@ from .ring import (
     CountingPrf,
     Prf,
     SplitMixPrf,
+    _as_ring_array,
     check_modulus,
     prf_input,
 )
@@ -141,12 +142,14 @@ class IdentityRegistry:
 
     def __init__(self):
         self._entries: dict[PartyId, PublicIdentity] = {}
+        self._raw_ids: set[bytes] = set()
 
     def register(self, identity: PublicIdentity) -> None:
         existing = self._entries.get(identity.party_id)
         if existing is not None and existing.material != identity.material:
             raise ValueError(f"conflicting registration for {identity.party_id!r}")
         self._entries[identity.party_id] = identity
+        self._raw_ids.add(identity.party_id.value)
 
     def get(self, party_id: PartyId) -> PublicIdentity:
         try:
@@ -156,6 +159,11 @@ class IdentityRegistry:
 
     def __contains__(self, party_id: PartyId) -> bool:
         return party_id in self._entries
+
+    def knows_all(self, raw_ids: Iterable[bytes]) -> bool:
+        """Whether every raw 32-byte id is registered; anything else,
+        malformed ids included, is unknown."""
+        return self._raw_ids.issuperset(raw_ids)
 
     def __len__(self):
         return len(self._entries)
@@ -619,20 +627,22 @@ def mask_token(
     """
     mask = check_modulus(modulus)
     indices = token.indices
-    if not isinstance(nonces, Mapping):
-        if len(nonces) != len(indices):
-            raise ValueError(
-                f"nonce vector length {len(nonces)} != released elements {len(indices)}"
-            )
-        nonces = dict(zip(indices, (int(v) for v in nonces)))
-    elements = {}
-    for i in indices:
-        elements[i] = (token.elements[i] + nonces[i]) & mask
+    if isinstance(nonces, Mapping):
+        nonces = [nonces[i] for i in indices]
+    elif len(nonces) != len(indices):
+        raise ValueError(
+            f"nonce vector length {len(nonces)} != released elements {len(indices)}"
+        )
+    values = np.fromiter(
+        (token.elements[i] for i in indices), dtype=np.uint64, count=len(indices)
+    )
+    # uint64 sums wrap mod 2**64, a multiple of every supported modulus
+    blinded_values = (values + _as_ring_array(nonces, mask)) & np.uint64(mask)
     blinded = TransformationToken(
         window_start=token.window_start,
         window_end=token.window_end,
         stream_set_id=token.stream_set_id,
-        elements=elements,
+        elements=dict(zip(indices, blinded_values.tolist())),
         noised=token.noised,
         stream_ids=token.stream_ids,
     )

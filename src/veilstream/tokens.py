@@ -46,6 +46,7 @@ __all__ = [
     "shift",
     "perturb",
     "output_layout",
+    "TokenLayout",
     "stream_set_hash",
     "TransformationToken",
     "NoiseSpec",
@@ -160,6 +161,57 @@ def output_layout(
     return tuple(tuple(srcs) for srcs in layout)
 
 
+@dataclass(frozen=True, eq=False)
+class TokenLayout:
+    """An output layout as index arrays, built once and reused per token.
+
+    `sources` lists every output's source elements, output after output,
+    and `offsets` marks where each output's run starts, so one
+    `np.add.reduceat` over per-source key material yields every output.
+    `adjusted` pairs each output led by a shift or perturb directive, in
+    output order, with that directive: only those outputs need work of
+    their own.
+    """
+
+    width: int
+    sources: np.ndarray
+    offsets: np.ndarray
+    adjusted: tuple[tuple[int, ElementDirective], ...]
+
+    @staticmethod
+    def build(
+        directives: Sequence[ElementDirective],
+        layout: Optional[Sequence[Sequence[int]]] = None,
+    ) -> "TokenLayout":
+        """Index arrays of `layout`, by default `output_layout(directives)`.
+
+        A supplied layout must be the directives' own, as `verify_plan`
+        checks for a plan's.
+        """
+        if layout is None:
+            layout = output_layout(directives)
+        if not layout:
+            raise ValueError("token must release at least one element")
+        sizes = np.array([len(s) for s in layout], dtype=np.intp)
+        if not sizes.all():
+            raise ValueError("every output element needs a source")
+        sources = np.fromiter(
+            (j for s in layout for j in s), dtype=np.intp, count=int(sizes.sum())
+        )
+        if sources.min() < 0 or sources.max() >= len(directives):
+            raise ValueError(f"layout sources outside width {len(directives)}")
+        offsets = np.zeros(len(layout), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=offsets[1:])
+        adjusted = tuple(
+            (o, directives[s[0]])
+            for o, s in enumerate(layout)
+            if directives[s[0]].action in ("shift", "perturb")
+        )
+        sources.flags.writeable = False
+        offsets.flags.writeable = False
+        return TokenLayout(len(directives), sources, offsets, adjusted)
+
+
 def stream_set_hash(stream_ids: Iterable[str]) -> bytes:
     """Canonical 32-byte identifier of an unordered stream set."""
     ids = sorted(stream_ids)
@@ -214,6 +266,7 @@ def single_stream_token(
     window: tuple[int, int],
     directives: Sequence[ElementDirective],
     *,
+    layout: Optional[TokenLayout] = None,
     prf: Prf = DEFAULT_PRF,
     modulus: int = MODULUS_DEFAULT,
     scale: int = SCALE_DEFAULT,
@@ -223,42 +276,45 @@ def single_stream_token(
 
     Each output element sums key(start) - key(end) over its source inputs,
     so adding the token to the equally reshaped aggregate leaves exactly
-    the plaintext transformation output.
+    the plaintext transformation output. Key material is derived for the
+    layout's source elements only: a token costs 2 x (source elements)
+    PRF blocks. Callers holding a plan pass its precomputed `layout`;
+    without one the layout is built from the directives for this call.
     """
     mask = check_modulus(modulus)
     t_start, t_end = window
     if t_start >= t_end:
         raise ValueError(f"window must be non-empty: {window}")
-    width = len(directives)
-    if width == 0:
+    if not directives:
         raise ValueError("directives must cover at least one element")
-    layout = output_layout(directives)
-    if not layout:
-        raise ValueError("token must release at least one element")
-    k_start = derive_key(master, t_start, width, prf=prf, modulus=modulus)
-    k_end = derive_key(master, t_end, width, prf=prf, modulus=modulus)
-    elements: dict[int, int] = {}
+    if layout is None:
+        layout = TokenLayout.build(directives)
+    elif layout.width != len(directives):
+        raise ValueError(
+            f"layout width {layout.width} != {len(directives)} directives"
+        )
+    if rng is None and any(d.action == "perturb" for _, d in layout.adjusted):
+        raise ValueError("perturb directive needs an rng")
+    width = layout.width
+    src = layout.sources
+    k_start = derive_key(master, t_start, width, elements=src, prf=prf, modulus=modulus)
+    k_end = derive_key(master, t_end, width, elements=src, prf=prf, modulus=modulus)
+    # uint64 sums wrap mod 2**64, a multiple of every supported modulus
+    values = (np.add.reduceat(k_start - k_end, layout.offsets) & np.uint64(mask)).tolist()
     noised = False
-    for o, sources in enumerate(layout):
-        acc = 0
-        for j in sources:
-            acc = (acc + int(k_start[j]) - int(k_end[j])) & mask
-        lead = directives[sources[0]]
+    for o, lead in layout.adjusted:
         if lead.action == "shift":
-            acc = (acc + round(lead.offset * scale)) & mask
-        elif lead.action == "perturb":
-            if rng is None:
-                raise ValueError("perturb directive needs an rng")
+            values[o] = (values[o] + round(lead.offset * scale)) & mask
+        else:
             # per-party noise share, in ring units of this element
             eta = round(float(rng.normal(0.0, lead.noise.per_party_sigma)))
-            acc = (acc + eta) & mask
+            values[o] = (values[o] + eta) & mask
             noised = True
-        elements[o] = acc
     return TransformationToken(
         window_start=t_start,
         window_end=t_end,
         stream_set_id=stream_set_hash([master.stream_id]),
-        elements=elements,
+        elements=dict(enumerate(values)),
         noised=noised,
         stream_ids=(master.stream_id,),
     )
@@ -436,14 +492,22 @@ class TokenStore:
 # index order. Framing is external (length-delimited transport).
 
 
+_WIRE_ELEMENT = np.dtype([("index", "<u2"), ("value", "<u8")])
+
+
 def serialize_token(token: TransformationToken) -> bytes:
-    out = bytearray(struct.pack("<QQ", token.window_start, token.window_end))
-    out += token.stream_set_id
-    for idx in token.indices:
-        if idx >= 1 << 16:
-            raise ValueError(f"element index {idx} exceeds 16 bits")
-        out += struct.pack("<HQ", idx, token.elements[idx])
-    return bytes(out)
+    indices = token.indices
+    if indices[-1] >= 1 << 16:
+        idx = next(i for i in indices if i >= 1 << 16)
+        raise ValueError(f"element index {idx} exceeds 16 bits")
+    pairs = np.empty(len(indices), dtype=_WIRE_ELEMENT)
+    pairs["index"] = indices
+    pairs["value"] = [token.elements[i] for i in indices]
+    return (
+        struct.pack("<QQ", token.window_start, token.window_end)
+        + token.stream_set_id
+        + pairs.tobytes()
+    )
 
 
 def deserialize_token(data: bytes, *, noised: bool = False) -> TransformationToken:

@@ -257,20 +257,58 @@ def test_zeph_run_is_pinned():
         hashlib.sha256(released).hexdigest()
         == "4ae08884f365504443d3dc1320eca794f5483186090a769449ec0a9b482e43a2"
     )
+    # PRF counts are the tuple plan's less 2 * (683 - 407) = 552 blocks per
+    # token, since tokens derive keys for the 407 source elements only
     counts = [
         (w.prf_calls, w.additions, w.bytes_controller, w.bytes_server) for w in result.windows
     ]
     assert counts == [
-        (172174, 177620, 67628, 3007),
-        (168112, 176122, 67628, 0),
-        (160590, 163924, 66462, 48),
+        (172174 - 58 * 552, 177620, 67628, 3007),
+        (168112 - 58 * 552, 176122, 67628, 0),
+        (160590 - 57 * 552, 163924, 66462, 48),
     ]
     summary = result.summary
-    assert summary["prf_calls_total"] == 1131285
+    assert summary["prf_calls_total"] == 1131285 - 173 * 552
     assert summary["additions_total"] == 517666
     assert summary["bytes_producer_total"] == 4742968
     assert summary["bytes_controller_total"] == 201718
     assert summary["bytes_server_total"] == 3055
+
+
+def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
+    from veilstream import pipeline, policy, tokens
+
+    scenario = _Scenario(
+        small_config(
+            protocol="zeph", partition_size=60, colluding_fraction=0.2, seed=3, windows=2
+        )
+    )
+    assert len(scenario.plan.directives) == 683
+    assert len(scenario.plan.token_layout.sources) == 407
+    layout_calls = []
+    original_layout = tokens.output_layout
+
+    def counted_layout(directives):
+        layout_calls.append(len(directives))
+        return original_layout(directives)
+
+    for module in (tokens, policy):
+        monkeypatch.setattr(module, "output_layout", counted_layout)
+    token_blocks = []
+    original_token = pipeline.single_stream_token
+
+    def metered_token(*args, **kwargs):
+        before = kwargs["prf"].calls
+        token = original_token(*args, **kwargs)
+        token_blocks.append(kwargs["prf"].calls - before)
+        return token
+
+    monkeypatch.setattr(pipeline, "single_stream_token", metered_token)
+    result = scenario.run()
+    assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
+    assert len(token_blocks) == sum(w.members for w in result.windows) == 116
+    assert set(token_blocks) == {2 * 407}
+    assert layout_calls == []
 
 
 def test_zeph_keeps_only_the_current_epoch_plan():

@@ -620,6 +620,15 @@ def test_verify_rechecks_options_and_constraints():
     unselected = {"stream-000": annotation(0, selected={"steps": "aggregate"})}
     assert verify_plan(plan, SCHEMA, unselected).reason == "no_option_selected"
 
+    # a controller owning several members checks them in plan order
+    both = {
+        "stream-001": annotation(1, selected={"steps": "aggregate"}),
+        "stream-000": annotation(0, selected={"heart_rate": "private"}),
+    }
+    assert verify_plan(plan, SCHEMA, both).reason == "option_forbids"
+    reordered = dataclasses.replace(plan, members=plan.members[::-1])
+    assert verify_plan(reordered, SCHEMA, both).reason == "no_option_selected"
+
     shrunk = dataclasses.replace(plan, members=("stream-000", "stream-001"))
     own = {a.stream_id: a for a in anns}
     assert verify_plan(shrunk, SCHEMA, own).reason == "min_population"
@@ -661,6 +670,11 @@ def test_verify_checks_dp_budgets_and_identities():
     for o in plan.owners:
         registry.register(PublicIdentity(PartyId(o), o))
     assert verify_plan(plan, SCHEMA, own, registry=registry).ok
+    for stranger in (bytes(32), b"short"):
+        foreign = dataclasses.replace(plan, owners=plan.owners + (stranger,))
+        assert verify_plan(foreign, SCHEMA, own, registry=registry).reason == (
+            "unknown_identity"
+        )
 
 
 def test_verify_resolution_floor_on_decode_spec():

@@ -130,6 +130,21 @@ def test_derive_key_width_and_domain():
     assert int(k[2]) == expected
 
 
+def test_derive_key_on_selected_elements():
+    m = master("sel")
+    full = derive_key(m, 41, 50)
+    prf = CountingPrf(AES)
+    for idx in ([7], [49, 0, 7, 7, 23], np.arange(50)[::-3], np.array([], dtype=np.intp)):
+        before = prf.calls
+        part = derive_key(m, 41, 50, elements=np.asarray(idx), prf=prf)
+        assert prf.calls - before == len(idx)
+        assert part.dtype == np.uint64
+        assert part.tolist() == full[np.asarray(idx, dtype=np.intp)].tolist()
+    for bad in ([50], [-1], [3, 50], [0.0], [[1]]):
+        with pytest.raises(ValueError, match="elements"):
+            derive_key(m, 41, 50, elements=np.asarray(bad), prf=prf)
+
+
 def test_encrypt_decrypt_roundtrip_random():
     rng = np.random.default_rng(11)
     for _ in range(25):

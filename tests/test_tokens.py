@@ -5,25 +5,34 @@ ciphertext must equal running the directives on the plaintext sums.
 """
 
 import hashlib
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veilstream.ring import (
     MODULUS_DEFAULT,
+    AesPrf,
+    CounterPrf,
+    CountingPrf,
     MasterSecret,
     apply_token,
     chain_sum,
     cross_sum,
+    derive_key,
     encrypt,
     merge_elements,
 )
+from veilstream.secure_agg import PartyId, mask_token
 from veilstream.tokens import (
     ElementDirective,
     NoiseSpec,
     PrivacyBudget,
     Suppressed,
+    TokenLayout,
     TokenStore,
     TransformationToken,
     add_dp_noise,
@@ -197,6 +206,91 @@ def test_mixed_directives_against_plaintext_oracle():
     assert apply_token(merged, token) == expect
 
 
+def loop_token(m, window, directives, *, prf, modulus, scale, rng):
+    """The per-element token loop the vectorized builder replaced: full key
+    vectors, then one Python sum per output. Kept as the oracle."""
+    mask = modulus - 1
+    width = len(directives)
+    k_start = derive_key(m, window[0], width, prf=prf, modulus=modulus)
+    k_end = derive_key(m, window[1], width, prf=prf, modulus=modulus)
+    elements = {}
+    noised = False
+    for o, sources in enumerate(output_layout(directives)):
+        acc = 0
+        for j in sources:
+            acc = (acc + int(k_start[j]) - int(k_end[j])) & mask
+        lead = directives[sources[0]]
+        if lead.action == "shift":
+            acc = (acc + round(lead.offset * scale)) & mask
+        elif lead.action == "perturb":
+            eta = round(float(rng.normal(0.0, lead.noise.per_party_sigma)))
+            acc = (acc + eta) & mask
+            noised = True
+        elements[o] = acc
+    return elements, noised
+
+
+directive_strategy = st.one_of(
+    st.just(release()),
+    st.just(withhold()),
+    st.sampled_from("abc").map(merge),
+    st.floats(-1e6, 1e6, allow_nan=False).map(shift),
+    st.floats(0.0, 1e7, allow_nan=False).map(
+        lambda sigma: perturb(NoiseSpec(sigma, honest_fraction=1.0, party_count=1))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    directives=st.lists(directive_strategy, min_size=1, max_size=40).filter(
+        lambda ds: any(d.action != "withhold" for d in ds)
+    ),
+    t_start=st.integers(0, 1 << 40),
+    length=st.integers(1, 5000),
+    prf_kind=st.sampled_from(["counter", "aes"]),
+    modulus=st.sampled_from([1 << 64, 1 << 32, 1 << 13]),
+    scale=st.sampled_from([1, 100, 10_000]),
+    seed=st.integers(0, 2**32 - 1),
+    prebuilt=st.booleans(),
+)
+def test_token_matches_the_per_element_loop(
+    directives, t_start, length, prf_kind, modulus, scale, seed, prebuilt
+):
+    m = master("oracle")
+    prf = CountingPrf(CounterPrf() if prf_kind == "counter" else AesPrf())
+    window = (t_start, t_start + length)
+    layout = TokenLayout.build(directives) if prebuilt else None
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    token = single_stream_token(
+        m, window, directives, layout=layout, prf=prf, modulus=modulus, scale=scale, rng=rng
+    )
+    sources = sum(d.action != "withhold" for d in directives)
+    assert prf.calls == 2 * sources
+    elements, noised = loop_token(
+        m, window, directives, prf=prf.inner, modulus=modulus, scale=scale, rng=oracle_rng
+    )
+    assert dict(token.elements) == elements
+    assert all(type(v) is int for v in token.elements.values())
+    assert token.noised == noised
+    # the same noise draws, in the same output order
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_token_layout_arrays():
+    directives = [release(), merge("g"), withhold(), shift(1.5), merge("g"), release()]
+    layout = TokenLayout.build(directives)
+    assert layout.width == 6
+    assert layout.sources.tolist() == [0, 1, 4, 3, 5]
+    assert layout.offsets.tolist() == [0, 1, 3, 4]
+    assert layout.adjusted == ((2, directives[3]),)
+    assert not layout.sources.flags.writeable and not layout.offsets.flags.writeable
+    with pytest.raises(ValueError, match="outside width"):
+        TokenLayout.build(directives, ((0,), (6,)))
+    with pytest.raises(ValueError, match="needs a source"):
+        TokenLayout.build(directives, ((0,), ()))
+
+
 def test_token_builder_input_validation():
     m = master("val")
     with pytest.raises(ValueError, match="non-empty"):
@@ -205,6 +299,10 @@ def test_token_builder_input_validation():
         single_stream_token(m, (0, 1), [])
     with pytest.raises(ValueError, match="release at least one"):
         single_stream_token(m, (0, 1), [withhold(), withhold()])
+    with pytest.raises(ValueError, match="layout width"):
+        single_stream_token(
+            m, (0, 1), [release()], layout=TokenLayout.build([release(), release()])
+        )
 
 
 # ---- multi-stream combination --------------------------------------------------
@@ -412,6 +510,45 @@ def test_token_wire_roundtrip_and_size():
     assert back.stream_ids is None  # provenance stays off the wire
 
 
+def struct_serialize(token: TransformationToken) -> bytes:
+    """The per-element `struct` encoder the array encoder replaced (oracle)."""
+    out = bytearray(struct.pack("<QQ", token.window_start, token.window_end))
+    out += token.stream_set_id
+    for idx in token.indices:
+        out += struct.pack("<HQ", idx, token.elements[idx])
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    elements=st.dictionaries(
+        st.integers(0, (1 << 16) - 1), st.integers(0, (1 << 64) - 1), min_size=1, max_size=60
+    ),
+    window_start=st.integers(0, (1 << 64) - 2),
+    nonce_seed=st.integers(0, 2**32 - 1),
+)
+def test_token_wire_bytes_match_the_struct_encoder(elements, window_start, nonce_seed):
+    token = TransformationToken(
+        window_start=window_start,
+        window_end=window_start + 1,
+        stream_set_id=bytes(range(32)),
+        elements=elements,
+    )
+    assert serialize_token(token) == struct_serialize(token)
+    nonces = np.random.default_rng(nonce_seed).integers(
+        0, 1 << 64, size=len(elements), dtype=np.uint64
+    )
+    party = PartyId(bytes(31) + b"\x07")
+    masked = mask_token(token, nonces, round_index=3, epoch_id=9, party=party)
+    blinded = {
+        i: (elements[i] + int(v)) % M for i, v in zip(sorted(elements), nonces)
+    }
+    assert dict(masked.payload.elements) == blinded
+    assert masked.serialize() == (
+        struct.pack("<QQ", 3, 9) + party.value + struct_serialize(masked.payload)
+    )
+
+
 def test_token_wire_rejects_malformed_data():
     m = master("bad")
     data = serialize_token(single_stream_token(m, (0, 1), [release()]))
@@ -425,14 +562,15 @@ def test_token_wire_rejects_malformed_data():
 
 
 def test_token_wire_rejects_oversized_indices():
-    token = TransformationToken(
-        window_start=0,
-        window_end=1,
-        stream_set_id=bytes(32),
-        elements={1 << 16: 5},
-    )
-    with pytest.raises(ValueError, match="16 bits"):
-        serialize_token(token)
+    for elements in ({1 << 16: 5}, {3: 1, 1 << 16: 5, (1 << 16) + 1: 6}):
+        token = TransformationToken(
+            window_start=0,
+            window_end=1,
+            stream_set_id=bytes(32),
+            elements=elements,
+        )
+        with pytest.raises(ValueError, match=f"index {1 << 16} exceeds 16 bits"):
+            serialize_token(token)
 
 
 def test_token_dataclass_validation():
