@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ring import MODULUS_DEFAULT, check_modulus
+from .ring import MODULUS_DEFAULT, RING_MASK
 
 __all__ = [
     "KINDS",
@@ -105,25 +105,22 @@ class EncodingSpec:
         raise ValueError(f"{self.kind} has no bins")
 
 
-def _quantize(value: float, scale: int, mask: int) -> int:
-    return round(value * scale) & mask
+def _quantize(value: float, scale: int) -> int:
+    return round(value * scale) & RING_MASK
 
 
-def encode(
-    value: float, spec: EncodingSpec, *, modulus: int = MODULUS_DEFAULT
-) -> np.ndarray:
+def encode(value: float, spec: EncodingSpec) -> np.ndarray:
     """Encode one observed value as a ring vector of spec.width elements."""
-    mask = check_modulus(modulus)
     kind = spec.kind
     if kind == "sum":
-        return np.array([_quantize(value, spec.scale, mask)], dtype=np.uint64)
+        return np.array([_quantize(value, spec.scale)], dtype=np.uint64)
     if kind == "sum_count":
-        return np.array([_quantize(value, spec.scale, mask), 1], dtype=np.uint64)
+        return np.array([_quantize(value, spec.scale), 1], dtype=np.uint64)
     if kind == "variance":
         q = round(value * spec.scale)
-        return np.array([q & mask, (q * q) & mask, 1], dtype=np.uint64)
+        return np.array([q & RING_MASK, (q * q) & RING_MASK, 1], dtype=np.uint64)
     if kind == "predicate_threshold":
-        q = _quantize(value, spec.scale, mask)
+        q = _quantize(value, spec.scale)
         if value >= spec.threshold:
             return np.array([q, 0], dtype=np.uint64)
         return np.array([0, q], dtype=np.uint64)
@@ -157,9 +154,9 @@ def encode_neutral(spec: EncodingSpec) -> np.ndarray:
     return np.zeros(spec.width, dtype=np.uint64)
 
 
-def _lift(v: int, modulus: int) -> int:
+def _lift(v: int) -> int:
     """Interpret a ring element as a signed integer centered on zero."""
-    return v - modulus if v > modulus // 2 else v
+    return v - MODULUS_DEFAULT if v > MODULUS_DEFAULT // 2 else v
 
 
 @dataclass(frozen=True)
@@ -241,16 +238,13 @@ class DecodedStats:
         return [(self._spec.bin_value(i), self.bins[i]) for i in nz[:k]]
 
 
-def decode_stats(
-    aggregate: Sequence[int], spec: EncodingSpec, *, modulus: int = MODULUS_DEFAULT
-) -> DecodedStats:
+def decode_stats(aggregate: Sequence[int], spec: EncodingSpec) -> DecodedStats:
     """Recover statistics from a summed encoding vector.
 
-    Counts and bins are declared non-negative, so a value above M/2 on one
-    of them is reported with a wraparound warning instead of being silently
-    interpreted as negative data.
+    Counts, bins and sums of squares are non-negative, so a value above
+    M/2 on one of them is reported with a wraparound warning instead of
+    being silently interpreted as negative data.
     """
-    check_modulus(modulus)
     vals = [int(v) for v in aggregate]
     if len(vals) != spec.width:
         raise ValueError(f"aggregate width {len(vals)} != encoding width {spec.width}")
@@ -259,28 +253,28 @@ def decode_stats(
     kind = spec.kind
 
     def unsigned(v: int, what: str) -> int:
-        lifted = _lift(v, modulus)
+        lifted = _lift(v)
         if lifted < 0:
             warnings.append(f"{what} wrapped past M/2; window likely overflowed")
         return lifted
 
     if kind == "sum":
         return DecodedStats(
-            kind, total=_lift(vals[0], modulus) / scale, warnings=tuple(warnings), _spec=spec
+            kind, total=_lift(vals[0]) / scale, warnings=tuple(warnings), _spec=spec
         )
     if kind == "sum_count":
         count = unsigned(vals[1], "count")
-        total = _lift(vals[0], modulus) / scale
+        total = _lift(vals[0]) / scale
         mean = total / count if count > 0 else None
         return DecodedStats(
             kind, count=count, total=total, mean=mean, warnings=tuple(warnings), _spec=spec
         )
     if kind == "variance":
         count = unsigned(vals[2], "count")
-        total = _lift(vals[0], modulus) / scale
+        total = _lift(vals[0]) / scale
+        sumsq = unsigned(vals[1], "sum of squares") / (scale * scale)
         if count > 0:
             mean = total / count
-            sumsq = _lift(vals[1], modulus) / (scale * scale)
             variance = sumsq / count - mean * mean
         else:
             mean = variance = None
@@ -296,8 +290,8 @@ def decode_stats(
     if kind == "predicate_threshold":
         return DecodedStats(
             kind,
-            sum_above=_lift(vals[0], modulus) / scale,
-            sum_below=_lift(vals[1], modulus) / scale,
+            sum_above=_lift(vals[0]) / scale,
+            sum_below=_lift(vals[1]) / scale,
             warnings=tuple(warnings),
             _spec=spec,
         )
@@ -311,15 +305,12 @@ def check_overflow_budget(
     spec: EncodingSpec,
     max_events: int,
     max_magnitude: float,
-    *,
-    modulus: int = MODULUS_DEFAULT,
 ) -> None:
     """Reject configurations whose worst-case window sums could exceed M/2.
 
     Beyond half the modulus the signed interpretation of sums becomes
     ambiguous, so deployments must budget events and magnitudes up front.
     """
-    check_modulus(modulus)
     if max_events < 1:
         raise ValueError("max_events must be at least 1")
     q = abs(round(max_magnitude * spec.scale))
@@ -330,8 +321,9 @@ def check_overflow_budget(
     else:
         per_event = 1
     worst = per_event * max_events
-    if worst >= modulus // 2:
+    half = MODULUS_DEFAULT // 2
+    if worst >= half:
         raise OverflowBudgetError(
             f"worst-case window sum {worst} exceeds half the modulus "
-            f"({modulus // 2}); reduce events, magnitude or scale"
+            f"({half}); reduce events, magnitude or scale"
         )

@@ -50,7 +50,7 @@ from .policy import (
     verify_plan,
 )
 from .ring import (
-    MODULUS_DEFAULT,
+    RING_MASK,
     AesPrf,
     ChainEncryptor,
     CountingPrf,
@@ -59,7 +59,6 @@ from .ring import (
     ZeroPrf,
     apply_token,
     chain_sum,
-    check_modulus,
     cross_sum,
     encrypt,
     merge_elements,
@@ -144,7 +143,6 @@ class SimConfig:
     parallel: bool = False  # accepted for old callers; partitions run in order
     colluding_fraction: float = 0.5
     failure_budget: float = 1e-7
-    modulus: int = MODULUS_DEFAULT
     custom: Optional[dict] = None  # replaces the preset tables when given
 
     def __post_init__(self):
@@ -211,10 +209,10 @@ class SimTransport:
         self.dropped = 0
         self.bytes_sent = 0
 
-    def send(self, size: int, deliver: Callable[[], None], *, lossy: bool = True) -> None:
+    def send(self, size: int, deliver: Callable[[], None]) -> None:
         self.sent += 1
         self.bytes_sent += size
-        if lossy and self.rng.random() < self.drop_rate:
+        if self.rng.random() < self.drop_rate:
             self.dropped += 1
             return
         latency = float(
@@ -723,7 +721,7 @@ class _Scenario:
         self.width = self.schema.width
         self.attr_specs = [(a.name, a.encoding) for a in self.schema.attributes]
         self.slices = self.schema.slices
-        self.mask = check_modulus(config.modulus)
+        self.mask = RING_MASK
         self.mask_np = np.uint64(self.mask)
         self.prf = CountingPrf(AesPrf())
         self.additions = 0
@@ -979,7 +977,7 @@ class _Scenario:
                     if spec.kind == "one_hot":
                         value = int(value)
                     lo, hi = self.slices[name]
-                    vec[lo:hi] = encode(value, spec, modulus=cfg.modulus)
+                    vec[lo:hi] = encode(value, spec)
                 vectors.append(vec)
                 plain = (plain + vec) & self.mask_np
             self.window_plain[(sid, w)] = plain
@@ -1028,7 +1026,7 @@ class _Scenario:
                 continue
             if any(a.t_curr != b.t_prev for a, b in zip(pieces, pieces[1:])):
                 continue
-            window_cts[sid] = chain_sum(pieces, modulus=cfg.modulus)
+            window_cts[sid] = chain_sum(pieces)
             members.append(sid)
 
         plan_members = [s for s in members if s in self.plan_member_set]
@@ -1097,7 +1095,6 @@ class _Scenario:
                     self.plan.directives,
                     layout=self.plan.token_layout,
                     prf=self.prf,
-                    modulus=cfg.modulus,
                 ),
             )
             if self.plan.dp_epsilon is not None:
@@ -1107,7 +1104,6 @@ class _Scenario:
                     self.budgets[sid],
                     self.plan.dp_epsilon,
                     self._noise_rng(w, party),
-                    modulus=cfg.modulus,
                 )
             if isinstance(token, Suppressed):
                 raise RuntimeError(f"{sid} was refused a checked budget: {token.reason}")
@@ -1128,17 +1124,9 @@ class _Scenario:
                 round_index=w,
                 domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
                 prf=self.prf,
-                modulus=cfg.modulus,
             )
             additions += len(peers) * len(token.indices)
-            mt = mask_token(
-                token,
-                nonces,
-                round_index=w,
-                epoch_id=epoch,
-                party=party,
-                modulus=cfg.modulus,
-            )
+            mt = mask_token(token, nonces, round_index=w, epoch_id=epoch, party=party)
             bytes_out += len(mt.serialize())
             masked.append(mt)
         return masked, bytes_out, additions
@@ -1171,7 +1159,6 @@ class _Scenario:
         window_cts: dict[str, StreamCiphertext],
         result: WindowResult,
     ):
-        cfg = self.config
         eps = self.plan.dp_epsilon
         if eps is not None and not all(
             self.budgets[s].can_charge(eps) for s in plan_members
@@ -1205,30 +1192,26 @@ class _Scenario:
                 continue
             masked = part_tokens[pt_i][0]
             pt_i += 1
-            combined = unmask_aggregate(
-                masked, modulus=cfg.modulus, stream_ids=active
-            )
-            agg = cross_sum([window_cts[s] for s in active], modulus=cfg.modulus)
-            merged = merge_elements(agg, self.plan.layout, modulus=cfg.modulus)
-            opened = apply_token(
-                merged,
-                combined,
-                stream_set_id=stream_set_hash(active),
-                modulus=cfg.modulus,
-            )
+            combined = unmask_aggregate(masked, stream_ids=active)
+            agg = cross_sum([window_cts[s] for s in active])
+            merged = merge_elements(agg, self.plan.layout)
+            opened = apply_token(merged, combined, stream_set_id=stream_set_hash(active))
             for i, v in enumerate(opened):
                 released_total[i] = (released_total[i] + v) & self.mask
         result.t_unmask = time.perf_counter() - t0
 
         result.released = released_total
         result.outputs = {}
+        warnings = {}
         for spec in self.plan.outputs:
-            stats = decode_stats(
-                released_total[spec.out_start : spec.out_stop],
-                spec.decode,
-                modulus=cfg.modulus,
-            )
+            stats = decode_stats(released_total[spec.out_start : spec.out_stop], spec.decode)
             result.outputs[spec.name] = _headline(stats, spec.function, spec.param)
+            if stats.warnings:
+                warnings[spec.name] = list(stats.warnings)
+        if warnings:
+            # a wrapped count, bin or sum of squares decodes to a wrong value
+            result.status = "decode_warning"
+            result.extras["decode_warnings"] = warnings
         result.shadow_ok = released_total == self._shadow(w, plan_members)
 
     def _shadow(self, w: int, plan_members: list[str]) -> list[int]:
@@ -1278,23 +1261,18 @@ class _Scenario:
                 plan.directives,
                 layout=plan.token_layout,
                 prf=self.prf,
-                modulus=cfg.modulus,
             ),
         )
         result.bytes_controller += token.wire_size()
-        merged = merge_elements(window_cts[sid], plan.layout, modulus=cfg.modulus)
-        opened = apply_token(
-            merged, token, stream_set_id=stream_set_hash([sid]), modulus=cfg.modulus
-        )
+        merged = merge_elements(window_cts[sid], plan.layout)
+        opened = apply_token(merged, token, stream_set_id=stream_set_hash([sid]))
         spec = plan.outputs[0]
-        stats = decode_stats(
-            opened[spec.out_start : spec.out_stop], spec.decode, modulus=cfg.modulus
-        )
+        stats = decode_stats(opened[spec.out_start : spec.out_stop], spec.decode)
         lo, hi_ = self.slices[spec.attribute]
         plain = self.window_plain.get(
             (sid, w), np.zeros(self.width, dtype=np.uint64)
         )[lo:hi_]
-        shadow = [int(v) & self.mask for v in plain]
+        shadow = plain.tolist()
         result.extras["per_user"] = {
             "status": "ok",
             "stream": sid,

@@ -82,6 +82,9 @@ _FUNCTIONS = frozenset(["sum", "count", "avg", "var", "sum_above", "sum_below"])
     _HISTOGRAM_FUNCTIONS
 )
 
+# share of a plan's members that may miss a window before it fails closed
+_MAX_DROPOUT_FRACTION = 0.1
+
 
 def _level(kind: str) -> int:
     return OPTION_KINDS.index(kind)
@@ -761,7 +764,6 @@ def plan_query(
     ledger: ReservationLedger,
     *,
     colluding_fraction: float = 0.5,
-    max_dropout_fraction: float = 0.1,
 ) -> Union[TransformationPlan, Rejection]:
     """Compile a query into a transformation plan or a typed rejection.
 
@@ -847,7 +849,7 @@ def plan_query(
     max_min_pop = max(reqs[m][0] for m in members)
     floor = max(max_min_pop, 2 if any(reqs[m][1] for m in members) else 1)
     max_dropouts = max(0, min(
-        int(max_dropout_fraction * len(members)), len(members) - floor
+        int(_MAX_DROPOUT_FRACTION * len(members)), len(members) - floor
     ))
 
     noise = None

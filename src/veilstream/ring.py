@@ -1,8 +1,8 @@
-"""Additively homomorphic stream encryption over a power-of-two ring.
+"""Additively homomorphic stream encryption over the ring Z/2**64.
 
-Values live in the ring of integers modulo M, where M is a power of two
-(2**64 by default so elements fit machine words and reduction is plain
-truncation).  Every timestamp t of a stream has a key vector derived from
+Values live in the ring of integers modulo M = 2**64, so elements are
+machine words: uint64 arrays wrap by themselves and reduction is plain
+truncation.  Every timestamp t of a stream has a key vector derived from
 the stream's master secret with a keyed PRF, and an event that advances
 the stream clock from t_prev to t_curr is encrypted as
 
@@ -30,6 +30,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 __all__ = [
     "MODULUS_DEFAULT",
+    "RING_MASK",
     "Prf",
     "AesPrf",
     "ZeroPrf",
@@ -42,7 +43,6 @@ __all__ = [
     "deserialize_event",
     "ChainEncryptor",
     "TokenMismatchError",
-    "check_modulus",
     "prf_input",
     "derive_key",
     "encrypt",
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 MODULUS_DEFAULT = 1 << 64
+# Reduces Python ints into the ring; uint64 arrays need no reduction.
+RING_MASK = MODULUS_DEFAULT - 1
 
 # Domain tags keeping the PRF input spaces of the different consumers
 # disjoint.  One byte, packed into the top bits of the first input word.
@@ -64,17 +66,7 @@ DOMAIN_MASK = 3       # epoch round masks: (epoch_id << 16 | block, round)
 DOMAIN_SELECT = 4     # per-round edge selection draws: (0, round)
 DOMAIN_EDGE = 5       # per-round edge masks: (block, round)
 
-_U64 = 0xFFFFFFFFFFFFFFFF
 _U128 = (1 << 128) - 1
-
-
-def check_modulus(modulus: int) -> int:
-    """Validate a ring modulus and return the matching bit mask."""
-    if not isinstance(modulus, int) or modulus < 2 or modulus > MODULUS_DEFAULT:
-        raise ValueError(f"modulus must be in [2, 2**64], got {modulus!r}")
-    if modulus & (modulus - 1):
-        raise ValueError(f"modulus must be a power of two, got {modulus}")
-    return modulus - 1
 
 
 def prf_input(domain: int, small: int, wide: int) -> bytes:
@@ -105,6 +97,10 @@ class Prf:
         return bytes(out)
 
 
+# Cipher contexts an AesPrf keeps before it empties its cache.
+_AES_CACHE_LIMIT = 65536
+
+
 class AesPrf(Prf):
     """AES-128 in ECB mode used as a PRF over single 16-byte blocks.
 
@@ -114,16 +110,15 @@ class AesPrf(Prf):
     reuses a small set of keys across very many evaluations.
     """
 
-    def __init__(self, cache_limit: int = 65536):
+    def __init__(self):
         self._cache: dict[bytes, object] = {}
-        self._cache_limit = cache_limit
 
     def _encryptor(self, key: bytes):
         enc = self._cache.get(key)
         if enc is None:
             if len(key) != 16:
                 raise ValueError("AES PRF key must be 16 bytes")
-            if len(self._cache) >= self._cache_limit:
+            if len(self._cache) >= _AES_CACHE_LIMIT:
                 self._cache.clear()
             enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
             self._cache[key] = enc
@@ -156,8 +151,8 @@ class CounterPrf(Prf):
 
 
 def _mix64(x: int) -> int:
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _U64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _U64
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & RING_MASK
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & RING_MASK
     return x ^ (x >> 31)
 
 
@@ -262,13 +257,11 @@ def derive_key(
     *,
     elements: Optional[np.ndarray] = None,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
 ) -> np.ndarray:
-    """Key vector for timestamp t: element j is the PRF output on input
-    (t, j), truncated to the ring. Returns a uint64 array of length width,
-    or, given integer `elements` in [0, width), the entries at those
-    indices only, in their order, at one PRF block each."""
-    mask = check_modulus(modulus)
+    """Key vector for timestamp t: element j is the low 64 bits of the PRF
+    output on input (t, j). Returns a uint64 array of length width, or,
+    given integer `elements` in [0, width), the entries at those indices
+    only, in their order, at one PRF block each."""
     if t < 0 or t >> 64:
         raise ValueError(f"timestamp out of range: {t}")
     if width < 1 or width >= 1 << 32:
@@ -286,15 +279,14 @@ def derive_key(
     words[:, 0] = (DOMAIN_KEYSTREAM << 56) + index
     words[:, 1] = t
     out = prf.evaluate_batch(master.key, words.tobytes())
-    # low 64 bits of each 128-bit output, then truncate to the ring
-    ks = np.frombuffer(out, dtype=">u8").reshape(-1, 2)[:, 1].astype(np.uint64)
-    return ks & np.uint64(mask)
+    # the low 64 bits of each 128-bit output are the ring element
+    return np.frombuffer(out, dtype=">u8").reshape(-1, 2)[:, 1].astype(np.uint64)
 
 
-def _as_ring_array(values, mask: int) -> np.ndarray:
+def _as_ring_array(values) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype == np.uint64:
-        return values & np.uint64(mask)
-    return np.array([int(v) & mask for v in values], dtype=np.uint64)
+        return values
+    return np.array([int(v) & RING_MASK for v in values], dtype=np.uint64)
 
 
 @dataclass(eq=False)
@@ -341,19 +333,16 @@ def encrypt(
     message: Sequence[int],
     *,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
 ) -> StreamCiphertext:
     """Encrypt one event, advancing the stream clock t_prev -> t_curr."""
-    mask = check_modulus(modulus)
     if t_curr <= t_prev:
         raise ValueError(f"timestamps must advance: {t_prev} -> {t_curr}")
-    msg = _as_ring_array(message, mask)
+    msg = _as_ring_array(message)
     if len(msg) == 0:
         raise ValueError("message must have at least one element")
-    k_curr = derive_key(master, t_curr, len(msg), prf=prf, modulus=modulus)
-    k_prev = derive_key(master, t_prev, len(msg), prf=prf, modulus=modulus)
-    body = (msg + k_curr - k_prev) & np.uint64(mask)
-    return StreamCiphertext(t_prev, t_curr, body)
+    k_curr = derive_key(master, t_curr, len(msg), prf=prf)
+    k_prev = derive_key(master, t_prev, len(msg), prf=prf)
+    return StreamCiphertext(t_prev, t_curr, msg + k_curr - k_prev)
 
 
 class ChainEncryptor:
@@ -370,16 +359,12 @@ class ChainEncryptor:
         *,
         start: int = 0,
         prf: Prf = DEFAULT_PRF,
-        modulus: int = MODULUS_DEFAULT,
     ):
         self._master = master
         self._width = width
         self._prf = prf
-        self._modulus = modulus
-        self._mask = np.uint64(check_modulus(modulus))
         self._t = start
-        self._key = derive_key(master, start, width, prf=prf, modulus=modulus) \
-            if start > 0 else None
+        self._key = derive_key(master, start, width, prf=prf) if start > 0 else None
 
     @property
     def clock(self) -> int:
@@ -389,28 +374,18 @@ class ChainEncryptor:
         if t_curr <= self._t:
             raise ValueError(f"timestamps must advance: {self._t} -> {t_curr}")
         if self._key is None:
-            self._key = derive_key(
-                self._master, self._t, self._width, prf=self._prf, modulus=self._modulus
-            )
-        msg = _as_ring_array(message, int(self._mask))
+            self._key = derive_key(self._master, self._t, self._width, prf=self._prf)
+        msg = _as_ring_array(message)
         if len(msg) != self._width:
             raise ValueError(f"message width {len(msg)} != stream width {self._width}")
-        k_curr = derive_key(
-            self._master, t_curr, self._width, prf=self._prf, modulus=self._modulus
-        )
-        body = (msg + k_curr - self._key) & self._mask
-        ct = StreamCiphertext(self._t, t_curr, body)
+        k_curr = derive_key(self._master, t_curr, self._width, prf=self._prf)
+        ct = StreamCiphertext(self._t, t_curr, msg + k_curr - self._key)
         self._t = t_curr
         self._key = k_curr
         return ct
 
 
-def add_ciphertexts(
-    a: StreamCiphertext,
-    b: StreamCiphertext,
-    *,
-    modulus: int = MODULUS_DEFAULT,
-) -> StreamCiphertext:
+def add_ciphertexts(a: StreamCiphertext, b: StreamCiphertext) -> StreamCiphertext:
     """Homomorphic addition.
 
     Two forms are accepted: b chains onto a (b.t_prev == a.t_curr), which
@@ -418,7 +393,6 @@ def add_ciphertexts(
     adds parallel streams for a cross-stream sum. Anything else is a
     chaining gap and raises.
     """
-    mask = np.uint64(check_modulus(modulus))
     if a.width != b.width:
         raise ValueError(f"element width mismatch: {a.width} != {b.width}")
     if b.t_prev == a.t_curr:
@@ -430,12 +404,10 @@ def add_ciphertexts(
             f"ciphertexts neither chain nor share a range: "
             f"({a.t_prev},{a.t_curr}) + ({b.t_prev},{b.t_curr})"
         )
-    return StreamCiphertext(rng[0], rng[1], (a.body + b.body) & mask)
+    return StreamCiphertext(rng[0], rng[1], a.body + b.body)
 
 
-def chain_sum(
-    cts: Iterable[StreamCiphertext], *, modulus: int = MODULUS_DEFAULT
-) -> StreamCiphertext:
+def chain_sum(cts: Iterable[StreamCiphertext]) -> StreamCiphertext:
     """Fold consecutive ciphertexts of one stream into a window sum."""
     it = iter(cts)
     try:
@@ -447,15 +419,12 @@ def chain_sum(
             raise ValueError(
                 f"chaining gap: have range ending {acc.t_curr}, next starts {ct.t_prev}"
             )
-        acc = add_ciphertexts(acc, ct, modulus=modulus)
+        acc = add_ciphertexts(acc, ct)
     return acc
 
 
-def cross_sum(
-    cts: Iterable[StreamCiphertext], *, modulus: int = MODULUS_DEFAULT
-) -> StreamCiphertext:
+def cross_sum(cts: Iterable[StreamCiphertext]) -> StreamCiphertext:
     """Sum window aggregates of distinct streams covering the same range."""
-    mask = np.uint64(check_modulus(modulus))
     it = iter(cts)
     try:
         first = next(it)
@@ -470,15 +439,13 @@ def cross_sum(
             )
         if ct.width != len(acc):
             raise ValueError(f"element width mismatch: {ct.width} != {len(acc)}")
-        acc = (acc + ct.body) & mask
+        acc += ct.body
     return StreamCiphertext(rng[0], rng[1], acc)
 
 
 def merge_elements(
     ct: StreamCiphertext,
     layout: Sequence[Sequence[int]],
-    *,
-    modulus: int = MODULUS_DEFAULT,
 ) -> StreamCiphertext:
     """Re-shape ciphertext elements for a transformation's output layout.
 
@@ -486,7 +453,6 @@ def merge_elements(
     one output element (bucketing merges adjacent one-hot counters, field
     selection keeps singletons). Sources must be unique across the layout.
     """
-    mask = check_modulus(modulus)
     seen: set[int] = set()
     out = np.zeros(len(layout), dtype=np.uint64)
     for o, sources in enumerate(layout):
@@ -499,7 +465,7 @@ def merge_elements(
             if j in seen:
                 raise ValueError(f"source index {j} used twice in layout")
             seen.add(j)
-            acc = (acc + int(ct.body[j])) & mask
+            acc = (acc + int(ct.body[j])) & RING_MASK
         out[o] = acc
     return StreamCiphertext(ct.t_prev, ct.t_curr, out)
 
@@ -511,7 +477,6 @@ def decrypt_window(
     ct: StreamCiphertext,
     *,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
 ) -> np.ndarray:
     """Open a window sum using only the two border key vectors.
 
@@ -519,10 +484,9 @@ def decrypt_window(
     is not detectable here and yields uniformly garbled output, which is
     exactly the confidentiality behaviour the construction intends.
     """
-    mask = np.uint64(check_modulus(modulus))
-    k_end = derive_key(master, t_end, ct.width, prf=prf, modulus=modulus)
-    k_start = derive_key(master, t_start, ct.width, prf=prf, modulus=modulus)
-    return (ct.body - k_end + k_start) & mask
+    k_end = derive_key(master, t_end, ct.width, prf=prf)
+    k_start = derive_key(master, t_start, ct.width, prf=prf)
+    return ct.body - k_end + k_start
 
 
 class TokenMismatchError(ValueError):
@@ -534,7 +498,6 @@ def apply_token(
     token,
     *,
     stream_set_id: Optional[bytes] = None,
-    modulus: int = MODULUS_DEFAULT,
 ) -> list[Optional[int]]:
     """Combine a transformation token with an aggregate ciphertext.
 
@@ -543,7 +506,6 @@ def apply_token(
     set; a mismatch is refused before any combination happens. Returns one
     output per aggregate element, None where the token withholds it.
     """
-    mask = check_modulus(modulus)
     if (token.window_start, token.window_end) != (aggregate.t_prev, aggregate.t_curr):
         raise TokenMismatchError(
             f"token window ({token.window_start},{token.window_end}) does not match "
@@ -560,5 +522,5 @@ def apply_token(
     out: list[Optional[int]] = []
     for i in range(aggregate.width):
         v = elements.get(i)
-        out.append(None if v is None else (int(aggregate.body[i]) + v) & mask)
+        out.append(None if v is None else (int(aggregate.body[i]) + v) & RING_MASK)
     return out

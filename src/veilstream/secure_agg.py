@@ -51,13 +51,12 @@ from .ring import (
     DOMAIN_GRAPH,
     DOMAIN_MASK,
     DOMAIN_SELECT,
-    MODULUS_DEFAULT,
     DEFAULT_PRF,
+    RING_MASK,
     CountingPrf,
     Prf,
     SplitMixPrf,
     _as_ring_array,
-    check_modulus,
     prf_input,
 )
 from .tokens import TransformationToken, serialize_token, stream_set_hash
@@ -433,7 +432,7 @@ def round_peers(
     return peers
 
 
-def _nonce(secrets, peers, round_index, plan, prf, modulus) -> int:
+def _nonce(secrets, peers, round_index, plan, prf) -> int:
     """Scalar nonce over `peers`: lane 0 of their width-1 mask vector, in
     the epoch mask domain when a zeph plan schedules the round."""
     lanes = mask_vector(
@@ -444,7 +443,6 @@ def _nonce(secrets, peers, round_index, plan, prf, modulus) -> int:
         round_index=round_index,
         domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
         prf=prf,
-        modulus=modulus,
     )
     return int(lanes[0])
 
@@ -454,12 +452,11 @@ def nonce_clique(
     round_index: int,
     *,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
     members=None,
 ) -> int:
     """Round nonce over every live peer: N-1 PRF calls."""
     peers = round_peers(secrets, round_index, members=members, prf=prf)
-    return _nonce(secrets, peers, round_index, None, prf, modulus)
+    return _nonce(secrets, peers, round_index, None, prf)
 
 
 def nonce_dream(
@@ -468,7 +465,6 @@ def nonce_dream(
     threshold: int,
     *,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
     members=None,
 ) -> int:
     """Round nonce over a random peer subset drawn per round.
@@ -479,7 +475,7 @@ def nonce_dream(
     peers = round_peers(
         secrets, round_index, members=members, threshold=threshold, prf=prf
     )
-    return _nonce(secrets, peers, round_index, None, prf, modulus)
+    return _nonce(secrets, peers, round_index, None, prf)
 
 
 def nonce_zeph(
@@ -488,12 +484,11 @@ def nonce_zeph(
     round_index: int,
     *,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
     members=None,
 ) -> int:
     """Round nonce over the epoch plan's active edges: deg(r) PRF calls."""
     peers = round_peers(secrets, round_index, members=members, plan=plan, prf=prf)
-    return _nonce(secrets, peers, round_index, plan, prf, modulus)
+    return _nonce(secrets, peers, round_index, plan, prf)
 
 
 @dataclass(frozen=True)
@@ -520,7 +515,6 @@ def apply_delta(
     round_index: int,
     *,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
 ) -> int:
     """Correct a zeph round nonce for late membership changes.
 
@@ -530,13 +524,12 @@ def apply_delta(
     existing pairwise secrets. Only listed parties whose edge is active
     in this round cost a PRF call; the party itself is never its own peer.
     """
-    mask = check_modulus(modulus)
     active = round_peers(secrets, round_index, plan=plan, prf=prf)
     dropped, joined = (
-        _nonce(secrets, [p for p in active if p in group], round_index, plan, prf, modulus)
+        _nonce(secrets, [p for p in active if p in group], round_index, plan, prf)
         for group in (delta.dropped, delta.joined)
     )
-    return (base_nonce - dropped + joined) & mask
+    return (base_nonce - dropped + joined) & RING_MASK
 
 
 def mask_vector(
@@ -548,17 +541,15 @@ def mask_vector(
     round_index: int,
     domain: int = DOMAIN_MASK,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
 ) -> np.ndarray:
     """Element-wise nonce vector for tokens wider than one ring element.
 
     This is the one definition of an edge mask: lane k of an edge is the
     high (k even) or low (k odd) 64 bits of the edge's PRF block k // 2,
-    reduced by the modulus, so an edge costs ceil(width/2) PRF blocks and
-    a scalar nonce is lane 0. Peers must already be filtered to the
-    round's active membership (see `round_peers`).
+    so an edge costs ceil(width/2) PRF blocks and a scalar nonce is lane
+    0. Peers must already be filtered to the round's active membership
+    (see `round_peers`).
     """
-    mask = np.uint64(check_modulus(modulus))
     blocks = (width + 1) // 2
     msgs = np.empty((blocks, 2), dtype=">u8")
     if domain == DOMAIN_MASK:
@@ -577,8 +568,7 @@ def mask_vector(
     for peer in peers:
         out = prf.evaluate_batch(secrets.secret_for(peer), buf)
         (added if secrets.sign_for(peer) > 0 else subtracted).append(out)
-    # sums wrap mod 2**64, a multiple of every supported modulus
-    return (_lane_sum(added, width) - _lane_sum(subtracted, width)) & mask
+    return _lane_sum(added, width) - _lane_sum(subtracted, width)
 
 
 def _lane_sum(outputs: list[bytes], width: int) -> np.ndarray:
@@ -618,14 +608,12 @@ def mask_token(
     round_index: int,
     epoch_id: int,
     party: PartyId,
-    modulus: int = MODULUS_DEFAULT,
 ) -> MaskedToken:
     """Blind each released element with its nonce lane.
 
     nonces may be a mapping keyed by element index or a sequence aligned
     with the token's ascending index order.
     """
-    mask = check_modulus(modulus)
     indices = token.indices
     if isinstance(nonces, Mapping):
         nonces = [nonces[i] for i in indices]
@@ -636,8 +624,7 @@ def mask_token(
     values = np.fromiter(
         (token.elements[i] for i in indices), dtype=np.uint64, count=len(indices)
     )
-    # uint64 sums wrap mod 2**64, a multiple of every supported modulus
-    blinded_values = (values + _as_ring_array(nonces, mask)) & np.uint64(mask)
+    blinded_values = values + _as_ring_array(nonces)
     blinded = TransformationToken(
         window_start=token.window_start,
         window_end=token.window_end,
@@ -652,7 +639,6 @@ def mask_token(
 def unmask_aggregate(
     masked: Sequence[MaskedToken],
     *,
-    modulus: int = MODULUS_DEFAULT,
     stream_ids: Optional[Iterable[str]] = None,
 ) -> TransformationToken:
     """Sum the blinded partial tokens of one round.
@@ -663,7 +649,6 @@ def unmask_aggregate(
     detect a missing party; the output is then uniformly garbled, which is
     the protocol's privacy backstop.
     """
-    mask = check_modulus(modulus)
     if not masked:
         raise ValueError("need at least one masked token")
     first = masked[0]
@@ -690,7 +675,7 @@ def unmask_aggregate(
         else:
             ids.extend(m.payload.stream_ids)
         for i in indices:
-            acc[i] = (acc[i] + m.payload.elements[i]) & mask
+            acc[i] = (acc[i] + m.payload.elements[i]) & RING_MASK
     if stream_ids is not None:
         ids = list(stream_ids)
     elif not have_ids:

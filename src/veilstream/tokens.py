@@ -28,14 +28,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Un
 
 import numpy as np
 
-from .ring import (
-    MODULUS_DEFAULT,
-    DEFAULT_PRF,
-    MasterSecret,
-    Prf,
-    check_modulus,
-    derive_key,
-)
+from .ring import DEFAULT_PRF, RING_MASK, MasterSecret, Prf, derive_key
 from .encoding import SCALE_DEFAULT
 
 __all__ = [
@@ -268,7 +261,6 @@ def single_stream_token(
     *,
     layout: Optional[TokenLayout] = None,
     prf: Prf = DEFAULT_PRF,
-    modulus: int = MODULUS_DEFAULT,
     scale: int = SCALE_DEFAULT,
     rng: Optional[np.random.Generator] = None,
 ) -> TransformationToken:
@@ -281,7 +273,6 @@ def single_stream_token(
     PRF blocks. Callers holding a plan pass its precomputed `layout`;
     without one the layout is built from the directives for this call.
     """
-    mask = check_modulus(modulus)
     t_start, t_end = window
     if t_start >= t_end:
         raise ValueError(f"window must be non-empty: {window}")
@@ -297,18 +288,17 @@ def single_stream_token(
         raise ValueError("perturb directive needs an rng")
     width = layout.width
     src = layout.sources
-    k_start = derive_key(master, t_start, width, elements=src, prf=prf, modulus=modulus)
-    k_end = derive_key(master, t_end, width, elements=src, prf=prf, modulus=modulus)
-    # uint64 sums wrap mod 2**64, a multiple of every supported modulus
-    values = (np.add.reduceat(k_start - k_end, layout.offsets) & np.uint64(mask)).tolist()
+    k_start = derive_key(master, t_start, width, elements=src, prf=prf)
+    k_end = derive_key(master, t_end, width, elements=src, prf=prf)
+    values = np.add.reduceat(k_start - k_end, layout.offsets).tolist()
     noised = False
     for o, lead in layout.adjusted:
         if lead.action == "shift":
-            values[o] = (values[o] + round(lead.offset * scale)) & mask
+            values[o] = (values[o] + round(lead.offset * scale)) & RING_MASK
         else:
             # per-party noise share, in ring units of this element
             eta = round(float(rng.normal(0.0, lead.noise.per_party_sigma)))
-            values[o] = (values[o] + eta) & mask
+            values[o] = (values[o] + eta) & RING_MASK
             noised = True
     return TransformationToken(
         window_start=t_start,
@@ -320,18 +310,13 @@ def single_stream_token(
     )
 
 
-def multi_stream_partial(
-    tokens: Sequence[TransformationToken],
-    *,
-    modulus: int = MODULUS_DEFAULT,
-) -> TransformationToken:
+def multi_stream_partial(tokens: Sequence[TransformationToken]) -> TransformationToken:
     """Fold per-stream tokens into one partial token over their union.
 
     All inputs must target the same window with the same released-element
     pattern, and their stream sets must be disjoint: a stream entering a
     sum twice would doubly cancel its keys and corrupt the release.
     """
-    mask = check_modulus(modulus)
     if not tokens:
         raise ValueError("need at least one token")
     first = tokens[0]
@@ -349,7 +334,7 @@ def multi_stream_partial(
         ids.extend(tok.stream_ids)
         noised = noised or tok.noised
         for i in indices:
-            acc[i] = (acc[i] + tok.elements[i]) & mask
+            acc[i] = (acc[i] + tok.elements[i]) & RING_MASK
     if len(ids) != len(set(ids)):
         raise ValueError("stream sets overlap")
     return TransformationToken(
@@ -417,8 +402,6 @@ def add_dp_noise(
     budget: PrivacyBudget,
     epsilon_cost: float,
     rng: np.random.Generator,
-    *,
-    modulus: int = MODULUS_DEFAULT,
 ) -> Union[TransformationToken, Suppressed]:
     """Add this party's share of divisible Gaussian noise to a token.
 
@@ -427,7 +410,6 @@ def add_dp_noise(
     with the per-party sigma in ring units and rounded to integers, one
     per released element.
     """
-    mask = check_modulus(modulus)
     if epsilon_cost <= 0:
         raise ValueError("epsilon cost must be positive")
     if token.noised:
@@ -442,7 +424,7 @@ def add_dp_noise(
     samples = rng.normal(0.0, noise.per_party_sigma, size=len(indices))
     elements = dict(token.elements)
     for i, eta in zip(indices, samples):
-        elements[i] = (elements[i] + round(float(eta))) & mask
+        elements[i] = (elements[i] + round(float(eta))) & RING_MASK
     return TransformationToken(
         window_start=token.window_start,
         window_end=token.window_end,

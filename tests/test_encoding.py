@@ -278,6 +278,19 @@ def test_wrapped_count_is_flagged_not_trusted():
     assert stats.count == -5
 
 
+def test_wrapped_sum_of_squares_is_flagged():
+    spec = EncodingSpec("variance")
+    # 160 events of q = 3e8 square to 1.44e19: past M/2 but below M
+    agg = ring_sum([encode(3e6, spec)] * 160)
+    assert M // 2 < int(agg[1]) < M
+    stats = decode_stats(agg, spec)
+    assert stats.warnings == ("sum of squares wrapped past M/2; window likely overflowed",)
+    assert stats.variance < 0
+    ok = decode_stats(ring_sum([encode(3e6, spec)] * 100), spec)
+    assert ok.warnings == ()
+    assert ok.variance == pytest.approx(0.0, abs=1e-3)
+
+
 def test_wrapped_bin_is_flagged():
     spec = EncodingSpec("one_hot", domain_min=0, domain_max=2)
     stats = decode_stats([1, M - 3, 0], spec)

@@ -275,6 +275,52 @@ def test_zeph_run_is_pinned():
     assert summary["bytes_server_total"] == 3055
 
 
+def _pinned_digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _pinned_totals(result: ScenarioResult) -> tuple:
+    s = result.summary
+    return (
+        s["prf_calls_total"],
+        s["additions_total"],
+        s["bytes_producer_total"],
+        s["bytes_controller_total"],
+        s["bytes_server_total"],
+    )
+
+
+def test_clique_run_with_per_user_query_is_pinned():
+    result = run_scenario(
+        small_config(preset="car", producers=60, partition_size=60, seed=7)
+    )
+    assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
+    assert all(w.extras["per_user"]["status"] == "ok" for w in result.windows)
+    assert (
+        _pinned_digest([w.released for w in result.windows])
+        == "ef899c3e7b5dce7f9360ec9cdd8500d280b19c72e017e99f5c161c35c1ad8886"
+    )
+    assert (
+        _pinned_digest([w.extras["per_user"] for w in result.windows])
+        == "28414aba9b8cb7760dcc1d7a4ec7bffac814900dbc362863133d328ba4a78868"
+    )
+    assert _pinned_totals(result) == (328939, 316074, 1175112, 73950, 2865)
+
+
+def test_dream_run_with_dp_noise_is_pinned():
+    scenario = _Scenario(
+        small_config(preset="web", producers=60, partition_size=30, seed=7, protocol="dream")
+    )
+    assert scenario.plan.dp_epsilon is not None
+    result = scenario.run()
+    assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
+    assert (
+        _pinned_digest([w.released for w in result.windows])
+        == "8520fa022ef8b2b86c4a1fbb5c99a5d92cd6dd32cd18d4e7c30397748f6a7ca6"
+    )
+    assert _pinned_totals(result) == (905160, 38128, 6639792, 30272, 2839)
+
+
 def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
     from veilstream import pipeline, policy, tokens
 
@@ -392,6 +438,37 @@ def test_single_producer_custom_scenario():
         assert w.status == "ok"
         assert 5 <= w.outputs["temp_avg"] <= 45
         assert 0 <= w.outputs["moisture_total"] <= 2 * 4
+
+
+def test_wrapped_sum_of_squares_fails_the_window():
+    # 40 producers x 4 events of x ~ 3e6 square, in fixed point, to about
+    # 1.4e19 per window: between 2**63 and 2**64, so the lifted sum is negative
+    wrap = {
+        "schema": {
+            "name": "wrap",
+            "attributes": [
+                {
+                    "name": "x",
+                    "aggregates": ["var"],
+                    "generator": {"kind": "uniform", "low": 2.9e6, "high": 3e6},
+                    "options": [{"kind": "aggregate"}],
+                }
+            ],
+        },
+        "select": {"x_var": {"attribute": "x", "function": "var"}},
+    }
+    result = run_scenario(
+        small_config(preset="custom", custom=wrap, partition_size=40, producers=40, seed=1)
+    )
+    assert result.summary["windows_ok"] == 0
+    for w in result.windows:
+        assert 1 << 63 < w.released[1] < 1 << 64
+        assert w.status == "decode_warning"
+        assert w.shadow_ok is True  # the ring sums are exact; their decode is not
+        assert w.outputs["x_var"] < 0
+        assert w.extras["decode_warnings"] == {
+            "x_var": ["sum of squares wrapped past M/2; window likely overflowed"]
+        }
 
 
 def test_custom_scenario_validation():

@@ -23,7 +23,6 @@ from veilstream.ring import (
     add_ciphertexts,
     apply_token,
     chain_sum,
-    check_modulus,
     cross_sum,
     decrypt_window,
     derive_key,
@@ -352,22 +351,3 @@ def test_deserialize_event_rejects_malformed():
         deserialize_event(b"\x00" * 16)  # no elements
     with pytest.raises(ValueError):
         deserialize_event(b"\x00" * 27)  # ragged tail
-
-
-# ---- modulus handling -----------------------------------------------------------
-
-
-def test_check_modulus_validation():
-    assert check_modulus(1 << 64) == (1 << 64) - 1
-    assert check_modulus(2) == 1
-    for bad in (0, 1, 3, 6, (1 << 64) + 1, 1 << 65):
-        with pytest.raises(ValueError):
-            check_modulus(bad)
-
-
-def test_small_modulus_roundtrip():
-    mod = 1 << 32
-    m = master("small")
-    ct = encrypt(m, 0, 1, [123456], modulus=mod)
-    assert int(ct.body[0]) < mod
-    assert list(decrypt_window(m, 0, 1, ct, modulus=mod)) == [123456]
