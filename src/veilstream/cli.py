@@ -220,6 +220,10 @@ def _cmd_run(res: Resolver) -> int:
     if not summary["shadow_ok"]:
         print("released aggregates diverged from the plaintext shadow", file=sys.stderr)
         return 1
+    warned = [w.window for w in result.windows if w.status == "decode_warning"]
+    if warned:
+        print(f"decoded statistics wrapped in windows {warned}", file=sys.stderr)
+        return 1
     return 0
 
 

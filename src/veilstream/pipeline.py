@@ -1119,13 +1119,13 @@ class _Scenario:
             nonces = mask_vector(
                 part.secrets[party],
                 peers,
-                len(token.indices),
+                len(token.elements),
                 epoch_id=epoch,
                 round_index=w,
                 domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
                 prf=self.prf,
             )
-            additions += len(peers) * len(token.indices)
+            additions += len(peers) * len(token.elements)
             mt = mask_token(token, nonces, round_index=w, epoch_id=epoch, party=party)
             bytes_out += len(mt.serialize())
             masked.append(mt)
@@ -1169,15 +1169,13 @@ class _Scenario:
             result.extras["suppressed"] = "epsilon budget exhausted"
             return
         live = frozenset(plan_members)
-        active_by_part = [
-            [s for s in part.streams if s in live] for part in self.partitions
-        ]
+        parts = []
+        for part in self.partitions:
+            active = [s for s in part.streams if s in live]
+            if active:
+                parts.append((part, active))
         t0 = time.perf_counter()
-        part_tokens = [
-            self._controller_tokens(w, part, active)
-            for part, active in zip(self.partitions, active_by_part)
-            if active
-        ]
+        part_tokens = [self._controller_tokens(w, part, active) for part, active in parts]
         result.t_token = time.perf_counter() - t0
 
         for _masked, bytes_out, additions in part_tokens:
@@ -1185,19 +1183,16 @@ class _Scenario:
             self.additions += additions
 
         t0 = time.perf_counter()
-        released_total = [0] * self.plan.output_width
-        pt_i = 0
-        for part, active in zip(self.partitions, active_by_part):
-            if not active:
-                continue
-            masked = part_tokens[pt_i][0]
-            pt_i += 1
+        opened = []
+        for (_part, active), (masked, _, _) in zip(parts, part_tokens):
             combined = unmask_aggregate(masked, stream_ids=active)
             agg = cross_sum([window_cts[s] for s in active])
             merged = merge_elements(agg, self.plan.layout)
-            opened = apply_token(merged, combined, stream_set_id=stream_set_hash(active))
-            for i, v in enumerate(opened):
-                released_total[i] = (released_total[i] + v) & self.mask
+            opened.append(
+                apply_token(merged, combined, stream_set_id=stream_set_hash(active))
+            )
+        stacked = np.array(opened, dtype=np.uint64)
+        released_total = np.sum(stacked, axis=0, dtype=np.uint64).tolist()
         result.t_unmask = time.perf_counter() - t0
 
         result.released = released_total

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -65,8 +65,6 @@ DOMAIN_GRAPH = 2      # epoch graph assignment: (0, epoch_id)
 DOMAIN_MASK = 3       # epoch round masks: (epoch_id << 16 | block, round)
 DOMAIN_SELECT = 4     # per-round edge selection draws: (0, round)
 DOMAIN_EDGE = 5       # per-round edge masks: (block, round)
-
-_U128 = (1 << 128) - 1
 
 
 def prf_input(domain: int, small: int, wide: int) -> bytes:
@@ -498,13 +496,13 @@ def apply_token(
     token,
     *,
     stream_set_id: Optional[bytes] = None,
-) -> list[Optional[int]]:
+) -> list[int]:
     """Combine a transformation token with an aggregate ciphertext.
 
-    The token must target the aggregate's exact window range, and, when the
-    server supplies the provenance of the aggregate, the identical stream
-    set; a mismatch is refused before any combination happens. Returns one
-    output per aggregate element, None where the token withholds it.
+    The token must target the aggregate's exact window range and width,
+    and, when the server supplies the provenance of the aggregate, the
+    identical stream set; a mismatch is refused before any combination
+    happens. Returns one output per aggregate element.
     """
     if (token.window_start, token.window_end) != (aggregate.t_prev, aggregate.t_curr):
         raise TokenMismatchError(
@@ -513,14 +511,8 @@ def apply_token(
         )
     if stream_set_id is not None and token.stream_set_id != stream_set_id:
         raise TokenMismatchError("token stream set does not match aggregate provenance")
-    elements: Mapping[int, int] = token.elements
-    for idx in elements:
-        if not 0 <= idx < aggregate.width:
-            raise TokenMismatchError(
-                f"token element {idx} outside aggregate width {aggregate.width}"
-            )
-    out: list[Optional[int]] = []
-    for i in range(aggregate.width):
-        v = elements.get(i)
-        out.append(None if v is None else (int(aggregate.body[i]) + v) & RING_MASK)
-    return out
+    if len(token.elements) != aggregate.width:
+        raise TokenMismatchError(
+            f"token width {len(token.elements)} != aggregate width {aggregate.width}"
+        )
+    return (aggregate.body + np.array(token.elements, dtype=np.uint64)).tolist()

@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives import hashes, serialization
@@ -59,12 +59,16 @@ from .ring import (
     _as_ring_array,
     prf_input,
 )
-from .tokens import TransformationToken, serialize_token, stream_set_hash
+from .tokens import (
+    TransformationToken,
+    _sum_elements,
+    serialize_token,
+    stream_set_hash,
+)
 
 __all__ = [
     "PartyId",
     "PublicIdentity",
-    "PairwiseSecret",
     "PairwiseSecrets",
     "IdentityRegistry",
     "UnknownIdentityError",
@@ -120,16 +124,6 @@ class PublicIdentity:
 
     party_id: PartyId
     material: bytes
-
-
-@dataclass(frozen=True)
-class PairwiseSecret:
-    peer: PartyId
-    secret: bytes
-
-    def __post_init__(self):
-        if len(self.secret) != 16:
-            raise ValueError("pairwise secret must be 16 bytes")
 
 
 class UnknownIdentityError(KeyError):
@@ -603,33 +597,26 @@ class MaskedToken:
 
 def mask_token(
     token: TransformationToken,
-    nonces: Union[Mapping[int, int], Sequence[int]],
+    nonces: Sequence[int],
     *,
     round_index: int,
     epoch_id: int,
     party: PartyId,
 ) -> MaskedToken:
-    """Blind each released element with its nonce lane.
-
-    nonces may be a mapping keyed by element index or a sequence aligned
-    with the token's ascending index order.
-    """
-    indices = token.indices
+    """Blind each token element with the nonce lane at the same position."""
     if isinstance(nonces, Mapping):
-        nonces = [nonces[i] for i in indices]
-    elif len(nonces) != len(indices):
+        # iterating a mapping would blind with its keys
+        raise TypeError("nonces must be a sequence aligned with the token")
+    if len(nonces) != len(token.elements):
         raise ValueError(
-            f"nonce vector length {len(nonces)} != released elements {len(indices)}"
+            f"nonce vector length {len(nonces)} != token width {len(token.elements)}"
         )
-    values = np.fromiter(
-        (token.elements[i] for i in indices), dtype=np.uint64, count=len(indices)
-    )
-    blinded_values = values + _as_ring_array(nonces)
+    blinded_values = np.array(token.elements, dtype=np.uint64) + _as_ring_array(nonces)
     blinded = TransformationToken(
         window_start=token.window_start,
         window_end=token.window_end,
         stream_set_id=token.stream_set_id,
-        elements=dict(zip(indices, blinded_values.tolist())),
+        elements=tuple(blinded_values.tolist()),
         noised=token.noised,
         stream_ids=token.stream_ids,
     )
@@ -653,9 +640,8 @@ def unmask_aggregate(
         raise ValueError("need at least one masked token")
     first = masked[0]
     window = (first.payload.window_start, first.payload.window_end)
-    indices = first.payload.indices
+    width = len(first.payload.elements)
     seen_parties = set()
-    acc = {i: 0 for i in indices}
     ids: list[str] = []
     have_ids = True
     noised = False
@@ -664,8 +650,8 @@ def unmask_aggregate(
             raise ValueError("masked tokens come from different rounds")
         if (m.payload.window_start, m.payload.window_end) != window:
             raise ValueError("masked tokens target different windows")
-        if m.payload.indices != indices:
-            raise ValueError("masked tokens release different element patterns")
+        if len(m.payload.elements) != width:
+            raise ValueError("masked tokens have different widths")
         if m.party in seen_parties:
             raise ValueError(f"duplicate masked token from {m.party!r}")
         seen_parties.add(m.party)
@@ -674,8 +660,6 @@ def unmask_aggregate(
             have_ids = False
         else:
             ids.extend(m.payload.stream_ids)
-        for i in indices:
-            acc[i] = (acc[i] + m.payload.elements[i]) & RING_MASK
     if stream_ids is not None:
         ids = list(stream_ids)
     elif not have_ids:
@@ -684,7 +668,7 @@ def unmask_aggregate(
         window_start=window[0],
         window_end=window[1],
         stream_set_id=stream_set_hash(ids),
-        elements=acc,
+        elements=_sum_elements(m.payload for m in masked),
         noised=noised,
         stream_ids=tuple(sorted(ids)),
     )

@@ -1,12 +1,12 @@
 """Transformation tokens: the controller-issued keys that open aggregates.
 
-A token carries, per released output element, the negated key material of a
-window range, so that adding it to the matching aggregate ciphertext cancels
-encryption exactly there and nowhere else. Element directives decide what
+A token carries, per output element of its layout, the negated key material
+of a window range, so that adding it to the equally reshaped aggregate
+ciphertext cancels encryption exactly there. Element directives decide what
 each input element contributes:
 
     release       reveal the element as-is
-    withhold      keep it encrypted (absent from the token)
+    withhold      keep it encrypted (no output element: the layout drops it)
     merge         fold several inputs into one output (bucketing)
     shift         release plus a constant offset
     perturb       release plus sampled noise
@@ -219,17 +219,19 @@ def stream_set_hash(stream_ids: Iterable[str]) -> bytes:
 
 @dataclass(frozen=True)
 class TransformationToken:
-    """Key material releasing selected outputs of one window aggregate.
+    """Key material opening every output of one window aggregate.
 
-    elements maps output index -> ring value; indices absent from the map
-    are withheld and stay encrypted. stream_ids is carried in memory for
-    set algebra but only the 32-byte hash goes on the wire.
+    elements holds one ring value per output of the plan's layout, element
+    i opening output i; what stays encrypted is the layout's choice alone.
+    A mapping is accepted when its keys are exactly 0..n-1. stream_ids is
+    carried in memory for set algebra but only the 32-byte hash goes on
+    the wire.
     """
 
     window_start: int
     window_end: int
     stream_set_id: bytes
-    elements: Mapping[int, int]
+    elements: tuple[int, ...]
     noised: bool = False
     stream_ids: Optional[tuple[str, ...]] = None
 
@@ -240,15 +242,15 @@ class TransformationToken:
             )
         if len(self.stream_set_id) != 32:
             raise ValueError("stream_set_id must be 32 bytes")
+        elements = self.elements
+        if type(elements) is not tuple:
+            if isinstance(elements, Mapping):
+                if sorted(elements) != list(range(len(elements))):
+                    raise ValueError("token element indices must be exactly 0..n-1")
+                elements = [elements[i] for i in range(len(elements))]
+            object.__setattr__(self, "elements", tuple(elements))
         if not self.elements:
             raise ValueError("token must release at least one element")
-        for idx in self.elements:
-            if idx < 0:
-                raise ValueError(f"negative element index {idx}")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
 
     def wire_size(self) -> int:
         return 48 + 10 * len(self.elements)
@@ -304,44 +306,46 @@ def single_stream_token(
         window_start=t_start,
         window_end=t_end,
         stream_set_id=stream_set_hash([master.stream_id]),
-        elements=dict(enumerate(values)),
+        elements=tuple(values),
         noised=noised,
         stream_ids=(master.stream_id,),
     )
 
 
+def _sum_elements(tokens: Iterable[TransformationToken]) -> tuple[int, ...]:
+    """Element-wise ring sum of equally wide tokens, as Python ints."""
+    stacked = np.array([t.elements for t in tokens], dtype=np.uint64)
+    return tuple(np.sum(stacked, axis=0, dtype=np.uint64).tolist())
+
+
 def multi_stream_partial(tokens: Sequence[TransformationToken]) -> TransformationToken:
     """Fold per-stream tokens into one partial token over their union.
 
-    All inputs must target the same window with the same released-element
-    pattern, and their stream sets must be disjoint: a stream entering a
-    sum twice would doubly cancel its keys and corrupt the release.
+    All inputs must target the same window with the same width, and their
+    stream sets must be disjoint: a stream entering a sum twice would doubly
+    cancel its keys and corrupt the release.
     """
     if not tokens:
         raise ValueError("need at least one token")
     first = tokens[0]
-    indices = first.indices
     ids: list[str] = []
-    acc = {i: 0 for i in indices}
     noised = False
     for tok in tokens:
         if (tok.window_start, tok.window_end) != (first.window_start, first.window_end):
             raise ValueError("tokens target different windows")
-        if tok.indices != indices:
-            raise ValueError("tokens release different element patterns")
+        if len(tok.elements) != len(first.elements):
+            raise ValueError("tokens have different widths")
         if tok.stream_ids is None:
             raise ValueError("partial aggregation needs explicit stream ids")
         ids.extend(tok.stream_ids)
         noised = noised or tok.noised
-        for i in indices:
-            acc[i] = (acc[i] + tok.elements[i]) & RING_MASK
     if len(ids) != len(set(ids)):
         raise ValueError("stream sets overlap")
     return TransformationToken(
         window_start=first.window_start,
         window_end=first.window_end,
         stream_set_id=stream_set_hash(ids),
-        elements=acc,
+        elements=_sum_elements(tokens),
         noised=noised,
         stream_ids=tuple(sorted(ids)),
     )
@@ -408,7 +412,7 @@ def add_dp_noise(
     The budget is charged first and atomically; an exhausted budget yields
     a Suppressed marker and the token is not released. Samples are drawn
     with the per-party sigma in ring units and rounded to integers, one
-    per released element.
+    per output element.
     """
     if epsilon_cost <= 0:
         raise ValueError("epsilon cost must be positive")
@@ -420,16 +424,15 @@ def add_dp_noise(
             epsilon_requested=epsilon_cost,
             epsilon_remaining=budget.remaining,
         )
-    indices = token.indices
-    samples = rng.normal(0.0, noise.per_party_sigma, size=len(indices))
-    elements = dict(token.elements)
-    for i, eta in zip(indices, samples):
-        elements[i] = (elements[i] + round(float(eta))) & RING_MASK
+    samples = rng.normal(0.0, noise.per_party_sigma, size=len(token.elements))
     return TransformationToken(
         window_start=token.window_start,
         window_end=token.window_end,
         stream_set_id=token.stream_set_id,
-        elements=elements,
+        elements=tuple(
+            (v + round(float(eta))) & RING_MASK
+            for v, eta in zip(token.elements, samples)
+        ),
         noised=True,
         stream_ids=token.stream_ids,
     )
@@ -470,21 +473,20 @@ class TokenStore:
 # ---- wire format ---------------------------------------------------------
 #
 # Little-endian: window start and end as u64, the 32-byte stream set id,
-# then one (u16 index, u64 value) pair per released element in ascending
-# index order. Framing is external (length-delimited transport).
+# then one (u16 index, u64 value) pair per output element; the index column
+# must read 0..n-1. Framing is external (length-delimited transport).
 
 
 _WIRE_ELEMENT = np.dtype([("index", "<u2"), ("value", "<u8")])
 
 
 def serialize_token(token: TransformationToken) -> bytes:
-    indices = token.indices
-    if indices[-1] >= 1 << 16:
-        idx = next(i for i in indices if i >= 1 << 16)
-        raise ValueError(f"element index {idx} exceeds 16 bits")
-    pairs = np.empty(len(indices), dtype=_WIRE_ELEMENT)
-    pairs["index"] = indices
-    pairs["value"] = [token.elements[i] for i in indices]
+    n = len(token.elements)
+    if n > 1 << 16:
+        raise ValueError(f"element index {1 << 16} exceeds 16 bits")
+    pairs = np.empty(n, dtype=_WIRE_ELEMENT)
+    pairs["index"] = np.arange(n)
+    pairs["value"] = token.elements
     return (
         struct.pack("<QQ", token.window_start, token.window_end)
         + token.stream_set_id
@@ -497,16 +499,13 @@ def deserialize_token(data: bytes, *, noised: bool = False) -> TransformationTok
         raise ValueError(f"malformed token wire data of length {len(data)}")
     start, end = struct.unpack_from("<QQ", data, 0)
     sset = data[16:48]
-    elements: dict[int, int] = {}
-    for off in range(48, len(data), 10):
-        idx, val = struct.unpack_from("<HQ", data, off)
-        if idx in elements:
-            raise ValueError(f"duplicate element index {idx} on the wire")
-        elements[idx] = val
+    pairs = np.frombuffer(data, dtype=_WIRE_ELEMENT, offset=48)
+    if not np.array_equal(pairs["index"], np.arange(len(pairs))):
+        raise ValueError("token wire indices must read 0..n-1")
     return TransformationToken(
         window_start=start,
         window_end=end,
         stream_set_id=sset,
-        elements=elements,
+        elements=tuple(pairs["value"].tolist()),
         noised=noised,
     )

@@ -220,6 +220,36 @@ def test_run_custom_scenario_and_option_precedence(capsys, tmp_path, monkeypatch
     assert doc["plan_members"] == 1
 
 
+def test_run_with_a_wrapped_statistic_exits_one(capsys, tmp_path):
+    # window sums of squares of 40 values near 3e6 wrap past 2**63
+    cfg = tmp_path / "wrap.yaml"
+    doc = {
+        "schema": {
+            "name": "wrap",
+            "attributes": [
+                {
+                    "name": "x",
+                    "aggregates": ["var"],
+                    "generator": {"kind": "uniform", "low": 2.9e6, "high": 3e6},
+                    "options": [{"kind": "aggregate"}],
+                }
+            ],
+        },
+        "select": {"x_var": {"attribute": "x", "function": "var"}},
+        "producers": 40, "partition_size": 40, "protocol": "clique",
+        "seed": 1, "windows": 2,
+    }
+    cfg.write_text(yaml.safe_dump(doc))
+    code, out, err = run_cli(
+        capsys, "run", "--scenario", "custom", "--config", str(cfg),
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    summary = json.loads(out)
+    assert summary["shadow_ok"] is True and summary["windows_ok"] == 0
+    assert "wrapped in windows [0, 1]" in err
+
+
 def test_run_rejects_invalid_config_values(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--scenario", "fitness", "--producers", "0",

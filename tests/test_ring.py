@@ -301,14 +301,7 @@ def test_apply_token_window_and_set_guards():
 
 
 def test_apply_token_withholds_elements():
-    from veilstream.tokens import (
-        TransformationToken,
-        output_layout,
-        release,
-        single_stream_token,
-        stream_set_hash,
-        withhold,
-    )
+    from veilstream.tokens import output_layout, release, single_stream_token, withhold
 
     m = master("wh")
     ct = encrypt(m, 0, 3, [7, 8, 9])
@@ -318,20 +311,9 @@ def test_apply_token_withholds_elements():
     # aggregate to the same layout before combining.
     merged = merge_elements(ct, output_layout(directives))
     assert apply_token(merged, token) == [8]
-
-    # A token with a sparse element map leaves the uncovered slots closed.
-    k0 = derive_key(m, 0, 3)
-    k3 = derive_key(m, 3, 3)
-    corr = (int(k0[1]) - int(k3[1])) % MODULUS_DEFAULT
-    sparse = TransformationToken(
-        window_start=0,
-        window_end=3,
-        stream_set_id=stream_set_hash([m.stream_id]),
-        elements={1: corr},
-        noised=False,
-        stream_ids=(m.stream_id,),
-    )
-    assert apply_token(ct, sparse) == [None, 8, None]
+    # withholding is the layout's job: a token never leaves outputs closed
+    with pytest.raises(TokenMismatchError, match="width"):
+        apply_token(ct, token)
 
 
 # ---- wire format ---------------------------------------------------------------

@@ -213,9 +213,9 @@ def loop_token(m, window, directives, *, prf, scale, rng):
     width = len(directives)
     k_start = derive_key(m, window[0], width, prf=prf)
     k_end = derive_key(m, window[1], width, prf=prf)
-    elements = {}
+    elements = []
     noised = False
-    for o, sources in enumerate(output_layout(directives)):
+    for sources in output_layout(directives):
         acc = 0
         for j in sources:
             acc = (acc + int(k_start[j]) - int(k_end[j])) & mask
@@ -226,8 +226,8 @@ def loop_token(m, window, directives, *, prf, scale, rng):
             eta = round(float(rng.normal(0.0, lead.noise.per_party_sigma)))
             acc = (acc + eta) & mask
             noised = True
-        elements[o] = acc
-    return elements, noised
+        elements.append(acc)
+    return tuple(elements), noised
 
 
 directive_strategy = st.one_of(
@@ -269,8 +269,8 @@ def test_token_matches_the_per_element_loop(
     elements, noised = loop_token(
         m, window, directives, prf=prf.inner, scale=scale, rng=oracle_rng
     )
-    assert dict(token.elements) == elements
-    assert all(type(v) is int for v in token.elements.values())
+    assert token.elements == elements
+    assert all(type(v) is int for v in token.elements)
     assert token.noised == noised
     # the same noise draws, in the same output order
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -339,7 +339,7 @@ def test_partial_combination_rejects_mismatches():
         multi_stream_partial(
             [t0, single_stream_token(m1, (0, 3), [release(), release()])]
         )
-    with pytest.raises(ValueError, match="different element patterns"):
+    with pytest.raises(ValueError, match="different widths"):
         multi_stream_partial(
             [t0, single_stream_token(m1, (0, 2), [release(), withhold()])]
         )
@@ -422,7 +422,7 @@ def test_dp_noise_marks_token_and_shifts_elements():
     assert noised.noised and not token.noised
     assert budget.epsilon_spent == pytest.approx(0.5)
     etas = np.random.default_rng(5).normal(0.0, noise.per_party_sigma, size=3)
-    for i, eta in zip(token.indices, etas):
+    for i, eta in enumerate(etas):
         assert noised.elements[i] == (token.elements[i] + round(float(eta))) % M
 
 
@@ -505,7 +505,7 @@ def test_token_wire_roundtrip_and_size():
     back = deserialize_token(data, noised=False)
     assert (back.window_start, back.window_end) == (3, 9)
     assert back.stream_set_id == token.stream_set_id
-    assert dict(back.elements) == dict(token.elements)
+    assert back.elements == token.elements
     assert back.stream_ids is None  # provenance stays off the wire
 
 
@@ -513,16 +513,14 @@ def struct_serialize(token: TransformationToken) -> bytes:
     """The per-element `struct` encoder the array encoder replaced (oracle)."""
     out = bytearray(struct.pack("<QQ", token.window_start, token.window_end))
     out += token.stream_set_id
-    for idx in token.indices:
-        out += struct.pack("<HQ", idx, token.elements[idx])
+    for idx, value in enumerate(token.elements):
+        out += struct.pack("<HQ", idx, value)
     return bytes(out)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    elements=st.dictionaries(
-        st.integers(0, (1 << 16) - 1), st.integers(0, (1 << 64) - 1), min_size=1, max_size=60
-    ),
+    elements=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=60),
     window_start=st.integers(0, (1 << 64) - 2),
     nonce_seed=st.integers(0, 2**32 - 1),
 )
@@ -539,10 +537,8 @@ def test_token_wire_bytes_match_the_struct_encoder(elements, window_start, nonce
     )
     party = PartyId(bytes(31) + b"\x07")
     masked = mask_token(token, nonces, round_index=3, epoch_id=9, party=party)
-    blinded = {
-        i: (elements[i] + int(v)) % M for i, v in zip(sorted(elements), nonces)
-    }
-    assert dict(masked.payload.elements) == blinded
+    blinded = tuple((e + int(v)) % M for e, v in zip(elements, nonces))
+    assert masked.payload.elements == blinded
     assert masked.serialize() == (
         struct.pack("<QQ", 3, 9) + party.value + struct_serialize(masked.payload)
     )
@@ -555,21 +551,23 @@ def test_token_wire_rejects_malformed_data():
         deserialize_token(data[:-1])
     with pytest.raises(ValueError, match="malformed"):
         deserialize_token(data[:47])
-    dup = data + data[48:58]
-    with pytest.raises(ValueError, match="duplicate element index"):
-        deserialize_token(dup)
+    head = data[:48]
+    # the index column must read 0..n-1: no gap, duplicate or reordering
+    for indices in ((1,), (0, 0), (1, 0)):
+        bad = head + b"".join(struct.pack("<HQ", i, 5) for i in indices)
+        with pytest.raises(ValueError, match=r"0\.\.n-1"):
+            deserialize_token(bad)
 
 
 def test_token_wire_rejects_oversized_indices():
-    for elements in ({1 << 16: 5}, {3: 1, 1 << 16: 5, (1 << 16) + 1: 6}):
-        token = TransformationToken(
-            window_start=0,
-            window_end=1,
-            stream_set_id=bytes(32),
-            elements=elements,
-        )
-        with pytest.raises(ValueError, match=f"index {1 << 16} exceeds 16 bits"):
-            serialize_token(token)
+    token = TransformationToken(
+        window_start=0,
+        window_end=1,
+        stream_set_id=bytes(32),
+        elements=(0,) * ((1 << 16) + 1),
+    )
+    with pytest.raises(ValueError, match=f"index {1 << 16} exceeds 16 bits"):
+        serialize_token(token)
 
 
 def test_token_dataclass_validation():
@@ -579,5 +577,7 @@ def test_token_dataclass_validation():
         TransformationToken(0, 1, b"short", {0: 1})
     with pytest.raises(ValueError, match="at least one element"):
         TransformationToken(0, 1, bytes(32), {})
-    with pytest.raises(ValueError, match="negative element index"):
-        TransformationToken(0, 1, bytes(32), {-1: 5})
+    with pytest.raises(ValueError, match=r"exactly 0\.\.n-1"):
+        TransformationToken(0, 1, bytes(32), {0: 1, 2: 3})
+    # a mapping keyed 0..n-1 becomes the dense tuple
+    assert TransformationToken(0, 1, bytes(32), {1: 7, 0: 5}).elements == (5, 7)
