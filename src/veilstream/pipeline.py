@@ -689,7 +689,6 @@ class _Partition:
         self.streams = streams  # sorted stream ids
         self.parties: list[PartyId] = []
         self.party_of: dict[str, PartyId] = {}
-        self.stream_of: dict[PartyId, str] = {}
         self.secrets = {}  # PartyId -> PairwiseSecrets
         self.b: Optional[int] = None
         self.threshold: Optional[int] = None  # dream selection threshold
@@ -859,7 +858,6 @@ class _Scenario:
             )
             if not verdict.ok:
                 raise RuntimeError(f"controller {sid} refused the plan: {verdict.reason}")
-        self.annotation_of = by_id
         self.user_plan = None
         self.user_stream = None
         per_user_attr = self.table.get("per_user_attribute")
@@ -924,9 +922,7 @@ class _Scenario:
         for start in range(0, len(members), cfg.partition_size):
             part = _Partition(len(self.partitions), members[start : start + cfg.partition_size])
             for sid in part.streams:
-                pid = self.owner_party[sid]
-                part.party_of[sid] = pid
-                part.stream_of[pid] = sid
+                part.party_of[sid] = self.owner_party[sid]
             part.parties = sorted(part.party_of.values())
             for sid in part.streams:
                 peers = [p for p in part.parties if p != part.party_of[sid]]

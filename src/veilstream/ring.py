@@ -12,10 +12,10 @@ Adding ciphertexts that chain on their timestamps telescopes the interior
 keys away, so any contiguous window can be opened, or selectively released
 through a transformation token, from the two border key vectors alone.
 
-The PRF is pluggable.  The default instantiation runs a 128-bit block
-cipher (AES-128) over a 16-byte input block and truncates the output to
-the low bits of the ring; test stubs with predictable outputs implement
-the same interface.
+The PRF is pluggable through one method, `Prf.evaluate_batch`.  The
+default instantiation runs a 128-bit block cipher (AES-128) over 16-byte
+input blocks and truncates each output to the low bits of the ring; test
+stubs with predictable outputs implement the same method.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "AesPrf",
     "ZeroPrf",
     "CounterPrf",
-    "SplitMixPrf",
     "CountingPrf",
     "MasterSecret",
     "StreamCiphertext",
@@ -81,18 +80,15 @@ def prf_input(domain: int, small: int, wide: int) -> bytes:
 
 
 class Prf:
-    """Keyed PRF with a 16-byte input block and a 128-bit output."""
+    """Keyed PRF with 16-byte input blocks and 128-bit outputs.
 
-    def evaluate(self, key: bytes, message: bytes) -> int:
-        raise NotImplementedError
+    `evaluate_batch` is its one entry point: it takes a concatenation of
+    input blocks under one key and returns the outputs concatenated, each
+    16 bytes, big-endian when read as an integer.
+    """
 
     def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
-        """Evaluate on a concatenation of 16-byte blocks, outputs concatenated."""
-        out = bytearray()
-        for off in range(0, len(messages), 16):
-            v = self.evaluate(key, messages[off : off + 16])
-            out += v.to_bytes(16, "big")
-        return bytes(out)
+        raise NotImplementedError
 
 
 # Cipher contexts an AesPrf keeps before it empties its cache.
@@ -100,7 +96,7 @@ _AES_CACHE_LIMIT = 65536
 
 
 class AesPrf(Prf):
-    """AES-128 in ECB mode used as a PRF over single 16-byte blocks.
+    """AES-128 in ECB mode used as a PRF, one output per 16-byte block.
 
     A pseudorandom permutation on distinct inputs is indistinguishable
     from a PRF up to the birthday bound, which is far beyond the call
@@ -122,9 +118,6 @@ class AesPrf(Prf):
             self._cache[key] = enc
         return enc
 
-    def evaluate(self, key: bytes, message: bytes) -> int:
-        return int.from_bytes(self._encryptor(key).update(message), "big")
-
     def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
         return self._encryptor(key).update(messages)
 
@@ -132,79 +125,21 @@ class AesPrf(Prf):
 class ZeroPrf(Prf):
     """Stub returning zero. Keystreams vanish; useful to expose plumbing."""
 
-    def evaluate(self, key: bytes, message: bytes) -> int:
-        return 0
+    def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
+        return bytes(len(messages))
 
 
 class CounterPrf(Prf):
-    """Deterministic stub: decodes the input block (small, wide) and
+    """Deterministic stub: decodes each input block (small, wide) and
     returns 1000*wide + small. With the keystream domain this makes the
     key for element j at timestamp t equal to 1000*t + j, so small test
     vectors can be checked by hand."""
 
-    def evaluate(self, key: bytes, message: bytes) -> int:
-        first, wide = struct.unpack(">QQ", message)
-        small = first & ((1 << 56) - 1)
-        return 1000 * wide + small
-
-
-def _mix64(x: int) -> int:
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & RING_MASK
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & RING_MASK
-    return x ^ (x >> 31)
-
-
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-class SplitMixPrf(Prf):
-    """Cheap keyed mixing stub for large-scale benchmarks.
-
-    Not cryptographic; statistically well spread and fast enough that a
-    ten-thousand-party epoch can be counted in seconds. Key digests are
-    cached since the same pairwise secrets recur every round.
-    """
-
-    def __init__(self):
-        self._seeds: dict[bytes, int] = {}
-
-    def _seed(self, key: bytes) -> int:
-        s = self._seeds.get(key)
-        if s is None:
-            a = int.from_bytes(key[:8].ljust(8, b"\0"), "big")
-            b = int.from_bytes(key[8:16].ljust(8, b"\0"), "big")
-            s = _mix64(a ^ _mix64(b ^ 0x9E3779B97F4A7C15))
-            self._seeds[key] = s
-        return s
-
-    def evaluate(self, key: bytes, message: bytes) -> int:
-        w0, w1 = struct.unpack(">QQ", message)
-        s = self._seed(key)
-        t = _mix64(_mix64(w0 ^ 0xD1B54A32D192ED03) ^ w1 ^ 0x8CB92BA72F3D8DD7)
-        hi = _mix64(s ^ t)
-        lo = _mix64(hi ^ s ^ 0xF1357AEA2E62A9C5)
-        return (hi << 64) | lo
-
-    def seed_of(self, key: bytes) -> int:
-        """Cached key digest, for the vectorized evaluator below."""
-        return self._seed(key)
-
-    @staticmethod
-    def evaluate_seeds(seeds: np.ndarray, message: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate one message under many key digests at once.
-
-        Returns the (high, low) 64-bit output halves as uint64 arrays,
-        bit-identical to per-key `evaluate` calls. Large-scale benchmarks
-        use this to draw a whole round's peer selections in one shot.
-        """
-        w0, w1 = struct.unpack(">QQ", message)
-        t = _mix64(_mix64(w0 ^ 0xD1B54A32D192ED03) ^ w1 ^ 0x8CB92BA72F3D8DD7)
-        hi = _mix64_np(seeds ^ np.uint64(t))
-        lo = _mix64_np(hi ^ seeds ^ np.uint64(0xF1357AEA2E62A9C5))
-        return hi, lo
+    def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
+        return b"".join(
+            (1000 * wide + (first & ((1 << 56) - 1))).to_bytes(16, "big")
+            for first, wide in struct.iter_unpack(">QQ", messages)
+        )
 
 
 class CountingPrf(Prf):
@@ -218,11 +153,6 @@ class CountingPrf(Prf):
         self.inner = inner
         self.calls = 0
         self._lock = threading.Lock()
-
-    def evaluate(self, key: bytes, message: bytes) -> int:
-        with self._lock:
-            self.calls += 1
-        return self.inner.evaluate(key, message)
 
     def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
         with self._lock:

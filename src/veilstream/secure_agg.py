@@ -19,9 +19,11 @@ variants trade PRF work against connectivity slack:
             b-bit segments that schedule the edge into one round per
             segment; a round's graph is sparse but known in advance
 
-`round_peers` is the one place these selection rules live and
-`mask_vector` the one definition of an edge mask; the scalar `nonce_*`
-functions are its width-1 case.
+`round_peers` is the one place these selection rules live, with the
+dream comparison in `_selected`, which the cost simulator shares;
+`mask_vector` is the one definition of an edge mask, and the scalar
+`nonce_*` functions are its width-1 case. Every PRF call goes through
+`Prf.evaluate_batch`.
 
 The epoch variant ("zeph" on the command line) gives W = floor(128/b) * 2^b
 rounds per epoch with expected round degree (N-1)/2^b. Privacy holds as
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
@@ -53,9 +56,9 @@ from .ring import (
     DOMAIN_SELECT,
     DEFAULT_PRF,
     RING_MASK,
+    AesPrf,
     CountingPrf,
     Prf,
-    SplitMixPrf,
     _as_ring_array,
     prf_input,
 )
@@ -368,12 +371,21 @@ def plan_epoch(
     if not 1 <= b <= 128:
         raise ValueError(f"segment width must be in [1, 128], got {b}")
     msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
-    outputs = b"".join(
-        prf.evaluate(secret, msg).to_bytes(16, "big") for _, secret, _ in secrets.iter_signed()
-    )
+    outputs = b"".join(prf.evaluate_batch(secret, msg) for _, secret, _ in secrets.iter_signed())
     bits = np.unpackbits(np.frombuffer(outputs, np.uint8)).reshape(-1, 128)
     bits.setflags(write=False)
     return EpochPlan(epoch_id=epoch_id, b=b, peers=secrets.peers, bits=bits)
+
+
+def _selected(draws: bytes, threshold: int) -> np.ndarray:
+    """The dream selection rule: for each 128-bit big-endian block of
+    `draws`, is it at most `threshold`? Threshold -1 (p = 0) selects
+    nothing."""
+    words = np.frombuffer(draws, dtype=">u8").reshape(-1, 2)
+    if threshold < 0:
+        return np.zeros(len(words), dtype=bool)
+    hi, lo = np.uint64(threshold >> 64), np.uint64(threshold & RING_MASK)
+    return (words[:, 0] < hi) | ((words[:, 0] == hi) & (words[:, 1] <= lo))
 
 
 def round_peers(
@@ -408,12 +420,9 @@ def round_peers(
         ]
     elif threshold is not None:
         msg = prf_input(DOMAIN_SELECT, 0, round_index)
-        evaluate = prf.evaluate
-        peers = [
-            p
-            for p, secret, _ in secrets.iter_signed(members)
-            if evaluate(secret, msg) <= threshold
-        ]
+        live = list(secrets.iter_signed(members))
+        draws = b"".join(prf.evaluate_batch(secret, msg) for _, secret, _ in live)
+        peers = list(compress((p for p, _, _ in live), _selected(draws, threshold)))
     else:
         peers = [p for p, _, _ in secrets.iter_signed(members)]
     if not peers:
@@ -586,10 +595,8 @@ class MaskedToken:
         return 48 + self.payload.wire_size()
 
     def serialize(self) -> bytes:
-        import struct as _struct
-
         return (
-            _struct.pack("<QQ", self.round_index, self.epoch_id)
+            struct.pack("<QQ", self.round_index, self.epoch_id)
             + self.party.value
             + serialize_token(self.payload)
         )
@@ -784,6 +791,9 @@ def optimize_b(
 
 # ---- single-party cost benchmark -------------------------------------------
 
+# Rounds of dream draws the cost simulator holds at once, per peer.
+_DREAM_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class RoundCost:
@@ -819,13 +829,13 @@ def simulate_party_counters(
         zeph    one planning call per peer at each epoch boundary, then
                 one mask call and one addition per scheduled live edge
 
-    The benchmark mixing stub stands in for the PRF. The zeph schedule
-    comes from the real planner; dream draws evaluate the `round_peers`
-    selection rule for all peers at once, since a full epoch at
-    ten thousand parties takes tens of millions of draws. Mask calls are
-    tallied at one per edge, the per-edge cost `mask_vector` pays for a
-    scalar token. `dropout` removes each peer independently per round.
-    When `b` is omitted the epoch parameters (and the dream edge
+    Every draw is an AES block, the PRF `run` uses. The zeph schedule
+    comes from the real planner; dream draws go through `round_peers`'
+    selection rule, one `evaluate_batch` per peer over a chunk of up to
+    `_DREAM_CHUNK` rounds, so memory stays at peers x chunk draws. Mask
+    calls are tallied at one per edge, the per-edge cost `mask_vector`
+    pays for a scalar token. `dropout` removes each peer independently per
+    round. When `b` is omitted the epoch parameters (and the dream edge
     probability, 2**-b) come from `optimize_b`; zeph replays at most
     b = 24. Deterministic given `seed`.
     """
@@ -860,7 +870,7 @@ def simulate_party_counters(
     if not 1 <= b <= 128:
         raise ValueError(f"segment width must be in [1, 128], got {b}")
 
-    prf = SplitMixPrf()
+    prf = AesPrf()
     tag = seed.to_bytes(8, "little", signed=True)
     secrets = [
         hashlib.sha256(b"bench-secret\x00" + tag + i.to_bytes(8, "little")).digest()[:16]
@@ -869,21 +879,22 @@ def simulate_party_counters(
 
     if protocol == "dream":
         threshold = threshold_for_probability(2.0 ** -b)
-        thr_hi = np.uint64(threshold >> 64)
-        thr_lo = np.uint64(threshold & ((1 << 64) - 1))
-        seeds = np.array([prf.seed_of(s) for s in secrets], dtype=np.uint64)
         out = []
-        for r in range(rounds):
-            hi, lo = SplitMixPrf.evaluate_seeds(seeds, prf_input(DOMAIN_SELECT, 0, r))
-            selected = (hi < thr_hi) | ((hi == thr_hi) & (lo <= thr_lo))
-            if dropout:
-                alive_mask = rng.random(peers) >= dropout
-                selected = selected & alive_mask
-                alive = int(alive_mask.sum())
-            else:
-                alive = peers
-            degree = int(selected.sum())
-            out.append(RoundCost(r, alive, degree, alive + degree, degree))
+        for first in range(0, rounds, _DREAM_CHUNK):
+            chunk = range(first, min(first + _DREAM_CHUNK, rounds))
+            msgs = b"".join(prf_input(DOMAIN_SELECT, 0, r) for r in chunk)
+            draws = b"".join(prf.evaluate_batch(secret, msgs) for secret in secrets)
+            selected = _selected(draws, threshold).reshape(peers, len(chunk))
+            for i, r in enumerate(chunk):
+                hits = selected[:, i]
+                if dropout:
+                    alive_mask = rng.random(peers) >= dropout
+                    hits = hits & alive_mask
+                    alive = int(alive_mask.sum())
+                else:
+                    alive = peers
+                degree = int(hits.sum())
+                out.append(RoundCost(r, alive, degree, alive + degree, degree))
         return out
 
     # zeph: replay the epoch planner, then walk its round schedule

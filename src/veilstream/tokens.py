@@ -251,6 +251,8 @@ class TransformationToken:
             object.__setattr__(self, "elements", tuple(elements))
         if not self.elements:
             raise ValueError("token must release at least one element")
+        if min(self.elements) < 0 or max(self.elements) > RING_MASK:
+            raise ValueError("token elements must lie in [0, 2**64)")
 
     def wire_size(self) -> int:
         return 48 + 10 * len(self.elements)

@@ -16,7 +16,6 @@ from veilstream.ring import (
     CounterPrf,
     CountingPrf,
     MasterSecret,
-    SplitMixPrf,
     StreamCiphertext,
     TokenMismatchError,
     ZeroPrf,
@@ -50,7 +49,7 @@ def test_aes_prf_matches_direct_library_call():
     for msg in (b"\x00" * 16, bytes(range(16)), b"\xff" * 16):
         enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
         expected = int.from_bytes(enc.update(msg) + enc.finalize(), "big")
-        assert AesPrf().evaluate(key, msg) == expected
+        assert int.from_bytes(AesPrf().evaluate_batch(key, msg), "big") == expected
 
 
 def test_aes_prf_batch_matches_single_calls():
@@ -59,9 +58,7 @@ def test_aes_prf_batch_matches_single_calls():
     out = AES.evaluate_batch(key, b"".join(blocks))
     assert len(out) == 16 * 5
     for j, block in enumerate(blocks):
-        assert int.from_bytes(out[16 * j : 16 * (j + 1)], "big") == AES.evaluate(
-            key, block
-        )
+        assert out[16 * j : 16 * (j + 1)] == AES.evaluate_batch(key, block)
 
 
 def test_prf_input_packing():
@@ -77,28 +74,25 @@ def test_prf_input_packing():
 def test_prf_uniformity_chi_squared():
     """Low byte of AES outputs over distinct inputs should look uniform."""
     key = b"\xa5" * 16
-    draws = [AES.evaluate(key, prf_input(1, 0, t)) & 0xFF for t in range(8192)]
-    counts = np.bincount(draws, minlength=256)
+    out = AES.evaluate_batch(key, b"".join(prf_input(1, 0, t) for t in range(8192)))
+    # the low byte of each 16-byte output
+    counts = np.bincount(np.frombuffer(out, np.uint8)[15::16], minlength=256)
     _, p = stats.chisquare(counts)
     assert p > 0.01
 
 
-def test_splitmix_vectorized_matches_scalar():
-    prf = SplitMixPrf()
-    keys = [bytes([i]) * 16 for i in range(1, 9)]
-    seeds = np.array([prf.seed_of(k) for k in keys], dtype=np.uint64)
-    for r in (0, 1, 255, 1 << 50):
-        msg = prf_input(DOMAIN_SELECT, 0, r)
-        hi, lo = SplitMixPrf.evaluate_seeds(seeds, msg)
-        for i, k in enumerate(keys):
-            assert (int(hi[i]) << 64) | int(lo[i]) == prf.evaluate(k, msg)
-
-
 def test_counting_prf_counts_blocks():
     prf = CountingPrf(ZeroPrf())
-    prf.evaluate(b"k" * 16, b"\x00" * 16)
-    prf.evaluate_batch(b"k" * 16, b"\x00" * 48)
+    assert prf.evaluate_batch(b"k" * 16, b"\x00" * 16) == bytes(16)
+    assert prf.evaluate_batch(b"k" * 16, b"\x00" * 48) == bytes(48)
     assert prf.calls == 4
+
+
+def test_counter_prf_blocks_are_big_endian_hand_values():
+    # 1000 * wide overflows 64 bits here, so the high half is used too
+    blocks = [(DOMAIN_KEYSTREAM, 3, 5), (DOMAIN_SELECT, 0, 1 << 60)]
+    out = CounterPrf().evaluate_batch(b"k" * 16, b"".join(prf_input(*b) for b in blocks))
+    assert out == b"".join((1000 * wide + small).to_bytes(16, "big") for _, small, wide in blocks)
 
 
 # ---- keystream and single events ---------------------------------------------
@@ -125,7 +119,8 @@ def test_derive_key_width_and_domain():
     k = derive_key(m, 9, 4)
     assert k.shape == (4,) and k.dtype == np.uint64
     # element j comes from PRF input (keystream domain, j, t)
-    expected = AES.evaluate(m.key, prf_input(DOMAIN_KEYSTREAM, 2, 9)) & (M - 1)
+    block = AES.evaluate_batch(m.key, prf_input(DOMAIN_KEYSTREAM, 2, 9))
+    expected = int.from_bytes(block, "big") & (M - 1)
     assert int(k[2]) == expected
 
 

@@ -20,9 +20,9 @@ from veilstream.ring import (
     DOMAIN_GRAPH,
     DOMAIN_SELECT,
     MODULUS_DEFAULT,
+    CounterPrf,
     CountingPrf,
     MasterSecret,
-    SplitMixPrf,
     prf_input,
 )
 from veilstream.secure_agg import (
@@ -179,6 +179,16 @@ def test_dream_with_p_zero_masks_nothing():
     assert prf.calls == 3  # draws happen, no masks follow
 
 
+def test_dream_selects_draws_at_most_the_threshold():
+    ids, secrets = build_parties(4)
+    me = secrets[ids[0]]
+    # CounterPrf makes round r's selection draw 1000 * r under every key;
+    # at r = 2**60 the draw also fills the high 64 bits
+    for r in (7, 1 << 60):
+        assert round_peers(me, r, threshold=1000 * r, prf=CounterPrf()) == list(me.peers)
+        assert round_peers(me, r, threshold=1000 * r - 1, prf=CounterPrf()) == []
+
+
 def test_dream_nonces_cancel_at_intermediate_p():
     ids, secrets = build_parties(8)
     thr = threshold_for_probability(0.4)
@@ -230,7 +240,7 @@ def _oracle_rounds(secrets, epoch_id, b, prf):
     seg_mask = (1 << b) - 1
     rounds = {}
     for peer, secret, _ in secrets.iter_signed():
-        out = prf.evaluate(secret, msg)
+        out = int.from_bytes(prf.evaluate_batch(secret, msg), "big")
         rounds[peer] = tuple(
             (s << b) | ((out >> (128 - (s + 1) * b)) & seg_mask)
             for s in range(128 // b)
@@ -590,19 +600,27 @@ def test_simulate_validation():
         simulate_party_counters(3, 5, "dream")
 
 
-def test_simulate_dream_matches_scalar_selection():
-    parties, rounds, b, seed = 8, 10, 2, 3
-    rows = simulate_party_counters(parties, rounds, "dream", b=b, seed=seed)
-    prf = SplitMixPrf()
+def _bench_pairwise(parties, seed):
+    """The simulated party's pairwise secrets, rebuilt from the
+    simulator's recipe: peer i + 1 shares a hash of (seed, i)."""
     tag = seed.to_bytes(8, "little", signed=True)
-    secrets = [
-        hashlib.sha256(b"bench-secret\x00" + tag + i.to_bytes(8, "little")).digest()[:16]
+    secrets = {
+        PartyId((i + 1).to_bytes(32, "big")): hashlib.sha256(
+            b"bench-secret\x00" + tag + i.to_bytes(8, "little")
+        ).digest()[:16]
         for i in range(parties - 1)
-    ]
+    }
+    return PairwiseSecrets(PartyId(bytes(32)), secrets)
+
+
+def test_simulate_dream_matches_scalar_selection():
+    parties, rounds, b, seed = 8, 300, 2, 3
+    rows = simulate_party_counters(parties, rounds, "dream", b=b, seed=seed)
+    pairwise = _bench_pairwise(parties, seed)
     threshold = threshold_for_probability(2.0 ** -b)
+    # 300 rounds span three of the simulator's draw chunks
     for r, row in enumerate(rows):
-        msg = prf_input(DOMAIN_SELECT, 0, r)
-        expect = sum(prf.evaluate(s, msg) <= threshold for s in secrets)
+        expect = len(round_peers(pairwise, r, threshold=threshold))
         assert row.degree == expect
         assert row.active_peers == parties - 1
         assert row.prf_calls == (parties - 1) + expect
@@ -613,21 +631,12 @@ def test_simulate_zeph_replays_the_epoch_plan():
     parties, b, seed = 6, 2, 11
     width = (128 // b) << b
     rows = simulate_party_counters(parties, 25, "zeph", b=b, seed=seed)
-    prf = SplitMixPrf()
-    tag = seed.to_bytes(8, "little", signed=True)
-    secrets = [
-        hashlib.sha256(b"bench-secret\x00" + tag + i.to_bytes(8, "little")).digest()[:16]
-        for i in range(parties - 1)
-    ]
-    ids = [PartyId(i.to_bytes(32, "big")) for i in range(1, parties)]
-    pairwise = PairwiseSecrets(PartyId(bytes(32)), dict(zip(ids, secrets)))
-    plan = plan_epoch(pairwise, 0, b, prf=prf)
+    plan = plan_epoch(_bench_pairwise(parties, seed), 0, b)
     for r, row in enumerate(rows):
         degree = len(plan.peers_in_round(r % width))
         assert row.degree == degree
         setup = parties - 1 if r == 0 else 0
         assert row.prf_calls == setup + degree
-    total_degree = sum(row.degree for row in rows[:width] if row.round_index < width)
     # each of the 5 peers is scheduled once per segment
     full = simulate_party_counters(parties, width, "zeph", b=b, seed=seed)
     assert sum(row.degree for row in full) == (parties - 1) * (128 // b)
@@ -641,18 +650,19 @@ def _rows_digest(rows) -> str:
 @pytest.mark.parametrize(
     "parties, rounds, kwargs, digest",
     [
-        (200, 300, dict(seed=4), "a23b76a738119703a9b13f791a286973cd405fdd004285e518c992d36828ff03"),
+        (200, 300, dict(seed=4), "a46b7c5c3b8b28beefc0bdec86aefe7e7a2c97015cb8199693ccd4bdda48e8d1"),
         (
             300,
             700,
             dict(seed=1, dropout=0.05),
-            "e789f6c05067571d4e6d125c18a704c059af6e2cd48c23e9c623ba0e74c02f44",
+            "53d90a9b512c0d08401a524801e55ae3d6064e65746b87f238f9b29bf73e7358",
         ),
-        (6, 600, dict(b=2, seed=11), "d7fb22ed7cab9150812c66fe7e3919abee1d9fb7963b3fea644b6875f24cc54f"),
+        (6, 600, dict(b=2, seed=11), "9836e8e4386f9171fa11fff87a8c939fbdb6f7c9c783f6640620666c17463ab7"),
     ],
 )
 def test_simulate_zeph_rows_are_pinned(parties, rounds, kwargs, digest):
-    # digests recorded from the per-peer tuple expansion this replay replaced
+    # digests of AES-planned rows, confirmed by rebuilding them from
+    # plan_epoch and peers_in_round with the dropout binomials in round order
     rows = simulate_party_counters(parties, rounds, "zeph", **kwargs)
     assert _rows_digest(rows) == digest
 

@@ -581,3 +581,11 @@ def test_token_dataclass_validation():
         TransformationToken(0, 1, bytes(32), {0: 1, 2: 3})
     # a mapping keyed 0..n-1 becomes the dense tuple
     assert TransformationToken(0, 1, bytes(32), {1: 7, 0: 5}).elements == (5, 7)
+
+
+def test_token_refuses_elements_outside_the_ring():
+    for elements in ((-1, 1 << 64), (0, 1 << 64), (-1,)):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            TransformationToken(0, 1, bytes(32), elements)
+    edge = TransformationToken(0, 1, bytes(32), (0, (1 << 64) - 1))
+    assert deserialize_token(serialize_token(edge)).elements == edge.elements
