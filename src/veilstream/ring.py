@@ -13,9 +13,10 @@ keys away, so any contiguous window can be opened, or selectively released
 through a transformation token, from the two border key vectors alone.
 
 The PRF is pluggable through one method, `Prf.evaluate_batch`.  The
-default instantiation runs a 128-bit block cipher (AES-128) over 16-byte
-input blocks and truncates each output to the low bits of the ring; test
-stubs with predictable outputs implement the same method.
+default instantiation is fixed-key AES-128 over 16-byte input blocks,
+one cipher context for every key, and the ring takes the low 64 bits of
+each output; test stubs with predictable outputs implement the same
+method.
 """
 
 from __future__ import annotations
@@ -83,59 +84,61 @@ class Prf:
     """Keyed PRF with 16-byte input blocks and 128-bit outputs.
 
     `evaluate_batch` is its one entry point: it takes a concatenation of
-    input blocks under one key and returns the outputs concatenated, each
-    16 bytes, big-endian when read as an integer.
+    input blocks and returns the outputs concatenated, each 16 bytes,
+    big-endian when read as an integer. `key` is either one 16-byte key
+    for every block or one 16-byte key per block (`len(key) ==
+    len(messages)`), so one call can cover many pairwise keys; any other
+    key length raises `ValueError`.
     """
 
     def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
         raise NotImplementedError
 
 
-# Cipher contexts an AesPrf keeps before it empties its cache.
-_AES_CACHE_LIMIT = 65536
+def _check_key(key: bytes, messages: bytes) -> None:
+    if len(messages) % 16 or len(key) not in (16, len(messages)):
+        raise ValueError(f"PRF key of {len(key)} bytes for {len(messages)} input bytes")
+
+
+# The public key of the fixed permutation pi: the first 128 bits of the
+# fractional part of pi (0x243F6A88...), a nothing-up-my-sleeve constant.
+FIXED_AES_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
 
 
 class AesPrf(Prf):
-    """AES-128 in ECB mode used as a PRF, one output per 16-byte block.
-
-    A pseudorandom permutation on distinct inputs is indistinguishable
-    from a PRF up to the birthday bound, which is far beyond the call
-    volumes here. Cipher contexts are cached per key because the protocol
-    reuses a small set of keys across very many evaluations.
-    """
+    """Fixed-key AES-128 PRF, F_k(x) = pi(k ^ x) ^ k ^ x with pi AES-128
+    under the public `FIXED_AES_KEY`: one cipher context serves every key
+    (Guo, Katz, Wang and Yu, S&P 2020). Secure in the random-permutation
+    model while (blocks evaluated) x (offline pi queries) << 2**128."""
 
     def __init__(self):
-        self._cache: dict[bytes, object] = {}
-
-    def _encryptor(self, key: bytes):
-        enc = self._cache.get(key)
-        if enc is None:
-            if len(key) != 16:
-                raise ValueError("AES PRF key must be 16 bytes")
-            if len(self._cache) >= _AES_CACHE_LIMIT:
-                self._cache.clear()
-            enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-            self._cache[key] = enc
-        return enc
+        self._pi = Cipher(algorithms.AES(FIXED_AES_KEY), modes.ECB()).encryptor()
 
     def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
-        return self._encryptor(key).update(messages)
+        _check_key(key, messages)
+        if len(key) == 16:
+            key = key * (len(messages) // 16)
+        x = np.frombuffer(messages, np.uint64) ^ np.frombuffer(key, np.uint64)
+        x ^= np.frombuffer(self._pi.update(memoryview(x).cast("B")), np.uint64)
+        return x.tobytes()
 
 
 class ZeroPrf(Prf):
     """Stub returning zero. Keystreams vanish; useful to expose plumbing."""
 
     def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
+        _check_key(key, messages)
         return bytes(len(messages))
 
 
 class CounterPrf(Prf):
     """Deterministic stub: decodes each input block (small, wide) and
-    returns 1000*wide + small. With the keystream domain this makes the
-    key for element j at timestamp t equal to 1000*t + j, so small test
-    vectors can be checked by hand."""
+    returns 1000*wide + small, whatever the key. With the keystream domain
+    this makes the key for element j at timestamp t equal to 1000*t + j,
+    so small test vectors can be checked by hand."""
 
     def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
+        _check_key(key, messages)
         return b"".join(
             (1000 * wide + (first & ((1 << 56) - 1))).to_bytes(16, "big")
             for first, wide in struct.iter_unpack(">QQ", messages)

@@ -15,7 +15,7 @@ variants trade PRF work against connectivity slack:
     clique  every peer, every round
     dream   each round, keep an edge with probability p via one PRF draw,
             then derive the kept edges' masks with a second draw
-    epoch   one PRF call per peer per epoch, whose output is split into
+    epoch   one PRF block per peer per epoch, whose output is split into
             b-bit segments that schedule the edge into one round per
             segment; a round's graph is sparse but known in advance
 
@@ -23,7 +23,8 @@ variants trade PRF work against connectivity slack:
 dream comparison in `_selected`, which the cost simulator shares;
 `mask_vector` is the one definition of an edge mask, and the scalar
 `nonce_*` functions are its width-1 case. Every PRF call goes through
-`Prf.evaluate_batch`.
+`Prf.evaluate_batch`, one call per selection, mask or plan over every
+peer's key at once.
 
 The epoch variant ("zeph" on the command line) gives W = floor(128/b) * 2^b
 rounds per epoch with expected round degree (N-1)/2^b. Privacy holds as
@@ -259,43 +260,35 @@ def setup_pairwise(
 
 
 class PairwiseSecrets:
-    """One party's view of its pairwise secrets, pre-sorted and signed.
+    """One party's pairwise secrets as arrays, one row per peer.
 
-    The mask sign for peer q is +1 when self < q and -1 otherwise, fixed by
-    the total order on party ids so both endpoints of an edge agree.
+    Peers are sorted by party id. Row i of `keys` (peers x 16 `uint8`) is
+    the secret shared with `peers[i]`, `signs[i]` its mask sign as a ring
+    element (1, or 2**64 - 1 for -1) and `row[peer.value]` the row index,
+    keyed by the raw id because bytes hash in C. The sign is +1 when
+    self < peer and -1 otherwise, fixed by the total order on party ids
+    so both endpoints of an edge agree.
     """
 
     def __init__(self, self_id: PartyId, secrets: Mapping[PartyId, bytes]):
         if self_id in secrets:
             raise ValueError("a party does not share a secret with itself")
-        for s in secrets.values():
-            if len(s) != 16:
-                raise ValueError("pairwise secrets must be 16 bytes")
+        if any(len(s) != 16 for s in secrets.values()):
+            raise ValueError("pairwise secrets must be 16 bytes")
         self.self_id = self_id
-        self._signed = tuple(
-            (peer, secrets[peer], self_id < peer) for peer in sorted(secrets)
-        )
-        self._by_peer = dict(secrets)
-
-    @property
-    def peers(self) -> tuple[PartyId, ...]:
-        return tuple(p for p, _, _ in self._signed)
+        self.peers = tuple(sorted(secrets))
+        self.row = {peer.value: i for i, peer in enumerate(self.peers)}
+        joined = b"".join(map(secrets.__getitem__, self.peers))
+        self.keys = np.frombuffer(joined, np.uint8).reshape(-1, 16)
+        # the peers that sort below self_id come first and subtract
+        self.signs = np.ones(len(self.peers), dtype=np.uint64)
+        self.signs[: bisect_left(self.peers, self_id)] = RING_MASK
 
     def secret_for(self, peer: PartyId) -> bytes:
-        return self._by_peer[peer]
-
-    def sign_for(self, peer: PartyId) -> int:
-        return 1 if self.self_id < peer else -1
-
-    def iter_signed(self, members=None):
-        """Yield (peer, secret, positive) rows, optionally filtered to a
-        membership set."""
-        if members is None:
-            return iter(self._signed)
-        return ((p, s, g) for p, s, g in self._signed if p in members)
+        return self.keys[self.row[peer.value]].tobytes()
 
     def __len__(self):
-        return len(self._signed)
+        return len(self.peers)
 
 
 def threshold_for_probability(p: float) -> int:
@@ -322,7 +315,7 @@ class EpochPlan:
 
     epoch_id: int
     b: int
-    peers: tuple[PartyId, ...]  # sorted, as `PairwiseSecrets.iter_signed`
+    peers: tuple[PartyId, ...]  # sorted, as `PairwiseSecrets.peers`
     bits: np.ndarray = field(repr=False)
 
     @property
@@ -362,7 +355,8 @@ def plan_epoch(
     *,
     prf: Prf = DEFAULT_PRF,
 ) -> EpochPlan:
-    """Derive the epoch's round graph: one PRF call per peer.
+    """Derive the epoch's round graph: one PRF block per peer, all in one
+    call.
 
     The 128-bit output for a peer is cut into floor(128/b) segments of b
     bits each (leftover low bits unused); both endpoints derive the same
@@ -371,7 +365,7 @@ def plan_epoch(
     if not 1 <= b <= 128:
         raise ValueError(f"segment width must be in [1, 128], got {b}")
     msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
-    outputs = b"".join(prf.evaluate_batch(secret, msg) for _, secret, _ in secrets.iter_signed())
+    outputs = prf.evaluate_batch(secrets.keys.tobytes(), msg * len(secrets))
     bits = np.unpackbits(np.frombuffer(outputs, np.uint8)).reshape(-1, 128)
     bits.setflags(write=False)
     return EpochPlan(epoch_id=epoch_id, b=b, peers=secrets.peers, bits=bits)
@@ -401,10 +395,11 @@ def round_peers(
 
     With neither `plan` nor `threshold` (clique) that is every live peer.
     With `threshold` (dream) it is each live peer whose selection draw on
-    the shared secret is at most the threshold: one PRF call per live
-    peer, and both endpoints draw the same value. With `plan` (zeph) it is
-    the plan's peers for round `round_index % plan.width`, at no PRF cost.
-    `members`, when given, holds the live parties.
+    the shared secret is at most the threshold: one PRF block per live
+    peer, all in one call, and both endpoints draw the same value. With
+    `plan` (zeph) it is the plan's peers for round `round_index %
+    plan.width`, at no PRF cost. `members`, when given, holds the live
+    parties.
 
     An empty result leaves the token unmasked by this party; that is a
     connectivity failure of the round graph, logged as such, and the
@@ -418,13 +413,14 @@ def round_peers(
             for p in plan.peers_in_round(round_index % plan.width)
             if members is None or p in members
         ]
-    elif threshold is not None:
-        msg = prf_input(DOMAIN_SELECT, 0, round_index)
-        live = list(secrets.iter_signed(members))
-        draws = b"".join(prf.evaluate_batch(secret, msg) for _, secret, _ in live)
-        peers = list(compress((p for p, _, _ in live), _selected(draws, threshold)))
     else:
-        peers = [p for p, _, _ in secrets.iter_signed(members)]
+        live = secrets.row if members is None else {p.value for p in members}
+        rows = np.flatnonzero([p.value in live for p in secrets.peers])
+        if threshold is not None:
+            msg = prf_input(DOMAIN_SELECT, 0, round_index)
+            draws = prf.evaluate_batch(secrets.keys[rows].tobytes(), msg * len(rows))
+            rows = rows[_selected(draws, threshold)]
+        peers = [secrets.peers[i] for i in rows]
     if not peers:
         logger.warning(
             "round %d has no active peers for %r; nonce is zero and this "
@@ -457,7 +453,7 @@ def nonce_clique(
     prf: Prf = DEFAULT_PRF,
     members=None,
 ) -> int:
-    """Round nonce over every live peer: N-1 PRF calls."""
+    """Round nonce over every live peer: N-1 PRF blocks."""
     peers = round_peers(secrets, round_index, members=members, prf=prf)
     return _nonce(secrets, peers, round_index, None, prf)
 
@@ -473,7 +469,7 @@ def nonce_dream(
     """Round nonce over a random peer subset drawn per round.
 
     Each live peer costs one selection draw; selected edges cost one
-    further PRF call for the mask, so a round totals N-1+l calls.
+    further PRF block for the mask, so a round totals N-1+l blocks.
     """
     peers = round_peers(
         secrets, round_index, members=members, threshold=threshold, prf=prf
@@ -489,7 +485,7 @@ def nonce_zeph(
     prf: Prf = DEFAULT_PRF,
     members=None,
 ) -> int:
-    """Round nonce over the epoch plan's active edges: deg(r) PRF calls."""
+    """Round nonce over the epoch plan's active edges: deg(r) PRF blocks."""
     peers = round_peers(secrets, round_index, members=members, plan=plan, prf=prf)
     return _nonce(secrets, peers, round_index, plan, prf)
 
@@ -525,7 +521,7 @@ def apply_delta(
     active is the plan's peer set for the round: dropped parties' masks
     are backed out and rejoining parties' masks restored from the
     existing pairwise secrets. Only listed parties whose edge is active
-    in this round cost a PRF call; the party itself is never its own peer.
+    in this round cost a PRF block; the party itself is never its own peer.
     """
     active = round_peers(secrets, round_index, plan=plan, prf=prf)
     dropped, joined = (
@@ -550,8 +546,9 @@ def mask_vector(
     This is the one definition of an edge mask: lane k of an edge is the
     high (k even) or low (k odd) 64 bits of the edge's PRF block k // 2,
     so an edge costs ceil(width/2) PRF blocks and a scalar nonce is lane
-    0. Peers must already be filtered to the round's active membership
-    (see `round_peers`).
+    0. Every edge's blocks go into one PRF call, and the signed lanes are
+    summed in one pass. Peers must already be filtered to the round's
+    active membership (see `round_peers`).
     """
     blocks = (width + 1) // 2
     msgs = np.empty((blocks, 2), dtype=">u8")
@@ -566,20 +563,12 @@ def mask_vector(
     else:
         raise ValueError(f"unsupported mask domain {domain}")
     msgs[:, 1] = round_index
-    buf = msgs.tobytes()
-    added, subtracted = [], []
-    for peer in peers:
-        out = prf.evaluate_batch(secrets.secret_for(peer), buf)
-        (added if secrets.sign_for(peer) > 0 else subtracted).append(out)
-    return _lane_sum(added, width) - _lane_sum(subtracted, width)
-
-
-def _lane_sum(outputs: list[bytes], width: int) -> np.ndarray:
-    """Lane-wise sum mod 2**64 of the first `width` lanes of PRF outputs."""
-    if not outputs:
-        return np.zeros(width, dtype=np.uint64)
-    lanes = np.frombuffer(b"".join(outputs), dtype=">u8").reshape(len(outputs), -1)
-    return lanes[:, :width].sum(axis=0, dtype=np.uint64)
+    rows = np.fromiter((secrets.row[p.value] for p in peers), np.intp, count=len(peers))
+    keys = np.repeat(secrets.keys[rows], blocks, axis=0)
+    out = prf.evaluate_batch(keys.tobytes(), msgs.tobytes() * len(rows))
+    lanes = np.frombuffer(out, dtype=">u8").reshape(len(rows), 2 * blocks)[:, :width]
+    # a sign of 2**64 - 1 negates its row, since uint64 products wrap
+    return secrets.signs[rows] @ lanes
 
 
 @dataclass(frozen=True)
@@ -791,8 +780,9 @@ def optimize_b(
 
 # ---- single-party cost benchmark -------------------------------------------
 
-# Rounds of dream draws the cost simulator holds at once, per peer.
-_DREAM_CHUNK = 128
+# Dream draws the cost simulator makes per PRF call: whole rounds of every
+# peer, about 512 kB per buffer, so a call's arrays stay in cache.
+_DREAM_BLOCKS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -831,8 +821,8 @@ def simulate_party_counters(
 
     Every draw is an AES block, the PRF `run` uses. The zeph schedule
     comes from the real planner; dream draws go through `round_peers`'
-    selection rule, one `evaluate_batch` per peer over a chunk of up to
-    `_DREAM_CHUNK` rounds, so memory stays at peers x chunk draws. Mask
+    selection rule, one `evaluate_batch` over every peer for a chunk of
+    rounds, at most `_DREAM_BLOCKS` draws unless one round needs more. Mask
     calls are tallied at one per edge, the per-edge cost `mask_vector`
     pays for a scalar token. `dropout` removes each peer independently per
     round. When `b` is omitted the epoch parameters (and the dream edge
@@ -879,11 +869,15 @@ def simulate_party_counters(
 
     if protocol == "dream":
         threshold = threshold_for_probability(2.0 ** -b)
+        keys = np.frombuffer(b"".join(secrets), np.uint8).reshape(peers, 16)
+        step = max(1, _DREAM_BLOCKS // peers)
         out = []
-        for first in range(0, rounds, _DREAM_CHUNK):
-            chunk = range(first, min(first + _DREAM_CHUNK, rounds))
+        for first in range(0, rounds, step):
+            chunk = range(first, min(first + step, rounds))
             msgs = b"".join(prf_input(DOMAIN_SELECT, 0, r) for r in chunk)
-            draws = b"".join(prf.evaluate_batch(secret, msgs) for secret in secrets)
+            # peer-major: each peer's key once per round of the chunk
+            chunk_keys = np.repeat(keys, len(chunk), axis=0).tobytes()
+            draws = prf.evaluate_batch(chunk_keys, msgs * peers)
             selected = _selected(draws, threshold).reshape(peers, len(chunk))
             for i, r in enumerate(chunk):
                 hits = selected[:, i]

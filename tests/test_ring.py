@@ -44,12 +44,16 @@ def master(tag: str = "s") -> MasterSecret:
 
 
 def test_aes_prf_matches_direct_library_call():
-    """Oracle: the PRF must be plain AES-128-ECB on the input block."""
-    key = bytes(range(16))
-    for msg in (b"\x00" * 16, bytes(range(16)), b"\xff" * 16):
-        enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-        expected = int.from_bytes(enc.update(msg) + enc.finalize(), "big")
-        assert int.from_bytes(AesPrf().evaluate_batch(key, msg), "big") == expected
+    """Oracle: F_k(x) = pi(k ^ x) ^ k ^ x, where pi is AES-128-ECB under the
+    public key 243f6a88..., computed block by block with the library."""
+    pi_key = bytes.fromhex("243f6a8885a308d313198a2e03707344")
+    for key in (bytes(16), bytes(range(16)), b"\xa5" * 16):
+        for msg in (b"\x00" * 16, bytes(range(16)), b"\xff" * 16):
+            whitened = bytes(a ^ b for a, b in zip(key, msg))
+            enc = Cipher(algorithms.AES(pi_key), modes.ECB()).encryptor()
+            permuted = enc.update(whitened) + enc.finalize()
+            expected = bytes(a ^ b for a, b in zip(permuted, whitened))
+            assert AesPrf().evaluate_batch(key, msg) == expected
 
 
 def test_aes_prf_batch_matches_single_calls():
@@ -59,6 +63,37 @@ def test_aes_prf_batch_matches_single_calls():
     assert len(out) == 16 * 5
     for j, block in enumerate(blocks):
         assert out[16 * j : 16 * (j + 1)] == AES.evaluate_batch(key, block)
+
+
+@pytest.mark.parametrize(
+    "make", [AesPrf, lambda: CountingPrf(AesPrf()), CounterPrf, ZeroPrf],
+    ids=["aes", "counting", "counter", "zero"],
+)
+def test_multi_key_batch_equals_per_block_single_key_calls(make):
+    prf = make()
+    keys = [bytes([i]) * 16 for i in range(7)]
+    blocks = [prf_input(DOMAIN_KEYSTREAM, j, 1 << 40 | j) for j in range(7)]
+    out = prf.evaluate_batch(b"".join(keys), b"".join(blocks))
+    assert out == b"".join(prf.evaluate_batch(k, m) for k, m in zip(keys, blocks))
+    if isinstance(prf, CountingPrf):
+        assert prf.calls == 7 + 7  # blocks, not calls
+    if isinstance(prf, AesPrf):
+        # distinct keys on equal inputs give distinct outputs
+        same = prf.evaluate_batch(b"".join(keys), blocks[0] * 7)
+        assert len({same[16 * i : 16 * (i + 1)] for i in range(7)}) == 7
+
+
+@pytest.mark.parametrize("prf", [AesPrf(), CountingPrf(AesPrf()), CounterPrf(), ZeroPrf()])
+def test_prf_refuses_a_bad_key_length(prf):
+    msgs = bytes(48)
+    for key in (bytes(15), bytes(17), bytes(32), bytes(64)):
+        with pytest.raises(ValueError, match="PRF key"):
+            prf.evaluate_batch(key, msgs)
+    with pytest.raises(ValueError, match="PRF key"):
+        prf.evaluate_batch(bytes(16), bytes(20))
+    # one key, or exactly one per block
+    assert len(prf.evaluate_batch(bytes(16), msgs)) == len(prf.evaluate_batch(bytes(48), msgs))
+    assert prf.evaluate_batch(b"", b"") == b""
 
 
 def test_prf_input_packing():

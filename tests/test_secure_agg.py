@@ -14,15 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veilstream import secure_agg
 from veilstream.ring import (
     DEFAULT_PRF,
     DOMAIN_EDGE,
     DOMAIN_GRAPH,
+    DOMAIN_MASK,
     DOMAIN_SELECT,
     MODULUS_DEFAULT,
     CounterPrf,
     CountingPrf,
     MasterSecret,
+    Prf,
     prf_input,
 )
 from veilstream.secure_agg import (
@@ -133,7 +136,10 @@ def test_setup_pairwise_skips_self_and_checks_registry():
 def test_pairwise_secrets_validation_and_signs():
     ids, secrets = build_parties(3)
     p, q = ids[0], ids[1]
-    assert secrets[p].sign_for(q) == -secrets[q].sign_for(p)
+    # opposite signs, as ring elements: +1 and -1 = 2**64 - 1
+    s_pq = int(secrets[p].signs[secrets[p].row[q.value]])
+    s_qp = int(secrets[q].signs[secrets[q].row[p.value]])
+    assert {s_pq, s_qp} == {1, M - 1}
     assert secrets[p].secret_for(q) == secrets[q].secret_for(p)
     assert list(secrets[p].peers) == sorted(secrets[p].peers)
     with pytest.raises(ValueError, match="itself"):
@@ -239,8 +245,8 @@ def _oracle_rounds(secrets, epoch_id, b, prf):
     msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
     seg_mask = (1 << b) - 1
     rounds = {}
-    for peer, secret, _ in secrets.iter_signed():
-        out = int.from_bytes(prf.evaluate_batch(secret, msg), "big")
+    for peer in secrets.peers:
+        out = int.from_bytes(prf.evaluate_batch(secrets.secret_for(peer), msg), "big")
         rounds[peer] = tuple(
             (s << b) | ((out >> (128 - (s + 1) * b)) & seg_mask)
             for s in range(128 // b)
@@ -267,7 +273,7 @@ def test_epoch_plan_matches_the_scalar_expansion(b, epoch_id, sampled):
     me = PLAN_IDS[0]
     plan = plans[me]
     oracle = _oracle_rounds(PLAN_SECRETS[me], epoch_id, b, DEFAULT_PRF)
-    assert plan.peers == tuple(p for p, _, _ in PLAN_SECRETS[me].iter_signed())
+    assert plan.peers == tuple(sorted(PLAN_SECRETS[me].peers))
     assert plan.width == (128 // b) << b
     if plan.width <= 4096:
         rounds = range(plan.width)
@@ -394,6 +400,84 @@ def test_mask_vector_domain_handling():
     # block indices share the first input word with the epoch id
     with pytest.raises(ValueError, match="16 bits"):
         mask_vector(secrets[ids[0]], peers, (2 << 16) + 1, round_index=1)
+
+
+class RecordingPrf(Prf):
+    """Records the block count of every call to the default PRF."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def evaluate_batch(self, key, messages):
+        self.blocks.append(len(messages) // 16)
+        return DEFAULT_PRF.evaluate_batch(key, messages)
+
+
+def test_one_prf_call_per_selection_mask_and_plan():
+    ids, secrets = build_parties(8)
+    me = secrets[ids[0]]
+    members = frozenset(ids[:6])
+    thr = threshold_for_probability(0.5)
+    prf = RecordingPrf()
+    # dream draws every live peer in one call
+    round_peers(me, 3, threshold=thr, prf=prf)
+    round_peers(me, 3, members=members, threshold=thr, prf=prf)
+    assert prf.blocks == [7, 5]
+    # a mask costs every peer's ceil(width / 2) blocks in one call
+    prf.blocks.clear()
+    mask_vector(me, ids[1:6], 5, round_index=3, prf=prf)
+    mask_vector(me, ids[3:5], 1, round_index=3, domain=DOMAIN_EDGE, prf=prf)
+    assert prf.blocks == [5 * 3, 2]
+    prf.blocks.clear()
+    plan_epoch(me, 2, 3, prf=prf)
+    assert prf.blocks == [7]
+
+
+MASK_IDS, MASK_SECRETS = build_parties(6)
+
+
+def _per_peer_mask_oracle(secrets, peers, width, round_index, domain, epoch_id):
+    """Each peer's lanes from its own single-key PRF call, added or
+    subtracted by the order of the two party ids."""
+    blocks = (width + 1) // 2
+    if domain == DOMAIN_MASK:
+        msgs = [prf_input(DOMAIN_MASK, epoch_id << 16 | k, round_index) for k in range(blocks)]
+    else:
+        msgs = [prf_input(DOMAIN_EDGE, k, round_index) for k in range(blocks)]
+    total = [0] * width
+    for peer in peers:
+        out = DEFAULT_PRF.evaluate_batch(secrets.secret_for(peer), b"".join(msgs))
+        for lane in range(width):
+            value = int.from_bytes(out[8 * lane : 8 * lane + 8], "big")
+            total[lane] += value if secrets.self_id < peer else -value
+    return [t % M for t in total]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    me=st.integers(0, 5),
+    order=st.permutations(range(5)),
+    count=st.integers(0, 5),
+    width=st.integers(1, 9),
+    round_index=st.integers(0, (1 << 64) - 1),
+    epoch_id=st.integers(0, (1 << 40) - 1),
+    edge=st.booleans(),
+)
+def test_mask_vector_matches_the_per_peer_signed_sum(
+    me, order, count, width, round_index, epoch_id, edge
+):
+    secrets = MASK_SECRETS[MASK_IDS[me]]
+    peers = [secrets.peers[i] for i in order[:count]]
+    domain = DOMAIN_EDGE if edge else DOMAIN_MASK
+    got = mask_vector(
+        secrets, peers, width, epoch_id=epoch_id, round_index=round_index, domain=domain
+    )
+    assert got.dtype == np.uint64 and got.shape == (width,)
+    assert got.tolist() == _per_peer_mask_oracle(
+        secrets, peers, width, round_index, domain, epoch_id
+    )
+    if not peers:
+        assert not got.any()
 
 
 def test_scalar_nonce_is_lane_zero_of_the_mask_vector():
@@ -613,12 +697,13 @@ def _bench_pairwise(parties, seed):
     return PairwiseSecrets(PartyId(bytes(32)), secrets)
 
 
-def test_simulate_dream_matches_scalar_selection():
+def test_simulate_dream_matches_scalar_selection(monkeypatch):
     parties, rounds, b, seed = 8, 300, 2, 3
+    # 128 rounds of 7 peers per draw call: 300 rounds span three calls
+    monkeypatch.setattr(secure_agg, "_DREAM_BLOCKS", 7 * 128)
     rows = simulate_party_counters(parties, rounds, "dream", b=b, seed=seed)
     pairwise = _bench_pairwise(parties, seed)
     threshold = threshold_for_probability(2.0 ** -b)
-    # 300 rounds span three of the simulator's draw chunks
     for r, row in enumerate(rows):
         expect = len(round_peers(pairwise, r, threshold=threshold))
         assert row.degree == expect
@@ -650,19 +735,21 @@ def _rows_digest(rows) -> str:
 @pytest.mark.parametrize(
     "parties, rounds, kwargs, digest",
     [
-        (200, 300, dict(seed=4), "a46b7c5c3b8b28beefc0bdec86aefe7e7a2c97015cb8199693ccd4bdda48e8d1"),
+        (200, 300, dict(seed=4), "551e68f42f045f217804f6bd6ae221f5515dd9f9046949befa184da1096d55fd"),
         (
             300,
             700,
             dict(seed=1, dropout=0.05),
-            "53d90a9b512c0d08401a524801e55ae3d6064e65746b87f238f9b29bf73e7358",
+            "d6bad36828bbb8f8570ee3627204923a27fd9ea0ce05200ecdc0fc0046a6c7b1",
         ),
-        (6, 600, dict(b=2, seed=11), "9836e8e4386f9171fa11fff87a8c939fbdb6f7c9c783f6640620666c17463ab7"),
+        (6, 600, dict(b=2, seed=11), "d166e62443b36292bb9de44f8d57f35814b4486beb3912e2335deada5904676e"),
     ],
+    ids=["200x300", "300x700-dropout", "6x600-b2"],
 )
 def test_simulate_zeph_rows_are_pinned(parties, rounds, kwargs, digest):
-    # digests of AES-planned rows, confirmed by rebuilding them from
-    # plan_epoch and peers_in_round with the dropout binomials in round order
+    # digests of rows planned with fixed-key AES, confirmed by a replay that
+    # evaluates F_k(x) = pi(k ^ x) ^ k ^ x block by block with the cipher
+    # library and draws the dropout binomials in round order
     rows = simulate_party_counters(parties, rounds, "zeph", **kwargs)
     assert _rows_digest(rows) == digest
 
