@@ -69,14 +69,16 @@ from .ring import (
 from .secure_agg import (
     EpochPlan,
     IdentityRegistry,
+    MaskedBatch,
     MembershipDelta,
     PartyId,
+    PeerTable,
     StaticKeyAgreement,
+    graph_bits,
+    mask_edges,
     mask_token,
-    mask_vector,
     optimize_b,
-    plan_epoch,
-    round_peers,
+    round_edges,
     setup_pairwise,
     threshold_for_probability,
     unmask_aggregate,
@@ -85,10 +87,11 @@ from .tokens import (
     PrivacyBudget,
     Suppressed,
     TokenStore,
-    add_dp_noise,
+    noise_shares,
     release,
     single_stream_token,
     stream_set_hash,
+    stream_tokens,
 )
 
 logger = logging.getLogger(__name__)
@@ -687,13 +690,18 @@ class _Partition:
     def __init__(self, index: int, streams: list[str]):
         self.index = index
         self.streams = streams  # sorted stream ids
-        self.parties: list[PartyId] = []
+        self.position = {sid: i for i, sid in enumerate(streams)}
+        self.parties: list[PartyId] = []  # sorted
         self.party_of: dict[str, PartyId] = {}
-        self.secrets = {}  # PartyId -> PairwiseSecrets
+        # every controller's pairwise secrets, the row owners in stream order
+        self.table: Optional[PeerTable] = None
         self.b: Optional[int] = None
         self.threshold: Optional[int] = None  # dream selection threshold
         self.epoch_width = 0
-        self.epoch_plans: dict[PartyId, EpochPlan] = {}  # current epoch only
+        # current epoch only: one plan row per table row, and which owners'
+        # rows are derived yet
+        self.epoch_plan: Optional[EpochPlan] = None
+        self.planned: Optional[np.ndarray] = None
 
 
 class _Scenario:
@@ -924,11 +932,16 @@ class _Scenario:
             for sid in part.streams:
                 part.party_of[sid] = self.owner_party[sid]
             part.parties = sorted(part.party_of.values())
-            for sid in part.streams:
-                peers = [p for p in part.parties if p != part.party_of[sid]]
-                part.secrets[part.party_of[sid]] = setup_pairwise(
-                    self.keypairs[sid], self.registry, peers
-                )
+            part.table = PeerTable(
+                [
+                    setup_pairwise(
+                        self.keypairs[sid],
+                        self.registry,
+                        [p for p in part.parties if p != part.party_of[sid]],
+                    )
+                    for sid in part.streams
+                ]
+            )
             if cfg.protocol in ("dream", "zeph") and len(part.parties) >= 3:
                 res = optimize_b(
                     len(part.parties), cfg.colluding_fraction, cfg.failure_budget
@@ -975,7 +988,7 @@ class _Scenario:
                     lo, hi = self.slices[name]
                     vec[lo:hi] = encode(value, spec)
                 vectors.append(vec)
-                plain = (plain + vec) & self.mask_np
+                plain += vec
             self.window_plain[(sid, w)] = plain
             for ei, vec in enumerate(vectors):
                 at = w * T + (ei + 0.1 + 0.8 * jitter[si, ei]) * T / (L + 1)
@@ -1065,78 +1078,106 @@ class _Scenario:
         self.results.append(result)
 
     def _controller_tokens(self, w: int, part: _Partition, active: list[str]):
-        """Build and mask one partition's tokens for window w.
+        """Build, noise and mask one partition's tokens for window w as one
+        streams x outputs matrix.
 
-        Returns the masked tokens, the bytes sent and the ring additions
-        spent on masks. The window's budgets were checked beforehand, so
-        every charge succeeds.
+        Every step is a fixed number of array operations however many
+        parties the partition holds: one token batch, one pass of edge
+        selection and one of edge masks over the partition's `PeerTable`,
+        one matrix add and one vectorized wire encode. What still runs per
+        party is the token store's one-token rule, the budget charge and
+        the noise draw. `active` must follow `part.streams` order. Returns
+        the masked batch, the bytes sent and the ring additions spent on
+        masks. The window's budgets were checked beforehand, so every
+        charge succeeds.
         """
         cfg = self.config
         L = cfg.logical_window
         window = (w * L, (w + 1) * L)
-        live = frozenset(part.party_of[s] for s in active)
+        table = part.table
         epoch = w // part.epoch_width if part.epoch_width else 0
-        masked = []
-        bytes_out = 0
-        additions = 0
-        for sid in active:
-            party = part.party_of[sid]
-            store = self.token_stores[sid]
-            token = store.emit(
-                self.plan.plan_id,
-                window,
-                lambda sid=sid: single_stream_token(
-                    self.masters[sid],
-                    window,
-                    self.plan.directives,
-                    layout=self.plan.token_layout,
-                    prf=self.prf,
-                ),
+        live = np.zeros(len(part.streams), dtype=bool)
+        live[[part.position[sid] for sid in active]] = True
+        tokens = self._window_tokens(window, active)
+        values = np.array([t.elements for t in tokens], dtype=np.uint64)
+        parties = tuple(part.party_of[sid] for sid in active)
+        if self.plan.dp_epsilon is not None:
+            shares = noise_shares(
+                self.plan.noise,
+                [self.budgets[sid] for sid in active],
+                self.plan.dp_epsilon,
+                [self._noise_rng(w, party) for party in parties],
+                values.shape[1],
             )
-            if self.plan.dp_epsilon is not None:
-                token = add_dp_noise(
-                    token,
-                    self.plan.noise,
-                    self.budgets[sid],
-                    self.plan.dp_epsilon,
-                    self._noise_rng(w, party),
-                )
-            if isinstance(token, Suppressed):
-                raise RuntimeError(f"{sid} was refused a checked budget: {token.reason}")
-            plan = self._epoch_plan(part, party, epoch)
-            peers = round_peers(
-                part.secrets[party],
-                w,
-                members=live,
-                plan=plan,
-                threshold=part.threshold,
-                prf=self.prf,
-            )
-            nonces = mask_vector(
-                part.secrets[party],
-                peers,
-                len(token.elements),
-                epoch_id=epoch,
-                round_index=w,
-                domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
-                prf=self.prf,
-            )
-            additions += len(peers) * len(token.elements)
-            mt = mask_token(token, nonces, round_index=w, epoch_id=epoch, party=party)
-            bytes_out += len(mt.serialize())
-            masked.append(mt)
-        return masked, bytes_out, additions
+            if isinstance(shares, Suppressed):
+                raise RuntimeError(f"a member was refused a checked budget: {shares.reason}")
+            values += shares
+        plan = self._epoch_plan(part, live, epoch)
+        rows = round_edges(
+            table, live, w, plan=plan, threshold=part.threshold, prf=self.prf
+        )
+        nonces = mask_edges(
+            table.keys[rows],
+            table.signs[rows],
+            table.owner[rows],
+            len(table.parties),
+            values.shape[1],
+            epoch_id=epoch,
+            round_index=w,
+            domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
+            prf=self.prf,
+        )
+        masked = MaskedBatch(
+            round_index=w,
+            epoch_id=epoch,
+            window=window,
+            parties=parties,
+            stream_set_ids=tuple(t.stream_set_id for t in tokens),
+            elements=values + nonces[live],
+            noised=self.plan.dp_epsilon is not None,
+            stream_ids=tuple(active),
+        )
+        return masked, len(masked.serialize()), len(rows) * values.shape[1]
 
-    def _epoch_plan(self, part: _Partition, party: PartyId, epoch: int):
-        """The party's zeph plan for the epoch, derived once and replacing
-        its plan for the previous epoch; None for the other protocols and
+    def _window_tokens(self, window: tuple[int, int], active: list[str]):
+        """The plan's token of every active stream for the window, under the
+        one-token rule: the streams whose `TokenStore` holds none for (plan,
+        window) yet get theirs from one `stream_tokens` batch."""
+        plan = self.plan
+        stores = [self.token_stores[sid] for sid in active]
+        todo = [sid for sid, store in zip(active, stores) if not store.holds(plan.plan_id, window)]
+        minted = stream_tokens(
+            [self.masters[sid] for sid in todo],
+            window,
+            plan.directives,
+            layout=plan.token_layout,
+            prf=self.prf,
+        )
+        built = dict(zip(todo, minted))
+        return [
+            store.emit(plan.plan_id, window, lambda sid=sid: built[sid])
+            for sid, store in zip(active, stores)
+        ]
+
+    def _epoch_plan(self, part: _Partition, live: np.ndarray, epoch: int):
+        """The partition's zeph plan for the epoch, one row per row of its
+        `PeerTable`, replacing the plan of the previous epoch. A party's
+        rows are derived, in one `graph_bits` pass per window, in the first
+        window of the epoch it is live in. None for the other protocols and
         for partitions too small to plan."""
         if self.config.protocol != "zeph" or part.b is None:
             return None
-        plan = part.epoch_plans.get(party)
+        table = part.table
+        plan = part.epoch_plan
         if plan is None or plan.epoch_id != epoch:
-            plan = plan_epoch(part.secrets[party], epoch, part.b, prf=self.prf)
-            part.epoch_plans[party] = plan
+            bits = np.zeros((len(table), 128), dtype=np.uint8)
+            plan = part.epoch_plan = EpochPlan(epoch, part.b, table.peers, bits)
+            part.planned = np.zeros(len(table.parties), dtype=bool)
+        fresh = live & ~part.planned
+        if fresh.any():
+            rows = np.flatnonzero(fresh[table.owner])
+            plan.bits[rows] = graph_bits(table.keys[rows], epoch, prf=self.prf)
+            part.planned |= fresh
         return plan
 
     def _noise_rng(self, w: int, party: PartyId) -> np.random.Generator:

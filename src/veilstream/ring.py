@@ -44,7 +44,9 @@ __all__ = [
     "ChainEncryptor",
     "TokenMismatchError",
     "prf_input",
+    "BATCH_BLOCKS",
     "derive_key",
+    "derive_keys",
     "encrypt",
     "add_ciphertexts",
     "chain_sum",
@@ -181,20 +183,15 @@ class MasterSecret:
         return f"MasterSecret(stream_id={self.stream_id!r}, key=<redacted>)"
 
 
-def derive_key(
-    master: MasterSecret,
-    t: int,
-    width: int,
-    *,
-    elements: Optional[np.ndarray] = None,
-    prf: Prf = DEFAULT_PRF,
-) -> np.ndarray:
-    """Key vector for timestamp t: element j is the low 64 bits of the PRF
-    output on input (t, j). Returns a uint64 array of length width, or,
-    given integer `elements` in [0, width), the entries at those indices
-    only, in their order, at one PRF block each."""
-    if t < 0 or t >> 64:
-        raise ValueError(f"timestamp out of range: {t}")
+# Blocks per PRF call on the batched paths (token keys, dream draws, edge
+# masks, epoch plans and the cost simulator's draws): 512 kB per buffer, so
+# a call's arrays stay in cache. One row's blocks always share a call.
+BATCH_BLOCKS = 1 << 15
+
+
+def _key_inputs(times: Sequence[int], width: int, elements) -> tuple[bytes, int]:
+    """The keystream PRF inputs (j, t), timestamp after timestamp, and the
+    number of entries per timestamp."""
     if width < 1 or width >= 1 << 32:
         raise ValueError(f"bad key vector width: {width}")
     if elements is None:
@@ -206,12 +203,73 @@ def derive_key(
         if index.size and (index.min() < 0 or index.max() >= width):
             raise ValueError(f"key elements outside width {width}")
         index = index.astype(np.uint64)
-    words = np.empty((len(index), 2), dtype=">u8")
-    words[:, 0] = (DOMAIN_KEYSTREAM << 56) + index
-    words[:, 1] = t
-    out = prf.evaluate_batch(master.key, words.tobytes())
-    # the low 64 bits of each 128-bit output are the ring element
-    return np.frombuffer(out, dtype=">u8").reshape(-1, 2)[:, 1].astype(np.uint64)
+    words = np.empty((len(times), len(index), 2), dtype=">u8")
+    words[:, :, 0] = (DOMAIN_KEYSTREAM << 56) + index
+    for i, t in enumerate(times):
+        if t < 0 or t >> 64:
+            raise ValueError(f"timestamp out of range: {t}")
+        words[i, :, 1] = t
+    return words.tobytes(), len(index)
+
+
+def _low_words(raw: bytes) -> np.ndarray:
+    """The ring elements of PRF outputs: the low 64 bits of each block."""
+    return np.frombuffer(raw, dtype=">u8")[1::2].astype(np.uint64)
+
+
+def derive_key(
+    master: MasterSecret,
+    t: int,
+    width: int,
+    *,
+    elements: Optional[np.ndarray] = None,
+    prf: Prf = DEFAULT_PRF,
+) -> np.ndarray:
+    """Key vector for timestamp t: element j is the low 64 bits of the PRF
+    output on input (t, j). Returns a uint64 array of length width, or,
+    given integer `elements` in [0, width), the entries at those indices
+    only, in their order, at one PRF block each. The one-stream,
+    one-timestamp case of `derive_keys`, in one single-key call."""
+    msgs, _ = _key_inputs((t,), width, elements)
+    return _low_words(prf.evaluate_batch(master.key, msgs))
+
+
+def derive_keys(
+    masters: Sequence[MasterSecret],
+    times: Sequence[int],
+    width: int,
+    *,
+    elements: Optional[np.ndarray] = None,
+    prf: Prf = DEFAULT_PRF,
+) -> np.ndarray:
+    """Key entries of several streams at several timestamps.
+
+    `out[s, i, k]` is entry `elements[k]` (entry k when `elements` is
+    omitted) of the key vector of `masters[s]` at `times[i]`, as
+    `derive_key` gives it, one PRF block each, whole streams per call
+    (`_keyed_calls`).
+    """
+    msgs, entries = _key_inputs(times, width, elements)
+    out = np.empty((len(masters), len(times), entries), dtype=np.uint64)
+    if out.size:
+        keys = np.frombuffer(b"".join(m.key for m in masters), np.uint8).reshape(-1, 16)
+        for lo, raw in _keyed_calls(keys, msgs, prf):
+            words = _low_words(raw).reshape(-1, len(times), entries)
+            out[lo : lo + len(words)] = words
+    return out
+
+
+def _keyed_calls(keys: np.ndarray, msgs: bytes, prf: Prf):
+    """Evaluate the message blocks `msgs` under every row of `keys` (rows
+    x 16 `uint8`), with one key per block, whole rows per call and at most
+    `BATCH_BLOCKS` blocks unless one row needs more; yield each call's
+    first row and output."""
+    per_row = len(msgs) // 16
+    step = max(1, BATCH_BLOCKS // per_row)
+    for lo in range(0, len(keys), step):
+        chunk = keys[lo : lo + step]
+        keyed = np.repeat(chunk, per_row, axis=0).tobytes()
+        yield lo, prf.evaluate_batch(keyed, msgs * len(chunk))
 
 
 def _as_ring_array(values) -> np.ndarray:

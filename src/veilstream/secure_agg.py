@@ -19,12 +19,16 @@ variants trade PRF work against connectivity slack:
             b-bit segments that schedule the edge into one round per
             segment; a round's graph is sparse but known in advance
 
-`round_peers` is the one place these selection rules live, with the
-dream comparison in `_selected`, which the cost simulator shares;
-`mask_vector` is the one definition of an edge mask, and the scalar
-`nonce_*` functions are its width-1 case. Every PRF call goes through
-`Prf.evaluate_batch`, one call per selection, mask or plan over every
-peer's key at once.
+A round can run for one party or for every party of a partition at once.
+`PeerTable` lays the parties' pairwise secrets out as one list of edges;
+`round_edges` selects a round's edges over it and `mask_edges` sums the
+selected edges' signed masks into a parties x width nonce matrix.
+`round_peers` and `mask_vector` are their one-party cases, sharing the
+selection rules (`_round_rows`, with the dream comparison in `_selected`,
+which the cost simulator also uses) and the one definition of an edge
+mask; the scalar `nonce_*` functions are the width-1 case. Every PRF call
+goes through `Prf.evaluate_batch` with one key per block, every edge's
+blocks in one pass of calls of at most `ring.BATCH_BLOCKS` blocks.
 
 The epoch variant ("zeph" on the command line) gives W = floor(128/b) * 2^b
 rounds per epoch with expected round degree (N-1)/2^b. Privacy holds as
@@ -37,10 +41,10 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -51,6 +55,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 import hashlib
 
 from .ring import (
+    BATCH_BLOCKS,
     DOMAIN_EDGE,
     DOMAIN_GRAPH,
     DOMAIN_MASK,
@@ -61,19 +66,20 @@ from .ring import (
     CountingPrf,
     Prf,
     _as_ring_array,
+    _keyed_calls,
     prf_input,
 )
 from .tokens import (
     TransformationToken,
-    _sum_elements,
-    serialize_token,
     stream_set_hash,
+    token_records,
 )
 
 __all__ = [
     "PartyId",
     "PublicIdentity",
     "PairwiseSecrets",
+    "PeerTable",
     "IdentityRegistry",
     "UnknownIdentityError",
     "KeyPair",
@@ -82,15 +88,19 @@ __all__ = [
     "setup_pairwise",
     "threshold_for_probability",
     "EpochPlan",
+    "graph_bits",
     "plan_epoch",
     "round_peers",
+    "round_edges",
     "nonce_clique",
     "nonce_dream",
     "nonce_zeph",
     "MembershipDelta",
     "apply_delta",
     "mask_vector",
+    "mask_edges",
     "MaskedToken",
+    "MaskedBatch",
     "mask_token",
     "unmask_aggregate",
     "disconnect_bound",
@@ -105,18 +115,29 @@ logger = logging.getLogger(__name__)
 _U128_MAX = (1 << 128) - 1
 
 
-@dataclass(frozen=True, order=True)
-class PartyId:
-    """32-byte identity hash; the byte order is the protocol's total order."""
+class PartyId(tuple):
+    """32-byte identity hash; the byte order is the protocol's total order.
 
-    value: bytes
+    A tuple subclass holding the bytes, so hashing, equality and ordering
+    run in C. A PartyId therefore compares equal to the 1-tuple of its
+    bytes, `(value,)`.
+    """
 
-    def __post_init__(self):
-        if len(self.value) != 32:
+    __slots__ = ()
+
+    def __new__(cls, value: bytes):
+        if len(value) != 32:
             raise ValueError("party id must be 32 bytes")
+        return tuple.__new__(cls, (value,))
+
+    def __getnewargs__(self):
+        return (self[0],)
+
+    # the raw 32 bytes, read in C
+    value = property(itemgetter(0))
 
     def short(self) -> str:
-        return self.value[:6].hex()
+        return self[0][:6].hex()
 
     def __repr__(self):
         return f"PartyId({self.short()})"
@@ -265,7 +286,7 @@ class PairwiseSecrets:
     Peers are sorted by party id. Row i of `keys` (peers x 16 `uint8`) is
     the secret shared with `peers[i]`, `signs[i]` its mask sign as a ring
     element (1, or 2**64 - 1 for -1) and `row[peer.value]` the row index,
-    keyed by the raw id because bytes hash in C. The sign is +1 when
+    keyed by the raw id. The sign is +1 when
     self < peer and -1 otherwise, fixed by the total order on party ids
     so both endpoints of an edge agree.
     """
@@ -289,6 +310,46 @@ class PairwiseSecrets:
 
     def __len__(self):
         return len(self.peers)
+
+
+class PeerTable:
+    """Several parties' pairwise secrets as one list of edges, for rounds
+    batched over the parties.
+
+    Rows run party by party, each party's rows in its `PairwiseSecrets`
+    order, so `owner` (the row's party, an index into `parties`) never
+    decreases. `keys` (edges x 16 `uint8`), `signs` and `peers` hold each
+    row's secret, mask sign and peer id, and `peer` the index of that peer
+    in `parties`: every peer of every party must itself be a party.
+    """
+
+    def __init__(self, secrets: Sequence[PairwiseSecrets]):
+        self.parties = tuple(s.self_id for s in secrets)
+        index = {p: i for i, p in enumerate(self.parties)}
+        if len(index) != len(self.parties):
+            raise ValueError("a party appears twice in the table")
+        self.peers = tuple(p for s in secrets for p in s.peers)
+        try:
+            self.peer = np.fromiter(
+                map(index.__getitem__, self.peers), np.intp, count=len(self.peers)
+            )
+        except KeyError as missing:
+            raise ValueError(f"peer {missing.args[0]!r} is not a party of the table") from None
+        self.owner = np.repeat(np.arange(len(secrets)), [len(s) for s in secrets])
+        self.keys = np.concatenate([s.keys for s in secrets])
+        self.signs = np.concatenate([s.signs for s in secrets])
+
+    def __len__(self):
+        return len(self.peers)
+
+
+def _warn_unprotected(round_index: int, party: PartyId) -> None:
+    logger.warning(
+        "round %d has no active peers for %r; nonce is zero and this "
+        "party's token is unprotected against a curious server",
+        round_index,
+        party,
+    )
 
 
 def threshold_for_probability(p: float) -> int:
@@ -348,6 +409,15 @@ class EpochPlan:
         return found and bool(self.round_mask(round_index)[i])
 
 
+def graph_bits(keys: np.ndarray, epoch_id: int, *, prf: Prf = DEFAULT_PRF) -> np.ndarray:
+    """The epoch graph PRF output under each pairwise secret (row of
+    `keys`, rows x 16 `uint8`) as a rows x 128 bit matrix, most
+    significant bit first: one block per row, `BATCH_BLOCKS` per call."""
+    msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
+    outputs = b"".join(raw for _, raw in _keyed_calls(keys, msg, prf))
+    return np.unpackbits(np.frombuffer(outputs, np.uint8)).reshape(-1, 128)
+
+
 def plan_epoch(
     secrets: PairwiseSecrets,
     epoch_id: int,
@@ -356,17 +426,16 @@ def plan_epoch(
     prf: Prf = DEFAULT_PRF,
 ) -> EpochPlan:
     """Derive the epoch's round graph: one PRF block per peer, all in one
-    call.
+    call (`graph_bits`).
 
     The 128-bit output for a peer is cut into floor(128/b) segments of b
     bits each (leftover low bits unused); both endpoints derive the same
-    segments from the shared secret, so the graphs agree globally.
+    segments from the shared secret, so the graphs agree globally. A
+    `PeerTable` plans every row of the table the same way.
     """
     if not 1 <= b <= 128:
         raise ValueError(f"segment width must be in [1, 128], got {b}")
-    msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
-    outputs = prf.evaluate_batch(secrets.keys.tobytes(), msg * len(secrets))
-    bits = np.unpackbits(np.frombuffer(outputs, np.uint8)).reshape(-1, 128)
+    bits = graph_bits(secrets.keys, epoch_id, prf=prf)
     bits.setflags(write=False)
     return EpochPlan(epoch_id=epoch_id, b=b, peers=secrets.peers, bits=bits)
 
@@ -382,6 +451,21 @@ def _selected(draws: bytes, threshold: int) -> np.ndarray:
     return (words[:, 0] < hi) | ((words[:, 0] == hi) & (words[:, 1] <= lo))
 
 
+def _round_rows(keys, rows, round_index, plan, threshold, prf) -> np.ndarray:
+    """Of the candidate `rows` (ascending indices into `keys`, or into the
+    plan's rows), those whose edge masks enter the round: every candidate
+    (clique), the plan's edges for the round (zeph), or the candidates
+    whose selection draw is at most `threshold` (dream), one PRF block per
+    candidate in one pass of `_keyed_calls`."""
+    if plan is not None:
+        return rows[plan.round_mask(round_index % plan.width)[rows]]
+    if threshold is None:
+        return rows
+    msg = prf_input(DOMAIN_SELECT, 0, round_index)
+    draws = b"".join(raw for _, raw in _keyed_calls(keys[rows], msg, prf))
+    return rows[_selected(draws, threshold)]
+
+
 def round_peers(
     secrets: PairwiseSecrets,
     round_index: int,
@@ -391,7 +475,8 @@ def round_peers(
     threshold: Optional[int] = None,
     prf: Prf = DEFAULT_PRF,
 ) -> list[PartyId]:
-    """The peers whose edge masks enter this party's nonce in a round.
+    """The peers whose edge masks enter this party's nonce in a round: the
+    one-party case of `round_edges`, through the same selection rules.
 
     With neither `plan` nor `threshold` (clique) that is every live peer.
     With `threshold` (dream) it is each live peer whose selection draw on
@@ -405,30 +490,44 @@ def round_peers(
     connectivity failure of the round graph, logged as such, and the
     parameter optimizer exists to make it vanishingly rare.
     """
-    if members is not None:
-        members = frozenset(members)
-    if plan is not None:
-        peers = [
-            p
-            for p in plan.peers_in_round(round_index % plan.width)
-            if members is None or p in members
-        ]
+    peers = secrets.peers if plan is None else plan.peers
+    if members is None:
+        rows = np.arange(len(peers))
     else:
-        live = secrets.row if members is None else {p.value for p in members}
-        rows = np.flatnonzero([p.value in live for p in secrets.peers])
-        if threshold is not None:
-            msg = prf_input(DOMAIN_SELECT, 0, round_index)
-            draws = prf.evaluate_batch(secrets.keys[rows].tobytes(), msg * len(rows))
-            rows = rows[_selected(draws, threshold)]
-        peers = [secrets.peers[i] for i in rows]
-    if not peers:
-        logger.warning(
-            "round %d has no active peers for %r; nonce is zero and this "
-            "party's token is unprotected against a curious server",
-            round_index,
-            secrets.self_id,
-        )
-    return peers
+        members = frozenset(members)
+        live = np.fromiter((p in members for p in peers), bool, count=len(peers))
+        rows = np.flatnonzero(live)
+    rows = _round_rows(secrets.keys, rows, round_index, plan, threshold, prf)
+    if not len(rows):
+        _warn_unprotected(round_index, secrets.self_id)
+    return [peers[i] for i in rows]
+
+
+def round_edges(
+    table: PeerTable,
+    live: np.ndarray,
+    round_index: int,
+    *,
+    plan: Optional[EpochPlan] = None,
+    threshold: Optional[int] = None,
+    prf: Prf = DEFAULT_PRF,
+) -> np.ndarray:
+    """`round_peers` for every party of a table at once: the rows of
+    `table` whose edge masks enter the round, ascending.
+
+    `live` is a boolean per party of `table.parties`; a row is a candidate
+    when both its ends are live. Clique keeps every candidate, dream draws
+    every candidate's selection block in one pass, and zeph reads `plan`,
+    whose rows must be the table's. Every live party left without a row is
+    logged as a connectivity failure, as `round_peers` logs it.
+    """
+    live = np.asarray(live, dtype=bool)
+    rows = np.flatnonzero(live[table.owner] & live[table.peer])
+    rows = _round_rows(table.keys, rows, round_index, plan, threshold, prf)
+    degree = np.bincount(table.owner[rows], minlength=len(table.parties))
+    for i in np.flatnonzero(live & (degree == 0)):
+        _warn_unprotected(round_index, table.parties[i])
+    return rows
 
 
 def _nonce(secrets, peers, round_index, plan, prf) -> int:
@@ -541,14 +640,46 @@ def mask_vector(
     domain: int = DOMAIN_MASK,
     prf: Prf = DEFAULT_PRF,
 ) -> np.ndarray:
-    """Element-wise nonce vector for tokens wider than one ring element.
+    """Element-wise nonce vector of one party over `peers`: the one-party
+    case of `mask_edges`. Peers must already be filtered to the round's
+    active membership (see `round_peers`)."""
+    rows = np.fromiter((secrets.row[p.value] for p in peers), np.intp, count=len(peers))
+    return mask_edges(
+        secrets.keys[rows],
+        secrets.signs[rows],
+        np.zeros(len(rows), dtype=np.intp),
+        1,
+        width,
+        epoch_id=epoch_id,
+        round_index=round_index,
+        domain=domain,
+        prf=prf,
+    )[0]
 
-    This is the one definition of an edge mask: lane k of an edge is the
-    high (k even) or low (k odd) 64 bits of the edge's PRF block k // 2,
-    so an edge costs ceil(width/2) PRF blocks and a scalar nonce is lane
-    0. Every edge's blocks go into one PRF call, and the signed lanes are
-    summed in one pass. Peers must already be filtered to the round's
-    active membership (see `round_peers`).
+
+def mask_edges(
+    keys: np.ndarray,
+    signs: np.ndarray,
+    owner: np.ndarray,
+    parties: int,
+    width: int,
+    *,
+    epoch_id: int = 0,
+    round_index: int,
+    domain: int = DOMAIN_MASK,
+    prf: Prf = DEFAULT_PRF,
+) -> np.ndarray:
+    """Several parties' nonce vectors for a round, as a parties x width
+    uint64 matrix.
+
+    Edge e, with pairwise secret `keys[e]` and sign `signs[e]`, adds its
+    signed mask to row `owner[e]`; `owner` never decreases, and a party
+    without edges gets a zero row. This is the one definition of an edge
+    mask: lane k of an edge is the high (k even) or low (k odd) 64 bits of
+    the edge's PRF block k // 2, so an edge costs ceil(width/2) PRF blocks
+    and a scalar nonce is lane 0. Every edge's blocks go through one pass
+    of PRF calls (at most `BATCH_BLOCKS` blocks each), and each call's
+    signed lanes are summed per party by one `np.add.reduceat`.
     """
     blocks = (width + 1) // 2
     msgs = np.empty((blocks, 2), dtype=">u8")
@@ -563,12 +694,16 @@ def mask_vector(
     else:
         raise ValueError(f"unsupported mask domain {domain}")
     msgs[:, 1] = round_index
-    rows = np.fromiter((secrets.row[p.value] for p in peers), np.intp, count=len(peers))
-    keys = np.repeat(secrets.keys[rows], blocks, axis=0)
-    out = prf.evaluate_batch(keys.tobytes(), msgs.tobytes() * len(rows))
-    lanes = np.frombuffer(out, dtype=">u8").reshape(len(rows), 2 * blocks)[:, :width]
-    # a sign of 2**64 - 1 negates its row, since uint64 products wrap
-    return secrets.signs[rows] @ lanes
+    nonces = np.zeros((parties, width), dtype=np.uint64)
+    for lo, raw in _keyed_calls(keys, msgs.tobytes(), prf):
+        lanes = np.frombuffer(raw, dtype=">u8").reshape(-1, 2 * blocks)[:, :width]
+        hi = lo + len(lanes)
+        # a sign of 2**64 - 1 negates its row, since uint64 products wrap
+        signed = lanes * signs[lo:hi, None]
+        own = owner[lo:hi]
+        starts = np.flatnonzero(np.diff(own, prepend=-1))
+        nonces[own[starts]] += np.add.reduceat(signed, starts, axis=0)
+    return nonces
 
 
 @dataclass(frozen=True)
@@ -584,11 +719,84 @@ class MaskedToken:
         return 48 + self.payload.wire_size()
 
     def serialize(self) -> bytes:
-        return (
-            struct.pack("<QQ", self.round_index, self.epoch_id)
-            + self.party.value
-            + serialize_token(self.payload)
+        return MaskedBatch.stack([self]).serialize()
+
+
+# Before each token's wire record: the round and epoch as u64, then the
+# 32-byte party id, all little-endian.
+_MASKED_HEADER = (("round", "<u8"), ("epoch", "<u8"), ("party", "V32"))
+
+
+@dataclass(frozen=True, eq=False)
+class MaskedBatch:
+    """Blinded partial tokens of one round, one row per party: what the
+    controllers of a partition send together.
+
+    Row i of `elements` (parties x outputs, uint64) is the blinded token of
+    `parties[i]` over the stream set `stream_set_ids[i]`. `stream_ids`,
+    when known, lists the streams of every row; like a token's, it stays
+    in memory and never goes on the wire.
+    """
+
+    round_index: int
+    epoch_id: int
+    window: tuple[int, int]
+    parties: tuple[PartyId, ...]
+    stream_set_ids: tuple[bytes, ...]
+    elements: np.ndarray = field(repr=False)
+    noised: bool = False
+    stream_ids: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if not self.parties:
+            raise ValueError("need at least one masked token")
+        if self.elements.dtype != np.uint64 or self.elements.shape[:1] != (len(self.parties),):
+            raise ValueError("elements must be a uint64 matrix with one row per party")
+        if len(self.stream_set_ids) != len(self.parties):
+            raise ValueError("need one stream set id per party")
+
+    @staticmethod
+    def stack(masked: Sequence[MaskedToken]) -> "MaskedBatch":
+        """The batch of masked tokens from one round; tokens of different
+        rounds, windows or widths are refused."""
+        if not masked:
+            raise ValueError("need at least one masked token")
+        first = masked[0]
+        window = (first.payload.window_start, first.payload.window_end)
+        width = len(first.payload.elements)
+        ids: Optional[list[str]] = []
+        for m in masked:
+            if (m.round_index, m.epoch_id) != (first.round_index, first.epoch_id):
+                raise ValueError("masked tokens come from different rounds")
+            if (m.payload.window_start, m.payload.window_end) != window:
+                raise ValueError("masked tokens target different windows")
+            if len(m.payload.elements) != width:
+                raise ValueError("masked tokens have different widths")
+            if m.payload.stream_ids is None:
+                ids = None
+            elif ids is not None:
+                ids.extend(m.payload.stream_ids)
+        return MaskedBatch(
+            round_index=first.round_index,
+            epoch_id=first.epoch_id,
+            window=window,
+            parties=tuple(m.party for m in masked),
+            stream_set_ids=tuple(m.payload.stream_set_id for m in masked),
+            elements=np.array([m.payload.elements for m in masked], dtype=np.uint64),
+            noised=any(m.payload.noised for m in masked),
+            stream_ids=None if ids is None else tuple(ids),
         )
+
+    def serialize(self) -> bytes:
+        """Every row's wire record, back to back, in one vectorized encode:
+        the masked-token header, then the token's own wire record."""
+        records = token_records(
+            self.window, self.stream_set_ids, self.elements, header=_MASKED_HEADER
+        )
+        records["round"] = self.round_index
+        records["epoch"] = self.epoch_id
+        records["party"] = np.frombuffer(b"".join(p.value for p in self.parties), dtype="V32")
+        return records.tobytes()
 
 
 def mask_token(
@@ -620,52 +828,38 @@ def mask_token(
 
 
 def unmask_aggregate(
-    masked: Sequence[MaskedToken],
+    masked: "MaskedBatch | Sequence[MaskedToken]",
     *,
     stream_ids: Optional[Iterable[str]] = None,
 ) -> TransformationToken:
-    """Sum the blinded partial tokens of one round.
+    """Sum the blinded partial tokens of one round: one column sum over a
+    `MaskedBatch`, or over the batch stacked from masked tokens.
 
-    When every participant of the round contributed, the pairwise masks
-    pair off and the result is the exact element-wise sum of the partial
-    tokens, keyed to the union of their stream sets. Nothing here can
-    detect a missing party; the output is then uniformly garbled, which is
-    the protocol's privacy backstop.
+    The parties must be distinct. When every participant of the round
+    contributed, the pairwise masks pair off and the result is the exact
+    element-wise sum of the partial tokens, keyed to the union of their
+    stream sets. Nothing here can detect a missing party; the output is
+    then uniformly garbled, which is the protocol's privacy backstop.
     """
-    if not masked:
-        raise ValueError("need at least one masked token")
-    first = masked[0]
-    window = (first.payload.window_start, first.payload.window_end)
-    width = len(first.payload.elements)
-    seen_parties = set()
-    ids: list[str] = []
-    have_ids = True
-    noised = False
-    for m in masked:
-        if (m.round_index, m.epoch_id) != (first.round_index, first.epoch_id):
-            raise ValueError("masked tokens come from different rounds")
-        if (m.payload.window_start, m.payload.window_end) != window:
-            raise ValueError("masked tokens target different windows")
-        if len(m.payload.elements) != width:
-            raise ValueError("masked tokens have different widths")
-        if m.party in seen_parties:
-            raise ValueError(f"duplicate masked token from {m.party!r}")
-        seen_parties.add(m.party)
-        noised = noised or m.payload.noised
-        if m.payload.stream_ids is None:
-            have_ids = False
-        else:
-            ids.extend(m.payload.stream_ids)
+    batch = masked if isinstance(masked, MaskedBatch) else MaskedBatch.stack(masked)
+    if len(set(batch.parties)) != len(batch.parties):
+        seen: set[PartyId] = set()
+        for party in batch.parties:
+            if party in seen:
+                raise ValueError(f"duplicate masked token from {party!r}")
+            seen.add(party)
     if stream_ids is not None:
         ids = list(stream_ids)
-    elif not have_ids:
+    elif batch.stream_ids is None:
         raise ValueError("stream ids unavailable; pass stream_ids explicitly")
+    else:
+        ids = list(batch.stream_ids)
     return TransformationToken(
-        window_start=window[0],
-        window_end=window[1],
+        window_start=batch.window[0],
+        window_end=batch.window[1],
         stream_set_id=stream_set_hash(ids),
-        elements=_sum_elements(m.payload for m in masked),
-        noised=noised,
+        elements=tuple(np.sum(batch.elements, axis=0, dtype=np.uint64).tolist()),
+        noised=batch.noised,
         stream_ids=tuple(sorted(ids)),
     )
 
@@ -780,11 +974,6 @@ def optimize_b(
 
 # ---- single-party cost benchmark -------------------------------------------
 
-# Dream draws the cost simulator makes per PRF call: whole rounds of every
-# peer, about 512 kB per buffer, so a call's arrays stay in cache.
-_DREAM_BLOCKS = 1 << 15
-
-
 @dataclass(frozen=True)
 class RoundCost:
     """One round of a single party's accounting in the cost benchmark."""
@@ -822,7 +1011,8 @@ def simulate_party_counters(
     Every draw is an AES block, the PRF `run` uses. The zeph schedule
     comes from the real planner; dream draws go through `round_peers`'
     selection rule, one `evaluate_batch` over every peer for a chunk of
-    rounds, at most `_DREAM_BLOCKS` draws unless one round needs more. Mask
+    whole rounds, at most `BATCH_BLOCKS` draws (a round of more peers than
+    that is split across calls). Mask
     calls are tallied at one per edge, the per-edge cost `mask_vector`
     pays for a scalar token. `dropout` removes each peer independently per
     round. When `b` is omitted the epoch parameters (and the dream edge
@@ -870,14 +1060,13 @@ def simulate_party_counters(
     if protocol == "dream":
         threshold = threshold_for_probability(2.0 ** -b)
         keys = np.frombuffer(b"".join(secrets), np.uint8).reshape(peers, 16)
-        step = max(1, _DREAM_BLOCKS // peers)
+        step = max(1, BATCH_BLOCKS // peers)
         out = []
         for first in range(0, rounds, step):
             chunk = range(first, min(first + step, rounds))
             msgs = b"".join(prf_input(DOMAIN_SELECT, 0, r) for r in chunk)
             # peer-major: each peer's key once per round of the chunk
-            chunk_keys = np.repeat(keys, len(chunk), axis=0).tobytes()
-            draws = prf.evaluate_batch(chunk_keys, msgs * peers)
+            draws = b"".join(raw for _, raw in _keyed_calls(keys, msgs, prf))
             selected = _selected(draws, threshold).reshape(peers, len(chunk))
             for i, r in enumerate(chunk):
                 hits = selected[:, i]

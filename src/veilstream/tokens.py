@@ -28,7 +28,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Un
 
 import numpy as np
 
-from .ring import DEFAULT_PRF, RING_MASK, MasterSecret, Prf, derive_key
+from .ring import DEFAULT_PRF, RING_MASK, MasterSecret, Prf, derive_keys
 from .encoding import SCALE_DEFAULT
 
 __all__ = [
@@ -46,9 +46,13 @@ __all__ = [
     "PrivacyBudget",
     "Suppressed",
     "TokenStore",
+    "token_matrix",
+    "stream_tokens",
     "single_stream_token",
     "multi_stream_partial",
+    "noise_shares",
     "add_dp_noise",
+    "token_records",
     "serialize_token",
     "deserialize_token",
 ]
@@ -258,8 +262,8 @@ class TransformationToken:
         return 48 + 10 * len(self.elements)
 
 
-def single_stream_token(
-    master: MasterSecret,
+def token_matrix(
+    masters: Sequence[MasterSecret],
     window: tuple[int, int],
     directives: Sequence[ElementDirective],
     *,
@@ -267,15 +271,21 @@ def single_stream_token(
     prf: Prf = DEFAULT_PRF,
     scale: int = SCALE_DEFAULT,
     rng: Optional[np.random.Generator] = None,
-) -> TransformationToken:
-    """Build the token that opens one stream's window under the directives.
+) -> np.ndarray:
+    """The tokens of several streams for one window, as a streams x
+    outputs uint64 matrix: row s holds the elements of `masters[s]`'s
+    token.
 
     Each output element sums key(start) - key(end) over its source inputs,
     so adding the token to the equally reshaped aggregate leaves exactly
     the plaintext transformation output. Key material is derived for the
     layout's source elements only: a token costs 2 x (source elements)
-    PRF blocks. Callers holding a plan pass its precomputed `layout`;
-    without one the layout is built from the directives for this call.
+    PRF blocks, and every stream's blocks go through `derive_keys`. One
+    `np.add.reduceat` along the rows yields every output; a shift output
+    is one column add. Perturb outputs draw from `rng` stream after
+    stream, in output order, as one `single_stream_token` call per stream
+    would. Callers holding a plan pass its precomputed `layout`; without
+    one the layout is built from the directives for this call.
     """
     t_start, t_end = window
     if t_start >= t_end:
@@ -288,36 +298,66 @@ def single_stream_token(
         raise ValueError(
             f"layout width {layout.width} != {len(directives)} directives"
         )
-    if rng is None and any(d.action == "perturb" for _, d in layout.adjusted):
+    perturbed = [(o, d) for o, d in layout.adjusted if d.action == "perturb"]
+    if rng is None and perturbed:
         raise ValueError("perturb directive needs an rng")
-    width = layout.width
-    src = layout.sources
-    k_start = derive_key(master, t_start, width, elements=src, prf=prf)
-    k_end = derive_key(master, t_end, width, elements=src, prf=prf)
-    values = np.add.reduceat(k_start - k_end, layout.offsets).tolist()
-    noised = False
+    keys = derive_keys(masters, window, layout.width, elements=layout.sources, prf=prf)
+    values = np.add.reduceat(keys[:, 0] - keys[:, 1], layout.offsets, axis=1)
     for o, lead in layout.adjusted:
         if lead.action == "shift":
-            values[o] = (values[o] + round(lead.offset * scale)) & RING_MASK
-        else:
-            # per-party noise share, in ring units of this element
-            eta = round(float(rng.normal(0.0, lead.noise.per_party_sigma)))
-            values[o] = (values[o] + eta) & RING_MASK
-            noised = True
-    return TransformationToken(
-        window_start=t_start,
-        window_end=t_end,
-        stream_set_id=stream_set_hash([master.stream_id]),
-        elements=tuple(values),
-        noised=noised,
-        stream_ids=(master.stream_id,),
+            values[:, o] += np.uint64(round(lead.offset * scale) & RING_MASK)
+    if perturbed:
+        # per-party noise shares, in ring units of each element
+        sigmas = [lead.noise.per_party_sigma for _, lead in perturbed]
+        etas = rng.normal(0.0, sigmas, size=(len(masters), len(perturbed)))
+        values[:, [o for o, _ in perturbed]] += np.rint(etas).astype(np.int64).astype(np.uint64)
+    return values
+
+
+def stream_tokens(
+    masters: Sequence[MasterSecret],
+    window: tuple[int, int],
+    directives: Sequence[ElementDirective],
+    *,
+    layout: Optional[TokenLayout] = None,
+    prf: Prf = DEFAULT_PRF,
+    scale: int = SCALE_DEFAULT,
+    rng: Optional[np.random.Generator] = None,
+) -> list[TransformationToken]:
+    """The rows of `token_matrix` as tokens, one per stream."""
+    values = token_matrix(
+        masters, window, directives, layout=layout, prf=prf, scale=scale, rng=rng
     )
+    noised = any(d.action == "perturb" for d in directives)
+    return [
+        TransformationToken(
+            window_start=window[0],
+            window_end=window[1],
+            stream_set_id=stream_set_hash([master.stream_id]),
+            elements=tuple(row),
+            noised=noised,
+            stream_ids=(master.stream_id,),
+        )
+        for master, row in zip(masters, values.tolist())
+    ]
 
 
-def _sum_elements(tokens: Iterable[TransformationToken]) -> tuple[int, ...]:
-    """Element-wise ring sum of equally wide tokens, as Python ints."""
-    stacked = np.array([t.elements for t in tokens], dtype=np.uint64)
-    return tuple(np.sum(stacked, axis=0, dtype=np.uint64).tolist())
+def single_stream_token(
+    master: MasterSecret,
+    window: tuple[int, int],
+    directives: Sequence[ElementDirective],
+    *,
+    layout: Optional[TokenLayout] = None,
+    prf: Prf = DEFAULT_PRF,
+    scale: int = SCALE_DEFAULT,
+    rng: Optional[np.random.Generator] = None,
+) -> TransformationToken:
+    """Build the token that opens one stream's window under the directives:
+    the one-stream case of `token_matrix`."""
+    (token,) = stream_tokens(
+        (master,), window, directives, layout=layout, prf=prf, scale=scale, rng=rng
+    )
+    return token
 
 
 def multi_stream_partial(tokens: Sequence[TransformationToken]) -> TransformationToken:
@@ -343,11 +383,12 @@ def multi_stream_partial(tokens: Sequence[TransformationToken]) -> Transformatio
         noised = noised or tok.noised
     if len(ids) != len(set(ids)):
         raise ValueError("stream sets overlap")
+    stacked = np.array([t.elements for t in tokens], dtype=np.uint64)
     return TransformationToken(
         window_start=first.window_start,
         window_end=first.window_end,
         stream_set_id=stream_set_hash(ids),
-        elements=_sum_elements(tokens),
+        elements=tuple(np.sum(stacked, axis=0, dtype=np.uint64).tolist()),
         noised=noised,
         stream_ids=tuple(sorted(ids)),
     )
@@ -402,6 +443,38 @@ class Suppressed:
     epsilon_remaining: float = 0.0
 
 
+def noise_shares(
+    noise: NoiseSpec,
+    budgets: Sequence[PrivacyBudget],
+    epsilon_cost: float,
+    rngs: Sequence[np.random.Generator],
+    width: int,
+) -> Union[np.ndarray, Suppressed]:
+    """Several parties' shares of divisible Gaussian noise, as a parties x
+    width uint64 matrix to add to their token rows.
+
+    Party i's budget is charged first, atomically, and only then does it
+    draw its `width` samples from `rngs[i]`, with the per-party sigma in
+    ring units, rounded to integers. An exhausted budget stops the batch
+    with a Suppressed marker: that party and the ones after it are neither
+    charged nor sampled, so callers releasing a window check every
+    `can_charge` first.
+    """
+    if epsilon_cost <= 0:
+        raise ValueError("epsilon cost must be positive")
+    samples = np.empty((len(budgets), width))
+    for i, (budget, rng) in enumerate(zip(budgets, rngs, strict=True)):
+        if not budget.charge(epsilon_cost):
+            return Suppressed(
+                reason="epsilon budget exhausted",
+                epsilon_requested=epsilon_cost,
+                epsilon_remaining=budget.remaining,
+            )
+        samples[i] = rng.normal(0.0, noise.per_party_sigma, size=width)
+    # negative shares wrap to their ring value
+    return np.rint(samples).astype(np.int64).astype(np.uint64)
+
+
 def add_dp_noise(
     token: TransformationToken,
     noise: NoiseSpec,
@@ -409,32 +482,21 @@ def add_dp_noise(
     epsilon_cost: float,
     rng: np.random.Generator,
 ) -> Union[TransformationToken, Suppressed]:
-    """Add this party's share of divisible Gaussian noise to a token.
-
-    The budget is charged first and atomically; an exhausted budget yields
-    a Suppressed marker and the token is not released. Samples are drawn
-    with the per-party sigma in ring units and rounded to integers, one
-    per output element.
-    """
+    """Add this party's share of divisible Gaussian noise to a token: the
+    one-party case of `noise_shares`. An exhausted budget yields a
+    Suppressed marker and the token is not released."""
     if epsilon_cost <= 0:
         raise ValueError("epsilon cost must be positive")
     if token.noised:
         raise ValueError("token already carries noise")
-    if not budget.charge(epsilon_cost):
-        return Suppressed(
-            reason="epsilon budget exhausted",
-            epsilon_requested=epsilon_cost,
-            epsilon_remaining=budget.remaining,
-        )
-    samples = rng.normal(0.0, noise.per_party_sigma, size=len(token.elements))
+    shares = noise_shares(noise, [budget], epsilon_cost, [rng], len(token.elements))
+    if isinstance(shares, Suppressed):
+        return shares
     return TransformationToken(
         window_start=token.window_start,
         window_end=token.window_end,
         stream_set_id=token.stream_set_id,
-        elements=tuple(
-            (v + round(float(eta))) & RING_MASK
-            for v, eta in zip(token.elements, samples)
-        ),
+        elements=tuple((np.array(token.elements, dtype=np.uint64) + shares[0]).tolist()),
         noised=True,
         stream_ids=token.stream_ids,
     )
@@ -468,6 +530,10 @@ class TokenStore:
                 self._tokens[slot] = tok
             return tok
 
+    def holds(self, key: Hashable, window: tuple[int, int]) -> bool:
+        """Whether a token for (key, window) was already emitted."""
+        return (key, window) in self._tokens
+
     def __len__(self):
         return len(self._tokens)
 
@@ -482,18 +548,42 @@ class TokenStore:
 _WIRE_ELEMENT = np.dtype([("index", "<u2"), ("value", "<u8")])
 
 
-def serialize_token(token: TransformationToken) -> bytes:
-    n = len(token.elements)
+def token_records(
+    window: tuple[int, int],
+    stream_set_ids: Sequence[bytes],
+    elements: np.ndarray,
+    *,
+    header: Sequence[tuple[str, str]] = (),
+) -> np.ndarray:
+    """The wire records of equally wide tokens, one per row of `elements`
+    (tokens x outputs), as a structured array whose `tobytes()` is the
+    records back to back. `header` names fields placed before each
+    record, for the caller to fill (the masked-token header uses it)."""
+    rows, n = elements.shape
     if n > 1 << 16:
         raise ValueError(f"element index {1 << 16} exceeds 16 bits")
-    pairs = np.empty(n, dtype=_WIRE_ELEMENT)
-    pairs["index"] = np.arange(n)
-    pairs["value"] = token.elements
-    return (
-        struct.pack("<QQ", token.window_start, token.window_end)
-        + token.stream_set_id
-        + pairs.tobytes()
+    records = np.empty(
+        rows,
+        dtype=[
+            *header,
+            ("start", "<u8"),
+            ("end", "<u8"),
+            ("stream_set", "V32"),
+            ("elements", _WIRE_ELEMENT, (n,)),
+        ],
     )
+    records["start"], records["end"] = window
+    records["stream_set"] = np.frombuffer(b"".join(stream_set_ids), dtype="V32")
+    records["elements"]["index"] = np.arange(n)
+    records["elements"]["value"] = elements
+    return records
+
+
+def serialize_token(token: TransformationToken) -> bytes:
+    values = np.array([token.elements], dtype=np.uint64)
+    return token_records(
+        (token.window_start, token.window_end), [token.stream_set_id], values
+    ).tobytes()
 
 
 def deserialize_token(data: bytes, *, noised: bool = False) -> TransformationToken:

@@ -1,0 +1,367 @@
+"""A partition's controller round as one batch, against the per-party path.
+
+The pipeline builds, noises, selects and masks a partition's tokens as one
+streams x outputs matrix. The oracle here is the per-party path it
+replaced, kept in this file and written from ring primitives only: two
+border key vectors and a reduceat per token, Python-rounded noise per
+element, one selection draw per live peer compared as a 128-bit integer,
+the epoch plan read segment by segment from each peer's graph block, one
+signed mask sum per party and a struct-packed wire record per party.
+"""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from veilstream import ring
+from veilstream.pipeline import SimConfig, _Scenario
+from veilstream.ring import (
+    DOMAIN_EDGE,
+    DOMAIN_GRAPH,
+    DOMAIN_MASK,
+    DOMAIN_SELECT,
+    AesPrf,
+    CountingPrf,
+    MasterSecret,
+    Prf,
+    derive_key,
+    derive_keys,
+    prf_input,
+)
+from veilstream.secure_agg import (
+    EpochPlan,
+    MaskedBatch,
+    MaskedToken,
+    PairwiseSecrets,
+    PartyId,
+    PeerTable,
+    graph_bits,
+    mask_edges,
+    round_edges,
+    threshold_for_probability,
+    unmask_aggregate,
+)
+from veilstream.tokens import (
+    NoiseSpec,
+    PrivacyBudget,
+    Suppressed,
+    TokenLayout,
+    TransformationToken,
+    merge,
+    noise_shares,
+    release,
+    shift,
+    stream_set_hash,
+    token_matrix,
+    withhold,
+)
+
+M = 1 << 64
+MASK = M - 1
+
+
+def population(n: int):
+    """n parties with symmetric pairwise secrets and one stream each."""
+    ids = [PartyId(hashlib.sha256(b"party-%d" % i).digest()) for i in range(n)]
+    secrets = []
+    for i in range(n):
+        shared = {
+            ids[j]: hashlib.sha256(b"edge-%d-%d" % tuple(sorted((i, j)))).digest()[:16]
+            for j in range(n)
+            if j != i
+        }
+        secrets.append(PairwiseSecrets(ids[i], shared))
+    masters = [MasterSecret(hashlib.sha256(b"m%d" % i).digest()[:16], f"s{i}") for i in range(n)]
+    return ids, secrets, masters
+
+
+def block_int(prf: Prf, key: bytes, msg: bytes) -> int:
+    return int.from_bytes(prf.evaluate_batch(key, msg), "big")
+
+
+def oracle_token(master, window, layout, prf, scale=100) -> list[int]:
+    k_start = derive_key(master, window[0], layout.width, elements=layout.sources, prf=prf)
+    k_end = derive_key(master, window[1], layout.width, elements=layout.sources, prf=prf)
+    values = np.add.reduceat(k_start - k_end, layout.offsets).tolist()
+    for o, lead in layout.adjusted:
+        values[o] = (values[o] + round(lead.offset * scale)) & MASK
+    return values
+
+
+def oracle_peers(me: PairwiseSecrets, live_ids, w, protocol, threshold, b, epoch, prf):
+    """The party's round peers; a zeph plan costs one graph block per peer,
+    spent here on every peer as the per-party plan spent it."""
+    peers = [p for p in me.peers if p in live_ids]
+    if protocol == "dream":
+        msg = prf_input(DOMAIN_SELECT, 0, w)
+        peers = [p for p in peers if block_int(prf, me.secret_for(p), msg) <= threshold]
+    elif protocol == "zeph":
+        width = (128 // b) << b
+        r = w % width
+        seg, value = r >> b, r & ((1 << b) - 1)
+        msg = prf_input(DOMAIN_GRAPH, 0, epoch)
+        graph = {p: block_int(prf, me.secret_for(p), msg) for p in me.peers}
+        peers = [p for p in peers if (graph[p] >> (128 - (seg + 1) * b)) & ((1 << b) - 1) == value]
+    return peers
+
+
+def oracle_nonce(me, peers, width, w, epoch, domain, prf) -> list[int]:
+    blocks = (width + 1) // 2
+    if domain == DOMAIN_MASK:
+        msgs = b"".join(prf_input(DOMAIN_MASK, epoch << 16 | k, w) for k in range(blocks))
+    else:
+        msgs = b"".join(prf_input(DOMAIN_EDGE, k, w) for k in range(blocks))
+    total = [0] * width
+    for peer in peers:
+        out = prf.evaluate_batch(me.secret_for(peer), msgs)
+        for lane in range(width):
+            value = int.from_bytes(out[8 * lane : 8 * lane + 8], "big")
+            total[lane] += value if me.self_id < peer else -value
+    return [t & MASK for t in total]
+
+
+def oracle_record(w, epoch, party, window, sset, elements) -> bytes:
+    return (
+        struct.pack("<QQ", w, epoch)
+        + party.value
+        + struct.pack("<QQ", *window)
+        + sset
+        + b"".join(struct.pack("<HQ", i, v) for i, v in enumerate(elements))
+    )
+
+
+directive = st.one_of(
+    st.just(release()),
+    st.just(withhold()),
+    st.sampled_from("ab").map(merge),
+    st.floats(-1e4, 1e4, allow_nan=False).map(shift),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    data=st.data(),
+    directives=st.lists(directive, min_size=1, max_size=12).filter(
+        lambda ds: any(d.action != "withhold" for d in ds)
+    ),
+    protocol=st.sampled_from(["clique", "dream-none", "dream-zero", "dream-mid", "zeph"]),
+    b=st.integers(1, 3),
+    w=st.integers(0, 600),
+    noised=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partition_batch_matches_the_per_party_path(
+    n, data, directives, protocol, b, w, noised, seed
+):
+    ids, secrets, masters = population(n)
+    # the table lists the parties in stream order, not in id order
+    order = data.draw(st.permutations(range(n)))
+    table = PeerTable([secrets[i] for i in order])
+    live_kind = data.draw(st.sampled_from(["all", "all-but-one", "any"]))
+    if live_kind == "all":
+        live = np.ones(n, dtype=bool)
+    elif live_kind == "all-but-one":
+        live = np.ones(n, dtype=bool)
+        live[data.draw(st.integers(0, n - 1))] = n == 1
+    else:
+        live = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    if not live.any():
+        live[0] = True
+    active = [order[k] for k in np.flatnonzero(live)]
+    live_ids = frozenset(ids[i] for i in active)
+    layout = TokenLayout.build(directives)
+    width = len(layout.offsets)
+    window = (5 * w, 5 * w + 5)
+    threshold = {
+        "dream-none": threshold_for_probability(0.0),
+        "dream-zero": 0,
+        "dream-mid": threshold_for_probability(0.5),
+    }.get(protocol)
+    kind = protocol.split("-")[0]
+    epoch = w // 7
+    noise = NoiseSpec(sigma_target=300.0, honest_fraction=0.5, party_count=max(n, 1))
+
+    def rngs():
+        return [np.random.default_rng([seed, i]) for i in active]
+
+    # the batch, composed as the pipeline composes it
+    prf = CountingPrf(AesPrf())
+    values = token_matrix(
+        [masters[i] for i in active], window, directives, layout=layout, prf=prf, scale=100
+    )
+    if noised:
+        budgets = [PrivacyBudget(1.0) for _ in active]
+        values += noise_shares(noise, budgets, 0.5, rngs(), width)
+        assert all(bg.epsilon_spent == 0.5 for bg in budgets)
+    plan = None
+    if kind == "zeph":
+        # the live parties' rows, as the pipeline plans them
+        bits = np.zeros((len(table), 128), dtype=np.uint8)
+        planned = np.flatnonzero(live[table.owner])
+        bits[planned] = graph_bits(table.keys[planned], epoch, prf=prf)
+        plan = EpochPlan(epoch, b, table.peers, bits)
+    rows = round_edges(table, live, w, plan=plan, threshold=threshold, prf=prf)
+    nonces = mask_edges(
+        table.keys[rows],
+        table.signs[rows],
+        table.owner[rows],
+        n,
+        width,
+        epoch_id=epoch,
+        round_index=w,
+        domain=DOMAIN_MASK if plan is not None else DOMAIN_EDGE,
+        prf=prf,
+    )
+    batch = MaskedBatch(
+        round_index=w,
+        epoch_id=epoch,
+        window=window,
+        parties=tuple(ids[i] for i in active),
+        stream_set_ids=tuple(stream_set_hash([masters[i].stream_id]) for i in active),
+        elements=values + nonces[live],
+        stream_ids=tuple(masters[i].stream_id for i in active),
+    )
+
+    # the per-party path
+    ref = CountingPrf(AesPrf())
+    records, masked, additions = [], [], 0
+    for i, rng in zip(active, rngs()):
+        token = oracle_token(masters[i], window, layout, ref)
+        if noised:
+            samples = rng.normal(0.0, noise.per_party_sigma, size=width)
+            token = [(v + round(float(eta))) & MASK for v, eta in zip(token, samples)]
+        peers = oracle_peers(secrets[i], live_ids, w, kind, threshold, b, epoch, ref)
+        domain = DOMAIN_MASK if plan is not None else DOMAIN_EDGE
+        nonce = oracle_nonce(secrets[i], peers, width, w, epoch, domain, ref)
+        additions += len(peers) * width
+        elements = [(v + m) & MASK for v, m in zip(token, nonce)]
+        masked.append(elements)
+        sset = stream_set_hash([masters[i].stream_id])
+        records.append(oracle_record(w, epoch, ids[i], window, sset, elements))
+
+    assert batch.elements.tolist() == masked
+    assert len(rows) * width == additions
+    wire = batch.serialize()
+    assert wire == b"".join(records)
+    size = len(records[0])
+    for k, i in enumerate(active):
+        # each record is also what one masked token serializes to
+        token = TransformationToken(
+            window[0], window[1], batch.stream_set_ids[k], tuple(masked[k])
+        )
+        assert wire[k * size : (k + 1) * size] == MaskedToken(w, epoch, ids[i], token).serialize()
+    assert prf.calls == ref.calls
+    total = unmask_aggregate(batch)
+    column = [sum(col) & MASK for col in zip(*masked)] if masked else []
+    assert list(total.elements) == column
+
+
+def test_a_party_with_no_live_peer_gets_a_zero_row_and_a_warning(caplog):
+    ids, secrets, _ = population(4)
+    table = PeerTable(secrets)
+    live = np.array([True, False, False, False])
+    rows = round_edges(table, live, 3)
+    assert len(rows) == 0
+    assert "no active peers" in caplog.text and repr(ids[0]) in caplog.text
+    nonces = mask_edges(table.keys[rows], table.signs[rows], table.owner[rows], 4, 3, round_index=3)
+    assert nonces.shape == (4, 3) and not nonces.any()
+
+
+def test_peer_table_needs_every_peer_as_a_party():
+    _, secrets, _ = population(3)
+    with pytest.raises(ValueError, match="not a party"):
+        PeerTable(secrets[:2])
+    with pytest.raises(ValueError, match="twice"):
+        PeerTable([secrets[0], secrets[0]])
+    table = PeerTable(secrets)
+    assert len(table) == 6
+    assert table.owner.tolist() == [0, 0, 1, 1, 2, 2]
+    assert [table.parties[j] for j in table.peer] == list(table.peers)
+
+
+def test_noise_shares_charge_in_order_and_stop_at_a_refusal():
+    noise = NoiseSpec(sigma_target=10.0, honest_fraction=1.0, party_count=1)
+    budgets = [PrivacyBudget(1.0), PrivacyBudget(0.1), PrivacyBudget(1.0)]
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    out = noise_shares(noise, budgets, 0.5, rngs, 4)
+    assert isinstance(out, Suppressed)
+    assert [b.epsilon_spent for b in budgets] == [0.5, 0.0, 0.0]
+    shares = noise_shares(noise, budgets[:1], 0.5, [np.random.default_rng(7)], 4)
+    etas = np.random.default_rng(7).normal(0.0, 10.0, size=4)
+    assert shares.tolist() == [[round(float(e)) & MASK for e in etas]]
+
+
+def test_derive_keys_equal_derive_key_across_call_chunks(monkeypatch):
+    masters = [MasterSecret(bytes([i]) * 16, f"k{i}") for i in range(5)]
+    elements = np.array([3, 0, 7])
+    prf = CountingPrf(AesPrf())
+    # 6 blocks a stream, two streams a call: the batch spans three calls
+    monkeypatch.setattr(ring, "BATCH_BLOCKS", 12)
+    keys = derive_keys(masters, (10, 15), 8, elements=elements, prf=prf)
+    assert prf.calls == 5 * 2 * 3
+    for s, m in enumerate(masters):
+        for i, t in enumerate((10, 15)):
+            assert keys[s, i].tolist() == derive_key(m, t, 8, elements=elements).tolist()
+
+
+class RecordingPrf(Prf):
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def evaluate_batch(self, key, messages):
+        self.calls += 1
+        return self.inner.evaluate_batch(key, messages)
+
+
+@pytest.mark.parametrize("protocol", ["clique", "dream", "zeph"])
+def test_controller_prf_calls_follow_partitions_not_parties(protocol):
+    # two partitions of about 30 and of about 60 parties: the same number
+    # of PRF calls per window, since each fits one call per batch step
+    calls = {}
+    for producers in (60, 120):
+        scenario = _Scenario(
+            SimConfig(
+                preset="web",
+                protocol=protocol,
+                producers=producers,
+                partition_size=producers // 2,
+                windows=2,
+                seed=4,
+                dropout_rate=0.0,
+                drop_rate=0.0,
+                colluding_fraction=0.2,
+                failure_budget=0.01,
+            )
+        )
+        if protocol != "clique":
+            # dream draws and zeph plans in every partition
+            assert all(part.b is not None for part in scenario.partitions)
+        recorder = RecordingPrf(scenario.prf.inner)
+        scenario.prf.inner = recorder
+        per_window = []
+        release_window = scenario._release_window
+
+        def metered(w, *args):
+            before = recorder.calls
+            release_window(w, *args)
+            per_window.append(recorder.calls - before)
+
+        scenario._release_window = metered
+        result = scenario.run()
+        assert [w.status for w in result.windows] == ["ok", "ok"]
+        assert len(scenario.partitions) == 2
+        calls[producers] = per_window
+    assert calls[60] == calls[120]
+    # per partition: the token keys, one selection pass for dream, the
+    # masks, and zeph's plan in its first window
+    steps = {"clique": 2, "dream": 3, "zeph": 2}[protocol]
+    expect = [2 * steps, 2 * steps]
+    if protocol == "zeph":
+        expect[0] += 2
+    assert calls[60] == expect

@@ -341,20 +341,22 @@ def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
 
     for module in (tokens, policy):
         monkeypatch.setattr(module, "output_layout", counted_layout)
-    token_blocks = []
-    original_token = pipeline.single_stream_token
+    batches = []  # (streams, PRF blocks) of each token batch
+    original_batch = pipeline.stream_tokens
 
-    def metered_token(*args, **kwargs):
+    def metered_batch(masters, *args, **kwargs):
         before = kwargs["prf"].calls
-        token = original_token(*args, **kwargs)
-        token_blocks.append(kwargs["prf"].calls - before)
-        return token
+        tokens = original_batch(masters, *args, **kwargs)
+        batches.append((len(masters), kwargs["prf"].calls - before))
+        return tokens
 
-    monkeypatch.setattr(pipeline, "single_stream_token", metered_token)
+    monkeypatch.setattr(pipeline, "stream_tokens", metered_batch)
     result = scenario.run()
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
-    assert len(token_blocks) == sum(w.members for w in result.windows) == 116
-    assert set(token_blocks) == {2 * 407}
+    # one batch per partition and window, 2 x 407 source-key blocks a token
+    assert len(batches) == 2
+    assert sum(n for n, _ in batches) == sum(w.members for w in result.windows) == 116
+    assert all(blocks == n * 2 * 407 for n, blocks in batches)
     assert layout_calls == []
 
 
@@ -378,8 +380,10 @@ def test_zeph_keeps_only_the_current_epoch_plan():
     result = scenario.run()
     assert result.summary["shadow_ok"] is True
     assert result.summary["windows_ok"] == 257
-    assert sorted(part.epoch_plans) == sorted(part.parties)
-    assert {plan.epoch_id for plan in part.epoch_plans.values()} == {1}
+    # one plan row per edge of the partition, all planned in epoch 1
+    assert part.epoch_plan.epoch_id == 1
+    assert part.epoch_plan.bits.shape == (20 * 19, 128)
+    assert part.planned.all()
 
 
 def test_suppressed_window_charges_no_budget():

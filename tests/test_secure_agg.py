@@ -8,6 +8,7 @@ the sum of the underlying tokens.
 import hashlib
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -84,6 +85,19 @@ def test_party_id_validation_and_order():
     b = PartyId(b"\x01" + bytes(31))
     assert a < b
     assert a.short() == "000000000000"
+
+
+def test_party_id_is_the_tuple_of_its_bytes():
+    raw = bytes(range(32))
+    pid = PartyId(raw)
+    # hashing, equality and order are the tuple's, computed in C
+    assert pid == (raw,) and hash(pid) == hash((raw,))
+    assert pid.value == raw and repr(pid) == "PartyId(000102030405)"
+    assert {pid: 1}[PartyId(raw)] == 1
+    assert sorted([PartyId(b"\x02" * 32), pid]) == [pid, PartyId(b"\x02" * 32)]
+    with pytest.raises(AttributeError):
+        pid.extra = 1
+    assert pickle.loads(pickle.dumps(pid)) == pid
 
 
 def test_registry_conflicts_and_lookup():
@@ -700,7 +714,7 @@ def _bench_pairwise(parties, seed):
 def test_simulate_dream_matches_scalar_selection(monkeypatch):
     parties, rounds, b, seed = 8, 300, 2, 3
     # 128 rounds of 7 peers per draw call: 300 rounds span three calls
-    monkeypatch.setattr(secure_agg, "_DREAM_BLOCKS", 7 * 128)
+    monkeypatch.setattr(secure_agg, "BATCH_BLOCKS", 7 * 128)
     rows = simulate_party_counters(parties, rounds, "dream", b=b, seed=seed)
     pairwise = _bench_pairwise(parties, seed)
     threshold = threshold_for_probability(2.0 ** -b)

@@ -46,6 +46,7 @@ from veilstream.tokens import (
     shift,
     single_stream_token,
     stream_set_hash,
+    stream_tokens,
     withhold,
 )
 
@@ -252,9 +253,10 @@ directive_strategy = st.one_of(
     scale=st.sampled_from([1, 100, 10_000]),
     seed=st.integers(0, 2**32 - 1),
     prebuilt=st.booleans(),
+    streams=st.integers(1, 3),
 )
 def test_token_matches_the_per_element_loop(
-    directives, t_start, length, prf_kind, scale, seed, prebuilt
+    directives, t_start, length, prf_kind, scale, seed, prebuilt, streams
 ):
     m = master("oracle")
     prf = CountingPrf(CounterPrf() if prf_kind == "counter" else AesPrf())
@@ -273,6 +275,21 @@ def test_token_matches_the_per_element_loop(
     assert all(type(v) is int for v in token.elements)
     assert token.noised == noised
     # the same noise draws, in the same output order
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # a batch of streams equals one loop per stream, drawing noise stream
+    # after stream from the shared rng
+    masters = [master(f"oracle{i}") for i in range(streams)]
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = stream_tokens(
+        masters, window, directives, layout=layout, prf=prf, scale=scale, rng=rng
+    )
+    assert prf.calls == 2 * sources * (1 + streams)
+    for m, token in zip(masters, batch, strict=True):
+        elements, noised = loop_token(
+            m, window, directives, prf=prf.inner, scale=scale, rng=oracle_rng
+        )
+        assert token.elements == elements and token.noised == noised
+        assert token.stream_ids == (m.stream_id,)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
