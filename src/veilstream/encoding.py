@@ -32,6 +32,7 @@ __all__ = [
     "DecodedStats",
     "OverflowBudgetError",
     "encode",
+    "encode_batch",
     "encode_neutral",
     "decode_stats",
     "check_overflow_budget",
@@ -105,44 +106,89 @@ class EncodingSpec:
         raise ValueError(f"{self.kind} has no bins")
 
 
-def _quantize(value: float, scale: int) -> int:
-    return round(value * scale) & RING_MASK
+def _quantize(values, x: np.ndarray, scale: int) -> np.ndarray:
+    """round(v * scale) mod 2**64 of every value, ties to even as Python's
+    `round` gives them. `x` is `values` as float64; a value whose product
+    is not finite, or too large for exact float arithmetic, takes Python's
+    `round` itself, which raises for NaN and infinity."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.rint(x * scale)
+        limit = 2.0**63 if np.asarray(values).dtype.kind == "f" else 2.0**53
+        exact = np.abs(scaled) < limit
+        q = np.where(exact, scaled, 0).astype(np.int64).view(np.uint64)
+    rare = np.flatnonzero(~exact)
+    if len(rare):
+        given = _as_given(values)
+        for i in rare:
+            q.flat[i] = round(given[i] * scale) & RING_MASK
+    return q
+
+
+def _as_given(values) -> np.ndarray:
+    """The values, flattened, as the Python numbers the caller passed."""
+    return np.asarray(values, dtype=object).reshape(-1)
+
+
+def _refuse(value, spec: EncodingSpec):
+    """Raise the error for one value outside a one_hot or histogram domain."""
+    if spec.kind == "one_hot":
+        if value != int(value):
+            raise ValueError(f"one_hot input must be an integer, got {value!r}")
+        raise ValueError(
+            f"value {value!r} outside one_hot domain [{spec.domain_min}, {spec.domain_max}]"
+        )
+    raise ValueError(
+        f"value {value!r} outside histogram domain [{spec.domain_min}, {spec.domain_max}]"
+    )
+
+
+def encode_batch(values, spec: EncodingSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Encode every value of an array of any shape S as a ring vector.
+
+    Writes into `out`, a uint64 array of shape S + (spec.width,) that may
+    be a slice of a larger block, and returns it; allocates it when
+    omitted. Each kind costs a fixed number of array operations. Values
+    are read as float64 (integers up to 2**53 exactly); a value outside a
+    one_hot or histogram domain, or a non-integer one_hot value, raises
+    the `ValueError` of the first such value.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape + (spec.width,), dtype=np.uint64)
+    elif out.shape != x.shape + (spec.width,) or out.dtype != np.uint64:
+        raise ValueError(f"output of shape {out.shape} for {x.shape} values of width {spec.width}")
+    kind = spec.kind
+    if kind in ("one_hot", "histogram"):
+        if kind == "one_hot":
+            index = x - int(spec.domain_min)
+            bad = (x != np.trunc(x)) | ~((index >= 0) & (index < spec.width))
+        else:
+            bad = ~((spec.domain_min <= x) & (x <= spec.domain_max))
+        if bad.any():
+            _refuse(_as_given(values)[np.argmax(bad)], spec)
+        if kind == "histogram":
+            index = np.minimum((x - spec.domain_min) // spec.bin_width, spec.width - 1)
+        out[...] = 0
+        np.put_along_axis(out, index.astype(np.intp)[..., None], 1, axis=-1)
+        return out
+    q = _quantize(values, x, spec.scale)
+    if kind == "predicate_threshold":
+        above = x >= spec.threshold
+        np.multiply(q, above, out=out[..., 0])
+        np.multiply(q, ~above, out=out[..., 1])
+        return out
+    out[..., 0] = q
+    if kind == "variance":
+        np.multiply(q, q, out=out[..., 1])
+    if kind != "sum":
+        out[..., -1] = 1
+    return out
 
 
 def encode(value: float, spec: EncodingSpec) -> np.ndarray:
-    """Encode one observed value as a ring vector of spec.width elements."""
-    kind = spec.kind
-    if kind == "sum":
-        return np.array([_quantize(value, spec.scale)], dtype=np.uint64)
-    if kind == "sum_count":
-        return np.array([_quantize(value, spec.scale), 1], dtype=np.uint64)
-    if kind == "variance":
-        q = round(value * spec.scale)
-        return np.array([q & RING_MASK, (q * q) & RING_MASK, 1], dtype=np.uint64)
-    if kind == "predicate_threshold":
-        q = _quantize(value, spec.scale)
-        if value >= spec.threshold:
-            return np.array([q, 0], dtype=np.uint64)
-        return np.array([0, q], dtype=np.uint64)
-    out = np.zeros(spec.width, dtype=np.uint64)
-    if kind == "one_hot":
-        if value != int(value):
-            raise ValueError(f"one_hot input must be an integer, got {value!r}")
-        idx = int(value) - int(spec.domain_min)
-        if not 0 <= idx < spec.width:
-            raise ValueError(
-                f"value {value!r} outside one_hot domain "
-                f"[{spec.domain_min}, {spec.domain_max}]"
-            )
-    else:  # histogram
-        if not spec.domain_min <= value <= spec.domain_max:
-            raise ValueError(
-                f"value {value!r} outside histogram domain "
-                f"[{spec.domain_min}, {spec.domain_max}]"
-            )
-        idx = min(int((value - spec.domain_min) // spec.bin_width), spec.width - 1)
-    out[idx] = 1
-    return out
+    """Encode one observed value as a ring vector of spec.width elements:
+    the one-value case of `encode_batch`."""
+    return encode_batch([value], spec)[0]
 
 
 def encode_neutral(spec: EncodingSpec) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .encoding import DecodedStats, decode_stats, encode, encode_neutral
+from .encoding import DecodedStats, decode_stats, encode_batch, encode_neutral
 from .policy import (
     Rejection,
     StreamAnnotation,
@@ -50,9 +50,9 @@ from .policy import (
     verify_plan,
 )
 from .ring import (
+    BATCH_BLOCKS,
     RING_MASK,
     AesPrf,
-    ChainEncryptor,
     CountingPrf,
     MasterSecret,
     StreamCiphertext,
@@ -60,7 +60,9 @@ from .ring import (
     apply_token,
     chain_sum,
     cross_sum,
+    derive_keys,
     encrypt,
+    encrypt_block,
     merge_elements,
     serialize_event,
     DOMAIN_EDGE,
@@ -749,7 +751,6 @@ class _Scenario:
         self.results: list[WindowResult] = []
         self.acc_bytes: dict[int, int] = {}
         self.acc_encrypt: dict[int, float] = {}
-        self.last_online: dict[str, int] = {}
         self.server_buffer: dict[str, list[StreamCiphertext]] = {
             s: [] for s in self.streams
         }
@@ -913,12 +914,25 @@ class _Scenario:
         self.token_stores = {sid: TokenStore() for sid in self.plan.members}
         if self.user_stream:
             self.token_stores.setdefault(self.user_stream, TokenStore())
-        self.encryptors = {
-            sid: ChainEncryptor(self.masters[sid], self.width, prf=self.prf)
-            for sid in set(self.plan.members)
-            | ({self.user_stream} if self.user_stream else set())
-        }
-        self.sim_streams = sorted(self.encryptors)
+        self.sim_streams = sorted(
+            set(self.plan.members) | ({self.user_stream} if self.user_stream else set())
+        )
+        # producer key state, one row per simulated stream: the clock (the
+        # timestamp of its last event, 0 before the first) and the key
+        # vector at that clock, held from the last window it sent
+        self.clock = np.zeros(len(self.sim_streams), dtype=np.int64)
+        self.last_key = np.zeros((len(self.sim_streams), self.width), dtype=np.uint64)
+        self.neutral = encode_neutral_vector(self.schema)
+        # the shadows read only the lanes the plans release: each online
+        # stream's window sum is kept on those lanes alone, in this order
+        user_lanes = (
+            range(*self.slices[self.user_plan.outputs[0].attribute]) if self.user_plan else ()
+        )
+        lanes = sorted({j for sources in self.plan.layout for j in sources} | set(user_lanes))
+        self.shadow_lanes = np.array(lanes, dtype=np.intp)
+        column = {j: c for c, j in enumerate(lanes)}
+        self.shadow_layout = [[column[j] for j in sources] for sources in self.plan.layout]
+        self.user_columns = [column[j] for j in user_lanes]
         self.window_plain: dict[tuple[str, int], np.ndarray] = {}
         n_attrs = len(self.schema.attributes)
         self.overhead_factor = (16 + 8 * self.width) / (16 + 8 * n_attrs)
@@ -959,60 +973,103 @@ class _Scenario:
     # -- producer side --------------------------------------------------------
 
     def _schedule_window(self, w: int):
+        """Encode and encrypt the window's events of every online stream and
+        schedule their sends: each event at its jittered time, then the
+        border event and a heartbeat at the window's end. A stream back
+        after offline windows first sends, at once, one neutral catch-up
+        event ending exactly on this window's start, so its chain stays
+        contiguous and earlier windows never mix into this one."""
         cfg = self.config
+        E = cfg.events_per_window
         L = cfg.logical_window
         T = cfg.window_size
         online = self.rng.random(len(self.sim_streams)) >= cfg.dropout_rate
         draws = {
-            name: gen(self.rng, (len(self.sim_streams), cfg.events_per_window))
+            name: gen(self.rng, (len(self.sim_streams), E))
             for name, gen in self.generators.items()
         }
-        jitter = self.rng.random((len(self.sim_streams), cfg.events_per_window))
-        for si, sid in enumerate(self.sim_streams):
-            if not online[si]:
-                continue
-            if w > 0 and self.last_online.get(sid, -1) != w - 1:
-                # returning after offline windows: close the chain gap with
-                # one neutral event ending exactly on this window's border,
-                # so earlier windows never mix into this one
-                self._emit(sid, w, w * L, encode_neutral_vector(self.schema))
-            self.last_online[sid] = w
-            plain = np.zeros(self.width, dtype=np.uint64)
-            vectors = []
-            for ei in range(cfg.events_per_window):
-                vec = np.zeros(self.width, dtype=np.uint64)
-                for name, spec in self.attr_specs:
-                    value = float(draws[name][si, ei])
-                    if spec.kind == "one_hot":
-                        value = int(value)
-                    lo, hi = self.slices[name]
-                    vec[lo:hi] = encode(value, spec)
-                vectors.append(vec)
-                plain += vec
-            self.window_plain[(sid, w)] = plain
-            for ei, vec in enumerate(vectors):
+        jitter = self.rng.random((len(self.sim_streams), E))
+        indices = np.flatnonzero(online)
+        block = self._encode_window(w, indices, draws)
+        t0 = time.perf_counter()
+        catch_up = {}
+        step = max(1, BATCH_BLOCKS // (L * self.width))
+        for lo in range(0, len(indices), step):
+            chunk = indices[lo : lo + step]
+            catch_up.update(self._encrypt_chunk(w, chunk, block[lo : lo + step]))
+        self.acc_encrypt[w] = self.acc_encrypt.get(w, 0.0) + (time.perf_counter() - t0)
+        for row, si in enumerate(indices):
+            sid = self.sim_streams[si]
+            if si in catch_up:
+                self._send(sid, w, catch_up[si])
+            cts = [
+                StreamCiphertext(w * L + ei, w * L + ei + 1, block[row, ei]) for ei in range(L)
+            ]
+            for ei, ct in enumerate(cts[:E]):
                 at = w * T + (ei + 0.1 + 0.8 * jitter[si, ei]) * T / (L + 1)
-                self.scheduler.at(
-                    at,
-                    lambda s=sid, t=w * L + ei + 1, v=vec: self._emit(s, w, t, v),
-                )
-            self.scheduler.at(
-                (w + 1) * T,
-                lambda s=sid, t=(w + 1) * L: self._emit_border(s, w, t),
-            )
+                self.scheduler.at(at, lambda s=sid, c=ct: self._send(s, w, c))
+            self.scheduler.at((w + 1) * T, lambda s=sid, c=cts[E]: self._send_border(s, w, c))
         self.scheduler.at((w + 1) * T + cfg.grace, lambda w=w: self._assemble(w))
 
-    def _emit(self, sid: str, w: int, t_logical: int, vec: np.ndarray):
-        t0 = time.perf_counter()
-        ct = self.encryptors[sid].encrypt_next(t_logical, vec)
-        self.acc_encrypt[w] = self.acc_encrypt.get(w, 0.0) + (time.perf_counter() - t0)
+    def _encode_window(self, w: int, indices: np.ndarray, draws: dict) -> np.ndarray:
+        """Window w's plaintext events of the streams `indices` (rows of
+        `sim_streams`) as one streams x (events + border) x width block,
+        with one `encode_batch` per attribute; the border event is neutral.
+        Records each stream's window sum on the shadow's lanes."""
+        E = self.config.events_per_window
+        block = np.empty((len(indices), E + 1, self.width), dtype=np.uint64)
+        for name, spec in self.attr_specs:
+            values = draws[name][indices]
+            if spec.kind == "one_hot":
+                values = np.trunc(values)
+            lo, hi = self.slices[name]
+            encode_batch(values, spec, out=block[:, :E, lo:hi])
+        block[:, E] = self.neutral
+        plain = block[:, 0, self.shadow_lanes]
+        for e in range(1, E):
+            plain += block[:, e, self.shadow_lanes]
+        for row, si in enumerate(indices):
+            self.window_plain[(self.sim_streams[si], w)] = plain[row]
+        return block
+
+    def _encrypt_chunk(self, w: int, chunk: np.ndarray, block: np.ndarray) -> dict:
+        """Encrypt window w's `block` of the streams `chunk` in place with
+        one `encrypt_block` pass, and advance their clocks and held keys.
+        First, in one batch each, derive the key at 0 of the streams never
+        online before and encrypt a neutral catch-up event to the window's
+        start for the streams whose clock is behind it. Returns those
+        catch-up ciphertexts by row of `sim_streams`."""
+        L = self.config.logical_window
+        masters = [self.masters[self.sim_streams[si]] for si in chunk]
+        clocks = self.clock[chunk]
+        keys = self.last_key[chunk]
+        fresh = np.flatnonzero(clocks == 0)
+        if len(fresh):
+            keys[fresh] = derive_keys(
+                [masters[r] for r in fresh], (0,), self.width, prf=self.prf
+            )[:, 0]
+        catch_up = {}
+        behind = np.flatnonzero(clocks != w * L)
+        if len(behind):
+            neutral = np.tile(self.neutral, (len(behind), 1, 1))
+            keys[behind] = encrypt_block(
+                [masters[r] for r in behind], keys[behind], (w * L,), neutral, prf=self.prf
+            )
+            for r, body in zip(behind, neutral[:, 0]):
+                catch_up[chunk[r]] = StreamCiphertext(int(clocks[r]), w * L, body)
+        times = range(w * L + 1, (w + 1) * L + 1)
+        self.last_key[chunk] = encrypt_block(masters, keys, times, block, prf=self.prf)
+        self.clock[chunk] = (w + 1) * L
+        return catch_up
+
+    def _send(self, sid: str, w: int, ct: StreamCiphertext):
         self.acc_bytes[w] = self.acc_bytes.get(w, 0) + ct.wire_size()
         self.transport.send(
             ct.wire_size(), lambda s=sid, c=ct: self.server_buffer[s].append(c)
         )
 
-    def _emit_border(self, sid: str, w: int, t_logical: int):
-        self._emit(sid, w, t_logical, np.zeros(self.width, dtype=np.uint64))
+    def _send_border(self, sid: str, w: int, ct: StreamCiphertext):
+        self._send(sid, w, ct)
         # heartbeat: tiny liveness beacon alongside the border event
         self.acc_bytes[w] = self.acc_bytes.get(w, 0) + 16
         self.transport.send(16, lambda: None)
@@ -1076,6 +1133,9 @@ class _Scenario:
         result.prf_calls = self.prf.calls - prf0
         result.additions = self.additions - add0
         self.results.append(result)
+        # both shadows have run: the window's plaintext is no longer needed
+        for sid in self.sim_streams:
+            self.window_plain.pop((sid, w), None)
 
     def _controller_tokens(self, w: int, part: _Partition, active: list[str]):
         """Build, noise and mask one partition's tokens for window w as one
@@ -1248,14 +1308,14 @@ class _Scenario:
 
     def _shadow(self, w: int, plan_members: list[str]) -> list[int]:
         """Plaintext recomputation of the released vector, noise included."""
-        zeros = np.zeros(self.width, dtype=np.uint64)
+        zeros = np.zeros(len(self.shadow_lanes), dtype=np.uint64)
         total = zeros
         for sid in plan_members:
             # a member that spent the window offline contributed one neutral
             # catch-up event, i.e. exactly zeros
             total = (total + self.window_plain.get((sid, w), zeros)) & self.mask_np
         out = []
-        for sources in self.plan.layout:
+        for sources in self.shadow_layout:
             acc = 0
             for j in sources:
                 acc = (acc + int(total[j])) & self.mask
@@ -1300,11 +1360,8 @@ class _Scenario:
         opened = apply_token(merged, token, stream_set_id=stream_set_hash([sid]))
         spec = plan.outputs[0]
         stats = decode_stats(opened[spec.out_start : spec.out_stop], spec.decode)
-        lo, hi_ = self.slices[spec.attribute]
-        plain = self.window_plain.get(
-            (sid, w), np.zeros(self.width, dtype=np.uint64)
-        )[lo:hi_]
-        shadow = plain.tolist()
+        plain = self.window_plain.get((sid, w), np.zeros(len(self.shadow_lanes), dtype=np.uint64))
+        shadow = plain[self.user_columns].tolist()
         result.extras["per_user"] = {
             "status": "ok",
             "stream": sid,

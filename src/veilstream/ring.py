@@ -48,6 +48,7 @@ __all__ = [
     "derive_key",
     "derive_keys",
     "encrypt",
+    "encrypt_block",
     "add_ciphertexts",
     "chain_sum",
     "cross_sum",
@@ -329,9 +330,39 @@ def encrypt(
     msg = _as_ring_array(message)
     if len(msg) == 0:
         raise ValueError("message must have at least one element")
-    k_curr = derive_key(master, t_curr, len(msg), prf=prf)
-    k_prev = derive_key(master, t_prev, len(msg), prf=prf)
-    return StreamCiphertext(t_prev, t_curr, msg + k_curr - k_prev)
+    return ChainEncryptor(master, len(msg), start=t_prev, prf=prf).encrypt_next(t_curr, msg)
+
+
+def encrypt_block(
+    masters: Sequence[MasterSecret],
+    last_keys: np.ndarray,
+    times: Sequence[int],
+    block: np.ndarray,
+    *,
+    prf: Prf = DEFAULT_PRF,
+) -> np.ndarray:
+    """Encrypt a block of events in place, every stream at the same times.
+
+    `block[s, i]` is the message `masters[s]` sends at `times[i]`, a
+    streams x len(times) x width uint64 array; `last_keys[s]` is that
+    stream's key vector at its clock, the timestamp before `times[0]`.
+    Each message becomes the body msg + k(times[i]) - k(times[i-1]), with
+    the keys of every stream from one `derive_keys` pass. Returns each
+    stream's key vector at `times[-1]`, a streams x width copy.
+    """
+    n, events, width = block.shape
+    if block.dtype != np.uint64 or events != len(times) or last_keys.shape != (n, width):
+        raise ValueError(
+            f"block of shape {block.shape} with {len(times)} times and keys "
+            f"of shape {last_keys.shape}"
+        )
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"timestamps must advance: {list(times)}")
+    keys = derive_keys(masters, times, width, prf=prf)
+    block += keys
+    block[:, 0] -= last_keys
+    block[:, 1:] -= keys[:, :-1]
+    return keys[:, -1].copy()
 
 
 class ChainEncryptor:
@@ -339,6 +370,7 @@ class ChainEncryptor:
 
     Encrypting a monotone stream this way costs one key vector per event
     instead of two, since the previous timestamp's vector is retained.
+    Each event is the one-stream, one-timestamp case of `encrypt_block`.
     """
 
     def __init__(
@@ -367,10 +399,11 @@ class ChainEncryptor:
         msg = _as_ring_array(message)
         if len(msg) != self._width:
             raise ValueError(f"message width {len(msg)} != stream width {self._width}")
-        k_curr = derive_key(self._master, t_curr, self._width, prf=self._prf)
-        ct = StreamCiphertext(self._t, t_curr, msg + k_curr - self._key)
+        block = np.array(msg, dtype=np.uint64).reshape(1, 1, -1)
+        key = encrypt_block([self._master], self._key[None], [t_curr], block, prf=self._prf)
+        ct = StreamCiphertext(self._t, t_curr, block[0, 0])
         self._t = t_curr
-        self._key = k_curr
+        self._key = key[0]
         return ct
 
 
@@ -397,19 +430,22 @@ def add_ciphertexts(a: StreamCiphertext, b: StreamCiphertext) -> StreamCiphertex
 
 
 def chain_sum(cts: Iterable[StreamCiphertext]) -> StreamCiphertext:
-    """Fold consecutive ciphertexts of one stream into a window sum."""
-    it = iter(cts)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("chain_sum needs at least one ciphertext") from None
-    for ct in it:
-        if ct.t_prev != acc.t_curr:
-            raise ValueError(
-                f"chaining gap: have range ending {acc.t_curr}, next starts {ct.t_prev}"
-            )
-        acc = add_ciphertexts(acc, ct)
-    return acc
+    """Fold consecutive ciphertexts of one stream into a window sum: check
+    that the pieces chain and share a width, then add their bodies in one
+    sum. A single piece is returned as it is."""
+    pieces = list(cts)
+    if not pieces:
+        raise ValueError("chain_sum needs at least one ciphertext")
+    width = pieces[0].width
+    for a, b in zip(pieces, pieces[1:]):
+        if b.t_prev != a.t_curr:
+            raise ValueError(f"chaining gap: have range ending {a.t_curr}, next starts {b.t_prev}")
+        if b.width != width:
+            raise ValueError(f"element width mismatch: {width} != {b.width}")
+    if len(pieces) == 1:
+        return pieces[0]
+    body = np.sum([ct.body for ct in pieces], axis=0, dtype=np.uint64)
+    return StreamCiphertext(pieces[0].t_prev, pieces[-1].t_curr, body)
 
 
 def cross_sum(cts: Iterable[StreamCiphertext]) -> StreamCiphertext:
