@@ -40,7 +40,6 @@ from .ring import (
     MasterSecret,
     StreamCiphertext,
     TokenMismatchError,
-    add_ciphertexts,
     apply_token,
     chain_sum,
     cross_sum,
@@ -79,7 +78,6 @@ from .tokens import (
     NoiseSpec,
     PrivacyBudget,
     Suppressed,
-    TokenStore,
     TransformationToken,
     add_dp_noise,
     deserialize_token,

@@ -88,12 +88,11 @@ from .secure_agg import (
 from .tokens import (
     PrivacyBudget,
     Suppressed,
-    TokenStore,
     noise_shares,
     release,
     single_stream_token,
     stream_set_hash,
-    stream_tokens,
+    token_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -695,6 +694,7 @@ class _Partition:
         self.position = {sid: i for i, sid in enumerate(streams)}
         self.parties: list[PartyId] = []  # sorted
         self.party_of: dict[str, PartyId] = {}
+        self.set_id: dict[str, bytes] = {}  # each stream's one-stream set id
         # every controller's pairwise secrets, the row owners in stream order
         self.table: Optional[PeerTable] = None
         self.b: Optional[int] = None
@@ -911,9 +911,9 @@ class _Scenario:
             sid: PrivacyBudget(budget_limit) if budget_limit else None
             for sid in self.plan.members
         }
-        self.token_stores = {sid: TokenStore() for sid in self.plan.members}
-        if self.user_stream:
-            self.token_stores.setdefault(self.user_stream, TokenStore())
+        # the one-token rule: the (plan id, partition index, window) of
+        # every token batch minted, the per-user plan's under partition None
+        self.minted: set[tuple] = set()
         self.sim_streams = sorted(
             set(self.plan.members) | ({self.user_stream} if self.user_stream else set())
         )
@@ -945,6 +945,7 @@ class _Scenario:
             part = _Partition(len(self.partitions), members[start : start + cfg.partition_size])
             for sid in part.streams:
                 part.party_of[sid] = self.owner_party[sid]
+                part.set_id[sid] = stream_set_hash([sid])
             part.parties = sorted(part.party_of.values())
             part.table = PeerTable(
                 [
@@ -1145,8 +1146,9 @@ class _Scenario:
         parties the partition holds: one token batch, one pass of edge
         selection and one of edge masks over the partition's `PeerTable`,
         one matrix add and one vectorized wire encode. What still runs per
-        party is the token store's one-token rule, the budget charge and
-        the noise draw. `active` must follow `part.streams` order. Returns
+        party is the budget charge and the noise draw. A second call for
+        the same partition and window raises before any key is derived.
+        `active` must follow `part.streams` order. Returns
         the masked batch, the bytes sent and the ring additions spent on
         masks. The window's budgets were checked beforehand, so every
         charge succeeds.
@@ -1154,12 +1156,18 @@ class _Scenario:
         cfg = self.config
         L = cfg.logical_window
         window = (w * L, (w + 1) * L)
+        self._claim_token(self.plan.plan_id, part.index, window)
         table = part.table
         epoch = w // part.epoch_width if part.epoch_width else 0
         live = np.zeros(len(part.streams), dtype=bool)
         live[[part.position[sid] for sid in active]] = True
-        tokens = self._window_tokens(window, active)
-        values = np.array([t.elements for t in tokens], dtype=np.uint64)
+        values = token_matrix(
+            [self.masters[sid] for sid in active],
+            window,
+            self.plan.directives,
+            layout=self.plan.token_layout,
+            prf=self.prf,
+        )
         parties = tuple(part.party_of[sid] for sid in active)
         if self.plan.dp_epsilon is not None:
             shares = noise_shares(
@@ -1192,32 +1200,21 @@ class _Scenario:
             epoch_id=epoch,
             window=window,
             parties=parties,
-            stream_set_ids=tuple(t.stream_set_id for t in tokens),
+            stream_set_ids=tuple(part.set_id[sid] for sid in active),
             elements=values + nonces[live],
             noised=self.plan.dp_epsilon is not None,
             stream_ids=tuple(active),
         )
         return masked, len(masked.serialize()), len(rows) * values.shape[1]
 
-    def _window_tokens(self, window: tuple[int, int], active: list[str]):
-        """The plan's token of every active stream for the window, under the
-        one-token rule: the streams whose `TokenStore` holds none for (plan,
-        window) yet get theirs from one `stream_tokens` batch."""
-        plan = self.plan
-        stores = [self.token_stores[sid] for sid in active]
-        todo = [sid for sid, store in zip(active, stores) if not store.holds(plan.plan_id, window)]
-        minted = stream_tokens(
-            [self.masters[sid] for sid in todo],
-            window,
-            plan.directives,
-            layout=plan.token_layout,
-            prf=self.prf,
-        )
-        built = dict(zip(todo, minted))
-        return [
-            store.emit(plan.plan_id, window, lambda sid=sid: built[sid])
-            for sid, store in zip(active, stores)
-        ]
+    def _claim_token(self, plan_id: str, part_index: Optional[int], window: tuple[int, int]):
+        """Record a token mint for (plan, partition, window), or raise if one
+        was minted already: fresh key material for a released window would
+        widen what it reveals."""
+        key = (plan_id, part_index, window)
+        if key in self.minted:
+            raise RuntimeError(f"token already minted for {key}")
+        self.minted.add(key)
 
     def _epoch_plan(self, part: _Partition, live: np.ndarray, epoch: int):
         """The partition's zeph plan for the epoch, one row per row of its
@@ -1344,16 +1341,13 @@ class _Scenario:
         L = cfg.logical_window
         window = (w * L, (w + 1) * L)
         plan = self.user_plan
-        token = self.token_stores[sid].emit(
-            plan.plan_id,
+        self._claim_token(plan.plan_id, None, window)
+        token = single_stream_token(
+            self.masters[sid],
             window,
-            lambda: single_stream_token(
-                self.masters[sid],
-                window,
-                plan.directives,
-                layout=plan.token_layout,
-                prf=self.prf,
-            ),
+            plan.directives,
+            layout=plan.token_layout,
+            prf=self.prf,
         )
         result.bytes_controller += token.wire_size()
         merged = merge_elements(window_cts[sid], plan.layout)

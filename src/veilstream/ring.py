@@ -49,7 +49,6 @@ __all__ = [
     "derive_keys",
     "encrypt",
     "encrypt_block",
-    "add_ciphertexts",
     "chain_sum",
     "cross_sum",
     "merge_elements",
@@ -405,28 +404,6 @@ class ChainEncryptor:
         self._t = t_curr
         self._key = key[0]
         return ct
-
-
-def add_ciphertexts(a: StreamCiphertext, b: StreamCiphertext) -> StreamCiphertext:
-    """Homomorphic addition.
-
-    Two forms are accepted: b chains onto a (b.t_prev == a.t_curr), which
-    extends the covered range; or a and b cover the identical range, which
-    adds parallel streams for a cross-stream sum. Anything else is a
-    chaining gap and raises.
-    """
-    if a.width != b.width:
-        raise ValueError(f"element width mismatch: {a.width} != {b.width}")
-    if b.t_prev == a.t_curr:
-        rng = (a.t_prev, b.t_curr)
-    elif (a.t_prev, a.t_curr) == (b.t_prev, b.t_curr):
-        rng = (a.t_prev, a.t_curr)
-    else:
-        raise ValueError(
-            f"ciphertexts neither chain nor share a range: "
-            f"({a.t_prev},{a.t_curr}) + ({b.t_prev},{b.t_curr})"
-        )
-    return StreamCiphertext(rng[0], rng[1], a.body + b.body)
 
 
 def chain_sum(cts: Iterable[StreamCiphertext]) -> StreamCiphertext:

@@ -24,7 +24,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,9 +45,7 @@ __all__ = [
     "NoiseSpec",
     "PrivacyBudget",
     "Suppressed",
-    "TokenStore",
     "token_matrix",
-    "stream_tokens",
     "single_stream_token",
     "multi_stream_partial",
     "noise_shares",
@@ -314,34 +312,6 @@ def token_matrix(
     return values
 
 
-def stream_tokens(
-    masters: Sequence[MasterSecret],
-    window: tuple[int, int],
-    directives: Sequence[ElementDirective],
-    *,
-    layout: Optional[TokenLayout] = None,
-    prf: Prf = DEFAULT_PRF,
-    scale: int = SCALE_DEFAULT,
-    rng: Optional[np.random.Generator] = None,
-) -> list[TransformationToken]:
-    """The rows of `token_matrix` as tokens, one per stream."""
-    values = token_matrix(
-        masters, window, directives, layout=layout, prf=prf, scale=scale, rng=rng
-    )
-    noised = any(d.action == "perturb" for d in directives)
-    return [
-        TransformationToken(
-            window_start=window[0],
-            window_end=window[1],
-            stream_set_id=stream_set_hash([master.stream_id]),
-            elements=tuple(row),
-            noised=noised,
-            stream_ids=(master.stream_id,),
-        )
-        for master, row in zip(masters, values.tolist())
-    ]
-
-
 def single_stream_token(
     master: MasterSecret,
     window: tuple[int, int],
@@ -354,10 +324,17 @@ def single_stream_token(
 ) -> TransformationToken:
     """Build the token that opens one stream's window under the directives:
     the one-stream case of `token_matrix`."""
-    (token,) = stream_tokens(
+    (row,) = token_matrix(
         (master,), window, directives, layout=layout, prf=prf, scale=scale, rng=rng
+    ).tolist()
+    return TransformationToken(
+        window_start=window[0],
+        window_end=window[1],
+        stream_set_id=stream_set_hash([master.stream_id]),
+        elements=tuple(row),
+        noised=any(d.action == "perturb" for d in directives),
+        stream_ids=(master.stream_id,),
     )
-    return token
 
 
 def multi_stream_partial(tokens: Sequence[TransformationToken]) -> TransformationToken:
@@ -500,42 +477,6 @@ def add_dp_noise(
         noised=True,
         stream_ids=token.stream_ids,
     )
-
-
-class TokenStore:
-    """Enforces the one-token rule for non-private releases.
-
-    At most one token exists per (reservation key, window); repeated
-    requests return the identical stored token instead of minting new key
-    material, which would widen what the window reveals.
-    """
-
-    def __init__(self):
-        self._tokens: dict[tuple, TransformationToken] = {}
-        self._lock = threading.Lock()
-
-    def emit(
-        self,
-        key: Hashable,
-        window: tuple[int, int],
-        build: Callable[[], TransformationToken],
-    ) -> TransformationToken:
-        with self._lock:
-            slot = (key, window)
-            tok = self._tokens.get(slot)
-            if tok is None:
-                tok = build()
-                if (tok.window_start, tok.window_end) != window:
-                    raise ValueError("built token does not match requested window")
-                self._tokens[slot] = tok
-            return tok
-
-    def holds(self, key: Hashable, window: tuple[int, int]) -> bool:
-        """Whether a token for (key, window) was already emitted."""
-        return (key, window) in self._tokens
-
-    def __len__(self):
-        return len(self._tokens)
 
 
 # ---- wire format ---------------------------------------------------------

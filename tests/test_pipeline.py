@@ -342,15 +342,15 @@ def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
     for module in (tokens, policy):
         monkeypatch.setattr(module, "output_layout", counted_layout)
     batches = []  # (streams, PRF blocks) of each token batch
-    original_batch = pipeline.stream_tokens
+    original_batch = pipeline.token_matrix
 
     def metered_batch(masters, *args, **kwargs):
         before = kwargs["prf"].calls
-        tokens = original_batch(masters, *args, **kwargs)
+        values = original_batch(masters, *args, **kwargs)
         batches.append((len(masters), kwargs["prf"].calls - before))
-        return tokens
+        return values
 
-    monkeypatch.setattr(pipeline, "stream_tokens", metered_batch)
+    monkeypatch.setattr(pipeline, "token_matrix", metered_batch)
     result = scenario.run()
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     # one batch per partition and window, 2 x 407 source-key blocks a token
@@ -358,6 +358,22 @@ def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
     assert sum(n for n, _ in batches) == sum(w.members for w in result.windows) == 116
     assert all(blocks == n * 2 * 407 for n, blocks in batches)
     assert layout_calls == []
+
+
+def test_a_window_token_is_minted_once():
+    scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
+    result = scenario.run()
+    (window,) = result.windows
+    assert window.status == "ok" and window.extras["per_user"]["status"] == "ok"
+    calls = scenario.prf.calls
+    for part in scenario.partitions:
+        with pytest.raises(RuntimeError, match="already minted"):
+            scenario._controller_tokens(0, part, list(part.streams))
+    with pytest.raises(RuntimeError, match="already minted"):
+        scenario._release_user_window(0, [scenario.user_stream], {}, window)
+    # refused before any key material is derived
+    assert scenario.prf.calls == calls
+    assert len(scenario.minted) == len(scenario.partitions) + 1
 
 
 def test_zeph_keeps_only_the_current_epoch_plan():

@@ -19,7 +19,6 @@ from veilstream.ring import (
     StreamCiphertext,
     TokenMismatchError,
     ZeroPrf,
-    add_ciphertexts,
     apply_token,
     chain_sum,
     cross_sum,
@@ -266,16 +265,6 @@ def test_chain_encryptor_nonzero_start():
     enc = ChainEncryptor(m, 1, start=7)
     ct = enc.encrypt_next(9, [3])
     assert np.array_equal(ct.body, encrypt(m, 7, 9, [3]).body)
-
-
-def test_add_ciphertexts_parallel_same_range():
-    a = encrypt(master("a"), 4, 8, [100])
-    b = encrypt(master("b"), 4, 8, [11])
-    both = add_ciphertexts(a, b)
-    assert (both.t_prev, both.t_curr) == (4, 8)
-    assert int(both.body[0]) == (int(a.body[0]) + int(b.body[0])) % M
-    with pytest.raises(ValueError, match="neither chain nor share"):
-        add_ciphertexts(a, encrypt(master("b"), 5, 8, [1]))
 
 
 def test_cross_sum_requires_equal_ranges():

@@ -33,7 +33,6 @@ from veilstream.tokens import (
     PrivacyBudget,
     Suppressed,
     TokenLayout,
-    TokenStore,
     TransformationToken,
     add_dp_noise,
     deserialize_token,
@@ -46,7 +45,7 @@ from veilstream.tokens import (
     shift,
     single_stream_token,
     stream_set_hash,
-    stream_tokens,
+    token_matrix,
     withhold,
 )
 
@@ -280,16 +279,17 @@ def test_token_matches_the_per_element_loop(
     # after stream from the shared rng
     masters = [master(f"oracle{i}") for i in range(streams)]
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = stream_tokens(
+    values = token_matrix(
         masters, window, directives, layout=layout, prf=prf, scale=scale, rng=rng
     )
+    assert values.dtype == np.uint64
+    assert values.shape == (streams, len(elements))
     assert prf.calls == 2 * sources * (1 + streams)
-    for m, token in zip(masters, batch, strict=True):
-        elements, noised = loop_token(
+    for m, row in zip(masters, values.tolist(), strict=True):
+        elements, _ = loop_token(
             m, window, directives, prf=prf.inner, scale=scale, rng=oracle_rng
         )
-        assert token.elements == elements and token.noised == noised
-        assert token.stream_ids == (m.stream_id,)
+        assert tuple(row) == elements
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -479,35 +479,6 @@ def test_dp_noise_std_tracks_per_party_sigma():
         deltas.append(d - M if d > M // 2 else d)
     observed = np.std(deltas)
     assert observed == pytest.approx(40.0, rel=0.08)
-
-
-# ---- token store ------------------------------------------------------------------
-
-
-def test_store_builds_once_per_key_and_window():
-    m = master("store")
-    store = TokenStore()
-    calls = []
-
-    def build():
-        calls.append(1)
-        return single_stream_token(m, (0, 2), [release()])
-
-    t1 = store.emit("query-1", (0, 2), build)
-    t2 = store.emit("query-1", (0, 2), build)
-    assert t1 is t2
-    assert len(calls) == 1
-    store.emit("query-1", (2, 4), lambda: single_stream_token(m, (2, 4), [release()]))
-    store.emit("query-2", (0, 2), build)
-    assert len(store) == 3
-
-
-def test_store_rejects_builder_window_mismatch():
-    store = TokenStore()
-    with pytest.raises(ValueError, match="does not match requested window"):
-        store.emit(
-            "k", (0, 5), lambda: single_stream_token(master("w"), (0, 2), [release()])
-        )
 
 
 # ---- wire format --------------------------------------------------------------------
