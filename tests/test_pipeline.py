@@ -20,6 +20,7 @@ from veilstream.pipeline import (
     run_scenario,
     scenario_presets,
 )
+from veilstream.tokens import stream_set_hash
 
 SOLO_SCENARIO = {
     "schema": {
@@ -374,6 +375,27 @@ def test_a_window_token_is_minted_once():
     # refused before any key material is derived
     assert scenario.prf.calls == calls
     assert len(scenario.minted) == len(scenario.partitions) + 1
+
+
+def test_tokens_are_minted_per_plan_partition_and_window():
+    scenario = _Scenario(small_config(preset="car", windows=2, dropout_rate=0.0))
+    result = scenario.run()
+    assert [w.extras["per_user"]["status"] for w in result.windows] == ["ok", "ok"]
+    L = scenario.config.logical_window
+    windows = [(w * L, (w + 1) * L) for w in range(2)]
+    assert scenario.minted == {
+        (scenario.plan.plan_id, part.index, window)
+        for part in scenario.partitions
+        for window in windows
+    } | {(scenario.user_plan.plan_id, None, window) for window in windows}
+    # each stream's one-stream set id, hashed once at partition setup
+    for part in scenario.partitions:
+        assert part.set_id == {sid: stream_set_hash([sid]) for sid in part.streams}
+    # a window not yet released still mints
+    part = scenario.partitions[0]
+    masked, _, _ = scenario._controller_tokens(2, part, list(part.streams))
+    assert masked.window == (2 * L, 3 * L)
+    assert masked.stream_set_ids == tuple(part.set_id[sid] for sid in part.streams)
 
 
 def test_zeph_keeps_only_the_current_epoch_plan():

@@ -293,6 +293,23 @@ def test_token_matches_the_per_element_loop(
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def test_single_stream_token_is_the_one_row_matrix():
+    m = master("row")
+    noise = NoiseSpec(sigma_target=5.0, honest_fraction=1.0, party_count=1)
+    plain = [release(), merge("g"), merge("g"), withhold()]
+    token = single_stream_token(m, (4, 9), plain)
+    (row,) = token_matrix([m], (4, 9), plain).tolist()
+    assert token.elements == tuple(row)
+    assert (token.window_start, token.window_end) == (4, 9)
+    assert token.stream_set_id == stream_set_hash(["row"])
+    assert token.stream_ids == ("row",)
+    assert not token.noised
+    noisy = single_stream_token(
+        m, (4, 9), [release(), perturb(noise)], rng=np.random.default_rng(3)
+    )
+    assert noisy.noised
+
+
 def test_token_layout_arrays():
     directives = [release(), merge("g"), withhold(), shift(1.5), merge("g"), release()]
     layout = TokenLayout.build(directives)
