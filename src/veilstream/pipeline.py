@@ -65,8 +65,6 @@ from .ring import (
     encrypt_block,
     merge_elements,
     serialize_event,
-    DOMAIN_EDGE,
-    DOMAIN_MASK,
 )
 from .secure_agg import (
     EpochPlan,
@@ -849,24 +847,10 @@ class _Scenario:
         if self.table["dp"]:
             query_doc["dp"] = self.table["dp"]
         self.query = parse_query(query_doc)
-        plan = plan_query(
-            self.query,
-            self.schema,
-            self.annotations,
-            self.ledger,
-            colluding_fraction=cfg.colluding_fraction,
+        self.plan = self._plan_and_verify(
+            self.query, "preset query", colluding_fraction=cfg.colluding_fraction
         )
-        if isinstance(plan, Rejection):
-            raise RuntimeError(f"preset query was rejected: {plan}")
-        self.plan = plan
-        self.plan_member_set = frozenset(plan.members)
-        by_id = {a.stream_id: a for a in self.annotations}
-        for sid in plan.members:
-            verdict = verify_plan(
-                plan, self.schema, {sid: by_id[sid]}, registry=self.registry
-            )
-            if not verdict.ok:
-                raise RuntimeError(f"controller {sid} refused the plan: {verdict.reason}")
+        self.plan_member_set = frozenset(self.plan.members)
         self.user_plan = None
         self.user_stream = None
         per_user_attr = self.table.get("per_user_attribute")
@@ -885,20 +869,7 @@ class _Scenario:
                     "window": cfg.logical_window,
                 }
             )
-            user_plan = plan_query(
-                user_query, self.schema, self.annotations, self.ledger
-            )
-            if isinstance(user_plan, Rejection):
-                raise RuntimeError(f"per-user query was rejected: {user_plan}")
-            self.user_plan = user_plan
-            verdict = verify_plan(
-                user_plan,
-                self.schema,
-                {self.user_stream: by_id[self.user_stream]},
-                registry=self.registry,
-            )
-            if not verdict.ok:
-                raise RuntimeError(f"per-user plan refused: {verdict.reason}")
+            self.user_plan = self._plan_and_verify(user_query, "per-user query")
 
         if self.table["dp"]:
             budget_limit = min(
@@ -937,6 +908,19 @@ class _Scenario:
         n_attrs = len(self.schema.attributes)
         self.overhead_factor = (16 + 8 * self.width) / (16 + 8 * n_attrs)
 
+    def _plan_and_verify(self, query, name: str, **options):
+        """Plan `query` against the ledger and have the controller of every
+        member verify the plan; a rejection or a refusal raises."""
+        plan = plan_query(query, self.schema, self.annotations, self.ledger, **options)
+        if isinstance(plan, Rejection):
+            raise RuntimeError(f"{name} was rejected: {plan}")
+        by_id = {a.stream_id: a for a in self.annotations}
+        for sid in plan.members:
+            verdict = verify_plan(plan, self.schema, {sid: by_id[sid]}, registry=self.registry)
+            if not verdict.ok:
+                raise RuntimeError(f"controller {sid} refused the {name}'s plan: {verdict.reason}")
+        return plan
+
     def _setup_partitions(self):
         cfg = self.config
         members = list(self.plan.members)  # already sorted
@@ -967,9 +951,6 @@ class _Scenario:
                     if cfg.protocol == "dream":
                         part.threshold = threshold_for_probability(res.edge_probability)
             self.partitions.append(part)
-        self.partition_of = {
-            sid: part for part in self.partitions for sid in part.streams
-        }
 
     # -- producer side --------------------------------------------------------
 
@@ -1190,9 +1171,8 @@ class _Scenario:
             table.owner[rows],
             len(table.parties),
             values.shape[1],
-            epoch_id=epoch,
+            epoch_id=None if plan is None else epoch,
             round_index=w,
-            domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
             prf=self.prf,
         )
         masked = MaskedBatch(

@@ -476,9 +476,6 @@ class ReservationLedger:
         self._dp_spent: dict[tuple[str, str], float] = {}
         self._plan_pairs: dict[str, list[tuple[str, str]]] = {}
 
-    def exclusive_holder(self, pair: tuple[str, str]) -> Optional[str]:
-        return self._exclusive.get(pair)
-
     def dp_spent(self, pair: tuple[str, str]) -> float:
         return self._dp_spent.get(pair, 0.0)
 

@@ -426,23 +426,48 @@ def chain_sum(cts: Iterable[StreamCiphertext]) -> StreamCiphertext:
 
 
 def cross_sum(cts: Iterable[StreamCiphertext]) -> StreamCiphertext:
-    """Sum window aggregates of distinct streams covering the same range."""
-    it = iter(cts)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("cross_sum needs at least one ciphertext") from None
-    rng = (first.t_prev, first.t_curr)
-    acc = first.body.copy()
-    for ct in it:
+    """Sum window aggregates of distinct streams covering the same range:
+    check that the pieces share a range and a width, then add their bodies
+    in one sum."""
+    pieces = list(cts)
+    if not pieces:
+        raise ValueError("cross_sum needs at least one ciphertext")
+    rng = (pieces[0].t_prev, pieces[0].t_curr)
+    width = pieces[0].width
+    for ct in pieces[1:]:
         if (ct.t_prev, ct.t_curr) != rng:
             raise ValueError(
                 f"cross-stream sum needs equal ranges: {rng} vs ({ct.t_prev},{ct.t_curr})"
             )
-        if ct.width != len(acc):
-            raise ValueError(f"element width mismatch: {ct.width} != {len(acc)}")
-        acc += ct.body
-    return StreamCiphertext(rng[0], rng[1], acc)
+        if ct.width != width:
+            raise ValueError(f"element width mismatch: {ct.width} != {width}")
+    body = np.sum([ct.body for ct in pieces], axis=0, dtype=np.uint64)
+    return StreamCiphertext(rng[0], rng[1], body)
+
+
+def _layout_index(layout: Sequence[Sequence[int]], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A layout as index arrays: `sources` lists every output's source
+    elements, output after output, and `offsets` marks where each output's
+    run starts. Refuses an output without sources, a source outside
+    [0, width) and a source used twice, naming the first one a scan in
+    layout order meets."""
+    sizes = np.fromiter(map(len, layout), np.intp, count=len(layout))
+    sources = np.fromiter((j for s in layout for j in s), np.intp, count=int(sizes.sum()))
+    offsets = np.zeros(len(layout), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=offsets[1:])
+    first_use = np.zeros(len(sources), dtype=bool)
+    first_use[np.unique(sources, return_index=True)[1]] = True
+    outside = (sources < 0) | (sources >= width)
+    bad = np.flatnonzero(outside | ~first_use)
+    empty = np.flatnonzero(sizes == 0)
+    # an empty output is met before the sources of the outputs after it
+    if len(empty) and (not len(bad) or offsets[empty[0]] <= bad[0]):
+        raise ValueError(f"output element {empty[0]} has no sources")
+    if len(bad):
+        p = bad[0]
+        problem = f"outside width {width}" if outside[p] else "used twice in layout"
+        raise ValueError(f"source index {sources[p]} {problem}")
+    return sources, offsets
 
 
 def merge_elements(
@@ -454,21 +479,10 @@ def merge_elements(
     Each entry of `layout` lists the source element indices that fold into
     one output element (bucketing merges adjacent one-hot counters, field
     selection keeps singletons). Sources must be unique across the layout.
+    Every output is summed by one `np.add.reduceat`.
     """
-    seen: set[int] = set()
-    out = np.zeros(len(layout), dtype=np.uint64)
-    for o, sources in enumerate(layout):
-        if len(sources) == 0:
-            raise ValueError(f"output element {o} has no sources")
-        acc = 0
-        for j in sources:
-            if not 0 <= j < ct.width:
-                raise ValueError(f"source index {j} outside width {ct.width}")
-            if j in seen:
-                raise ValueError(f"source index {j} used twice in layout")
-            seen.add(j)
-            acc = (acc + int(ct.body[j])) & RING_MASK
-        out[o] = acc
+    sources, offsets = _layout_index(layout, ct.width)
+    out = np.add.reduceat(ct.body[sources], offsets)
     return StreamCiphertext(ct.t_prev, ct.t_curr, out)
 
 

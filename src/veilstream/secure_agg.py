@@ -43,7 +43,6 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -63,7 +62,6 @@ from .ring import (
     DEFAULT_PRF,
     RING_MASK,
     AesPrf,
-    CountingPrf,
     Prf,
     _as_ring_array,
     _keyed_calls,
@@ -99,7 +97,6 @@ __all__ = [
     "apply_delta",
     "mask_vector",
     "mask_edges",
-    "MaskedToken",
     "MaskedBatch",
     "mask_token",
     "unmask_aggregate",
@@ -284,11 +281,10 @@ class PairwiseSecrets:
     """One party's pairwise secrets as arrays, one row per peer.
 
     Peers are sorted by party id. Row i of `keys` (peers x 16 `uint8`) is
-    the secret shared with `peers[i]`, `signs[i]` its mask sign as a ring
-    element (1, or 2**64 - 1 for -1) and `row[peer.value]` the row index,
-    keyed by the raw id. The sign is +1 when
-    self < peer and -1 otherwise, fixed by the total order on party ids
-    so both endpoints of an edge agree.
+    the secret shared with `peers[i]` and `signs[i]` its mask sign as a
+    ring element (1, or 2**64 - 1 for -1). The sign is +1 when self < peer
+    and -1 otherwise, fixed by the total order on party ids so both
+    endpoints of an edge agree.
     """
 
     def __init__(self, self_id: PartyId, secrets: Mapping[PartyId, bytes]):
@@ -298,15 +294,11 @@ class PairwiseSecrets:
             raise ValueError("pairwise secrets must be 16 bytes")
         self.self_id = self_id
         self.peers = tuple(sorted(secrets))
-        self.row = {peer.value: i for i, peer in enumerate(self.peers)}
         joined = b"".join(map(secrets.__getitem__, self.peers))
         self.keys = np.frombuffer(joined, np.uint8).reshape(-1, 16)
         # the peers that sort below self_id come first and subtract
         self.signs = np.ones(len(self.peers), dtype=np.uint64)
         self.signs[: bisect_left(self.peers, self_id)] = RING_MASK
-
-    def secret_for(self, peer: PartyId) -> bytes:
-        return self.keys[self.row[peer.value]].tobytes()
 
     def __len__(self):
         return len(self.peers)
@@ -399,9 +391,6 @@ class EpochPlan:
         low = (round_index & ((1 << b) - 1)).to_bytes(16, "big")
         value = np.unpackbits(np.frombuffer(low, np.uint8))[128 - b :]
         return (self.bits[:, start : start + b] == value).all(axis=1)
-
-    def peers_in_round(self, round_index: int) -> tuple[PartyId, ...]:
-        return tuple(compress(self.peers, self.round_mask(round_index)))
 
     def active_in_round(self, peer: PartyId, round_index: int) -> bool:
         i = bisect_left(self.peers, peer)
@@ -537,9 +526,8 @@ def _nonce(secrets, peers, round_index, plan, prf) -> int:
         secrets,
         peers,
         1,
-        epoch_id=0 if plan is None else plan.epoch_id,
+        epoch_id=None if plan is None else plan.epoch_id,
         round_index=round_index,
-        domain=DOMAIN_EDGE if plan is None else DOMAIN_MASK,
         prf=prf,
     )
     return int(lanes[0])
@@ -630,20 +618,28 @@ def apply_delta(
     return (base_nonce - dropped + joined) & RING_MASK
 
 
+def _peer_row(peers: Sequence[PartyId], party: PartyId) -> int:
+    """Index of `party` in the sorted `peers`, by bisection."""
+    i = bisect_left(peers, party)
+    if i == len(peers) or peers[i] != party:
+        raise KeyError(party)
+    return i
+
+
 def mask_vector(
     secrets: PairwiseSecrets,
     peers: Sequence[PartyId],
     width: int,
     *,
-    epoch_id: int = 0,
+    epoch_id: Optional[int] = 0,
     round_index: int,
-    domain: int = DOMAIN_MASK,
     prf: Prf = DEFAULT_PRF,
 ) -> np.ndarray:
     """Element-wise nonce vector of one party over `peers`: the one-party
     case of `mask_edges`. Peers must already be filtered to the round's
-    active membership (see `round_peers`)."""
-    rows = np.fromiter((secrets.row[p.value] for p in peers), np.intp, count=len(peers))
+    active membership (see `round_peers`); a party that is not one of
+    `secrets.peers` raises `KeyError`."""
+    rows = np.fromiter((_peer_row(secrets.peers, p) for p in peers), np.intp, count=len(peers))
     return mask_edges(
         secrets.keys[rows],
         secrets.signs[rows],
@@ -652,7 +648,6 @@ def mask_vector(
         width,
         epoch_id=epoch_id,
         round_index=round_index,
-        domain=domain,
         prf=prf,
     )[0]
 
@@ -664,9 +659,8 @@ def mask_edges(
     parties: int,
     width: int,
     *,
-    epoch_id: int = 0,
+    epoch_id: Optional[int] = 0,
     round_index: int,
-    domain: int = DOMAIN_MASK,
     prf: Prf = DEFAULT_PRF,
 ) -> np.ndarray:
     """Several parties' nonce vectors for a round, as a parties x width
@@ -679,20 +673,20 @@ def mask_edges(
     the edge's PRF block k // 2, so an edge costs ceil(width/2) PRF blocks
     and a scalar nonce is lane 0. Every edge's blocks go through one pass
     of PRF calls (at most `BATCH_BLOCKS` blocks each), and each call's
-    signed lanes are summed per party by one `np.add.reduceat`.
+    signed lanes are summed per party by one `np.add.reduceat`. An integer
+    `epoch_id` selects the epoch mask domain (zeph), `None` the per-round
+    edge domain (clique and dream).
     """
     blocks = (width + 1) // 2
     msgs = np.empty((blocks, 2), dtype=">u8")
-    if domain == DOMAIN_MASK:
+    if epoch_id is None:
+        msgs[:, 0] = (DOMAIN_EDGE << 56) + np.arange(blocks, dtype=np.uint64)
+    else:
         if epoch_id >> 40:
             raise ValueError("epoch id exceeds 40 bits")
         if blocks >> 16:
             raise ValueError("mask block index exceeds 16 bits")
         msgs[:, 0] = (DOMAIN_MASK << 56) | (epoch_id << 16) | np.arange(blocks, dtype=np.uint64)
-    elif domain == DOMAIN_EDGE:
-        msgs[:, 0] = (DOMAIN_EDGE << 56) + np.arange(blocks, dtype=np.uint64)
-    else:
-        raise ValueError(f"unsupported mask domain {domain}")
     msgs[:, 1] = round_index
     nonces = np.zeros((parties, width), dtype=np.uint64)
     for lo, raw in _keyed_calls(keys, msgs.tobytes(), prf):
@@ -704,22 +698,6 @@ def mask_edges(
         starts = np.flatnonzero(np.diff(own, prepend=-1))
         nonces[own[starts]] += np.add.reduceat(signed, starts, axis=0)
     return nonces
-
-
-@dataclass(frozen=True)
-class MaskedToken:
-    """A party's blinded partial token for one aggregation round."""
-
-    round_index: int
-    epoch_id: int
-    party: PartyId
-    payload: TransformationToken
-
-    def wire_size(self) -> int:
-        return 48 + self.payload.wire_size()
-
-    def serialize(self) -> bytes:
-        return MaskedBatch.stack([self]).serialize()
 
 
 # Before each token's wire record: the round and epoch as u64, then the
@@ -750,41 +728,37 @@ class MaskedBatch:
     def __post_init__(self):
         if not self.parties:
             raise ValueError("need at least one masked token")
-        if self.elements.dtype != np.uint64 or self.elements.shape[:1] != (len(self.parties),):
+        elements = self.elements
+        if elements.dtype != np.uint64 or elements.ndim != 2 or len(elements) != len(self.parties):
             raise ValueError("elements must be a uint64 matrix with one row per party")
         if len(self.stream_set_ids) != len(self.parties):
             raise ValueError("need one stream set id per party")
 
     @staticmethod
-    def stack(masked: Sequence[MaskedToken]) -> "MaskedBatch":
-        """The batch of masked tokens from one round; tokens of different
-        rounds, windows or widths are refused."""
-        if not masked:
+    def concat(batches: Sequence["MaskedBatch"]) -> "MaskedBatch":
+        """One round's batches as one, their rows in order; batches of
+        different rounds, windows or widths are refused. The stream ids are
+        known when every batch knows its own."""
+        if not batches:
             raise ValueError("need at least one masked token")
-        first = masked[0]
-        window = (first.payload.window_start, first.payload.window_end)
-        width = len(first.payload.elements)
-        ids: Optional[list[str]] = []
-        for m in masked:
-            if (m.round_index, m.epoch_id) != (first.round_index, first.epoch_id):
+        first = batches[0]
+        for batch in batches:
+            if (batch.round_index, batch.epoch_id) != (first.round_index, first.epoch_id):
                 raise ValueError("masked tokens come from different rounds")
-            if (m.payload.window_start, m.payload.window_end) != window:
+            if batch.window != first.window:
                 raise ValueError("masked tokens target different windows")
-            if len(m.payload.elements) != width:
+            if batch.elements.shape[1] != first.elements.shape[1]:
                 raise ValueError("masked tokens have different widths")
-            if m.payload.stream_ids is None:
-                ids = None
-            elif ids is not None:
-                ids.extend(m.payload.stream_ids)
+        known = all(batch.stream_ids is not None for batch in batches)
         return MaskedBatch(
             round_index=first.round_index,
             epoch_id=first.epoch_id,
-            window=window,
-            parties=tuple(m.party for m in masked),
-            stream_set_ids=tuple(m.payload.stream_set_id for m in masked),
-            elements=np.array([m.payload.elements for m in masked], dtype=np.uint64),
-            noised=any(m.payload.noised for m in masked),
-            stream_ids=None if ids is None else tuple(ids),
+            window=first.window,
+            parties=tuple(p for batch in batches for p in batch.parties),
+            stream_set_ids=tuple(s for batch in batches for s in batch.stream_set_ids),
+            elements=np.concatenate([batch.elements for batch in batches]),
+            noised=any(batch.noised for batch in batches),
+            stream_ids=tuple(s for batch in batches for s in batch.stream_ids) if known else None,
         )
 
     def serialize(self) -> bytes:
@@ -806,8 +780,9 @@ def mask_token(
     round_index: int,
     epoch_id: int,
     party: PartyId,
-) -> MaskedToken:
-    """Blind each token element with the nonce lane at the same position."""
+) -> MaskedBatch:
+    """Blind each token element with the nonce lane at the same position:
+    the party's one-row batch."""
     if isinstance(nonces, Mapping):
         # iterating a mapping would blind with its keys
         raise TypeError("nonces must be a sequence aligned with the token")
@@ -815,25 +790,25 @@ def mask_token(
         raise ValueError(
             f"nonce vector length {len(nonces)} != token width {len(token.elements)}"
         )
-    blinded_values = np.array(token.elements, dtype=np.uint64) + _as_ring_array(nonces)
-    blinded = TransformationToken(
-        window_start=token.window_start,
-        window_end=token.window_end,
-        stream_set_id=token.stream_set_id,
-        elements=tuple(blinded_values.tolist()),
+    return MaskedBatch(
+        round_index=round_index,
+        epoch_id=epoch_id,
+        window=(token.window_start, token.window_end),
+        parties=(party,),
+        stream_set_ids=(token.stream_set_id,),
+        elements=np.array([token.elements], dtype=np.uint64) + _as_ring_array(nonces),
         noised=token.noised,
         stream_ids=token.stream_ids,
     )
-    return MaskedToken(round_index=round_index, epoch_id=epoch_id, party=party, payload=blinded)
 
 
 def unmask_aggregate(
-    masked: "MaskedBatch | Sequence[MaskedToken]",
+    masked: "MaskedBatch | Sequence[MaskedBatch]",
     *,
     stream_ids: Optional[Iterable[str]] = None,
 ) -> TransformationToken:
     """Sum the blinded partial tokens of one round: one column sum over a
-    `MaskedBatch`, or over the batch stacked from masked tokens.
+    `MaskedBatch`, or over the concatenation of several.
 
     The parties must be distinct. When every participant of the round
     contributed, the pairwise masks pair off and the result is the exact
@@ -841,7 +816,7 @@ def unmask_aggregate(
     stream sets. Nothing here can detect a missing party; the output is
     then uniformly garbled, which is the protocol's privacy backstop.
     """
-    batch = masked if isinstance(masked, MaskedBatch) else MaskedBatch.stack(masked)
+    batch = masked if isinstance(masked, MaskedBatch) else MaskedBatch.concat(masked)
     if len(set(batch.parties)) != len(batch.parties):
         seen: set[PartyId] = set()
         for party in batch.parties:
@@ -1009,7 +984,7 @@ def simulate_party_counters(
                 one mask call and one addition per scheduled live edge
 
     Every draw is an AES block, the PRF `run` uses. The zeph schedule
-    comes from the real planner; dream draws go through `round_peers`'
+    comes from the planner's `graph_bits`; dream draws go through `round_peers`'
     selection rule, one `evaluate_batch` over every peer for a chunk of
     whole rounds, at most `BATCH_BLOCKS` draws (a round of more peers than
     that is split across calls). Mask
@@ -1052,14 +1027,15 @@ def simulate_party_counters(
 
     prf = AesPrf()
     tag = seed.to_bytes(8, "little", signed=True)
-    secrets = [
+    secrets = b"".join(
         hashlib.sha256(b"bench-secret\x00" + tag + i.to_bytes(8, "little")).digest()[:16]
         for i in range(peers)
-    ]
+    )
+    # the party's key matrix, peer i + 1 in row i
+    keys = np.frombuffer(secrets, np.uint8).reshape(peers, 16)
 
     if protocol == "dream":
         threshold = threshold_for_probability(2.0 ** -b)
-        keys = np.frombuffer(b"".join(secrets), np.uint8).reshape(peers, 16)
         step = max(1, BATCH_BLOCKS // peers)
         out = []
         for first in range(0, rounds, step):
@@ -1080,17 +1056,12 @@ def simulate_party_counters(
                 out.append(RoundCost(r, alive, degree, alive + degree, degree))
         return out
 
-    # zeph: replay the epoch planner, then walk its round schedule
+    # zeph: replay the epoch graph, then walk its round schedule
     if b > 24:
         raise ValueError(
             f"segment width {b} is too wide to replay: a segment's degree "
             "histogram holds 2**b counts, and at most 2**24 are allowed"
         )
-    ids = [PartyId(i.to_bytes(32, "big")) for i in range(1, parties)]
-    pairwise = PairwiseSecrets(
-        PartyId(bytes(32)), dict(zip(ids, secrets, strict=True))
-    )
-    counting = CountingPrf(prf)
     width = (128 // b) << b
     seg_mask = (1 << b) - 1
     weights = 1 << np.arange(b - 1, -1, -1)
@@ -1098,16 +1069,16 @@ def simulate_party_counters(
     for r in range(rounds):
         rel = r % width
         if rel == 0:
-            before = counting.calls
-            plan = plan_epoch(pairwise, r // width, b, prf=counting)
-            setup_calls = counting.calls - before
+            # the epoch's graph: one block per peer
+            bits = graph_bits(keys, r // width, prf=prf)
+            setup_calls = peers
         else:
             setup_calls = 0
         if rel & seg_mask == 0:
             # entering segment rel >> b: every peer is scheduled once in it
             start = (rel >> b) * b
             degree_hist = np.bincount(
-                plan.bits[:, start : start + b] @ weights, minlength=1 << b
+                bits[:, start : start + b] @ weights, minlength=1 << b
             )
         planned = int(degree_hist[rel & seg_mask])
         degree = int(rng.binomial(planned, 1.0 - dropout)) if dropout else planned

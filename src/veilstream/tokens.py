@@ -28,7 +28,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .ring import DEFAULT_PRF, RING_MASK, MasterSecret, Prf, derive_keys
+from .ring import DEFAULT_PRF, RING_MASK, MasterSecret, Prf, _layout_index, derive_keys
 from .encoding import SCALE_DEFAULT
 
 __all__ = [
@@ -181,22 +181,13 @@ class TokenLayout:
         """Index arrays of `layout`, by default `output_layout(directives)`.
 
         A supplied layout must be the directives' own, as `verify_plan`
-        checks for a plan's.
+        checks for a plan's; it is refused as `merge_elements` refuses one.
         """
         if layout is None:
             layout = output_layout(directives)
         if not layout:
             raise ValueError("token must release at least one element")
-        sizes = np.array([len(s) for s in layout], dtype=np.intp)
-        if not sizes.all():
-            raise ValueError("every output element needs a source")
-        sources = np.fromiter(
-            (j for s in layout for j in s), dtype=np.intp, count=int(sizes.sum())
-        )
-        if sources.min() < 0 or sources.max() >= len(directives):
-            raise ValueError(f"layout sources outside width {len(directives)}")
-        offsets = np.zeros(len(layout), dtype=np.intp)
-        np.cumsum(sizes[:-1], out=offsets[1:])
+        sources, offsets = _layout_index(layout, len(directives))
         adjusted = tuple(
             (o, directives[s[0]])
             for o, s in enumerate(layout)

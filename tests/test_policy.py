@@ -290,9 +290,14 @@ def test_plan_for_population_average():
     assert out.decode.kind == "sum_count"
     assert plan.output_width == 2
     assert plan.queried_attributes() == ("heart_rate",)
-    # reservations were taken atomically for every (member, attribute) pair
-    for m in plan.members:
-        assert ledger.exclusive_holder((m, "heart_rate")) == plan.plan_id
+    # reservations were taken atomically for every (member, attribute) pair,
+    # and only the holder's release frees them
+    pairs = [(m, "heart_rate") for m in plan.members]
+    assert all(ledger.is_blocked(pair) for pair in pairs)
+    ledger.release("another-plan")
+    assert all(ledger.is_blocked(pair) for pair in pairs)
+    ledger.release(plan.plan_id)
+    assert not any(ledger.is_blocked(pair) for pair in pairs)
 
 
 def test_output_offsets_follow_element_order_not_select_order():
@@ -500,7 +505,9 @@ def test_ledger_reservation_is_all_or_nothing():
     ledger = ReservationLedger()
     assert ledger.try_reserve_exclusive("p1", [("s1", "a"), ("s2", "a")])
     assert not ledger.try_reserve_exclusive("p2", [("s3", "a"), ("s1", "a")])
-    assert ledger.exclusive_holder(("s3", "a")) is None  # nothing partial
+    assert not ledger.is_blocked(("s3", "a"))  # nothing partial
+    ledger.release("p2")
+    assert ledger.is_blocked(("s1", "a"))  # held by p1, not p2
     ledger.release("p1")
     ledger.release("p1")  # idempotent
     assert not ledger.is_blocked(("s1", "a"))

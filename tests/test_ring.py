@@ -279,6 +279,8 @@ def test_cross_sum_requires_equal_ranges():
         cross_sum([cts[0], encrypt(streams[0], 1, 4, [1, 1])])
     with pytest.raises(ValueError):
         cross_sum([])
+    with pytest.raises(ValueError, match="width mismatch"):
+        cross_sum([cts[0], encrypt(streams[1], 0, 4, [1, 2, 3])])
 
 
 # ---- reshaping and token application ------------------------------------------
@@ -302,6 +304,44 @@ def test_merge_elements_rejects_bad_layouts():
         merge_elements(ct, [()])
     with pytest.raises(ValueError, match="outside"):
         merge_elements(ct, [(5,)])
+
+
+def _merge_by_scan(body, layout):
+    """Reference: merge_elements as a scan of the layout, one source at a
+    time, raising at the first problem it meets."""
+    seen, out = set(), []
+    for o, sources in enumerate(layout):
+        if len(sources) == 0:
+            raise ValueError(f"output element {o} has no sources")
+        acc = 0
+        for j in sources:
+            if not 0 <= j < len(body):
+                raise ValueError(f"source index {j} outside width {len(body)}")
+            if j in seen:
+                raise ValueError(f"source index {j} used twice in layout")
+            seen.add(j)
+            acc = (acc + int(body[j])) % M
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 8),
+    layout=st.lists(st.lists(st.integers(-2, 9), max_size=3), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_elements_matches_a_scan_of_the_layout(width, layout, seed):
+    body = np.random.default_rng(seed).integers(0, M, size=width, dtype=np.uint64)
+    ct = StreamCiphertext(0, 1, body)
+    try:
+        expect = _merge_by_scan(body, layout)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as raised:
+            merge_elements(ct, layout)
+        assert str(raised.value) == str(refusal)
+    else:
+        assert merge_elements(ct, layout).body.tolist() == expect
 
 
 def test_apply_token_window_and_set_guards():

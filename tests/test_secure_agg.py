@@ -9,6 +9,7 @@ import hashlib
 import logging
 import math
 import pickle
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from veilstream.ring import (
     DOMAIN_EDGE,
     DOMAIN_GRAPH,
     DOMAIN_MASK,
-    DOMAIN_SELECT,
     MODULUS_DEFAULT,
     CounterPrf,
     CountingPrf,
@@ -32,6 +32,7 @@ from veilstream.ring import (
 from veilstream.secure_agg import (
     EcdhKeyAgreement,
     IdentityRegistry,
+    MaskedBatch,
     MembershipDelta,
     PairwiseSecrets,
     PartyId,
@@ -150,11 +151,12 @@ def test_setup_pairwise_skips_self_and_checks_registry():
 def test_pairwise_secrets_validation_and_signs():
     ids, secrets = build_parties(3)
     p, q = ids[0], ids[1]
+    row_pq, row_qp = secrets[p].peers.index(q), secrets[q].peers.index(p)
     # opposite signs, as ring elements: +1 and -1 = 2**64 - 1
-    s_pq = int(secrets[p].signs[secrets[p].row[q.value]])
-    s_qp = int(secrets[q].signs[secrets[q].row[p.value]])
+    s_pq = int(secrets[p].signs[row_pq])
+    s_qp = int(secrets[q].signs[row_qp])
     assert {s_pq, s_qp} == {1, M - 1}
-    assert secrets[p].secret_for(q) == secrets[q].secret_for(p)
+    assert secrets[p].keys[row_pq].tobytes() == secrets[q].keys[row_qp].tobytes()
     assert list(secrets[p].peers) == sorted(secrets[p].peers)
     with pytest.raises(ValueError, match="itself"):
         PairwiseSecrets(p, {p: bytes(16)})
@@ -230,6 +232,11 @@ def test_threshold_values_are_exact_for_powers_of_two():
 # ---- epoch planning --------------------------------------------------------------
 
 
+def scheduled_peers(plan, round_index):
+    """The plan's peers whose edge is active in the round."""
+    return tuple(compress(plan.peers, plan.round_mask(round_index)))
+
+
 def test_epoch_plan_shape_and_agreement():
     ids, secrets = build_parties(5)
     b = 3
@@ -246,12 +253,12 @@ def test_epoch_plan_shape_and_agreement():
         assert (masks.reshape(segments, 1 << b, -1).sum(axis=1) == 1).all()
     for r in range(width):
         for pid in ids:
-            active = plans[pid].peers_in_round(r)
+            active = round_peers(secrets[pid], r, plan=plans[pid])
             # the two endpoints of an edge schedule identical rounds
-            assert all(pid in plans[q].peers_in_round(r) for q in active)
-            assert [q for q in sorted(ids) if plans[pid].active_in_round(q, r)] == list(active)
+            assert all(pid in scheduled_peers(plans[q], r) for q in active)
+            assert [q for q in sorted(ids) if plans[pid].active_in_round(q, r)] == active
     with pytest.raises(ValueError, match="outside epoch"):
-        plans[ids[0]].peers_in_round(width)
+        plans[ids[0]].round_mask(width)
 
 
 def _oracle_rounds(secrets, epoch_id, b, prf):
@@ -259,8 +266,8 @@ def _oracle_rounds(secrets, epoch_id, b, prf):
     msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
     seg_mask = (1 << b) - 1
     rounds = {}
-    for peer in secrets.peers:
-        out = int.from_bytes(prf.evaluate_batch(secrets.secret_for(peer), msg), "big")
+    for peer, key in zip(secrets.peers, secrets.keys):
+        out = int.from_bytes(prf.evaluate_batch(key.tobytes(), msg), "big")
         rounds[peer] = tuple(
             (s << b) | ((out >> (128 - (s + 1) * b)) & seg_mask)
             for s in range(128 // b)
@@ -301,7 +308,7 @@ def test_epoch_plan_matches_the_scalar_expansion(b, epoch_id, sampled):
         )
     for r in rounds:
         expect = tuple(p for p in plan.peers if r in oracle[p])
-        assert plan.peers_in_round(r) == expect
+        assert scheduled_peers(plan, r) == expect
         for q in plan.peers:
             assert plan.active_in_round(q, r) == (q in expect)
             assert plans[q].active_in_round(me, r) == (q in expect)
@@ -331,7 +338,7 @@ def test_zeph_nonces_cancel_across_the_epoch():
 def test_zeph_empty_round_warns_and_returns_zero(caplog):
     ids, secrets = build_parties(2)
     plan = plan_epoch(secrets[ids[0]], 0, 7)
-    empty = next(r for r in range(plan.width) if not plan.peers_in_round(r))
+    empty = next(r for r in range(plan.width) if not plan.round_mask(r).any())
     with caplog.at_level(logging.WARNING):
         assert nonce_zeph(plan, secrets[ids[0]], empty) == 0
     assert any("no active peers" in rec.getMessage() for rec in caplog.records)
@@ -361,7 +368,7 @@ def test_apply_delta_matches_recomputation():
     expect = nonce_zeph(plan, secrets[me], round_index, members=survivors)
     assert corrected == expect
     # one mask call per dropped peer whose edge is active in this round
-    assert prf.calls == len(dropped & set(plan.peers_in_round(round_index)))
+    assert prf.calls == len(dropped & set(round_peers(secrets[me], round_index, plan=plan)))
 
     # rejoining restores the original nonce
     rejoin = MembershipDelta(round_index, joined=dropped, dropped=frozenset())
@@ -405,10 +412,11 @@ def test_mask_vector_domain_handling():
     ids, secrets = build_parties(3)
     peers = ids[1:]
     a = mask_vector(secrets[ids[0]], peers, 4, round_index=1)
-    b = mask_vector(secrets[ids[0]], peers, 4, round_index=1, domain=DOMAIN_EDGE)
+    b = mask_vector(secrets[ids[0]], peers, 4, round_index=1, epoch_id=None)
     assert not np.array_equal(a, b)
-    with pytest.raises(ValueError, match="unsupported mask domain"):
-        mask_vector(secrets[ids[0]], peers, 4, round_index=1, domain=DOMAIN_SELECT)
+    # a party is not its own peer
+    with pytest.raises(KeyError):
+        mask_vector(secrets[ids[0]], ids[:2], 4, round_index=1)
     with pytest.raises(ValueError, match="40 bits"):
         mask_vector(secrets[ids[0]], peers, 4, epoch_id=1 << 40, round_index=1)
     # block indices share the first input word with the epoch id
@@ -440,7 +448,7 @@ def test_one_prf_call_per_selection_mask_and_plan():
     # a mask costs every peer's ceil(width / 2) blocks in one call
     prf.blocks.clear()
     mask_vector(me, ids[1:6], 5, round_index=3, prf=prf)
-    mask_vector(me, ids[3:5], 1, round_index=3, domain=DOMAIN_EDGE, prf=prf)
+    mask_vector(me, ids[3:5], 1, round_index=3, epoch_id=None, prf=prf)
     assert prf.blocks == [5 * 3, 2]
     prf.blocks.clear()
     plan_epoch(me, 2, 3, prf=prf)
@@ -450,17 +458,19 @@ def test_one_prf_call_per_selection_mask_and_plan():
 MASK_IDS, MASK_SECRETS = build_parties(6)
 
 
-def _per_peer_mask_oracle(secrets, peers, width, round_index, domain, epoch_id):
+def _per_peer_mask_oracle(secrets, peers, width, round_index, epoch_id):
     """Each peer's lanes from its own single-key PRF call, added or
-    subtracted by the order of the two party ids."""
+    subtracted by the order of the two party ids; epoch id None selects
+    the per-round edge domain."""
     blocks = (width + 1) // 2
-    if domain == DOMAIN_MASK:
-        msgs = [prf_input(DOMAIN_MASK, epoch_id << 16 | k, round_index) for k in range(blocks)]
-    else:
+    if epoch_id is None:
         msgs = [prf_input(DOMAIN_EDGE, k, round_index) for k in range(blocks)]
+    else:
+        msgs = [prf_input(DOMAIN_MASK, epoch_id << 16 | k, round_index) for k in range(blocks)]
     total = [0] * width
     for peer in peers:
-        out = DEFAULT_PRF.evaluate_batch(secrets.secret_for(peer), b"".join(msgs))
+        key = secrets.keys[secrets.peers.index(peer)].tobytes()
+        out = DEFAULT_PRF.evaluate_batch(key, b"".join(msgs))
         for lane in range(width):
             value = int.from_bytes(out[8 * lane : 8 * lane + 8], "big")
             total[lane] += value if secrets.self_id < peer else -value
@@ -482,14 +492,11 @@ def test_mask_vector_matches_the_per_peer_signed_sum(
 ):
     secrets = MASK_SECRETS[MASK_IDS[me]]
     peers = [secrets.peers[i] for i in order[:count]]
-    domain = DOMAIN_EDGE if edge else DOMAIN_MASK
-    got = mask_vector(
-        secrets, peers, width, epoch_id=epoch_id, round_index=round_index, domain=domain
-    )
+    if edge:
+        epoch_id = None
+    got = mask_vector(secrets, peers, width, epoch_id=epoch_id, round_index=round_index)
     assert got.dtype == np.uint64 and got.shape == (width,)
-    assert got.tolist() == _per_peer_mask_oracle(
-        secrets, peers, width, round_index, domain, epoch_id
-    )
+    assert got.tolist() == _per_peer_mask_oracle(secrets, peers, width, round_index, epoch_id)
     if not peers:
         assert not got.any()
 
@@ -504,12 +511,12 @@ def test_scalar_nonce_is_lane_zero_of_the_mask_vector():
         (
             nonce_clique(me, 7, members=members),
             round_peers(me, 7, members=members),
-            {"domain": DOMAIN_EDGE},
+            {"epoch_id": None},
         ),
         (
             nonce_dream(me, 7, thr, members=members),
             round_peers(me, 7, members=members, threshold=thr),
-            {"domain": DOMAIN_EDGE},
+            {"epoch_id": None},
         ),
         (
             nonce_zeph(plan, me, 7, members=members),
@@ -546,8 +553,8 @@ def test_unmask_recovers_the_token_sum():
     assert combined.elements == expect.elements
     assert combined.stream_set_id == expect.stream_set_id
     assert combined.stream_ids == expect.stream_ids
-    # each single blinded payload reveals nothing recognizable
-    assert masked[0].payload.elements != tokens[0].elements
+    # each single blinded row reveals nothing recognizable
+    assert masked[0].elements[0].tolist() != list(tokens[0].elements)
 
 
 def test_unmask_with_a_missing_party_is_garbage():
@@ -573,13 +580,30 @@ def test_unmask_input_validation():
         unmask_aggregate([masked[0], other_round])
 
 
+def test_unmask_refuses_mixed_windows_and_widths():
+    ids, tokens, masked = masked_flow_fixture()
+    master = MasterSecret(bytes([1]) * 16, "stream-1")
+    later = single_stream_token(master, (0, 3), [release()] * 3)
+    narrow = single_stream_token(master, (0, 2), [release()] * 2)
+    with pytest.raises(ValueError, match="different windows"):
+        unmask_aggregate(
+            [masked[0], mask_token(later, [0] * 3, round_index=4, epoch_id=1, party=ids[1])]
+        )
+    with pytest.raises(ValueError, match="different widths"):
+        unmask_aggregate(
+            [masked[0], mask_token(narrow, [0] * 2, round_index=4, epoch_id=1, party=ids[1])]
+        )
+
+
 def test_mask_token_takes_an_aligned_sequence():
     ids, tokens, _ = masked_flow_fixture()
     token = tokens[0]
     by_seq = mask_token(
         token, [7, 7, 7], round_index=0, epoch_id=0, party=ids[0]
     )
-    assert by_seq.payload.elements == tuple((e + 7) % M for e in token.elements)
+    # the party's one-row batch
+    assert by_seq.parties == (ids[0],) and by_seq.stream_ids == token.stream_ids
+    assert by_seq.elements.tolist() == [[(e + 7) % M for e in token.elements]]
     with pytest.raises(TypeError, match="sequence"):
         mask_token(token, {0: 7, 1: 7, 2: 7}, round_index=0, epoch_id=0, party=ids[0])
     with pytest.raises(ValueError, match="nonce vector length"):
@@ -587,9 +611,11 @@ def test_mask_token_takes_an_aligned_sequence():
 
 
 def test_masked_token_wire_size_matches_serialization():
-    ids, _, masked = masked_flow_fixture()
-    data = masked[0].serialize()
-    assert len(data) == masked[0].wire_size() == 48 + masked[0].payload.wire_size()
+    _, _, masked = masked_flow_fixture()
+    batch = MaskedBatch.concat(masked)
+    # per row: the 48-byte masked header, then the 48 + 10 * width token record
+    assert len(batch.serialize()) == len(masked) * (96 + 10 * 3)
+    assert batch.serialize() == b"".join(m.serialize() for m in masked)
 
 
 # ---- connectivity bound and parameter search ---------------------------------------
@@ -732,7 +758,7 @@ def test_simulate_zeph_replays_the_epoch_plan():
     rows = simulate_party_counters(parties, 25, "zeph", b=b, seed=seed)
     plan = plan_epoch(_bench_pairwise(parties, seed), 0, b)
     for r, row in enumerate(rows):
-        degree = len(plan.peers_in_round(r % width))
+        degree = int(plan.round_mask(r % width).sum())
         assert row.degree == degree
         setup = parties - 1 if r == 0 else 0
         assert row.prf_calls == setup + degree

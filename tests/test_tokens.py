@@ -320,8 +320,11 @@ def test_token_layout_arrays():
     assert not layout.sources.flags.writeable and not layout.offsets.flags.writeable
     with pytest.raises(ValueError, match="outside width"):
         TokenLayout.build(directives, ((0,), (6,)))
-    with pytest.raises(ValueError, match="needs a source"):
-        TokenLayout.build(directives, ((0,), ()))
+    # refused with merge_elements' wording, the first problem in layout order
+    with pytest.raises(ValueError, match="output element 1 has no sources"):
+        TokenLayout.build(directives, ((0,), (), (9,)))
+    with pytest.raises(ValueError, match="source index 0 used twice"):
+        TokenLayout.build(directives, ((0,), (0,)))
 
 
 def test_token_builder_input_validation():
@@ -543,9 +546,10 @@ def test_token_wire_bytes_match_the_struct_encoder(elements, window_start, nonce
     party = PartyId(bytes(31) + b"\x07")
     masked = mask_token(token, nonces, round_index=3, epoch_id=9, party=party)
     blinded = tuple((e + int(v)) % M for e, v in zip(elements, nonces))
-    assert masked.payload.elements == blinded
+    assert tuple(masked.elements[0].tolist()) == blinded
+    payload = TransformationToken(window_start, window_start + 1, bytes(range(32)), blinded)
     assert masked.serialize() == (
-        struct.pack("<QQ", 3, 9) + party.value + struct_serialize(masked.payload)
+        struct.pack("<QQ", 3, 9) + party.value + struct_serialize(payload)
     )
 
 
