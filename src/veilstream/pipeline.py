@@ -79,7 +79,6 @@ from .secure_agg import (
     mask_token,
     optimize_b,
     round_edges,
-    setup_pairwise,
     threshold_for_probability,
     unmask_aggregate,
 )
@@ -690,7 +689,6 @@ class _Partition:
         self.index = index
         self.streams = streams  # sorted stream ids
         self.position = {sid: i for i, sid in enumerate(streams)}
-        self.parties: list[PartyId] = []  # sorted
         self.party_of: dict[str, PartyId] = {}
         self.set_id: dict[str, bytes] = {}  # each stream's one-stream set id
         # every controller's pairwise secrets, the row owners in stream order
@@ -910,41 +908,44 @@ class _Scenario:
 
     def _plan_and_verify(self, query, name: str, **options):
         """Plan `query` against the ledger and have the controller of every
-        member verify the plan; a rejection or a refusal raises."""
+        member verify the plan; a rejection or a refusal raises.
+
+        The members' controllers run identical plan-level checks, so one
+        `verify_plan` over every member's annotation stands for all of
+        them: it accepts exactly when each controller would. Only a
+        refusal is re-checked controller by controller, in plan order,
+        to name the first that refuses."""
         plan = plan_query(query, self.schema, self.annotations, self.ledger, **options)
         if isinstance(plan, Rejection):
             raise RuntimeError(f"{name} was rejected: {plan}")
         by_id = {a.stream_id: a for a in self.annotations}
+        own = {sid: by_id[sid] for sid in plan.members}
+        verdict = verify_plan(plan, self.schema, own, registry=self.registry)
+        if verdict.ok:
+            return plan
+        # re-check controller by controller, to name the first that refuses
         for sid in plan.members:
-            verdict = verify_plan(plan, self.schema, {sid: by_id[sid]}, registry=self.registry)
-            if not verdict.ok:
-                raise RuntimeError(f"controller {sid} refused the {name}'s plan: {verdict.reason}")
-        return plan
+            mine = verify_plan(plan, self.schema, {sid: by_id[sid]}, registry=self.registry)
+            if not mine.ok:
+                raise RuntimeError(f"controller {sid} refused the {name}'s plan: {mine.reason}")
+        raise RuntimeError(f"the {name}'s plan was refused: {verdict.reason}")
 
     def _setup_partitions(self):
         cfg = self.config
         members = list(self.plan.members)  # already sorted
         self.partitions: list[_Partition] = []
+        optimized = {}  # optimize_b's result per partition size
         for start in range(0, len(members), cfg.partition_size):
             part = _Partition(len(self.partitions), members[start : start + cfg.partition_size])
             for sid in part.streams:
                 part.party_of[sid] = self.owner_party[sid]
                 part.set_id[sid] = stream_set_hash([sid])
-            part.parties = sorted(part.party_of.values())
-            part.table = PeerTable(
-                [
-                    setup_pairwise(
-                        self.keypairs[sid],
-                        self.registry,
-                        [p for p in part.parties if p != part.party_of[sid]],
-                    )
-                    for sid in part.streams
-                ]
-            )
-            if cfg.protocol in ("dream", "zeph") and len(part.parties) >= 3:
-                res = optimize_b(
-                    len(part.parties), cfg.colluding_fraction, cfg.failure_budget
-                )
+            part.table = PeerTable([self.keypairs[sid] for sid in part.streams], self.registry)
+            n = len(part.table.parties)
+            if cfg.protocol in ("dream", "zeph") and n >= 3:
+                if n not in optimized:
+                    optimized[n] = optimize_b(n, cfg.colluding_fraction, cfg.failure_budget)
+                res = optimized[n]
                 if res.feasible:
                     part.b = res.b
                     part.epoch_width = res.rounds
@@ -1261,7 +1262,7 @@ class _Scenario:
         for (_part, active), (masked, _, _) in zip(parts, part_tokens):
             combined = unmask_aggregate(masked, stream_ids=active)
             agg = cross_sum([window_cts[s] for s in active])
-            merged = merge_elements(agg, self.plan.layout)
+            merged = merge_elements(agg, self.plan.token_layout)
             opened.append(
                 apply_token(merged, combined, stream_set_id=stream_set_hash(active))
             )
@@ -1330,7 +1331,7 @@ class _Scenario:
             prf=self.prf,
         )
         result.bytes_controller += token.wire_size()
-        merged = merge_elements(window_cts[sid], plan.layout)
+        merged = merge_elements(window_cts[sid], plan.token_layout)
         opened = apply_token(merged, token, stream_set_id=stream_set_hash([sid]))
         spec = plan.outputs[0]
         stats = decode_stats(opened[spec.out_start : spec.out_stop], spec.decode)

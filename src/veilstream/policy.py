@@ -33,7 +33,6 @@ import functools
 import hashlib
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -465,12 +464,10 @@ class TransformationPlan:
 class ReservationLedger:
     """Tracks exclusive holds and DP budget draw-down per (stream, attribute).
 
-    All mutation is all-or-nothing under one lock so concurrent planners
-    cannot interleave partial reservations.
+    Every reservation is all-or-nothing: a refused one changes nothing.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._exclusive: dict[tuple[str, str], str] = {}
         self._dp_active: dict[tuple[str, str], set[str]] = {}
         self._dp_spent: dict[tuple[str, str], float] = {}
@@ -486,14 +483,13 @@ class ReservationLedger:
         return bool(self._dp_active.get(pair))
 
     def try_reserve_exclusive(self, plan_id: str, pairs: Sequence[tuple[str, str]]) -> bool:
-        with self._lock:
-            for pair in pairs:
-                if pair in self._exclusive or self._dp_active.get(pair):
-                    return False
-            for pair in pairs:
-                self._exclusive[pair] = plan_id
-            self._plan_pairs.setdefault(plan_id, []).extend(pairs)
-            return True
+        for pair in pairs:
+            if pair in self._exclusive or self._dp_active.get(pair):
+                return False
+        for pair in pairs:
+            self._exclusive[pair] = plan_id
+        self._plan_pairs.setdefault(plan_id, []).extend(pairs)
+        return True
 
     def try_charge_dp(
         self,
@@ -502,33 +498,31 @@ class ReservationLedger:
         cost: float,
         budget_for: Mapping[tuple[str, str], float],
     ) -> bool:
-        with self._lock:
-            for pair in pairs:
-                if pair in self._exclusive:
-                    return False
-                limit = budget_for.get(pair)
-                if limit is None:
-                    return False
-                if self._dp_spent.get(pair, 0.0) + cost > limit + 1e-9:
-                    return False
-            for pair in pairs:
-                self._dp_spent[pair] = self._dp_spent.get(pair, 0.0) + cost
-                self._dp_active.setdefault(pair, set()).add(plan_id)
-            self._plan_pairs.setdefault(plan_id, []).extend(pairs)
-            return True
+        for pair in pairs:
+            if pair in self._exclusive:
+                return False
+            limit = budget_for.get(pair)
+            if limit is None:
+                return False
+            if self._dp_spent.get(pair, 0.0) + cost > limit + 1e-9:
+                return False
+        for pair in pairs:
+            self._dp_spent[pair] = self._dp_spent.get(pair, 0.0) + cost
+            self._dp_active.setdefault(pair, set()).add(plan_id)
+        self._plan_pairs.setdefault(plan_id, []).extend(pairs)
+        return True
 
     def release(self, plan_id: str) -> None:
         """Free the plan's holds. Idempotent. Spent epsilon stays spent."""
-        with self._lock:
-            pairs = self._plan_pairs.pop(plan_id, [])
-            for pair in pairs:
-                if self._exclusive.get(pair) == plan_id:
-                    del self._exclusive[pair]
-                active = self._dp_active.get(pair)
-                if active:
-                    active.discard(plan_id)
-                    if not active:
-                        del self._dp_active[pair]
+        pairs = self._plan_pairs.pop(plan_id, [])
+        for pair in pairs:
+            if self._exclusive.get(pair) == plan_id:
+                del self._exclusive[pair]
+            active = self._dp_active.get(pair)
+            if active:
+                active.discard(plan_id)
+                if not active:
+                    del self._dp_active[pair]
 
 
 def release_reservation(ledger: ReservationLedger, plan_id: str) -> None:
@@ -903,6 +897,14 @@ def verify_plan(
     trusted. Checks cover structural integrity, the privacy ladder, every
     constraint of the selected options on this controller's streams, and
     that all participating owners have known identities.
+
+    `own_annotations` may hold several member streams; they are checked
+    in plan order and the first refusal is returned. Given every
+    member's annotation, as the simulator passes them, it accepts
+    exactly when each member's controller alone would, and a refusal has
+    the reason of the first refusing controller in plan order, except
+    that the owners' identities are checked after every stream, where
+    each controller checks them after its own streams.
     """
     if tuple(output_layout(plan.directives)) != plan.layout:
         return Verdict.refuse("layout_mismatch")

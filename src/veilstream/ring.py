@@ -22,12 +22,14 @@ method.
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+if TYPE_CHECKING:
+    from .tokens import TokenLayout
 
 __all__ = [
     "MODULUS_DEFAULT",
@@ -148,20 +150,14 @@ class CounterPrf(Prf):
 
 
 class CountingPrf(Prf):
-    """Wrapper that counts block evaluations of an inner PRF.
-
-    Safe to share across threads: the count is lock-guarded at call
-    granularity, which is negligible next to the work being counted.
-    """
+    """Wrapper that counts block evaluations of an inner PRF."""
 
     def __init__(self, inner: Prf):
         self.inner = inner
         self.calls = 0
-        self._lock = threading.Lock()
 
     def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
-        with self._lock:
-            self.calls += len(messages) // 16
+        self.calls += len(messages) // 16
         return self.inner.evaluate_batch(key, messages)
 
 
@@ -472,16 +468,23 @@ def _layout_index(layout: Sequence[Sequence[int]], width: int) -> tuple[np.ndarr
 
 def merge_elements(
     ct: StreamCiphertext,
-    layout: Sequence[Sequence[int]],
+    layout: Union[Sequence[Sequence[int]], "TokenLayout"],
 ) -> StreamCiphertext:
     """Re-shape ciphertext elements for a transformation's output layout.
 
     Each entry of `layout` lists the source element indices that fold into
     one output element (bucketing merges adjacent one-hot counters, field
     selection keeps singletons). Sources must be unique across the layout.
-    Every output is summed by one `np.add.reduceat`.
+    A plan's `TokenLayout` holds the same layout as index arrays, checked
+    when it was built, so only its width is checked against the
+    ciphertext's. Every output is summed by one `np.add.reduceat`.
     """
-    sources, offsets = _layout_index(layout, ct.width)
+    if isinstance(layout, Sequence):
+        sources, offsets = _layout_index(layout, ct.width)
+    elif layout.width != ct.width:
+        raise ValueError(f"layout width {layout.width} != ciphertext width {ct.width}")
+    else:
+        sources, offsets = layout.sources, layout.offsets
     out = np.add.reduceat(ct.body[sources], offsets)
     return StreamCiphertext(ct.t_prev, ct.t_curr, out)
 

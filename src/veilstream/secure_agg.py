@@ -20,7 +20,9 @@ variants trade PRF work against connectivity slack:
             segment; a round's graph is sparse but known in advance
 
 A round can run for one party or for every party of a partition at once.
-`PeerTable` lays the parties' pairwise secrets out as one list of edges;
+`PeerTable` lays the parties' pairwise secrets out as one list of edges,
+deriving each unordered pair's secret once for both of its rows, where
+`setup_pairwise`, one party's view, derives every secret of that party;
 `round_edges` selects a round's edges over it and `mask_edges` sums the
 selected edges' signed masks into a parties x width nonce matrix.
 `round_peers` and `mask_vector` are their one-party cases, sharing the
@@ -308,28 +310,48 @@ class PeerTable:
     """Several parties' pairwise secrets as one list of edges, for rounds
     batched over the parties.
 
-    Rows run party by party, each party's rows in its `PairwiseSecrets`
-    order, so `owner` (the row's party, an index into `parties`) never
-    decreases. `keys` (edges x 16 `uint8`), `signs` and `peers` hold each
-    row's secret, mask sign and peer id, and `peer` the index of that peer
-    in `parties`: every peer of every party must itself be a party.
+    Built from the parties' key pairs, `parties` in the given order, in one
+    pass over unordered pairs: every party's public identity is resolved
+    through `registry.get` (an unknown one raises `UnknownIdentityError`)
+    and each pair derives its secret once, `derive_shared` on the lower
+    id's key pair, for both of its rows. Rows run party by party, each
+    party's rows over every other party in id order as its
+    `setup_pairwise` lists them, so `owner` (the row's party, an index
+    into `parties`) never decreases. `keys` (edges x 16 `uint8`), `signs`
+    and `peers` hold each row's secret, mask sign and peer id, and `peer`
+    the index of that peer in `parties`.
     """
 
-    def __init__(self, secrets: Sequence[PairwiseSecrets]):
-        self.parties = tuple(s.self_id for s in secrets)
-        index = {p: i for i, p in enumerate(self.parties)}
-        if len(index) != len(self.parties):
+    def __init__(self, keypairs: Sequence[KeyPair], registry: IdentityRegistry):
+        self.parties = tuple(kp.party_id for kp in keypairs)
+        n = len(self.parties)
+        if len(set(self.parties)) != n:
             raise ValueError("a party appears twice in the table")
-        self.peers = tuple(p for s in secrets for p in s.peers)
-        try:
-            self.peer = np.fromiter(
-                map(index.__getitem__, self.peers), np.intp, count=len(self.peers)
-            )
-        except KeyError as missing:
-            raise ValueError(f"peer {missing.args[0]!r} is not a party of the table") from None
-        self.owner = np.repeat(np.arange(len(secrets)), [len(s) for s in secrets])
-        self.keys = np.concatenate([s.keys for s in secrets])
-        self.signs = np.concatenate([s.signs for s in secrets])
+        # order[r] is the party of id rank r, rank[i] the rank of party i
+        ranked = sorted(range(n), key=self.parties.__getitem__)
+        order = np.array(ranked, dtype=np.intp)
+        rank = np.argsort(order)
+        ranked_keypairs = [keypairs[i] for i in ranked]
+        public = [registry.get(self.parties[i]) for i in ranked]
+        shared = b"".join(
+            ranked_keypairs[lo].derive_shared(public[hi])
+            for lo in range(n)
+            for hi in range(lo + 1, n)
+        )
+        # the secret of every pair of ranks, stored both ways
+        upper = np.triu_indices(n, 1)
+        pair = np.empty((n, n, 16), dtype=np.uint8)
+        pair[upper] = pair[upper[::-1]] = np.frombuffer(shared, np.uint8).reshape(-1, 16)
+        # each party's row of peer ranks: every other rank, ascending
+        others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)[rank]
+        self.keys = pair[rank[:, None], others].reshape(-1, 16)
+        self.peer = order[others].ravel()
+        self.peers = tuple(map(self.parties.__getitem__, self.peer.tolist()))
+        self.owner = np.repeat(np.arange(n), n - 1)
+        # the peers that sort below their owner come first and subtract
+        signs = np.ones(others.shape, dtype=np.uint64)
+        signs[others < rank[:, None]] = RING_MASK
+        self.signs = signs.ravel()
 
     def __len__(self):
         return len(self.peers)

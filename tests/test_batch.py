@@ -34,13 +34,16 @@ from veilstream.ring import (
 )
 from veilstream.secure_agg import (
     EpochPlan,
+    IdentityRegistry,
     MaskedBatch,
     PairwiseSecrets,
     PartyId,
     PeerTable,
+    StaticKeyAgreement,
     graph_bits,
     mask_edges,
     round_edges,
+    setup_pairwise,
     threshold_for_probability,
     unmask_aggregate,
 )
@@ -63,18 +66,18 @@ MASK = M - 1
 
 
 def population(n: int):
-    """n parties with symmetric pairwise secrets and one stream each."""
-    ids = [PartyId(hashlib.sha256(b"party-%d" % i).digest()) for i in range(n)]
-    secrets = []
-    for i in range(n):
-        shared = {
-            ids[j]: hashlib.sha256(b"edge-%d-%d" % tuple(sorted((i, j)))).digest()[:16]
-            for j in range(n)
-            if j != i
-        }
-        secrets.append(PairwiseSecrets(ids[i], shared))
+    """n parties with one stream each: their key pairs, the registry that
+    holds their identities, each party's pairwise secrets from its own
+    `setup_pairwise`, and the stream secrets."""
+    agreement = StaticKeyAgreement()
+    keypairs = [agreement.generate(b"party-%d" % i) for i in range(n)]
+    registry = IdentityRegistry()
+    for kp in keypairs:
+        registry.register(kp.public_identity())
+    ids = [kp.party_id for kp in keypairs]
+    secrets = [setup_pairwise(kp, registry, ids) for kp in keypairs]
     masters = [MasterSecret(hashlib.sha256(b"m%d" % i).digest()[:16], f"s{i}") for i in range(n)]
-    return ids, secrets, masters
+    return ids, keypairs, registry, secrets, masters
 
 
 def block_int(prf: Prf, key: bytes, msg: bytes) -> int:
@@ -161,10 +164,10 @@ directive = st.one_of(
 def test_partition_batch_matches_the_per_party_path(
     n, data, directives, protocol, b, w, noised, seed
 ):
-    ids, secrets, masters = population(n)
+    ids, keypairs, registry, secrets, masters = population(n)
     # the table lists the parties in stream order, not in id order
     order = data.draw(st.permutations(range(n)))
-    table = PeerTable([secrets[i] for i in order])
+    table = PeerTable([keypairs[i] for i in order], registry)
     live_kind = data.draw(st.sampled_from(["all", "all-but-one", "any"]))
     if live_kind == "all":
         live = np.ones(n, dtype=bool)
@@ -256,8 +259,8 @@ def test_partition_batch_matches_the_per_party_path(
 
 
 def test_a_party_with_no_live_peer_gets_a_zero_row_and_a_warning(caplog):
-    ids, secrets, _ = population(4)
-    table = PeerTable(secrets)
+    ids, keypairs, registry, _, _ = population(4)
+    table = PeerTable(keypairs, registry)
     live = np.array([True, False, False, False])
     rows = round_edges(table, live, 3)
     assert len(rows) == 0
@@ -266,13 +269,11 @@ def test_a_party_with_no_live_peer_gets_a_zero_row_and_a_warning(caplog):
     assert nonces.shape == (4, 3) and not nonces.any()
 
 
-def test_peer_table_needs_every_peer_as_a_party():
-    _, secrets, _ = population(3)
-    with pytest.raises(ValueError, match="not a party"):
-        PeerTable(secrets[:2])
+def test_peer_table_rows_run_party_by_party_over_the_other_parties():
+    _, keypairs, registry, _, _ = population(3)
     with pytest.raises(ValueError, match="twice"):
-        PeerTable([secrets[0], secrets[0]])
-    table = PeerTable(secrets)
+        PeerTable([keypairs[0], keypairs[0]], registry)
+    table = PeerTable(keypairs, registry)
     assert len(table) == 6
     assert table.owner.tolist() == [0, 0, 1, 1, 2, 2]
     assert [table.parties[j] for j in table.peer] == list(table.peers)

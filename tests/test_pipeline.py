@@ -1,11 +1,13 @@
 """End-to-end scenario simulations checked against their plaintext shadows."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from veilstream import pipeline
 from veilstream.pipeline import (
     CSV_COLUMNS,
     Scheduler,
@@ -20,6 +22,7 @@ from veilstream.pipeline import (
     run_scenario,
     scenario_presets,
 )
+from veilstream.policy import plan_query, verify_plan
 from veilstream.tokens import stream_set_hash
 
 SOLO_SCENARIO = {
@@ -562,3 +565,45 @@ def test_result_csv_and_json_render():
     assert len(doc["windows"]) == 2
     assert doc["windows"][0]["shadow_ok"] is True
     assert set(doc["summary"]) >= {"liveness", "shadow_ok", "transport"}
+
+
+def test_one_plan_check_per_plan_and_a_refusal_names_the_first_controller(monkeypatch):
+    checked = []
+
+    def counting_verify(plan, schema, own, **kwargs):
+        checked.append(sorted(own))
+        return verify_plan(plan, schema, own, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_plan", counting_verify)
+    scenario = _Scenario(small_config(preset="car", windows=1))
+    # the population plan and the per-user plan, each checked once over
+    # every member's annotation
+    assert checked == [list(scenario.plan.members), list(scenario.user_plan.members)]
+
+    def patched_plan(query, schema, annotations, ledger, **options):
+        plan = plan_query(query, schema, annotations, ledger, **options)
+        # after planning, two members' controllers change their minds: the
+        # fourth in plan order keeps the queried attribute private, the
+        # second drops its selection
+        attr = plan.outputs[0].attribute
+        position = {a.stream_id: i for i, a in enumerate(annotations)}
+        for k, selected in ((3, "private"), (1, None)):
+            i = position[plan.members[k]]
+            chosen = dict(annotations[i].selected)
+            if selected is None:
+                del chosen[attr]
+            else:
+                chosen[attr] = selected
+            annotations[i] = dataclasses.replace(annotations[i], selected=chosen)
+        return plan
+
+    checked.clear()
+    monkeypatch.setattr(pipeline, "plan_query", patched_plan)
+    members = scenario.plan.members
+    with pytest.raises(
+        RuntimeError,
+        match=f"controller {members[1]} refused the preset query's plan: no_option_selected",
+    ):
+        _Scenario(small_config(preset="car", windows=1))
+    # one check over all members, then one per member up to the refusal
+    assert checked == [list(members), [members[0]], [members[1]]]

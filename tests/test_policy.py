@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veilstream.policy import (
     DpRequest,
@@ -15,6 +17,7 @@ from veilstream.policy import (
     SelectItem,
     StreamAnnotation,
     TransformationPlan,
+    Verdict,
     parse_query,
     parse_schema,
     plan_query,
@@ -705,3 +708,83 @@ def test_verify_resolution_floor_on_decode_spec():
         ),
     )
     assert verify_plan(fine_decode, SCHEMA, own).reason == "max_resolution"
+
+
+# ---- one check for every member -----------------------------------------------------
+
+ALTIMETER = parse_schema(
+    {
+        "name": "altimeter",
+        "attributes": [
+            {
+                "name": "alt",
+                "aggregates": ["histogram"],
+                "bins": {"min": 0, "max": 100, "width": 5},
+                "options": [
+                    {"kind": "public", "max_resolution": 10},
+                    {"kind": "stream-aggregate", "min_window": 100},
+                    {"kind": "aggregate"},
+                    {"kind": "dp-aggregate", "epsilon": 0.1},
+                    {"kind": "private"},
+                ],
+            }
+        ],
+    }
+)
+
+# the selection with which a member breaks one rule of a DP histogram
+# plan over 5-wide bins with a window of 5, or (None) breaks nothing
+BREAKS = {
+    None: {"alt": "aggregate"},
+    "option_forbids": {"alt": "private"},
+    "no_option_selected": {},
+    "min_window": {"alt": "stream-aggregate"},
+    "max_resolution": {"alt": "public"},
+    "epsilon_budget": {"alt": "dp-aggregate"},
+}
+
+
+def altimeter_annotation(i, selected):
+    return StreamAnnotation(
+        stream_id=f"alt-{i:02d}",
+        schema_name="altimeter",
+        owner_id=owner(i),
+        selected=selected,
+        metadata={},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rules=st.lists(st.sampled_from(list(BREAKS)), min_size=2, max_size=8),
+    data=st.data(),
+)
+def test_one_check_over_all_members_equals_the_first_refusing_controller(rules, data):
+    query = Query(
+        name="alt-hist",
+        select=(SelectItem("h", "alt", "histogram"),),
+        window=5,
+        dp=DpRequest(epsilon_cost=0.4, sigma_target=5.0),
+    )
+    anns = [altimeter_annotation(i, BREAKS[None]) for i in range(len(rules))]
+    plan = plan_query(query, ALTIMETER, anns, ReservationLedger())
+    assert isinstance(plan, TransformationPlan)
+    registry = IdentityRegistry()
+    for o in plan.owners:
+        registry.register(PublicIdentity(PartyId(o), o))
+    broken = {
+        a.stream_id: altimeter_annotation(i, BREAKS[rule])
+        for i, (a, rule) in enumerate(zip(anns, rules))
+    }
+    # each member alone refuses with the rule it breaks
+    verdicts = {
+        sid: verify_plan(plan, ALTIMETER, {sid: a}, registry=registry)
+        for sid, a in broken.items()
+    }
+    for rule, sid in zip(rules, broken):
+        assert verdicts[sid].reason == rule
+    first = next((verdicts[s] for s in plan.members if not verdicts[s].ok), Verdict.accept())
+    # the members in any order: the check follows plan order
+    order = data.draw(st.permutations(list(broken)))
+    together = {sid: broken[sid] for sid in order}
+    assert verify_plan(plan, ALTIMETER, together, registry=registry) == first

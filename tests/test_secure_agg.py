@@ -32,10 +32,12 @@ from veilstream.ring import (
 from veilstream.secure_agg import (
     EcdhKeyAgreement,
     IdentityRegistry,
+    KeyPair,
     MaskedBatch,
     MembershipDelta,
     PairwiseSecrets,
     PartyId,
+    PeerTable,
     RoundCost,
     StaticKeyAgreement,
     UnknownIdentityError,
@@ -162,6 +164,101 @@ def test_pairwise_secrets_validation_and_signs():
         PairwiseSecrets(p, {p: bytes(16)})
     with pytest.raises(ValueError, match="16 bytes"):
         PairwiseSecrets(p, {q: bytes(7)})
+
+
+# ---- the partition's table of edges ----------------------------------------------
+
+
+def registered(keypairs):
+    registry = IdentityRegistry()
+    for kp in keypairs:
+        registry.register(kp.public_identity())
+    return registry
+
+
+def stacked_endpoints(keypairs, registry):
+    """The per-endpoint reference of a `PeerTable`: each party's own
+    `setup_pairwise` rows, party after party."""
+    parties = tuple(kp.party_id for kp in keypairs)
+    secrets = [setup_pairwise(kp, registry, parties) for kp in keypairs]
+    peers = tuple(p for s in secrets for p in s.peers)
+    return {
+        "parties": parties,
+        "peers": peers,
+        "keys": np.concatenate([s.keys for s in secrets]),
+        "signs": np.concatenate([s.signs for s in secrets]),
+        "peer": np.array([parties.index(p) for p in peers], dtype=np.intp),
+        "owner": np.repeat(np.arange(len(secrets)), [len(s) for s in secrets]),
+    }
+
+
+def assert_table_is(table, expected):
+    for name, want in expected.items():
+        got = getattr(table, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_peer_table_equals_the_stacked_per_endpoint_rows(n, data):
+    agreement = StaticKeyAgreement()
+    keypairs = [agreement.generate(b"table-%d" % i) for i in range(n)]
+    # the table lists the parties in stream order, not in id order
+    keypairs = [keypairs[i] for i in data.draw(st.permutations(range(n)))]
+    registry = registered(keypairs)
+    table = PeerTable(keypairs, registry)
+    assert_table_is(table, stacked_endpoints(keypairs, registry))
+    assert len(table) == n * (n - 1)
+
+
+def test_peer_table_over_ecdh_equals_the_per_endpoint_rows():
+    agreement = EcdhKeyAgreement()
+    keypairs = [agreement.generate() for _ in range(4)]
+    registry = registered(keypairs)
+    assert_table_is(PeerTable(keypairs, registry), stacked_endpoints(keypairs, registry))
+
+
+class CountingKeyPair(KeyPair):
+    def __init__(self, inner, counter):
+        self.inner = inner
+        self.party_id = inner.party_id
+        self.counter = counter
+
+    def public_identity(self):
+        return self.inner.public_identity()
+
+    def derive_shared(self, peer):
+        self.counter[0] += 1
+        return self.inner.derive_shared(peer)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_peer_table_derives_each_pair_once(n):
+    agreement = StaticKeyAgreement()
+    counter = [0]
+    keypairs = [CountingKeyPair(agreement.generate(b"c%d" % i), counter) for i in range(n)]
+    registry = registered(keypairs)
+    table = PeerTable(keypairs, registry)
+    assert counter[0] == n * (n - 1) // 2
+    counter[0] = 0
+    assert_table_is(table, stacked_endpoints(keypairs, registry))
+    # the per-endpoint build derives every pair from both ends
+    assert counter[0] == n * (n - 1)
+
+
+def test_peer_table_refuses_unknown_and_repeated_parties():
+    agreement = StaticKeyAgreement()
+    keypairs = [agreement.generate(bytes([i])) for i in range(3)]
+    registry = registered(keypairs[:2])
+    with pytest.raises(UnknownIdentityError):
+        PeerTable(keypairs, registry)
+    registry.register(keypairs[2].public_identity())
+    with pytest.raises(ValueError, match="twice"):
+        PeerTable([keypairs[0], keypairs[1], keypairs[0]], registry)
 
 
 # ---- nonce cancellation ---------------------------------------------------------

@@ -19,6 +19,7 @@ from veilstream.ring import (
     CounterPrf,
     CountingPrf,
     MasterSecret,
+    StreamCiphertext,
     apply_token,
     chain_sum,
     cross_sum,
@@ -325,6 +326,27 @@ def test_token_layout_arrays():
         TokenLayout.build(directives, ((0,), (), (9,)))
     with pytest.raises(ValueError, match="source index 0 used twice"):
         TokenLayout.build(directives, ((0,), (0,)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    directives=st.lists(
+        st.one_of(st.just(release()), st.just(withhold()), st.sampled_from("ab").map(merge)),
+        min_size=1,
+        max_size=12,
+    ).filter(lambda ds: any(d.action != "withhold" for d in ds)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_elements_takes_a_token_layout_for_its_layout(directives, seed):
+    body = np.random.default_rng(seed).integers(0, M, size=len(directives), dtype=np.uint64)
+    ct = StreamCiphertext(0, 5, body)
+    layout = TokenLayout.build(directives)
+    merged = merge_elements(ct, layout)
+    assert merged.body.tolist() == merge_elements(ct, output_layout(directives)).body.tolist()
+    assert (merged.t_prev, merged.t_curr) == (0, 5)
+    wider = StreamCiphertext(0, 5, np.append(body, np.uint64(1)))
+    with pytest.raises(ValueError, match=f"layout width {len(body)} != ciphertext width"):
+        merge_elements(wider, layout)
 
 
 def test_token_builder_input_validation():
