@@ -9,13 +9,14 @@ aggregate. A plaintext shadow computes the same transformation on the
 same inputs with the same noise draws, so every window's released vector
 can be checked for exact equality.
 
-Timing model: a discrete event scheduler drives producer emissions,
-transport latency and loss, and the server's per-window assembly at the
-window border plus a grace period. An event lost in transit makes that
-stream's window chain incomplete, so the stream drops out of the window's
-member set and rejoins later; membership changes travel as compact
-deltas. Producers that skip a window emit a neutral catch-up event on
-return so their cipher chain stays contiguous at window borders.
+Timing model: a discrete event scheduler drives producer emissions and
+the server's per-window assembly at the window border plus a grace
+period. A message's fate, lost or its arrival time, is drawn when it is
+sent. A piece lost or arriving after the deadline leaves that stream's
+window chain incomplete, so the stream drops out of the window's member
+set and rejoins later; membership changes travel as compact deltas.
+Producers that skip a window emit a neutral catch-up event on return so
+their cipher chain stays contiguous at window borders.
 
 Large populations are sharded into partitions that aggregate
 independently; their released (already plaintext) outputs are summed
@@ -58,7 +59,6 @@ from .ring import (
     StreamCiphertext,
     ZeroPrf,
     apply_token,
-    chain_sum,
     cross_sum,
     derive_keys,
     encrypt,
@@ -155,6 +155,16 @@ class SimConfig:
             raise ValueError("need at least one event per window")
         if self.partition_size < 1:
             raise ValueError("partition_size must be at least 1")
+        # a negative grace would assemble a window before its border is sent
+        for name in ("window_size", "latency_mean"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("grace", "latency_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+        for name in ("drop_rate", "dropout_rate"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.parallel:
             raise ValueError("parallel execution was removed; partitions run in order")
 
@@ -184,11 +194,12 @@ class Scheduler:
 
 
 class SimTransport:
-    """Lossy, latency-sampling message channel feeding the scheduler.
+    """Lossy, latency-sampling message channel.
 
-    Every send is either delivered (after a lognormal latency) or dropped;
-    the counters always satisfy sent == delivered + dropped once the
-    scheduler drains, which run_scenario asserts.
+    A message's fate is drawn when it is sent: one uniform draw and, if it
+    is delivered, one lognormal latency. `send` returns the arrival time,
+    or None for a lost message, and schedules nothing; the counters
+    satisfy sent == delivered + dropped, which run_scenario asserts.
     """
 
     def __init__(
@@ -210,21 +221,17 @@ class SimTransport:
         self.dropped = 0
         self.bytes_sent = 0
 
-    def send(self, size: int, deliver: Callable[[], None]) -> None:
+    def send(self, size: int) -> Optional[float]:
         self.sent += 1
         self.bytes_sent += size
         if self.rng.random() < self.drop_rate:
             self.dropped += 1
-            return
+            return None
+        self.delivered += 1
         latency = float(
             self.rng.lognormal(math.log(self.latency_mean), self.latency_sigma)
         )
-
-        def arrive():
-            self.delivered += 1
-            deliver()
-
-        self.scheduler.at(self.scheduler.now + latency, arrive)
+        return self.scheduler.now + latency
 
 
 # ---- scenario presets ------------------------------------------------------
@@ -689,7 +696,6 @@ class _Partition:
         self.index = index
         self.streams = streams  # sorted stream ids
         self.position = {sid: i for i, sid in enumerate(streams)}
-        self.party_of: dict[str, PartyId] = {}
         self.set_id: dict[str, bytes] = {}  # each stream's one-stream set id
         # every controller's pairwise secrets, the row owners in stream order
         self.table: Optional[PeerTable] = None
@@ -700,6 +706,22 @@ class _Partition:
         # rows are derived yet
         self.epoch_plan: Optional[EpochPlan] = None
         self.planned: Optional[np.ndarray] = None
+
+
+class _Window:
+    """One open window, one row per simulated stream: its ciphertext
+    window sum, its plaintext sum on the shadow's lanes, and how many of
+    its L pieces arrived strictly before the assembly deadline. The rows
+    of a stream offline in the window stay zero unless a catch-up event
+    spanning the window arrives in time."""
+
+    def __init__(self, deadline: float, streams: int, width: int, lanes: int):
+        self.deadline = deadline
+        self.sums = np.zeros((streams, width), dtype=np.uint64)
+        self.plain = np.zeros((streams, lanes), dtype=np.uint64)
+        self.arrived = np.zeros(streams, dtype=np.int64)
+        self.bytes_producer = 0
+        self.t_encrypt = 0.0
 
 
 class _Scenario:
@@ -726,8 +748,6 @@ class _Scenario:
         self.width = self.schema.width
         self.attr_specs = [(a.name, a.encoding) for a in self.schema.attributes]
         self.slices = self.schema.slices
-        self.mask = RING_MASK
-        self.mask_np = np.uint64(self.mask)
         self.prf = CountingPrf(AesPrf())
         self.additions = 0
         seq = np.random.SeedSequence(config.seed)
@@ -745,11 +765,7 @@ class _Scenario:
         self._setup_plan()
         self._setup_partitions()
         self.results: list[WindowResult] = []
-        self.acc_bytes: dict[int, int] = {}
-        self.acc_encrypt: dict[int, float] = {}
-        self.server_buffer: dict[str, list[StreamCiphertext]] = {
-            s: [] for s in self.streams
-        }
+        self.open: dict[int, _Window] = {}  # scheduled, not yet assembled
         self.prev_owner_set: frozenset = frozenset()
         self.plan_bytes = len(
             json.dumps(
@@ -889,9 +905,11 @@ class _Scenario:
         # producer key state, one row per simulated stream: the clock (the
         # timestamp of its last event, 0 before the first) and the key
         # vector at that clock, held from the last window it sent
+        self.row = {sid: i for i, sid in enumerate(self.sim_streams)}
         self.clock = np.zeros(len(self.sim_streams), dtype=np.int64)
         self.last_key = np.zeros((len(self.sim_streams), self.width), dtype=np.uint64)
         self.neutral = encode_neutral_vector(self.schema)
+        self.event_bytes = StreamCiphertext(0, 1, self.neutral).wire_size()
         # the shadows read only the lanes the plans release: each online
         # stream's window sum is kept on those lanes alone, in this order
         user_lanes = (
@@ -902,7 +920,6 @@ class _Scenario:
         column = {j: c for c, j in enumerate(lanes)}
         self.shadow_layout = [[column[j] for j in sources] for sources in self.plan.layout]
         self.user_columns = [column[j] for j in user_lanes]
-        self.window_plain: dict[tuple[str, int], np.ndarray] = {}
         n_attrs = len(self.schema.attributes)
         self.overhead_factor = (16 + 8 * self.width) / (16 + 8 * n_attrs)
 
@@ -938,7 +955,6 @@ class _Scenario:
         for start in range(0, len(members), cfg.partition_size):
             part = _Partition(len(self.partitions), members[start : start + cfg.partition_size])
             for sid in part.streams:
-                part.party_of[sid] = self.owner_party[sid]
                 part.set_id[sid] = stream_set_hash([sid])
             part.table = PeerTable([self.keypairs[sid] for sid in part.streams], self.registry)
             n = len(part.table.parties)
@@ -956,49 +972,51 @@ class _Scenario:
     # -- producer side --------------------------------------------------------
 
     def _schedule_window(self, w: int):
-        """Encode and encrypt the window's events of every online stream and
-        schedule their sends: each event at its jittered time, then the
-        border event and a heartbeat at the window's end. A stream back
-        after offline windows first sends, at once, one neutral catch-up
-        event ending exactly on this window's start, so its chain stays
-        contiguous and earlier windows never mix into this one."""
+        """Open window w's record with every online stream's plaintext and
+        ciphertext window sums, and schedule the sends: each event at its
+        jittered time, then the border event and a heartbeat at the
+        window's end. A stream back after offline windows first sends, at
+        once, one neutral catch-up event ending exactly on this window's
+        start, so its chain stays contiguous and earlier windows never mix
+        into this one; if it spans exactly the previous window and arrives
+        before that window's deadline, it completes that window's chain."""
         cfg = self.config
         E = cfg.events_per_window
         L = cfg.logical_window
         T = cfg.window_size
-        online = self.rng.random(len(self.sim_streams)) >= cfg.dropout_rate
-        draws = {
-            name: gen(self.rng, (len(self.sim_streams), E))
-            for name, gen in self.generators.items()
-        }
-        jitter = self.rng.random((len(self.sim_streams), E))
+        n = len(self.sim_streams)
+        online = self.rng.random(n) >= cfg.dropout_rate
+        draws = {name: gen(self.rng, (n, E)) for name, gen in self.generators.items()}
+        jitter = self.rng.random((n, E))
         indices = np.flatnonzero(online)
-        block = self._encode_window(w, indices, draws)
+        rec = self.open[w] = _Window((w + 1) * T + cfg.grace, n, self.width, len(self.shadow_lanes))
+        block = self._encode_window(indices, draws)
+        rec.plain[indices] = block[:, :E, self.shadow_lanes].sum(axis=1)
         t0 = time.perf_counter()
         catch_up = {}
         step = max(1, BATCH_BLOCKS // (L * self.width))
         for lo in range(0, len(indices), step):
             chunk = indices[lo : lo + step]
             catch_up.update(self._encrypt_chunk(w, chunk, block[lo : lo + step]))
-        self.acc_encrypt[w] = self.acc_encrypt.get(w, 0.0) + (time.perf_counter() - t0)
-        for row, si in enumerate(indices):
-            sid = self.sim_streams[si]
-            if si in catch_up:
-                self._send(sid, w, catch_up[si])
-            cts = [
-                StreamCiphertext(w * L + ei, w * L + ei + 1, block[row, ei]) for ei in range(L)
-            ]
-            for ei, ct in enumerate(cts[:E]):
+        rec.t_encrypt = time.perf_counter() - t0
+        rec.sums[indices] = block.sum(axis=1)
+        prev = self.open.get(w - 1)  # open until at least this window's start, as grace >= 0
+        for si, ct in catch_up.items():
+            arrival = self._send(rec, ct.wire_size())
+            if ct.t_prev == (w - 1) * L and arrival is not None and arrival < prev.deadline:
+                prev.sums[si] = ct.body
+                prev.arrived[si] = L
+        for si in indices:
+            for ei in range(E):
                 at = w * T + (ei + 0.1 + 0.8 * jitter[si, ei]) * T / (L + 1)
-                self.scheduler.at(at, lambda s=sid, c=ct: self._send(s, w, c))
-            self.scheduler.at((w + 1) * T, lambda s=sid, c=cts[E]: self._send_border(s, w, c))
-        self.scheduler.at((w + 1) * T + cfg.grace, lambda w=w: self._assemble(w))
+                self.scheduler.at(at, lambda si=si: self._send_piece(rec, si))
+            self.scheduler.at((w + 1) * T, lambda si=si: self._send_border(rec, si))
+        self.scheduler.at(rec.deadline, lambda: self._assemble(w))
 
-    def _encode_window(self, w: int, indices: np.ndarray, draws: dict) -> np.ndarray:
-        """Window w's plaintext events of the streams `indices` (rows of
+    def _encode_window(self, indices: np.ndarray, draws: dict) -> np.ndarray:
+        """The window's plaintext events of the streams `indices` (rows of
         `sim_streams`) as one streams x (events + border) x width block,
-        with one `encode_batch` per attribute; the border event is neutral.
-        Records each stream's window sum on the shadow's lanes."""
+        with one `encode_batch` per attribute; the border event is neutral."""
         E = self.config.events_per_window
         block = np.empty((len(indices), E + 1, self.width), dtype=np.uint64)
         for name, spec in self.attr_specs:
@@ -1008,11 +1026,6 @@ class _Scenario:
             lo, hi = self.slices[name]
             encode_batch(values, spec, out=block[:, :E, lo:hi])
         block[:, E] = self.neutral
-        plain = block[:, 0, self.shadow_lanes]
-        for e in range(1, E):
-            plain += block[:, e, self.shadow_lanes]
-        for row, si in enumerate(indices):
-            self.window_plain[(self.sim_streams[si], w)] = plain[row]
         return block
 
     def _encrypt_chunk(self, w: int, chunk: np.ndarray, block: np.ndarray) -> dict:
@@ -1045,38 +1058,32 @@ class _Scenario:
         self.clock[chunk] = (w + 1) * L
         return catch_up
 
-    def _send(self, sid: str, w: int, ct: StreamCiphertext):
-        self.acc_bytes[w] = self.acc_bytes.get(w, 0) + ct.wire_size()
-        self.transport.send(
-            ct.wire_size(), lambda s=sid, c=ct: self.server_buffer[s].append(c)
-        )
+    def _send(self, rec: _Window, size: int) -> Optional[float]:
+        """Send `size` bytes billed to the window `rec`; returns the arrival
+        time, or None if the message is lost."""
+        rec.bytes_producer += size
+        return self.transport.send(size)
 
-    def _send_border(self, sid: str, w: int, ct: StreamCiphertext):
-        self._send(sid, w, ct)
+    def _send_piece(self, rec: _Window, si: int):
+        """Send one of stream `si`'s pieces of the window `rec`, counted if it
+        arrives strictly before the deadline (assembly wins a tie)."""
+        arrival = self._send(rec, self.event_bytes)
+        if arrival is not None and arrival < rec.deadline:
+            rec.arrived[si] += 1
+
+    def _send_border(self, rec: _Window, si: int):
+        self._send_piece(rec, si)
         # heartbeat: tiny liveness beacon alongside the border event
-        self.acc_bytes[w] = self.acc_bytes.get(w, 0) + 16
-        self.transport.send(16, lambda: None)
+        self._send(rec, 16)
 
     # -- server + controllers --------------------------------------------------
 
     def _assemble(self, w: int):
-        cfg = self.config
-        L = cfg.logical_window
-        lo, hi = w * L, (w + 1) * L
-        members: list[str] = []
-        window_cts: dict[str, StreamCiphertext] = {}
-        for sid in self.sim_streams:
-            pieces = sorted(
-                (ct for ct in self.server_buffer[sid] if ct.t_prev >= lo and ct.t_curr <= hi),
-                key=lambda c: c.t_prev,
-            )
-            self.server_buffer[sid] = [ct for ct in self.server_buffer[sid] if ct.t_curr > hi]
-            if not pieces or pieces[0].t_prev != lo or pieces[-1].t_curr != hi:
-                continue
-            if any(a.t_curr != b.t_prev for a, b in zip(pieces, pieces[1:])):
-                continue
-            window_cts[sid] = chain_sum(pieces)
-            members.append(sid)
+        """Close window w: a stream is a member exactly when all L of its
+        pieces arrived before the deadline."""
+        rec = self.open.pop(w)
+        complete = np.flatnonzero(rec.arrived == self.config.logical_window)
+        members = [self.sim_streams[si] for si in complete]
 
         plan_members = [s for s in members if s in self.plan_member_set]
         owner_set = frozenset(self.owner_party[s] for s in plan_members)
@@ -1096,10 +1103,10 @@ class _Scenario:
             members=len(plan_members),
             prf_calls=0,
             additions=0,
-            bytes_producer=self.acc_bytes.pop(w, 0),
+            bytes_producer=rec.bytes_producer,
             bytes_controller=0,
             bytes_server=bytes_server,
-            t_encrypt=self.acc_encrypt.pop(w, 0.0),
+            t_encrypt=rec.t_encrypt,
             t_token=0.0,
             t_unmask=0.0,
             overhead_factor=self.overhead_factor,
@@ -1108,17 +1115,14 @@ class _Scenario:
         if len(plan_members) < self.plan.min_members:
             result.status = "failed_min_members"
         else:
-            self._release_window(w, plan_members, window_cts, result)
+            self._release_window(w, plan_members, rec, result)
 
         if self.user_plan is not None:
-            self._release_user_window(w, members, window_cts, result)
+            self._release_user_window(w, rec, result)
 
         result.prf_calls = self.prf.calls - prf0
         result.additions = self.additions - add0
         self.results.append(result)
-        # both shadows have run: the window's plaintext is no longer needed
-        for sid in self.sim_streams:
-            self.window_plain.pop((sid, w), None)
 
     def _controller_tokens(self, w: int, part: _Partition, active: list[str]):
         """Build, noise and mask one partition's tokens for window w as one
@@ -1150,7 +1154,7 @@ class _Scenario:
             layout=self.plan.token_layout,
             prf=self.prf,
         )
-        parties = tuple(part.party_of[sid] for sid in active)
+        parties = tuple(self.owner_party[sid] for sid in active)
         if self.plan.dp_epsilon is not None:
             shares = noise_shares(
                 self.plan.noise,
@@ -1231,7 +1235,7 @@ class _Scenario:
         self,
         w: int,
         plan_members: list[str],
-        window_cts: dict[str, StreamCiphertext],
+        rec: _Window,
         result: WindowResult,
     ):
         eps = self.plan.dp_epsilon
@@ -1257,11 +1261,13 @@ class _Scenario:
             result.bytes_controller += bytes_out
             self.additions += additions
 
+        window = (w * self.config.logical_window, (w + 1) * self.config.logical_window)
+        cts = {s: StreamCiphertext(*window, rec.sums[self.row[s]]) for s in plan_members}
         t0 = time.perf_counter()
         opened = []
         for (_part, active), (masked, _, _) in zip(parts, part_tokens):
             combined = unmask_aggregate(masked, stream_ids=active)
-            agg = cross_sum([window_cts[s] for s in active])
+            agg = cross_sum([cts[s] for s in active])
             merged = merge_elements(agg, self.plan.token_layout)
             opened.append(
                 apply_token(merged, combined, stream_set_id=stream_set_hash(active))
@@ -1282,21 +1288,18 @@ class _Scenario:
             # a wrapped count, bin or sum of squares decodes to a wrong value
             result.status = "decode_warning"
             result.extras["decode_warnings"] = warnings
-        result.shadow_ok = released_total == self._shadow(w, plan_members)
+        result.shadow_ok = released_total == self._shadow(w, plan_members, rec.plain)
 
-    def _shadow(self, w: int, plan_members: list[str]) -> list[int]:
-        """Plaintext recomputation of the released vector, noise included."""
-        zeros = np.zeros(len(self.shadow_lanes), dtype=np.uint64)
-        total = zeros
-        for sid in plan_members:
-            # a member that spent the window offline contributed one neutral
-            # catch-up event, i.e. exactly zeros
-            total = (total + self.window_plain.get((sid, w), zeros)) & self.mask_np
+    def _shadow(self, w: int, plan_members: list[str], plain: np.ndarray) -> list[int]:
+        """Plaintext recomputation of the released vector, noise included.
+        A member that spent the window offline contributed one neutral
+        catch-up event, i.e. its zero row of `plain`."""
+        total = plain[[self.row[sid] for sid in plan_members]].sum(axis=0)
         out = []
         for sources in self.shadow_layout:
             acc = 0
             for j in sources:
-                acc = (acc + int(total[j])) & self.mask
+                acc = (acc + int(total[j])) & RING_MASK
             out.append(acc)
         if self.plan.dp_epsilon is not None:
             sigma = self.plan.noise.per_party_sigma
@@ -1304,22 +1307,16 @@ class _Scenario:
                 rng = self._noise_rng(w, self.owner_party[sid])
                 samples = rng.normal(0.0, sigma, size=len(out))
                 for i, eta in enumerate(samples):
-                    out[i] = (out[i] + round(float(eta))) & self.mask
+                    out[i] = (out[i] + round(float(eta))) & RING_MASK
         return out
 
-    def _release_user_window(
-        self,
-        w: int,
-        members: list[str],
-        window_cts: dict[str, StreamCiphertext],
-        result: WindowResult,
-    ):
-        cfg = self.config
+    def _release_user_window(self, w: int, rec: _Window, result: WindowResult):
+        L = self.config.logical_window
         sid = self.user_stream
-        if sid not in members:
+        row = self.row[sid]
+        if rec.arrived[row] != L:
             result.extras["per_user"] = {"status": "no_data"}
             return
-        L = cfg.logical_window
         window = (w * L, (w + 1) * L)
         plan = self.user_plan
         self._claim_token(plan.plan_id, None, window)
@@ -1331,12 +1328,11 @@ class _Scenario:
             prf=self.prf,
         )
         result.bytes_controller += token.wire_size()
-        merged = merge_elements(window_cts[sid], plan.token_layout)
+        merged = merge_elements(StreamCiphertext(*window, rec.sums[row]), plan.token_layout)
         opened = apply_token(merged, token, stream_set_id=stream_set_hash([sid]))
         spec = plan.outputs[0]
         stats = decode_stats(opened[spec.out_start : spec.out_stop], spec.decode)
-        plain = self.window_plain.get((sid, w), np.zeros(len(self.shadow_lanes), dtype=np.uint64))
-        shadow = plain[self.user_columns].tolist()
+        shadow = rec.plain[row, self.user_columns].tolist()
         result.extras["per_user"] = {
             "status": "ok",
             "stream": sid,

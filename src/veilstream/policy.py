@@ -136,10 +136,13 @@ class StreamSchema:
     attributes: tuple[AttributeSchema, ...]
 
     def attribute(self, name: str) -> AttributeSchema:
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise KeyError(f"schema {self.name!r} has no attribute {name!r}")
+        if name not in self._by_name:
+            raise KeyError(f"schema {self.name!r} has no attribute {name!r}")
+        return self._by_name[name]
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, AttributeSchema]:
+        return {a.name: a for a in reversed(self.attributes)}  # the first of a name wins
 
     @property
     def width(self) -> int:

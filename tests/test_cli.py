@@ -257,6 +257,12 @@ def test_run_rejects_invalid_config_values(capsys, tmp_path):
     )
     assert code == 1
     assert "producer" in err
+    code, _, err = run_cli(
+        capsys, "run", "--scenario", "fitness", "--grace", "-1",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert "grace" in err
 
 
 def test_missing_config_file_is_usage_error(capsys, tmp_path):

@@ -119,6 +119,20 @@ def test_sim_config_validation():
         SimConfig(events_per_window=0)
     with pytest.raises(ValueError, match="partition_size"):
         SimConfig(partition_size=0)
+    with pytest.raises(ValueError, match="^grace must be at least 0, got -1"):
+        SimConfig(grace=-1.0)
+    with pytest.raises(ValueError, match="^window_size must be positive, got 0"):
+        SimConfig(window_size=0.0)
+    with pytest.raises(ValueError, match="^latency_mean must be positive, got 0"):
+        SimConfig(latency_mean=0.0)
+    with pytest.raises(ValueError, match="^latency_sigma must be at least 0, got -0.1"):
+        SimConfig(latency_sigma=-0.1)
+    with pytest.raises(ValueError, match=r"^drop_rate must be in \[0, 1\], got 1.5"):
+        SimConfig(drop_rate=1.5)
+    with pytest.raises(ValueError, match=r"^dropout_rate must be in \[0, 1\], got -0.01"):
+        SimConfig(dropout_rate=-0.01)
+    # the boundaries themselves are accepted
+    SimConfig(grace=0.0, latency_sigma=0.0, drop_rate=1.0, dropout_rate=0.0)
     assert SimConfig(events_per_window=4).logical_window == 5
 
 
@@ -152,10 +166,12 @@ def test_transport_conserves_messages():
         latency_sigma=0.4,
         drop_rate=0.5,
     )
-    landed = []
-    for i in range(200):
-        transport.send(10, lambda i=i: landed.append(i))
-    sched.run()
+    sched.now = 4.0
+    arrivals = [transport.send(10) for _ in range(200)]
+    landed = [t for t in arrivals if t is not None]
+    # a message's fate is drawn at send time; nothing is scheduled
+    assert all(t >= sched.now for t in landed)
+    assert sched._queue == []
     assert transport.sent == 200
     assert transport.sent == transport.delivered + transport.dropped
     assert transport.delivered == len(landed)
@@ -326,6 +342,49 @@ def test_dream_run_with_dp_noise_is_pinned():
     assert _pinned_totals(result) == (905160, 38128, 6639792, 30272, 2839)
 
 
+@pytest.mark.parametrize(
+    "config, statuses, released, transport, bytes_producer",
+    [
+        # one piece arrives late and 11 catch-up events count for the
+        # window they span
+        (
+            SimConfig(
+                preset="car", protocol="clique", producers=60, partition_size=60, windows=5,
+                seed=3, dropout_rate=0.05, latency_sigma=1.0, grace=2.0,
+            ),
+            [(58, "ok"), (58, "ok"), (58, "ok"), (57, "ok"), (56, "ok")],
+            "6816347dce374ef066c0e20935104b9399ac2fc0cc7d71340f6b5b2de35f4d91",
+            {"sent": 1673, "delivered": 1673, "dropped": 0, "bytes": 1914160},
+            [390792, 392160, 357880, 385288, 388040],
+        ),
+        # 34 window pieces arrive late, 3 are lost and 25 catch-up events count
+        (
+            SimConfig(
+                preset="fitness", protocol="zeph", producers=100, partition_size=50, windows=6,
+                seed=4, dropout_rate=0.05, latency_sigma=1.2, grace=1.0, colluding_fraction=0.2,
+            ),
+            [
+                (95, "ok"), (91, "ok"), (87, "failed_min_members"),
+                (92, "ok"), (85, "failed_min_members"), (86, "failed_min_members"),
+            ],
+            "e9ae315e9c72e8528662adc1fa79a625e590631adb7d506986c664a70cf31b2f",
+            {"sent": 3318, "delivered": 3315, "dropped": 3, "bytes": 15188368},
+            [2494856, 2505800, 2648360, 2505816, 2533216, 2500320],
+        ),
+    ],
+    ids=["car-clique-catch-ups", "fitness-zeph-late-pieces"],
+)
+def test_late_pieces_and_catch_ups_decide_membership(
+    config, statuses, released, transport, bytes_producer
+):
+    result = run_scenario(config)
+    assert [(w.members, w.status) for w in result.windows] == statuses
+    assert all(w.shadow_ok for w in result.windows if w.status == "ok")
+    assert _pinned_digest([w.released for w in result.windows]) == released
+    assert result.summary["transport"] == transport
+    assert [w.bytes_producer for w in result.windows] == bytes_producer
+
+
 def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
     from veilstream import pipeline, policy, tokens
 
@@ -373,8 +432,11 @@ def test_a_window_token_is_minted_once():
     for part in scenario.partitions:
         with pytest.raises(RuntimeError, match="already minted"):
             scenario._controller_tokens(0, part, list(part.streams))
+    # a record in which the per-user stream's chain is complete
+    record = pipeline._Window(0.0, len(scenario.sim_streams), scenario.width, 1)
+    record.arrived[:] = scenario.config.logical_window
     with pytest.raises(RuntimeError, match="already minted"):
-        scenario._release_user_window(0, [scenario.user_stream], {}, window)
+        scenario._release_user_window(0, record, window)
     # refused before any key material is derived
     assert scenario.prf.calls == calls
     assert len(scenario.minted) == len(scenario.partitions) + 1

@@ -244,7 +244,7 @@ def test_scenario_frees_each_windows_plaintext_after_assembly():
     )
     result = scenario.run()
     assert all(w.shadow_ok for w in result.windows)
-    assert scenario.window_plain == {}
+    assert scenario.open == {}
 
 
 # ---- window sums ---------------------------------------------------------------------
