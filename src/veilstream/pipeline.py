@@ -35,7 +35,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,6 +85,7 @@ from .secure_agg import (
 from .tokens import (
     PrivacyBudget,
     Suppressed,
+    noise_generators,
     noise_shares,
     release,
     single_stream_token,
@@ -155,13 +156,13 @@ class SimConfig:
             raise ValueError("need at least one event per window")
         if self.partition_size < 1:
             raise ValueError("partition_size must be at least 1")
-        # a negative grace would assemble a window before its border is sent
-        for name in ("window_size", "latency_mean"):
+        # the border piece is sent at the window's border and every latency
+        # is positive, so without a positive grace no window could complete
+        for name in ("window_size", "latency_mean", "grace"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("grace", "latency_sigma"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+        if not self.latency_sigma >= 0:
+            raise ValueError(f"latency_sigma must be at least 0, got {self.latency_sigma}")
         for name in ("drop_rate", "dropout_rate"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
@@ -1000,7 +1001,7 @@ class _Scenario:
             catch_up.update(self._encrypt_chunk(w, chunk, block[lo : lo + step]))
         rec.t_encrypt = time.perf_counter() - t0
         rec.sums[indices] = block.sum(axis=1)
-        prev = self.open.get(w - 1)  # open until at least this window's start, as grace >= 0
+        prev = self.open.get(w - 1)  # open until at least this window's start, as grace > 0
         for si, ct in catch_up.items():
             arrival = self._send(rec, ct.wire_size())
             if ct.t_prev == (w - 1) * L and arrival is not None and arrival < prev.deadline:
@@ -1160,7 +1161,7 @@ class _Scenario:
                 self.plan.noise,
                 [self.budgets[sid] for sid in active],
                 self.plan.dp_epsilon,
-                [self._noise_rng(w, party) for party in parties],
+                self._noise_rngs(w, parties),
                 values.shape[1],
             )
             if isinstance(shares, Suppressed):
@@ -1222,14 +1223,17 @@ class _Scenario:
             part.planned |= fresh
         return plan
 
-    def _noise_rng(self, w: int, party: PartyId) -> np.random.Generator:
-        digest = hashlib.sha256(
+    def _noise_rngs(self, w: int, parties: Sequence[PartyId]) -> list[np.random.Generator]:
+        """Each party's DP-noise generator for window w, seeded in one
+        `noise_generators` pass from the first 8 bytes of a SHA-256 over
+        (run seed, window, party)."""
+        prefix = (
             b"dp-noise\x00"
             + int(self.config.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
             + w.to_bytes(8, "little")
-            + party.value
-        ).digest()
-        return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        )
+        entropy = b"".join(hashlib.sha256(prefix + p.value).digest()[:8] for p in parties)
+        return noise_generators(np.frombuffer(entropy, dtype="<u8"))
 
     def _release_window(
         self,
@@ -1303,8 +1307,7 @@ class _Scenario:
             out.append(acc)
         if self.plan.dp_epsilon is not None:
             sigma = self.plan.noise.per_party_sigma
-            for sid in plan_members:
-                rng = self._noise_rng(w, self.owner_party[sid])
+            for rng in self._noise_rngs(w, [self.owner_party[sid] for sid in plan_members]):
                 samples = rng.normal(0.0, sigma, size=len(out))
                 for i, eta in enumerate(samples):
                     out[i] = (out[i] + round(float(eta))) & RING_MASK

@@ -119,8 +119,10 @@ def test_sim_config_validation():
         SimConfig(events_per_window=0)
     with pytest.raises(ValueError, match="partition_size"):
         SimConfig(partition_size=0)
-    with pytest.raises(ValueError, match="^grace must be at least 0, got -1"):
+    with pytest.raises(ValueError, match="^grace must be positive, got -1"):
         SimConfig(grace=-1.0)
+    with pytest.raises(ValueError, match="^grace must be positive, got 0"):
+        SimConfig(grace=0.0)
     with pytest.raises(ValueError, match="^window_size must be positive, got 0"):
         SimConfig(window_size=0.0)
     with pytest.raises(ValueError, match="^latency_mean must be positive, got 0"):
@@ -132,7 +134,7 @@ def test_sim_config_validation():
     with pytest.raises(ValueError, match=r"^dropout_rate must be in \[0, 1\], got -0.01"):
         SimConfig(dropout_rate=-0.01)
     # the boundaries themselves are accepted
-    SimConfig(grace=0.0, latency_sigma=0.0, drop_rate=1.0, dropout_rate=0.0)
+    SimConfig(grace=0.01, latency_sigma=0.0, drop_rate=1.0, dropout_rate=0.0)
     assert SimConfig(events_per_window=4).logical_window == 5
 
 

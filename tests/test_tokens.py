@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veilstream.ring import (
@@ -39,6 +39,7 @@ from veilstream.tokens import (
     deserialize_token,
     merge,
     multi_stream_partial,
+    noise_generators,
     output_layout,
     perturb,
     release,
@@ -521,6 +522,27 @@ def test_dp_noise_std_tracks_per_party_sigma():
         deltas.append(d - M if d > M // 2 else d)
     observed = np.std(deltas)
     assert observed == pytest.approx(40.0, rel=0.08)
+
+
+ENTROPY_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    entropies=st.lists(
+        st.one_of(st.sampled_from(ENTROPY_EDGES), st.integers(0, 2**64 - 1)), max_size=40
+    ),
+    width=st.integers(1, 20),
+)
+@example(entropies=[], width=1)
+@example(entropies=ENTROPY_EDGES + ENTROPY_EDGES[::-1], width=16)
+def test_noise_generators_equal_default_rng(entropies, width):
+    gens = noise_generators(np.array(entropies, dtype=np.uint64))
+    assert len(gens) == len(entropies)
+    for x, gen in zip(entropies, gens):
+        ref = np.random.default_rng(x)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(gen.normal(size=width), ref.normal(size=width))
 
 
 # ---- wire format --------------------------------------------------------------------
