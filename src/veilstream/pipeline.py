@@ -51,7 +51,6 @@ from .policy import (
     verify_plan,
 )
 from .ring import (
-    BATCH_BLOCKS,
     RING_MASK,
     AesPrf,
     CountingPrf,
@@ -59,7 +58,6 @@ from .ring import (
     StreamCiphertext,
     ZeroPrf,
     apply_token,
-    cross_sum,
     derive_keys,
     encrypt,
     encrypt_block,
@@ -689,6 +687,12 @@ def measure_bandwidth(width: int, released: int = 1) -> dict:
 
 # ---- the scenario ----------------------------------------------------------
 
+# Bytes of plaintext block a window's producer work holds at once: the
+# streams are encoded, encrypted and summed one slab of about this size at
+# a time (at least one stream), and each slab's encryption walks its PRF
+# calls of `ring.BATCH_BLOCKS` blocks.
+SLAB_BYTES = 2 << 20
+
 
 class _Partition:
     """One independently aggregating shard of the population."""
@@ -974,9 +978,10 @@ class _Scenario:
 
     def _schedule_window(self, w: int):
         """Open window w's record with every online stream's plaintext and
-        ciphertext window sums, and schedule the sends: each event at its
-        jittered time, then the border event and a heartbeat at the
-        window's end. A stream back after offline windows first sends, at
+        ciphertext window sums, encoding, encrypting and summing one slab
+        of streams (`SLAB_BYTES`) at a time, and schedule the sends: each
+        event at its jittered time, then the border event and a heartbeat
+        at the window's end. A stream back after offline windows first sends, at
         once, one neutral catch-up event ending exactly on this window's
         start, so its chain stays contiguous and earlier windows never mix
         into this one; if it spans exactly the previous window and arrives
@@ -991,16 +996,16 @@ class _Scenario:
         jitter = self.rng.random((n, E))
         indices = np.flatnonzero(online)
         rec = self.open[w] = _Window((w + 1) * T + cfg.grace, n, self.width, len(self.shadow_lanes))
-        block = self._encode_window(indices, draws)
-        rec.plain[indices] = block[:, :E, self.shadow_lanes].sum(axis=1)
-        t0 = time.perf_counter()
         catch_up = {}
-        step = max(1, BATCH_BLOCKS // (L * self.width))
+        step = max(1, SLAB_BYTES // (L * self.width * 8))
         for lo in range(0, len(indices), step):
-            chunk = indices[lo : lo + step]
-            catch_up.update(self._encrypt_chunk(w, chunk, block[lo : lo + step]))
-        rec.t_encrypt = time.perf_counter() - t0
-        rec.sums[indices] = block.sum(axis=1)
+            slab = indices[lo : lo + step]
+            block = self._encode_window(slab, draws)
+            rec.plain[slab] = block[:, :E, self.shadow_lanes].sum(axis=1)
+            t0 = time.perf_counter()
+            catch_up.update(self._encrypt_chunk(w, slab, block))
+            rec.t_encrypt += time.perf_counter() - t0
+            rec.sums[slab] = block.sum(axis=1)
         prev = self.open.get(w - 1)  # open until at least this window's start, as grace > 0
         for si, ct in catch_up.items():
             arrival = self._send(rec, ct.wire_size())
@@ -1266,13 +1271,13 @@ class _Scenario:
             self.additions += additions
 
         window = (w * self.config.logical_window, (w + 1) * self.config.logical_window)
-        cts = {s: StreamCiphertext(*window, rec.sums[self.row[s]]) for s in plan_members}
         t0 = time.perf_counter()
         opened = []
         for (_part, active), (masked, _, _) in zip(parts, part_tokens):
             combined = unmask_aggregate(masked, stream_ids=active)
-            agg = cross_sum([cts[s] for s in active])
-            merged = merge_elements(agg, self.plan.token_layout)
+            # the partition's window sums share the window's range: one row sum
+            body = rec.sums[[self.row[s] for s in active]].sum(axis=0)
+            merged = merge_elements(StreamCiphertext(*window, body), self.plan.token_layout)
             opened.append(
                 apply_token(merged, combined, stream_set_id=stream_set_hash(active))
             )

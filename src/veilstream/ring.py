@@ -87,21 +87,31 @@ def prf_input(domain: int, small: int, wide: int) -> bytes:
 class Prf:
     """Keyed PRF with 16-byte input blocks and 128-bit outputs.
 
-    `evaluate_batch` is its one entry point: it takes a concatenation of
-    input blocks and returns the outputs concatenated, each 16 bytes,
-    big-endian when read as an integer. `key` is either one 16-byte key
-    for every block or one 16-byte key per block (`len(key) ==
-    len(messages)`), so one call can cover many pairwise keys; any other
-    key length raises `ValueError`.
+    `evaluate_batch(key, messages)` is its one entry point. `messages` is
+    a concatenation of input blocks, a 1-d byte buffer (bytes, a
+    memoryview or a `uint8` array). `key` holds k 16-byte keys (bytes, or
+    a contiguous k x 16 `uint8` array), and key i covers the i-th run of
+    blocks / k blocks, so one call can cover many pairwise keys; a key
+    length that is not a multiple of 16 or whose count does not divide the
+    blocks raises `ValueError`. It returns a blocks x 2 `>u8` array: the
+    high and low 64 bits of each output, read big-endian, so `.tobytes()`
+    is the outputs concatenated. The array may be a view of a buffer the
+    PRF reuses: a caller consumes it, and may overwrite it, before its
+    next call.
     """
 
-    def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
+    def evaluate_batch(self, key, messages) -> np.ndarray:
         raise NotImplementedError
 
 
-def _check_key(key: bytes, messages: bytes) -> None:
-    if len(messages) % 16 or len(key) not in (16, len(messages)):
-        raise ValueError(f"PRF key of {len(key)} bytes for {len(messages)} input bytes")
+def _check_key(key, messages) -> tuple[int, int]:
+    """The number of keys and of blocks of a call, after checking that
+    both are whole and that the keys divide the blocks."""
+    key_bytes, size = memoryview(key).nbytes, memoryview(messages).nbytes
+    k, blocks = key_bytes // 16, size // 16
+    if key_bytes % 16 or size % 16 or (blocks and (k == 0 or blocks % k)):
+        raise ValueError(f"PRF key of {key_bytes} bytes for {size} input bytes")
+    return k, blocks
 
 
 # The public key of the fixed permutation pi: the first 128 bits of the
@@ -113,26 +123,50 @@ class AesPrf(Prf):
     """Fixed-key AES-128 PRF, F_k(x) = pi(k ^ x) ^ k ^ x with pi AES-128
     under the public `FIXED_AES_KEY`: one cipher context serves every key
     (Guo, Katz, Wang and Yu, S&P 2020). Secure in the random-permutation
-    model while (blocks evaluated) x (offline pi queries) << 2**128."""
+    model while (blocks evaluated) x (offline pi queries) << 2**128.
+
+    A call allocates nothing once the held buffers fit it: the whitened
+    input k ^ x is written into one, `update_into` writes pi of it into the
+    other, and that is XORed with the input in place and returned. The
+    buffers grow to the largest call seen. Like its cipher context, an
+    instance is not for concurrent use."""
 
     def __init__(self):
         self._pi = Cipher(algorithms.AES(FIXED_AES_KEY), modes.ECB()).encryptor()
+        self._grow(0)
 
-    def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
-        _check_key(key, messages)
-        if len(key) == 16:
-            key = key * (len(messages) // 16)
-        x = np.frombuffer(messages, np.uint64) ^ np.frombuffer(key, np.uint64)
-        x ^= np.frombuffer(self._pi.update(memoryview(x).cast("B")), np.uint64)
-        return x.tobytes()
+    def _grow(self, words: int) -> None:
+        self._x = np.empty(words, np.uint64)
+        # update_into wants room for one more block than it writes
+        self._out = np.empty(words + 2, np.uint64)
+        self._out_be = self._out.view(">u8")
+
+    def evaluate_batch(self, key, messages) -> np.ndarray:
+        k, blocks = _check_key(key, messages)
+        n = 2 * blocks
+        if len(self._x) < n:
+            self._grow(n)
+        x = self._x[:n]
+        words, keys = np.frombuffer(messages, np.uint64), np.frombuffer(key, np.uint64)
+        if k == blocks:  # a key a block: one XOR over every word
+            np.bitwise_xor(words, keys, out=x)
+        else:  # one strided XOR per 64-bit column, each key over its run
+            runs = x.reshape(k, blocks // k, 2)
+            words, keys = words.reshape(runs.shape), keys.reshape(k, 1, 2)
+            for c in (0, 1):
+                np.bitwise_xor(words[..., c], keys[..., c], out=runs[..., c])
+        self._pi.update_into(x.view(np.uint8), self._out.view(np.uint8))
+        out = self._out[:n]
+        np.bitwise_xor(out, x, out=out)
+        return self._out_be[:n].reshape(-1, 2)
 
 
 class ZeroPrf(Prf):
     """Stub returning zero. Keystreams vanish; useful to expose plumbing."""
 
-    def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
-        _check_key(key, messages)
-        return bytes(len(messages))
+    def evaluate_batch(self, key, messages) -> np.ndarray:
+        _, blocks = _check_key(key, messages)
+        return np.zeros((blocks, 2), dtype=">u8")
 
 
 class CounterPrf(Prf):
@@ -141,12 +175,18 @@ class CounterPrf(Prf):
     this makes the key for element j at timestamp t equal to 1000*t + j,
     so small test vectors can be checked by hand."""
 
-    def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
+    def evaluate_batch(self, key, messages) -> np.ndarray:
         _check_key(key, messages)
-        return b"".join(
-            (1000 * wide + (first & ((1 << 56) - 1))).to_bytes(16, "big")
-            for first, wide in struct.iter_unpack(">QQ", messages)
-        )
+        first, wide = np.frombuffer(messages, ">u8").reshape(-1, 2).astype(np.uint64).T
+        # 1000 * wide as 1000 * (wide >> 32) << 32 plus 1000 * its low half,
+        # both below 2**42, and small below 2**56: one carry at most
+        top = np.uint64(1000) * (wide >> np.uint64(32))
+        rest = np.uint64(1000) * (wide & np.uint64(0xFFFFFFFF)) + (first & np.uint64((1 << 56) - 1))
+        low = (top << np.uint64(32)) + rest
+        out = np.empty((len(low), 2), dtype=">u8")
+        out[:, 0] = (top >> np.uint64(32)) + (low < rest)
+        out[:, 1] = low
+        return out
 
 
 class CountingPrf(Prf):
@@ -156,7 +196,7 @@ class CountingPrf(Prf):
         self.inner = inner
         self.calls = 0
 
-    def evaluate_batch(self, key: bytes, messages: bytes) -> bytes:
+    def evaluate_batch(self, key, messages) -> np.ndarray:
         self.calls += len(messages) // 16
         return self.inner.evaluate_batch(key, messages)
 
@@ -199,18 +239,13 @@ def _key_inputs(times: Sequence[int], width: int, elements) -> tuple[bytes, int]
         if index.size and (index.min() < 0 or index.max() >= width):
             raise ValueError(f"key elements outside width {width}")
         index = index.astype(np.uint64)
-    words = np.empty((len(times), len(index), 2), dtype=">u8")
-    words[:, :, 0] = (DOMAIN_KEYSTREAM << 56) + index
-    for i, t in enumerate(times):
+    for t in (min(times), max(times)) if len(times) else ():
         if t < 0 or t >> 64:
             raise ValueError(f"timestamp out of range: {t}")
-        words[i, :, 1] = t
+    words = np.empty((len(times), len(index), 2), dtype=">u8")
+    words[:, :, 0] = (DOMAIN_KEYSTREAM << 56) + index
+    words[:, :, 1] = np.asarray(times, dtype=np.uint64)[:, None]
     return words.tobytes(), len(index)
-
-
-def _low_words(raw: bytes) -> np.ndarray:
-    """The ring elements of PRF outputs: the low 64 bits of each block."""
-    return np.frombuffer(raw, dtype=">u8")[1::2].astype(np.uint64)
 
 
 def derive_key(
@@ -227,7 +262,18 @@ def derive_key(
     only, in their order, at one PRF block each. The one-stream,
     one-timestamp case of `derive_keys`, in one single-key call."""
     msgs, _ = _key_inputs((t,), width, elements)
-    return _low_words(prf.evaluate_batch(master.key, msgs))
+    return prf.evaluate_batch(master.key, msgs)[:, 1].astype(np.uint64)
+
+
+def _stream_keys(masters, times, width, elements, prf):
+    """`derive_keys` call by call: yield each call's first stream and its
+    streams x len(times) x entries key entries, valid until the next."""
+    msgs, entries = _key_inputs(times, width, elements)
+    if not len(msgs):
+        return
+    keys = np.frombuffer(b"".join(m.key for m in masters), np.uint8).reshape(-1, 16)
+    for lo, words in _keyed_calls(keys, msgs, prf):
+        yield lo, words[..., 1].reshape(len(words), len(times), entries)
 
 
 def derive_keys(
@@ -245,27 +291,27 @@ def derive_keys(
     `derive_key` gives it, one PRF block each, whole streams per call
     (`_keyed_calls`).
     """
-    msgs, entries = _key_inputs(times, width, elements)
+    entries = width if elements is None else len(elements)
     out = np.empty((len(masters), len(times), entries), dtype=np.uint64)
-    if out.size:
-        keys = np.frombuffer(b"".join(m.key for m in masters), np.uint8).reshape(-1, 16)
-        for lo, raw in _keyed_calls(keys, msgs, prf):
-            words = _low_words(raw).reshape(-1, len(times), entries)
-            out[lo : lo + len(words)] = words
+    for lo, keys in _stream_keys(masters, times, width, elements, prf):
+        out[lo : lo + len(keys)] = keys
     return out
 
 
 def _keyed_calls(keys: np.ndarray, msgs: bytes, prf: Prf):
-    """Evaluate the message blocks `msgs` under every row of `keys` (rows
-    x 16 `uint8`), with one key per block, whole rows per call and at most
-    `BATCH_BLOCKS` blocks unless one row needs more; yield each call's
-    first row and output."""
+    """Evaluate the message blocks `msgs` under every row of `keys` (rows x
+    16 `uint8`), whole rows per call and at most `BATCH_BLOCKS` blocks
+    unless one row needs more. The rows' messages are tiled once, and each
+    call passes its rows as its keys. Yield each call's first row and its
+    rows x blocks x 2 output words, which are valid until the next step of
+    the loop."""
     per_row = len(msgs) // 16
     step = max(1, BATCH_BLOCKS // per_row)
+    tiled = memoryview(msgs * min(step, len(keys)))
     for lo in range(0, len(keys), step):
         chunk = keys[lo : lo + step]
-        keyed = np.repeat(chunk, per_row, axis=0).tobytes()
-        yield lo, prf.evaluate_batch(keyed, msgs * len(chunk))
+        out = prf.evaluate_batch(chunk, tiled[: len(chunk) * len(msgs)])
+        yield lo, out.reshape(len(chunk), per_row, 2)
 
 
 def _as_ring_array(values) -> np.ndarray:
@@ -341,9 +387,11 @@ def encrypt_block(
     `block[s, i]` is the message `masters[s]` sends at `times[i]`, a
     streams x len(times) x width uint64 array; `last_keys[s]` is that
     stream's key vector at its clock, the timestamp before `times[0]`.
-    Each message becomes the body msg + k(times[i]) - k(times[i-1]), with
-    the keys of every stream from one `derive_keys` pass. Returns each
-    stream's key vector at `times[-1]`, a streams x width copy.
+    Each message becomes the body msg + k(times[i]) - k(times[i-1]). The
+    keys come in calls of whole streams, at most `BATCH_BLOCKS` blocks
+    each, and each call's keys go straight into its streams' rows.
+    Returns each stream's key vector at `times[-1]`, a streams x width
+    array.
     """
     n, events, width = block.shape
     if block.dtype != np.uint64 or events != len(times) or last_keys.shape != (n, width):
@@ -353,11 +401,15 @@ def encrypt_block(
         )
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"timestamps must advance: {list(times)}")
-    keys = derive_keys(masters, times, width, prf=prf)
-    block += keys
-    block[:, 0] -= last_keys
-    block[:, 1:] -= keys[:, :-1]
-    return keys[:, -1].copy()
+    out = np.empty((n, width), dtype=np.uint64)
+    for lo, keys in _stream_keys(masters, times, width, None, prf):
+        hi = lo + len(keys)
+        rows = block[lo:hi]
+        rows += keys
+        rows[:, 0] -= last_keys[lo:hi]
+        rows[:, 1:] -= keys[:, :-1]
+        out[lo:hi] = keys[:, -1]
+    return out
 
 
 class ChainEncryptor:

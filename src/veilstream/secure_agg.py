@@ -29,8 +29,9 @@ selected edges' signed masks into a parties x width nonce matrix.
 selection rules (`_round_rows`, with the dream comparison in `_selected`,
 which the cost simulator also uses) and the one definition of an edge
 mask; the scalar `nonce_*` functions are the width-1 case. Every PRF call
-goes through `Prf.evaluate_batch` with one key per block, every edge's
-blocks in one pass of calls of at most `ring.BATCH_BLOCKS` blocks.
+goes through `Prf.evaluate_batch` with one key per edge covering that
+edge's blocks, every edge's blocks in one pass of calls of at most
+`ring.BATCH_BLOCKS` blocks.
 
 The epoch variant ("zeph" on the command line) gives W = floor(128/b) * 2^b
 rounds per epoch with expected round degree (N-1)/2^b. Privacy holds as
@@ -425,8 +426,12 @@ def graph_bits(keys: np.ndarray, epoch_id: int, *, prf: Prf = DEFAULT_PRF) -> np
     `keys`, rows x 16 `uint8`) as a rows x 128 bit matrix, most
     significant bit first: one block per row, `BATCH_BLOCKS` per call."""
     msg = prf_input(DOMAIN_GRAPH, 0, epoch_id)
-    outputs = b"".join(raw for _, raw in _keyed_calls(keys, msg, prf))
-    return np.unpackbits(np.frombuffer(outputs, np.uint8)).reshape(-1, 128)
+    bits = np.empty((len(keys), 128), dtype=np.uint8)
+    for lo, words in _keyed_calls(keys, msg, prf):
+        # big-endian words: their bytes are the outputs, first byte first
+        raw = words.reshape(-1, 2).view(np.uint8)
+        bits[lo : lo + len(raw)] = np.unpackbits(raw, axis=1)
+    return bits
 
 
 def plan_epoch(
@@ -451,11 +456,11 @@ def plan_epoch(
     return EpochPlan(epoch_id=epoch_id, b=b, peers=secrets.peers, bits=bits)
 
 
-def _selected(draws: bytes, threshold: int) -> np.ndarray:
-    """The dream selection rule: for each 128-bit big-endian block of
-    `draws`, is it at most `threshold`? Threshold -1 (p = 0) selects
-    nothing."""
-    words = np.frombuffer(draws, dtype=">u8").reshape(-1, 2)
+def _selected(words: np.ndarray, threshold: int) -> np.ndarray:
+    """The dream selection rule: for each PRF output, given as its high
+    and low 64 bits (`words`, ... x 2), is it at most `threshold`?
+    Threshold -1 (p = 0) selects nothing."""
+    words = words.reshape(-1, 2)
     if threshold < 0:
         return np.zeros(len(words), dtype=bool)
     hi, lo = np.uint64(threshold >> 64), np.uint64(threshold & RING_MASK)
@@ -473,8 +478,10 @@ def _round_rows(keys, rows, round_index, plan, threshold, prf) -> np.ndarray:
     if threshold is None:
         return rows
     msg = prf_input(DOMAIN_SELECT, 0, round_index)
-    draws = b"".join(raw for _, raw in _keyed_calls(keys[rows], msg, prf))
-    return rows[_selected(draws, threshold)]
+    selected = np.empty(len(rows), dtype=bool)
+    for lo, words in _keyed_calls(keys[rows], msg, prf):
+        selected[lo : lo + len(words)] = _selected(words, threshold)
+    return rows[selected]
 
 
 def round_peers(
@@ -711,8 +718,8 @@ def mask_edges(
         msgs[:, 0] = (DOMAIN_MASK << 56) | (epoch_id << 16) | np.arange(blocks, dtype=np.uint64)
     msgs[:, 1] = round_index
     nonces = np.zeros((parties, width), dtype=np.uint64)
-    for lo, raw in _keyed_calls(keys, msgs.tobytes(), prf):
-        lanes = np.frombuffer(raw, dtype=">u8").reshape(-1, 2 * blocks)[:, :width]
+    for lo, words in _keyed_calls(keys, msgs.tobytes(), prf):
+        lanes = words.reshape(len(words), 2 * blocks)[:, :width]
         hi = lo + len(lanes)
         # a sign of 2**64 - 1 negates its row, since uint64 products wrap
         signed = lanes * signs[lo:hi, None]
@@ -1064,8 +1071,10 @@ def simulate_party_counters(
             chunk = range(first, min(first + step, rounds))
             msgs = b"".join(prf_input(DOMAIN_SELECT, 0, r) for r in chunk)
             # peer-major: each peer's key once per round of the chunk
-            draws = b"".join(raw for _, raw in _keyed_calls(keys, msgs, prf))
-            selected = _selected(draws, threshold).reshape(peers, len(chunk))
+            selected = np.empty((peers, len(chunk)), dtype=bool)
+            for lo, words in _keyed_calls(keys, msgs, prf):
+                hits = _selected(words, threshold)
+                selected[lo : lo + len(words)] = hits.reshape(len(words), len(chunk))
             for i, r in enumerate(chunk):
                 hits = selected[:, i]
                 if dropout:

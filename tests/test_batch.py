@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veilstream import ring
+from veilstream import ring, secure_agg
 from veilstream.pipeline import SimConfig, _Scenario
 from veilstream.ring import (
     DOMAIN_EDGE,
@@ -30,6 +30,7 @@ from veilstream.ring import (
     Prf,
     derive_key,
     derive_keys,
+    encrypt_block,
     prf_input,
 )
 from veilstream.secure_agg import (
@@ -44,6 +45,7 @@ from veilstream.secure_agg import (
     mask_edges,
     round_edges,
     setup_pairwise,
+    simulate_party_counters,
     threshold_for_probability,
     unmask_aggregate,
 )
@@ -81,7 +83,7 @@ def population(n: int):
 
 
 def block_int(prf: Prf, key: bytes, msg: bytes) -> int:
-    return int.from_bytes(prf.evaluate_batch(key, msg), "big")
+    return int.from_bytes(prf.evaluate_batch(key, msg).tobytes(), "big")
 
 
 def key_of(me: PairwiseSecrets, peer: PartyId) -> bytes:
@@ -123,7 +125,7 @@ def oracle_nonce(me, peers, width, w, epoch, domain, prf) -> list[int]:
         msgs = b"".join(prf_input(DOMAIN_EDGE, k, w) for k in range(blocks))
     total = [0] * width
     for peer in peers:
-        out = prf.evaluate_batch(key_of(me, peer), msgs)
+        out = prf.evaluate_batch(key_of(me, peer), msgs).tobytes()
         for lane in range(width):
             value = int.from_bytes(out[8 * lane : 8 * lane + 8], "big")
             total[lane] += value if me.self_id < peer else -value
@@ -302,6 +304,91 @@ def test_derive_keys_equal_derive_key_across_call_chunks(monkeypatch):
     for s, m in enumerate(masters):
         for i, t in enumerate((10, 15)):
             assert keys[s, i].tolist() == derive_key(m, t, 8, elements=elements).tolist()
+
+
+class StalePrf(Prf):
+    """AES outputs, each in an array of its own that the next call first
+    overwrites with garbage: a caller that reads a result after its next
+    call reads garbage."""
+
+    def __init__(self):
+        self.inner = AesPrf()
+        self.calls = 0
+        self.last = np.empty((0, 2), dtype=">u8")
+
+    def evaluate_batch(self, key, messages):
+        self.last[...] = 0xA5A5A5A5A5A5A5A5
+        self.calls += 1
+        self.last = self.inner.evaluate_batch(key, messages).copy()
+        return self.last
+
+
+STALE_POPULATION = population(6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 40),
+    width=st.integers(1, 9),
+    r=st.integers(0, 2**40),
+    epoch=st.one_of(st.none(), st.integers(0, 99)),
+    live=st.lists(st.booleans(), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_many_prf_calls_equal_one_when_each_result_goes_stale(batch, width, r, epoch, live, seed):
+    """Every batched PRF caller, with calls of at most `batch` blocks (a
+    row more when one row needs it) through a PRF whose results go stale
+    at the next call, equals its one-call result."""
+    _, keypairs, registry, _, masters = STALE_POPULATION
+    table = PeerTable(keypairs, registry)
+    live = np.array(live)
+    threshold = threshold_for_probability(0.5)
+    messages = np.random.default_rng(seed).integers(0, 2**64, size=(6, 3, width), dtype=np.uint64)
+    first = derive_keys(masters, (2,), width)[:, 0]
+    reverse = np.arange(width)[::-1]
+
+    def outputs(prf):
+        block = messages.copy()
+        last = encrypt_block(masters, first, (3, 5, 9), block, prf=prf)
+        return [
+            graph_bits(table.keys, r, prf=prf).tolist(),
+            round_edges(table, live, r, threshold=threshold, prf=prf).tolist(),
+            mask_edges(
+                table.keys, table.signs, table.owner, len(table.parties), width,
+                epoch_id=epoch, round_index=r, prf=prf,
+            ).tolist(),
+            derive_keys(masters, (3, 5, 9), width, elements=reverse, prf=prf).tolist(),
+            block.tolist(),
+            last.tolist(),
+        ]
+
+    # at the default size each caller makes at most one call
+    one = StalePrf()
+    expected = outputs(one)
+    assert one.calls <= 5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "BATCH_BLOCKS", batch)
+        prf = StalePrf()
+        assert outputs(prf) == expected
+    # the 30 rows of graph bits alone take more than one call
+    assert prf.calls > one.calls or batch >= 30
+
+
+def test_cost_simulator_dream_draws_equal_their_one_call_results(monkeypatch):
+    parties, rounds = 40, 60
+    whole = simulate_party_counters(parties, rounds, "dream", b=2, seed=5)
+    made = []
+
+    def stale():
+        made.append(StalePrf())
+        return made[-1]
+
+    monkeypatch.setattr(secure_agg, "AesPrf", stale)
+    # 5 rounds of 39 peers a chunk, 2 peers a call: many calls a chunk
+    monkeypatch.setattr(secure_agg, "BATCH_BLOCKS", 5 * (parties - 1))
+    monkeypatch.setattr(ring, "BATCH_BLOCKS", 10)
+    assert simulate_party_counters(parties, rounds, "dream", b=2, seed=5) == whole
+    assert made[0].calls == (rounds // 5) * 20
 
 
 class RecordingPrf(Prf):

@@ -1,8 +1,8 @@
 """A producer window as one block, against the per-value and per-event paths.
 
-The pipeline encodes a window's events with one `encode_batch` per
-attribute and encrypts them in place with one `encrypt_block` pass per
-chunk of streams. The oracles here are the paths that replaced: the
+The pipeline encodes a window's events one slab of streams at a time,
+with one `encode_batch` per attribute, and encrypts each slab in place
+with one `encrypt_block` pass. The oracles here are the paths that replaced: the
 per-value encoder, kept in this file as Python arithmetic, and a
 `ChainEncryptor` per stream driven one event at a time.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veilstream import pipeline
+from veilstream import pipeline, ring
 from veilstream.encoding import EncodingSpec, encode, encode_batch
 from veilstream.pipeline import SimConfig, _Scenario
 from veilstream.ring import (
@@ -227,15 +227,45 @@ def test_window_results_do_not_depend_on_the_chunk_size(monkeypatch):
     )
     whole = pipeline.run_scenario(config)
     width = whole.summary["stream_width"]
-    # three streams' keys a chunk: every window spans many chunks
-    monkeypatch.setattr(pipeline, "BATCH_BLOCKS", 3 * config.logical_window * width)
-    chunked = pipeline.run_scenario(config)
-    assert [(w.status, w.released, w.bytes_producer) for w in chunked.windows] == [
-        (w.status, w.released, w.bytes_producer) for w in whole.windows
-    ]
-    assert chunked.summary["prf_calls_total"] == whole.summary["prf_calls_total"]
-    assert chunked.summary["transport"] == whole.summary["transport"]
-    assert all(w.shadow_ok for w in chunked.windows if w.status == "ok")
+    stream_blocks = config.logical_window * width
+    # (streams a slab, streams a PRF call): a window spans many slabs and a
+    # slab many calls, a call more streams than a slab, and a slab size
+    # that is no multiple of a stream's block
+    for slab, call in ((4, 1), (9, 2), (1, 3), (7.5, 1)):
+        monkeypatch.setattr(pipeline, "SLAB_BYTES", int(slab * stream_blocks * 8))
+        monkeypatch.setattr(ring, "BATCH_BLOCKS", call * stream_blocks)
+        chunked = pipeline.run_scenario(config)
+        assert [(w.status, w.released, w.bytes_producer) for w in chunked.windows] == [
+            (w.status, w.released, w.bytes_producer) for w in whole.windows
+        ]
+        assert chunked.summary["prf_calls_total"] == whole.summary["prf_calls_total"]
+        assert chunked.summary["transport"] == whole.summary["transport"]
+        assert all(w.shadow_ok for w in chunked.windows if w.status == "ok")
+
+
+def test_no_encode_window_call_covers_more_than_one_slab(monkeypatch):
+    config = SimConfig(
+        preset="car", protocol="clique", producers=60, partition_size=60, windows=3,
+        seed=2, dropout_rate=0.1,
+    )
+    rows = []
+    encode = _Scenario._encode_window
+
+    def spy(self, indices, draws):
+        rows.append(len(indices))
+        return encode(self, indices, draws)
+
+    monkeypatch.setattr(_Scenario, "_encode_window", spy)
+    whole = pipeline.run_scenario(config)
+    online = list(rows)
+    assert len(online) == config.windows  # one slab a window at the default size
+    stream_bytes = config.logical_window * whole.summary["stream_width"] * 8
+    rows.clear()
+    monkeypatch.setattr(pipeline, "SLAB_BYTES", 5 * stream_bytes + 7)
+    sliced = pipeline.run_scenario(config)
+    assert max(rows) == 5 and len(rows) > 3 * config.windows
+    assert sum(rows) == sum(online)
+    assert [w.released for w in sliced.windows] == [w.released for w in whole.windows]
 
 
 def test_scenario_frees_each_windows_plaintext_after_assembly():

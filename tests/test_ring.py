@@ -10,6 +10,7 @@ from scipy import stats
 from veilstream.ring import (
     DOMAIN_KEYSTREAM,
     DOMAIN_SELECT,
+    FIXED_AES_KEY,
     MODULUS_DEFAULT,
     AesPrf,
     ChainEncryptor,
@@ -52,16 +53,16 @@ def test_aes_prf_matches_direct_library_call():
             enc = Cipher(algorithms.AES(pi_key), modes.ECB()).encryptor()
             permuted = enc.update(whitened) + enc.finalize()
             expected = bytes(a ^ b for a, b in zip(permuted, whitened))
-            assert AesPrf().evaluate_batch(key, msg) == expected
+            assert AesPrf().evaluate_batch(key, msg).tobytes() == expected
 
 
 def test_aes_prf_batch_matches_single_calls():
     key = b"\x07" * 16
     blocks = [prf_input(DOMAIN_KEYSTREAM, j, 42) for j in range(5)]
-    out = AES.evaluate_batch(key, b"".join(blocks))
+    out = AES.evaluate_batch(key, b"".join(blocks)).tobytes()
     assert len(out) == 16 * 5
     for j, block in enumerate(blocks):
-        assert out[16 * j : 16 * (j + 1)] == AES.evaluate_batch(key, block)
+        assert out[16 * j : 16 * (j + 1)] == AES.evaluate_batch(key, block).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -72,27 +73,90 @@ def test_multi_key_batch_equals_per_block_single_key_calls(make):
     prf = make()
     keys = [bytes([i]) * 16 for i in range(7)]
     blocks = [prf_input(DOMAIN_KEYSTREAM, j, 1 << 40 | j) for j in range(7)]
-    out = prf.evaluate_batch(b"".join(keys), b"".join(blocks))
-    assert out == b"".join(prf.evaluate_batch(k, m) for k, m in zip(keys, blocks))
+    out = prf.evaluate_batch(b"".join(keys), b"".join(blocks)).tobytes()
+    assert out == b"".join(prf.evaluate_batch(k, m).tobytes() for k, m in zip(keys, blocks))
     if isinstance(prf, CountingPrf):
         assert prf.calls == 7 + 7  # blocks, not calls
     if isinstance(prf, AesPrf):
         # distinct keys on equal inputs give distinct outputs
-        same = prf.evaluate_batch(b"".join(keys), blocks[0] * 7)
+        same = prf.evaluate_batch(b"".join(keys), blocks[0] * 7).tobytes()
         assert len({same[16 * i : 16 * (i + 1)] for i in range(7)}) == 7
+
+
+def library_outputs(keys: bytes, msgs: bytes) -> bytes:
+    """F_k(x) block by block through a fresh library context, block i of
+    the n blocks under key i // (n / k) of the k keys."""
+    enc = Cipher(algorithms.AES(FIXED_AES_KEY), modes.ECB()).encryptor()
+    blocks = len(msgs) // 16
+    run = blocks // (len(keys) // 16) if blocks else 1
+    out = []
+    for i in range(blocks):
+        key = keys[16 * (i // run) : 16 * (i // run + 1)]
+        whitened = bytes(a ^ b for a, b in zip(key, msgs[16 * i : 16 * (i + 1)]))
+        out.append(bytes(a ^ b for a, b in zip(enc.update(whitened), whitened)))
+    return b"".join(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 5), run=st.integers(0, 9), arrays=st.booleans(), data=st.data())
+def test_aes_prf_runs_of_keys_equal_the_per_block_library_computation(k, run, arrays, data):
+    keys = data.draw(st.binary(min_size=16 * k, max_size=16 * k))
+    msgs = data.draw(st.binary(min_size=16 * k * run, max_size=16 * k * run))
+    expected = library_outputs(keys, msgs)
+    if arrays:
+        args = (np.frombuffer(keys, np.uint8).reshape(k, 16), np.frombuffer(msgs, np.uint8))
+    else:
+        args = (keys, msgs)
+    # the shared instance holds buffers sized by earlier calls
+    for prf in (AES, AesPrf()):
+        out = prf.evaluate_batch(*args)
+        assert out.dtype == np.dtype(">u8") and out.shape == (k * run, 2)
+        assert out.tobytes() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), min_size=2, max_size=5), data=st.data())
+def test_an_earlier_result_is_unchanged_or_shares_a_later_ones_buffer(sizes, data):
+    """A result may be a view of the buffer the next call writes, so a
+    caller reads it before that call; otherwise it is left as it was."""
+    prf = AesPrf()
+    results = []
+    for i, blocks in enumerate(sizes):
+        msgs = data.draw(st.binary(min_size=16 * blocks, max_size=16 * blocks))
+        out = prf.evaluate_batch(bytes([i]) * 16, msgs)
+        assert out.tobytes() == library_outputs(bytes([i]) * 16, msgs)
+        results.append((out, out.tobytes()))
+    for i, (out, kept) in enumerate(results):
+        assert out.tobytes() == kept or any(
+            np.shares_memory(out, later) for later, _ in results[i + 1 :]
+        )
+
+
+SMALL_WIDE = st.tuples(st.integers(0, (1 << 56) - 1), st.integers(0, (1 << 64) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SMALL_WIDE, max_size=6))
+def test_counter_prf_is_1000_wide_plus_small_in_128_bits(blocks):
+    msgs = b"".join(prf_input(DOMAIN_KEYSTREAM, small, wide) for small, wide in blocks)
+    out = CounterPrf().evaluate_batch(b"k" * 16, msgs)
+    expected = (1000 * wide + small for small, wide in blocks)
+    assert out.tobytes() == b"".join(v.to_bytes(16, "big") for v in expected)
 
 
 @pytest.mark.parametrize("prf", [AesPrf(), CountingPrf(AesPrf()), CounterPrf(), ZeroPrf()])
 def test_prf_refuses_a_bad_key_length(prf):
     msgs = bytes(48)
-    for key in (bytes(15), bytes(17), bytes(32), bytes(64)):
+    for key in (b"", bytes(15), bytes(17), bytes(32), bytes(64)):
         with pytest.raises(ValueError, match="PRF key"):
             prf.evaluate_batch(key, msgs)
     with pytest.raises(ValueError, match="PRF key"):
         prf.evaluate_batch(bytes(16), bytes(20))
-    # one key, or exactly one per block
-    assert len(prf.evaluate_batch(bytes(16), msgs)) == len(prf.evaluate_batch(bytes(48), msgs))
-    assert prf.evaluate_batch(b"", b"") == b""
+    # a number of keys that divides the blocks, each covering a run
+    assert prf.evaluate_batch(bytes(16), msgs).shape == (3, 2)
+    assert prf.evaluate_batch(bytes(48), msgs).shape == (3, 2)
+    assert prf.evaluate_batch(bytes(32), bytes(64)).shape == (4, 2)
+    assert prf.evaluate_batch(b"", b"").shape == (0, 2)
 
 
 def test_prf_input_packing():
@@ -108,7 +172,7 @@ def test_prf_input_packing():
 def test_prf_uniformity_chi_squared():
     """Low byte of AES outputs over distinct inputs should look uniform."""
     key = b"\xa5" * 16
-    out = AES.evaluate_batch(key, b"".join(prf_input(1, 0, t) for t in range(8192)))
+    out = AES.evaluate_batch(key, b"".join(prf_input(1, 0, t) for t in range(8192))).tobytes()
     # the low byte of each 16-byte output
     counts = np.bincount(np.frombuffer(out, np.uint8)[15::16], minlength=256)
     _, p = stats.chisquare(counts)
@@ -117,15 +181,15 @@ def test_prf_uniformity_chi_squared():
 
 def test_counting_prf_counts_blocks():
     prf = CountingPrf(ZeroPrf())
-    assert prf.evaluate_batch(b"k" * 16, b"\x00" * 16) == bytes(16)
-    assert prf.evaluate_batch(b"k" * 16, b"\x00" * 48) == bytes(48)
+    assert prf.evaluate_batch(b"k" * 16, b"\x00" * 16).tobytes() == bytes(16)
+    assert prf.evaluate_batch(b"k" * 16, b"\x00" * 48).tobytes() == bytes(48)
     assert prf.calls == 4
 
 
 def test_counter_prf_blocks_are_big_endian_hand_values():
     # 1000 * wide overflows 64 bits here, so the high half is used too
     blocks = [(DOMAIN_KEYSTREAM, 3, 5), (DOMAIN_SELECT, 0, 1 << 60)]
-    out = CounterPrf().evaluate_batch(b"k" * 16, b"".join(prf_input(*b) for b in blocks))
+    out = CounterPrf().evaluate_batch(b"k" * 16, b"".join(prf_input(*b) for b in blocks)).tobytes()
     assert out == b"".join((1000 * wide + small).to_bytes(16, "big") for _, small, wide in blocks)
 
 
@@ -153,7 +217,7 @@ def test_derive_key_width_and_domain():
     k = derive_key(m, 9, 4)
     assert k.shape == (4,) and k.dtype == np.uint64
     # element j comes from PRF input (keystream domain, j, t)
-    block = AES.evaluate_batch(m.key, prf_input(DOMAIN_KEYSTREAM, 2, 9))
+    block = AES.evaluate_batch(m.key, prf_input(DOMAIN_KEYSTREAM, 2, 9)).tobytes()
     expected = int.from_bytes(block, "big") & (M - 1)
     assert int(k[2]) == expected
 

@@ -364,7 +364,7 @@ def _oracle_rounds(secrets, epoch_id, b, prf):
     seg_mask = (1 << b) - 1
     rounds = {}
     for peer, key in zip(secrets.peers, secrets.keys):
-        out = int.from_bytes(prf.evaluate_batch(key.tobytes(), msg), "big")
+        out = int.from_bytes(prf.evaluate_batch(key.tobytes(), msg).tobytes(), "big")
         rounds[peer] = tuple(
             (s << b) | ((out >> (128 - (s + 1) * b)) & seg_mask)
             for s in range(128 // b)
@@ -567,7 +567,7 @@ def _per_peer_mask_oracle(secrets, peers, width, round_index, epoch_id):
     total = [0] * width
     for peer in peers:
         key = secrets.keys[secrets.peers.index(peer)].tobytes()
-        out = DEFAULT_PRF.evaluate_batch(key, b"".join(msgs))
+        out = DEFAULT_PRF.evaluate_batch(key, b"".join(msgs)).tobytes()
         for lane in range(width):
             value = int.from_bytes(out[8 * lane : 8 * lane + 8], "big")
             total[lane] += value if secrets.self_id < peer else -value
