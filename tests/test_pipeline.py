@@ -373,8 +373,20 @@ def test_dream_run_with_dp_noise_is_pinned():
             {"sent": 3318, "delivered": 3315, "dropped": 3, "bytes": 15188368},
             [2494856, 2505800, 2648360, 2505816, 2533216, 2500320],
         ),
+        # grace longer than a window: each assembly runs after the next
+        # window has opened and sent its catch-ups, pieces and border
+        (
+            SimConfig(
+                preset="web", protocol="dream", producers=100, partition_size=50, windows=5,
+                seed=9, grace=25.0, latency_mean=3.0, latency_sigma=1.0, dropout_rate=0.1,
+            ),
+            [(91, "ok"), (92, "ok"), (93, "ok"), (92, "ok"), (77, "failed_min_members")],
+            "50e234e30938f926f32a08889d775e006408c41eaaa54eec058fc9acbfb3a233",
+            {"sent": 2678, "delivered": 2675, "dropped": 3, "bytes": 17151424},
+            [3411904, 3480880, 3672560, 3327552, 3258528],
+        ),
     ],
-    ids=["car-clique-catch-ups", "fitness-zeph-late-pieces"],
+    ids=["car-clique-catch-ups", "fitness-zeph-late-pieces", "web-dream-long-grace"],
 )
 def test_late_pieces_and_catch_ups_decide_membership(
     config, statuses, released, transport, bytes_producer
