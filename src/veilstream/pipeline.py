@@ -9,14 +9,15 @@ aggregate. A plaintext shadow computes the same transformation on the
 same inputs with the same noise draws, so every window's released vector
 can be checked for exact equality.
 
-Timing model: a discrete event scheduler drives producer emissions and
-the server's per-window assembly at the window border plus a grace
-period. A message's fate, lost or its arrival time, is drawn when it is
-sent. A piece lost or arriving after the deadline leaves that stream's
-window chain incomplete, so the stream drops out of the window's member
-set and rejoins later; membership changes travel as compact deltas.
-Producers that skip a window emit a neutral catch-up event on return so
-their cipher chain stays contiguous at window borders.
+Timing model: a discrete event scheduler holds four events per window:
+its opening, a pass sending its events in send-time order, a pass
+sending its border events, and the server's assembly at the border plus
+a grace period. A message's fate, lost or its arrival time, is drawn
+when it is sent. A piece lost or arriving after the deadline leaves that
+stream's window chain incomplete, so the stream drops out of the
+window's member set and rejoins later; membership changes travel as
+compact deltas. Producers that skip a window emit a neutral catch-up
+event on return so their cipher chain stays contiguous at window borders.
 
 Large populations are sharded into partitions that aggregate
 independently; their released (already plaintext) outputs are summed
@@ -31,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -90,8 +90,6 @@ from .tokens import (
     stream_set_hash,
     token_matrix,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SimConfig",
@@ -197,20 +195,18 @@ class SimTransport:
 
     A message's fate is drawn when it is sent: one uniform draw and, if it
     is delivered, one lognormal latency. `send` returns the arrival time,
-    or None for a lost message, and schedules nothing; the counters
-    satisfy sent == delivered + dropped, which run_scenario asserts.
+    or None for a lost message; the counters satisfy
+    sent == delivered + dropped, which run_scenario asserts.
     """
 
     def __init__(
         self,
-        scheduler: Scheduler,
         rng: np.random.Generator,
         *,
         latency_mean: float,
         latency_sigma: float,
         drop_rate: float,
     ):
-        self.scheduler = scheduler
         self.rng = rng
         self.latency_mean = latency_mean
         self.latency_sigma = latency_sigma
@@ -220,7 +216,7 @@ class SimTransport:
         self.dropped = 0
         self.bytes_sent = 0
 
-    def send(self, size: int) -> Optional[float]:
+    def send(self, size: int, now: float) -> Optional[float]:
         self.sent += 1
         self.bytes_sent += size
         if self.rng.random() < self.drop_rate:
@@ -230,7 +226,7 @@ class SimTransport:
         latency = float(
             self.rng.lognormal(math.log(self.latency_mean), self.latency_sigma)
         )
-        return self.scheduler.now + latency
+        return now + latency
 
 
 # ---- scenario presets ------------------------------------------------------
@@ -760,7 +756,6 @@ class _Scenario:
         self.rng = np.random.default_rng(data_seed)
         self.scheduler = Scheduler()
         self.transport = SimTransport(
-            self.scheduler,
             np.random.default_rng(transport_seed),
             latency_mean=config.latency_mean,
             latency_sigma=config.latency_sigma,
@@ -979,13 +974,15 @@ class _Scenario:
     def _schedule_window(self, w: int):
         """Open window w's record with every online stream's plaintext and
         ciphertext window sums, encoding, encrypting and summing one slab
-        of streams (`SLAB_BYTES`) at a time, and schedule the sends: each
-        event at its jittered time, then the border event and a heartbeat
-        at the window's end. A stream back after offline windows first sends, at
+        of streams (`SLAB_BYTES`) at a time, and schedule three passes: the
+        events, now; the border events, at the window's end; the assembly,
+        at the deadline. A stream back after offline windows first sends, at
         once, one neutral catch-up event ending exactly on this window's
         start, so its chain stays contiguous and earlier windows never mix
         into this one; if it spans exactly the previous window and arrives
-        before that window's deadline, it completes that window's chain."""
+        before that window's deadline, it completes that window's chain.
+        Messages draw their fates in send-time order, ties in scheduling
+        order: the catch-ups, the previous window's border pass, the events."""
         cfg = self.config
         E = cfg.events_per_window
         L = cfg.logical_window
@@ -1008,15 +1005,17 @@ class _Scenario:
             rec.sums[slab] = block.sum(axis=1)
         prev = self.open.get(w - 1)  # open until at least this window's start, as grace > 0
         for si, ct in catch_up.items():
-            arrival = self._send(rec, ct.wire_size())
+            rec.bytes_producer += ct.wire_size()
+            arrival = self.transport.send(ct.wire_size(), w * T)
             if ct.t_prev == (w - 1) * L and arrival is not None and arrival < prev.deadline:
                 prev.sums[si] = ct.body
                 prev.arrived[si] = L
-        for si in indices:
-            for ei in range(E):
-                at = w * T + (ei + 0.1 + 0.8 * jitter[si, ei]) * T / (L + 1)
-                self.scheduler.at(at, lambda si=si: self._send_piece(rec, si))
-            self.scheduler.at((w + 1) * T, lambda si=si: self._send_border(rec, si))
+        times = w * T + (np.arange(E) + 0.1 + 0.8 * jitter[indices]) * T / (L + 1)
+        order = np.argsort(times, axis=None, kind="stable")  # ties in (stream, event) order
+        rows, times = np.repeat(indices, E)[order], times.ravel()[order]
+        self.scheduler.at(w * T, lambda: self._send_pieces(rec, rows, times))
+        ends = np.full(len(indices), (w + 1) * T)
+        self.scheduler.at((w + 1) * T, lambda: self._send_pieces(rec, indices, ends, 16))
         self.scheduler.at(rec.deadline, lambda: self._assemble(w))
 
     def _encode_window(self, indices: np.ndarray, draws: dict) -> np.ndarray:
@@ -1064,23 +1063,20 @@ class _Scenario:
         self.clock[chunk] = (w + 1) * L
         return catch_up
 
-    def _send(self, rec: _Window, size: int) -> Optional[float]:
-        """Send `size` bytes billed to the window `rec`; returns the arrival
-        time, or None if the message is lost."""
-        rec.bytes_producer += size
-        return self.transport.send(size)
-
-    def _send_piece(self, rec: _Window, si: int):
-        """Send one of stream `si`'s pieces of the window `rec`, counted if it
-        arrives strictly before the deadline (assembly wins a tie)."""
-        arrival = self._send(rec, self.event_bytes)
-        if arrival is not None and arrival < rec.deadline:
-            rec.arrived[si] += 1
-
-    def _send_border(self, rec: _Window, si: int):
-        self._send_piece(rec, si)
-        # heartbeat: tiny liveness beacon alongside the border event
-        self._send(rec, 16)
+    def _send_pieces(self, rec: _Window, rows: np.ndarray, times: np.ndarray, heartbeat=0):
+        """Send stream rows[k]'s piece of the window `rec` at times[k], in
+        order, each followed by a `heartbeat`-byte liveness beacon if
+        nonzero, and count the pieces that arrive strictly before the
+        deadline (assembly wins a tie)."""
+        landed = []
+        for si, t in zip(rows.tolist(), times.tolist()):
+            arrival = self.transport.send(self.event_bytes, t)
+            if arrival is not None and arrival < rec.deadline:
+                landed.append(si)
+            if heartbeat:
+                self.transport.send(heartbeat, t)
+        rec.arrived += np.bincount(landed, minlength=len(rec.arrived))
+        rec.bytes_producer += len(rows) * (self.event_bytes + heartbeat)
 
     # -- server + controllers --------------------------------------------------
 
@@ -1362,7 +1358,10 @@ class _Scenario:
                 f"transport conservation violated: {tr.sent} != {tr.delivered} + {tr.dropped}"
             )
         ok = sum(1 for r in self.results if r.status == "ok")
-        shadow_all = all(r.shadow_ok for r in self.results if r.shadow_ok is not None)
+        # the population releases and the per-user releases alike
+        verdicts = [r.shadow_ok for r in self.results]
+        verdicts += [r.extras.get("per_user", {}).get("shadow_ok") for r in self.results]
+        shadow_all = all(v for v in verdicts if v is not None)
         summary = {
             "preset": self.schema.name,
             "protocol": self.config.protocol,

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, and option precedence."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -180,6 +181,38 @@ def test_run_preset_writes_results(capsys, tmp_path):
     assert all(r["status"] == "ok" for r in rows)
     report = json.loads(json_path.read_text())
     assert report["summary"]["windows_ok"] == 2
+
+
+def test_run_fails_on_a_wrong_per_user_release(capsys, tmp_path, monkeypatch):
+    from veilstream import pipeline
+
+    original = pipeline.single_stream_token
+
+    def corrupted(*args, **kwargs):
+        token = original(*args, **kwargs)
+        first = (token.elements[0] + 1) & ((1 << 64) - 1)
+        return dataclasses.replace(token, elements=(first,) + token.elements[1:])
+
+    monkeypatch.setattr(pipeline, "single_stream_token", corrupted)
+    code, out, err = run_cli(
+        capsys,
+        "run",
+        "--scenario", "car",
+        "--producers", "60",
+        "--windows", "2",
+        "--seed", "5",
+        "--protocol", "clique",
+        "--dropout-rate", "0",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert json.loads(out)["shadow_ok"] is False
+    assert "diverged from the plaintext shadow" in err
+    # the population releases are right; the per-user ones are not
+    report = json.loads((tmp_path / "run_car_5.json").read_text())
+    windows = report["windows"]
+    assert [(w["status"], w["shadow_ok"]) for w in windows] == [("ok", True)] * 2
+    assert [w["extras"]["per_user"]["shadow_ok"] for w in windows] == [False] * 2
 
 
 def test_run_unknown_scenario_is_usage_error(capsys):

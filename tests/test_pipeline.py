@@ -160,25 +160,45 @@ def test_scheduler_orders_by_time_then_insertion():
 
 
 def test_transport_conserves_messages():
-    sched = Scheduler()
     transport = SimTransport(
-        sched,
         np.random.default_rng(3),
         latency_mean=0.1,
         latency_sigma=0.4,
         drop_rate=0.5,
     )
-    sched.now = 4.0
-    arrivals = [transport.send(10) for _ in range(200)]
+    sends = [4.0 + 0.25 * k for k in range(200)]
+    arrivals = [transport.send(10, now) for now in sends]
+    # a message's fate is drawn at send time, from the send time it is given
+    assert all(t >= now for now, t in zip(sends, arrivals) if t is not None)
     landed = [t for t in arrivals if t is not None]
-    # a message's fate is drawn at send time; nothing is scheduled
-    assert all(t >= sched.now for t in landed)
-    assert sched._queue == []
     assert transport.sent == 200
     assert transport.sent == transport.delivered + transport.dropped
     assert transport.delivered == len(landed)
     assert 0 < transport.dropped < 200
     assert transport.bytes_sent == 2000
+
+
+@pytest.mark.parametrize("producers", [60, 120])
+def test_a_run_schedules_four_events_per_window(monkeypatch, producers):
+    # per window: its opening, its event pass, its border pass and its
+    # assembly, however many streams send
+    whens = []
+    original = Scheduler.at
+
+    def counted(self, when, fn):
+        whens.append(when)
+        original(self, when, fn)
+
+    monkeypatch.setattr(Scheduler, "at", counted)
+    config = small_config(producers=producers, dropout_rate=0.05)
+    result = run_scenario(config)
+    assert result.summary["transport"]["sent"] > 4 * config.windows
+    T = config.window_size
+    assert sorted(whens) == sorted(
+        when
+        for w in range(config.windows)
+        for when in (w * T, w * T, (w + 1) * T, (w + 1) * T + config.grace)
+    )
 
 
 # ---- end-to-end preset runs --------------------------------------------------------
