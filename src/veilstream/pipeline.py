@@ -16,7 +16,10 @@ a grace period. A message's fate, lost or its arrival time, is drawn
 when it is sent. A piece lost or arriving after the deadline leaves that
 stream's window chain incomplete, so the stream drops out of the
 window's member set and rejoins later; membership changes travel as
-compact deltas. Producers that skip a window emit a neutral catch-up
+compact deltas. Controllers mask offline and correct online: right after
+a window's assembly, each partition computes the next window's pairwise
+masks over that window's members, and a release applies only the
+membership delta to them. Producers that skip a window emit a neutral catch-up
 event on return so their cipher chain stays contiguous at window borders.
 
 Large populations are sharded into partitions that aggregate
@@ -65,6 +68,7 @@ from .ring import (
     serialize_event,
 )
 from .secure_agg import (
+    EdgeMasks,
     EpochPlan,
     IdentityRegistry,
     MaskedBatch,
@@ -73,10 +77,10 @@ from .secure_agg import (
     PeerTable,
     StaticKeyAgreement,
     graph_bits,
-    mask_edges,
+    mask_base,
+    mask_delta,
     mask_token,
     optimize_b,
-    round_edges,
     threshold_for_probability,
     unmask_aggregate,
 )
@@ -115,6 +119,7 @@ CSV_COLUMNS = (
     "bytes_controller",
     "bytes_server",
     "t_encrypt",
+    "t_base",
     "t_token",
     "t_unmask",
     "overhead_factor",
@@ -572,6 +577,7 @@ class WindowResult:
     bytes_controller: int
     bytes_server: int
     t_encrypt: float
+    t_base: float
     t_token: float
     t_unmask: float
     overhead_factor: float
@@ -707,6 +713,8 @@ class _Partition:
         # rows are derived yet
         self.epoch_plan: Optional[EpochPlan] = None
         self.planned: Optional[np.ndarray] = None
+        # the next window's masks, computed over the last window's members
+        self.base: Optional[EdgeMasks] = None
 
 
 class _Window:
@@ -714,13 +722,17 @@ class _Window:
     window sum, its plaintext sum on the shadow's lanes, and how many of
     its L pieces arrived strictly before the assembly deadline. The rows
     of a stream offline in the window stay zero unless a catch-up event
-    spanning the window arrives in time."""
+    spanning the window arrives in time. `online` and `lost` record, per
+    stream, whether it sent the window and whether a piece of it was lost,
+    which explain a missing member."""
 
     def __init__(self, deadline: float, streams: int, width: int, lanes: int):
         self.deadline = deadline
         self.sums = np.zeros((streams, width), dtype=np.uint64)
         self.plain = np.zeros((streams, lanes), dtype=np.uint64)
         self.arrived = np.zeros(streams, dtype=np.int64)
+        self.online = np.zeros(streams, dtype=bool)
+        self.lost = np.zeros(streams, dtype=bool)
         self.bytes_producer = 0
         self.t_encrypt = 0.0
 
@@ -767,6 +779,9 @@ class _Scenario:
         self.results: list[WindowResult] = []
         self.open: dict[int, _Window] = {}  # scheduled, not yet assembled
         self.prev_owner_set: frozenset = frozenset()
+        # PRF blocks, additions and seconds of the bases computed for the
+        # next window, which count for that window
+        self.base_cost = (0, 0, 0.0)
         self.plan_bytes = len(
             json.dumps(
                 {
@@ -906,6 +921,7 @@ class _Scenario:
         # timestamp of its last event, 0 before the first) and the key
         # vector at that clock, held from the last window it sent
         self.row = {sid: i for i, sid in enumerate(self.sim_streams)}
+        self.plan_rows = np.array([self.row[sid] for sid in self.plan.members], dtype=np.intp)
         self.clock = np.zeros(len(self.sim_streams), dtype=np.int64)
         self.last_key = np.zeros((len(self.sim_streams), self.width), dtype=np.uint64)
         self.neutral = encode_neutral_vector(self.schema)
@@ -993,6 +1009,7 @@ class _Scenario:
         jitter = self.rng.random((n, E))
         indices = np.flatnonzero(online)
         rec = self.open[w] = _Window((w + 1) * T + cfg.grace, n, self.width, len(self.shadow_lanes))
+        rec.online = online
         catch_up = {}
         step = max(1, SLAB_BYTES // (L * self.width * 8))
         for lo in range(0, len(indices), step):
@@ -1067,24 +1084,29 @@ class _Scenario:
         """Send stream rows[k]'s piece of the window `rec` at times[k], in
         order, each followed by a `heartbeat`-byte liveness beacon if
         nonzero, and count the pieces that arrive strictly before the
-        deadline (assembly wins a tie)."""
-        landed = []
+        deadline (assembly wins a tie), and mark the streams of lost pieces."""
+        landed, lost = [], []
         for si, t in zip(rows.tolist(), times.tolist()):
             arrival = self.transport.send(self.event_bytes, t)
-            if arrival is not None and arrival < rec.deadline:
+            if arrival is None:
+                lost.append(si)
+            elif arrival < rec.deadline:
                 landed.append(si)
             if heartbeat:
                 self.transport.send(heartbeat, t)
         rec.arrived += np.bincount(landed, minlength=len(rec.arrived))
+        rec.lost[lost] = True
         rec.bytes_producer += len(rows) * (self.event_bytes + heartbeat)
 
     # -- server + controllers --------------------------------------------------
 
     def _assemble(self, w: int):
         """Close window w: a stream is a member exactly when all L of its
-        pieces arrived before the deadline."""
+        pieces arrived before the deadline. Then, whatever the window's
+        status, compute window w + 1's base masks over its members."""
         rec = self.open.pop(w)
-        complete = np.flatnonzero(rec.arrived == self.config.logical_window)
+        L = self.config.logical_window
+        complete = np.flatnonzero(rec.arrived == L)
         members = [self.sim_streams[si] for si in complete]
 
         plan_members = [s for s in members if s in self.plan_member_set]
@@ -1099,6 +1121,8 @@ class _Scenario:
 
         prf0 = self.prf.calls
         add0 = self.additions
+        base_prf, base_additions, t_base = self.base_cost
+        self.base_cost = (0, 0, 0.0)
         result = WindowResult(
             window=w,
             status="ok",
@@ -1109,10 +1133,21 @@ class _Scenario:
             bytes_controller=0,
             bytes_server=bytes_server,
             t_encrypt=rec.t_encrypt,
+            t_base=t_base,
             t_token=0.0,
             t_unmask=0.0,
             overhead_factor=self.overhead_factor,
         )
+        # each plan stream that is no member, under the first reason that
+        # applies: offline for the window, a piece lost, or a piece late
+        absent = self.plan_rows[rec.arrived[self.plan_rows] != L]
+        offline = int(np.count_nonzero(~rec.online[absent]))
+        lost = int(np.count_nonzero(rec.online[absent] & rec.lost[absent]))
+        result.extras["missing"] = {
+            "offline": offline,
+            "lost": lost,
+            "late": len(absent) - offline - lost,
+        }
 
         if len(plan_members) < self.plan.min_members:
             result.status = "failed_min_members"
@@ -1122,31 +1157,60 @@ class _Scenario:
         if self.user_plan is not None:
             self._release_user_window(w, rec, result)
 
-        result.prf_calls = self.prf.calls - prf0
-        result.additions = self.additions - add0
+        result.prf_calls = self.prf.calls - prf0 + base_prf
+        result.additions = self.additions - add0 + base_additions
         self.results.append(result)
+        if w + 1 < self.config.windows:
+            self._mask_bases(w + 1)
+
+    def _mask_bases(self, w: int):
+        """Compute window w's base masks in every partition over the last
+        window's members (`prev_owner_set`, the set the membership delta is
+        measured against): the zeph epoch rows they need, dream's selection
+        draws and the masks, so that window w's release applies only the
+        membership delta. Their PRF blocks, additions and time count for
+        window w."""
+        prf0, add0, t0 = self.prf.calls, self.additions, time.perf_counter()
+        width = self.plan.output_width
+        for part in self.partitions:
+            table = part.table
+            live = np.fromiter(
+                (p in self.prev_owner_set for p in table.parties), bool, count=len(table.parties)
+            )
+            plan = self._epoch_plan(part, live, self._epoch(part, w))
+            part.base = mask_base(
+                table, live, w, width, plan=plan, threshold=part.threshold, prf=self.prf
+            )
+            self.additions += part.base.changed * width
+        self.base_cost = (
+            self.prf.calls - prf0,
+            self.additions - add0,
+            time.perf_counter() - t0,
+        )
 
     def _controller_tokens(self, w: int, part: _Partition, active: list[str]):
         """Build, noise and mask one partition's tokens for window w as one
         streams x outputs matrix.
 
         Every step is a fixed number of array operations however many
-        parties the partition holds: one token batch, one pass of edge
-        selection and one of edge masks over the partition's `PeerTable`,
+        parties the partition holds: one token batch, one membership delta
+        over the partition's base masks (`mask_delta`: selection only for
+        edges new to the round, masks only for the edges that changed),
         one matrix add and one vectorized wire encode. What still runs per
-        party is the budget charge and the noise draw. A second call for
+        party is the budget charge and the noise draw. A window without a
+        base, window 0, starts from the empty membership. A second call for
         the same partition and window raises before any key is derived.
-        `active` must follow `part.streams` order. Returns
-        the masked batch, the bytes sent and the ring additions spent on
-        masks. The window's budgets were checked beforehand, so every
-        charge succeeds.
+        `active` must follow `part.streams` order. Returns the masked
+        batch, the bytes sent and the ring additions spent on the delta.
+        The window's budgets were checked beforehand, so every charge
+        succeeds.
         """
         cfg = self.config
         L = cfg.logical_window
         window = (w * L, (w + 1) * L)
         self._claim_token(self.plan.plan_id, part.index, window)
         table = part.table
-        epoch = w // part.epoch_width if part.epoch_width else 0
+        epoch = self._epoch(part, w)
         live = np.zeros(len(part.streams), dtype=bool)
         live[[part.position[sid] for sid in active]] = True
         values = token_matrix(
@@ -1169,30 +1233,21 @@ class _Scenario:
                 raise RuntimeError(f"a member was refused a checked budget: {shares.reason}")
             values += shares
         plan = self._epoch_plan(part, live, epoch)
-        rows = round_edges(
-            table, live, w, plan=plan, threshold=part.threshold, prf=self.prf
-        )
-        nonces = mask_edges(
-            table.keys[rows],
-            table.signs[rows],
-            table.owner[rows],
-            len(table.parties),
-            values.shape[1],
-            epoch_id=None if plan is None else epoch,
-            round_index=w,
-            prf=self.prf,
-        )
+        base, part.base = part.base, None
+        if base is None or base.round_index != w:
+            base = EdgeMasks.empty(table, w, values.shape[1])
+        masks = mask_delta(table, base, live, plan=plan, threshold=part.threshold, prf=self.prf)
         masked = MaskedBatch(
             round_index=w,
             epoch_id=epoch,
             window=window,
             parties=parties,
             stream_set_ids=tuple(part.set_id[sid] for sid in active),
-            elements=values + nonces[live],
+            elements=values + masks.nonces[live],
             noised=self.plan.dp_epsilon is not None,
             stream_ids=tuple(active),
         )
-        return masked, len(masked.serialize()), len(rows) * values.shape[1]
+        return masked, len(masked.serialize()), masks.changed * values.shape[1]
 
     def _claim_token(self, plan_id: str, part_index: Optional[int], window: tuple[int, int]):
         """Record a token mint for (plan, partition, window), or raise if one
@@ -1203,12 +1258,16 @@ class _Scenario:
             raise RuntimeError(f"token already minted for {key}")
         self.minted.add(key)
 
+    @staticmethod
+    def _epoch(part: _Partition, w: int) -> int:
+        return w // part.epoch_width if part.epoch_width else 0
+
     def _epoch_plan(self, part: _Partition, live: np.ndarray, epoch: int):
         """The partition's zeph plan for the epoch, one row per row of its
         `PeerTable`, replacing the plan of the previous epoch. A party's
-        rows are derived, in one `graph_bits` pass per window, in the first
-        window of the epoch it is live in. None for the other protocols and
-        for partitions too small to plan."""
+        rows are derived, in one `graph_bits` pass per call, by the first
+        base or release of the epoch it is live in. None for the other
+        protocols and for partitions too small to plan."""
         if self.config.protocol != "zeph" or part.b is None:
             return None
         table = part.table
@@ -1343,6 +1402,8 @@ class _Scenario:
             "headline": _headline(stats, spec.function, spec.param),
             "shadow_ok": opened == shadow,
         }
+        if opened != shadow and result.status == "ok":
+            result.status = "per_user_mismatch"
 
     # -- driver ----------------------------------------------------------------
 

@@ -28,7 +28,15 @@ selected edges' signed masks into a parties x width nonce matrix.
 `round_peers` and `mask_vector` are their one-party cases, sharing the
 selection rules (`_round_rows`, with the dream comparison in `_selected`,
 which the cost simulator also uses) and the one definition of an edge
-mask; the scalar `nonce_*` functions are the width-1 case. Every PRF call
+mask; the scalar `nonce_*` functions are the width-1 case.
+
+Masking splits into an offline base and an online delta, as pairwise
+masks depend only on the secret, the round and the membership:
+`mask_base` computes a round's `EdgeMasks` ahead of time for a membership
+known then, and `mask_delta` moves them to the membership at release,
+backing out the masks of edges with an end no longer live and adding
+those of edges that became candidates, so its work follows the change in
+membership. `apply_delta` is its one-party case. Every PRF call
 goes through `Prf.evaluate_batch` with one key per edge covering that
 edge's blocks, every edge's blocks in one pass of calls of at most
 `ring.BATCH_BLOCKS` blocks.
@@ -47,7 +55,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives import hashes, serialization
@@ -93,6 +101,9 @@ __all__ = [
     "plan_epoch",
     "round_peers",
     "round_edges",
+    "EdgeMasks",
+    "mask_base",
+    "mask_delta",
     "nonce_clique",
     "nonce_dream",
     "nonce_zeph",
@@ -542,10 +553,133 @@ def round_edges(
     live = np.asarray(live, dtype=bool)
     rows = np.flatnonzero(live[table.owner] & live[table.peer])
     rows = _round_rows(table.keys, rows, round_index, plan, threshold, prf)
+    _warn_isolated(table, live, rows, round_index)
+    return rows
+
+
+def _warn_isolated(table: PeerTable, live: np.ndarray, rows: np.ndarray, round_index: int):
+    """Log every live party of `table` that no row of `rows` masks."""
     degree = np.bincount(table.owner[rows], minlength=len(table.parties))
     for i in np.flatnonzero(live & (degree == 0)):
         _warn_unprotected(round_index, table.parties[i])
-    return rows
+
+
+class EdgeMasks(NamedTuple):
+    """A round's pairwise masks over a `PeerTable` for one live set: the
+    round, `live` (a boolean per party), the rows whose edge masks enter
+    the round (ascending, as `round_edges` gives them) and the parties x
+    width nonce matrix those rows sum to (`mask_edges`). `changed` counts
+    the rows whose masks the step that made them added or backed out."""
+
+    round_index: int
+    live: np.ndarray
+    rows: np.ndarray
+    nonces: np.ndarray
+    changed: int
+
+    @classmethod
+    def empty(cls, table: PeerTable, round_index: int, width: int) -> "EdgeMasks":
+        """The round's masks with no party live: no rows, zero nonces."""
+        parties = len(table.parties)
+        return cls(
+            round_index,
+            np.zeros(parties, dtype=bool),
+            np.empty(0, dtype=np.intp),
+            np.zeros((parties, width), dtype=np.uint64),
+            0,
+        )
+
+
+def mask_base(
+    table: PeerTable,
+    live: np.ndarray,
+    round_index: int,
+    width: int,
+    *,
+    plan: Optional[EpochPlan] = None,
+    threshold: Optional[int] = None,
+    prf: Prf = DEFAULT_PRF,
+) -> EdgeMasks:
+    """A round's masks computed ahead of the round for the live set `live`:
+    the delta from the empty membership, with the rows and nonces of
+    `round_edges` and `mask_edges` over `live`. The zeph plan's rows for
+    `live`'s parties must be derived. Logs nothing: a base is a forecast,
+    and connectivity is judged on the membership `mask_delta` applies."""
+    return _delta(table, EdgeMasks.empty(table, round_index, width), live, plan, threshold, prf)
+
+
+def mask_delta(
+    table: PeerTable,
+    base: EdgeMasks,
+    live: np.ndarray,
+    *,
+    plan: Optional[EpochPlan] = None,
+    threshold: Optional[int] = None,
+    prf: Prf = DEFAULT_PRF,
+) -> EdgeMasks:
+    """Move a round's masks from the base's live set to `live`.
+
+    Subtracts the masks of the base rows that have an end no longer live,
+    runs the round's selection (`plan` for zeph, `threshold` for dream,
+    neither for clique) only on the rows that are candidates now (both
+    ends live) and were not in the base, so dream draws only for those,
+    and adds the masks of the rows selected. The result equals
+    `mask_edges` over `round_edges` for `live` exactly, since the ring
+    arithmetic is exact, and every live party left without a row is
+    logged as `round_edges` logs it.
+    """
+    masks = _delta(table, base, live, plan, threshold, prf)
+    _warn_isolated(table, masks.live, masks.rows, masks.round_index)
+    return masks
+
+
+def _delta(table, base, live, plan, threshold, prf) -> EdgeMasks:
+    """`mask_delta` without its connectivity log."""
+    live = np.asarray(live, dtype=bool)
+    now = live[table.owner] & live[table.peer]
+    was = base.live[table.owner] & base.live[table.peer]
+    kept = now[base.rows]
+    gone = base.rows[~kept]
+    nonces, added = _change_masks(
+        table.keys,
+        table.signs,
+        table.owner,
+        base.nonces,
+        gone,
+        np.flatnonzero(now & ~was),
+        base.round_index,
+        plan,
+        threshold,
+        prf,
+    )
+    # the kept and added rows are disjoint: merge them by marking
+    rows = np.zeros(len(now), dtype=bool)
+    rows[base.rows[kept]] = True
+    rows[added] = True
+    return EdgeMasks(
+        base.round_index, live, np.flatnonzero(rows), nonces, len(gone) + len(added)
+    )
+
+
+def _change_masks(keys, signs, owner, nonces, gone, fresh, round_index, plan, threshold, prf):
+    """`nonces` less the masks of rows `gone`, plus those of the rows of
+    `fresh` (candidate rows) the round selects; the mask domain follows
+    `plan`. Returns the new nonces and the rows added."""
+    added = _round_rows(keys, fresh, round_index, plan, threshold, prf)
+
+    def masks(rows):
+        return mask_edges(
+            keys[rows],
+            signs[rows],
+            owner[rows],
+            len(nonces),
+            nonces.shape[1],
+            epoch_id=None if plan is None else plan.epoch_id,
+            round_index=round_index,
+            prf=prf,
+        )
+
+    return nonces - masks(gone) + masks(added), added
 
 
 def _nonce(secrets, peers, round_index, plan, prf) -> int:
@@ -623,28 +757,46 @@ class MembershipDelta:
 
 
 def apply_delta(
-    plan: EpochPlan,
+    plan: Optional[EpochPlan],
     secrets: PairwiseSecrets,
     base_nonce: int,
     delta: MembershipDelta,
     round_index: int,
     *,
+    threshold: Optional[int] = None,
     prf: Prf = DEFAULT_PRF,
 ) -> int:
-    """Correct a zeph round nonce for late membership changes.
+    """Correct a round nonce for late membership changes: the one-party,
+    width-1 case of `mask_delta`.
 
-    Returns base - mask(dropped & active) + mask(joined & active), where
-    active is the plan's peer set for the round: dropped parties' masks
-    are backed out and rejoining parties' masks restored from the
-    existing pairwise secrets. Only listed parties whose edge is active
-    in this round cost a PRF block; the party itself is never its own peer.
+    `base_nonce` is the party's nonce over a membership that holds the
+    dropped parties and not the joined ones. Returns base - mask(dropped
+    edges in the round) + mask(joined edges in the round), each edge
+    selected as `round_peers` selects it: by `plan` (zeph), by
+    `threshold` (dream) or always (clique). Only listed parties cost PRF
+    blocks: a mask block per listed edge in the round, and for dream a
+    selection draw per listed party. The party is never its own peer.
     """
-    active = round_peers(secrets, round_index, plan=plan, prf=prf)
+    peers = secrets.peers
     dropped, joined = (
-        _nonce(secrets, [p for p in active if p in group], round_index, plan, prf)
+        np.flatnonzero(np.fromiter((p in group for p in peers), bool, count=len(peers)))
         for group in (delta.dropped, delta.joined)
     )
-    return (base_nonce - dropped + joined) & RING_MASK
+    # the base's rows to dropped peers: those the round selected
+    gone = _round_rows(secrets.keys, dropped, round_index, plan, threshold, prf)
+    nonces, _ = _change_masks(
+        secrets.keys,
+        secrets.signs,
+        np.zeros(len(peers), dtype=np.intp),
+        np.array([[base_nonce & RING_MASK]], dtype=np.uint64),
+        gone,
+        joined,
+        round_index,
+        plan,
+        threshold,
+        prf,
+    )
+    return int(nonces[0, 0])
 
 
 def _peer_row(peers: Sequence[PartyId], party: PartyId) -> int:

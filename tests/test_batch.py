@@ -37,12 +37,17 @@ from veilstream.secure_agg import (
     EpochPlan,
     IdentityRegistry,
     MaskedBatch,
+    MembershipDelta,
     PairwiseSecrets,
     PartyId,
     PeerTable,
     StaticKeyAgreement,
+    apply_delta,
     graph_bits,
+    mask_base,
+    mask_delta,
     mask_edges,
+    plan_epoch,
     round_edges,
     setup_pairwise,
     simulate_party_counters,
@@ -271,6 +276,86 @@ def test_a_party_with_no_live_peer_gets_a_zero_row_and_a_warning(caplog):
     assert nonces.shape == (4, 3) and not nonces.any()
 
 
+live_sets = st.lists(st.booleans(), min_size=12, max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    base_live=live_sets,
+    now_live=live_sets,
+    protocol=st.sampled_from(["clique", "dream", "zeph"]),
+    width=st.integers(1, 9),
+    b=st.integers(1, 3),
+    w=st.integers(0, 600),
+)
+def test_base_plus_delta_equals_the_masks_of_the_live_set(
+    n, base_live, now_live, protocol, width, b, w
+):
+    ids, keypairs, registry, secrets, _ = population(n)
+    table = PeerTable(keypairs, registry)
+    base_live = np.array(base_live[:n], dtype=bool)
+    live = np.array(now_live[:n], dtype=bool)
+    threshold = threshold_for_probability(0.5) if protocol == "dream" else None
+    plan = epoch = None
+    if protocol == "zeph":
+        epoch = w // 7
+        plan = EpochPlan(epoch, b, table.peers, graph_bits(table.keys, epoch))
+    select = dict(plan=plan, threshold=threshold)
+
+    prf = CountingPrf(AesPrf())
+    base = mask_base(table, base_live, w, width, prf=prf, **select)
+    before = prf.calls
+    masks = mask_delta(table, base, live, prf=prf, **select)
+    spent = prf.calls - before
+
+    # base + delta is the recomputation over the live set, exactly
+    base_rows = round_edges(table, base_live, w, **select)
+    rows = round_edges(table, live, w, **select)
+    assert base.rows.tolist() == base_rows.tolist()
+    assert masks.rows.tolist() == rows.tolist()
+    expect = mask_edges(
+        table.keys[rows], table.signs[rows], table.owner[rows], n, width,
+        epoch_id=epoch, round_index=w,
+    )
+    assert masks.nonces.tolist() == expect.tolist()
+
+    # the delta's blocks: a mask per removed or added row, and a draw per
+    # candidate new to the round for dream
+    candidate_base = base_live[table.owner] & base_live[table.peer]
+    candidate_now = live[table.owner] & live[table.peer]
+    removed = np.count_nonzero(~candidate_now[base_rows])
+    added = np.count_nonzero(~candidate_base[rows])
+    draws = np.count_nonzero(candidate_now & ~candidate_base) if protocol == "dream" else 0
+    assert spent == (removed + added) * ((width + 1) // 2) + draws
+    assert (base.changed, masks.changed) == (len(base_rows), removed + added)
+
+    # each party live in both sets: the scalar delta on its base lane 0
+    joined = frozenset(p for p, a, c in zip(ids, base_live, live) if c and not a)
+    dropped = frozenset(p for p, a, c in zip(ids, base_live, live) if a and not c)
+    delta = MembershipDelta(w, joined=joined, dropped=dropped)
+    for i in np.flatnonzero(base_live & live):
+        own_plan = None if plan is None else plan_epoch(secrets[i], epoch, b)
+        lane = apply_delta(
+            own_plan, secrets[i], int(base.nonces[i, 0]), delta, w, threshold=threshold
+        )
+        assert lane == int(masks.nonces[i, 0])
+
+
+def test_the_delta_logs_a_party_left_without_an_edge_and_the_base_does_not(caplog):
+    ids, keypairs, registry, _, _ = population(4)
+    table = PeerTable(keypairs, registry)
+    alone = np.array([True, False, False, False])
+    mask_base(table, alone, 3, 2)
+    assert caplog.records == []
+    base = mask_base(table, np.array([True, True, True, False]), 3, 2)
+    assert caplog.records == []
+    masks = mask_delta(table, base, alone)
+    (record,) = caplog.records
+    assert "no active peers" in record.getMessage() and repr(ids[0]) in record.getMessage()
+    assert len(masks.rows) == 0 and not masks.nonces.any()
+
+
 def test_peer_table_rows_run_party_by_party_over_the_other_parties():
     _, keypairs, registry, _, _ = population(3)
     with pytest.raises(ValueError, match="twice"):
@@ -427,23 +512,28 @@ def test_controller_prf_calls_follow_partitions_not_parties(protocol):
         recorder = RecordingPrf(scenario.prf.inner)
         scenario.prf.inner = recorder
         per_window = []
-        release_window = scenario._release_window
 
-        def metered(w, *args):
-            before = recorder.calls
-            release_window(w, *args)
-            per_window.append(recorder.calls - before)
+        def metered(step):
+            def run(*args):
+                before = recorder.calls
+                step(*args)
+                per_window.append(recorder.calls - before)
 
-        scenario._release_window = metered
+            return run
+
+        scenario._release_window = metered(scenario._release_window)
+        scenario._mask_bases = metered(scenario._mask_bases)
         result = scenario.run()
         assert [w.status for w in result.windows] == ["ok", "ok"]
         assert len(scenario.partitions) == 2
         calls[producers] = per_window
     assert calls[60] == calls[120]
     # per partition: the token keys, one selection pass for dream, the
-    # masks, and zeph's plan in its first window
+    # masks, and zeph's plan in its first window; window 1's base makes
+    # the selection and mask passes, so its release, over the same
+    # members, derives the token keys alone
     steps = {"clique": 2, "dream": 3, "zeph": 2}[protocol]
-    expect = [2 * steps, 2 * steps]
+    expect = [2 * steps, 2 * (steps - 1), 2]
     if protocol == "zeph":
         expect[0] += 2
     assert calls[60] == expect

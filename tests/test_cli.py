@@ -211,7 +211,7 @@ def test_run_fails_on_a_wrong_per_user_release(capsys, tmp_path, monkeypatch):
     # the population releases are right; the per-user ones are not
     report = json.loads((tmp_path / "run_car_5.json").read_text())
     windows = report["windows"]
-    assert [(w["status"], w["shadow_ok"]) for w in windows] == [("ok", True)] * 2
+    assert [(w["status"], w["shadow_ok"]) for w in windows] == [("per_user_mismatch", True)] * 2
     assert [w["extras"]["per_user"]["shadow_ok"] for w in windows] == [False] * 2
 
 

@@ -23,6 +23,8 @@ from veilstream.pipeline import (
     scenario_presets,
 )
 from veilstream.policy import plan_query, verify_plan
+from veilstream.ring import AesPrf, CountingPrf
+from veilstream.secure_agg import EpochPlan, MembershipDelta, graph_bits, round_edges
 from veilstream.tokens import stream_set_hash
 
 SOLO_SCENARIO = {
@@ -63,6 +65,65 @@ def small_config(**kwargs):
     )
     defaults.update(kwargs)
     return SimConfig(**defaults)
+
+
+def recording_owner_sets(scenario: _Scenario) -> list:
+    """Make `scenario` record each window's set of member owners, in
+    window order, into the list returned."""
+    owner_sets = []
+    assemble = scenario._assemble
+
+    def spy(w):
+        assemble(w)
+        owner_sets.append(scenario.prev_owner_set)
+
+    scenario._assemble = spy
+    return owner_sets
+
+
+def live_vector(table, owners) -> np.ndarray:
+    return np.array([p in owners for p in table.parties], dtype=bool)
+
+
+def base_edges(scenario: _Scenario, part, owners, w, prf):
+    """The rows of window w's base in `part`: `round_edges` over the
+    owners `owners`, with a zeph plan derived here for every row."""
+    plan = None
+    if scenario.config.protocol == "zeph" and part.b is not None:
+        epoch = w // part.epoch_width
+        plan = EpochPlan(epoch, part.b, part.table.peers, graph_bits(part.table.keys, epoch, prf=prf))
+    live = live_vector(part.table, owners)
+    return live, round_edges(part.table, live, w, plan=plan, threshold=part.threshold, prf=prf)
+
+
+def delta_extra(scenario: _Scenario, owner_sets: list) -> list[tuple[int, int]]:
+    """Per window, the PRF blocks and ring additions that masking through
+    a base over the previous window's members and a delta at release adds
+    to recomputing every mask from the members, from `round_edges` over
+    consecutive windows' member sets: each base edge with an end no longer
+    live is masked twice more (in the base, then backed out), at
+    ceil(width/2) blocks and width additions, and dream draws once more
+    for each base candidate that is no candidate now. Every window must
+    release, all in one zeph epoch, so the plan's rows do not move."""
+    width = scenario.plan.output_width
+    blocks = (width + 1) // 2
+    prf = AesPrf()
+    extra = [(0, 0)]
+    for w in range(1, len(owner_sets)):
+        prf_blocks = additions = 0
+        for part in scenario.partitions:
+            table = part.table
+            base, rows = base_edges(scenario, part, owner_sets[w - 1], w, prf)
+            now = live_vector(table, owner_sets[w])
+            candidate_now = now[table.owner] & now[table.peer]
+            removed = int(np.count_nonzero(~candidate_now[rows]))
+            prf_blocks += 2 * removed * blocks
+            additions += 2 * removed * width
+            if part.threshold is not None:
+                candidate_base = base[table.owner] & base[table.peer]
+                prf_blocks += int(np.count_nonzero(candidate_base & ~candidate_now))
+        extra.append((prf_blocks, additions))
+    return extra
 
 
 def replay_projection(result: ScenarioResult):
@@ -290,8 +351,10 @@ def test_zeph_run_is_pinned():
     scenario = _Scenario(
         small_config(protocol="zeph", partition_size=60, colluding_fraction=0.2, seed=3)
     )
+    owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
     assert [part.b for part in scenario.partitions] == [1]
+    assert scenario.partitions[0].epoch_width > len(result.windows)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     released = json.dumps([w.released for w in result.windows]).encode()
     assert (
@@ -302,17 +365,21 @@ def test_zeph_run_is_pinned():
     # against a replay with F evaluated block by block by the cipher library.
     # Windows 0 and 1 equal their keyed-AES figures: at b = 1 the two rounds
     # split the 1,653 edges, and both PRFs put 830 of them in round 0.
+    # Masking through a base and a delta adds `extra` (window 2 loses a
+    # member, so its base edges to it are masked twice more).
+    extra = delta_extra(scenario, owner_sets)
+    assert extra[2] != (0, 0)
     counts = [
         (w.prf_calls, w.additions, w.bytes_controller, w.bytes_server) for w in result.windows
     ]
     assert counts == [
-        (140158, 177620, 67628, 3007),
-        (136096, 176122, 67628, 0),
-        (133770, 173126, 66462, 48),
+        (140158 + extra[0][0], 177620 + extra[0][1], 67628, 3007),
+        (136096 + extra[1][0], 176122 + extra[1][1], 67628, 0),
+        (133770 + extra[2][0], 173126 + extra[2][1], 66462, 48),
     ]
     summary = result.summary
-    assert summary["prf_calls_total"] == 1040433
-    assert summary["additions_total"] == 526868
+    assert summary["prf_calls_total"] == 1040433 + sum(e[0] for e in extra)
+    assert summary["additions_total"] == 526868 + sum(e[1] for e in extra)
     assert summary["bytes_producer_total"] == 4742968
     assert summary["bytes_controller_total"] == 201718
     assert summary["bytes_server_total"] == 3055
@@ -322,11 +389,13 @@ def _pinned_digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _pinned_totals(result: ScenarioResult) -> tuple:
+def _pinned_totals(result: ScenarioResult, extra: list) -> tuple:
+    """The run's totals, PRF blocks and additions less the delta path's
+    `extra`."""
     s = result.summary
     return (
-        s["prf_calls_total"],
-        s["additions_total"],
+        s["prf_calls_total"] - sum(e[0] for e in extra),
+        s["additions_total"] - sum(e[1] for e in extra),
         s["bytes_producer_total"],
         s["bytes_controller_total"],
         s["bytes_server_total"],
@@ -334,9 +403,11 @@ def _pinned_totals(result: ScenarioResult) -> tuple:
 
 
 def test_clique_run_with_per_user_query_is_pinned():
-    result = run_scenario(
-        small_config(preset="car", producers=60, partition_size=60, seed=7)
-    )
+    scenario = _Scenario(small_config(preset="car", producers=60, partition_size=60, seed=7))
+    owner_sets = recording_owner_sets(scenario)
+    result = scenario.run()
+    extra = delta_extra(scenario, owner_sets)
+    assert extra[2] != (0, 0)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     assert all(w.extras["per_user"]["status"] == "ok" for w in result.windows)
     assert (
@@ -347,7 +418,7 @@ def test_clique_run_with_per_user_query_is_pinned():
         _pinned_digest([w.extras["per_user"] for w in result.windows])
         == "28414aba9b8cb7760dcc1d7a4ec7bffac814900dbc362863133d328ba4a78868"
     )
-    assert _pinned_totals(result) == (328939, 316074, 1175112, 73950, 2865)
+    assert _pinned_totals(result, extra) == (328939, 316074, 1175112, 73950, 2865)
 
 
 def test_dream_run_with_dp_noise_is_pinned():
@@ -355,13 +426,16 @@ def test_dream_run_with_dp_noise_is_pinned():
         small_config(preset="web", producers=60, partition_size=30, seed=7, protocol="dream")
     )
     assert scenario.plan.dp_epsilon is not None
+    owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
+    extra = delta_extra(scenario, owner_sets)
+    assert extra[2] != (0, 0)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     assert (
         _pinned_digest([w.released for w in result.windows])
         == "8520fa022ef8b2b86c4a1fbb5c99a5d92cd6dd32cd18d4e7c30397748f6a7ca6"
     )
-    assert _pinned_totals(result) == (905160, 38128, 6639792, 30272, 2839)
+    assert _pinned_totals(result, extra) == (905160, 38128, 6639792, 30272, 2839)
 
 
 @pytest.mark.parametrize(
@@ -539,22 +613,111 @@ def test_suppressed_window_charges_no_budget():
     )
     assemble = scenario._assemble
     spent = {}
+    owner_sets = []
 
     def spy(w):
         before = {sid: b.epsilon_spent for sid, b in scenario.budgets.items()}
         assemble(w)
         spent[w] = (before, {sid: b.epsilon_spent for sid, b in scenario.budgets.items()})
+        owner_sets.append(scenario.prev_owner_set)
 
     scenario._assemble = spy
     result = scenario.run()
     suppressed = [w for w in result.windows if w.status == "suppressed"]
     assert [w.window for w in suppressed] == [40, 41, 42, 43]
+    width = scenario.plan.output_width
     for w in suppressed:
         before, after = spent[w.window]
         assert before == after
-        assert (w.prf_calls, w.additions, w.bytes_controller) == (0, 0, 0)
+        # only the base computed for the window, over the last window's
+        # members: dream's draws over its candidates and its edge masks
+        prf = CountingPrf(AesPrf())
+        edges = sum(
+            len(base_edges(scenario, part, owner_sets[w.window - 1], w.window, prf)[1])
+            for part in scenario.partitions
+        )
+        assert edges > 0
+        base_cost = (prf.calls + edges * ((width + 1) // 2), edges * width)
+        assert (w.prf_calls, w.additions) == base_cost
+        assert w.bytes_controller == 0
         assert w.extras["suppressed"] == "epsilon budget exhausted"
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows[:40])
+
+
+def test_bytes_server_bills_the_membership_delta_each_release_applies(monkeypatch):
+    applied = {}  # window -> (joined, dropped) owners, over the partitions
+    delta = pipeline.mask_delta
+
+    def recording(table, base, live, **kwargs):
+        joined, dropped = applied.setdefault(base.round_index, (set(), set()))
+        joined.update(p for p, a, b in zip(table.parties, base.live, live) if b and not a)
+        dropped.update(p for p, a, b in zip(table.parties, base.live, live) if a and not b)
+        return delta(table, base, live, **kwargs)
+
+    monkeypatch.setattr(pipeline, "mask_delta", recording)
+    scenario = _Scenario(
+        small_config(preset="web", protocol="dream", windows=5, seed=1, dropout_rate=0.05, drop_rate=0.01)
+    )
+    result = scenario.run()
+    assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
+    # the members change in every window, and join and drop after window 0
+    assert all(joined and dropped for joined, dropped in list(applied.values())[1:])
+    for w in result.windows:
+        joined, dropped = applied[w.window]
+        wire = MembershipDelta(w.window, frozenset(joined), frozenset(dropped)).wire_size()
+        assert w.bytes_server == (scenario.plan_bytes if w.window == 0 else 0) + wire
+
+
+@pytest.mark.parametrize("protocol", ["clique", "dream", "zeph"])
+def test_a_steady_membership_spends_no_mask_blocks_at_release(monkeypatch, protocol):
+    scenario = _Scenario(
+        small_config(
+            preset="web", protocol=protocol, windows=3, seed=4, dropout_rate=0.0, drop_rate=0.0,
+            colluding_fraction=0.2, failure_budget=0.01,
+        )
+    )
+    token_blocks = []
+    token_matrix = pipeline.token_matrix
+
+    def metered_tokens(*args, **kwargs):
+        before = scenario.prf.calls
+        values = token_matrix(*args, **kwargs)
+        token_blocks[-1] += scenario.prf.calls - before
+        return values
+
+    release_blocks = []
+    release_window = scenario._release_window
+
+    def metered_release(w, *args):
+        token_blocks.append(0)
+        before = scenario.prf.calls
+        release_window(w, *args)
+        release_blocks.append(scenario.prf.calls - before)
+
+    monkeypatch.setattr(pipeline, "token_matrix", metered_tokens)
+    scenario._release_window = metered_release
+    result = scenario.run()
+    assert [w.members for w in result.windows] == [result.plan_members] * 3
+    # window 0 masks every edge at release; later windows only build tokens
+    assert release_blocks[0] > token_blocks[0]
+    assert release_blocks[1:] == token_blocks[1:]
+    # the masks were spent in the bases, and count for their windows
+    assert all(w.prf_calls > blocks for w, blocks in zip(result.windows[1:], token_blocks[1:]))
+
+
+def test_missing_plan_streams_are_explained_by_their_first_reason():
+    config = SimConfig(
+        preset="fitness", protocol="clique", producers=100, partition_size=50, windows=4,
+        seed=4, dropout_rate=0.05, drop_rate=0.005, latency_sigma=1.2, grace=1.0,
+    )
+    result = run_scenario(config)
+    totals = dict.fromkeys(("offline", "lost", "late"), 0)
+    for w in result.windows:
+        missing = w.extras["missing"]
+        assert sum(missing.values()) == result.plan_members - w.members
+        for reason, count in missing.items():
+            totals[reason] += count
+    assert all(totals.values())
 
 
 # ---- custom scenarios ----------------------------------------------------------------
