@@ -28,7 +28,7 @@ from typing import Optional
 
 import yaml
 
-from .pipeline import SimConfig, run_scenario, scenario_presets
+from .pipeline import SimConfig, _json_scalar, run_scenario, scenario_presets
 from .secure_agg import optimize_b, simulate_party_counters
 
 __all__ = ["main"]
@@ -89,7 +89,7 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+    print(json.dumps(doc, indent=2, sort_keys=True, default=_json_scalar))
 
 
 # ---- subcommands ------------------------------------------------------------

@@ -38,6 +38,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -627,7 +628,15 @@ class ScenarioResult:
                 for w in self.windows
             ],
         }
-        return json.dumps(doc, indent=2, default=str)
+        return json.dumps(doc, indent=2, default=_json_scalar)
+
+
+def _json_scalar(value):
+    """`json.dumps` default: a NumPy scalar becomes its Python value, so a
+    count stays a number; any other type is refused."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _headline(stats: DecodedStats, function: str, param: Optional[float]):
@@ -697,22 +706,22 @@ SLAB_BYTES = 2 << 20
 
 
 class _Partition:
-    """One independently aggregating shard of the population."""
+    """One independently aggregating shard of the population: the span
+    `span` of plan members, whose streams, simulated rows, one-stream set
+    ids and `PeerTable` parties all run in plan member order."""
 
-    def __init__(self, index: int, streams: list[str]):
+    def __init__(self, index: int, span: slice, streams: Sequence[str], rows: np.ndarray):
         self.index = index
-        self.streams = streams  # sorted stream ids
-        self.position = {sid: i for i, sid in enumerate(streams)}
-        self.set_id: dict[str, bytes] = {}  # each stream's one-stream set id
-        # every controller's pairwise secrets, the row owners in stream order
+        self.span = span
+        self.streams = streams
+        self.rows = rows
+        self.set_ids = tuple(stream_set_hash([sid]) for sid in streams)
         self.table: Optional[PeerTable] = None
         self.b: Optional[int] = None
         self.threshold: Optional[int] = None  # dream selection threshold
         self.epoch_width = 0
-        # current epoch only: one plan row per table row, and which owners'
-        # rows are derived yet
+        # current epoch only: one plan row per table row
         self.epoch_plan: Optional[EpochPlan] = None
-        self.planned: Optional[np.ndarray] = None
         # the next window's masks, computed over the last window's members
         self.base: Optional[EdgeMasks] = None
 
@@ -724,7 +733,9 @@ class _Window:
     of a stream offline in the window stay zero unless a catch-up event
     spanning the window arrives in time. `online` and `lost` record, per
     stream, whether it sent the window and whether a piece of it was lost,
-    which explain a missing member."""
+    which explain a missing member. The window's costs accumulate here:
+    its producers' bytes and encryption time, and the PRF blocks, ring
+    additions and seconds of its base and release."""
 
     def __init__(self, deadline: float, streams: int, width: int, lanes: int):
         self.deadline = deadline
@@ -735,6 +746,9 @@ class _Window:
         self.lost = np.zeros(streams, dtype=bool)
         self.bytes_producer = 0
         self.t_encrypt = 0.0
+        self.prf_calls = 0
+        self.additions = 0
+        self.t_base = 0.0
 
 
 class _Scenario:
@@ -762,7 +776,6 @@ class _Scenario:
         self.attr_specs = [(a.name, a.encoding) for a in self.schema.attributes]
         self.slices = self.schema.slices
         self.prf = CountingPrf(AesPrf())
-        self.additions = 0
         seq = np.random.SeedSequence(config.seed)
         data_seed, transport_seed = seq.spawn(2)
         self.rng = np.random.default_rng(data_seed)
@@ -778,10 +791,8 @@ class _Scenario:
         self._setup_partitions()
         self.results: list[WindowResult] = []
         self.open: dict[int, _Window] = {}  # scheduled, not yet assembled
-        self.prev_owner_set: frozenset = frozenset()
-        # PRF blocks, additions and seconds of the bases computed for the
-        # next window, which count for that window
-        self.base_cost = (0, 0, 0.0)
+        # the last assembled window's membership, one boolean per plan member
+        self.members = np.zeros(len(self.plan.members), dtype=bool)
         self.plan_bytes = len(
             json.dumps(
                 {
@@ -806,7 +817,6 @@ class _Scenario:
         self.registry = IdentityRegistry()
         self.keypairs = {}
         self.masters = {}
-        self.owner_party: dict[str, PartyId] = {}
         regions = ("eu", "us", "ap")
         queried = [body["attribute"] for body in self.table["select"].values()]
         self.queried_attrs = queried
@@ -830,7 +840,6 @@ class _Scenario:
             kp = agreement.generate(sid.encode())
             self.keypairs[sid] = kp
             self.registry.register(kp.public_identity())
-            self.owner_party[sid] = kp.party_id
             self.masters[sid] = MasterSecret(
                 hashlib.sha256(b"stream-key\x00" + sid.encode()).digest()[:16], sid
             )
@@ -879,7 +888,6 @@ class _Scenario:
         self.plan = self._plan_and_verify(
             self.query, "preset query", colluding_fraction=cfg.colluding_fraction
         )
-        self.plan_member_set = frozenset(self.plan.members)
         self.user_plan = None
         self.user_stream = None
         per_user_attr = self.table.get("per_user_attribute")
@@ -907,10 +915,9 @@ class _Scenario:
             )
         else:
             budget_limit = 0.0
-        self.budgets = {
-            sid: PrivacyBudget(budget_limit) if budget_limit else None
-            for sid in self.plan.members
-        }
+        self.budgets = [
+            PrivacyBudget(budget_limit) if budget_limit else None for _ in self.plan.members
+        ]
         # the one-token rule: the (plan id, partition index, window) of
         # every token batch minted, the per-user plan's under partition None
         self.minted: set[tuple] = set()
@@ -965,13 +972,12 @@ class _Scenario:
 
     def _setup_partitions(self):
         cfg = self.config
-        members = list(self.plan.members)  # already sorted
+        members = self.plan.members  # already sorted
         self.partitions: list[_Partition] = []
         optimized = {}  # optimize_b's result per partition size
         for start in range(0, len(members), cfg.partition_size):
-            part = _Partition(len(self.partitions), members[start : start + cfg.partition_size])
-            for sid in part.streams:
-                part.set_id[sid] = stream_set_hash([sid])
+            span = slice(start, start + cfg.partition_size)
+            part = _Partition(len(self.partitions), span, members[span], self.plan_rows[span])
             part.table = PeerTable([self.keypairs[sid] for sid in part.streams], self.registry)
             n = len(part.table.parties)
             if cfg.protocol in ("dream", "zeph") and n >= 3:
@@ -984,6 +990,8 @@ class _Scenario:
                     if cfg.protocol == "dream":
                         part.threshold = threshold_for_probability(res.edge_probability)
             self.partitions.append(part)
+        # every plan member's party, in plan member order
+        self.parties = tuple(p for part in self.partitions for p in part.table.parties)
 
     # -- producer side --------------------------------------------------------
 
@@ -1101,130 +1109,118 @@ class _Scenario:
     # -- server + controllers --------------------------------------------------
 
     def _assemble(self, w: int):
-        """Close window w: a stream is a member exactly when all L of its
-        pieces arrived before the deadline. Then, whatever the window's
-        status, compute window w + 1's base masks over its members."""
+        """Close window w: a plan stream is a member exactly when all L of
+        its pieces arrived before the deadline. The server broadcasts the
+        change from the last window's membership, whatever this window's
+        status: the next window's base masks are computed over this
+        window's members, which the controllers learn from that delta."""
         rec = self.open.pop(w)
-        L = self.config.logical_window
-        complete = np.flatnonzero(rec.arrived == L)
-        members = [self.sim_streams[si] for si in complete]
-
-        plan_members = [s for s in members if s in self.plan_member_set]
-        owner_set = frozenset(self.owner_party[s] for s in plan_members)
-        joined = owner_set - self.prev_owner_set
-        dropped = self.prev_owner_set - owner_set
+        members = rec.arrived[self.plan_rows] == self.config.logical_window
+        delta = MembershipDelta(
+            w,
+            joined=frozenset(compress(self.parties, members & ~self.members)),
+            dropped=frozenset(compress(self.parties, self.members & ~members)),
+        )
         bytes_server = self.plan_bytes if w == 0 else 0
-        if joined or dropped:
-            delta = MembershipDelta(w, joined=joined, dropped=dropped)
+        if delta.joined or delta.dropped:
             bytes_server += delta.wire_size()
-        self.prev_owner_set = owner_set
+        self.members = members
 
-        prf0 = self.prf.calls
-        add0 = self.additions
-        base_prf, base_additions, t_base = self.base_cost
-        self.base_cost = (0, 0, 0.0)
         result = WindowResult(
             window=w,
             status="ok",
-            members=len(plan_members),
+            members=int(np.count_nonzero(members)),
             prf_calls=0,
             additions=0,
             bytes_producer=rec.bytes_producer,
             bytes_controller=0,
             bytes_server=bytes_server,
             t_encrypt=rec.t_encrypt,
-            t_base=t_base,
+            t_base=rec.t_base,
             t_token=0.0,
             t_unmask=0.0,
             overhead_factor=self.overhead_factor,
         )
         # each plan stream that is no member, under the first reason that
         # applies: offline for the window, a piece lost, or a piece late
-        absent = self.plan_rows[rec.arrived[self.plan_rows] != L]
+        absent = self.plan_rows[~members]
         offline = int(np.count_nonzero(~rec.online[absent]))
         lost = int(np.count_nonzero(rec.online[absent] & rec.lost[absent]))
-        result.extras["missing"] = {
-            "offline": offline,
-            "lost": lost,
-            "late": len(absent) - offline - lost,
-        }
+        late = len(absent) - offline - lost
+        result.extras["missing"] = {"offline": offline, "lost": lost, "late": late}
 
-        if len(plan_members) < self.plan.min_members:
+        prf0 = self.prf.calls
+        if result.members < self.plan.min_members:
             result.status = "failed_min_members"
         else:
-            self._release_window(w, plan_members, rec, result)
+            self._release_window(w, members, rec, result)
 
         if self.user_plan is not None:
             self._release_user_window(w, rec, result)
 
-        result.prf_calls = self.prf.calls - prf0 + base_prf
-        result.additions = self.additions - add0 + base_additions
+        rec.prf_calls += self.prf.calls - prf0
+        result.prf_calls = rec.prf_calls
+        result.additions = rec.additions
         self.results.append(result)
         if w + 1 < self.config.windows:
             self._mask_bases(w + 1)
 
     def _mask_bases(self, w: int):
         """Compute window w's base masks in every partition over the last
-        window's members (`prev_owner_set`, the set the membership delta is
-        measured against): the zeph epoch rows they need, dream's selection
-        draws and the masks, so that window w's release applies only the
-        membership delta. Their PRF blocks, additions and time count for
-        window w."""
-        prf0, add0, t0 = self.prf.calls, self.additions, time.perf_counter()
+        window's members (`self.members`, the membership the next delta is
+        measured against): the zeph epoch plan, dream's selection draws
+        and the masks, so that window w's release applies only the
+        membership delta. Their PRF blocks, additions and time go on
+        window w's record, open since w·T, before window w − 1's deadline."""
+        rec = self.open[w]
+        prf0, t0 = self.prf.calls, time.perf_counter()
         width = self.plan.output_width
         for part in self.partitions:
-            table = part.table
-            live = np.fromiter(
-                (p in self.prev_owner_set for p in table.parties), bool, count=len(table.parties)
-            )
-            plan = self._epoch_plan(part, live, self._epoch(part, w))
+            plan = self._epoch_plan(part, self._epoch(part, w))
+            live = self.members[part.span]
             part.base = mask_base(
-                table, live, w, width, plan=plan, threshold=part.threshold, prf=self.prf
+                part.table, live, w, width, plan=plan, threshold=part.threshold, prf=self.prf
             )
-            self.additions += part.base.changed * width
-        self.base_cost = (
-            self.prf.calls - prf0,
-            self.additions - add0,
-            time.perf_counter() - t0,
-        )
+            rec.additions += part.base.changed * width
+        rec.prf_calls += self.prf.calls - prf0
+        rec.t_base += time.perf_counter() - t0
 
-    def _controller_tokens(self, w: int, part: _Partition, active: list[str]):
+    def _controller_tokens(self, w: int, part: _Partition, live: np.ndarray):
         """Build, noise and mask one partition's tokens for window w as one
         streams x outputs matrix.
 
-        Every step is a fixed number of array operations however many
-        parties the partition holds: one token batch, one membership delta
-        over the partition's base masks (`mask_delta`: selection only for
-        edges new to the round, masks only for the edges that changed),
-        one matrix add and one vectorized wire encode. What still runs per
+        `live`, the partition's slice of the window's membership vector,
+        selects the members' streams, parties, budgets and set ids. Every
+        step is a fixed number of array operations however many parties
+        the partition holds: one token batch, one membership delta over
+        the partition's base masks (`mask_delta`: selection only for edges
+        new to the round, masks only for the edges that changed), one
+        matrix add and one vectorized wire encode. What still runs per
         party is the budget charge and the noise draw. A window without a
         base, window 0, starts from the empty membership. A second call for
         the same partition and window raises before any key is derived.
-        `active` must follow `part.streams` order. Returns the masked
-        batch, the bytes sent and the ring additions spent on the delta.
-        The window's budgets were checked beforehand, so every charge
-        succeeds.
+        Returns the masked batch, the bytes sent and the ring additions
+        spent on the delta. The window's budgets were checked beforehand,
+        so every charge succeeds.
         """
-        cfg = self.config
-        L = cfg.logical_window
+        L = self.config.logical_window
         window = (w * L, (w + 1) * L)
         self._claim_token(self.plan.plan_id, part.index, window)
         table = part.table
         epoch = self._epoch(part, w)
-        live = np.zeros(len(part.streams), dtype=bool)
-        live[[part.position[sid] for sid in active]] = True
+        streams = tuple(compress(part.streams, live))
         values = token_matrix(
-            [self.masters[sid] for sid in active],
+            [self.masters[sid] for sid in streams],
             window,
             self.plan.directives,
             layout=self.plan.token_layout,
             prf=self.prf,
         )
-        parties = tuple(self.owner_party[sid] for sid in active)
+        parties = tuple(compress(table.parties, live))
         if self.plan.dp_epsilon is not None:
             shares = noise_shares(
                 self.plan.noise,
-                [self.budgets[sid] for sid in active],
+                list(compress(self.budgets[part.span], live)),
                 self.plan.dp_epsilon,
                 self._noise_rngs(w, parties),
                 values.shape[1],
@@ -1232,7 +1228,7 @@ class _Scenario:
             if isinstance(shares, Suppressed):
                 raise RuntimeError(f"a member was refused a checked budget: {shares.reason}")
             values += shares
-        plan = self._epoch_plan(part, live, epoch)
+        plan = self._epoch_plan(part, epoch)
         base, part.base = part.base, None
         if base is None or base.round_index != w:
             base = EdgeMasks.empty(table, w, values.shape[1])
@@ -1242,10 +1238,10 @@ class _Scenario:
             epoch_id=epoch,
             window=window,
             parties=parties,
-            stream_set_ids=tuple(part.set_id[sid] for sid in active),
+            stream_set_ids=tuple(compress(part.set_ids, live)),
             elements=values + masks.nonces[live],
             noised=self.plan.dp_epsilon is not None,
-            stream_ids=tuple(active),
+            stream_ids=streams,
         )
         return masked, len(masked.serialize()), masks.changed * values.shape[1]
 
@@ -1262,26 +1258,17 @@ class _Scenario:
     def _epoch(part: _Partition, w: int) -> int:
         return w // part.epoch_width if part.epoch_width else 0
 
-    def _epoch_plan(self, part: _Partition, live: np.ndarray, epoch: int):
-        """The partition's zeph plan for the epoch, one row per row of its
-        `PeerTable`, replacing the plan of the previous epoch. A party's
-        rows are derived, in one `graph_bits` pass per call, by the first
-        base or release of the epoch it is live in. None for the other
-        protocols and for partitions too small to plan."""
+    def _epoch_plan(self, part: _Partition, epoch: int):
+        """The partition's zeph plan for the epoch, replacing the plan of
+        the previous epoch: every row of its `PeerTable`, derived in one
+        `graph_bits` pass by the epoch's first base or release. None for
+        the other protocols and for partitions too small to plan."""
         if self.config.protocol != "zeph" or part.b is None:
             return None
-        table = part.table
-        plan = part.epoch_plan
-        if plan is None or plan.epoch_id != epoch:
-            bits = np.zeros((len(table), 128), dtype=np.uint8)
-            plan = part.epoch_plan = EpochPlan(epoch, part.b, table.peers, bits)
-            part.planned = np.zeros(len(table.parties), dtype=bool)
-        fresh = live & ~part.planned
-        if fresh.any():
-            rows = np.flatnonzero(fresh[table.owner])
-            plan.bits[rows] = graph_bits(table.keys[rows], epoch, prf=self.prf)
-            part.planned |= fresh
-        return plan
+        if part.epoch_plan is None or part.epoch_plan.epoch_id != epoch:
+            bits = graph_bits(part.table.keys, epoch, prf=self.prf)
+            part.epoch_plan = EpochPlan(epoch, part.b, part.table.peers, bits)
+        return part.epoch_plan
 
     def _noise_rngs(self, w: int, parties: Sequence[PartyId]) -> list[np.random.Generator]:
         """Each party's DP-noise generator for window w, seeded in one
@@ -1295,44 +1282,34 @@ class _Scenario:
         entropy = b"".join(hashlib.sha256(prefix + p.value).digest()[:8] for p in parties)
         return noise_generators(np.frombuffer(entropy, dtype="<u8"))
 
-    def _release_window(
-        self,
-        w: int,
-        plan_members: list[str],
-        rec: _Window,
-        result: WindowResult,
-    ):
+    def _release_window(self, w: int, members: np.ndarray, rec: _Window, result: WindowResult):
         eps = self.plan.dp_epsilon
         if eps is not None and not all(
-            self.budgets[s].can_charge(eps) for s in plan_members
+            budget.can_charge(eps) for budget in compress(self.budgets, members)
         ):
             # one exhausted member suppresses the whole window before any
             # token is built, so no other member's budget is charged
             result.status = "suppressed"
             result.extras["suppressed"] = "epsilon budget exhausted"
             return
-        live = frozenset(plan_members)
-        parts = []
-        for part in self.partitions:
-            active = [s for s in part.streams if s in live]
-            if active:
-                parts.append((part, active))
+        parts = [(part, members[part.span]) for part in self.partitions]
+        parts = [(part, live) for part, live in parts if live.any()]
         t0 = time.perf_counter()
-        part_tokens = [self._controller_tokens(w, part, active) for part, active in parts]
+        part_tokens = [self._controller_tokens(w, part, live) for part, live in parts]
         result.t_token = time.perf_counter() - t0
 
         for _masked, bytes_out, additions in part_tokens:
             result.bytes_controller += bytes_out
-            self.additions += additions
+            rec.additions += additions
 
-        window = (w * self.config.logical_window, (w + 1) * self.config.logical_window)
         t0 = time.perf_counter()
         opened = []
-        for (_part, active), (masked, _, _) in zip(parts, part_tokens):
+        for (part, live), (masked, _, _) in zip(parts, part_tokens):
+            active = list(compress(part.streams, live))
             combined = unmask_aggregate(masked, stream_ids=active)
             # the partition's window sums share the window's range: one row sum
-            body = rec.sums[[self.row[s] for s in active]].sum(axis=0)
-            merged = merge_elements(StreamCiphertext(*window, body), self.plan.token_layout)
+            body = rec.sums[part.rows[live]].sum(axis=0)
+            merged = merge_elements(StreamCiphertext(*masked.window, body), self.plan.token_layout)
             opened.append(
                 apply_token(merged, combined, stream_set_id=stream_set_hash(active))
             )
@@ -1352,13 +1329,13 @@ class _Scenario:
             # a wrapped count, bin or sum of squares decodes to a wrong value
             result.status = "decode_warning"
             result.extras["decode_warnings"] = warnings
-        result.shadow_ok = released_total == self._shadow(w, plan_members, rec.plain)
+        result.shadow_ok = released_total == self._shadow(w, members, rec.plain)
 
-    def _shadow(self, w: int, plan_members: list[str], plain: np.ndarray) -> list[int]:
+    def _shadow(self, w: int, members: np.ndarray, plain: np.ndarray) -> list[int]:
         """Plaintext recomputation of the released vector, noise included.
         A member that spent the window offline contributed one neutral
         catch-up event, i.e. its zero row of `plain`."""
-        total = plain[[self.row[sid] for sid in plan_members]].sum(axis=0)
+        total = plain[self.plan_rows[members]].sum(axis=0)
         out = []
         for sources in self.shadow_layout:
             acc = 0
@@ -1367,7 +1344,7 @@ class _Scenario:
             out.append(acc)
         if self.plan.dp_epsilon is not None:
             sigma = self.plan.noise.per_party_sigma
-            for rng in self._noise_rngs(w, [self.owner_party[sid] for sid in plan_members]):
+            for rng in self._noise_rngs(w, tuple(compress(self.parties, members))):
                 samples = rng.normal(0.0, sigma, size=len(out))
                 for i, eta in enumerate(samples):
                     out[i] = (out[i] + round(float(eta))) & RING_MASK
@@ -1437,7 +1414,7 @@ class _Scenario:
             "liveness": ok / max(1, self.config.windows),
             "shadow_ok": shadow_all,
             "prf_calls_total": self.prf.calls,
-            "additions_total": self.additions,
+            "additions_total": sum(r.additions for r in self.results),
             "bytes_producer_total": sum(r.bytes_producer for r in self.results),
             "bytes_controller_total": sum(r.bytes_controller for r in self.results),
             "bytes_server_total": sum(r.bytes_server for r in self.results),

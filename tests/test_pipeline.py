@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -67,6 +68,11 @@ def small_config(**kwargs):
     return SimConfig(**defaults)
 
 
+def member_owners(scenario: _Scenario) -> frozenset:
+    """The owners of the last assembled window's members."""
+    return frozenset(compress(scenario.parties, scenario.members))
+
+
 def recording_owner_sets(scenario: _Scenario) -> list:
     """Make `scenario` record each window's set of member owners, in
     window order, into the list returned."""
@@ -75,7 +81,7 @@ def recording_owner_sets(scenario: _Scenario) -> list:
 
     def spy(w):
         assemble(w)
-        owner_sets.append(scenario.prev_owner_set)
+        owner_sets.append(member_owners(scenario))
 
     scenario._assemble = spy
     return owner_sets
@@ -539,7 +545,7 @@ def test_a_window_token_is_minted_once():
     calls = scenario.prf.calls
     for part in scenario.partitions:
         with pytest.raises(RuntimeError, match="already minted"):
-            scenario._controller_tokens(0, part, list(part.streams))
+            scenario._controller_tokens(0, part, np.ones(len(part.streams), dtype=bool))
     # a record in which the per-user stream's chain is complete
     record = pipeline._Window(0.0, len(scenario.sim_streams), scenario.width, 1)
     record.arrived[:] = scenario.config.logical_window
@@ -563,15 +569,15 @@ def test_tokens_are_minted_per_plan_partition_and_window():
     } | {(scenario.user_plan.plan_id, None, window) for window in windows}
     # each stream's one-stream set id, hashed once at partition setup
     for part in scenario.partitions:
-        assert part.set_id == {sid: stream_set_hash([sid]) for sid in part.streams}
+        assert part.set_ids == tuple(stream_set_hash([sid]) for sid in part.streams)
     # a window not yet released still mints
     part = scenario.partitions[0]
-    masked, _, _ = scenario._controller_tokens(2, part, list(part.streams))
+    masked, _, _ = scenario._controller_tokens(2, part, np.ones(len(part.streams), dtype=bool))
     assert masked.window == (2 * L, 3 * L)
-    assert masked.stream_set_ids == tuple(part.set_id[sid] for sid in part.streams)
+    assert masked.stream_set_ids == part.set_ids
 
 
-def test_zeph_keeps_only_the_current_epoch_plan():
+def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
     config = SimConfig(
         custom=SOLO_SCENARIO,
         protocol="zeph",
@@ -588,13 +594,23 @@ def test_zeph_keeps_only_the_current_epoch_plan():
     scenario = _Scenario(config)
     (part,) = scenario.partitions
     assert part.epoch_width == 256  # window 256 opens the second epoch
+    passes = []  # (epoch, rows, PRF blocks) of each graph_bits pass
+    original = pipeline.graph_bits
+
+    def metered(keys, epoch_id, *, prf):
+        before = scenario.prf.calls
+        bits = original(keys, epoch_id, prf=prf)
+        passes.append((epoch_id, len(keys), scenario.prf.calls - before))
+        return bits
+
+    monkeypatch.setattr(pipeline, "graph_bits", metered)
     result = scenario.run()
     assert result.summary["shadow_ok"] is True
     assert result.summary["windows_ok"] == 257
-    # one plan row per edge of the partition, all planned in epoch 1
+    # each epoch derives its plan whole, in one pass of a block per edge
+    assert passes == [(0, 20 * 19, 20 * 19), (1, 20 * 19, 20 * 19)]
     assert part.epoch_plan.epoch_id == 1
     assert part.epoch_plan.bits.shape == (20 * 19, 128)
-    assert part.planned.all()
 
 
 def test_suppressed_window_charges_no_budget():
@@ -616,10 +632,10 @@ def test_suppressed_window_charges_no_budget():
     owner_sets = []
 
     def spy(w):
-        before = {sid: b.epsilon_spent for sid, b in scenario.budgets.items()}
+        before = [b.epsilon_spent for b in scenario.budgets]
         assemble(w)
-        spent[w] = (before, {sid: b.epsilon_spent for sid, b in scenario.budgets.items()})
-        owner_sets.append(scenario.prev_owner_set)
+        spent[w] = (before, [b.epsilon_spent for b in scenario.budgets])
+        owner_sets.append(member_owners(scenario))
 
     scenario._assemble = spy
     result = scenario.run()
@@ -703,6 +719,81 @@ def test_a_steady_membership_spends_no_mask_blocks_at_release(monkeypatch, proto
     assert release_blocks[1:] == token_blocks[1:]
     # the masks were spent in the bases, and count for their windows
     assert all(w.prf_calls > blocks for w, blocks in zip(result.windows[1:], token_blocks[1:]))
+
+
+# fitness/zeph with late pieces: windows 2, 4 and 5 fail min_members
+FAILING_ZEPH = SimConfig(
+    preset="fitness", protocol="zeph", producers=100, partition_size=50, windows=6,
+    seed=4, dropout_rate=0.05, latency_sigma=1.2, grace=1.0, colluding_fraction=0.2,
+)
+
+
+def test_a_window_that_does_not_release_still_bills_its_membership_delta():
+    # the next window's base is computed over this window's members, and
+    # the controllers learn them from the delta, released or not
+    scenario = _Scenario(FAILING_ZEPH)
+    owner_sets = recording_owner_sets(scenario)
+    result = scenario.run()
+    assert [w.window for w in result.windows if w.status != "ok"] == [2, 4, 5]
+    before = frozenset()
+    for w, owners in zip(result.windows, owner_sets):
+        assert len(owners) == w.members
+        assert owners != before
+        wire = MembershipDelta(w.window, owners - before, before - owners).wire_size()
+        assert w.bytes_server == (scenario.plan_bytes if w.window == 0 else 0) + wire
+        before = owners
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_config(dropout_rate=0.15, drop_rate=0.01, windows=4),
+        FAILING_ZEPH,
+        SimConfig(
+            preset="web", protocol="dream", producers=100, partition_size=50, windows=5,
+            seed=9, grace=25.0, latency_mean=3.0, latency_sigma=1.0, dropout_rate=0.1,
+        ),
+        SimConfig(
+            preset="web", protocol="dream", producers=60, partition_size=20, windows=44,
+            dropout_rate=0.05, seed=2,
+        ),
+    ],
+    ids=["clique-failed", "zeph-failed", "dream-failed", "dream-suppressed"],
+)
+def test_windows_reconcile_with_the_totals(config):
+    result = run_scenario(config)
+    statuses = {w.status for w in result.windows}
+    assert "ok" in statuses and statuses - {"ok"}
+    summary = result.summary
+    for name in ("additions", "bytes_producer", "bytes_controller", "bytes_server"):
+        assert summary[f"{name}_total"] == sum(getattr(w, name) for w in result.windows), name
+
+
+def test_run_json_writes_numbers_as_numbers(capsys):
+    from veilstream import cli
+
+    result = run_scenario(small_config(preset="car", windows=2))
+    result.windows[0].extras["count"] = np.int64(7)
+    doc = json.loads(result.to_json())
+    text = {"preset", "protocol"}
+    for key, value in doc["summary"].items():
+        if key == "transport":
+            assert all(type(v) is int for v in value.values())
+        elif key == "shadow_ok":
+            assert value is True
+        elif key not in text:
+            assert type(value) in (int, float), key
+    for window in doc["windows"]:
+        assert all(type(window[c]) in (int, float) for c in CSV_COLUMNS if c != "status")
+        assert all(type(v) is int for v in window["extras"]["missing"].values())
+    assert doc["windows"][0]["extras"]["count"] == 7
+    assert type(doc["windows"][0]["extras"]["count"]) is int
+    cli._emit({"n": np.float64(0.5), "k": np.int64(3)})
+    assert json.loads(capsys.readouterr().out) == {"n": 0.5, "k": 3}
+    # anything else is refused, not written as a string
+    result.windows[0].extras["count"] = object()
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        result.to_json()
 
 
 def test_missing_plan_streams_are_explained_by_their_first_reason():
