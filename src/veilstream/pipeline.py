@@ -16,9 +16,10 @@ a grace period. A message's fate, lost or its arrival time, is drawn
 when it is sent. A piece lost or arriving after the deadline leaves that
 stream's window chain incomplete, so the stream drops out of the
 window's member set and rejoins later; membership changes travel as
-compact deltas. Controllers mask offline and correct online: right after
-a window's assembly, each partition computes the next window's pairwise
-masks over that window's members, and a release applies only the
+compact deltas. Controllers mask offline and correct online: each
+partition computes window 0's pairwise masks over every plan member as
+window 0 opens, and every later window's right after the previous
+window's assembly, over that window's members; a release applies only the
 membership delta to them. Producers that skip a window emit a neutral catch-up
 event on return so their cipher chain stays contiguous at window borders.
 
@@ -722,7 +723,7 @@ class _Partition:
         self.epoch_width = 0
         # current epoch only: one plan row per table row
         self.epoch_plan: Optional[EpochPlan] = None
-        # the next window's masks, computed over the last window's members
+        # the next window's masks, over the membership its delta starts from
         self.base: Optional[EdgeMasks] = None
 
 
@@ -791,8 +792,10 @@ class _Scenario:
         self._setup_partitions()
         self.results: list[WindowResult] = []
         self.open: dict[int, _Window] = {}  # scheduled, not yet assembled
-        # the last assembled window's membership, one boolean per plan member
-        self.members = np.zeros(len(self.plan.members), dtype=bool)
+        # the membership the next delta is measured against, one boolean
+        # per plan member: every plan member, as the plan broadcast lists
+        # them, then each assembled window's members
+        self.members = np.ones(len(self.plan.members), dtype=bool)
         self.plan_bytes = len(
             json.dumps(
                 {
@@ -1018,6 +1021,9 @@ class _Scenario:
         indices = np.flatnonzero(online)
         rec = self.open[w] = _Window((w + 1) * T + cfg.grace, n, self.width, len(self.shadow_lanes))
         rec.online = online
+        if w == 0:
+            # no assembly precedes window 0 to compute its base
+            self._mask_bases(0)
         catch_up = {}
         step = max(1, SLAB_BYTES // (L * self.width * 8))
         for lo in range(0, len(indices), step):
@@ -1111,9 +1117,11 @@ class _Scenario:
     def _assemble(self, w: int):
         """Close window w: a plan stream is a member exactly when all L of
         its pieces arrived before the deadline. The server broadcasts the
-        change from the last window's membership, whatever this window's
-        status: the next window's base masks are computed over this
-        window's members, which the controllers learn from that delta."""
+        change from the last window's membership (window 0's from the plan's
+        members, which the plan broadcast lists), whatever this window's
+        status: the release corrects the window's base masks by it, and the
+        next window's base masks are computed over this window's members,
+        which the controllers learn from that delta."""
         rec = self.open.pop(w)
         members = rec.arrived[self.plan_rows] == self.config.logical_window
         delta = MembershipDelta(
@@ -1166,12 +1174,14 @@ class _Scenario:
             self._mask_bases(w + 1)
 
     def _mask_bases(self, w: int):
-        """Compute window w's base masks in every partition over the last
-        window's members (`self.members`, the membership the next delta is
-        measured against): the zeph epoch plan, dream's selection draws
-        and the masks, so that window w's release applies only the
-        membership delta. Their PRF blocks, additions and time go on
-        window w's record, open since w·T, before window w − 1's deadline."""
+        """Compute window w's base masks in every partition over
+        `self.members`, the membership the next delta is measured against:
+        every plan member for window 0, computed as it opens, and the last
+        window's members for window w ≥ 1, computed right after window
+        w − 1's assembly. The zeph epoch plan, dream's selection draws and
+        the masks are spent here, so that window w's release applies only
+        the membership delta. Their PRF blocks, additions and time go on
+        window w's record, open since w·T."""
         rec = self.open[w]
         prf0, t0 = self.prf.calls, time.perf_counter()
         width = self.plan.output_width
@@ -1196,9 +1206,10 @@ class _Scenario:
         the partition's base masks (`mask_delta`: selection only for edges
         new to the round, masks only for the edges that changed), one
         matrix add and one vectorized wire encode. What still runs per
-        party is the budget charge and the noise draw. A window without a
-        base, window 0, starts from the empty membership. A second call for
-        the same partition and window raises before any key is derived.
+        party is the budget charge and the noise draw. A second call for
+        the same partition and window, or a partition whose base masks are
+        missing or belong to another round, raises before any key is
+        derived.
         Returns the masked batch, the bytes sent and the ring additions
         spent on the delta. The window's budgets were checked beforehand,
         so every charge succeeds.
@@ -1206,6 +1217,9 @@ class _Scenario:
         L = self.config.logical_window
         window = (w * L, (w + 1) * L)
         self._claim_token(self.plan.plan_id, part.index, window)
+        base, part.base = part.base, None
+        if base is None or base.round_index != w:
+            raise RuntimeError(f"partition {part.index} has no base masks for window {w}")
         table = part.table
         epoch = self._epoch(part, w)
         streams = tuple(compress(part.streams, live))
@@ -1229,9 +1243,6 @@ class _Scenario:
                 raise RuntimeError(f"a member was refused a checked budget: {shares.reason}")
             values += shares
         plan = self._epoch_plan(part, epoch)
-        base, part.base = part.base, None
-        if base is None or base.round_index != w:
-            base = EdgeMasks.empty(table, w, values.shape[1])
         masks = mask_delta(table, base, live, plan=plan, threshold=part.threshold, prf=self.prf)
         masked = MaskedBatch(
             round_index=w,

@@ -35,8 +35,11 @@ masks depend only on the secret, the round and the membership:
 `mask_base` computes a round's `EdgeMasks` ahead of time for a membership
 known then, and `mask_delta` moves them to the membership at release,
 backing out the masks of edges with an end no longer live and adding
-those of edges that became candidates, so its work follows the change in
-membership. `apply_delta` is its one-party case. Every PRF call
+those of edges that became candidates. Its work follows the change in
+membership: finding the changed parties and updating the parties x width
+nonces and the degrees is O(parties), and it reads, selects and masks
+only the rows with a changed end, which `PeerTable`'s layout indexes
+directly. `apply_delta` is its one-party case. Every PRF call
 goes through `Prf.evaluate_batch` with one key per edge covering that
 edge's blocks, every edge's blocks in one pass of calls of at most
 `ring.BATCH_BLOCKS` blocks.
@@ -331,7 +334,9 @@ class PeerTable:
     `setup_pairwise` lists them, so `owner` (the row's party, an index
     into `parties`) never decreases. `keys` (edges x 16 `uint8`), `signs`
     and `peers` hold each row's secret, mask sign and peer id, and `peer`
-    the index of that peer in `parties`.
+    the index of that peer in `parties`. `rank[i]` is party i's rank in id
+    order, so with n parties party o's row to party j is
+    o·(n−1) + rank[j] − (rank[j] > rank[o]).
     """
 
     def __init__(self, keypairs: Sequence[KeyPair], registry: IdentityRegistry):
@@ -360,6 +365,7 @@ class PeerTable:
         self.peer = order[others].ravel()
         self.peers = tuple(map(self.parties.__getitem__, self.peer.tolist()))
         self.owner = np.repeat(np.arange(n), n - 1)
+        self.rank = rank
         # the peers that sort below their owner come first and subtract
         signs = np.ones(others.shape, dtype=np.uint64)
         signs[others < rank[:, None]] = RING_MASK
@@ -414,17 +420,20 @@ class EpochPlan:
         """Rounds per epoch."""
         return self.segments << self.b
 
-    def round_mask(self, round_index: int) -> np.ndarray:
-        """Boolean per peer: is the edge active in this round? One
-        comparison of segment round_index >> b against the round's low b
-        bits, over every row."""
+    def round_mask(self, round_index: int, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Boolean per peer, or per row of `rows` when given: is the edge
+        active in this round? One comparison of segment round_index >> b
+        against the round's low b bits, over those rows only."""
         if not 0 <= round_index < self.width:
             raise ValueError(f"round {round_index} outside epoch of {self.width} rounds")
         b = self.b
         start = (round_index >> b) * b
         low = (round_index & ((1 << b) - 1)).to_bytes(16, "big")
         value = np.unpackbits(np.frombuffer(low, np.uint8))[128 - b :]
-        return (self.bits[:, start : start + b] == value).all(axis=1)
+        segment = self.bits[:, start : start + b]
+        if rows is not None:
+            segment = segment[rows]
+        return (segment == value).all(axis=1)
 
     def active_in_round(self, peer: PartyId, round_index: int) -> bool:
         i = bisect_left(self.peers, peer)
@@ -485,7 +494,7 @@ def _round_rows(keys, rows, round_index, plan, threshold, prf) -> np.ndarray:
     whose selection draw is at most `threshold` (dream), one PRF block per
     candidate in one pass of `_keyed_calls`."""
     if plan is not None:
-        return rows[plan.round_mask(round_index % plan.width)[rows]]
+        return rows[plan.round_mask(round_index % plan.width, rows)]
     if threshold is None:
         return rows
     msg = prf_input(DOMAIN_SELECT, 0, round_index)
@@ -553,29 +562,37 @@ def round_edges(
     live = np.asarray(live, dtype=bool)
     rows = np.flatnonzero(live[table.owner] & live[table.peer])
     rows = _round_rows(table.keys, rows, round_index, plan, threshold, prf)
-    _warn_isolated(table, live, rows, round_index)
+    degree = np.bincount(table.owner[rows], minlength=len(table.parties))
+    _warn_isolated(table, live, degree, round_index)
     return rows
 
 
-def _warn_isolated(table: PeerTable, live: np.ndarray, rows: np.ndarray, round_index: int):
-    """Log every live party of `table` that no row of `rows` masks."""
-    degree = np.bincount(table.owner[rows], minlength=len(table.parties))
+def _warn_isolated(table: PeerTable, live: np.ndarray, degree: np.ndarray, round_index: int):
+    """Log every live party of `table` whose `degree`, its rows in the
+    round, is zero."""
     for i in np.flatnonzero(live & (degree == 0)):
         _warn_unprotected(round_index, table.parties[i])
 
 
 class EdgeMasks(NamedTuple):
     """A round's pairwise masks over a `PeerTable` for one live set: the
-    round, `live` (a boolean per party), the rows whose edge masks enter
-    the round (ascending, as `round_edges` gives them) and the parties x
-    width nonce matrix those rows sum to (`mask_edges`). `changed` counts
-    the rows whose masks the step that made them added or backed out."""
+    round, `live` (a boolean per party), `selected` (a boolean per row: does
+    its edge mask enter the round?), `degree` (the selected rows of each
+    party) and the parties x width nonce matrix the selected rows sum to
+    (`mask_edges`). `changed` counts the rows whose masks the step that
+    made them added or backed out."""
 
     round_index: int
     live: np.ndarray
-    rows: np.ndarray
+    selected: np.ndarray
+    degree: np.ndarray
     nonces: np.ndarray
     changed: int
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The selected rows, ascending, as `round_edges` gives them."""
+        return np.flatnonzero(self.selected)
 
     @classmethod
     def empty(cls, table: PeerTable, round_index: int, width: int) -> "EdgeMasks":
@@ -584,7 +601,8 @@ class EdgeMasks(NamedTuple):
         return cls(
             round_index,
             np.zeros(parties, dtype=bool),
-            np.empty(0, dtype=np.intp),
+            np.zeros(len(table), dtype=bool),
+            np.zeros(parties, dtype=np.intp),
             np.zeros((parties, width), dtype=np.uint64),
             0,
         )
@@ -619,46 +637,77 @@ def mask_delta(
 ) -> EdgeMasks:
     """Move a round's masks from the base's live set to `live`.
 
-    Subtracts the masks of the base rows that have an end no longer live,
-    runs the round's selection (`plan` for zeph, `threshold` for dream,
-    neither for clique) only on the rows that are candidates now (both
-    ends live) and were not in the base, so dream draws only for those,
-    and adds the masks of the rows selected. The result equals
-    `mask_edges` over `round_edges` for `live` exactly, since the ring
-    arithmetic is exact, and every live party left without a row is
-    logged as `round_edges` logs it.
+    Only the rows with an end whose liveness changed can change: each
+    changed party's own block of rows, and its row in every other party's
+    block. Of those, the selected ones lose their masks (an end is no
+    longer live), and the ones that are candidates now (both ends live)
+    were none in the base: the round's selection (`plan` for zeph,
+    `threshold` for dream, neither for clique) runs on them alone, so
+    dream draws only for them, and the masks of the rows selected are
+    added. Finding the changed parties, updating the nonce matrix and the
+    degrees, and the connectivity check are O(parties); the rest is
+    O(changed rows), besides one copy of the row selection, and an
+    unchanged membership returns the base's nonces at no PRF cost. The
+    result equals `mask_edges` over `round_edges` for `live` exactly, since
+    the ring arithmetic is exact, and every live party left without a row
+    is logged as `round_edges` logs it.
     """
     masks = _delta(table, base, live, plan, threshold, prf)
-    _warn_isolated(table, masks.live, masks.rows, masks.round_index)
+    _warn_isolated(table, masks.live, masks.degree, masks.round_index)
     return masks
 
 
 def _delta(table, base, live, plan, threshold, prf) -> EdgeMasks:
     """`mask_delta` without its connectivity log."""
     live = np.asarray(live, dtype=bool)
-    now = live[table.owner] & live[table.peer]
-    was = base.live[table.owner] & base.live[table.peer]
-    kept = now[base.rows]
-    gone = base.rows[~kept]
+    changed = np.flatnonzero(live != base.live)
+    if not len(changed):
+        return base._replace(changed=0)
+    touched = _touched_rows(table, changed)
+    # a selected row with a changed end lost that end; a candidate row with
+    # a changed end gained it
+    gone = touched[base.selected[touched]]
+    fresh = touched[live[table.owner[touched]] & live[table.peer[touched]]]
     nonces, added = _change_masks(
         table.keys,
         table.signs,
         table.owner,
         base.nonces,
         gone,
-        np.flatnonzero(now & ~was),
+        fresh,
         base.round_index,
         plan,
         threshold,
         prf,
     )
-    # the kept and added rows are disjoint: merge them by marking
-    rows = np.zeros(len(now), dtype=bool)
-    rows[base.rows[kept]] = True
-    rows[added] = True
-    return EdgeMasks(
-        base.round_index, live, np.flatnonzero(rows), nonces, len(gone) + len(added)
+    selected = base.selected.copy()
+    selected[gone] = False
+    selected[added] = True
+    parties = len(live)
+    degree = (
+        base.degree
+        - np.bincount(table.owner[gone], minlength=parties)
+        + np.bincount(table.owner[added], minlength=parties)
     )
+    return EdgeMasks(
+        base.round_index, live, selected, degree, nonces, len(gone) + len(added)
+    )
+
+
+def _touched_rows(table: PeerTable, changed: np.ndarray) -> np.ndarray:
+    """The rows of `table` with an end in `changed` (ascending party
+    indices), ascending: the changed parties' own blocks, and every other
+    party's rows to them. Both parts come out sorted, so the stable sort
+    only merges two runs."""
+    n = len(table.parties)
+    rank = table.rank
+    others = np.ones(n, dtype=bool)
+    others[changed] = False
+    others = np.flatnonzero(others)
+    ranks = np.sort(rank[changed])
+    to_changed = (others * (n - 1))[:, None] + ranks - (ranks > rank[others, None])
+    own = (changed * (n - 1))[:, None] + np.arange(n - 1)
+    return np.sort(np.concatenate((to_changed.ravel(), own.ravel())), kind="stable")
 
 
 def _change_masks(keys, signs, owner, nonces, gone, fresh, round_index, plan, threshold, prf):

@@ -356,6 +356,64 @@ def test_the_delta_logs_a_party_left_without_an_edge_and_the_base_does_not(caplo
     assert len(masks.rows) == 0 and not masks.nonces.any()
 
 
+LARGE_POPULATION = population(200)
+
+
+@pytest.mark.parametrize("protocol", ["clique", "dream", "zeph"])
+def test_a_delta_on_a_large_table_spends_only_on_the_changed_parties(protocol):
+    _, keypairs, registry, _, _ = LARGE_POPULATION
+    # the table lists the parties in key pair order, not in id order
+    table = PeerTable(keypairs, registry)
+    n, w, width = len(table.parties), 37, 5
+    assert sorted(table.rank.tolist()) == list(range(n)) and table.rank.tolist() != list(range(n))
+    rng = np.random.default_rng(8)
+    base_live = rng.random(n) < 0.9
+    live = base_live.copy()
+    joined = rng.choice(np.flatnonzero(~base_live), size=3, replace=False)
+    dropped = rng.choice(np.flatnonzero(base_live), size=4, replace=False)
+    live[joined], live[dropped] = True, False
+    threshold = threshold_for_probability(0.25) if protocol == "dream" else None
+    plan = epoch = None
+    if protocol == "zeph":
+        epoch = w // 7
+        plan = EpochPlan(epoch, 2, table.peers, graph_bits(table.keys, epoch))
+    select = dict(plan=plan, threshold=threshold)
+
+    prf = CountingPrf(AesPrf())
+    base = mask_base(table, base_live, w, width, prf=prf, **select)
+    before = prf.calls
+    masks = mask_delta(table, base, live, prf=prf, **select)
+    spent = prf.calls - before
+
+    rows = round_edges(table, live, w, **select)
+    assert masks.rows.tolist() == rows.tolist()
+    assert masks.degree.tolist() == np.bincount(table.owner[rows], minlength=n).tolist()
+    expect = mask_edges(
+        table.keys[rows], table.signs[rows], table.owner[rows], n, width,
+        epoch_id=epoch, round_index=w,
+    )
+    assert masks.nonces.tolist() == expect.tolist()
+
+    # the blocks of the rows with a changed end only: a mask per base row
+    # backed out or row added, and for dream a draw per new candidate
+    touched = np.isin(table.owner, [*joined, *dropped]) | np.isin(table.peer, [*joined, *dropped])
+    candidate_base = base_live[table.owner] & base_live[table.peer]
+    candidate_now = live[table.owner] & live[table.peer]
+    removed = base.selected & ~candidate_now
+    added = masks.selected & ~candidate_base
+    assert not (removed | added)[~touched].any()
+    draws = np.count_nonzero(candidate_now & ~candidate_base) if protocol == "dream" else 0
+    changed = np.count_nonzero(removed) + np.count_nonzero(added)
+    assert 0 < changed == masks.changed
+    assert spent == changed * ((width + 1) // 2) + draws
+
+    # an unchanged membership keeps the nonces and spends no block
+    before = prf.calls
+    same = mask_delta(table, masks, live.copy(), prf=prf, **select)
+    assert prf.calls == before
+    assert same.nonces is masks.nonces and same.changed == 0
+
+
 def test_peer_table_rows_run_party_by_party_over_the_other_parties():
     _, keypairs, registry, _, _ = population(3)
     with pytest.raises(ValueError, match="twice"):
@@ -528,12 +586,10 @@ def test_controller_prf_calls_follow_partitions_not_parties(protocol):
         assert len(scenario.partitions) == 2
         calls[producers] = per_window
     assert calls[60] == calls[120]
-    # per partition: the token keys, one selection pass for dream, the
-    # masks, and zeph's plan in its first window; window 1's base makes
-    # the selection and mask passes, so its release, over the same
-    # members, derives the token keys alone
-    steps = {"clique": 2, "dream": 3, "zeph": 2}[protocol]
-    expect = [2 * steps, 2 * (steps - 1), 2]
-    if protocol == "zeph":
-        expect[0] += 2
-    assert calls[60] == expect
+    # per partition, in window order: each window's base makes one
+    # selection pass for dream and the mask pass, after zeph's plan in
+    # window 0; each release, over the base's members, derives the token
+    # keys alone
+    base = 2 * {"clique": 1, "dream": 2, "zeph": 1}[protocol]
+    plan = 2 if protocol == "zeph" else 0
+    assert calls[60] == [base + plan, 2, base, 2]

@@ -25,7 +25,7 @@ from veilstream.pipeline import (
 )
 from veilstream.policy import plan_query, verify_plan
 from veilstream.ring import AesPrf, CountingPrf
-from veilstream.secure_agg import EpochPlan, MembershipDelta, graph_bits, round_edges
+from veilstream.secure_agg import EpochPlan, MembershipDelta, graph_bits, mask_base, round_edges
 from veilstream.tokens import stream_set_hash
 
 SOLO_SCENARIO = {
@@ -104,22 +104,23 @@ def base_edges(scenario: _Scenario, part, owners, w, prf):
 
 def delta_extra(scenario: _Scenario, owner_sets: list) -> list[tuple[int, int]]:
     """Per window, the PRF blocks and ring additions that masking through
-    a base over the previous window's members and a delta at release adds
-    to recomputing every mask from the members, from `round_edges` over
-    consecutive windows' member sets: each base edge with an end no longer
-    live is masked twice more (in the base, then backed out), at
-    ceil(width/2) blocks and width additions, and dream draws once more
-    for each base candidate that is no candidate now. Every window must
-    release, all in one zeph epoch, so the plan's rows do not move."""
+    a base over the previous membership and a delta at release adds to
+    recomputing every mask from the members, from `round_edges` over
+    consecutive member sets, starting from every plan member before window
+    0: each base edge with an end no longer live is masked twice more (in
+    the base, then backed out), at ceil(width/2) blocks and width
+    additions, and dream draws once more for each base candidate that is
+    no candidate now. Every window must release, all in one zeph epoch,
+    so the plan's rows do not move."""
     width = scenario.plan.output_width
     blocks = (width + 1) // 2
     prf = AesPrf()
-    extra = [(0, 0)]
-    for w in range(1, len(owner_sets)):
+    extra = []
+    for w, before in enumerate([frozenset(scenario.parties), *owner_sets[:-1]]):
         prf_blocks = additions = 0
         for part in scenario.partitions:
             table = part.table
-            base, rows = base_edges(scenario, part, owner_sets[w - 1], w, prf)
+            base, rows = base_edges(scenario, part, before, w, prf)
             now = live_vector(table, owner_sets[w])
             candidate_now = now[table.owner] & now[table.peer]
             removed = int(np.count_nonzero(~candidate_now[rows]))
@@ -130,6 +131,20 @@ def delta_extra(scenario: _Scenario, owner_sets: list) -> list[tuple[int, int]]:
                 prf_blocks += int(np.count_nonzero(candidate_base & ~candidate_now))
         extra.append((prf_blocks, additions))
     return extra
+
+
+def delta_bytes(before: frozenset, after: frozenset) -> int:
+    """The `bytes_server` a window bills for a membership change."""
+    delta = MembershipDelta(0, after - before, before - after)
+    return delta.wire_size() if delta.joined or delta.dropped else 0
+
+
+def window0_bytes_shift(scenario: _Scenario, owner_sets: list) -> int:
+    """How window 0's `bytes_server` moves when its delta is measured from
+    every plan member instead of from nobody: less the wire size of every
+    member joining, plus that of the change from the plan's members."""
+    first = owner_sets[0]
+    return delta_bytes(frozenset(scenario.parties), first) - delta_bytes(frozenset(), first)
 
 
 def replay_projection(result: ScenarioResult):
@@ -372,14 +387,18 @@ def test_zeph_run_is_pinned():
     # Windows 0 and 1 equal their keyed-AES figures: at b = 1 the two rounds
     # split the 1,653 edges, and both PRFs put 830 of them in round 0.
     # Masking through a base and a delta adds `extra` (window 2 loses a
-    # member, so its base edges to it are masked twice more).
+    # member, so its base edges to it are masked twice more). Window 0
+    # bills its delta from the plan's members: all 58 are present, so it
+    # bills none, where the delta from nobody billed 58 joins.
     extra = delta_extra(scenario, owner_sets)
-    assert extra[2] != (0, 0)
+    assert extra[0] == (0, 0) and extra[2] != (0, 0)
+    shift = window0_bytes_shift(scenario, owner_sets)
+    assert 3007 + shift == 1135
     counts = [
         (w.prf_calls, w.additions, w.bytes_controller, w.bytes_server) for w in result.windows
     ]
     assert counts == [
-        (140158 + extra[0][0], 177620 + extra[0][1], 67628, 3007),
+        (140158 + extra[0][0], 177620 + extra[0][1], 67628, 3007 + shift),
         (136096 + extra[1][0], 176122 + extra[1][1], 67628, 0),
         (133770 + extra[2][0], 173126 + extra[2][1], 66462, 48),
     ]
@@ -388,23 +407,23 @@ def test_zeph_run_is_pinned():
     assert summary["additions_total"] == 526868 + sum(e[1] for e in extra)
     assert summary["bytes_producer_total"] == 4742968
     assert summary["bytes_controller_total"] == 201718
-    assert summary["bytes_server_total"] == 3055
+    assert summary["bytes_server_total"] == 3055 + shift
 
 
 def _pinned_digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _pinned_totals(result: ScenarioResult, extra: list) -> tuple:
+def _pinned_totals(result: ScenarioResult, extra: list, shift: int) -> tuple:
     """The run's totals, PRF blocks and additions less the delta path's
-    `extra`."""
+    `extra`, and server bytes less window 0's `shift`."""
     s = result.summary
     return (
         s["prf_calls_total"] - sum(e[0] for e in extra),
         s["additions_total"] - sum(e[1] for e in extra),
         s["bytes_producer_total"],
         s["bytes_controller_total"],
-        s["bytes_server_total"],
+        s["bytes_server_total"] - shift,
     )
 
 
@@ -424,7 +443,8 @@ def test_clique_run_with_per_user_query_is_pinned():
         _pinned_digest([w.extras["per_user"] for w in result.windows])
         == "28414aba9b8cb7760dcc1d7a4ec7bffac814900dbc362863133d328ba4a78868"
     )
-    assert _pinned_totals(result, extra) == (328939, 316074, 1175112, 73950, 2865)
+    shift = window0_bytes_shift(scenario, owner_sets)
+    assert _pinned_totals(result, extra, shift) == (328939, 316074, 1175112, 73950, 2865)
 
 
 def test_dream_run_with_dp_noise_is_pinned():
@@ -441,7 +461,8 @@ def test_dream_run_with_dp_noise_is_pinned():
         _pinned_digest([w.released for w in result.windows])
         == "8520fa022ef8b2b86c4a1fbb5c99a5d92cd6dd32cd18d4e7c30397748f6a7ca6"
     )
-    assert _pinned_totals(result, extra) == (905160, 38128, 6639792, 30272, 2839)
+    shift = window0_bytes_shift(scenario, owner_sets)
+    assert _pinned_totals(result, extra, shift) == (905160, 38128, 6639792, 30272, 2839)
 
 
 @pytest.mark.parametrize(
@@ -570,11 +591,23 @@ def test_tokens_are_minted_per_plan_partition_and_window():
     # each stream's one-stream set id, hashed once at partition setup
     for part in scenario.partitions:
         assert part.set_ids == tuple(stream_set_hash([sid]) for sid in part.streams)
-    # a window not yet released still mints
-    part = scenario.partitions[0]
-    masked, _, _ = scenario._controller_tokens(2, part, np.ones(len(part.streams), dtype=bool))
+    # a window not yet released still mints, from its base masks
+    part, other = scenario.partitions
+    live = np.ones(len(part.streams), dtype=bool)
+    part.base = mask_base(part.table, live, 2, scenario.plan.output_width)
+    masked, _, _ = scenario._controller_tokens(2, part, live)
     assert masked.window == (2 * L, 3 * L)
     assert masked.stream_set_ids == part.set_ids
+    # without base masks for the window there is no fallback: the release
+    # raises before any key is derived
+    calls = scenario.prf.calls
+    live = np.ones(len(other.streams), dtype=bool)
+    with pytest.raises(RuntimeError, match="no base masks for window 2"):
+        scenario._controller_tokens(2, other, live)
+    other.base = mask_base(other.table, live, 3, scenario.plan.output_width)
+    with pytest.raises(RuntimeError, match="no base masks for window 4"):
+        scenario._controller_tokens(4, other, live)
+    assert scenario.prf.calls == calls
 
 
 def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
@@ -676,7 +709,9 @@ def test_bytes_server_bills_the_membership_delta_each_release_applies(monkeypatc
     )
     result = scenario.run()
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
-    # the members change in every window, and join and drop after window 0
+    # the members change in every window, and join and drop after window
+    # 0, whose delta from every plan member only drops
+    assert not applied[0][0] and applied[0][1]
     assert all(joined and dropped for joined, dropped in list(applied.values())[1:])
     for w in result.windows:
         joined, dropped = applied[w.window]
@@ -714,11 +749,10 @@ def test_a_steady_membership_spends_no_mask_blocks_at_release(monkeypatch, proto
     scenario._release_window = metered_release
     result = scenario.run()
     assert [w.members for w in result.windows] == [result.plan_members] * 3
-    # window 0 masks every edge at release; later windows only build tokens
-    assert release_blocks[0] > token_blocks[0]
-    assert release_blocks[1:] == token_blocks[1:]
+    # every release, window 0's included, only builds tokens
+    assert release_blocks == token_blocks
     # the masks were spent in the bases, and count for their windows
-    assert all(w.prf_calls > blocks for w, blocks in zip(result.windows[1:], token_blocks[1:]))
+    assert all(w.prf_calls > blocks for w, blocks in zip(result.windows, token_blocks))
 
 
 # fitness/zeph with late pieces: windows 2, 4 and 5 fail min_members
@@ -735,7 +769,7 @@ def test_a_window_that_does_not_release_still_bills_its_membership_delta():
     owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
     assert [w.window for w in result.windows if w.status != "ok"] == [2, 4, 5]
-    before = frozenset()
+    before = frozenset(scenario.parties)  # window 0's delta: from the plan's members
     for w, owners in zip(result.windows, owner_sets):
         assert len(owners) == w.members
         assert owners != before
