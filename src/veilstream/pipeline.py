@@ -38,7 +38,7 @@ import heapq
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Callable, Optional, Sequence
 
@@ -89,7 +89,7 @@ from .secure_agg import (
 from .tokens import (
     PrivacyBudget,
     Suppressed,
-    noise_generators,
+    noise_normals,
     noise_shares,
     release,
     single_stream_token,
@@ -995,6 +995,15 @@ class _Scenario:
             self.partitions.append(part)
         # every plan member's party, in plan member order
         self.parties = tuple(p for part in self.partitions for p in part.table.parties)
+        if self.plan.dp_epsilon is not None:
+            # each member's DP-noise key, held by its controller, one row
+            # per plan member
+            seed = (self.config.seed & RING_MASK).to_bytes(8, "little")
+            keys = b"".join(
+                hashlib.sha256(b"dp-noise\x00" + seed + p.value).digest()[:16]
+                for p in self.parties
+            )
+            self.noise_keys = np.frombuffer(keys, np.uint8).reshape(-1, 16)
 
     # -- producer side --------------------------------------------------------
 
@@ -1202,11 +1211,13 @@ class _Scenario:
         `live`, the partition's slice of the window's membership vector,
         selects the members' streams, parties, budgets and set ids. Every
         step is a fixed number of array operations however many parties
-        the partition holds: one token batch, one membership delta over
-        the partition's base masks (`mask_delta`: selection only for edges
-        new to the round, masks only for the edges that changed), one
-        matrix add and one vectorized wire encode. What still runs per
-        party is the budget charge and the noise draw. A second call for
+        the partition holds: one token batch, one noise pass drawing every
+        member's share under its own noise key, sized for the window's
+        members (`noise_normals`), one membership delta over the
+        partition's base masks (`mask_delta`: selection only for edges new
+        to the round, masks only for the edges that changed), one matrix
+        add and one vectorized wire encode. What still runs per party is
+        the budget charge. A second call for
         the same partition and window, or a partition whose base masks are
         missing or belong to another round, raises before any key is
         derived.
@@ -1233,11 +1244,12 @@ class _Scenario:
         parties = tuple(compress(table.parties, live))
         if self.plan.dp_epsilon is not None:
             shares = noise_shares(
-                self.plan.noise,
+                self._window_noise(self.members),
                 list(compress(self.budgets[part.span], live)),
                 self.plan.dp_epsilon,
-                self._noise_rngs(w, parties),
-                values.shape[1],
+                noise_normals(
+                    self.noise_keys[part.span][live], w, values.shape[1], prf=self.prf
+                ),
             )
             if isinstance(shares, Suppressed):
                 raise RuntimeError(f"a member was refused a checked budget: {shares.reason}")
@@ -1281,17 +1293,11 @@ class _Scenario:
             part.epoch_plan = EpochPlan(epoch, part.b, part.table.peers, bits)
         return part.epoch_plan
 
-    def _noise_rngs(self, w: int, parties: Sequence[PartyId]) -> list[np.random.Generator]:
-        """Each party's DP-noise generator for window w, seeded in one
-        `noise_generators` pass from the first 8 bytes of a SHA-256 over
-        (run seed, window, party)."""
-        prefix = (
-            b"dp-noise\x00"
-            + int(self.config.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-            + w.to_bytes(8, "little")
-        )
-        entropy = b"".join(hashlib.sha256(prefix + p.value).digest()[:8] for p in parties)
-        return noise_generators(np.frombuffer(entropy, dtype="<u8"))
+    def _window_noise(self, members: np.ndarray):
+        """The plan's noise spec sized for a window's members: each share
+        is calibrated so that the window's honest members alone reach
+        `sigma_target`, however many plan members are absent."""
+        return replace(self.plan.noise, party_count=int(np.count_nonzero(members)))
 
     def _release_window(self, w: int, members: np.ndarray, rec: _Window, result: WindowResult):
         eps = self.plan.dp_epsilon
@@ -1347,19 +1353,14 @@ class _Scenario:
         A member that spent the window offline contributed one neutral
         catch-up event, i.e. its zero row of `plain`."""
         total = plain[self.plan_rows[members]].sum(axis=0)
-        out = []
-        for sources in self.shadow_layout:
-            acc = 0
-            for j in sources:
-                acc = (acc + int(total[j])) & RING_MASK
-            out.append(acc)
+        # uint64 sums wrap exactly as the ring does
+        out = np.array([total[sources].sum() for sources in self.shadow_layout])
         if self.plan.dp_epsilon is not None:
-            sigma = self.plan.noise.per_party_sigma
-            for rng in self._noise_rngs(w, tuple(compress(self.parties, members))):
-                samples = rng.normal(0.0, sigma, size=len(out))
-                for i, eta in enumerate(samples):
-                    out[i] = (out[i] + round(float(eta))) & RING_MASK
-        return out
+            # every member's draw again, in one pass
+            normals = noise_normals(self.noise_keys[members], w, len(out), prf=self.prf)
+            sigma = self._window_noise(members).per_party_sigma
+            out += np.rint(sigma * normals).astype(np.int64).astype(np.uint64).sum(axis=0)
+        return out.tolist()
 
     def _release_user_window(self, w: int, rec: _Window, result: WindowResult):
         L = self.config.logical_window

@@ -69,6 +69,7 @@ DOMAIN_GRAPH = 2      # epoch graph assignment: (0, epoch_id)
 DOMAIN_MASK = 3       # epoch round masks: (epoch_id << 16 | block, round)
 DOMAIN_SELECT = 4     # per-round edge selection draws: (0, round)
 DOMAIN_EDGE = 5       # per-round edge masks: (block, round)
+DOMAIN_NOISE = 6      # per-window DP noise draws: (block, window)
 
 
 def prf_input(domain: int, small: int, wide: int) -> bytes:

@@ -19,7 +19,6 @@ masking, gated by an epsilon budget with atomic charge-or-refuse semantics.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import struct
@@ -29,7 +28,16 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .ring import DEFAULT_PRF, RING_MASK, MasterSecret, Prf, _layout_index, derive_keys
+from .ring import (
+    DEFAULT_PRF,
+    DOMAIN_NOISE,
+    RING_MASK,
+    MasterSecret,
+    Prf,
+    _keyed_calls,
+    _layout_index,
+    derive_keys,
+)
 from .encoding import SCALE_DEFAULT
 
 __all__ = [
@@ -49,7 +57,7 @@ __all__ = [
     "token_matrix",
     "single_stream_token",
     "multi_stream_partial",
-    "noise_generators",
+    "noise_normals",
     "noise_shares",
     "add_dp_noise",
     "token_records",
@@ -413,115 +421,64 @@ class Suppressed:
     epsilon_remaining: float = 0.0
 
 
-# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+def noise_normals(
+    keys: np.ndarray, window: int, width: int, *, prf: Prf = DEFAULT_PRF
+) -> np.ndarray:
+    """Several parties' standard normals for one window, as a parties x
+    width float matrix: row i is drawn under the noise key `keys[i]`
+    (rows x 16 `uint8`) alone, so it does not depend on the other rows.
 
-
-@functools.cache
-def _preset_seed_type() -> type:
-    """A seed sequence that hands `np.random.PCG64` the four state words a
-    `SeedSequence` would generate, computed beforehand by
-    `noise_generators`. Built on first use: numpy imports `numpy.random`
-    lazily, and importing it with this module raised the peak RSS of runs
-    without DP noise by about 2.5 MB."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PresetSeed(ISeedSequence):
-        __slots__ = ("_words",)
-
-        def __init__(self, words: np.ndarray):
-            self._words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a preset seed holds exactly 4 uint64 words")
-            return self._words
-
-    return PresetSeed
-
-
-def noise_generators(entropies) -> list[np.random.Generator]:
-    """One generator per 64-bit entropy, generator i state for state equal
-    to `np.random.default_rng(int(entropies[i]))`.
-
-    NumPy's `SeedSequence` runs once per entropy in Python; here its pool
-    mixing and `generate_state(4, uint64)` run as uint32 array arithmetic
-    over every entropy at once, and each row of state words seeds a PCG64
-    directly. An entropy is the words (lo, hi), and one below 2**32 mixes
-    the same as (lo, 0), as the pool pads with zero words. The 32-bit
-    hash constants stay Python ints, since a wrapping numpy scalar warns.
+    Block j of a row is the PRF on (block j, window) in the noise domain,
+    one block per two lanes, and every row's blocks go through one
+    `_keyed_calls` pass. Each 64-bit word w becomes the uniform
+    ((w >> 11) + 1) * 2**-53 in (0, 1], never 0, so the logarithm stays
+    finite. One Box-Muller step turns block j into lanes 2j and 2j + 1:
+    the high word sets the radius and the low word the angle.
     """
-    e = np.asarray(entropies, dtype=np.uint64)
-    if e.ndim != 1:
-        raise ValueError("entropies must be one-dimensional")
-    zero = np.zeros(len(e), dtype=np.uint32)
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    pool = [
-        hashmix(w)
-        for w in ((e & _MASK32).astype(np.uint32), (e >> 32).astype(np.uint32), zero, zero)
-    ]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> 16)
-    hash_const = _INIT_B
-    words = np.empty((8, len(e)), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * hash_const
-        words[i] = value ^ (value >> 16)
-    # uint32 pairs (lo, hi) as PCG64's uint64 seed words, one row per entropy
-    state = np.ascontiguousarray(
-        (words[0::2].astype(np.uint64) | (words[1::2].astype(np.uint64) << 32)).T
-    )
-    preset = _preset_seed_type()
-    return [np.random.Generator(np.random.PCG64(preset(row))) for row in state]
+    blocks = (width + 1) // 2
+    msgs = np.empty((blocks, 2), dtype=">u8")
+    msgs[:, 0] = (DOMAIN_NOISE << 56) + np.arange(blocks, dtype=np.uint64)
+    msgs[:, 1] = window
+    uniforms = np.empty((len(keys), blocks, 2))
+    for lo, words in _keyed_calls(keys, msgs.tobytes(), prf):
+        uniforms[lo : lo + len(words)] = (words >> 11) + 1
+    uniforms *= 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(uniforms[..., 0]))
+    angle = 2.0 * np.pi * uniforms[..., 1]
+    normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+    return normals.reshape(len(keys), 2 * blocks)[:, :width]
 
 
 def noise_shares(
     noise: NoiseSpec,
     budgets: Sequence[PrivacyBudget],
     epsilon_cost: float,
-    rngs: Sequence[np.random.Generator],
-    width: int,
+    normals: np.ndarray,
 ) -> Union[np.ndarray, Suppressed]:
     """Several parties' shares of divisible Gaussian noise, as a parties x
-    width uint64 matrix to add to their token rows.
+    width uint64 matrix to add to their token rows: party i's standard
+    normals `normals[i]` times the per-party sigma in ring units, rounded
+    to integers.
 
-    Party i's budget is charged first, atomically, and only then does it
-    draw its `width` samples from `rngs[i]`, with the per-party sigma in
-    ring units, rounded to integers. An exhausted budget stops the batch
-    with a Suppressed marker: that party and the ones after it are neither
-    charged nor sampled, so callers releasing a window check every
-    `can_charge` first.
+    Every party's budget is charged first, atomically and in order, and
+    only then are the shares drawn. An exhausted budget stops the batch
+    with a Suppressed marker: that party and the ones after it are not
+    charged and no share is drawn, so callers releasing a window check
+    every `can_charge` first.
     """
     if epsilon_cost <= 0:
         raise ValueError("epsilon cost must be positive")
-    sigma = noise.per_party_sigma
-    samples = np.empty((len(budgets), width))
-    for i, (budget, rng) in enumerate(zip(budgets, rngs, strict=True)):
+    if len(budgets) != len(normals):
+        raise ValueError(f"{len(budgets)} budgets for {len(normals)} rows of normals")
+    for budget in budgets:
         if not budget.charge(epsilon_cost):
             return Suppressed(
                 reason="epsilon budget exhausted",
                 epsilon_requested=epsilon_cost,
                 epsilon_remaining=budget.remaining,
             )
-        samples[i] = rng.normal(0.0, sigma, size=width)
     # negative shares wrap to their ring value
-    return np.rint(samples).astype(np.int64).astype(np.uint64)
+    return np.rint(noise.per_party_sigma * normals).astype(np.int64).astype(np.uint64)
 
 
 def add_dp_noise(
@@ -538,7 +495,8 @@ def add_dp_noise(
         raise ValueError("epsilon cost must be positive")
     if token.noised:
         raise ValueError("token already carries noise")
-    shares = noise_shares(noise, [budget], epsilon_cost, [rng], len(token.elements))
+    normals = rng.standard_normal((1, len(token.elements)))
+    shares = noise_shares(noise, [budget], epsilon_cost, normals)
     if isinstance(shares, Suppressed):
         return shares
     return TransformationToken(

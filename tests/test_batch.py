@@ -209,7 +209,8 @@ def test_partition_batch_matches_the_per_party_path(
     )
     if noised:
         budgets = [PrivacyBudget(1.0) for _ in active]
-        values += noise_shares(noise, budgets, 0.5, rngs(), width)
+        normals = np.array([rng.standard_normal(width) for rng in rngs()])
+        values += noise_shares(noise, budgets, 0.5, normals)
         assert all(bg.epsilon_spent == 0.5 for bg in budgets)
     plan = None
     if kind == "zeph":
@@ -428,12 +429,15 @@ def test_noise_shares_charge_in_order_and_stop_at_a_refusal():
     noise = NoiseSpec(sigma_target=10.0, honest_fraction=1.0, party_count=1)
     budgets = [PrivacyBudget(1.0), PrivacyBudget(0.1), PrivacyBudget(1.0)]
     rngs = [np.random.default_rng(i) for i in range(3)]
-    out = noise_shares(noise, budgets, 0.5, rngs, 4)
+    out = noise_shares(noise, budgets, 0.5, np.array([rng.standard_normal(4) for rng in rngs]))
     assert isinstance(out, Suppressed)
     assert [b.epsilon_spent for b in budgets] == [0.5, 0.0, 0.0]
-    shares = noise_shares(noise, budgets[:1], 0.5, [np.random.default_rng(7)], 4)
+    normals = np.random.default_rng(7).standard_normal((1, 4))
+    shares = noise_shares(noise, budgets[:1], 0.5, normals)
     etas = np.random.default_rng(7).normal(0.0, 10.0, size=4)
     assert shares.tolist() == [[round(float(e)) & MASK for e in etas]]
+    with pytest.raises(ValueError, match="budgets for"):
+        noise_shares(noise, budgets, 0.5, np.zeros((2, 4)))
 
 
 def test_derive_keys_equal_derive_key_across_call_chunks(monkeypatch):
@@ -589,7 +593,9 @@ def test_controller_prf_calls_follow_partitions_not_parties(protocol):
     # per partition, in window order: each window's base makes one
     # selection pass for dream and the mask pass, after zeph's plan in
     # window 0; each release, over the base's members, derives the token
-    # keys alone
+    # keys and draws the noise shares, and the shadow draws every member's
+    # noise again in one call
     base = 2 * {"clique": 1, "dream": 2, "zeph": 1}[protocol]
     plan = 2 if protocol == "zeph" else 0
-    assert calls[60] == [base + plan, 2, base, 2]
+    release = 2 * 2 + 1
+    assert calls[60] == [base + plan, release, base, release]

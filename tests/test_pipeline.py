@@ -26,7 +26,7 @@ from veilstream.pipeline import (
 from veilstream.policy import plan_query, verify_plan
 from veilstream.ring import AesPrf, CountingPrf
 from veilstream.secure_agg import EpochPlan, MembershipDelta, graph_bits, mask_base, round_edges
-from veilstream.tokens import stream_set_hash
+from veilstream.tokens import PrivacyBudget, noise_normals, stream_set_hash
 
 SOLO_SCENARIO = {
     "schema": {
@@ -145,6 +145,46 @@ def window0_bytes_shift(scenario: _Scenario, owner_sets: list) -> int:
     member joining, plus that of the change from the plan's members."""
     first = owner_sets[0]
     return delta_bytes(frozenset(scenario.parties), first) - delta_bytes(frozenset(), first)
+
+
+def recording_releases(scenario: _Scenario) -> dict:
+    """Make `scenario` record, per window it releases, the members and
+    the plaintext window sums on the shadow's lanes."""
+    seen = {}
+    release = scenario._release_window
+
+    def spy(w, members, rec, result):
+        seen[w] = (members.copy(), rec.plain.copy())
+        release(w, members, rec, result)
+
+    scenario._release_window = spy
+    return seen
+
+
+def expected_release(scenario: _Scenario, w: int, members, plain) -> list[int]:
+    """Window w's released vector, rebuilt member by member: the members'
+    plaintext sums on the plan's layout, plus each member's noise share,
+    drawn by a one-key call under SHA-256 of (run seed, party) and sized
+    for the window's members."""
+    total = plain[scenario.plan_rows[members]].sum(axis=0)
+    out = np.array([total[sources].sum() for sources in scenario.shadow_layout])
+    if scenario.plan.dp_epsilon is not None:
+        noise = dataclasses.replace(scenario.plan.noise, party_count=int(members.sum()))
+        seed = (scenario.config.seed % 2**64).to_bytes(8, "little")
+        prf = AesPrf()
+        for party in compress(scenario.parties, members):
+            key = hashlib.sha256(b"dp-noise\x00" + seed + party.value).digest()[:16]
+            z = noise_normals(np.frombuffer(key, np.uint8).reshape(1, 16), w, len(out), prf=prf)
+            out += np.rint(noise.per_party_sigma * z[0]).astype(np.int64).astype(np.uint64)
+    return out.tolist()
+
+
+def noise_blocks(scenario: _Scenario, result: ScenarioResult) -> list[int]:
+    """Per window, the PRF blocks of its noise: each member's share costs
+    a block per two outputs, drawn by its controller and again by the
+    shadow."""
+    blocks = (scenario.plan.output_width + 1) // 2
+    return [2 * w.members * blocks if w.status == "ok" else 0 for w in result.windows]
 
 
 def replay_projection(result: ScenarioResult):
@@ -453,16 +493,68 @@ def test_dream_run_with_dp_noise_is_pinned():
     )
     assert scenario.plan.dp_epsilon is not None
     owner_sets = recording_owner_sets(scenario)
+    seen = recording_releases(scenario)
     result = scenario.run()
     extra = delta_extra(scenario, owner_sets)
     assert extra[2] != (0, 0)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
+    for w in result.windows:
+        assert w.released == expected_release(scenario, w.window, *seen[w.window])
     assert (
         _pinned_digest([w.released for w in result.windows])
-        == "8520fa022ef8b2b86c4a1fbb5c99a5d92cd6dd32cd18d4e7c30397748f6a7ca6"
+        == "a0ed666e1d30256dad54f03e9e311dadaf930f8e03f66c74cf425125455b16c9"
     )
+    # the PRF figure moves by the noise blocks alone
     shift = window0_bytes_shift(scenario, owner_sets)
-    assert _pinned_totals(result, extra, shift) == (905160, 38128, 6639792, 30272, 2839)
+    noise = sum(noise_blocks(scenario, result))
+    assert _pinned_totals(result, extra, shift) == (905160 + noise, 38128, 6639792, 30272, 2839)
+
+
+def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkeypatch):
+    scenario = _Scenario(
+        small_config(preset="web", producers=80, partition_size=40, seed=1, dropout_rate=0.05)
+    )
+    specs = []
+    shares = pipeline.noise_shares
+
+    def spy(noise, budgets, *args):
+        specs.append((noise, len(budgets)))
+        return shares(noise, budgets, *args)
+
+    monkeypatch.setattr(pipeline, "noise_shares", spy)
+    seen = recording_releases(scenario)
+    result = scenario.run()
+    assert result.plan_members == 78
+    assert [(w.members, w.status) for w in result.windows] == [(77, "ok"), (78, "ok"), (72, "ok")]
+    # the partitions' shares of each window are sized for its members
+    for w in result.windows:
+        window_specs = [specs.pop(0) for _ in scenario.partitions]
+        assert sum(rows for _, rows in window_specs) == w.members
+        assert {noise.party_count for noise, _ in window_specs} == {w.members}
+    # the honest members of window 2 (72 of 78, half of them honest) draw
+    # noise whose sum reaches sigma_target within acceptance 08's 5%, over
+    # 10^4 draws of the same rule: 1,250 windows of 8 outputs
+    members, _ = seen[2]
+    noise = dataclasses.replace(scenario.plan.noise, party_count=72)
+    honest = scenario.noise_keys[members][: round(noise.honest_fraction * 72)]
+    width = scenario.plan.output_width
+    sums = []
+    for t in range(10_000 // width):
+        budgets = [PrivacyBudget(1.0) for _ in honest]
+        drawn = shares(noise, budgets, 1.0, noise_normals(honest, t, width))
+        sums.append(drawn.sum(axis=0).view(np.int64))
+    sd = float(np.std(sums))
+    assert abs(sd - noise.sigma_target) <= 0.05 * noise.sigma_target, sd
+
+
+def test_noise_keys_follow_the_run_seed():
+    a, b, c = (_Scenario(small_config(preset="web", windows=1, seed=s)) for s in (7, 7, 8))
+    assert a.parties == c.parties
+    assert np.array_equal(a.noise_keys, b.noise_keys)
+    assert not np.any(np.all(a.noise_keys == c.noise_keys, axis=1))
+    assert len(set(map(bytes, a.noise_keys))) == len(a.parties)
+    # runs without DP noise hold no noise keys
+    assert not hasattr(_Scenario(small_config(windows=1)), "noise_keys")
 
 
 @pytest.mark.parametrize(
@@ -502,7 +594,7 @@ def test_dream_run_with_dp_noise_is_pinned():
                 seed=9, grace=25.0, latency_mean=3.0, latency_sigma=1.0, dropout_rate=0.1,
             ),
             [(91, "ok"), (92, "ok"), (93, "ok"), (92, "ok"), (77, "failed_min_members")],
-            "50e234e30938f926f32a08889d775e006408c41eaaa54eec058fc9acbfb3a233",
+            "c97f11898b064acfb09f6c77e248d69352fa141763aca2b90f323765ce0365b6",
             {"sent": 2678, "delivered": 2675, "dropped": 3, "bytes": 17151424},
             [3411904, 3480880, 3672560, 3327552, 3258528],
         ),
@@ -512,9 +604,14 @@ def test_dream_run_with_dp_noise_is_pinned():
 def test_late_pieces_and_catch_ups_decide_membership(
     config, statuses, released, transport, bytes_producer
 ):
-    result = run_scenario(config)
+    scenario = _Scenario(config)
+    seen = recording_releases(scenario)
+    result = scenario.run()
     assert [(w.members, w.status) for w in result.windows] == statuses
     assert all(w.shadow_ok for w in result.windows if w.status == "ok")
+    for w in result.windows:
+        if w.status == "ok":
+            assert w.released == expected_release(scenario, w.window, *seen[w.window])
     assert _pinned_digest([w.released for w in result.windows]) == released
     assert result.summary["transport"] == transport
     assert [w.bytes_producer for w in result.windows] == bytes_producer
@@ -749,8 +846,10 @@ def test_a_steady_membership_spends_no_mask_blocks_at_release(monkeypatch, proto
     scenario._release_window = metered_release
     result = scenario.run()
     assert [w.members for w in result.windows] == [result.plan_members] * 3
-    # every release, window 0's included, only builds tokens
-    assert release_blocks == token_blocks
+    # every release, window 0's included, only builds tokens and draws noise
+    noise = noise_blocks(scenario, result)
+    assert all(noise)
+    assert release_blocks == [t + n for t, n in zip(token_blocks, noise)]
     # the masks were spent in the bases, and count for their windows
     assert all(w.prf_calls > blocks for w, blocks in zip(result.windows, token_blocks))
 

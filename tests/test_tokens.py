@@ -5,14 +5,16 @@ ciphertext must equal running the directives on the plaintext sums.
 """
 
 import hashlib
+import math
 import struct
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veilstream import ring
 from veilstream.ring import (
     MODULUS_DEFAULT,
     AesPrf,
@@ -20,6 +22,7 @@ from veilstream.ring import (
     CountingPrf,
     MasterSecret,
     StreamCiphertext,
+    ZeroPrf,
     apply_token,
     chain_sum,
     cross_sum,
@@ -39,7 +42,7 @@ from veilstream.tokens import (
     deserialize_token,
     merge,
     multi_stream_partial,
-    noise_generators,
+    noise_normals,
     output_layout,
     perturb,
     release,
@@ -524,25 +527,58 @@ def test_dp_noise_std_tracks_per_party_sigma():
     assert observed == pytest.approx(40.0, rel=0.08)
 
 
-ENTROPY_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+def noise_keys(n: int) -> np.ndarray:
+    keys = b"".join(hashlib.sha256(b"noise-key%d" % i).digest()[:16] for i in range(n))
+    return np.frombuffer(keys, np.uint8).reshape(n, 16)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    entropies=st.lists(
-        st.one_of(st.sampled_from(ENTROPY_EDGES), st.integers(0, 2**64 - 1)), max_size=40
-    ),
-    width=st.integers(1, 20),
-)
-@example(entropies=[], width=1)
-@example(entropies=ENTROPY_EDGES + ENTROPY_EDGES[::-1], width=16)
-def test_noise_generators_equal_default_rng(entropies, width):
-    gens = noise_generators(np.array(entropies, dtype=np.uint64))
-    assert len(gens) == len(entropies)
-    for x, gen in zip(entropies, gens):
-        ref = np.random.default_rng(x)
-        assert gen.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(gen.normal(size=width), ref.normal(size=width))
+def test_noise_normals_rows_do_not_depend_on_the_batch(monkeypatch):
+    keys = noise_keys(9)
+    whole = noise_normals(keys, 7, 5)
+    assert whole.shape == (9, 5)
+    pick = np.random.default_rng(0)
+    for size in (1, 2, 4, 9):
+        rows = pick.permutation(9)[:size]
+        assert np.array_equal(noise_normals(keys[rows], 7, 5), whole[rows])
+    # two keys a call: the batch spans five calls
+    monkeypatch.setattr(ring, "BATCH_BLOCKS", 6)
+    assert np.array_equal(noise_normals(keys, 7, 5), whole)
+
+
+def test_noise_normals_change_with_the_window_and_the_key():
+    keys = noise_keys(4)
+    z = noise_normals(keys, 3, 6)
+    assert not np.any(z == noise_normals(keys, 4, 6))
+    assert not np.any(z[0] == noise_normals(keys[1:2], 3, 6))
+    # an odd width drops the last block's low lane
+    assert np.array_equal(noise_normals(keys, 3, 5), z[:, :5])
+
+
+def test_noise_normals_cost_a_block_per_two_lanes():
+    prf = CountingPrf(AesPrf())
+    for members, width in ((1, 1), (3, 2), (5, 7), (0, 4)):
+        before = prf.calls
+        assert noise_normals(noise_keys(members), 1, width, prf=prf).shape == (members, width)
+        assert prf.calls - before == members * ((width + 1) // 2)
+
+
+def test_noise_normals_are_finite_when_every_word_is_zero():
+    # every uniform is 2**-53: the largest radius, at angle about 0
+    z = noise_normals(noise_keys(3), 0, 5, prf=ZeroPrf())
+    radius = math.sqrt(106 * math.log(2))
+    assert np.all(np.isfinite(z))
+    assert z[:, 0::2] == pytest.approx(radius)
+    assert np.all(np.abs(z[:, 1::2]) < 1e-12)
+
+
+def test_noise_normals_are_standard_normal():
+    from scipy import stats
+
+    z = noise_normals(noise_keys(500), 11, 200).ravel()
+    assert stats.kstest(z, "norm").pvalue > 0.01
+    # the lanes of one block, and neighbouring blocks, are uncorrelated
+    pairs = noise_normals(noise_keys(50_000), 11, 4)
+    assert np.all(np.abs(np.corrcoef(pairs.T) - np.eye(4)) < 0.02)
 
 
 # ---- wire format --------------------------------------------------------------------
