@@ -721,7 +721,7 @@ class _Partition:
         self.b: Optional[int] = None
         self.threshold: Optional[int] = None  # dream selection threshold
         self.epoch_width = 0
-        # current epoch only: one plan row per table row
+        # current epoch only: one plan row per pair row of the table
         self.epoch_plan: Optional[EpochPlan] = None
         # the next window's masks, over the membership its delta starts from
         self.base: Optional[EdgeMasks] = None
@@ -1200,7 +1200,7 @@ class _Scenario:
             part.base = mask_base(
                 part.table, live, w, width, plan=plan, threshold=part.threshold, prf=self.prf
             )
-            rec.additions += part.base.changed * width
+            rec.additions += 2 * part.base.changed * width
         rec.prf_calls += self.prf.calls - prf0
         rec.t_base += time.perf_counter() - t0
 
@@ -1221,9 +1221,9 @@ class _Scenario:
         the same partition and window, or a partition whose base masks are
         missing or belong to another round, raises before any key is
         derived.
-        Returns the masked batch, the bytes sent and the ring additions
-        spent on the delta. The window's budgets were checked beforehand,
-        so every charge succeeds.
+        Returns the masked batch, the bytes sent, the ring additions spent
+        on the delta and the members it left without a pair. The window's
+        budgets were checked beforehand, so every charge succeeds.
         """
         L = self.config.logical_window
         window = (w * L, (w + 1) * L)
@@ -1266,7 +1266,9 @@ class _Scenario:
             noised=self.plan.dp_epsilon is not None,
             stream_ids=streams,
         )
-        return masked, len(masked.serialize()), masks.changed * values.shape[1]
+        isolated = int(np.count_nonzero(live & (masks.degree == 0)))
+        additions = 2 * masks.changed * values.shape[1]
+        return masked, len(masked.serialize()), additions, isolated
 
     def _claim_token(self, plan_id: str, part_index: Optional[int], window: tuple[int, int]):
         """Record a token mint for (plan, partition, window), or raise if one
@@ -1283,14 +1285,14 @@ class _Scenario:
 
     def _epoch_plan(self, part: _Partition, epoch: int):
         """The partition's zeph plan for the epoch, replacing the plan of
-        the previous epoch: every row of its `PeerTable`, derived in one
-        `graph_bits` pass by the epoch's first base or release. None for
+        the previous epoch: every pair row of its `PeerTable`, derived in
+        one `graph_bits` pass by the epoch's first base or release. None for
         the other protocols and for partitions too small to plan."""
         if self.config.protocol != "zeph" or part.b is None:
             return None
         if part.epoch_plan is None or part.epoch_plan.epoch_id != epoch:
             bits = graph_bits(part.table.keys, epoch, prf=self.prf)
-            part.epoch_plan = EpochPlan(epoch, part.b, part.table.peers, bits)
+            part.epoch_plan = EpochPlan(epoch, part.b, (), bits)
         return part.epoch_plan
 
     def _window_noise(self, members: np.ndarray):
@@ -1315,13 +1317,14 @@ class _Scenario:
         part_tokens = [self._controller_tokens(w, part, live) for part, live in parts]
         result.t_token = time.perf_counter() - t0
 
-        for _masked, bytes_out, additions in part_tokens:
+        for _masked, bytes_out, additions, _isolated in part_tokens:
             result.bytes_controller += bytes_out
             rec.additions += additions
+        result.extras["isolated"] = sum(isolated for *_, isolated in part_tokens)
 
         t0 = time.perf_counter()
         opened = []
-        for (part, live), (masked, _, _) in zip(parts, part_tokens):
+        for (part, live), (masked, *_) in zip(parts, part_tokens):
             active = list(compress(part.streams, live))
             combined = unmask_aggregate(masked, stream_ids=active)
             # the partition's window sums share the window's range: one row sum

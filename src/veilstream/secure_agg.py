@@ -1,16 +1,16 @@
 """Dropout-tolerant secure aggregation of transformation tokens.
 
-Every ordered pair of parties shares a pairwise secret from a one-time key
+Every pair of parties shares a pairwise secret from a one-time key
 agreement. In a round, party p blinds its token with a nonce that sums one
-PRF-derived mask per selected peer, signed by the total order of party
-identifiers:
+PRF-derived mask per selected peer, which the lower id of the pair adds
+and the higher id subtracts, by the total order of party identifiers:
 
     nonce(p) = sum over peers q with p < q of  +mask(p, q)
              + sum over peers q with p > q of  -mask(p, q)      (mod M)
 
-Summed over any fixed participant set the signs pair off and the masks
-cancel, leaving exactly the sum of the tokens. Three peer-selection
-variants trade PRF work against connectivity slack:
+Summed over any fixed participant set each pair's two ends cancel,
+leaving exactly the sum of the tokens. Three peer-selection variants
+trade PRF work against connectivity slack:
 
     clique  every peer, every round
     dream   each round, keep an edge with probability p via one PRF draw,
@@ -20,11 +20,11 @@ variants trade PRF work against connectivity slack:
             segment; a round's graph is sparse but known in advance
 
 A round can run for one party or for every party of a partition at once.
-`PeerTable` lays the parties' pairwise secrets out as one list of edges,
-deriving each unordered pair's secret once for both of its rows, where
-`setup_pairwise`, one party's view, derives every secret of that party;
-`round_edges` selects a round's edges over it and `mask_edges` sums the
-selected edges' signed masks into a parties x width nonce matrix.
+`PeerTable` lays the parties' pairwise secrets out as one row per
+unordered pair, where `setup_pairwise`, one party's view, derives every
+secret of that party; `round_edges` selects a round's pairs over it and
+`mask_edges` adds each selected pair's mask to its low end's row of a
+parties x width nonce matrix and subtracts it from its high end's.
 `round_peers` and `mask_vector` are their one-party cases, sharing the
 selection rules (`_round_rows`, with the dream comparison in `_selected`,
 which the cost simulator also uses) and the one definition of an edge
@@ -34,14 +34,14 @@ Masking splits into an offline base and an online delta, as pairwise
 masks depend only on the secret, the round and the membership:
 `mask_base` computes a round's `EdgeMasks` ahead of time for a membership
 known then, and `mask_delta` moves them to the membership at release,
-backing out the masks of edges with an end no longer live and adding
-those of edges that became candidates. Its work follows the change in
+backing out the masks of pairs with an end no longer live and adding
+those of pairs that became candidates. Its work follows the change in
 membership: finding the changed parties and updating the parties x width
 nonces and the degrees is O(parties), and it reads, selects and masks
-only the rows with a changed end, which `PeerTable`'s layout indexes
-directly. `apply_delta` is its one-party case. Every PRF call
-goes through `Prf.evaluate_batch` with one key per edge covering that
-edge's blocks, every edge's blocks in one pass of calls of at most
+only the pairs with a changed end, which `PeerTable`'s id-ordered rows
+index by formula. `apply_delta` is its one-party case. Every PRF call
+goes through `Prf.evaluate_batch` with one key per pair covering that
+pair's blocks, every pair's blocks in one pass of calls of at most
 `ring.BATCH_BLOCKS` blocks.
 
 The epoch variant ("zeph" on the command line) gives W = floor(128/b) * 2^b
@@ -271,7 +271,8 @@ class EcdhKeyAgreement:
     """Real instantiation: ECDH on secp256r1, HKDF-SHA256 to 16 bytes.
 
     Party ids are the SHA-256 hash of the uncompressed public point, which
-    also yields the total order used for mask signs.
+    also yields the total order that decides which end of a pair adds its
+    mask.
     """
 
     def generate(self, seed: bytes = b"") -> KeyPair:
@@ -298,10 +299,9 @@ class PairwiseSecrets:
     """One party's pairwise secrets as arrays, one row per peer.
 
     Peers are sorted by party id. Row i of `keys` (peers x 16 `uint8`) is
-    the secret shared with `peers[i]` and `signs[i]` its mask sign as a
-    ring element (1, or 2**64 - 1 for -1). The sign is +1 when self < peer
-    and -1 otherwise, fixed by the total order on party ids so both
-    endpoints of an edge agree.
+    the secret shared with `peers[i]`. The party adds the masks of the
+    peers whose ids sort above its own and subtracts the others', fixed by
+    the total order on party ids so both endpoints of an edge agree.
     """
 
     def __init__(self, self_id: PartyId, secrets: Mapping[PartyId, bytes]):
@@ -313,30 +313,34 @@ class PairwiseSecrets:
         self.peers = tuple(sorted(secrets))
         joined = b"".join(map(secrets.__getitem__, self.peers))
         self.keys = np.frombuffer(joined, np.uint8).reshape(-1, 16)
-        # the peers that sort below self_id come first and subtract
-        self.signs = np.ones(len(self.peers), dtype=np.uint64)
-        self.signs[: bisect_left(self.peers, self_id)] = RING_MASK
 
     def __len__(self):
         return len(self.peers)
 
 
+def _own_ends(secrets: PairwiseSecrets) -> tuple[np.ndarray, np.ndarray]:
+    """Each peer's pair as the low and high end in a three-row nonce
+    matrix: the peers below the party are row 0, the party row 1 and the
+    peers above it row 2, so row 1 gets the party's nonce."""
+    above = np.arange(len(secrets.peers)) >= bisect_left(secrets.peers, secrets.self_id)
+    low = above.astype(np.intp)
+    return low, low + 1
+
+
 class PeerTable:
-    """Several parties' pairwise secrets as one list of edges, for rounds
-    batched over the parties.
+    """Several parties' pairwise secrets as one row per unordered pair,
+    for rounds batched over the parties.
 
     Built from the parties' key pairs, `parties` in the given order, in one
-    pass over unordered pairs: every party's public identity is resolved
-    through `registry.get` (an unknown one raises `UnknownIdentityError`)
-    and each pair derives its secret once, `derive_shared` on the lower
-    id's key pair, for both of its rows. Rows run party by party, each
-    party's rows over every other party in id order as its
-    `setup_pairwise` lists them, so `owner` (the row's party, an index
-    into `parties`) never decreases. `keys` (edges x 16 `uint8`), `signs`
-    and `peers` hold each row's secret, mask sign and peer id, and `peer`
-    the index of that peer in `parties`. `rank[i]` is party i's rank in id
-    order, so with n parties party o's row to party j is
-    o·(n−1) + rank[j] − (rank[j] > rank[o]).
+    pass: every party's public identity is resolved through `registry.get`
+    (an unknown one raises `UnknownIdentityError`) and each pair derives
+    its secret once, `derive_shared` on the lower id's key pair. Rows run
+    in id order: with n parties, the pair of the a-th and b-th lowest ids
+    (a < b) is row a·(2n − a − 1)/2 + b − a − 1, so each party's rows as
+    the lower id are contiguous. `keys` (pairs x 16 `uint8`) holds each
+    pair's secret, and `low` and `high` the indices into `parties` of its
+    lower id, which adds the pair's mask, and its higher id, which
+    subtracts it.
     """
 
     def __init__(self, keypairs: Sequence[KeyPair], registry: IdentityRegistry):
@@ -344,35 +348,20 @@ class PeerTable:
         n = len(self.parties)
         if len(set(self.parties)) != n:
             raise ValueError("a party appears twice in the table")
-        # order[r] is the party of id rank r, rank[i] the rank of party i
         ranked = sorted(range(n), key=self.parties.__getitem__)
-        order = np.array(ranked, dtype=np.intp)
-        rank = np.argsort(order)
-        ranked_keypairs = [keypairs[i] for i in ranked]
         public = [registry.get(self.parties[i]) for i in ranked]
         shared = b"".join(
-            ranked_keypairs[lo].derive_shared(public[hi])
-            for lo in range(n)
-            for hi in range(lo + 1, n)
+            keypairs[ranked[a]].derive_shared(public[b])
+            for a in range(n)
+            for b in range(a + 1, n)
         )
-        # the secret of every pair of ranks, stored both ways
-        upper = np.triu_indices(n, 1)
-        pair = np.empty((n, n, 16), dtype=np.uint8)
-        pair[upper] = pair[upper[::-1]] = np.frombuffer(shared, np.uint8).reshape(-1, 16)
-        # each party's row of peer ranks: every other rank, ascending
-        others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)[rank]
-        self.keys = pair[rank[:, None], others].reshape(-1, 16)
-        self.peer = order[others].ravel()
-        self.peers = tuple(map(self.parties.__getitem__, self.peer.tolist()))
-        self.owner = np.repeat(np.arange(n), n - 1)
-        self.rank = rank
-        # the peers that sort below their owner come first and subtract
-        signs = np.ones(others.shape, dtype=np.uint64)
-        signs[others < rank[:, None]] = RING_MASK
-        self.signs = signs.ravel()
+        self.keys = np.frombuffer(shared, np.uint8).reshape(-1, 16)
+        a, b = np.triu_indices(n, 1)
+        order = np.array(ranked, dtype=np.intp)
+        self.low, self.high = order[a], order[b]
 
     def __len__(self):
-        return len(self.peers)
+        return len(self.keys)
 
 
 def _warn_unprotected(round_index: int, party: PartyId) -> None:
@@ -397,10 +386,10 @@ def threshold_for_probability(p: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class EpochPlan:
-    """One party's precomputed round graph for an epoch.
+    """One party's precomputed round graph for an epoch, or a `PeerTable`'s.
 
     Row i of `bits` holds the 128 output bits of the graph PRF for
-    `peers[i]`, most significant first, as a (peers, 128) uint8 matrix.
+    `peers[i]`, or for pair row i of a table, most significant first.
     Bits s*b .. s*b+b-1 are segment s; a segment holding value g
     activates the shared edge in round s * 2**b + g, so each edge is
     active in exactly one round per segment.
@@ -408,7 +397,7 @@ class EpochPlan:
 
     epoch_id: int
     b: int
-    peers: tuple[PartyId, ...]  # sorted, as `PairwiseSecrets.peers`
+    peers: tuple[PartyId, ...]  # sorted, as `PairwiseSecrets.peers`; () for a table
     bits: np.ndarray = field(repr=False)
 
     @property
@@ -467,7 +456,7 @@ def plan_epoch(
     The 128-bit output for a peer is cut into floor(128/b) segments of b
     bits each (leftover low bits unused); both endpoints derive the same
     segments from the shared secret, so the graphs agree globally. A
-    `PeerTable` plans every row of the table the same way.
+    `PeerTable` plans every pair of the table the same way, once.
     """
     if not 1 <= b <= 128:
         raise ValueError(f"segment width must be in [1, 128], got {b}")
@@ -550,25 +539,30 @@ def round_edges(
     threshold: Optional[int] = None,
     prf: Prf = DEFAULT_PRF,
 ) -> np.ndarray:
-    """`round_peers` for every party of a table at once: the rows of
+    """`round_peers` for every party of a table at once: the pair rows of
     `table` whose edge masks enter the round, ascending.
 
-    `live` is a boolean per party of `table.parties`; a row is a candidate
+    `live` is a boolean per party of `table.parties`; a pair is a candidate
     when both its ends are live. Clique keeps every candidate, dream draws
     every candidate's selection block in one pass, and zeph reads `plan`,
-    whose rows must be the table's. Every live party left without a row is
-    logged as a connectivity failure, as `round_peers` logs it.
+    whose rows must be the table's. Every live party left without a pair
+    is logged as a connectivity failure, as `round_peers` logs it.
     """
     live = np.asarray(live, dtype=bool)
-    rows = np.flatnonzero(live[table.owner] & live[table.peer])
+    rows = np.flatnonzero(live[table.low] & live[table.high])
     rows = _round_rows(table.keys, rows, round_index, plan, threshold, prf)
-    degree = np.bincount(table.owner[rows], minlength=len(table.parties))
-    _warn_isolated(table, live, degree, round_index)
+    _warn_isolated(table, live, _degree(table, rows), round_index)
     return rows
 
 
+def _degree(table: PeerTable, rows: np.ndarray) -> np.ndarray:
+    """Each party's count of the pair `rows` it is an end of."""
+    ends = np.concatenate((table.low[rows], table.high[rows]))
+    return np.bincount(ends, minlength=len(table.parties))
+
+
 def _warn_isolated(table: PeerTable, live: np.ndarray, degree: np.ndarray, round_index: int):
-    """Log every live party of `table` whose `degree`, its rows in the
+    """Log every live party of `table` whose `degree`, its pairs in the
     round, is zero."""
     for i in np.flatnonzero(live & (degree == 0)):
         _warn_unprotected(round_index, table.parties[i])
@@ -576,11 +570,12 @@ def _warn_isolated(table: PeerTable, live: np.ndarray, degree: np.ndarray, round
 
 class EdgeMasks(NamedTuple):
     """A round's pairwise masks over a `PeerTable` for one live set: the
-    round, `live` (a boolean per party), `selected` (a boolean per row: does
-    its edge mask enter the round?), `degree` (the selected rows of each
-    party) and the parties x width nonce matrix the selected rows sum to
-    (`mask_edges`). `changed` counts the rows whose masks the step that
-    made them added or backed out."""
+    round, `live` (a boolean per party), `selected` (a boolean per pair
+    row: does its mask enter the round?), `degree` (the selected pairs
+    each party is an end of) and the parties x width nonce matrix the
+    selected pairs sum to (`mask_edges`). `changed` counts the pairs whose
+    masks the step that made them added or backed out; each enters two
+    nonce rows."""
 
     round_index: int
     live: np.ndarray
@@ -591,7 +586,7 @@ class EdgeMasks(NamedTuple):
 
     @property
     def rows(self) -> np.ndarray:
-        """The selected rows, ascending, as `round_edges` gives them."""
+        """The selected pair rows, ascending, as `round_edges` gives them."""
         return np.flatnonzero(self.selected)
 
     @classmethod
@@ -637,20 +632,19 @@ def mask_delta(
 ) -> EdgeMasks:
     """Move a round's masks from the base's live set to `live`.
 
-    Only the rows with an end whose liveness changed can change: each
-    changed party's own block of rows, and its row in every other party's
-    block. Of those, the selected ones lose their masks (an end is no
-    longer live), and the ones that are candidates now (both ends live)
-    were none in the base: the round's selection (`plan` for zeph,
-    `threshold` for dream, neither for clique) runs on them alone, so
-    dream draws only for them, and the masks of the rows selected are
-    added. Finding the changed parties, updating the nonce matrix and the
-    degrees, and the connectivity check are O(parties); the rest is
-    O(changed rows), besides one copy of the row selection, and an
-    unchanged membership returns the base's nonces at no PRF cost. The
-    result equals `mask_edges` over `round_edges` for `live` exactly, since
-    the ring arithmetic is exact, and every live party left without a row
-    is logged as `round_edges` logs it.
+    Only the pairs with an end whose liveness changed can change: each
+    changed party's pair with every other party. Of those, the selected
+    ones lose their masks (an end is no longer live), and the ones that
+    are candidates now (both ends live) were none in the base: the round's
+    selection (`plan` for zeph, `threshold` for dream, neither for clique)
+    runs on them alone, so dream draws only for them, and the masks of the
+    pairs selected are added. Finding the changed parties, updating the
+    nonce matrix and the degrees, and the connectivity check are
+    O(parties); the rest is O(changed pairs), besides one copy of the row
+    selection, and an unchanged membership returns the base's nonces at no
+    PRF cost. The result equals `mask_edges` over `round_edges` for `live`
+    exactly, since the ring arithmetic is exact, and every live party left
+    without a pair is logged as `round_edges` logs it.
     """
     masks = _delta(table, base, live, plan, threshold, prf)
     _warn_isolated(table, masks.live, masks.degree, masks.round_index)
@@ -664,14 +658,14 @@ def _delta(table, base, live, plan, threshold, prf) -> EdgeMasks:
     if not len(changed):
         return base._replace(changed=0)
     touched = _touched_rows(table, changed)
-    # a selected row with a changed end lost that end; a candidate row with
-    # a changed end gained it
+    # a selected pair with a changed end lost that end; a candidate pair
+    # with a changed end gained it
     gone = touched[base.selected[touched]]
-    fresh = touched[live[table.owner[touched]] & live[table.peer[touched]]]
+    fresh = touched[live[table.low[touched]] & live[table.high[touched]]]
     nonces, added = _change_masks(
         table.keys,
-        table.signs,
-        table.owner,
+        table.low,
+        table.high,
         base.nonces,
         gone,
         fresh,
@@ -683,44 +677,40 @@ def _delta(table, base, live, plan, threshold, prf) -> EdgeMasks:
     selected = base.selected.copy()
     selected[gone] = False
     selected[added] = True
-    parties = len(live)
-    degree = (
-        base.degree
-        - np.bincount(table.owner[gone], minlength=parties)
-        + np.bincount(table.owner[added], minlength=parties)
-    )
+    degree = base.degree - _degree(table, gone) + _degree(table, added)
     return EdgeMasks(
         base.round_index, live, selected, degree, nonces, len(gone) + len(added)
     )
 
 
 def _touched_rows(table: PeerTable, changed: np.ndarray) -> np.ndarray:
-    """The rows of `table` with an end in `changed` (ascending party
-    indices), ascending: the changed parties' own blocks, and every other
-    party's rows to them. Both parts come out sorted, so the stable sort
-    only merges two runs."""
+    """The pair rows of `table` with an end in `changed` (party indices),
+    ascending, by the table's triangular row index. The first n − 1 rows
+    pair the lowest id with every other party in id order, so they give
+    every party's rank."""
     n = len(table.parties)
-    rank = table.rank
-    others = np.ones(n, dtype=bool)
-    others[changed] = False
-    others = np.flatnonzero(others)
-    ranks = np.sort(rank[changed])
-    to_changed = (others * (n - 1))[:, None] + ranks - (ranks > rank[others, None])
-    own = (changed * (n - 1))[:, None] + np.arange(n - 1)
-    return np.sort(np.concatenate((to_changed.ravel(), own.ravel())), kind="stable")
+    rank = np.zeros(n, dtype=np.intp)
+    rank[np.concatenate((table.low[:1], table.high[: n - 1]))] = np.arange(n)
+    mine, other = rank[changed][:, None], np.arange(n)
+    unchanged = np.ones(n, dtype=bool)
+    unchanged[mine] = False
+    # a pair of two changed parties is listed from its lower rank only
+    keep = (other > mine) | unchanged
+    a, b = np.minimum(mine, other), np.maximum(mine, other)
+    return np.sort((a * (2 * n - a - 1) // 2 + b - a - 1)[keep])
 
 
-def _change_masks(keys, signs, owner, nonces, gone, fresh, round_index, plan, threshold, prf):
-    """`nonces` less the masks of rows `gone`, plus those of the rows of
-    `fresh` (candidate rows) the round selects; the mask domain follows
+def _change_masks(keys, low, high, nonces, gone, fresh, round_index, plan, threshold, prf):
+    """`nonces` less the masks of pair rows `gone`, plus those of the rows
+    of `fresh` (candidate rows) the round selects; the mask domain follows
     `plan`. Returns the new nonces and the rows added."""
     added = _round_rows(keys, fresh, round_index, plan, threshold, prf)
 
     def masks(rows):
         return mask_edges(
             keys[rows],
-            signs[rows],
-            owner[rows],
+            low[rows],
+            high[rows],
             len(nonces),
             nonces.shape[1],
             epoch_id=None if plan is None else plan.epoch_id,
@@ -835,9 +825,8 @@ def apply_delta(
     gone = _round_rows(secrets.keys, dropped, round_index, plan, threshold, prf)
     nonces, _ = _change_masks(
         secrets.keys,
-        secrets.signs,
-        np.zeros(len(peers), dtype=np.intp),
-        np.array([[base_nonce & RING_MASK]], dtype=np.uint64),
+        *_own_ends(secrets),
+        np.array([[0], [base_nonce & RING_MASK], [0]], dtype=np.uint64),
         gone,
         joined,
         round_index,
@@ -845,7 +834,7 @@ def apply_delta(
         threshold,
         prf,
     )
-    return int(nonces[0, 0])
+    return int(nonces[1, 0])
 
 
 def _peer_row(peers: Sequence[PartyId], party: PartyId) -> int:
@@ -870,22 +859,24 @@ def mask_vector(
     active membership (see `round_peers`); a party that is not one of
     `secrets.peers` raises `KeyError`."""
     rows = np.fromiter((_peer_row(secrets.peers, p) for p in peers), np.intp, count=len(peers))
+    rows.sort()  # grouped by low end
+    low, high = _own_ends(secrets)
     return mask_edges(
         secrets.keys[rows],
-        secrets.signs[rows],
-        np.zeros(len(rows), dtype=np.intp),
-        1,
+        low[rows],
+        high[rows],
+        3,
         width,
         epoch_id=epoch_id,
         round_index=round_index,
         prf=prf,
-    )[0]
+    )[1]
 
 
 def mask_edges(
     keys: np.ndarray,
-    signs: np.ndarray,
-    owner: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
     parties: int,
     width: int,
     *,
@@ -896,14 +887,16 @@ def mask_edges(
     """Several parties' nonce vectors for a round, as a parties x width
     uint64 matrix.
 
-    Edge e, with pairwise secret `keys[e]` and sign `signs[e]`, adds its
-    signed mask to row `owner[e]`; `owner` never decreases, and a party
-    without edges gets a zero row. This is the one definition of an edge
-    mask: lane k of an edge is the high (k even) or low (k odd) 64 bits of
-    the edge's PRF block k // 2, so an edge costs ceil(width/2) PRF blocks
-    and a scalar nonce is lane 0. Every edge's blocks go through one pass
-    of PRF calls (at most `BATCH_BLOCKS` blocks each), and each call's
-    signed lanes are summed per party by one `np.add.reduceat`. An integer
+    Pair e, with pairwise secret `keys[e]`, adds its mask to row `low[e]`,
+    its lower id, and subtracts it from row `high[e]`; the pairs of one
+    low end must be contiguous, and a party without pairs gets a zero row.
+    This is the one definition of an edge mask: lane k of a pair is the
+    high (k even) or low (k odd) 64 bits of the pair's PRF block k // 2,
+    so a pair costs ceil(width/2) PRF blocks, evaluated once for both
+    ends, and a scalar nonce is lane 0. Every pair's blocks go through one
+    pass of PRF calls (at most `BATCH_BLOCKS` blocks each). Each call's
+    lanes are summed per low end by one `np.add.reduceat` and, in a sort
+    of the call's high ends, per high end by a second. An integer
     `epoch_id` selects the epoch mask domain (zeph), `None` the per-round
     edge domain (clique and dream).
     """
@@ -920,13 +913,15 @@ def mask_edges(
     msgs[:, 1] = round_index
     nonces = np.zeros((parties, width), dtype=np.uint64)
     for lo, words in _keyed_calls(keys, msgs.tobytes(), prf):
-        lanes = words.reshape(len(words), 2 * blocks)[:, :width]
+        lanes = words.reshape(len(words), 2 * blocks)[:, :width].astype(np.uint64)
         hi = lo + len(lanes)
-        # a sign of 2**64 - 1 negates its row, since uint64 products wrap
-        signed = lanes * signs[lo:hi, None]
-        own = owner[lo:hi]
-        starts = np.flatnonzero(np.diff(own, prepend=-1))
-        nonces[own[starts]] += np.add.reduceat(signed, starts, axis=0)
+        ends = low[lo:hi]
+        starts = np.flatnonzero(np.diff(ends, prepend=-1))
+        nonces[ends[starts]] += np.add.reduceat(lanes, starts, axis=0)
+        order = np.argsort(high[lo:hi])
+        ends = high[lo:hi][order]
+        starts = np.flatnonzero(np.diff(ends, prepend=-1))
+        nonces[ends[starts]] -= np.add.reduceat(lanes[order], starts, axis=0)
     return nonces
 
 

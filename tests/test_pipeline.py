@@ -97,40 +97,52 @@ def base_edges(scenario: _Scenario, part, owners, w, prf):
     plan = None
     if scenario.config.protocol == "zeph" and part.b is not None:
         epoch = w // part.epoch_width
-        plan = EpochPlan(epoch, part.b, part.table.peers, graph_bits(part.table.keys, epoch, prf=prf))
+        plan = EpochPlan(epoch, part.b, (), graph_bits(part.table.keys, epoch, prf=prf))
     live = live_vector(part.table, owners)
     return live, round_edges(part.table, live, w, plan=plan, threshold=part.threshold, prf=prf)
 
 
-def delta_extra(scenario: _Scenario, owner_sets: list) -> list[tuple[int, int]]:
-    """Per window, the PRF blocks and ring additions that masking through
-    a base over the previous membership and a delta at release adds to
-    recomputing every mask from the members, from `round_edges` over
-    consecutive member sets, starting from every plan member before window
-    0: each base edge with an end no longer live is masked twice more (in
-    the base, then backed out), at ceil(width/2) blocks and width
-    additions, and dream draws once more for each base candidate that is
-    no candidate now. Every window must release, all in one zeph epoch,
-    so the plan's rows do not move."""
+def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list]:
+    """Per window, from `round_edges`' pair rows: the PRF blocks that a
+    table of ordered rows, two per pair, spent on each pair's second end,
+    and the PRF blocks and ring additions that masking through a base and
+    a delta adds to recomputing every mask from the members.
+
+    Recomputing from the members, the second ends cost a mask per pair
+    selected over the members at ceil(width/2) blocks, a dream draw per
+    pair with both ends members, and in window 0 a zeph graph block per
+    pair of the table. The delta path starts from every plan member
+    before window 0 and goes over consecutive member sets: each base pair
+    with an end no longer live is masked twice more (in the base, then
+    backed out), at ceil(width/2) blocks and width additions in each of
+    its two ends' rows, and dream draws once more for each base candidate
+    that is no candidate now. Every window must release, all in one zeph
+    epoch, so the plan's rows do not move."""
     width = scenario.plan.output_width
     blocks = (width + 1) // 2
     prf = AesPrf()
-    extra = []
+    second_ends, extra = [], []
     for w, before in enumerate([frozenset(scenario.parties), *owner_sets[:-1]]):
-        prf_blocks = additions = 0
+        second = prf_blocks = additions = 0
         for part in scenario.partitions:
             table = part.table
+            now, rows_now = base_edges(scenario, part, owner_sets[w], w, prf)
+            candidate_now = now[table.low] & now[table.high]
+            second += len(rows_now) * blocks
+            if part.threshold is not None:
+                second += int(np.count_nonzero(candidate_now))
+            if w == 0 and scenario.config.protocol == "zeph" and part.b is not None:
+                second += len(table)
             base, rows = base_edges(scenario, part, before, w, prf)
-            now = live_vector(table, owner_sets[w])
-            candidate_now = now[table.owner] & now[table.peer]
             removed = int(np.count_nonzero(~candidate_now[rows]))
             prf_blocks += 2 * removed * blocks
-            additions += 2 * removed * width
+            additions += 2 * 2 * removed * width
             if part.threshold is not None:
-                candidate_base = base[table.owner] & base[table.peer]
+                candidate_base = base[table.low] & base[table.high]
                 prf_blocks += int(np.count_nonzero(candidate_base & ~candidate_now))
+        second_ends.append(second)
         extra.append((prf_blocks, additions))
-    return extra
+    return second_ends, extra
 
 
 def delta_bytes(before: frozenset, after: frozenset) -> int:
@@ -430,7 +442,10 @@ def test_zeph_run_is_pinned():
     # member, so its base edges to it are masked twice more). Window 0
     # bills its delta from the plan's members: all 58 are present, so it
     # bills none, where the delta from nobody billed 58 joins.
-    extra = delta_extra(scenario, owner_sets)
+    # A table of one row per pair evaluates each pair once, where the
+    # figures above evaluated it from both ends: each PRF figure is less
+    # the blocks `second` spent on second ends.
+    second, extra = pair_figures(scenario, owner_sets)
     assert extra[0] == (0, 0) and extra[2] != (0, 0)
     shift = window0_bytes_shift(scenario, owner_sets)
     assert 3007 + shift == 1135
@@ -438,12 +453,12 @@ def test_zeph_run_is_pinned():
         (w.prf_calls, w.additions, w.bytes_controller, w.bytes_server) for w in result.windows
     ]
     assert counts == [
-        (140158 + extra[0][0], 177620 + extra[0][1], 67628, 3007 + shift),
-        (136096 + extra[1][0], 176122 + extra[1][1], 67628, 0),
-        (133770 + extra[2][0], 173126 + extra[2][1], 66462, 48),
+        (140158 - second[0] + extra[0][0], 177620 + extra[0][1], 67628, 3007 + shift),
+        (136096 - second[1] + extra[1][0], 176122 + extra[1][1], 67628, 0),
+        (133770 - second[2] + extra[2][0], 173126 + extra[2][1], 66462, 48),
     ]
     summary = result.summary
-    assert summary["prf_calls_total"] == 1040433 + sum(e[0] for e in extra)
+    assert summary["prf_calls_total"] == 1040433 - sum(second) + sum(e[0] for e in extra)
     assert summary["additions_total"] == 526868 + sum(e[1] for e in extra)
     assert summary["bytes_producer_total"] == 4742968
     assert summary["bytes_controller_total"] == 201718
@@ -454,12 +469,14 @@ def _pinned_digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _pinned_totals(result: ScenarioResult, extra: list, shift: int) -> tuple:
-    """The run's totals, PRF blocks and additions less the delta path's
-    `extra`, and server bytes less window 0's `shift`."""
+def _pinned_totals(result: ScenarioResult, figures: tuple, shift: int) -> tuple:
+    """The run's totals: PRF blocks plus the second ends and less the
+    delta path's extra blocks of `figures` (`pair_figures`), additions
+    less the extra additions, and server bytes less window 0's `shift`."""
+    second, extra = figures
     s = result.summary
     return (
-        s["prf_calls_total"] - sum(e[0] for e in extra),
+        s["prf_calls_total"] + sum(second) - sum(e[0] for e in extra),
         s["additions_total"] - sum(e[1] for e in extra),
         s["bytes_producer_total"],
         s["bytes_controller_total"],
@@ -471,8 +488,8 @@ def test_clique_run_with_per_user_query_is_pinned():
     scenario = _Scenario(small_config(preset="car", producers=60, partition_size=60, seed=7))
     owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
-    extra = delta_extra(scenario, owner_sets)
-    assert extra[2] != (0, 0)
+    figures = pair_figures(scenario, owner_sets)
+    assert figures[1][2] != (0, 0)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     assert all(w.extras["per_user"]["status"] == "ok" for w in result.windows)
     assert (
@@ -484,7 +501,7 @@ def test_clique_run_with_per_user_query_is_pinned():
         == "28414aba9b8cb7760dcc1d7a4ec7bffac814900dbc362863133d328ba4a78868"
     )
     shift = window0_bytes_shift(scenario, owner_sets)
-    assert _pinned_totals(result, extra, shift) == (328939, 316074, 1175112, 73950, 2865)
+    assert _pinned_totals(result, figures, shift) == (328939, 316074, 1175112, 73950, 2865)
 
 
 def test_dream_run_with_dp_noise_is_pinned():
@@ -495,8 +512,8 @@ def test_dream_run_with_dp_noise_is_pinned():
     owner_sets = recording_owner_sets(scenario)
     seen = recording_releases(scenario)
     result = scenario.run()
-    extra = delta_extra(scenario, owner_sets)
-    assert extra[2] != (0, 0)
+    figures = pair_figures(scenario, owner_sets)
+    assert figures[1][2] != (0, 0)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     for w in result.windows:
         assert w.released == expected_release(scenario, w.window, *seen[w.window])
@@ -507,7 +524,29 @@ def test_dream_run_with_dp_noise_is_pinned():
     # the PRF figure moves by the noise blocks alone
     shift = window0_bytes_shift(scenario, owner_sets)
     noise = sum(noise_blocks(scenario, result))
-    assert _pinned_totals(result, extra, shift) == (905160 + noise, 38128, 6639792, 30272, 2839)
+    assert _pinned_totals(result, figures, shift) == (905160 + noise, 38128, 6639792, 30272, 2839)
+
+
+def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
+    # 59 plan members in partitions of 29: the last partition holds one
+    scenario = _Scenario(
+        small_config(
+            preset="car", producers=61, partition_size=29, windows=2,
+            dropout_rate=0.0, drop_rate=0.0,
+        )
+    )
+    assert [len(part.streams) for part in scenario.partitions] == [29, 29, 1]
+    (alone,) = scenario.partitions[2].table.parties
+    result = scenario.run()
+    # a connectivity failure is reported, not a failed window
+    assert [(w.status, w.shadow_ok, w.extras["isolated"]) for w in result.windows] == [
+        ("ok", True, 1),
+        ("ok", True, 1),
+    ]
+    warned = [r.getMessage() for r in caplog.records if "no active peers" in r.getMessage()]
+    assert len(warned) == 2 and all(repr(alone) in m for m in warned)
+    # partitions in which every member keeps a pair count none
+    assert run_scenario(small_config(windows=1)).windows[0].extras["isolated"] == 0
 
 
 def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkeypatch):
@@ -692,7 +731,7 @@ def test_tokens_are_minted_per_plan_partition_and_window():
     part, other = scenario.partitions
     live = np.ones(len(part.streams), dtype=bool)
     part.base = mask_base(part.table, live, 2, scenario.plan.output_width)
-    masked, _, _ = scenario._controller_tokens(2, part, live)
+    masked, *_ = scenario._controller_tokens(2, part, live)
     assert masked.window == (2 * L, 3 * L)
     assert masked.stream_set_ids == part.set_ids
     # without base masks for the window there is no fallback: the release
@@ -737,10 +776,10 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
     result = scenario.run()
     assert result.summary["shadow_ok"] is True
     assert result.summary["windows_ok"] == 257
-    # each epoch derives its plan whole, in one pass of a block per edge
-    assert passes == [(0, 20 * 19, 20 * 19), (1, 20 * 19, 20 * 19)]
+    # each epoch derives its plan whole, in one pass of a block per pair
+    assert passes == [(0, 190, 190), (1, 190, 190)]
     assert part.epoch_plan.epoch_id == 1
-    assert part.epoch_plan.bits.shape == (20 * 19, 128)
+    assert part.epoch_plan.bits.shape == (190, 128)
 
 
 def test_suppressed_window_charges_no_budget():
@@ -776,14 +815,15 @@ def test_suppressed_window_charges_no_budget():
         before, after = spent[w.window]
         assert before == after
         # only the base computed for the window, over the last window's
-        # members: dream's draws over its candidates and its edge masks
+        # members: dream's draws over its candidate pairs and the pairs'
+        # masks, each entering two nonce rows
         prf = CountingPrf(AesPrf())
-        edges = sum(
+        pairs = sum(
             len(base_edges(scenario, part, owner_sets[w.window - 1], w.window, prf)[1])
             for part in scenario.partitions
         )
-        assert edges > 0
-        base_cost = (prf.calls + edges * ((width + 1) // 2), edges * width)
+        assert pairs > 0
+        base_cost = (prf.calls + pairs * ((width + 1) // 2), 2 * pairs * width)
         assert (w.prf_calls, w.additions) == base_cost
         assert w.bytes_controller == 0
         assert w.extras["suppressed"] == "epsilon budget exhausted"

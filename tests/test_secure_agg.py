@@ -152,13 +152,15 @@ def test_setup_pairwise_skips_self_and_checks_registry():
 
 def test_pairwise_secrets_validation_and_signs():
     ids, secrets = build_parties(3)
-    p, q = ids[0], ids[1]
+    p, q = sorted(ids[:2])
     row_pq, row_qp = secrets[p].peers.index(q), secrets[q].peers.index(p)
-    # opposite signs, as ring elements: +1 and -1 = 2**64 - 1
-    s_pq = int(secrets[p].signs[row_pq])
-    s_qp = int(secrets[q].signs[row_qp])
-    assert {s_pq, s_qp} == {1, M - 1}
     assert secrets[p].keys[row_pq].tobytes() == secrets[q].keys[row_qp].tobytes()
+    # the lower id adds the pair's mask and the higher id subtracts it
+    key = secrets[p].keys[row_pq].tobytes()
+    block = DEFAULT_PRF.evaluate_batch(key, prf_input(DOMAIN_EDGE, 0, 4))
+    mask = int.from_bytes(block.tobytes()[:8], "big")
+    assert int(mask_vector(secrets[p], [q], 1, epoch_id=None, round_index=4)[0]) == mask
+    assert int(mask_vector(secrets[q], [p], 1, epoch_id=None, round_index=4)[0]) == (-mask) % M
     assert list(secrets[p].peers) == sorted(secrets[p].peers)
     with pytest.raises(ValueError, match="itself"):
         PairwiseSecrets(p, {p: bytes(16)})
@@ -176,50 +178,42 @@ def registered(keypairs):
     return registry
 
 
-def stacked_endpoints(keypairs, registry):
-    """The per-endpoint reference of a `PeerTable`: each party's own
-    `setup_pairwise` rows, party after party."""
+def assert_pairs_once(table, keypairs, registry):
+    """`table` lists each unordered pair of `keypairs` once, in id order,
+    with the secret both endpoints' `setup_pairwise` give it and its lower
+    id as `low`."""
     parties = tuple(kp.party_id for kp in keypairs)
-    secrets = [setup_pairwise(kp, registry, parties) for kp in keypairs]
-    peers = tuple(p for s in secrets for p in s.peers)
-    return {
-        "parties": parties,
-        "peers": peers,
-        "keys": np.concatenate([s.keys for s in secrets]),
-        "signs": np.concatenate([s.signs for s in secrets]),
-        "peer": np.array([parties.index(p) for p in peers], dtype=np.intp),
-        "owner": np.repeat(np.arange(len(secrets)), [len(s) for s in secrets]),
-    }
-
-
-def assert_table_is(table, expected):
-    for name, want in expected.items():
-        got = getattr(table, name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
-        else:
-            assert got == want, name
+    secrets = {p: setup_pairwise(kp, registry, parties) for p, kp in zip(parties, keypairs)}
+    assert table.parties == parties
+    pairs = [(parties[lo], parties[hi]) for lo, hi in zip(table.low, table.high)]
+    ranked = sorted(parties)
+    assert pairs == [(a, b) for i, a in enumerate(ranked) for b in ranked[i + 1 :]]
+    assert len(table) == len(table.keys) == len(table.low) == len(table.high)
+    for (a, b), key in zip(pairs, table.keys):
+        assert key.tobytes() == secrets[a].keys[secrets[a].peers.index(b)].tobytes()
+        assert key.tobytes() == secrets[b].keys[secrets[b].peers.index(a)].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), data=st.data())
 def test_peer_table_equals_the_stacked_per_endpoint_rows(n, data):
+    """The endpoints' `setup_pairwise` rows, stacked and kept once per
+    unordered pair, are the table's rows."""
     agreement = StaticKeyAgreement()
     keypairs = [agreement.generate(b"table-%d" % i) for i in range(n)]
     # the table lists the parties in stream order, not in id order
     keypairs = [keypairs[i] for i in data.draw(st.permutations(range(n)))]
     registry = registered(keypairs)
     table = PeerTable(keypairs, registry)
-    assert_table_is(table, stacked_endpoints(keypairs, registry))
-    assert len(table) == n * (n - 1)
+    assert_pairs_once(table, keypairs, registry)
+    assert len(table) == n * (n - 1) // 2
 
 
 def test_peer_table_over_ecdh_equals_the_per_endpoint_rows():
     agreement = EcdhKeyAgreement()
     keypairs = [agreement.generate() for _ in range(4)]
     registry = registered(keypairs)
-    assert_table_is(PeerTable(keypairs, registry), stacked_endpoints(keypairs, registry))
+    assert_pairs_once(PeerTable(keypairs, registry), keypairs, registry)
 
 
 class CountingKeyPair(KeyPair):
@@ -245,7 +239,7 @@ def test_peer_table_derives_each_pair_once(n):
     table = PeerTable(keypairs, registry)
     assert counter[0] == n * (n - 1) // 2
     counter[0] = 0
-    assert_table_is(table, stacked_endpoints(keypairs, registry))
+    assert_pairs_once(table, keypairs, registry)
     # the per-endpoint build derives every pair from both ends
     assert counter[0] == n * (n - 1)
 
