@@ -16,19 +16,24 @@ a grace period. A message's fate, lost or its arrival time, is drawn
 when it is sent. A piece lost or arriving after the deadline leaves that
 stream's window chain incomplete, so the stream drops out of the
 window's member set and rejoins later; membership changes travel as
-compact deltas. Controllers mask offline and correct online: each
-partition computes window 0's pairwise masks over every plan member as
-window 0 opens, and every later window's right after the previous
-window's assembly, over that window's members; a release applies only the
-membership delta to them. Producers that skip a window emit a neutral catch-up
-event on return so their cipher chain stays contiguous at window borders.
+compact deltas. Controllers mask offline and correct online: window 0's
+pairwise masks are computed over every plan member as window 0 opens, and
+every later window's right after the previous window's assembly, over
+that window's members; a release applies only the membership delta to
+them. Producers that skip a window emit a neutral catch-up event on
+return so their cipher chain stays contiguous at window borders.
 
 Large populations are sharded into partitions that aggregate
 independently; their released (already plaintext) outputs are summed
 before decoding. Pairwise masking runs inside each partition, with the
 protocol selectable per scenario: full pairwise (clique), probabilistic
 per-round selection (dream), or the epoch-planned variant (zeph on the
-command line) with parameters chosen by the connectivity optimizer.
+command line) with parameters chosen by the connectivity optimizer. The
+partitions that share a selection rule form a stack, whose pair tables
+are stacked into one: a window's base, and its release's tokens, noise
+and mask delta, make a fixed number of array passes per stack however
+many partitions it holds, and only each partition's batch and its
+unmasking run partition by partition.
 """
 
 from __future__ import annotations
@@ -709,7 +714,8 @@ SLAB_BYTES = 2 << 20
 class _Partition:
     """One independently aggregating shard of the population: the span
     `span` of plan members, whose streams, simulated rows, one-stream set
-    ids and `PeerTable` parties all run in plan member order."""
+    ids and `PeerTable` parties all run in plan member order. Its
+    selection rule (`b`, `threshold`, `epoch_width`) decides its stack."""
 
     def __init__(self, index: int, span: slice, streams: Sequence[str], rows: np.ndarray):
         self.index = index
@@ -721,10 +727,30 @@ class _Partition:
         self.b: Optional[int] = None
         self.threshold: Optional[int] = None  # dream selection threshold
         self.epoch_width = 0
+        self.stack: Optional[_Stack] = None
+
+
+class _Stack:
+    """The partitions that share a selection rule, masked together: their
+    `PeerTable`s stacked into one, one group per partition, so that a
+    window's selection and masks make one pass over all of them. Pairs
+    stay inside their partitions, so every nonce is the partition's own.
+    `members` lists the plan members of its parties, in table order."""
+
+    def __init__(self, index: int, parts: Sequence[_Partition], plan_members: int):
+        self.index = index
+        self.partitions = tuple(parts)
+        self.table = PeerTable.stack([part.table for part in parts])
+        lead = parts[0]
+        self.b, self.threshold, self.epoch_width = lead.b, lead.threshold, lead.epoch_width
+        every = np.arange(plan_members)
+        self.members = np.concatenate([every[part.span] for part in parts])
         # current epoch only: one plan row per pair row of the table
         self.epoch_plan: Optional[EpochPlan] = None
         # the next window's masks, over the membership its delta starts from
         self.base: Optional[EdgeMasks] = None
+        for part in parts:
+            part.stack = self
 
 
 class _Window:
@@ -993,6 +1019,12 @@ class _Scenario:
                     if cfg.protocol == "dream":
                         part.threshold = threshold_for_probability(res.edge_probability)
             self.partitions.append(part)
+        rules = {}
+        for part in self.partitions:
+            rules.setdefault((part.b, part.threshold, part.epoch_width), []).append(part)
+        self.stacks = [
+            _Stack(i, parts, len(members)) for i, parts in enumerate(rules.values())
+        ]
         # every plan member's party, in plan member order
         self.parties = tuple(p for part in self.partitions for p in part.table.parties)
         if self.plan.dp_epsilon is not None:
@@ -1183,7 +1215,7 @@ class _Scenario:
             self._mask_bases(w + 1)
 
     def _mask_bases(self, w: int):
-        """Compute window w's base masks in every partition over
+        """Compute window w's base masks in every stack over
         `self.members`, the membership the next delta is measured against:
         every plan member for window 0, computed as it opens, and the last
         window's members for window w ≥ 1, computed right after window
@@ -1194,46 +1226,47 @@ class _Scenario:
         rec = self.open[w]
         prf0, t0 = self.prf.calls, time.perf_counter()
         width = self.plan.output_width
-        for part in self.partitions:
-            plan = self._epoch_plan(part, self._epoch(part, w))
-            live = self.members[part.span]
-            part.base = mask_base(
-                part.table, live, w, width, plan=plan, threshold=part.threshold, prf=self.prf
+        for stack in self.stacks:
+            plan = self._epoch_plan(stack, self._epoch(stack, w))
+            live = self.members[stack.members]
+            stack.base = mask_base(
+                stack.table, live, w, width, plan=plan, threshold=stack.threshold, prf=self.prf
             )
-            rec.additions += 2 * part.base.changed * width
+            rec.additions += 2 * stack.base.changed * width
         rec.prf_calls += self.prf.calls - prf0
         rec.t_base += time.perf_counter() - t0
 
-    def _controller_tokens(self, w: int, part: _Partition, live: np.ndarray):
-        """Build, noise and mask one partition's tokens for window w as one
-        streams x outputs matrix.
+    def _controller_tokens(self, w: int, members: np.ndarray):
+        """Build, noise and mask window w's tokens for the members
+        `members` (a boolean per plan member) of every partition at once.
 
-        `live`, the partition's slice of the window's membership vector,
-        selects the members' streams, parties, budgets and set ids. Every
-        step is a fixed number of array operations however many parties
-        the partition holds: one token batch, one noise pass drawing every
-        member's share under its own noise key, sized for the window's
-        members (`noise_normals`), one membership delta over the
-        partition's base masks (`mask_delta`: selection only for edges new
-        to the round, masks only for the edges that changed), one matrix
-        add and one vectorized wire encode. What still runs per party is
-        the budget charge. A second call for
-        the same partition and window, or a partition whose base masks are
-        missing or belong to another round, raises before any key is
-        derived.
-        Returns the masked batch, the bytes sent, the ring additions spent
-        on the delta and the members it left without a pair. The window's
+        Every partition holding a member first claims its token for the
+        window, and every stack holding one must have base masks for the
+        window: a second claim, or missing or stale base masks, raises
+        before any key is derived. Then each step is a fixed number of
+        array operations however many partitions and parties there are:
+        one token batch over every member's streams, one noise pass
+        drawing every member's share under its own noise key, sized for
+        the window's members (`noise_normals`), and one membership delta
+        per stack over its base masks (`mask_delta`: selection only for
+        edges new to the round, masks only for the edges that changed).
+        What still runs per party is the budget charge, and per partition
+        its batch's rows and wire encode. A partition without members
+        releases nothing: its stack's delta leaves its parties out, so it
+        neither masks nor logs them. Returns each such partition with its
+        masked batch, the bytes sent, the ring additions spent on the
+        deltas and the members they left without a pair. The window's
         budgets were checked beforehand, so every charge succeeds.
         """
         L = self.config.logical_window
         window = (w * L, (w + 1) * L)
-        self._claim_token(self.plan.plan_id, part.index, window)
-        base, part.base = part.base, None
-        if base is None or base.round_index != w:
-            raise RuntimeError(f"partition {part.index} has no base masks for window {w}")
-        table = part.table
-        epoch = self._epoch(part, w)
-        streams = tuple(compress(part.streams, live))
+        parts = [part for part in self.partitions if members[part.span].any()]
+        self._claim_tokens(self.plan.plan_id, [part.index for part in parts], window)
+        stacks = list(dict.fromkeys(part.stack for part in parts))
+        for stack in stacks:
+            if stack.base is None or stack.base.round_index != w:
+                raise RuntimeError(f"stack {stack.index} has no base masks for window {w}")
+        streams = tuple(compress(self.plan.members, members))
         values = token_matrix(
             [self.masters[sid] for sid in streams],
             window,
@@ -1241,59 +1274,78 @@ class _Scenario:
             layout=self.plan.token_layout,
             prf=self.prf,
         )
-        parties = tuple(compress(table.parties, live))
+        width = values.shape[1]
         if self.plan.dp_epsilon is not None:
             shares = noise_shares(
-                self._window_noise(self.members),
-                list(compress(self.budgets[part.span], live)),
+                self._window_noise(members),
+                list(compress(self.budgets, members)),
                 self.plan.dp_epsilon,
-                noise_normals(
-                    self.noise_keys[part.span][live], w, values.shape[1], prf=self.prf
-                ),
+                noise_normals(self.noise_keys[members], w, width, prf=self.prf),
             )
             if isinstance(shares, Suppressed):
                 raise RuntimeError(f"a member was refused a checked budget: {shares.reason}")
             values += shares
-        plan = self._epoch_plan(part, epoch)
-        masks = mask_delta(table, base, live, plan=plan, threshold=part.threshold, prf=self.prf)
-        masked = MaskedBatch(
-            round_index=w,
-            epoch_id=epoch,
-            window=window,
-            parties=parties,
-            stream_set_ids=tuple(compress(part.set_ids, live)),
-            elements=values + masks.nonces[live],
-            noised=self.plan.dp_epsilon is not None,
-            stream_ids=streams,
-        )
-        isolated = int(np.count_nonzero(live & (masks.degree == 0)))
-        additions = 2 * masks.changed * values.shape[1]
-        return masked, len(masked.serialize()), additions, isolated
+        nonces = np.zeros((len(self.parties), width), dtype=np.uint64)
+        additions = isolated = 0
+        for stack in stacks:
+            base, stack.base = stack.base, None
+            live = members[stack.members]
+            bounds = stack.table.bounds
+            idle = ~np.repeat(np.logical_or.reduceat(live, bounds[:-1]), np.diff(bounds))
+            if idle.any():
+                base = base._replace(live=base.live & ~idle)
+            plan = self._epoch_plan(stack, self._epoch(stack, w))
+            masks = mask_delta(
+                stack.table, base, live, plan=plan, threshold=stack.threshold, prf=self.prf
+            )
+            nonces[stack.members] = masks.nonces
+            additions += 2 * masks.changed * width
+            isolated += int(np.count_nonzero(live & (masks.degree == 0)))
+        values += nonces[members]
+        batches, sent, hi = [], 0, 0
+        for part in parts:
+            live = members[part.span]
+            lo, hi = hi, hi + int(np.count_nonzero(live))
+            masked = MaskedBatch(
+                round_index=w,
+                epoch_id=self._epoch(part.stack, w),
+                window=window,
+                parties=tuple(compress(part.table.parties, live)),
+                stream_set_ids=tuple(compress(part.set_ids, live)),
+                elements=values[lo:hi],
+                noised=self.plan.dp_epsilon is not None,
+                stream_ids=streams[lo:hi],
+            )
+            batches.append((part, masked))
+            sent += len(masked.serialize())
+        return batches, sent, additions, isolated
 
-    def _claim_token(self, plan_id: str, part_index: Optional[int], window: tuple[int, int]):
-        """Record a token mint for (plan, partition, window), or raise if one
-        was minted already: fresh key material for a released window would
+    def _claim_tokens(self, plan_id: str, indices: Sequence, window: tuple[int, int]):
+        """Record a token mint for (plan, partition, window) for each
+        partition index of `indices`, or, if one was minted already, raise
+        and record none: fresh key material for a released window would
         widen what it reveals."""
-        key = (plan_id, part_index, window)
-        if key in self.minted:
-            raise RuntimeError(f"token already minted for {key}")
-        self.minted.add(key)
+        keys = [(plan_id, index, window) for index in indices]
+        taken = [key for key in keys if key in self.minted]
+        if taken:
+            raise RuntimeError(f"token already minted for {taken[0]}")
+        self.minted.update(keys)
 
     @staticmethod
-    def _epoch(part: _Partition, w: int) -> int:
-        return w // part.epoch_width if part.epoch_width else 0
+    def _epoch(stack: _Stack, w: int) -> int:
+        return w // stack.epoch_width if stack.epoch_width else 0
 
-    def _epoch_plan(self, part: _Partition, epoch: int):
-        """The partition's zeph plan for the epoch, replacing the plan of
-        the previous epoch: every pair row of its `PeerTable`, derived in
-        one `graph_bits` pass by the epoch's first base or release. None for
+    def _epoch_plan(self, stack: _Stack, epoch: int):
+        """The stack's zeph plan for the epoch, replacing the plan of the
+        previous epoch: every pair row of its `PeerTable`, derived in one
+        `graph_bits` pass by the epoch's first base or release. None for
         the other protocols and for partitions too small to plan."""
-        if self.config.protocol != "zeph" or part.b is None:
+        if self.config.protocol != "zeph" or stack.b is None:
             return None
-        if part.epoch_plan is None or part.epoch_plan.epoch_id != epoch:
-            bits = graph_bits(part.table.keys, epoch, prf=self.prf)
-            part.epoch_plan = EpochPlan(epoch, part.b, (), bits)
-        return part.epoch_plan
+        if stack.epoch_plan is None or stack.epoch_plan.epoch_id != epoch:
+            bits = graph_bits(stack.table.keys, epoch, prf=self.prf)
+            stack.epoch_plan = EpochPlan(epoch, stack.b, (), bits)
+        return stack.epoch_plan
 
     def _window_noise(self, members: np.ndarray):
         """The plan's noise spec sized for a window's members: each share
@@ -1311,20 +1363,17 @@ class _Scenario:
             result.status = "suppressed"
             result.extras["suppressed"] = "epsilon budget exhausted"
             return
-        parts = [(part, members[part.span]) for part in self.partitions]
-        parts = [(part, live) for part, live in parts if live.any()]
         t0 = time.perf_counter()
-        part_tokens = [self._controller_tokens(w, part, live) for part, live in parts]
+        batches, sent, additions, isolated = self._controller_tokens(w, members)
         result.t_token = time.perf_counter() - t0
-
-        for _masked, bytes_out, additions, _isolated in part_tokens:
-            result.bytes_controller += bytes_out
-            rec.additions += additions
-        result.extras["isolated"] = sum(isolated for *_, isolated in part_tokens)
+        result.bytes_controller += sent
+        rec.additions += additions
+        result.extras["isolated"] = isolated
 
         t0 = time.perf_counter()
         opened = []
-        for (part, live), (masked, *_) in zip(parts, part_tokens):
+        for part, masked in batches:
+            live = members[part.span]
             active = list(compress(part.streams, live))
             combined = unmask_aggregate(masked, stream_ids=active)
             # the partition's window sums share the window's range: one row sum
@@ -1374,7 +1423,7 @@ class _Scenario:
             return
         window = (w * L, (w + 1) * L)
         plan = self.user_plan
-        self._claim_token(plan.plan_id, None, window)
+        self._claim_tokens(plan.plan_id, [None], window)
         token = single_stream_token(
             self.masters[sid],
             window,

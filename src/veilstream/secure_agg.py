@@ -19,10 +19,12 @@ trade PRF work against connectivity slack:
             b-bit segments that schedule the edge into one round per
             segment; a round's graph is sparse but known in advance
 
-A round can run for one party or for every party of a partition at once.
-`PeerTable` lays the parties' pairwise secrets out as one row per
-unordered pair, where `setup_pairwise`, one party's view, derives every
-secret of that party; `round_edges` selects a round's pairs over it and
+A round can run for one party or for every party of a partition at once,
+or of several partitions. `PeerTable` lays the parties' pairwise secrets
+out as one row per unordered pair, where `setup_pairwise`, one party's
+view, derives every secret of that party; `PeerTable.stack` puts the
+tables of disjoint groups of parties one after the other, each pair
+staying in its group. `round_edges` selects a round's pairs over it and
 `mask_edges` adds each selected pair's mask to its low end's row of a
 parties x width nonce matrix and subtracts it from its high end's.
 `round_peers` and `mask_vector` are their one-party cases, sharing the
@@ -328,7 +330,8 @@ def _own_ends(secrets: PairwiseSecrets) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PeerTable:
-    """Several parties' pairwise secrets as one row per unordered pair,
+    """Pairwise secrets of one group of parties, or of several disjoint
+    groups stacked (`stack`), as one row per unordered pair of a group,
     for rounds batched over the parties.
 
     Built from the parties' key pairs, `parties` in the given order, in one
@@ -340,7 +343,8 @@ class PeerTable:
     the lower id are contiguous. `keys` (pairs x 16 `uint8`) holds each
     pair's secret, and `low` and `high` the indices into `parties` of its
     lower id, which adds the pair's mask, and its higher id, which
-    subtracts it.
+    subtracts it. `rank` holds each party's position in its group's id
+    order, and group g holds the parties `bounds[g]` to `bounds[g + 1]`.
     """
 
     def __init__(self, keypairs: Sequence[KeyPair], registry: IdentityRegistry):
@@ -359,6 +363,31 @@ class PeerTable:
         a, b = np.triu_indices(n, 1)
         order = np.array(ranked, dtype=np.intp)
         self.low, self.high = order[a], order[b]
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[order] = np.arange(n)
+        self.bounds = np.array([0, n], dtype=np.intp)
+
+    @classmethod
+    def stack(cls, tables: Sequence["PeerTable"]) -> "PeerTable":
+        """Tables of disjoint parties as one: their parties, rows and
+        groups in order, each table's `low` and `high` offset by the
+        parties before it, so every pair keeps its key and its row's
+        masks, draws and graph blocks are the table's."""
+        stacked = cls.__new__(cls)
+        stacked.parties = tuple(p for table in tables for p in table.parties)
+        if len(set(stacked.parties)) != len(stacked.parties):
+            raise ValueError("a party appears twice in the table")
+        offsets = np.cumsum([0] + [len(table.parties) for table in tables])
+        stacked.keys = np.concatenate([table.keys for table in tables])
+        stacked.low, stacked.high = (
+            np.concatenate([getattr(t, end) + o for t, o in zip(tables, offsets)])
+            for end in ("low", "high")
+        )
+        stacked.rank = np.concatenate([table.rank for table in tables])
+        stacked.bounds = np.concatenate(
+            [t.bounds[:-1] + o for t, o in zip(tables, offsets)] + [offsets[-1:]]
+        )
+        return stacked
 
     def __len__(self):
         return len(self.keys)
@@ -425,6 +454,11 @@ class EpochPlan:
         return (segment == value).all(axis=1)
 
     def active_in_round(self, peer: PartyId, round_index: int) -> bool:
+        """Whether the edge to `peer` is active in the round, on one
+        party's plan; a table's plan, whose rows are pairs, raises
+        `ValueError`."""
+        if len(self.peers) != len(self.bits):
+            raise ValueError("a table's plan has pair rows, not peers; use round_mask")
         i = bisect_left(self.peers, peer)
         found = i < len(self.peers) and self.peers[i] == peer
         return found and bool(self.round_mask(round_index)[i])
@@ -685,40 +719,53 @@ def _delta(table, base, live, plan, threshold, prf) -> EdgeMasks:
 
 def _touched_rows(table: PeerTable, changed: np.ndarray) -> np.ndarray:
     """The pair rows of `table` with an end in `changed` (party indices),
-    ascending, by the table's triangular row index. The first n − 1 rows
-    pair the lowest id with every other party in id order, so they give
-    every party's rank."""
-    n = len(table.parties)
-    rank = np.zeros(n, dtype=np.intp)
-    rank[np.concatenate((table.low[:1], table.high[: n - 1]))] = np.arange(n)
-    mine, other = rank[changed][:, None], np.arange(n)
-    unchanged = np.ones(n, dtype=bool)
-    unchanged[mine] = False
+    ascending, by the triangular row index: a changed party of rank m in
+    a group of n parties whose rows start at row r pairs with the party
+    of rank k at row r + a·(2n − a − 1)/2 + b − a − 1, a = min(m, k) and
+    b = max(m, k). A pair of two changed parties is listed once."""
+    bounds = table.bounds
+    sizes = np.diff(bounds)
+    starts = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
+    group = np.searchsorted(bounds, changed, side="right") - 1
+    first, n, row = (x[group][:, None] for x in (bounds, sizes, starts))
+    mine, other = table.rank[changed][:, None], np.arange(sizes.max(initial=0))
+    # flagged[first + k]: is the party of rank k in the group changed?
+    flagged = np.zeros(len(table.parties) + len(other), dtype=bool)
+    flagged[first + mine] = True
     # a pair of two changed parties is listed from its lower rank only
-    keep = (other > mine) | unchanged
+    keep = (other < n) & ((other > mine) | ~flagged[first + other])
     a, b = np.minimum(mine, other), np.maximum(mine, other)
-    return np.sort((a * (2 * n - a - 1) // 2 + b - a - 1)[keep])
+    return np.sort((row + a * (2 * n - a - 1) // 2 + b - a - 1)[keep])
 
 
 def _change_masks(keys, low, high, nonces, gone, fresh, round_index, plan, threshold, prf):
     """`nonces` less the masks of pair rows `gone`, plus those of the rows
-    of `fresh` (candidate rows) the round selects; the mask domain follows
-    `plan`. Returns the new nonces and the rows added."""
+    of `fresh` (candidate rows) the round selects, in one `mask_edges`
+    pass onto a copy of `nonces`: a gone pair enters with its ends
+    swapped, as backing out a mask adds it with the signs exchanged. The
+    mask domain follows `plan`. Returns the new nonces and the rows
+    added."""
     added = _round_rows(keys, fresh, round_index, plan, threshold, prf)
-
-    def masks(rows):
-        return mask_edges(
-            keys[rows],
-            low[rows],
-            high[rows],
-            len(nonces),
-            nonces.shape[1],
-            epoch_id=None if plan is None else plan.epoch_id,
-            round_index=round_index,
-            prf=prf,
-        )
-
-    return nonces - masks(gone) + masks(added), added
+    rows = np.concatenate((gone, added))
+    adds = np.concatenate((high[gone], low[added]))
+    subtracts = np.concatenate((low[gone], high[added]))
+    if len(gone):
+        # the added rows come grouped by the end that adds, the gone rows
+        # do not
+        order = np.argsort(adds)
+        rows, adds, subtracts = rows[order], adds[order], subtracts[order]
+    nonces = mask_edges(
+        keys[rows],
+        adds,
+        subtracts,
+        len(nonces),
+        nonces.shape[1],
+        epoch_id=None if plan is None else plan.epoch_id,
+        round_index=round_index,
+        prf=prf,
+        out=nonces.copy(),
+    )
+    return nonces, added
 
 
 def _nonce(secrets, peers, round_index, plan, prf) -> int:
@@ -883,13 +930,15 @@ def mask_edges(
     epoch_id: Optional[int] = 0,
     round_index: int,
     prf: Prf = DEFAULT_PRF,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Several parties' nonce vectors for a round, as a parties x width
-    uint64 matrix.
+    uint64 matrix, or added in place onto `out`, which is returned.
 
     Pair e, with pairwise secret `keys[e]`, adds its mask to row `low[e]`,
     its lower id, and subtracts it from row `high[e]`; the pairs of one
-    low end must be contiguous, and a party without pairs gets a zero row.
+    low end must be contiguous, and a party without pairs gets a zero row
+    (keeps its row of `out`).
     This is the one definition of an edge mask: lane k of a pair is the
     high (k even) or low (k odd) 64 bits of the pair's PRF block k // 2,
     so a pair costs ceil(width/2) PRF blocks, evaluated once for both
@@ -911,18 +960,26 @@ def mask_edges(
             raise ValueError("mask block index exceeds 16 bits")
         msgs[:, 0] = (DOMAIN_MASK << 56) | (epoch_id << 16) | np.arange(blocks, dtype=np.uint64)
     msgs[:, 1] = round_index
-    nonces = np.zeros((parties, width), dtype=np.uint64)
+    nonces = np.zeros((parties, width), dtype=np.uint64) if out is None else out
     for lo, words in _keyed_calls(keys, msgs.tobytes(), prf):
         lanes = words.reshape(len(words), 2 * blocks)[:, :width].astype(np.uint64)
         hi = lo + len(lanes)
         ends = low[lo:hi]
-        starts = np.flatnonzero(np.diff(ends, prepend=-1))
+        starts = _run_starts(ends)
         nonces[ends[starts]] += np.add.reduceat(lanes, starts, axis=0)
         order = np.argsort(high[lo:hi])
         ends = high[lo:hi][order]
-        starts = np.flatnonzero(np.diff(ends, prepend=-1))
+        starts = _run_starts(ends)
         nonces[ends[starts]] -= np.add.reduceat(lanes[order], starts, axis=0)
     return nonces
+
+
+def _run_starts(ends: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal values."""
+    first = np.empty(len(ends), dtype=bool)
+    first[:1] = True
+    np.not_equal(ends[1:], ends[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 # Before each token's wire record: the round and epoch as u64, then the

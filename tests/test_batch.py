@@ -444,6 +444,81 @@ def test_peer_table_rows_run_over_pairs_in_id_order(n, data):
     assert secure_agg._touched_rows(table, changed).tolist() == expect.tolist()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 15), min_size=1, max_size=8),
+    protocol=st.sampled_from(["clique", "dream", "zeph"]),
+    w=st.integers(0, 600),
+    width=st.integers(1, 9),
+    data=st.data(),
+)
+def test_a_stacked_table_masks_as_its_groups_do(sizes, protocol, w, width, data):
+    _, keypairs, registry, _, _ = LARGE_POPULATION
+    ends = np.cumsum([0, *sizes])
+    tables = [PeerTable(keypairs[a:b], registry) for a, b in zip(ends, ends[1:])]
+    stacked = PeerTable.stack(tables)
+    n = int(ends[-1])
+    assert stacked.parties == tuple(kp.party_id for kp in keypairs[:n])
+    assert stacked.bounds.tolist() == ends.tolist()
+    assert stacked.keys.tobytes() == b"".join(table.keys.tobytes() for table in tables)
+    lives = st.lists(st.booleans(), min_size=n, max_size=n)
+    before = np.array(data.draw(lives), dtype=bool)
+    after = np.array(data.draw(lives), dtype=bool)
+
+    # the rows a delta touches are exactly the pairs with a changed end
+    flagged = before != after
+    changed = np.flatnonzero(flagged)
+    expect = np.flatnonzero(flagged[stacked.low] | flagged[stacked.high])
+    assert secure_agg._touched_rows(stacked, changed).tolist() == expect.tolist()
+
+    threshold = threshold_for_probability(0.5) if protocol == "dream" else None
+
+    def plan(table):
+        if protocol != "zeph":
+            return None
+        return EpochPlan(w // 7, 2, (), graph_bits(table.keys, w // 7))
+
+    prf = CountingPrf(AesPrf())
+    select = dict(threshold=threshold, prf=prf)
+    base = mask_base(stacked, before, w, width, plan=plan(stacked), **select)
+    base_blocks = prf.calls
+    masks = mask_delta(stacked, base, after, plan=plan(stacked), **select)
+    delta_blocks = prf.calls - base_blocks
+
+    # the same steps group by group, concatenated
+    group_prf = CountingPrf(AesPrf())
+    select = dict(threshold=threshold, prf=group_prf)
+    bases, deltas = [], []
+    for table, a, b in zip(tables, ends, ends[1:]):
+        bases.append(mask_base(table, before[a:b], w, width, plan=plan(table), **select))
+    assert group_prf.calls == base_blocks
+    for table, group_base, a, b in zip(tables, bases, ends, ends[1:]):
+        deltas.append(mask_delta(table, group_base, after[a:b], plan=plan(table), **select))
+    assert group_prf.calls - base_blocks == delta_blocks
+    for whole, groups in ((base, bases), (masks, deltas)):
+        for field in ("live", "selected", "degree", "nonces"):
+            parts = np.concatenate([getattr(g, field) for g in groups])
+            assert getattr(whole, field).tolist() == parts.tolist()
+        assert whole.changed == sum(g.changed for g in groups)
+
+
+def test_a_table_plan_refuses_to_answer_for_a_peer():
+    ids, keypairs, registry, secrets, _ = population(6)
+    table = PeerTable(keypairs, registry)
+    plan = EpochPlan(0, 2, (), graph_bits(table.keys, 0))
+    assert len(plan.bits) == len(table) == 15
+    with pytest.raises(ValueError, match="pair rows"):
+        plan.active_in_round(ids[1], 0)
+    # a party's own plan answers, as the table's plan rows of its pairs
+    i = 0
+    own = plan_epoch(secrets[i], 0, 2)
+    for r in range(own.width):
+        active = plan.round_mask(r)
+        for row in np.flatnonzero((table.low == i) | (table.high == i)):
+            peer = ids[table.low[row] + table.high[row] - i]
+            assert own.active_in_round(peer, r) == bool(active[row])
+
+
 @pytest.mark.parametrize("protocol", ["clique", "dream", "zeph"])
 def test_one_base_over_n_live_parties_spends_each_pair_once(protocol):
     n, w, width = 24, 5, 7
@@ -592,17 +667,18 @@ class RecordingPrf(Prf):
 
 
 @pytest.mark.parametrize("protocol", ["clique", "dream", "zeph"])
-def test_controller_prf_calls_follow_partitions_not_parties(protocol):
-    # two partitions of about 30 and of about 60 parties: the same number
-    # of PRF calls per window, since each fits one call per batch step
+def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
+    # two and four partitions of 30 parties, one stack each: the same
+    # number of PRF calls per window, since each stack fits one call per
+    # batch step
     calls = {}
-    for producers in (60, 120):
+    for producers, partitions in ((62, 2), (123, 4)):
         scenario = _Scenario(
             SimConfig(
                 preset="web",
                 protocol=protocol,
                 producers=producers,
-                partition_size=producers // 2,
+                partition_size=30,
                 windows=2,
                 seed=4,
                 dropout_rate=0.0,
@@ -630,15 +706,16 @@ def test_controller_prf_calls_follow_partitions_not_parties(protocol):
         scenario._mask_bases = metered(scenario._mask_bases)
         result = scenario.run()
         assert [w.status for w in result.windows] == ["ok", "ok"]
-        assert len(scenario.partitions) == 2
-        calls[producers] = per_window
-    assert calls[60] == calls[120]
-    # per partition, in window order: each window's base makes one
-    # selection pass for dream and the mask pass, after zeph's plan in
-    # window 0; each release, over the base's members, derives the token
-    # keys and draws the noise shares, and the shadow draws every member's
-    # noise again in one call
-    base = 2 * {"clique": 1, "dream": 2, "zeph": 1}[protocol]
-    plan = 2 if protocol == "zeph" else 0
-    release = 2 * 2 + 1
-    assert calls[60] == [base + plan, release, base, release]
+        assert [len(part.streams) for part in scenario.partitions] == [30] * partitions
+        assert len(scenario.stacks) == 1
+        calls[partitions] = per_window
+    assert calls[2] == calls[4]
+    # per stack, in window order: each window's base makes one selection
+    # pass for dream and the mask pass, after zeph's plan in window 0;
+    # each release, over the base's members, derives every member's token
+    # keys and draws every member's noise shares, and the shadow draws
+    # every member's noise again in one call
+    base = {"clique": 1, "dream": 2, "zeph": 1}[protocol]
+    plan = 1 if protocol == "zeph" else 0
+    release = 2 + 1
+    assert calls[2] == [base + plan, release, base, release]

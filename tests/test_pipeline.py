@@ -565,11 +565,13 @@ def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkey
     result = scenario.run()
     assert result.plan_members == 78
     assert [(w.members, w.status) for w in result.windows] == [(77, "ok"), (78, "ok"), (72, "ok")]
-    # the partitions' shares of each window are sized for its members
+    # each window's shares, drawn for both partitions in one pass, are
+    # sized for its members
+    assert len(scenario.partitions) == 2
     for w in result.windows:
-        window_specs = [specs.pop(0) for _ in scenario.partitions]
-        assert sum(rows for _, rows in window_specs) == w.members
-        assert {noise.party_count for noise, _ in window_specs} == {w.members}
+        noise, rows = specs.pop(0)
+        assert rows == noise.party_count == w.members
+    assert specs == []
     # the honest members of window 2 (72 of 78, half of them honest) draw
     # noise whose sum reaches sigma_target within acceptance 08's 5%, over
     # 10^4 draws of the same rule: 1,250 windows of 8 outputs
@@ -694,6 +696,15 @@ def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
     assert layout_calls == []
 
 
+def partition_members(scenario: _Scenario, *parts) -> np.ndarray:
+    """A membership vector over the plan members holding every member of
+    the partitions `parts` and no other."""
+    members = np.zeros(len(scenario.plan.members), dtype=bool)
+    for part in parts:
+        members[part.span] = True
+    return members
+
+
 def test_a_window_token_is_minted_once():
     scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
     result = scenario.run()
@@ -702,7 +713,7 @@ def test_a_window_token_is_minted_once():
     calls = scenario.prf.calls
     for part in scenario.partitions:
         with pytest.raises(RuntimeError, match="already minted"):
-            scenario._controller_tokens(0, part, np.ones(len(part.streams), dtype=bool))
+            scenario._controller_tokens(0, partition_members(scenario, part))
     # a record in which the per-user stream's chain is complete
     record = pipeline._Window(0.0, len(scenario.sim_streams), scenario.width, 1)
     record.arrived[:] = scenario.config.logical_window
@@ -729,21 +740,91 @@ def test_tokens_are_minted_per_plan_partition_and_window():
         assert part.set_ids == tuple(stream_set_hash([sid]) for sid in part.streams)
     # a window not yet released still mints, from its base masks
     part, other = scenario.partitions
-    live = np.ones(len(part.streams), dtype=bool)
-    part.base = mask_base(part.table, live, 2, scenario.plan.output_width)
-    masked, *_ = scenario._controller_tokens(2, part, live)
+    (stack,) = scenario.stacks
+    members = partition_members(scenario, part)
+    live = members[stack.members]
+    stack.base = mask_base(stack.table, live, 2, scenario.plan.output_width)
+    batches, *_ = scenario._controller_tokens(2, members)
+    ((minted, masked),) = batches
+    assert minted is part
     assert masked.window == (2 * L, 3 * L)
     assert masked.stream_set_ids == part.set_ids
     # without base masks for the window there is no fallback: the release
     # raises before any key is derived
     calls = scenario.prf.calls
-    live = np.ones(len(other.streams), dtype=bool)
+    members = partition_members(scenario, other)
     with pytest.raises(RuntimeError, match="no base masks for window 2"):
-        scenario._controller_tokens(2, other, live)
-    other.base = mask_base(other.table, live, 3, scenario.plan.output_width)
+        scenario._controller_tokens(2, members)
+    stack.base = mask_base(stack.table, members[stack.members], 3, scenario.plan.output_width)
     with pytest.raises(RuntimeError, match="no base masks for window 4"):
-        scenario._controller_tokens(4, other, live)
+        scenario._controller_tokens(4, members)
     assert scenario.prf.calls == calls
+
+
+def test_a_partition_without_members_costs_its_stack_no_mask_work(caplog):
+    scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
+    scenario.run()
+    part, other = scenario.partitions
+    (stack,) = scenario.stacks
+    # the base holds every plan member; the release only `part`'s
+    every = partition_members(scenario, part, other)
+    stack.base = mask_base(stack.table, every[stack.members], 5, scenario.plan.output_width)
+    before = scenario.prf.calls
+    batches, _, additions, isolated = scenario._controller_tokens(
+        5, partition_members(scenario, part)
+    )
+    assert [minted for minted, _ in batches] == [part]
+    # `other` releases nothing, so its pairs are neither backed out nor
+    # logged: the release spends only `part`'s token keys
+    assert (additions, isolated) == (0, 0)
+    sources = len(scenario.plan.token_layout.sources)
+    assert scenario.prf.calls - before == len(part.streams) * 2 * sources
+    assert not [r for r in caplog.records if "no active peers" in r.getMessage()]
+
+
+def test_a_release_makes_one_token_and_noise_pass_and_one_delta_per_stack(monkeypatch):
+    # 281 plan members in partitions of 20: fourteen dream partitions of
+    # 20 share one stack, and the last partition, a single member and too
+    # small to plan, is a clique stack of its own
+    scenario = _Scenario(
+        small_config(
+            preset="web", protocol="dream", producers=287, partition_size=20, windows=2,
+            seed=2, dropout_rate=0.05, colluding_fraction=0.0, failure_budget=0.1,
+        )
+    )
+    assert [len(part.streams) for part in scenario.partitions] == [20] * 14 + [1]
+    assert [len(stack.partitions) for stack in scenario.stacks] == [14, 1]
+    assert scenario.stacks[0].b is not None and scenario.stacks[1].b is None
+    releases = []  # per release: the functions it called, in order
+    inside = False  # the shadow's noise pass is not the release's
+    for name in ("token_matrix", "noise_normals", "mask_delta"):
+        original = getattr(pipeline, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            if inside:
+                releases[-1].append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    tokens = scenario._controller_tokens
+    held = []  # per release: the stacks holding a member
+
+    def release(w, members):
+        nonlocal inside
+        held.append(sum(members[stack.members].any() for stack in scenario.stacks))
+        releases.append([])
+        inside = True
+        try:
+            return tokens(w, members)
+        finally:
+            inside = False
+
+    scenario._controller_tokens = release
+    result = scenario.run()
+    assert [w.status for w in result.windows] == ["ok", "ok"]
+    assert any(w.members < result.plan_members for w in result.windows)
+    assert 2 in held
+    assert releases == [["token_matrix", "noise_normals"] + ["mask_delta"] * n for n in held]
 
 
 def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
@@ -778,8 +859,8 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
     assert result.summary["windows_ok"] == 257
     # each epoch derives its plan whole, in one pass of a block per pair
     assert passes == [(0, 190, 190), (1, 190, 190)]
-    assert part.epoch_plan.epoch_id == 1
-    assert part.epoch_plan.bits.shape == (190, 128)
+    assert part.stack.epoch_plan.epoch_id == 1
+    assert part.stack.epoch_plan.bits.shape == (190, 128)
 
 
 def test_suppressed_window_charges_no_budget():
