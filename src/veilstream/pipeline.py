@@ -92,8 +92,6 @@ from .secure_agg import (
     unmask_aggregate,
 )
 from .tokens import (
-    PrivacyBudget,
-    Suppressed,
     noise_normals,
     noise_shares,
     release,
@@ -713,9 +711,9 @@ SLAB_BYTES = 2 << 20
 
 class _Partition:
     """One independently aggregating shard of the population: the span
-    `span` of plan members, whose streams, simulated rows, one-stream set
-    ids and `PeerTable` parties all run in plan member order. Its
-    selection rule (`b`, `threshold`, `epoch_width`) decides its stack."""
+    `span` of plan members, whose streams, simulated rows and one-stream
+    set ids all run in plan member order, as do its parties in its stack's
+    table. `stack` masks it with the partitions of its selection rule."""
 
     def __init__(self, index: int, span: slice, streams: Sequence[str], rows: np.ndarray):
         self.index = index
@@ -723,28 +721,25 @@ class _Partition:
         self.streams = streams
         self.rows = rows
         self.set_ids = tuple(stream_set_hash([sid]) for sid in streams)
-        self.table: Optional[PeerTable] = None
-        self.b: Optional[int] = None
-        self.threshold: Optional[int] = None  # dream selection threshold
-        self.epoch_width = 0
         self.stack: Optional[_Stack] = None
 
 
 class _Stack:
-    """The partitions that share a selection rule, masked together: their
-    `PeerTable`s stacked into one, one group per partition, so that a
-    window's selection and masks make one pass over all of them. Pairs
-    stay inside their partitions, so every nonce is the partition's own.
-    `members` lists the plan members of its parties, in table order."""
+    """The partitions that share a selection rule (`b`, `threshold`,
+    `epoch_width`), masked together: one `PeerTable` over their parties,
+    one group per partition, so that a window's selection and masks make
+    one pass over all of them. Pairs stay inside their partitions, so
+    every nonce is the partition's own. `members` lists the plan members
+    of its parties, in table order."""
 
-    def __init__(self, index: int, parts: Sequence[_Partition], plan_members: int):
+    def __init__(self, index: int, parts: Sequence[_Partition], rule: tuple, table: PeerTable):
         self.index = index
         self.partitions = tuple(parts)
-        self.table = PeerTable.stack([part.table for part in parts])
-        lead = parts[0]
-        self.b, self.threshold, self.epoch_width = lead.b, lead.threshold, lead.epoch_width
-        every = np.arange(plan_members)
-        self.members = np.concatenate([every[part.span] for part in parts])
+        self.table = table
+        self.b, self.threshold, self.epoch_width = rule
+        self.members = np.concatenate(
+            [part.span.start + np.arange(len(part.streams)) for part in parts]
+        )
         # current epoch only: one plan row per pair row of the table
         self.epoch_plan: Optional[EpochPlan] = None
         # the next window's masks, over the membership its delta starts from
@@ -938,15 +933,13 @@ class _Scenario:
             self.user_plan = self._plan_and_verify(user_query, "per-user query")
 
         if self.table["dp"]:
-            budget_limit = min(
+            # every plan member's epsilon budget: one limit, and what each
+            # has spent, charged a window at a time
+            self.epsilon_limit = min(
                 self.schema.attribute(a).option("dp-aggregate").epsilon_budget
                 for a in self.queried_attrs
             )
-        else:
-            budget_limit = 0.0
-        self.budgets = [
-            PrivacyBudget(budget_limit) if budget_limit else None for _ in self.plan.members
-        ]
+            self.spent = np.zeros(len(self.plan.members))
         # the one-token rule: the (plan id, partition index, window) of
         # every token batch minted, the per-user plan's under partition None
         self.minted: set[tuple] = set()
@@ -1002,31 +995,35 @@ class _Scenario:
     def _setup_partitions(self):
         cfg = self.config
         members = self.plan.members  # already sorted
-        self.partitions: list[_Partition] = []
-        optimized = {}  # optimize_b's result per partition size
-        for start in range(0, len(members), cfg.partition_size):
-            span = slice(start, start + cfg.partition_size)
-            part = _Partition(len(self.partitions), span, members[span], self.plan_rows[span])
-            part.table = PeerTable([self.keypairs[sid] for sid in part.streams], self.registry)
-            n = len(part.table.parties)
-            if cfg.protocol in ("dream", "zeph") and n >= 3:
-                if n not in optimized:
-                    optimized[n] = optimize_b(n, cfg.colluding_fraction, cfg.failure_budget)
-                res = optimized[n]
-                if res.feasible:
-                    part.b = res.b
-                    part.epoch_width = res.rounds
-                    if cfg.protocol == "dream":
-                        part.threshold = threshold_for_probability(res.edge_probability)
-            self.partitions.append(part)
-        rules = {}
-        for part in self.partitions:
-            rules.setdefault((part.b, part.threshold, part.epoch_width), []).append(part)
-        self.stacks = [
-            _Stack(i, parts, len(members)) for i, parts in enumerate(rules.values())
+        spans = [
+            slice(start, start + cfg.partition_size)
+            for start in range(0, len(members), cfg.partition_size)
         ]
+        self.partitions = [
+            _Partition(i, span, members[span], self.plan_rows[span]) for i, span in enumerate(spans)
+        ]
+        # the selection rule (b, dream threshold, epoch width) of each
+        # partition size, and the partitions of each rule
+        rules, stacked = {}, {}
+        for part in self.partitions:
+            n = len(part.streams)
+            if n not in rules:
+                rules[n] = (None, None, 0)
+                if cfg.protocol in ("dream", "zeph") and n >= 3:
+                    res = optimize_b(n, cfg.colluding_fraction, cfg.failure_budget)
+                    if res.feasible:
+                        threshold = None
+                        if cfg.protocol == "dream":
+                            threshold = threshold_for_probability(res.edge_probability)
+                        rules[n] = (res.b, threshold, res.rounds)
+            stacked.setdefault(rules[n], []).append(part)
+        self.stacks = []
+        for rule, parts in stacked.items():
+            groups = [[self.keypairs[sid] for sid in part.streams] for part in parts]
+            table = PeerTable(groups, self.registry)
+            self.stacks.append(_Stack(len(self.stacks), parts, rule, table))
         # every plan member's party, in plan member order
-        self.parties = tuple(p for part in self.partitions for p in part.table.parties)
+        self.parties = tuple(self.keypairs[sid].party_id for sid in members)
         if self.plan.dp_epsilon is not None:
             # each member's DP-noise key, held by its controller, one row
             # per plan member
@@ -1250,13 +1247,12 @@ class _Scenario:
         the window's members (`noise_normals`), and one membership delta
         per stack over its base masks (`mask_delta`: selection only for
         edges new to the round, masks only for the edges that changed).
-        What still runs per party is the budget charge, and per partition
-        its batch's rows and wire encode. A partition without members
-        releases nothing: its stack's delta leaves its parties out, so it
-        neither masks nor logs them. Returns each such partition with its
-        masked batch, the bytes sent, the ring additions spent on the
-        deltas and the members they left without a pair. The window's
-        budgets were checked beforehand, so every charge succeeds.
+        What still runs per partition is its batch's rows and wire encode.
+        A partition without members releases nothing: its stack's delta
+        leaves its parties out, so it neither masks nor logs them. Returns
+        each such partition with its masked batch, the bytes sent, the
+        ring additions spent on the deltas and the members they left
+        without a pair. Charging the members' budgets is the caller's.
         """
         L = self.config.logical_window
         window = (w * L, (w + 1) * L)
@@ -1276,15 +1272,8 @@ class _Scenario:
         )
         width = values.shape[1]
         if self.plan.dp_epsilon is not None:
-            shares = noise_shares(
-                self._window_noise(members),
-                list(compress(self.budgets, members)),
-                self.plan.dp_epsilon,
-                noise_normals(self.noise_keys[members], w, width, prf=self.prf),
-            )
-            if isinstance(shares, Suppressed):
-                raise RuntimeError(f"a member was refused a checked budget: {shares.reason}")
-            values += shares
+            normals = noise_normals(self.noise_keys[members], w, width, prf=self.prf)
+            values += noise_shares(self._window_noise(members), normals)
         nonces = np.zeros((len(self.parties), width), dtype=np.uint64)
         additions = isolated = 0
         for stack in stacks:
@@ -1310,7 +1299,7 @@ class _Scenario:
                 round_index=w,
                 epoch_id=self._epoch(part.stack, w),
                 window=window,
-                parties=tuple(compress(part.table.parties, live)),
+                parties=tuple(compress(self.parties[part.span], live)),
                 stream_set_ids=tuple(compress(part.set_ids, live)),
                 elements=values[lo:hi],
                 noised=self.plan.dp_epsilon is not None,
@@ -1355,16 +1344,17 @@ class _Scenario:
 
     def _release_window(self, w: int, members: np.ndarray, rec: _Window, result: WindowResult):
         eps = self.plan.dp_epsilon
-        if eps is not None and not all(
-            budget.can_charge(eps) for budget in compress(self.budgets, members)
-        ):
+        # tiny tolerance so budgets sized as k * eps survive float sums
+        if eps is not None and not np.all(self.spent[members] + eps <= self.epsilon_limit + 1e-9):
             # one exhausted member suppresses the whole window before any
-            # token is built, so no other member's budget is charged
+            # token is built, so no member's budget is charged
             result.status = "suppressed"
             result.extras["suppressed"] = "epsilon budget exhausted"
             return
         t0 = time.perf_counter()
         batches, sent, additions, isolated = self._controller_tokens(w, members)
+        if eps is not None:
+            self.spent[members] += eps
         result.t_token = time.perf_counter() - t0
         result.bytes_controller += sent
         rec.additions += additions
@@ -1410,8 +1400,7 @@ class _Scenario:
         if self.plan.dp_epsilon is not None:
             # every member's draw again, in one pass
             normals = noise_normals(self.noise_keys[members], w, len(out), prf=self.prf)
-            sigma = self._window_noise(members).per_party_sigma
-            out += np.rint(sigma * normals).astype(np.int64).astype(np.uint64).sum(axis=0)
+            out += noise_shares(self._window_noise(members), normals).sum(axis=0)
         return out.tolist()
 
     def _release_user_window(self, w: int, rec: _Window, result: WindowResult):

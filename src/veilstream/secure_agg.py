@@ -22,11 +22,11 @@ trade PRF work against connectivity slack:
 A round can run for one party or for every party of a partition at once,
 or of several partitions. `PeerTable` lays the parties' pairwise secrets
 out as one row per unordered pair, where `setup_pairwise`, one party's
-view, derives every secret of that party; `PeerTable.stack` puts the
-tables of disjoint groups of parties one after the other, each pair
-staying in its group. `round_edges` selects a round's pairs over it and
-`mask_edges` adds each selected pair's mask to its low end's row of a
-parties x width nonce matrix and subtracts it from its high end's.
+view, derives every secret of that party; a table holds disjoint groups
+of parties one after the other, each pair staying in its group.
+`round_edges` selects a round's pairs over it and `mask_edges` adds each
+selected pair's mask to its low end's row of a parties x width nonce
+matrix and subtracts it from its high end's.
 `round_peers` and `mask_vector` are their one-party cases, sharing the
 selection rules (`_round_rows`, with the dream comparison in `_selected`,
 which the cost simulator also uses) and the one definition of an edge
@@ -330,64 +330,55 @@ def _own_ends(secrets: PairwiseSecrets) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PeerTable:
-    """Pairwise secrets of one group of parties, or of several disjoint
-    groups stacked (`stack`), as one row per unordered pair of a group,
-    for rounds batched over the parties.
+    """Pairwise secrets of disjoint groups of parties, as one row per
+    unordered pair of a group, for rounds batched over the parties.
 
-    Built from the parties' key pairs, `parties` in the given order, in one
-    pass: every party's public identity is resolved through `registry.get`
-    (an unknown one raises `UnknownIdentityError`) and each pair derives
-    its secret once, `derive_shared` on the lower id's key pair. Rows run
-    in id order: with n parties, the pair of the a-th and b-th lowest ids
-    (a < b) is row a·(2n − a − 1)/2 + b − a − 1, so each party's rows as
-    the lower id are contiguous. `keys` (pairs x 16 `uint8`) holds each
-    pair's secret, and `low` and `high` the indices into `parties` of its
-    lower id, which adds the pair's mask, and its higher id, which
-    subtracts it. `rank` holds each party's position in its group's id
-    order, and group g holds the parties `bounds[g]` to `bounds[g + 1]`.
+    Built from each group's key pairs, `parties` in the given order, group
+    after group, in one pass: every party's public identity is resolved
+    through `registry.get` (an unknown one raises `UnknownIdentityError`)
+    and each pair derives its secret once, `derive_shared` on the lower
+    id's key pair. Rows run group by group and in id order within a group:
+    with n parties in a group whose rows start at row r, the pair of its
+    a-th and b-th lowest ids (a < b) is row r + a·(2n − a − 1)/2 + b − a − 1,
+    so each party's rows as the lower id are contiguous. `keys` (pairs x 16
+    `uint8`) holds each pair's secret, and `low` and `high` the indices
+    into `parties` of its lower id, which adds the pair's mask, and its
+    higher id, which subtracts it. `rank` holds each party's position in
+    its group's id order, and group g holds the parties `bounds[g]` to
+    `bounds[g + 1]`. One group of key pairs is `PeerTable([keypairs], ...)`.
     """
 
-    def __init__(self, keypairs: Sequence[KeyPair], registry: IdentityRegistry):
+    def __init__(self, groups: Sequence[Sequence[KeyPair]], registry: IdentityRegistry):
+        keypairs = [kp for group in groups for kp in group]
         self.parties = tuple(kp.party_id for kp in keypairs)
-        n = len(self.parties)
-        if len(set(self.parties)) != n:
+        if len(set(self.parties)) != len(self.parties):
             raise ValueError("a party appears twice in the table")
-        ranked = sorted(range(n), key=self.parties.__getitem__)
+        sizes = [len(group) for group in groups]
+        starts = np.cumsum([0, *sizes]).tolist()
+        # every group's parties in id order, group after group
+        ranked = [
+            i
+            for start, n in zip(starts, sizes)
+            for i in sorted(range(start, start + n), key=self.parties.__getitem__)
+        ]
         public = [registry.get(self.parties[i]) for i in ranked]
+        # joined a group at a time, so that only one group's secrets are
+        # held as separate bytes objects at once
         shared = b"".join(
-            keypairs[ranked[a]].derive_shared(public[b])
-            for a in range(n)
-            for b in range(a + 1, n)
+            b"".join(
+                keypairs[ranked[a]].derive_shared(public[b])
+                for a in range(start, start + n)
+                for b in range(a + 1, start + n)
+            )
+            for start, n in zip(starts, sizes)
         )
         self.keys = np.frombuffer(shared, np.uint8).reshape(-1, 16)
-        a, b = np.triu_indices(n, 1)
+        a, b = np.hstack([np.array(np.triu_indices(n, 1)) + s for s, n in zip(starts, sizes)])
         order = np.array(ranked, dtype=np.intp)
         self.low, self.high = order[a], order[b]
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[order] = np.arange(n)
-        self.bounds = np.array([0, n], dtype=np.intp)
-
-    @classmethod
-    def stack(cls, tables: Sequence["PeerTable"]) -> "PeerTable":
-        """Tables of disjoint parties as one: their parties, rows and
-        groups in order, each table's `low` and `high` offset by the
-        parties before it, so every pair keeps its key and its row's
-        masks, draws and graph blocks are the table's."""
-        stacked = cls.__new__(cls)
-        stacked.parties = tuple(p for table in tables for p in table.parties)
-        if len(set(stacked.parties)) != len(stacked.parties):
-            raise ValueError("a party appears twice in the table")
-        offsets = np.cumsum([0] + [len(table.parties) for table in tables])
-        stacked.keys = np.concatenate([table.keys for table in tables])
-        stacked.low, stacked.high = (
-            np.concatenate([getattr(t, end) + o for t, o in zip(tables, offsets)])
-            for end in ("low", "high")
-        )
-        stacked.rank = np.concatenate([table.rank for table in tables])
-        stacked.bounds = np.concatenate(
-            [t.bounds[:-1] + o for t, o in zip(tables, offsets)] + [offsets[-1:]]
-        )
-        return stacked
+        self.rank = np.empty(len(order), dtype=np.intp)
+        self.rank[order] = np.arange(len(order)) - np.repeat(starts[:-1], sizes)
+        self.bounds = np.array(starts, dtype=np.intp)
 
     def __len__(self):
         return len(self.keys)

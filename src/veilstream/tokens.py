@@ -449,34 +449,12 @@ def noise_normals(
     return normals.reshape(len(keys), 2 * blocks)[:, :width]
 
 
-def noise_shares(
-    noise: NoiseSpec,
-    budgets: Sequence[PrivacyBudget],
-    epsilon_cost: float,
-    normals: np.ndarray,
-) -> Union[np.ndarray, Suppressed]:
+def noise_shares(noise: NoiseSpec, normals: np.ndarray) -> np.ndarray:
     """Several parties' shares of divisible Gaussian noise, as a parties x
     width uint64 matrix to add to their token rows: party i's standard
     normals `normals[i]` times the per-party sigma in ring units, rounded
-    to integers.
-
-    Every party's budget is charged first, atomically and in order, and
-    only then are the shares drawn. An exhausted budget stops the batch
-    with a Suppressed marker: that party and the ones after it are not
-    charged and no share is drawn, so callers releasing a window check
-    every `can_charge` first.
-    """
-    if epsilon_cost <= 0:
-        raise ValueError("epsilon cost must be positive")
-    if len(budgets) != len(normals):
-        raise ValueError(f"{len(budgets)} budgets for {len(normals)} rows of normals")
-    for budget in budgets:
-        if not budget.charge(epsilon_cost):
-            return Suppressed(
-                reason="epsilon budget exhausted",
-                epsilon_requested=epsilon_cost,
-                epsilon_remaining=budget.remaining,
-            )
+    to integers. It charges no budget: a caller charges each party's
+    epsilon before releasing its share."""
     # negative shares wrap to their ring value
     return np.rint(noise.per_party_sigma * normals).astype(np.int64).astype(np.uint64)
 
@@ -489,16 +467,21 @@ def add_dp_noise(
     rng: np.random.Generator,
 ) -> Union[TransformationToken, Suppressed]:
     """Add this party's share of divisible Gaussian noise to a token: the
-    one-party case of `noise_shares`. An exhausted budget yields a
-    Suppressed marker and the token is not released."""
+    one-party case of `noise_shares`, charging `budget` first. An
+    exhausted budget yields a Suppressed marker, charges nothing and the
+    token is not released."""
     if epsilon_cost <= 0:
         raise ValueError("epsilon cost must be positive")
     if token.noised:
         raise ValueError("token already carries noise")
     normals = rng.standard_normal((1, len(token.elements)))
-    shares = noise_shares(noise, [budget], epsilon_cost, normals)
-    if isinstance(shares, Suppressed):
-        return shares
+    if not budget.charge(epsilon_cost):
+        return Suppressed(
+            reason="epsilon budget exhausted",
+            epsilon_requested=epsilon_cost,
+            epsilon_remaining=budget.remaining,
+        )
+    shares = noise_shares(noise, normals)
     return TransformationToken(
         window_start=token.window_start,
         window_end=token.window_end,

@@ -59,6 +59,8 @@ from veilstream.tokens import (
     PrivacyBudget,
     Suppressed,
     TokenLayout,
+    TransformationToken,
+    add_dp_noise,
     merge,
     noise_shares,
     release,
@@ -174,7 +176,7 @@ def test_partition_batch_matches_the_per_party_path(
     ids, keypairs, registry, secrets, masters = population(n)
     # the table lists the parties in stream order, not in id order
     order = data.draw(st.permutations(range(n)))
-    table = PeerTable([keypairs[i] for i in order], registry)
+    table = PeerTable([[keypairs[i] for i in order]], registry)
     live_kind = data.draw(st.sampled_from(["all", "all-but-one", "any"]))
     if live_kind == "all":
         live = np.ones(n, dtype=bool)
@@ -208,10 +210,8 @@ def test_partition_batch_matches_the_per_party_path(
         [masters[i] for i in active], window, directives, layout=layout, prf=prf, scale=100
     )
     if noised:
-        budgets = [PrivacyBudget(1.0) for _ in active]
         normals = np.array([rng.standard_normal(width) for rng in rngs()])
-        values += noise_shares(noise, budgets, 0.5, normals)
-        assert all(bg.epsilon_spent == 0.5 for bg in budgets)
+        values += noise_shares(noise, normals)
     plan = None
     if kind == "zeph":
         # the pairs with a live end, whose graph blocks the live parties'
@@ -276,7 +276,7 @@ def test_partition_batch_matches_the_per_party_path(
 
 def test_a_party_with_no_live_peer_gets_a_zero_row_and_a_warning(caplog):
     ids, keypairs, registry, _, _ = population(4)
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     live = np.array([True, False, False, False])
     rows = round_edges(table, live, 3)
     assert len(rows) == 0
@@ -302,7 +302,7 @@ def test_base_plus_delta_equals_the_masks_of_the_live_set(
     n, base_live, now_live, protocol, width, b, w
 ):
     ids, keypairs, registry, secrets, _ = population(n)
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     base_live = np.array(base_live[:n], dtype=bool)
     live = np.array(now_live[:n], dtype=bool)
     threshold = threshold_for_probability(0.5) if protocol == "dream" else None
@@ -353,7 +353,7 @@ def test_base_plus_delta_equals_the_masks_of_the_live_set(
 
 def test_the_delta_logs_a_party_left_without_an_edge_and_the_base_does_not(caplog):
     ids, keypairs, registry, _, _ = population(4)
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     alone = np.array([True, False, False, False])
     mask_base(table, alone, 3, 2)
     assert caplog.records == []
@@ -372,7 +372,7 @@ LARGE_POPULATION = population(200)
 def test_a_delta_on_a_large_table_spends_only_on_the_changed_parties(protocol):
     _, keypairs, registry, _, _ = LARGE_POPULATION
     # the table lists the parties in key pair order, not in id order
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     n, w, width = len(table.parties), 37, 5
     assert list(table.parties) != sorted(table.parties)
     rng = np.random.default_rng(8)
@@ -429,9 +429,9 @@ def test_a_delta_on_a_large_table_spends_only_on_the_changed_parties(protocol):
 def test_peer_table_rows_run_over_pairs_in_id_order(n, data):
     _, keypairs, registry, _, _ = population(n)
     with pytest.raises(ValueError, match="twice"):
-        PeerTable([keypairs[0], keypairs[0]], registry)
+        PeerTable([[keypairs[0], keypairs[0]]], registry)
     keypairs = [keypairs[i] for i in data.draw(st.permutations(range(n)))]
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     ranked = sorted(range(n), key=table.parties.__getitem__)
     assert len(table) == n * (n - 1) // 2
     assert list(zip(table.low.tolist(), table.high.tolist())) == [
@@ -455,12 +455,18 @@ def test_peer_table_rows_run_over_pairs_in_id_order(n, data):
 def test_a_stacked_table_masks_as_its_groups_do(sizes, protocol, w, width, data):
     _, keypairs, registry, _, _ = LARGE_POPULATION
     ends = np.cumsum([0, *sizes])
-    tables = [PeerTable(keypairs[a:b], registry) for a, b in zip(ends, ends[1:])]
-    stacked = PeerTable.stack(tables)
+    groups = [keypairs[a:b] for a, b in zip(ends, ends[1:])]
+    tables = [PeerTable([group], registry) for group in groups]
+    stacked = PeerTable(groups, registry)
     n = int(ends[-1])
     assert stacked.parties == tuple(kp.party_id for kp in keypairs[:n])
     assert stacked.bounds.tolist() == ends.tolist()
+    # the one-group tables concatenated, their ends offset by the parties before
     assert stacked.keys.tobytes() == b"".join(table.keys.tobytes() for table in tables)
+    for end in ("low", "high"):
+        ends_of = [getattr(table, end) + a for table, a in zip(tables, ends)]
+        assert getattr(stacked, end).tolist() == np.concatenate(ends_of).tolist()
+    assert stacked.rank.tolist() == np.concatenate([table.rank for table in tables]).tolist()
     lives = st.lists(st.booleans(), min_size=n, max_size=n)
     before = np.array(data.draw(lives), dtype=bool)
     after = np.array(data.draw(lives), dtype=bool)
@@ -504,7 +510,7 @@ def test_a_stacked_table_masks_as_its_groups_do(sizes, protocol, w, width, data)
 
 def test_a_table_plan_refuses_to_answer_for_a_peer():
     ids, keypairs, registry, secrets, _ = population(6)
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     plan = EpochPlan(0, 2, (), graph_bits(table.keys, 0))
     assert len(plan.bits) == len(table) == 15
     with pytest.raises(ValueError, match="pair rows"):
@@ -523,7 +529,7 @@ def test_a_table_plan_refuses_to_answer_for_a_peer():
 def test_one_base_over_n_live_parties_spends_each_pair_once(protocol):
     n, w, width = 24, 5, 7
     _, keypairs, registry, _, _ = population(n)
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     pairs = n * (n - 1) // 2
     prf = CountingPrf(AesPrf())
     plan = threshold = None
@@ -543,19 +549,20 @@ def test_one_base_over_n_live_parties_spends_each_pair_once(protocol):
     assert base.changed == masked and base.degree.sum() == 2 * masked
 
 
-def test_noise_shares_charge_in_order_and_stop_at_a_refusal():
+def test_add_dp_noise_charges_in_order_and_stops_at_a_refusal():
     noise = NoiseSpec(sigma_target=10.0, honest_fraction=1.0, party_count=1)
-    budgets = [PrivacyBudget(1.0), PrivacyBudget(0.1), PrivacyBudget(1.0)]
-    rngs = [np.random.default_rng(i) for i in range(3)]
-    out = noise_shares(noise, budgets, 0.5, np.array([rng.standard_normal(4) for rng in rngs]))
-    assert isinstance(out, Suppressed)
-    assert [b.epsilon_spent for b in budgets] == [0.5, 0.0, 0.0]
-    normals = np.random.default_rng(7).standard_normal((1, 4))
-    shares = noise_shares(noise, budgets[:1], 0.5, normals)
-    etas = np.random.default_rng(7).normal(0.0, 10.0, size=4)
-    assert shares.tolist() == [[round(float(e)) & MASK for e in etas]]
-    with pytest.raises(ValueError, match="budgets for"):
-        noise_shares(noise, budgets, 0.5, np.zeros((2, 4)))
+    token = TransformationToken(0, 1, stream_set_hash(["s"]), (0, 0, 0, 0))
+    budget = PrivacyBudget(1.0)
+    out = [add_dp_noise(token, noise, budget, 0.4, np.random.default_rng(i)) for i in range(3)]
+    # two charges fit, the third is refused and charges nothing
+    assert [isinstance(o, Suppressed) for o in out] == [False, False, True]
+    assert budget.epsilon_spent == pytest.approx(0.8)
+    assert out[2].epsilon_remaining == pytest.approx(0.2)
+    # a share is its normals times sigma, rounded, as noise_shares draws it
+    etas = [round(float(e)) & MASK for e in np.random.default_rng(1).normal(0.0, 10.0, size=4)]
+    assert list(out[1].elements) == etas
+    normals = np.random.default_rng(1).standard_normal((1, 4))
+    assert noise_shares(noise, normals).tolist() == [etas]
 
 
 def test_derive_keys_equal_derive_key_across_call_chunks(monkeypatch):
@@ -605,7 +612,7 @@ def test_many_prf_calls_equal_one_when_each_result_goes_stale(batch, width, r, e
     row more when one row needs it) through a PRF whose results go stale
     at the next call, equals its one-call result."""
     _, keypairs, registry, _, masters = STALE_POPULATION
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     live = np.array(live)
     threshold = threshold_for_probability(0.5)
     messages = np.random.default_rng(seed).integers(0, 2**64, size=(6, 3, width), dtype=np.uint64)
@@ -689,7 +696,7 @@ def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
         )
         if protocol != "clique":
             # dream draws and zeph plans in every partition
-            assert all(part.b is not None for part in scenario.partitions)
+            assert all(part.stack.b is not None for part in scenario.partitions)
         recorder = RecordingPrf(scenario.prf.inner)
         scenario.prf.inner = recorder
         per_window = []

@@ -25,8 +25,15 @@ from veilstream.pipeline import (
 )
 from veilstream.policy import plan_query, verify_plan
 from veilstream.ring import AesPrf, CountingPrf
-from veilstream.secure_agg import EpochPlan, MembershipDelta, graph_bits, mask_base, round_edges
-from veilstream.tokens import PrivacyBudget, noise_normals, stream_set_hash
+from veilstream.secure_agg import (
+    EpochPlan,
+    MembershipDelta,
+    PeerTable,
+    graph_bits,
+    mask_base,
+    round_edges,
+)
+from veilstream.tokens import noise_normals, stream_set_hash
 
 SOLO_SCENARIO = {
     "schema": {
@@ -91,15 +98,23 @@ def live_vector(table, owners) -> np.ndarray:
     return np.array([p in owners for p in table.parties], dtype=bool)
 
 
+def partition_table(scenario: _Scenario, part) -> PeerTable:
+    """`part`'s pairs as a one-group table, built here from the scenario's
+    key pairs rather than read from its stack."""
+    return PeerTable([[scenario.keypairs[sid] for sid in part.streams]], scenario.registry)
+
+
 def base_edges(scenario: _Scenario, part, owners, w, prf):
-    """The rows of window w's base in `part`: `round_edges` over the
-    owners `owners`, with a zeph plan derived here for every row."""
+    """The rows of window w's base in `part`'s own table: `round_edges`
+    over the owners `owners` under its stack's rule, with a zeph plan
+    derived here for every row."""
+    table, rule = partition_table(scenario, part), part.stack
     plan = None
-    if scenario.config.protocol == "zeph" and part.b is not None:
-        epoch = w // part.epoch_width
-        plan = EpochPlan(epoch, part.b, (), graph_bits(part.table.keys, epoch, prf=prf))
-    live = live_vector(part.table, owners)
-    return live, round_edges(part.table, live, w, plan=plan, threshold=part.threshold, prf=prf)
+    if scenario.config.protocol == "zeph" and rule.b is not None:
+        epoch = w // rule.epoch_width
+        plan = EpochPlan(epoch, rule.b, (), graph_bits(table.keys, epoch, prf=prf))
+    live = live_vector(table, owners)
+    return live, round_edges(table, live, w, plan=plan, threshold=rule.threshold, prf=prf)
 
 
 def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list]:
@@ -125,19 +140,19 @@ def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list
     for w, before in enumerate([frozenset(scenario.parties), *owner_sets[:-1]]):
         second = prf_blocks = additions = 0
         for part in scenario.partitions:
-            table = part.table
+            table, rule = partition_table(scenario, part), part.stack
             now, rows_now = base_edges(scenario, part, owner_sets[w], w, prf)
             candidate_now = now[table.low] & now[table.high]
             second += len(rows_now) * blocks
-            if part.threshold is not None:
+            if rule.threshold is not None:
                 second += int(np.count_nonzero(candidate_now))
-            if w == 0 and scenario.config.protocol == "zeph" and part.b is not None:
+            if w == 0 and scenario.config.protocol == "zeph" and rule.b is not None:
                 second += len(table)
             base, rows = base_edges(scenario, part, before, w, prf)
             removed = int(np.count_nonzero(~candidate_now[rows]))
             prf_blocks += 2 * removed * blocks
             additions += 2 * 2 * removed * width
-            if part.threshold is not None:
+            if rule.threshold is not None:
                 candidate_base = base[table.low] & base[table.high]
                 prf_blocks += int(np.count_nonzero(candidate_base & ~candidate_now))
         second_ends.append(second)
@@ -426,8 +441,8 @@ def test_zeph_run_is_pinned():
     )
     owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
-    assert [part.b for part in scenario.partitions] == [1]
-    assert scenario.partitions[0].epoch_width > len(result.windows)
+    assert [part.stack.b for part in scenario.partitions] == [1]
+    assert scenario.partitions[0].stack.epoch_width > len(result.windows)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     released = json.dumps([w.released for w in result.windows]).encode()
     assert (
@@ -536,7 +551,7 @@ def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
         )
     )
     assert [len(part.streams) for part in scenario.partitions] == [29, 29, 1]
-    (alone,) = scenario.partitions[2].table.parties
+    (alone,) = scenario.parties[scenario.partitions[2].span]
     result = scenario.run()
     # a connectivity failure is reported, not a failed window
     assert [(w.status, w.shadow_ok, w.extras["isolated"]) for w in result.windows] == [
@@ -556,9 +571,9 @@ def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkey
     specs = []
     shares = pipeline.noise_shares
 
-    def spy(noise, budgets, *args):
-        specs.append((noise, len(budgets)))
-        return shares(noise, budgets, *args)
+    def spy(noise, normals):
+        specs.append((noise, len(normals)))
+        return shares(noise, normals)
 
     monkeypatch.setattr(pipeline, "noise_shares", spy)
     seen = recording_releases(scenario)
@@ -569,8 +584,10 @@ def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkey
     # sized for its members
     assert len(scenario.partitions) == 2
     for w in result.windows:
-        noise, rows = specs.pop(0)
-        assert rows == noise.party_count == w.members
+        # the release's shares, then the shadow's
+        for _ in range(2):
+            noise, rows = specs.pop(0)
+            assert rows == noise.party_count == w.members
     assert specs == []
     # the honest members of window 2 (72 of 78, half of them honest) draw
     # noise whose sum reaches sigma_target within acceptance 08's 5%, over
@@ -581,8 +598,7 @@ def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkey
     width = scenario.plan.output_width
     sums = []
     for t in range(10_000 // width):
-        budgets = [PrivacyBudget(1.0) for _ in honest]
-        drawn = shares(noise, budgets, 1.0, noise_normals(honest, t, width))
+        drawn = shares(noise, noise_normals(honest, t, width))
         sums.append(drawn.sum(axis=0).view(np.int64))
     sd = float(np.std(sums))
     assert abs(sd - noise.sigma_target) <= 0.05 * noise.sigma_target, sd
@@ -761,6 +777,36 @@ def test_tokens_are_minted_per_plan_partition_and_window():
     assert scenario.prf.calls == calls
 
 
+def test_a_scenario_holds_each_pair_once():
+    # population-churn's preset, protocol and loss at 350 producers: three
+    # dream partitions of 100 share a stack, and the last, of 43 and too
+    # small to stay connected at this collusion, masks as a clique stack
+    scenario = _Scenario(
+        small_config(
+            preset="web", protocol="dream", producers=350, partition_size=100, windows=2,
+            seed=1, drop_rate=0.01, dropout_rate=0.02,
+        )
+    )
+    sizes = [len(part.streams) for part in scenario.partitions]
+    assert sizes == [100, 100, 100, 43]
+    assert [len(stack.partitions) for stack in scenario.stacks] == [3, 1]
+    # one row per pair of a partition, held by its stack's table alone
+    pairs = sum(n * (n - 1) // 2 for n in sizes)
+    assert sum(len(stack.table) for stack in scenario.stacks) == pairs
+    held = [value for part in scenario.partitions for value in vars(part).values()]
+    assert not any(isinstance(value, PeerTable) for value in held)
+    for stack in scenario.stacks:
+        table, row = stack.table, 0
+        for g, part in enumerate(stack.partitions):
+            alone = partition_table(scenario, part)
+            rows = slice(row, row + len(alone))
+            assert table.keys[rows].tobytes() == alone.keys.tobytes()
+            assert table.low[rows].tolist() == (alone.low + table.bounds[g]).tolist()
+            assert table.high[rows].tolist() == (alone.high + table.bounds[g]).tolist()
+            row = rows.stop
+        assert row == len(table)
+
+
 def test_a_partition_without_members_costs_its_stack_no_mask_work(caplog):
     scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
     scenario.run()
@@ -843,7 +889,7 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
     )
     scenario = _Scenario(config)
     (part,) = scenario.partitions
-    assert part.epoch_width == 256  # window 256 opens the second epoch
+    assert part.stack.epoch_width == 256  # window 256 opens the second epoch
     passes = []  # (epoch, rows, PRF blocks) of each graph_bits pass
     original = pipeline.graph_bits
 
@@ -882,9 +928,9 @@ def test_suppressed_window_charges_no_budget():
     owner_sets = []
 
     def spy(w):
-        before = [b.epsilon_spent for b in scenario.budgets]
+        before = scenario.spent.tolist()
         assemble(w)
-        spent[w] = (before, [b.epsilon_spent for b in scenario.budgets])
+        spent[w] = (before, scenario.spent.tolist())
         owner_sets.append(member_owners(scenario))
 
     scenario._assemble = spy

@@ -204,7 +204,7 @@ def test_peer_table_equals_the_stacked_per_endpoint_rows(n, data):
     # the table lists the parties in stream order, not in id order
     keypairs = [keypairs[i] for i in data.draw(st.permutations(range(n)))]
     registry = registered(keypairs)
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     assert_pairs_once(table, keypairs, registry)
     assert len(table) == n * (n - 1) // 2
 
@@ -213,7 +213,7 @@ def test_peer_table_over_ecdh_equals_the_per_endpoint_rows():
     agreement = EcdhKeyAgreement()
     keypairs = [agreement.generate() for _ in range(4)]
     registry = registered(keypairs)
-    assert_pairs_once(PeerTable(keypairs, registry), keypairs, registry)
+    assert_pairs_once(PeerTable([keypairs], registry), keypairs, registry)
 
 
 class CountingKeyPair(KeyPair):
@@ -236,7 +236,7 @@ def test_peer_table_derives_each_pair_once(n):
     counter = [0]
     keypairs = [CountingKeyPair(agreement.generate(b"c%d" % i), counter) for i in range(n)]
     registry = registered(keypairs)
-    table = PeerTable(keypairs, registry)
+    table = PeerTable([keypairs], registry)
     assert counter[0] == n * (n - 1) // 2
     counter[0] = 0
     assert_pairs_once(table, keypairs, registry)
@@ -249,10 +249,13 @@ def test_peer_table_refuses_unknown_and_repeated_parties():
     keypairs = [agreement.generate(bytes([i])) for i in range(3)]
     registry = registered(keypairs[:2])
     with pytest.raises(UnknownIdentityError):
-        PeerTable(keypairs, registry)
+        PeerTable([keypairs], registry)
     registry.register(keypairs[2].public_identity())
     with pytest.raises(ValueError, match="twice"):
-        PeerTable([keypairs[0], keypairs[1], keypairs[0]], registry)
+        PeerTable([[keypairs[0], keypairs[1], keypairs[0]]], registry)
+    # across groups too
+    with pytest.raises(ValueError, match="twice"):
+        PeerTable([[keypairs[0], keypairs[1]], [keypairs[2], keypairs[0]]], registry)
 
 
 # ---- nonce cancellation ---------------------------------------------------------
