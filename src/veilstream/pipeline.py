@@ -23,17 +23,19 @@ that window's members; a release applies only the membership delta to
 them. Producers that skip a window emit a neutral catch-up event on
 return so their cipher chain stays contiguous at window borders.
 
-Large populations are sharded into partitions that aggregate
-independently; their released (already plaintext) outputs are summed
-before decoding. Pairwise masking runs inside each partition, with the
-protocol selectable per scenario: full pairwise (clique), probabilistic
-per-round selection (dream), or the epoch-planned variant (zeph on the
-command line) with parameters chosen by the connectivity optimizer. The
-partitions that share a selection rule form a stack, whose pair tables
-are stacked into one: a window's base, and its release's tokens, noise
-and mask delta, make a fixed number of array passes per stack however
-many partitions it holds, and only each partition's batch and its
-unmasking run partition by partition.
+Every per-stream array runs in plan member order. Large populations are
+sharded into partitions, consecutive spans of plan members, and pairwise
+masking runs inside each partition, with the protocol selectable per
+scenario: full pairwise (clique), probabilistic per-round selection
+(dream), or the epoch-planned variant (zeph on the command line) with
+parameters chosen by the connectivity optimizer. The consecutive
+partitions that share a selection rule form a stack, one span whose pair
+tables are stacked into one and which is the release unit: a window's
+base, and its release's tokens, noise, mask delta, masked batch and
+unmasking, make a fixed number of array passes per stack however many
+partitions it holds. Every pair lies inside one partition, so the masks
+cancel in the stack's sum; the stacks' released (already plaintext)
+outputs are summed before decoding.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import compress
-from typing import Callable, Optional, Sequence
+from itertools import compress, groupby
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -162,6 +164,12 @@ class SimConfig:
             raise ValueError("need at least one event per window")
         if self.partition_size < 1:
             raise ValueError("partition_size must be at least 1")
+        if self.windows < 1:
+            raise ValueError("need at least one window")
+        if not 0 <= self.colluding_fraction < 1:
+            raise ValueError(f"colluding_fraction must be in [0, 1), got {self.colluding_fraction}")
+        if not 0 < self.failure_budget < 1:
+            raise ValueError(f"failure_budget must be in (0, 1), got {self.failure_budget}")
         # the border piece is sent at the window's border and every latency
         # is positive, so without a positive grace no window could complete
         for name in ("window_size", "latency_mean", "grace"):
@@ -709,47 +717,28 @@ def measure_bandwidth(width: int, released: int = 1) -> dict:
 SLAB_BYTES = 2 << 20
 
 
-class _Partition:
-    """One independently aggregating shard of the population: the span
-    `span` of plan members, whose streams, simulated rows and one-stream
-    set ids all run in plan member order, as do its parties in its stack's
-    table. `stack` masks it with the partitions of its selection rule."""
+class _Stack:
+    """The consecutive partitions that share a selection rule (`b`,
+    `threshold`, `epoch_width`), masked and released together: the span
+    `span` of plan members, one `PeerTable` over their parties in plan
+    member order, one group per partition, so that a window's selection,
+    masks, masked batch and unmasking make one pass over all of them.
+    Pairs stay inside their partitions, so every nonce is the partition's
+    own and the masks cancel in the stack's sum."""
 
-    def __init__(self, index: int, span: slice, streams: Sequence[str], rows: np.ndarray):
+    def __init__(self, index: int, span: slice, rule: tuple, table: PeerTable):
         self.index = index
         self.span = span
-        self.streams = streams
-        self.rows = rows
-        self.set_ids = tuple(stream_set_hash([sid]) for sid in streams)
-        self.stack: Optional[_Stack] = None
-
-
-class _Stack:
-    """The partitions that share a selection rule (`b`, `threshold`,
-    `epoch_width`), masked together: one `PeerTable` over their parties,
-    one group per partition, so that a window's selection and masks make
-    one pass over all of them. Pairs stay inside their partitions, so
-    every nonce is the partition's own. `members` lists the plan members
-    of its parties, in table order."""
-
-    def __init__(self, index: int, parts: Sequence[_Partition], rule: tuple, table: PeerTable):
-        self.index = index
-        self.partitions = tuple(parts)
         self.table = table
         self.b, self.threshold, self.epoch_width = rule
-        self.members = np.concatenate(
-            [part.span.start + np.arange(len(part.streams)) for part in parts]
-        )
         # current epoch only: one plan row per pair row of the table
         self.epoch_plan: Optional[EpochPlan] = None
         # the next window's masks, over the membership its delta starts from
         self.base: Optional[EdgeMasks] = None
-        for part in parts:
-            part.stack = self
 
 
 class _Window:
-    """One open window, one row per simulated stream: its ciphertext
+    """One open window, one row per plan member: its ciphertext
     window sum, its plaintext sum on the shadow's lanes, and how many of
     its L pieces arrived strictly before the assembly deadline. The rows
     of a stream offline in the window stay zero unless a catch-up event
@@ -931,6 +920,9 @@ class _Scenario:
                 }
             )
             self.user_plan = self._plan_and_verify(user_query, "per-user query")
+            # every stream but the holdouts makes the same choices and the
+            # population query has no `where`, so the user is a plan member
+            self.user_row = self.plan.members.index(self.user_stream)
 
         if self.table["dp"]:
             # every plan member's epsilon budget: one limit, and what each
@@ -940,19 +932,13 @@ class _Scenario:
                 for a in self.queried_attrs
             )
             self.spent = np.zeros(len(self.plan.members))
-        # the one-token rule: the (plan id, partition index, window) of
-        # every token batch minted, the per-user plan's under partition None
+        # the one-token rule: the (plan id, window) of every token minted
         self.minted: set[tuple] = set()
-        self.sim_streams = sorted(
-            set(self.plan.members) | ({self.user_stream} if self.user_stream else set())
-        )
-        # producer key state, one row per simulated stream: the clock (the
+        # producer key state, one row per plan member: the clock (the
         # timestamp of its last event, 0 before the first) and the key
         # vector at that clock, held from the last window it sent
-        self.row = {sid: i for i, sid in enumerate(self.sim_streams)}
-        self.plan_rows = np.array([self.row[sid] for sid in self.plan.members], dtype=np.intp)
-        self.clock = np.zeros(len(self.sim_streams), dtype=np.int64)
-        self.last_key = np.zeros((len(self.sim_streams), self.width), dtype=np.uint64)
+        self.clock = np.zeros(len(self.plan.members), dtype=np.int64)
+        self.last_key = np.zeros((len(self.plan.members), self.width), dtype=np.uint64)
         self.neutral = encode_neutral_vector(self.schema)
         self.event_bytes = StreamCiphertext(0, 1, self.neutral).wire_size()
         # the shadows read only the lanes the plans release: each online
@@ -995,35 +981,31 @@ class _Scenario:
     def _setup_partitions(self):
         cfg = self.config
         members = self.plan.members  # already sorted
-        spans = [
-            slice(start, start + cfg.partition_size)
-            for start in range(0, len(members), cfg.partition_size)
-        ]
-        self.partitions = [
-            _Partition(i, span, members[span], self.plan_rows[span]) for i, span in enumerate(spans)
-        ]
+        n, size = len(members), cfg.partition_size
+        self.partitions = [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
         # the selection rule (b, dream threshold, epoch width) of each
-        # partition size, and the partitions of each rule
-        rules, stacked = {}, {}
-        for part in self.partitions:
-            n = len(part.streams)
-            if n not in rules:
-                rules[n] = (None, None, 0)
-                if cfg.protocol in ("dream", "zeph") and n >= 3:
-                    res = optimize_b(n, cfg.colluding_fraction, cfg.failure_budget)
-                    if res.feasible:
-                        threshold = None
-                        if cfg.protocol == "dream":
-                            threshold = threshold_for_probability(res.edge_probability)
-                        rules[n] = (res.b, threshold, res.rounds)
-            stacked.setdefault(rules[n], []).append(part)
+        # partition size; only the last partition can differ in size, so
+        # the partitions of a rule are consecutive and form one stack
+        rules = {}
+        for k in {part.stop - part.start for part in self.partitions}:
+            rules[k] = (None, None, 0)
+            if cfg.protocol in ("dream", "zeph") and k >= 3:
+                res = optimize_b(k, cfg.colluding_fraction, cfg.failure_budget)
+                if res.feasible:
+                    threshold = None
+                    if cfg.protocol == "dream":
+                        threshold = threshold_for_probability(res.edge_probability)
+                    rules[k] = (res.b, threshold, res.rounds)
         self.stacks = []
-        for rule, parts in stacked.items():
-            groups = [[self.keypairs[sid] for sid in part.streams] for part in parts]
+        for rule, parts in groupby(self.partitions, lambda part: rules[part.stop - part.start]):
+            parts = list(parts)
+            groups = [[self.keypairs[sid] for sid in members[p]] for p in parts]
+            span = slice(parts[0].start, parts[-1].stop)
             table = PeerTable(groups, self.registry)
-            self.stacks.append(_Stack(len(self.stacks), parts, rule, table))
-        # every plan member's party, in plan member order
+            self.stacks.append(_Stack(len(self.stacks), span, rule, table))
+        # every plan member's party and one-stream set id, in plan member order
         self.parties = tuple(self.keypairs[sid].party_id for sid in members)
+        self.set_ids = tuple(stream_set_hash([sid]) for sid in members)
         if self.plan.dp_epsilon is not None:
             # each member's DP-noise key, held by its controller, one row
             # per plan member
@@ -1052,7 +1034,7 @@ class _Scenario:
         E = cfg.events_per_window
         L = cfg.logical_window
         T = cfg.window_size
-        n = len(self.sim_streams)
+        n = len(self.plan.members)
         online = self.rng.random(n) >= cfg.dropout_rate
         draws = {name: gen(self.rng, (n, E)) for name, gen in self.generators.items()}
         jitter = self.rng.random((n, E))
@@ -1088,9 +1070,9 @@ class _Scenario:
         self.scheduler.at(rec.deadline, lambda: self._assemble(w))
 
     def _encode_window(self, indices: np.ndarray, draws: dict) -> np.ndarray:
-        """The window's plaintext events of the streams `indices` (rows of
-        `sim_streams`) as one streams x (events + border) x width block,
-        with one `encode_batch` per attribute; the border event is neutral."""
+        """The window's plaintext events of the plan members `indices` as
+        one streams x (events + border) x width block, with one
+        `encode_batch` per attribute; the border event is neutral."""
         E = self.config.events_per_window
         block = np.empty((len(indices), E + 1, self.width), dtype=np.uint64)
         for name, spec in self.attr_specs:
@@ -1108,9 +1090,9 @@ class _Scenario:
         First, in one batch each, derive the key at 0 of the streams never
         online before and encrypt a neutral catch-up event to the window's
         start for the streams whose clock is behind it. Returns those
-        catch-up ciphertexts by row of `sim_streams`."""
+        catch-up ciphertexts by plan member."""
         L = self.config.logical_window
-        masters = [self.masters[self.sim_streams[si]] for si in chunk]
+        masters = [self.masters[self.plan.members[si]] for si in chunk]
         clocks = self.clock[chunk]
         keys = self.last_key[chunk]
         fresh = np.flatnonzero(clocks == 0)
@@ -1161,7 +1143,7 @@ class _Scenario:
         next window's base masks are computed over this window's members,
         which the controllers learn from that delta."""
         rec = self.open.pop(w)
-        members = rec.arrived[self.plan_rows] == self.config.logical_window
+        members = rec.arrived == self.config.logical_window
         delta = MembershipDelta(
             w,
             joined=frozenset(compress(self.parties, members & ~self.members)),
@@ -1189,10 +1171,9 @@ class _Scenario:
         )
         # each plan stream that is no member, under the first reason that
         # applies: offline for the window, a piece lost, or a piece late
-        absent = self.plan_rows[~members]
-        offline = int(np.count_nonzero(~rec.online[absent]))
-        lost = int(np.count_nonzero(rec.online[absent] & rec.lost[absent]))
-        late = len(absent) - offline - lost
+        offline = int(np.count_nonzero(~members & ~rec.online))
+        lost = int(np.count_nonzero(~members & rec.online & rec.lost))
+        late = len(members) - result.members - offline - lost
         result.extras["missing"] = {"offline": offline, "lost": lost, "late": late}
 
         prf0 = self.prf.calls
@@ -1225,7 +1206,7 @@ class _Scenario:
         width = self.plan.output_width
         for stack in self.stacks:
             plan = self._epoch_plan(stack, self._epoch(stack, w))
-            live = self.members[stack.members]
+            live = self.members[stack.span]
             stack.base = mask_base(
                 stack.table, live, w, width, plan=plan, threshold=stack.threshold, prf=self.prf
             )
@@ -1235,33 +1216,33 @@ class _Scenario:
 
     def _controller_tokens(self, w: int, members: np.ndarray):
         """Build, noise and mask window w's tokens for the members
-        `members` (a boolean per plan member) of every partition at once.
+        `members` (a boolean per plan member), one masked batch per stack.
 
-        Every partition holding a member first claims its token for the
-        window, and every stack holding one must have base masks for the
-        window: a second claim, or missing or stale base masks, raises
-        before any key is derived. Then each step is a fixed number of
-        array operations however many partitions and parties there are:
-        one token batch over every member's streams, one noise pass
-        drawing every member's share under its own noise key, sized for
-        the window's members (`noise_normals`), and one membership delta
-        per stack over its base masks (`mask_delta`: selection only for
-        edges new to the round, masks only for the edges that changed).
-        What still runs per partition is its batch's rows and wire encode.
-        A partition without members releases nothing: its stack's delta
+        Every stack holding a member must have base masks for the window,
+        and the plan must not have minted the window's token yet: missing
+        or stale base masks, or a second claim, raise before any key is
+        derived, and a refused release records no claim. Then each step is
+        a fixed number of array operations however many partitions and
+        parties there are: one token batch over every member's streams,
+        one noise pass drawing every member's share under its own noise
+        key, sized for the window's members (`noise_normals`), and per
+        stack one membership delta over its base masks (`mask_delta`:
+        selection only for edges new to the round, masks only for the
+        edges that changed) added to its members' rows, then one masked
+        batch of its live parties in plan order and its wire encode. A
+        partition without members releases nothing: its stack's delta
         leaves its parties out, so it neither masks nor logs them. Returns
-        each such partition with its masked batch, the bytes sent, the
-        ring additions spent on the deltas and the members they left
+        each stack holding a member with its masked batch, the bytes sent,
+        the ring additions spent on the deltas and the members they left
         without a pair. Charging the members' budgets is the caller's.
         """
         L = self.config.logical_window
         window = (w * L, (w + 1) * L)
-        parts = [part for part in self.partitions if members[part.span].any()]
-        self._claim_tokens(self.plan.plan_id, [part.index for part in parts], window)
-        stacks = list(dict.fromkeys(part.stack for part in parts))
+        stacks = [stack for stack in self.stacks if members[stack.span].any()]
         for stack in stacks:
             if stack.base is None or stack.base.round_index != w:
                 raise RuntimeError(f"stack {stack.index} has no base masks for window {w}")
+        self._claim_token(self.plan.plan_id, window)
         streams = tuple(compress(self.plan.members, members))
         values = token_matrix(
             [self.masters[sid] for sid in streams],
@@ -1274,11 +1255,10 @@ class _Scenario:
         if self.plan.dp_epsilon is not None:
             normals = noise_normals(self.noise_keys[members], w, width, prf=self.prf)
             values += noise_shares(self._window_noise(members), normals)
-        nonces = np.zeros((len(self.parties), width), dtype=np.uint64)
-        additions = isolated = 0
+        batches, sent, additions, isolated, hi = [], 0, 0, 0, 0
         for stack in stacks:
             base, stack.base = stack.base, None
-            live = members[stack.members]
+            live = members[stack.span]
             bounds = stack.table.bounds
             idle = ~np.repeat(np.logical_or.reduceat(live, bounds[:-1]), np.diff(bounds))
             if idle.any():
@@ -1287,38 +1267,32 @@ class _Scenario:
             masks = mask_delta(
                 stack.table, base, live, plan=plan, threshold=stack.threshold, prf=self.prf
             )
-            nonces[stack.members] = masks.nonces
+            # the stack's members' rows, as the stacks hold consecutive spans
+            lo, hi = hi, hi + int(np.count_nonzero(live))
+            values[lo:hi] += masks.nonces[live]
             additions += 2 * masks.changed * width
             isolated += int(np.count_nonzero(live & (masks.degree == 0)))
-        values += nonces[members]
-        batches, sent, hi = [], 0, 0
-        for part in parts:
-            live = members[part.span]
-            lo, hi = hi, hi + int(np.count_nonzero(live))
             masked = MaskedBatch(
                 round_index=w,
-                epoch_id=self._epoch(part.stack, w),
+                epoch_id=self._epoch(stack, w),
                 window=window,
-                parties=tuple(compress(self.parties[part.span], live)),
-                stream_set_ids=tuple(compress(part.set_ids, live)),
+                parties=tuple(compress(self.parties[stack.span], live)),
+                stream_set_ids=tuple(compress(self.set_ids[stack.span], live)),
                 elements=values[lo:hi],
                 noised=self.plan.dp_epsilon is not None,
                 stream_ids=streams[lo:hi],
             )
-            batches.append((part, masked))
+            batches.append((stack, masked))
             sent += len(masked.serialize())
         return batches, sent, additions, isolated
 
-    def _claim_tokens(self, plan_id: str, indices: Sequence, window: tuple[int, int]):
-        """Record a token mint for (plan, partition, window) for each
-        partition index of `indices`, or, if one was minted already, raise
-        and record none: fresh key material for a released window would
-        widen what it reveals."""
-        keys = [(plan_id, index, window) for index in indices]
-        taken = [key for key in keys if key in self.minted]
-        if taken:
-            raise RuntimeError(f"token already minted for {taken[0]}")
-        self.minted.update(keys)
+    def _claim_token(self, plan_id: str, window: tuple[int, int]):
+        """Record the plan's token mint for the window or, if it was
+        minted already, raise: fresh key material for a released window
+        would widen what it reveals."""
+        if (plan_id, window) in self.minted:
+            raise RuntimeError(f"token already minted for {(plan_id, window)}")
+        self.minted.add((plan_id, window))
 
     @staticmethod
     def _epoch(stack: _Stack, w: int) -> int:
@@ -1362,12 +1336,14 @@ class _Scenario:
 
         t0 = time.perf_counter()
         opened = []
-        for part, masked in batches:
-            live = members[part.span]
-            active = list(compress(part.streams, live))
+        for stack, masked in batches:
+            live = members[stack.span]
+            active = list(compress(self.plan.members[stack.span], live))
             combined = unmask_aggregate(masked, stream_ids=active)
-            # the partition's window sums share the window's range: one row sum
-            body = rec.sums[part.rows[live]].sum(axis=0)
+            # the stack's window sums share the window's range: the sum of
+            # its rows less its absent rows', with no gather of the live rows
+            rows = rec.sums[stack.span]
+            body = rows.sum(axis=0) - rows[~live].sum(axis=0)
             merged = merge_elements(StreamCiphertext(*masked.window, body), self.plan.token_layout)
             opened.append(
                 apply_token(merged, combined, stream_set_id=stream_set_hash(active))
@@ -1394,7 +1370,7 @@ class _Scenario:
         """Plaintext recomputation of the released vector, noise included.
         A member that spent the window offline contributed one neutral
         catch-up event, i.e. its zero row of `plain`."""
-        total = plain[self.plan_rows[members]].sum(axis=0)
+        total = plain[members].sum(axis=0)
         # uint64 sums wrap exactly as the ring does
         out = np.array([total[sources].sum() for sources in self.shadow_layout])
         if self.plan.dp_epsilon is not None:
@@ -1406,13 +1382,13 @@ class _Scenario:
     def _release_user_window(self, w: int, rec: _Window, result: WindowResult):
         L = self.config.logical_window
         sid = self.user_stream
-        row = self.row[sid]
+        row = self.user_row
         if rec.arrived[row] != L:
             result.extras["per_user"] = {"status": "no_data"}
             return
         window = (w * L, (w + 1) * L)
         plan = self.user_plan
-        self._claim_tokens(plan.plan_id, [None], window)
+        self._claim_token(plan.plan_id, window)
         token = single_stream_token(
             self.masters[sid],
             window,

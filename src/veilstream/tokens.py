@@ -394,16 +394,12 @@ class PrivacyBudget:
     def remaining(self) -> float:
         return self.epsilon_total - self._spent
 
-    def can_charge(self, cost: float) -> bool:
-        """Whether `charge(cost)` would succeed now; charges nothing."""
+    def charge(self, cost: float) -> bool:
         if cost <= 0:
             raise ValueError("epsilon cost must be positive")
-        # tiny tolerance so budgets sized as k * cost survive float sums
-        return self._spent + cost <= self.epsilon_total + 1e-9
-
-    def charge(self, cost: float) -> bool:
         with self._lock:
-            if not self.can_charge(cost):
+            # tiny tolerance so budgets sized as k * cost survive float sums
+            if self._spent + cost > self.epsilon_total + 1e-9:
                 return False
             self._spent += cost
             return True

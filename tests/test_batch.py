@@ -696,7 +696,7 @@ def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
         )
         if protocol != "clique":
             # dream draws and zeph plans in every partition
-            assert all(part.stack.b is not None for part in scenario.partitions)
+            assert all(stack.b is not None for stack in scenario.stacks)
         recorder = RecordingPrf(scenario.prf.inner)
         scenario.prf.inner = recorder
         per_window = []
@@ -713,7 +713,7 @@ def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
         scenario._mask_bases = metered(scenario._mask_bases)
         result = scenario.run()
         assert [w.status for w in result.windows] == ["ok", "ok"]
-        assert [len(part.streams) for part in scenario.partitions] == [30] * partitions
+        assert [part.stop - part.start for part in scenario.partitions] == [30] * partitions
         assert len(scenario.stacks) == 1
         calls[partitions] = per_window
     assert calls[2] == calls[4]

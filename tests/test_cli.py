@@ -296,6 +296,14 @@ def test_run_rejects_invalid_config_values(capsys, tmp_path):
     )
     assert code == 1
     assert "grace" in err
+    for option, value in (("--windows", "0"), ("--alpha", "1.5"), ("--delta", "7")):
+        code, _, err = run_cli(
+            capsys, "run", "--scenario", "car", "--protocol", "clique", option, value,
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "scenario failed" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_config_file_is_usage_error(capsys, tmp_path):

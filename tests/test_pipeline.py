@@ -27,6 +27,7 @@ from veilstream.policy import plan_query, verify_plan
 from veilstream.ring import AesPrf, CountingPrf
 from veilstream.secure_agg import (
     EpochPlan,
+    MaskedBatch,
     MembershipDelta,
     PeerTable,
     graph_bits,
@@ -98,17 +99,30 @@ def live_vector(table, owners) -> np.ndarray:
     return np.array([p in owners for p in table.parties], dtype=bool)
 
 
-def partition_table(scenario: _Scenario, part) -> PeerTable:
-    """`part`'s pairs as a one-group table, built here from the scenario's
-    key pairs rather than read from its stack."""
-    return PeerTable([[scenario.keypairs[sid] for sid in part.streams]], scenario.registry)
+def partition_table(scenario: _Scenario, part: slice) -> PeerTable:
+    """The pairs of the partition `part` (a span of plan members) as a
+    one-group table, built here from the scenario's key pairs rather than
+    read from its stack."""
+    streams = scenario.plan.members[part]
+    return PeerTable([[scenario.keypairs[sid] for sid in streams]], scenario.registry)
+
+
+def stack_of(scenario: _Scenario, part: slice):
+    """The stack whose span holds the partition `part`."""
+    (stack,) = [s for s in scenario.stacks if s.span.start <= part.start < s.span.stop]
+    return stack
+
+
+def partition_sizes(scenario: _Scenario) -> list[int]:
+    """Each partition's number of plan members."""
+    return [part.stop - part.start for part in scenario.partitions]
 
 
 def base_edges(scenario: _Scenario, part, owners, w, prf):
     """The rows of window w's base in `part`'s own table: `round_edges`
     over the owners `owners` under its stack's rule, with a zeph plan
     derived here for every row."""
-    table, rule = partition_table(scenario, part), part.stack
+    table, rule = partition_table(scenario, part), stack_of(scenario, part)
     plan = None
     if scenario.config.protocol == "zeph" and rule.b is not None:
         epoch = w // rule.epoch_width
@@ -140,7 +154,7 @@ def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list
     for w, before in enumerate([frozenset(scenario.parties), *owner_sets[:-1]]):
         second = prf_blocks = additions = 0
         for part in scenario.partitions:
-            table, rule = partition_table(scenario, part), part.stack
+            table, rule = partition_table(scenario, part), stack_of(scenario, part)
             now, rows_now = base_edges(scenario, part, owner_sets[w], w, prf)
             candidate_now = now[table.low] & now[table.high]
             second += len(rows_now) * blocks
@@ -193,7 +207,7 @@ def expected_release(scenario: _Scenario, w: int, members, plain) -> list[int]:
     plaintext sums on the plan's layout, plus each member's noise share,
     drawn by a one-key call under SHA-256 of (run seed, party) and sized
     for the window's members."""
-    total = plain[scenario.plan_rows[members]].sum(axis=0)
+    total = plain[members].sum(axis=0)
     out = np.array([total[sources].sum() for sources in scenario.shadow_layout])
     if scenario.plan.dp_epsilon is not None:
         noise = dataclasses.replace(scenario.plan.noise, party_count=int(members.sum()))
@@ -411,6 +425,28 @@ def test_parallel_execution_is_refused():
         small_config(parallel=True)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("windows", 0, "at least one window"),
+        ("windows", -2, "at least one window"),
+        ("colluding_fraction", 1.5, "colluding_fraction"),
+        ("colluding_fraction", 1.0, "colluding_fraction"),
+        ("colluding_fraction", -0.1, "colluding_fraction"),
+        ("failure_budget", 7.0, "failure_budget"),
+        ("failure_budget", 0.0, "failure_budget"),
+    ],
+)
+def test_config_refuses_out_of_range_values(field, value, message):
+    # refused whatever the protocol, before any scenario is built
+    for protocol in ("clique", "dream", "zeph"):
+        with pytest.raises(ValueError, match=message):
+            small_config(protocol=protocol, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(small_config(protocol=protocol), **{field: value})
+    assert small_config(windows=1, colluding_fraction=0.0, failure_budget=0.5).windows == 1
+
+
 def test_dropouts_within_allowance_stay_live():
     result = run_scenario(small_config(dropout_rate=0.03, windows=4))
     assert result.summary["shadow_ok"] is True
@@ -441,8 +477,8 @@ def test_zeph_run_is_pinned():
     )
     owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
-    assert [part.stack.b for part in scenario.partitions] == [1]
-    assert scenario.partitions[0].stack.epoch_width > len(result.windows)
+    assert [stack_of(scenario, part).b for part in scenario.partitions] == [1]
+    assert stack_of(scenario, scenario.partitions[0]).epoch_width > len(result.windows)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     released = json.dumps([w.released for w in result.windows]).encode()
     assert (
@@ -550,8 +586,8 @@ def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
             dropout_rate=0.0, drop_rate=0.0,
         )
     )
-    assert [len(part.streams) for part in scenario.partitions] == [29, 29, 1]
-    (alone,) = scenario.parties[scenario.partitions[2].span]
+    assert partition_sizes(scenario) == [29, 29, 1]
+    (alone,) = scenario.parties[scenario.partitions[2]]
     result = scenario.run()
     # a connectivity failure is reported, not a failed window
     assert [(w.status, w.shadow_ok, w.extras["isolated"]) for w in result.windows] == [
@@ -717,7 +753,7 @@ def partition_members(scenario: _Scenario, *parts) -> np.ndarray:
     the partitions `parts` and no other."""
     members = np.zeros(len(scenario.plan.members), dtype=bool)
     for part in parts:
-        members[part.span] = True
+        members[part] = True
     return members
 
 
@@ -726,18 +762,22 @@ def test_a_window_token_is_minted_once():
     result = scenario.run()
     (window,) = result.windows
     assert window.status == "ok" and window.extras["per_user"]["status"] == "ok"
+    # base masks for window 0 again, so that only the one-token rule refuses
+    (stack,) = scenario.stacks
+    every = partition_members(scenario, *scenario.partitions)
+    stack.base = mask_base(stack.table, every[stack.span], 0, scenario.plan.output_width)
     calls = scenario.prf.calls
     for part in scenario.partitions:
         with pytest.raises(RuntimeError, match="already minted"):
             scenario._controller_tokens(0, partition_members(scenario, part))
     # a record in which the per-user stream's chain is complete
-    record = pipeline._Window(0.0, len(scenario.sim_streams), scenario.width, 1)
+    record = pipeline._Window(0.0, len(scenario.plan.members), scenario.width, 1)
     record.arrived[:] = scenario.config.logical_window
     with pytest.raises(RuntimeError, match="already minted"):
         scenario._release_user_window(0, record, window)
     # refused before any key material is derived
     assert scenario.prf.calls == calls
-    assert len(scenario.minted) == len(scenario.partitions) + 1
+    assert len(scenario.minted) == 2
 
 
 def test_tokens_are_minted_per_plan_partition_and_window():
@@ -746,35 +786,51 @@ def test_tokens_are_minted_per_plan_partition_and_window():
     assert [w.extras["per_user"]["status"] for w in result.windows] == ["ok", "ok"]
     L = scenario.config.logical_window
     windows = [(w * L, (w + 1) * L) for w in range(2)]
+    # one token per plan and window, however many partitions release
+    assert len(scenario.partitions) == 2
     assert scenario.minted == {
-        (scenario.plan.plan_id, part.index, window)
-        for part in scenario.partitions
-        for window in windows
-    } | {(scenario.user_plan.plan_id, None, window) for window in windows}
+        (plan.plan_id, window) for plan in (scenario.plan, scenario.user_plan) for window in windows
+    }
     # each stream's one-stream set id, hashed once at partition setup
-    for part in scenario.partitions:
-        assert part.set_ids == tuple(stream_set_hash([sid]) for sid in part.streams)
+    assert scenario.set_ids == tuple(stream_set_hash([sid]) for sid in scenario.plan.members)
     # a window not yet released still mints, from its base masks
     part, other = scenario.partitions
     (stack,) = scenario.stacks
     members = partition_members(scenario, part)
-    live = members[stack.members]
+    live = members[stack.span]
     stack.base = mask_base(stack.table, live, 2, scenario.plan.output_width)
     batches, *_ = scenario._controller_tokens(2, members)
     ((minted, masked),) = batches
-    assert minted is part
+    assert minted is stack
     assert masked.window == (2 * L, 3 * L)
-    assert masked.stream_set_ids == part.set_ids
+    assert masked.stream_set_ids == scenario.set_ids[part]
     # without base masks for the window there is no fallback: the release
     # raises before any key is derived
     calls = scenario.prf.calls
     members = partition_members(scenario, other)
     with pytest.raises(RuntimeError, match="no base masks for window 2"):
         scenario._controller_tokens(2, members)
-    stack.base = mask_base(stack.table, members[stack.members], 3, scenario.plan.output_width)
+    stack.base = mask_base(stack.table, members[stack.span], 3, scenario.plan.output_width)
     with pytest.raises(RuntimeError, match="no base masks for window 4"):
         scenario._controller_tokens(4, members)
     assert scenario.prf.calls == calls
+
+
+def test_a_refused_release_records_no_claim():
+    scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
+    scenario.run()
+    (stack,) = scenario.stacks
+    members = partition_members(scenario, *scenario.partitions)
+    minted = set(scenario.minted)
+    with pytest.raises(RuntimeError, match="no base masks for window 1"):
+        scenario._controller_tokens(1, members)
+    assert scenario.minted == minted
+    # the same call goes through once the window has its base masks
+    stack.base = mask_base(stack.table, members[stack.span], 1, scenario.plan.output_width)
+    batches, *_ = scenario._controller_tokens(1, members)
+    assert [minted for minted, _ in batches] == [stack]
+    L = scenario.config.logical_window
+    assert scenario.minted == minted | {(scenario.plan.plan_id, (L, 2 * L))}
 
 
 def test_a_scenario_holds_each_pair_once():
@@ -787,17 +843,24 @@ def test_a_scenario_holds_each_pair_once():
             seed=1, drop_rate=0.01, dropout_rate=0.02,
         )
     )
-    sizes = [len(part.streams) for part in scenario.partitions]
+    sizes = partition_sizes(scenario)
     assert sizes == [100, 100, 100, 43]
-    assert [len(stack.partitions) for stack in scenario.stacks] == [3, 1]
+    # each stack is a span of consecutive partitions, one group of its
+    # table per partition
+    assert [(stack.span.start, stack.span.stop) for stack in scenario.stacks] == [
+        (0, 300),
+        (300, 343),
+    ]
+    assert [len(stack.table.bounds) - 1 for stack in scenario.stacks] == [3, 1]
     # one row per pair of a partition, held by its stack's table alone
     pairs = sum(n * (n - 1) // 2 for n in sizes)
     assert sum(len(stack.table) for stack in scenario.stacks) == pairs
-    held = [value for part in scenario.partitions for value in vars(part).values()]
-    assert not any(isinstance(value, PeerTable) for value in held)
+    assert all(isinstance(part, slice) for part in scenario.partitions)
     for stack in scenario.stacks:
         table, row = stack.table, 0
-        for g, part in enumerate(stack.partitions):
+        parts = [part for part in scenario.partitions if stack_of(scenario, part) is stack]
+        for g, part in enumerate(parts):
+            assert table.bounds[g] == part.start - stack.span.start
             alone = partition_table(scenario, part)
             rows = slice(row, row + len(alone))
             assert table.keys[rows].tobytes() == alone.keys.tobytes()
@@ -814,17 +877,18 @@ def test_a_partition_without_members_costs_its_stack_no_mask_work(caplog):
     (stack,) = scenario.stacks
     # the base holds every plan member; the release only `part`'s
     every = partition_members(scenario, part, other)
-    stack.base = mask_base(stack.table, every[stack.members], 5, scenario.plan.output_width)
+    stack.base = mask_base(stack.table, every[stack.span], 5, scenario.plan.output_width)
     before = scenario.prf.calls
     batches, _, additions, isolated = scenario._controller_tokens(
         5, partition_members(scenario, part)
     )
-    assert [minted for minted, _ in batches] == [part]
+    ((minted, masked),) = batches
+    assert minted is stack and masked.parties == scenario.parties[part]
     # `other` releases nothing, so its pairs are neither backed out nor
     # logged: the release spends only `part`'s token keys
     assert (additions, isolated) == (0, 0)
     sources = len(scenario.plan.token_layout.sources)
-    assert scenario.prf.calls - before == len(part.streams) * 2 * sources
+    assert scenario.prf.calls - before == len(masked.parties) * 2 * sources
     assert not [r for r in caplog.records if "no active peers" in r.getMessage()]
 
 
@@ -838,39 +902,69 @@ def test_a_release_makes_one_token_and_noise_pass_and_one_delta_per_stack(monkey
             seed=2, dropout_rate=0.05, colluding_fraction=0.0, failure_budget=0.1,
         )
     )
-    assert [len(part.streams) for part in scenario.partitions] == [20] * 14 + [1]
-    assert [len(stack.partitions) for stack in scenario.stacks] == [14, 1]
+    assert partition_sizes(scenario) == [20] * 14 + [1]
+    assert [len(stack.table.bounds) - 1 for stack in scenario.stacks] == [14, 1]
     assert scenario.stacks[0].b is not None and scenario.stacks[1].b is None
     releases = []  # per release: the functions it called, in order
     inside = False  # the shadow's noise pass is not the release's
-    for name in ("token_matrix", "noise_normals", "mask_delta"):
-        original = getattr(pipeline, name)
 
-        def counted(*args, name=name, original=original, **kwargs):
+    def counting(name, original):
+        def counted(*args, **kwargs):
             if inside:
                 releases[-1].append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, counted)
-    tokens = scenario._controller_tokens
+        return counted
+
+    opening = ("unmask_aggregate", "merge_elements", "apply_token")
+    for name in ("token_matrix", "noise_normals", "mask_delta") + opening:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    monkeypatch.setattr(MaskedBatch, "serialize", counting("serialize", MaskedBatch.serialize))
+    tokens, release_window, shadow = (
+        scenario._controller_tokens, scenario._release_window, scenario._shadow
+    )
     held = []  # per release: the stacks holding a member
 
-    def release(w, members):
+    def controller_tokens(w, members):
+        stacks = [stack for stack in scenario.stacks if members[stack.span].any()]
+        held.append(len(stacks))
+        out = tokens(w, members)
+        # one batch per stack holding a member: its live parties, in plan order
+        assert [stack for stack, _ in out[0]] == stacks
+        for stack, masked in out[0]:
+            live = members[stack.span]
+            assert masked.parties == tuple(compress(scenario.parties[stack.span], live))
+        return out
+
+    def release(*args):
         nonlocal inside
-        held.append(sum(members[stack.members].any() for stack in scenario.stacks))
         releases.append([])
         inside = True
         try:
-            return tokens(w, members)
+            release_window(*args)
         finally:
             inside = False
 
-    scenario._controller_tokens = release
+    def unmetered_shadow(*args):
+        nonlocal inside
+        inside = False
+        return shadow(*args)
+
+    scenario._controller_tokens = controller_tokens
+    scenario._release_window = release
+    scenario._shadow = unmetered_shadow
     result = scenario.run()
     assert [w.status for w in result.windows] == ["ok", "ok"]
     assert any(w.members < result.plan_members for w in result.windows)
     assert 2 in held
-    assert releases == [["token_matrix", "noise_normals"] + ["mask_delta"] * n for n in held]
+    # per release: one token and one noise pass; per stack holding a
+    # member, one delta and one batch encode, then one unmasking
+    assert releases == [
+        ["token_matrix", "noise_normals"]
+        + ["mask_delta", "serialize"] * n
+        + list(opening) * n
+        for n in held
+    ]
 
 
 def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
@@ -888,8 +982,8 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
         seed=1,
     )
     scenario = _Scenario(config)
-    (part,) = scenario.partitions
-    assert part.stack.epoch_width == 256  # window 256 opens the second epoch
+    (stack,) = scenario.stacks
+    assert stack.epoch_width == 256  # window 256 opens the second epoch
     passes = []  # (epoch, rows, PRF blocks) of each graph_bits pass
     original = pipeline.graph_bits
 
@@ -905,8 +999,8 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
     assert result.summary["windows_ok"] == 257
     # each epoch derives its plan whole, in one pass of a block per pair
     assert passes == [(0, 190, 190), (1, 190, 190)]
-    assert part.stack.epoch_plan.epoch_id == 1
-    assert part.stack.epoch_plan.bits.shape == (190, 128)
+    assert stack.epoch_plan.epoch_id == 1
+    assert stack.epoch_plan.bits.shape == (190, 128)
 
 
 def test_suppressed_window_charges_no_budget():

@@ -426,19 +426,6 @@ def test_budget_charges_exactly_k_times():
     assert budget.remaining == pytest.approx(0.0, abs=1e-9)
 
 
-def test_budget_can_charge_predicts_charge_without_spending():
-    budget = PrivacyBudget(0.3)
-    for _ in range(3):
-        assert budget.can_charge(0.1)
-        assert budget.can_charge(0.1)  # asking twice spends nothing
-        assert budget.charge(0.1)
-    assert not budget.can_charge(0.1)
-    assert not budget.charge(0.1)
-    assert budget.epsilon_spent == pytest.approx(0.3)
-    with pytest.raises(ValueError, match="positive"):
-        budget.can_charge(0)
-
-
 def test_budget_rejects_nonpositive_costs():
     budget = PrivacyBudget(1.0)
     with pytest.raises(ValueError, match="positive"):
