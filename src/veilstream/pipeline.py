@@ -800,6 +800,8 @@ class _Scenario:
         self._setup_population()
         self._setup_plan()
         self._setup_partitions()
+        # the pair tables' secrets are setup's only PRF blocks
+        self.prf_calls_setup = self.prf.calls
         self.results: list[WindowResult] = []
         self.open: dict[int, _Window] = {}  # scheduled, not yet assembled
         # the membership the next delta is measured against, one boolean
@@ -848,6 +850,21 @@ class _Scenario:
                     return p
             return kinds[0]
 
+        # every stream's option choices, one dict per kind of stream that
+        # the annotations share: policy only reads them
+        regular = {
+            a.name: pick(a.name, "aggregate", "dp-aggregate", "stream-aggregate")
+            for a in self.schema.attributes
+        }
+        for attr in queried:
+            regular[attr] = pick(attr, wanted, "aggregate", "stream-aggregate")
+        if per_user_attr:
+            regular[per_user_attr] = "stream-aggregate"
+        # a few owners keep the first queried attribute private
+        holdout = regular
+        if holdout_every and "private" in offered[queried[0]]:
+            holdout = {**regular, queried[0]: "private"}
+
         self.annotations = []
         for i, sid in enumerate(self.streams):
             kp = agreement.generate(sid.encode())
@@ -856,18 +873,7 @@ class _Scenario:
             self.masters[sid] = MasterSecret(
                 hashlib.sha256(b"stream-key\x00" + sid.encode()).digest()[:16], sid
             )
-            selected = {
-                a.name: pick(a.name, "aggregate", "dp-aggregate", "stream-aggregate")
-                for a in self.schema.attributes
-            }
-            for attr in queried:
-                selected[attr] = pick(attr, wanted, "aggregate", "stream-aggregate")
-            if per_user_attr:
-                selected[per_user_attr] = "stream-aggregate"
-            if holdout_every and i % holdout_every == 0:
-                # a few owners keep the first queried attribute private
-                if "private" in offered[queried[0]]:
-                    selected[queried[0]] = "private"
+            selected = holdout if holdout_every and i % holdout_every == 0 else regular
             meta = {}
             for fi, f in enumerate(self.table["metadata"]):
                 if f["type"] == "int":
@@ -1001,7 +1007,7 @@ class _Scenario:
             parts = list(parts)
             groups = [[self.keypairs[sid] for sid in members[p]] for p in parts]
             span = slice(parts[0].start, parts[-1].stop)
-            table = PeerTable(groups, self.registry)
+            table = PeerTable(groups, self.registry, prf=self.prf)
             self.stacks.append(_Stack(len(self.stacks), span, rule, table))
         # every plan member's party and one-stream set id, in plan member order
         self.parties = tuple(self.keypairs[sid].party_id for sid in members)
@@ -1443,6 +1449,7 @@ class _Scenario:
             "liveness": ok / max(1, self.config.windows),
             "shadow_ok": shadow_all,
             "prf_calls_total": self.prf.calls,
+            "prf_calls_setup": self.prf_calls_setup,
             "additions_total": sum(r.additions for r in self.results),
             "bytes_producer_total": sum(r.bytes_producer for r in self.results),
             "bytes_controller_total": sum(r.bytes_controller for r in self.results),

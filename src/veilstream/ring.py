@@ -94,11 +94,11 @@ class Prf:
     a contiguous k x 16 `uint8` array), and key i covers the i-th run of
     blocks / k blocks, so one call can cover many pairwise keys; a key
     length that is not a multiple of 16 or whose count does not divide the
-    blocks raises `ValueError`. It returns a blocks x 2 `>u8` array: the
-    high and low 64 bits of each output, read big-endian, so `.tobytes()`
-    is the outputs concatenated. The array may be a view of a buffer the
-    PRF reuses: a caller consumes it, and may overwrite it, before its
-    next call.
+    blocks, or messages of more than one dimension, raise `ValueError`.
+    It returns a blocks x 2 `>u8` array: the high and low 64 bits of each
+    output, read big-endian, so `.tobytes()` is the outputs concatenated.
+    The array may be a view of a buffer the PRF reuses: a caller consumes
+    it, and may overwrite it, before its next call.
     """
 
     def evaluate_batch(self, key, messages) -> np.ndarray:
@@ -107,8 +107,12 @@ class Prf:
 
 def _check_key(key, messages) -> tuple[int, int]:
     """The number of keys and of blocks of a call, after checking that
-    both are whole and that the keys divide the blocks."""
-    key_bytes, size = memoryview(key).nbytes, memoryview(messages).nbytes
+    both are whole, that the keys divide the blocks and that the messages
+    are one-dimensional, so that their length counts their bytes."""
+    view = memoryview(messages)
+    if view.ndim != 1:
+        raise ValueError(f"PRF messages must be one-dimensional, not {view.ndim}-d")
+    key_bytes, size = memoryview(key).nbytes, view.nbytes
     k, blocks = key_bytes // 16, size // 16
     if key_bytes % 16 or size % 16 or (blocks and (k == 0 or blocks % k)):
         raise ValueError(f"PRF key of {key_bytes} bytes for {size} input bytes")
@@ -198,8 +202,9 @@ class CountingPrf(Prf):
         self.calls = 0
 
     def evaluate_batch(self, key, messages) -> np.ndarray:
-        self.calls += len(messages) // 16
-        return self.inner.evaluate_batch(key, messages)
+        out = self.inner.evaluate_batch(key, messages)
+        self.calls += memoryview(messages).nbytes // 16
+        return out
 
 
 DEFAULT_PRF = AesPrf()

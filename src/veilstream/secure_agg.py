@@ -215,6 +215,39 @@ class KeyPair:
         """16-byte pairwise secret, symmetric in the two parties."""
         raise NotImplementedError
 
+    @staticmethod
+    def derive_pairs(keypairs, public, low, high, prf: Prf = DEFAULT_PRF) -> np.ndarray:
+        """The secrets of many pairs of one group, as pairs x 16 `uint8`:
+        row i is `keypairs[low[i]].derive_shared(public[high[i]])`, where
+        `public[j]` is the `PublicIdentity` of `keypairs[j]` and `low` and
+        `high` are integer arrays. This default derives pair by pair and
+        spends nothing through `prf`; a key pair type whose secrets batch
+        overrides it."""
+        pairs = zip(low.tolist(), high.tolist())
+        joined = b"".join(keypairs[a].derive_shared(public[b]) for a, b in pairs)
+        return np.frombuffer(joined, np.uint8).reshape(-1, 16)
+
+
+def _static_secrets(materials: Sequence[bytes], low, high, prf: Prf) -> np.ndarray:
+    """The static double's secrets of the pairs (`low[i]`, `high[i]`) of
+    `materials`: one PRF block per pair, keyed by the first 16 bytes of the
+    lower of its two materials in byte order, on the first 16 bytes of the
+    higher, in calls of at most `BATCH_BLOCKS` pairs."""
+    n = len(materials)
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=materials.__getitem__)] = np.arange(n)
+    heads = np.frombuffer(b"".join(m[:16] for m in materials), np.uint8).reshape(n, 16)
+    out = np.empty((len(low), 16), dtype=np.uint8)
+    for lo in range(0, len(low), BATCH_BLOCKS):
+        a, b = low[lo : lo + BATCH_BLOCKS], high[lo : lo + BATCH_BLOCKS]
+        first = rank[a] < rank[b]
+        keys, msgs = heads[np.where(first, a, b)], heads[np.where(first, b, a)]
+        out[lo : lo + len(a)] = prf.evaluate_batch(keys, msgs.reshape(-1)).view(np.uint8)
+    return out
+
+
+_ONE_PAIR = (np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp))
+
 
 class _StaticKeyPair(KeyPair):
     def __init__(self, seed: bytes):
@@ -227,15 +260,21 @@ class _StaticKeyPair(KeyPair):
         return PublicIdentity(self.party_id, self._material)
 
     def derive_shared(self, peer: PublicIdentity) -> bytes:
-        lo, hi = sorted([self._material, peer.material])
-        return hashlib.sha256(b"static-shared\x00" + lo + hi).digest()[:16]
+        materials = (self._material, peer.material)
+        return _static_secrets(materials, *_ONE_PAIR, DEFAULT_PRF).tobytes()
+
+    @staticmethod
+    def derive_pairs(keypairs, public, low, high, prf: Prf = DEFAULT_PRF) -> np.ndarray:
+        return _static_secrets([p.material for p in public], low, high, prf)
 
 
 class StaticKeyAgreement:
     """Deterministic key-agreement double for tests and simulations.
 
-    Pairwise secrets are a hash of the two public materials, so they are
-    symmetric and reproducible from a seed. This offers no secrecy at all
+    A pair's secret is one fixed-key AES PRF block of the two public
+    materials (`_static_secrets`), so it is symmetric, reproducible from a
+    seed, and a whole group's secrets take one array pass. Anyone can
+    compute it from the public materials: this offers no secrecy at all
     and exists to keep large simulated deployments cheap and deterministic.
     """
 
@@ -334,21 +373,25 @@ class PeerTable:
     unordered pair of a group, for rounds batched over the parties.
 
     Built from each group's key pairs, `parties` in the given order, group
-    after group, in one pass: every party's public identity is resolved
-    through `registry.get` (an unknown one raises `UnknownIdentityError`)
-    and each pair derives its secret once, `derive_shared` on the lower
-    id's key pair. Rows run group by group and in id order within a group:
-    with n parties in a group whose rows start at row r, the pair of its
-    a-th and b-th lowest ids (a < b) is row r + a·(2n − a − 1)/2 + b − a − 1,
-    so each party's rows as the lower id are contiguous. `keys` (pairs x 16
-    `uint8`) holds each pair's secret, and `low` and `high` the indices
-    into `parties` of its lower id, which adds the pair's mask, and its
-    higher id, which subtracts it. `rank` holds each party's position in
-    its group's id order, and group g holds the parties `bounds[g]` to
-    `bounds[g + 1]`. One group of key pairs is `PeerTable([keypairs], ...)`.
+    after group: every party's public identity is resolved through
+    `registry.get` (an unknown one raises `UnknownIdentityError`), and each
+    group's secrets come from one `derive_pairs` of its key pairs' type, or
+    of `KeyPair` (the per-pair `derive_shared` loop) when its types differ,
+    spending any PRF blocks through `prf`. Rows run group by group and in
+    id order within a group: with n parties in a group whose rows start at
+    row r, the pair of its a-th and b-th lowest ids (a < b) is row
+    r + a·(2n − a − 1)/2 + b − a − 1, so each party's rows as the lower id
+    are contiguous. `keys` (pairs x 16 `uint8`) holds each pair's secret,
+    and `low` and `high` the indices into `parties` of its lower id, which
+    adds the pair's mask, and its higher id, which subtracts it. `rank`
+    holds each party's position in its group's id order, and group g holds
+    the parties `bounds[g]` to `bounds[g + 1]`. One group of key pairs is
+    `PeerTable([keypairs], ...)`.
     """
 
-    def __init__(self, groups: Sequence[Sequence[KeyPair]], registry: IdentityRegistry):
+    def __init__(
+        self, groups: Sequence[Sequence[KeyPair]], registry: IdentityRegistry, prf: Prf = DEFAULT_PRF
+    ):
         keypairs = [kp for group in groups for kp in group]
         self.parties = tuple(kp.party_id for kp in keypairs)
         if len(set(self.parties)) != len(self.parties):
@@ -362,20 +405,21 @@ class PeerTable:
             for i in sorted(range(start, start + n), key=self.parties.__getitem__)
         ]
         public = [registry.get(self.parties[i]) for i in ranked]
-        # joined a group at a time, so that only one group's secrets are
-        # held as separate bytes objects at once
-        shared = b"".join(
-            b"".join(
-                keypairs[ranked[a]].derive_shared(public[b])
-                for a in range(start, start + n)
-                for b in range(a + 1, start + n)
-            )
-            for start, n in zip(starts, sizes)
-        )
-        self.keys = np.frombuffer(shared, np.uint8).reshape(-1, 16)
-        a, b = np.hstack([np.array(np.triu_indices(n, 1)) + s for s, n in zip(starts, sizes)])
         order = np.array(ranked, dtype=np.intp)
-        self.low, self.high = order[a], order[b]
+        pairs = sum(n * (n - 1) // 2 for n in sizes)
+        self.keys = np.empty((pairs, 16), dtype=np.uint8)
+        self.low = np.empty(pairs, dtype=np.intp)
+        self.high = np.empty(pairs, dtype=np.intp)
+        row = 0
+        for start, n in zip(starts, sizes):
+            a, b = np.triu_indices(n, 1)
+            rows = slice(row, row + len(a))
+            row = rows.stop
+            group = [keypairs[i] for i in ranked[start : start + n]]
+            kinds = {type(kp) for kp in group}
+            derive = kinds.pop().derive_pairs if len(kinds) == 1 else KeyPair.derive_pairs
+            self.keys[rows] = derive(group, public[start : start + n], a, b, prf)
+            self.low[rows], self.high[rows] = order[a + start], order[b + start]
         self.rank = np.empty(len(order), dtype=np.intp)
         self.rank[order] = np.arange(len(order)) - np.repeat(starts[:-1], sizes)
         self.bounds = np.array(starts, dtype=np.intp)

@@ -27,6 +27,7 @@ from veilstream.policy import plan_query, verify_plan
 from veilstream.ring import AesPrf, CountingPrf
 from veilstream.secure_agg import (
     EpochPlan,
+    KeyPair,
     MaskedBatch,
     MembershipDelta,
     PeerTable,
@@ -99,12 +100,28 @@ def live_vector(table, owners) -> np.ndarray:
     return np.array([p in owners for p in table.parties], dtype=bool)
 
 
+class PerPairKeyPair(KeyPair):
+    """A key pair whose table rows come from `KeyPair`'s per-pair
+    `derive_shared` loop rather than from its type's batch derivation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.party_id = inner.party_id
+
+    def public_identity(self):
+        return self.inner.public_identity()
+
+    def derive_shared(self, peer):
+        return self.inner.derive_shared(peer)
+
+
 def partition_table(scenario: _Scenario, part: slice) -> PeerTable:
     """The pairs of the partition `part` (a span of plan members) as a
-    one-group table, built here from the scenario's key pairs rather than
-    read from its stack."""
+    one-group table, built here from the scenario's key pairs pair by pair
+    (`PerPairKeyPair`) rather than read from its stack."""
     streams = scenario.plan.members[part]
-    return PeerTable([[scenario.keypairs[sid] for sid in streams]], scenario.registry)
+    keypairs = [PerPairKeyPair(scenario.keypairs[sid]) for sid in streams]
+    return PeerTable([keypairs], scenario.registry)
 
 
 def stack_of(scenario: _Scenario, part: slice):
@@ -131,11 +148,12 @@ def base_edges(scenario: _Scenario, part, owners, w, prf):
     return live, round_edges(table, live, w, plan=plan, threshold=rule.threshold, prf=prf)
 
 
-def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list]:
-    """Per window, from `round_edges`' pair rows: the PRF blocks that a
-    table of ordered rows, two per pair, spent on each pair's second end,
-    and the PRF blocks and ring additions that masking through a base and
-    a delta adds to recomputing every mask from the members.
+def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list[int], list]:
+    """Per window, from `round_edges`' pair rows: the pairs selected over
+    the members, the PRF blocks that a table of ordered rows, two per
+    pair, spent on each pair's second end, and the PRF blocks and ring
+    additions that masking through a base and a delta adds to recomputing
+    every mask from the members.
 
     Recomputing from the members, the second ends cost a mask per pair
     selected over the members at ceil(width/2) blocks, a dream draw per
@@ -150,13 +168,14 @@ def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list
     width = scenario.plan.output_width
     blocks = (width + 1) // 2
     prf = AesPrf()
-    second_ends, extra = [], []
+    edges, second_ends, extra = [], [], []
     for w, before in enumerate([frozenset(scenario.parties), *owner_sets[:-1]]):
-        second = prf_blocks = additions = 0
+        selected = second = prf_blocks = additions = 0
         for part in scenario.partitions:
             table, rule = partition_table(scenario, part), stack_of(scenario, part)
             now, rows_now = base_edges(scenario, part, owner_sets[w], w, prf)
             candidate_now = now[table.low] & now[table.high]
+            selected += len(rows_now)
             second += len(rows_now) * blocks
             if rule.threshold is not None:
                 second += int(np.count_nonzero(candidate_now))
@@ -169,9 +188,10 @@ def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list
             if rule.threshold is not None:
                 candidate_base = base[table.low] & base[table.high]
                 prf_blocks += int(np.count_nonzero(candidate_base & ~candidate_now))
+        edges.append(selected)
         second_ends.append(second)
         extra.append((prf_blocks, additions))
-    return second_ends, extra
+    return edges, second_ends, extra
 
 
 def delta_bytes(before: frozenset, after: frozenset) -> int:
@@ -488,7 +508,7 @@ def test_zeph_run_is_pinned():
     # PRF counts and additions follow the fixed-key AES graph draws, checked
     # against a replay with F evaluated block by block by the cipher library.
     # Windows 0 and 1 equal their keyed-AES figures: at b = 1 the two rounds
-    # split the 1,653 edges, and both PRFs put 830 of them in round 0.
+    # split the 1,653 edges.
     # Masking through a base and a delta adds `extra` (window 2 loses a
     # member, so its base edges to it are masked twice more). Window 0
     # bills its delta from the plan's members: all 58 are present, so it
@@ -496,21 +516,56 @@ def test_zeph_run_is_pinned():
     # A table of one row per pair evaluates each pair once, where the
     # figures above evaluated it from both ends: each PRF figure is less
     # the blocks `second` spent on second ends.
-    second, extra = pair_figures(scenario, owner_sets)
+    edges, second, extra = pair_figures(scenario, owner_sets)
+    assert edges[0] + edges[1] == 1653
     assert extra[0] == (0, 0) and extra[2] != (0, 0)
     shift = window0_bytes_shift(scenario, owner_sets)
     assert 3007 + shift == 1135
+    # The pair secrets decide which pairs a round selects. Each figure
+    # below is its part that no secret moves, the old figure less the
+    # selected pairs' masks under the SHA-256 secrets (830, 823 and 809
+    # pairs, two ordered rows of `blocks` blocks and `width` additions
+    # each), plus those of the pairs `round_edges` selects now.
+    width = scenario.plan.output_width
+    blocks = (width + 1) // 2
+    masks = [(2 * blocks * e, 2 * width * e) for e in edges]
     counts = [
         (w.prf_calls, w.additions, w.bytes_controller, w.bytes_server) for w in result.windows
     ]
     assert counts == [
-        (140158 - second[0] + extra[0][0], 177620 + extra[0][1], 67628, 3007 + shift),
-        (136096 - second[1] + extra[1][0], 176122 + extra[1][1], 67628, 0),
-        (133770 - second[2] + extra[2][0], 173126 + extra[2][1], 66462, 48),
+        (
+            140158 - 2 * blocks * 830 + masks[0][0] - second[0] + extra[0][0],
+            177620 - 2 * width * 830 + masks[0][1] + extra[0][1],
+            67628,
+            3007 + shift,
+        ),
+        (
+            136096 - 2 * blocks * 823 + masks[1][0] - second[1] + extra[1][0],
+            176122 - 2 * width * 823 + masks[1][1] + extra[1][1],
+            67628,
+            0,
+        ),
+        (
+            133770 - 2 * blocks * 809 + masks[2][0] - second[2] + extra[2][0],
+            173126 - 2 * width * 809 + masks[2][1] + extra[2][1],
+            66462,
+            48,
+        ),
     ]
+    # setup spends one block per pair of the stack's table
     summary = result.summary
-    assert summary["prf_calls_total"] == 1040433 - sum(second) + sum(e[0] for e in extra)
-    assert summary["additions_total"] == 526868 + sum(e[1] for e in extra)
+    (stack,) = scenario.stacks
+    assert summary["prf_calls_total"] == (
+        1040433
+        - 2 * blocks * (830 + 823 + 809)
+        + sum(m[0] for m in masks)
+        - sum(second)
+        + sum(e[0] for e in extra)
+        + len(stack.table)
+    )
+    assert summary["additions_total"] == (
+        526868 - 2 * width * (830 + 823 + 809) + sum(m[1] for m in masks) + sum(e[1] for e in extra)
+    )
     assert summary["bytes_producer_total"] == 4742968
     assert summary["bytes_controller_total"] == 201718
     assert summary["bytes_server_total"] == 3055 + shift
@@ -520,15 +575,25 @@ def _pinned_digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _pinned_totals(result: ScenarioResult, figures: tuple, shift: int) -> tuple:
-    """The run's totals: PRF blocks plus the second ends and less the
-    delta path's extra blocks of `figures` (`pair_figures`), additions
-    less the extra additions, and server bytes less window 0's `shift`."""
-    second, extra = figures
+def _pinned_totals(scenario: _Scenario, result: ScenarioResult, figures: tuple, shift: int) -> tuple:
+    """The run's totals less what the pair secrets move, with `figures`
+    from `pair_figures`: PRF blocks less setup's block per pair of every
+    stack's table, less two ordered rows' mask blocks for each selected
+    pair, plus the second ends and less the delta path's extra blocks;
+    additions less two ordered rows' for each selected pair and less the
+    extra additions; and server bytes less window 0's `shift`."""
+    edges, second, extra = figures
+    width = scenario.plan.output_width
+    blocks = (width + 1) // 2
+    setup = sum(len(stack.table) for stack in scenario.stacks)
     s = result.summary
     return (
-        s["prf_calls_total"] + sum(second) - sum(e[0] for e in extra),
-        s["additions_total"] - sum(e[1] for e in extra),
+        s["prf_calls_total"]
+        - setup
+        - 2 * blocks * sum(edges)
+        + sum(second)
+        - sum(e[0] for e in extra),
+        s["additions_total"] - 2 * width * sum(edges) - sum(e[1] for e in extra),
         s["bytes_producer_total"],
         s["bytes_controller_total"],
         s["bytes_server_total"] - shift,
@@ -540,7 +605,7 @@ def test_clique_run_with_per_user_query_is_pinned():
     owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
     figures = pair_figures(scenario, owner_sets)
-    assert figures[1][2] != (0, 0)
+    assert figures[2][2] != (0, 0)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     assert all(w.extras["per_user"]["status"] == "ok" for w in result.windows)
     assert (
@@ -552,7 +617,16 @@ def test_clique_run_with_per_user_query_is_pinned():
         == "28414aba9b8cb7760dcc1d7a4ec7bffac814900dbc362863133d328ba4a78868"
     )
     shift = window0_bytes_shift(scenario, owner_sets)
-    assert _pinned_totals(result, figures, shift) == (328939, 316074, 1175112, 73950, 2865)
+    # each pinned figure is the old one less the masks of the 4,789 pairs
+    # the clique selected over the windows' members (`_pinned_totals`):
+    # 17 blocks and 33 additions at each of two ordered rows
+    assert _pinned_totals(scenario, result, figures, shift) == (
+        328939 - 2 * 17 * 4789,
+        316074 - 2 * 33 * 4789,
+        1175112,
+        73950,
+        2865,
+    )
 
 
 def test_dream_run_with_dp_noise_is_pinned():
@@ -564,7 +638,7 @@ def test_dream_run_with_dp_noise_is_pinned():
     seen = recording_releases(scenario)
     result = scenario.run()
     figures = pair_figures(scenario, owner_sets)
-    assert figures[1][2] != (0, 0)
+    assert figures[2][2] != (0, 0)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     for w in result.windows:
         assert w.released == expected_release(scenario, w.window, *seen[w.window])
@@ -572,10 +646,19 @@ def test_dream_run_with_dp_noise_is_pinned():
         _pinned_digest([w.released for w in result.windows])
         == "a0ed666e1d30256dad54f03e9e311dadaf930f8e03f66c74cf425125455b16c9"
     )
-    # the PRF figure moves by the noise blocks alone
+    # the PRF figure moves by the noise blocks alone; each pinned figure is
+    # the old one less the masks of the 2,383 pairs that dream selected
+    # under the SHA-256 secrets (`_pinned_totals`): 4 blocks and 8
+    # additions at each of two ordered rows
     shift = window0_bytes_shift(scenario, owner_sets)
     noise = sum(noise_blocks(scenario, result))
-    assert _pinned_totals(result, figures, shift) == (905160 + noise, 38128, 6639792, 30272, 2839)
+    assert _pinned_totals(scenario, result, figures, shift) == (
+        905160 - 2 * 4 * 2383 + noise,
+        38128 - 2 * 8 * 2383,
+        6639792,
+        30272,
+        2839,
+    )
 
 
 def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
@@ -1188,6 +1271,55 @@ def test_run_json_writes_numbers_as_numbers(capsys):
     result.windows[0].extras["count"] = object()
     with pytest.raises(TypeError, match="object is not JSON serializable"):
         result.to_json()
+
+
+def test_setup_spends_one_prf_block_per_pair_and_reports_it():
+    scenario = _Scenario(small_config(preset="web", protocol="dream", partition_size=20))
+    result = scenario.run()
+    pairs = sum(len(stack.table) for stack in scenario.stacks)
+    assert result.summary["prf_calls_setup"] == pairs > 0
+    assert type(json.loads(result.to_json())["summary"]["prf_calls_setup"]) is int
+
+
+def per_stream_choices(scenario: _Scenario) -> list[dict]:
+    """Each stream's option choices by the rule applied stream by stream:
+    every attribute's first offered kind of aggregate, dp-aggregate and
+    stream-aggregate, the queried attributes' of the query's kind, the
+    per-user attribute's stream-aggregate, and the first queried attribute
+    kept private by every `holdout_every`-th stream where it may be."""
+    table = scenario.table
+    offered = {a.name: [o.kind for o in a.options] for a in scenario.schema.attributes}
+
+    def pick(attr, *preferences):
+        return next((p for p in preferences if p in offered[attr]), offered[attr][0])
+
+    queried = [body["attribute"] for body in table["select"].values()]
+    wanted = "dp-aggregate" if table["dp"] else "aggregate"
+    every = table.get("holdout_every", 0)
+    out = []
+    for i in range(len(scenario.streams)):
+        selected = {a: pick(a, "aggregate", "dp-aggregate", "stream-aggregate") for a in offered}
+        for attr in queried:
+            selected[attr] = pick(attr, wanted, "aggregate", "stream-aggregate")
+        if table.get("per_user_attribute"):
+            selected[table["per_user_attribute"]] = "stream-aggregate"
+        if every and i % every == 0 and "private" in offered[queried[0]]:
+            selected[queried[0]] = "private"
+        out.append(selected)
+    return out
+
+
+@pytest.mark.parametrize("preset", ["web", "car"])
+def test_streams_share_the_option_choices_of_their_kind(preset):
+    scenario = _Scenario(small_config(preset=preset, producers=120))
+    choices = [a.selected for a in scenario.annotations]
+    assert choices == per_stream_choices(scenario)
+    # both keep holdouts, and car has a per-user attribute
+    holdouts = [c[scenario.queried_attrs[0]] == "private" for c in choices]
+    assert [i for i, held in enumerate(holdouts) if held] == [0, 50, 100]
+    assert ("per_user_attribute" in scenario.table) == (preset == "car")
+    # one dict per kind of stream, shared by its streams
+    assert len({id(c) for c in choices}) == 2
 
 
 def test_missing_plan_streams_are_explained_by_their_first_reason():

@@ -159,6 +159,15 @@ def test_prf_refuses_a_bad_key_length(prf):
     assert prf.evaluate_batch(b"", b"").shape == (0, 2)
 
 
+@pytest.mark.parametrize("prf", [AesPrf(), CountingPrf(AesPrf()), CounterPrf(), ZeroPrf()])
+def test_prf_refuses_messages_of_more_than_one_dimension(prf):
+    # a blocks x 16 array has a length of its blocks, not of its bytes
+    blocks = np.zeros((3, 16), np.uint8)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        prf.evaluate_batch(bytes(16), blocks)
+    assert prf.evaluate_batch(bytes(16), blocks.reshape(-1)).shape == (3, 2)
+
+
 def test_prf_input_packing():
     data = prf_input(3, 5, 9)
     assert len(data) == 16
@@ -184,6 +193,11 @@ def test_counting_prf_counts_blocks():
     assert prf.evaluate_batch(b"k" * 16, b"\x00" * 16).tobytes() == bytes(16)
     assert prf.evaluate_batch(b"k" * 16, b"\x00" * 48).tobytes() == bytes(48)
     assert prf.calls == 4
+    # a refused call spends nothing, and six 8-byte words are three blocks
+    with pytest.raises(ValueError):
+        prf.evaluate_batch(b"k" * 16, np.zeros((3, 16), np.uint8))
+    assert prf.evaluate_batch(b"k" * 16, np.zeros(6, ">u8")).shape == (3, 2)
+    assert prf.calls == 7
 
 
 def test_counter_prf_blocks_are_big_endian_hand_values():

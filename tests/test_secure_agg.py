@@ -10,9 +10,11 @@ import logging
 import math
 import pickle
 from itertools import compress
+from unittest import mock
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from veilstream.ring import (
     DOMAIN_EDGE,
     DOMAIN_GRAPH,
     DOMAIN_MASK,
+    FIXED_AES_KEY,
     MODULUS_DEFAULT,
     CounterPrf,
     CountingPrf,
@@ -127,6 +130,18 @@ def test_static_agreement_is_symmetric_and_distinct():
     assert s_ab != a.derive_shared(c.public_identity())
 
 
+def test_static_secret_is_one_fixed_key_aes_block_of_the_two_materials():
+    agreement = StaticKeyAgreement()
+    a, b = agreement.generate(b"lib-a"), agreement.generate(b"lib-b")
+    low, high = sorted([a.public_identity().material, b.public_identity().material])
+    # F_k(x) = pi(k ^ x) ^ k ^ x, with the cipher library's AES as pi
+    whitened = bytes(x ^ y for x, y in zip(low[:16], high[:16]))
+    pi = Cipher(algorithms.AES(FIXED_AES_KEY), modes.ECB()).encryptor()
+    expected = bytes(x ^ y for x, y in zip(pi.update(whitened), whitened))
+    assert a.derive_shared(b.public_identity()) == expected
+    assert b.derive_shared(a.public_identity()) == expected
+
+
 def test_ecdh_agreement_matches_on_both_ends():
     agreement = EcdhKeyAgreement()
     a = agreement.generate()
@@ -213,7 +228,10 @@ def test_peer_table_over_ecdh_equals_the_per_endpoint_rows():
     agreement = EcdhKeyAgreement()
     keypairs = [agreement.generate() for _ in range(4)]
     registry = registered(keypairs)
-    assert_pairs_once(PeerTable([keypairs], registry), keypairs, registry)
+    prf = CountingPrf(DEFAULT_PRF)
+    assert_pairs_once(PeerTable([keypairs], registry, prf=prf), keypairs, registry)
+    # ECDH keeps the per-pair loop, which spends no PRF block
+    assert prf.calls == 0
 
 
 class CountingKeyPair(KeyPair):
@@ -242,6 +260,73 @@ def test_peer_table_derives_each_pair_once(n):
     assert_pairs_once(table, keypairs, registry)
     # the per-endpoint build derives every pair from both ends
     assert counter[0] == n * (n - 1)
+
+
+class RecordingPrf(Prf):
+    """Records every call to the default PRF: its block count in `blocks`,
+    and its keys and message blocks in `seen`."""
+
+    def __init__(self):
+        self.blocks = []
+        self.seen = []
+
+    def evaluate_batch(self, key, messages):
+        msgs = np.frombuffer(messages, np.uint8).reshape(-1, 16).copy()
+        self.blocks.append(len(msgs))
+        self.seen.append((np.frombuffer(key, np.uint8).reshape(-1, 16).copy(), msgs))
+        return DEFAULT_PRF.evaluate_batch(key, messages)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    chunk=st.sampled_from([1, 4, secure_agg.BATCH_BLOCKS]),
+    data=st.data(),
+)
+def test_a_static_table_derives_its_pairs_in_one_prf_pass_per_group(sizes, chunk, data):
+    agreement = StaticKeyAgreement()
+    keypairs = [agreement.generate(b"batch-%d" % i) for i in range(sum(sizes))]
+    keypairs = [keypairs[i] for i in data.draw(st.permutations(range(len(keypairs))))]
+    starts = np.cumsum([0, *sizes]).tolist()
+    groups = [keypairs[s : s + n] for s, n in zip(starts, sizes)]
+    registry = registered(keypairs)
+    prf = RecordingPrf()
+    with mock.patch.object(secure_agg, "BATCH_BLOCKS", chunk):
+        table = PeerTable(groups, registry, prf=prf)
+    # one block per pair, in at most one call per group per `chunk` pairs
+    pairs = [n * (n - 1) // 2 for n in sizes]
+    assert len(table) == sum(pairs) == sum(prf.blocks)
+    assert len(prf.blocks) == sum(-(-p // chunk) for p in pairs)
+    # the rows equal the per-pair loop's, and each end's `derive_shared`
+    # `CountingKeyPair` leaves `derive_pairs` to `KeyPair`'s loop
+    counted = [[CountingKeyPair(kp, [0]) for kp in group] for group in groups]
+    looped = PeerTable(counted, registry)
+    assert table.keys.tobytes() == looped.keys.tobytes()
+    assert table.low.tolist() == looped.low.tolist()
+    assert table.high.tolist() == looped.high.tolist()
+    for key, lo, hi in zip(table.keys, table.low, table.high):
+        a, b = keypairs[lo], keypairs[hi]
+        assert key.tobytes() == a.derive_shared(b.public_identity())
+        assert key.tobytes() == b.derive_shared(a.public_identity())
+    assert len({key.tobytes() for key in table.keys}) == len(table)
+    # keyed by the lower material in byte order, on the higher one
+    materials = [kp.public_identity().material for kp in keypairs]
+    ends = [sorted([materials[lo], materials[hi]]) for lo, hi in zip(table.low, table.high)]
+    keys = b"".join(k.tobytes() for k, _ in prf.seen)
+    msgs = b"".join(m.tobytes() for _, m in prf.seen)
+    assert keys == b"".join(low[:16] for low, _ in ends)
+    assert msgs == b"".join(high[:16] for _, high in ends)
+
+
+def test_a_group_of_mixed_key_pair_types_derives_pair_by_pair():
+    agreement = StaticKeyAgreement()
+    keypairs = [agreement.generate(b"mixed-%d" % i) for i in range(5)]
+    registry = registered(keypairs)
+    prf = CountingPrf(DEFAULT_PRF)
+    mixed = [CountingKeyPair(keypairs[0], [0]), *keypairs[1:]]
+    table = PeerTable([mixed], registry, prf=prf)
+    assert prf.calls == 0
+    assert table.keys.tobytes() == PeerTable([keypairs], registry).keys.tobytes()
 
 
 def test_peer_table_refuses_unknown_and_repeated_parties():
@@ -516,17 +601,6 @@ def test_mask_vector_domain_handling():
     # block indices share the first input word with the epoch id
     with pytest.raises(ValueError, match="16 bits"):
         mask_vector(secrets[ids[0]], peers, (2 << 16) + 1, round_index=1)
-
-
-class RecordingPrf(Prf):
-    """Records the block count of every call to the default PRF."""
-
-    def __init__(self):
-        self.blocks = []
-
-    def evaluate_batch(self, key, messages):
-        self.blocks.append(len(messages) // 16)
-        return DEFAULT_PRF.evaluate_batch(key, messages)
 
 
 def test_one_prf_call_per_selection_mask_and_plan():
