@@ -24,18 +24,18 @@ them. Producers that skip a window emit a neutral catch-up event on
 return so their cipher chain stays contiguous at window borders.
 
 Every per-stream array runs in plan member order. Large populations are
-sharded into partitions, consecutive spans of plan members, and pairwise
+sharded into partitions, consecutive spans of plan members cut as evenly
+as `partition_size` allows (sizes differ by at most one), and pairwise
 masking runs inside each partition, with the protocol selectable per
 scenario: full pairwise (clique), probabilistic per-round selection
 (dream), or the epoch-planned variant (zeph on the command line) with
-parameters chosen by the connectivity optimizer. The consecutive
-partitions that share a selection rule form a stack, one span whose pair
-tables are stacked into one and which is the release unit: a window's
+parameters chosen by the connectivity optimizer. One selection rule,
+worked out for the smallest partition, holds for all of them, so the
+scenario holds one pair table with a group per partition: a window's
 base, and its release's tokens, noise, mask delta, masked batch and
-unmasking, make a fixed number of array passes per stack however many
-partitions it holds. Every pair lies inside one partition, so the masks
-cancel in the stack's sum; the stacks' released (already plaintext)
-outputs are summed before decoding.
+unmasking, make a fixed number of array passes however many partitions
+there are. Every pair lies inside one partition, so the masks cancel in
+each partition's sum and hence in the plan's.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import compress, groupby
+from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
@@ -144,6 +144,8 @@ class SimConfig:
     events_per_window: int = 4  # data events; a border event is added
     seed: int = 7
     protocol: str = "zeph"  # clique | dream | zeph
+    # an upper bound: the plan members are cut into the fewest partitions
+    # of at most this many, their sizes differing by at most one
     partition_size: int = 100
     drop_rate: float = 0.001  # per producer message
     dropout_rate: float = 0.01  # producer offline for a whole window
@@ -710,31 +712,21 @@ def measure_bandwidth(width: int, released: int = 1) -> dict:
 
 # ---- the scenario ----------------------------------------------------------
 
+def balanced_partitions(n: int, size: int) -> list[slice]:
+    """Cut n plan members into the fewest consecutive partitions of at
+    most `size` members, ceil(n / size) of them, whose sizes differ by at
+    most one, the larger first."""
+    k = -(-n // size)
+    q, r = divmod(n, k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 # Bytes of plaintext block a window's producer work holds at once: the
 # streams are encoded, encrypted and summed one slab of about this size at
 # a time (at least one stream), and each slab's encryption walks its PRF
 # calls of `ring.BATCH_BLOCKS` blocks.
 SLAB_BYTES = 2 << 20
-
-
-class _Stack:
-    """The consecutive partitions that share a selection rule (`b`,
-    `threshold`, `epoch_width`), masked and released together: the span
-    `span` of plan members, one `PeerTable` over their parties in plan
-    member order, one group per partition, so that a window's selection,
-    masks, masked batch and unmasking make one pass over all of them.
-    Pairs stay inside their partitions, so every nonce is the partition's
-    own and the masks cancel in the stack's sum."""
-
-    def __init__(self, index: int, span: slice, rule: tuple, table: PeerTable):
-        self.index = index
-        self.span = span
-        self.table = table
-        self.b, self.threshold, self.epoch_width = rule
-        # current epoch only: one plan row per pair row of the table
-        self.epoch_plan: Optional[EpochPlan] = None
-        # the next window's masks, over the membership its delta starts from
-        self.base: Optional[EdgeMasks] = None
 
 
 class _Window:
@@ -987,28 +979,34 @@ class _Scenario:
     def _setup_partitions(self):
         cfg = self.config
         members = self.plan.members  # already sorted
-        n, size = len(members), cfg.partition_size
-        self.partitions = [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
-        # the selection rule (b, dream threshold, epoch width) of each
-        # partition size; only the last partition can differ in size, so
-        # the partitions of a rule are consecutive and form one stack
-        rules = {}
-        for k in {part.stop - part.start for part in self.partitions}:
-            rules[k] = (None, None, 0)
-            if cfg.protocol in ("dream", "zeph") and k >= 3:
-                res = optimize_b(k, cfg.colluding_fraction, cfg.failure_budget)
-                if res.feasible:
-                    threshold = None
-                    if cfg.protocol == "dream":
-                        threshold = threshold_for_probability(res.edge_probability)
-                    rules[k] = (res.b, threshold, res.rounds)
-        self.stacks = []
-        for rule, parts in groupby(self.partitions, lambda part: rules[part.stop - part.start]):
-            parts = list(parts)
-            groups = [[self.keypairs[sid] for sid in members[p]] for p in parts]
-            span = slice(parts[0].start, parts[-1].stop)
-            table = PeerTable(groups, self.registry, prf=self.prf)
-            self.stacks.append(_Stack(len(self.stacks), span, rule, table))
+        n = len(members)
+        self.partitions = balanced_partitions(n, cfg.partition_size)
+        sizes = sorted({part.stop - part.start for part in self.partitions}, reverse=True)
+        if n > 1 and sizes[-1] == 1:
+            # a lone member has no pair, so its token would go out unmasked
+            raise ValueError(
+                f"partition_size {cfg.partition_size} cuts the {n} plan members into "
+                f"partitions of {' and '.join(map(str, sizes))}: a one-member "
+                "partition's token would be released unmasked"
+            )
+        # one selection rule (b, dream threshold, epoch width) for every
+        # partition, worked out for the smallest: the sizes differ by at
+        # most one, and a rule that meets the failure budget at k parties
+        # meets it at k + 1
+        self.b, self.threshold, self.epoch_width = None, None, 0
+        if cfg.protocol in ("dream", "zeph") and sizes[-1] >= 3:
+            res = optimize_b(sizes[-1], cfg.colluding_fraction, cfg.failure_budget)
+            if res.feasible:
+                if cfg.protocol == "dream":
+                    self.threshold = threshold_for_probability(res.edge_probability)
+                self.b, self.epoch_width = res.b, res.rounds
+        # one pair table over the plan members, one group per partition;
+        # the current epoch's zeph plan, one plan row per pair row; and the
+        # next window's masks, over the membership its delta starts from
+        groups = [[self.keypairs[sid] for sid in members[part]] for part in self.partitions]
+        self.pairs = PeerTable(groups, self.registry, prf=self.prf)
+        self.epoch_plan: Optional[EpochPlan] = None
+        self.base: Optional[EdgeMasks] = None
         # every plan member's party and one-stream set id, in plan member order
         self.parties = tuple(self.keypairs[sid].party_id for sid in members)
         self.set_ids = tuple(stream_set_hash([sid]) for sid in members)
@@ -1049,7 +1047,7 @@ class _Scenario:
         rec.online = online
         if w == 0:
             # no assembly precedes window 0 to compute its base
-            self._mask_bases(0)
+            self._mask_base(0)
         catch_up = {}
         step = max(1, SLAB_BYTES // (L * self.width * 8))
         for lo in range(0, len(indices), step):
@@ -1196,58 +1194,53 @@ class _Scenario:
         result.additions = rec.additions
         self.results.append(result)
         if w + 1 < self.config.windows:
-            self._mask_bases(w + 1)
+            self._mask_base(w + 1)
 
-    def _mask_bases(self, w: int):
-        """Compute window w's base masks in every stack over
-        `self.members`, the membership the next delta is measured against:
-        every plan member for window 0, computed as it opens, and the last
-        window's members for window w ≥ 1, computed right after window
-        w − 1's assembly. The zeph epoch plan, dream's selection draws and
-        the masks are spent here, so that window w's release applies only
-        the membership delta. Their PRF blocks, additions and time go on
-        window w's record, open since w·T."""
+    def _mask_base(self, w: int):
+        """Compute window w's base masks over `self.members`, the
+        membership the next delta is measured against: every plan member
+        for window 0, computed as it opens, and the last window's members
+        for window w ≥ 1, computed right after window w − 1's assembly. The
+        zeph epoch plan, dream's selection draws and the masks are spent
+        here, so that window w's release applies only the membership delta.
+        Their PRF blocks, additions and time go on window w's record, open
+        since w·T."""
         rec = self.open[w]
         prf0, t0 = self.prf.calls, time.perf_counter()
         width = self.plan.output_width
-        for stack in self.stacks:
-            plan = self._epoch_plan(stack, self._epoch(stack, w))
-            live = self.members[stack.span]
-            stack.base = mask_base(
-                stack.table, live, w, width, plan=plan, threshold=stack.threshold, prf=self.prf
-            )
-            rec.additions += 2 * stack.base.changed * width
+        plan = self._epoch_plan(w)
+        self.base = mask_base(
+            self.pairs, self.members, w, width, plan=plan, threshold=self.threshold, prf=self.prf
+        )
+        rec.additions += 2 * self.base.changed * width
         rec.prf_calls += self.prf.calls - prf0
         rec.t_base += time.perf_counter() - t0
 
     def _controller_tokens(self, w: int, members: np.ndarray):
         """Build, noise and mask window w's tokens for the members
-        `members` (a boolean per plan member), one masked batch per stack.
+        `members` (a boolean per plan member) as one masked batch.
 
-        Every stack holding a member must have base masks for the window,
-        and the plan must not have minted the window's token yet: missing
-        or stale base masks, or a second claim, raise before any key is
-        derived, and a refused release records no claim. Then each step is
-        a fixed number of array operations however many partitions and
-        parties there are: one token batch over every member's streams,
-        one noise pass drawing every member's share under its own noise
-        key, sized for the window's members (`noise_normals`), and per
-        stack one membership delta over its base masks (`mask_delta`:
-        selection only for edges new to the round, masks only for the
-        edges that changed) added to its members' rows, then one masked
-        batch of its live parties in plan order and its wire encode. A
-        partition without members releases nothing: its stack's delta
-        leaves its parties out, so it neither masks nor logs them. Returns
-        each stack holding a member with its masked batch, the bytes sent,
-        the ring additions spent on the deltas and the members they left
-        without a pair. Charging the members' budgets is the caller's.
+        The window must have base masks, and the plan must not have minted
+        the window's token yet: missing or stale base masks, or a second
+        claim, raise before any key is derived, and a refused release
+        records no claim. Then each step is a fixed number of array
+        operations however many partitions and parties there are: one
+        token batch over every member's streams, one noise pass drawing
+        every member's share under its own noise key, sized for the
+        window's members (`noise_normals`), one membership delta over the
+        base masks (`mask_delta`: selection only for edges new to the
+        round, masks only for the edges that changed) added to the
+        members' rows, then one masked batch of the members in plan order
+        and its wire encode. A partition without members releases
+        nothing: the delta leaves its parties out, so it neither masks nor
+        logs them. Returns the masked batch, the bytes sent, the ring
+        additions spent on the delta and the members it left without a
+        pair. Charging the members' budgets is the caller's.
         """
         L = self.config.logical_window
         window = (w * L, (w + 1) * L)
-        stacks = [stack for stack in self.stacks if members[stack.span].any()]
-        for stack in stacks:
-            if stack.base is None or stack.base.round_index != w:
-                raise RuntimeError(f"stack {stack.index} has no base masks for window {w}")
+        if self.base is None or self.base.round_index != w:
+            raise RuntimeError(f"no base masks for window {w}")
         self._claim_token(self.plan.plan_id, window)
         streams = tuple(compress(self.plan.members, members))
         values = token_matrix(
@@ -1261,36 +1254,28 @@ class _Scenario:
         if self.plan.dp_epsilon is not None:
             normals = noise_normals(self.noise_keys[members], w, width, prf=self.prf)
             values += noise_shares(self._window_noise(members), normals)
-        batches, sent, additions, isolated, hi = [], 0, 0, 0, 0
-        for stack in stacks:
-            base, stack.base = stack.base, None
-            live = members[stack.span]
-            bounds = stack.table.bounds
-            idle = ~np.repeat(np.logical_or.reduceat(live, bounds[:-1]), np.diff(bounds))
-            if idle.any():
-                base = base._replace(live=base.live & ~idle)
-            plan = self._epoch_plan(stack, self._epoch(stack, w))
-            masks = mask_delta(
-                stack.table, base, live, plan=plan, threshold=stack.threshold, prf=self.prf
-            )
-            # the stack's members' rows, as the stacks hold consecutive spans
-            lo, hi = hi, hi + int(np.count_nonzero(live))
-            values[lo:hi] += masks.nonces[live]
-            additions += 2 * masks.changed * width
-            isolated += int(np.count_nonzero(live & (masks.degree == 0)))
-            masked = MaskedBatch(
-                round_index=w,
-                epoch_id=self._epoch(stack, w),
-                window=window,
-                parties=tuple(compress(self.parties[stack.span], live)),
-                stream_set_ids=tuple(compress(self.set_ids[stack.span], live)),
-                elements=values[lo:hi],
-                noised=self.plan.dp_epsilon is not None,
-                stream_ids=streams[lo:hi],
-            )
-            batches.append((stack, masked))
-            sent += len(masked.serialize())
-        return batches, sent, additions, isolated
+        base, self.base = self.base, None
+        bounds = self.pairs.bounds
+        idle = ~np.repeat(np.logical_or.reduceat(members, bounds[:-1]), np.diff(bounds))
+        if idle.any():
+            base = base._replace(live=base.live & ~idle)
+        plan = self._epoch_plan(w)
+        masks = mask_delta(
+            self.pairs, base, members, plan=plan, threshold=self.threshold, prf=self.prf
+        )
+        values += masks.nonces[members]
+        masked = MaskedBatch(
+            round_index=w,
+            epoch_id=self._epoch(w),
+            window=window,
+            parties=tuple(compress(self.parties, members)),
+            stream_set_ids=tuple(compress(self.set_ids, members)),
+            elements=values,
+            noised=self.plan.dp_epsilon is not None,
+            stream_ids=streams,
+        )
+        isolated = int(np.count_nonzero(members & (masks.degree == 0)))
+        return masked, len(masked.serialize()), 2 * masks.changed * width, isolated
 
     def _claim_token(self, plan_id: str, window: tuple[int, int]):
         """Record the plan's token mint for the window or, if it was
@@ -1300,21 +1285,21 @@ class _Scenario:
             raise RuntimeError(f"token already minted for {(plan_id, window)}")
         self.minted.add((plan_id, window))
 
-    @staticmethod
-    def _epoch(stack: _Stack, w: int) -> int:
-        return w // stack.epoch_width if stack.epoch_width else 0
+    def _epoch(self, w: int) -> int:
+        return w // self.epoch_width if self.epoch_width else 0
 
-    def _epoch_plan(self, stack: _Stack, epoch: int):
-        """The stack's zeph plan for the epoch, replacing the plan of the
-        previous epoch: every pair row of its `PeerTable`, derived in one
-        `graph_bits` pass by the epoch's first base or release. None for
-        the other protocols and for partitions too small to plan."""
-        if self.config.protocol != "zeph" or stack.b is None:
+    def _epoch_plan(self, w: int):
+        """Window w's zeph plan, replacing the plan of the previous epoch:
+        every pair row of the `PeerTable`, derived in one `graph_bits` pass
+        by the epoch's first base or release. None for the other protocols
+        and for partitions too small to plan."""
+        if self.config.protocol != "zeph" or self.b is None:
             return None
-        if stack.epoch_plan is None or stack.epoch_plan.epoch_id != epoch:
-            bits = graph_bits(stack.table.keys, epoch, prf=self.prf)
-            stack.epoch_plan = EpochPlan(epoch, stack.b, (), bits)
-        return stack.epoch_plan
+        epoch = self._epoch(w)
+        if self.epoch_plan is None or self.epoch_plan.epoch_id != epoch:
+            bits = graph_bits(self.pairs.keys, epoch, prf=self.prf)
+            self.epoch_plan = EpochPlan(epoch, self.b, (), bits)
+        return self.epoch_plan
 
     def _window_noise(self, members: np.ndarray):
         """The plan's noise spec sized for a window's members: each share
@@ -1332,7 +1317,7 @@ class _Scenario:
             result.extras["suppressed"] = "epsilon budget exhausted"
             return
         t0 = time.perf_counter()
-        batches, sent, additions, isolated = self._controller_tokens(w, members)
+        masked, sent, additions, isolated = self._controller_tokens(w, members)
         if eps is not None:
             self.spent[members] += eps
         result.t_token = time.perf_counter() - t0
@@ -1341,21 +1326,13 @@ class _Scenario:
         result.extras["isolated"] = isolated
 
         t0 = time.perf_counter()
-        opened = []
-        for stack, masked in batches:
-            live = members[stack.span]
-            active = list(compress(self.plan.members[stack.span], live))
-            combined = unmask_aggregate(masked, stream_ids=active)
-            # the stack's window sums share the window's range: the sum of
-            # its rows less its absent rows', with no gather of the live rows
-            rows = rec.sums[stack.span]
-            body = rows.sum(axis=0) - rows[~live].sum(axis=0)
-            merged = merge_elements(StreamCiphertext(*masked.window, body), self.plan.token_layout)
-            opened.append(
-                apply_token(merged, combined, stream_set_id=stream_set_hash(active))
-            )
-        stacked = np.array(opened, dtype=np.uint64)
-        released_total = np.sum(stacked, axis=0, dtype=np.uint64).tolist()
+        active = list(compress(self.plan.members, members))
+        combined = unmask_aggregate(masked, stream_ids=active)
+        # the members' window sums share the window's range: the sum of
+        # every row less the absent rows', with no gather of the members'
+        body = rec.sums.sum(axis=0) - rec.sums[~members].sum(axis=0)
+        merged = merge_elements(StreamCiphertext(*masked.window, body), self.plan.token_layout)
+        released_total = apply_token(merged, combined, stream_set_id=stream_set_hash(active))
         result.t_unmask = time.perf_counter() - t0
 
         result.released = released_total

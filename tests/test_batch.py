@@ -675,8 +675,8 @@ class RecordingPrf(Prf):
 
 @pytest.mark.parametrize("protocol", ["clique", "dream", "zeph"])
 def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
-    # two and four partitions of 30 parties, one stack each: the same
-    # number of PRF calls per window, since each stack fits one call per
+    # two and four partitions of 30 parties in one pair table: the same
+    # number of PRF calls per window, since the table fits one call per
     # batch step
     calls = {}
     for producers, partitions in ((62, 2), (123, 4)):
@@ -696,7 +696,7 @@ def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
         )
         if protocol != "clique":
             # dream draws and zeph plans in every partition
-            assert all(stack.b is not None for stack in scenario.stacks)
+            assert scenario.b is not None
         recorder = RecordingPrf(scenario.prf.inner)
         scenario.prf.inner = recorder
         per_window = []
@@ -710,15 +710,15 @@ def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
             return run
 
         scenario._release_window = metered(scenario._release_window)
-        scenario._mask_bases = metered(scenario._mask_bases)
+        scenario._mask_base = metered(scenario._mask_base)
         result = scenario.run()
         assert [w.status for w in result.windows] == ["ok", "ok"]
         assert [part.stop - part.start for part in scenario.partitions] == [30] * partitions
-        assert len(scenario.stacks) == 1
+        assert scenario.pairs.bounds.tolist() == [30 * g for g in range(partitions + 1)]
         calls[partitions] = per_window
     assert calls[2] == calls[4]
-    # per stack, in window order: each window's base makes one selection
-    # pass for dream and the mask pass, after zeph's plan in window 0;
+    # in window order: each window's base makes one selection pass for
+    # dream and the mask pass, after zeph's plan in window 0;
     # each release, over the base's members, derives every member's token
     # keys and draws every member's noise shares, and the shadow draws
     # every member's noise again in one call

@@ -3,10 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import math
 from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veilstream import pipeline
 from veilstream.pipeline import (
@@ -16,6 +19,7 @@ from veilstream.pipeline import (
     SimConfig,
     SimTransport,
     _Scenario,
+    balanced_partitions,
     custom_table,
     encode_neutral_vector,
     measure_bandwidth,
@@ -31,8 +35,10 @@ from veilstream.secure_agg import (
     MaskedBatch,
     MembershipDelta,
     PeerTable,
+    disconnect_bound,
     graph_bits,
     mask_base,
+    optimize_b,
     round_edges,
 )
 from veilstream.tokens import noise_normals, stream_set_hash
@@ -118,16 +124,10 @@ class PerPairKeyPair(KeyPair):
 def partition_table(scenario: _Scenario, part: slice) -> PeerTable:
     """The pairs of the partition `part` (a span of plan members) as a
     one-group table, built here from the scenario's key pairs pair by pair
-    (`PerPairKeyPair`) rather than read from its stack."""
+    (`PerPairKeyPair`) rather than read from the scenario's table."""
     streams = scenario.plan.members[part]
     keypairs = [PerPairKeyPair(scenario.keypairs[sid]) for sid in streams]
     return PeerTable([keypairs], scenario.registry)
-
-
-def stack_of(scenario: _Scenario, part: slice):
-    """The stack whose span holds the partition `part`."""
-    (stack,) = [s for s in scenario.stacks if s.span.start <= part.start < s.span.stop]
-    return stack
 
 
 def partition_sizes(scenario: _Scenario) -> list[int]:
@@ -137,15 +137,15 @@ def partition_sizes(scenario: _Scenario) -> list[int]:
 
 def base_edges(scenario: _Scenario, part, owners, w, prf):
     """The rows of window w's base in `part`'s own table: `round_edges`
-    over the owners `owners` under its stack's rule, with a zeph plan
+    over the owners `owners` under the scenario's rule, with a zeph plan
     derived here for every row."""
-    table, rule = partition_table(scenario, part), stack_of(scenario, part)
+    table = partition_table(scenario, part)
     plan = None
-    if scenario.config.protocol == "zeph" and rule.b is not None:
-        epoch = w // rule.epoch_width
-        plan = EpochPlan(epoch, rule.b, (), graph_bits(table.keys, epoch, prf=prf))
+    if scenario.config.protocol == "zeph" and scenario.b is not None:
+        epoch = w // scenario.epoch_width
+        plan = EpochPlan(epoch, scenario.b, (), graph_bits(table.keys, epoch, prf=prf))
     live = live_vector(table, owners)
-    return live, round_edges(table, live, w, plan=plan, threshold=rule.threshold, prf=prf)
+    return live, round_edges(table, live, w, plan=plan, threshold=scenario.threshold, prf=prf)
 
 
 def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list[int], list]:
@@ -172,20 +172,20 @@ def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list
     for w, before in enumerate([frozenset(scenario.parties), *owner_sets[:-1]]):
         selected = second = prf_blocks = additions = 0
         for part in scenario.partitions:
-            table, rule = partition_table(scenario, part), stack_of(scenario, part)
+            table = partition_table(scenario, part)
             now, rows_now = base_edges(scenario, part, owner_sets[w], w, prf)
             candidate_now = now[table.low] & now[table.high]
             selected += len(rows_now)
             second += len(rows_now) * blocks
-            if rule.threshold is not None:
+            if scenario.threshold is not None:
                 second += int(np.count_nonzero(candidate_now))
-            if w == 0 and scenario.config.protocol == "zeph" and rule.b is not None:
+            if w == 0 and scenario.config.protocol == "zeph" and scenario.b is not None:
                 second += len(table)
             base, rows = base_edges(scenario, part, before, w, prf)
             removed = int(np.count_nonzero(~candidate_now[rows]))
             prf_blocks += 2 * removed * blocks
             additions += 2 * 2 * removed * width
-            if rule.threshold is not None:
+            if scenario.threshold is not None:
                 candidate_base = base[table.low] & base[table.high]
                 prf_blocks += int(np.count_nonzero(candidate_base & ~candidate_now))
         edges.append(selected)
@@ -497,8 +497,8 @@ def test_zeph_run_is_pinned():
     )
     owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
-    assert [stack_of(scenario, part).b for part in scenario.partitions] == [1]
-    assert stack_of(scenario, scenario.partitions[0]).epoch_width > len(result.windows)
+    assert len(scenario.partitions) == 1 and scenario.b == 1
+    assert scenario.epoch_width > len(result.windows)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     released = json.dumps([w.released for w in result.windows]).encode()
     assert (
@@ -552,16 +552,15 @@ def test_zeph_run_is_pinned():
             48,
         ),
     ]
-    # setup spends one block per pair of the stack's table
+    # setup spends one block per pair of the scenario's table
     summary = result.summary
-    (stack,) = scenario.stacks
     assert summary["prf_calls_total"] == (
         1040433
         - 2 * blocks * (830 + 823 + 809)
         + sum(m[0] for m in masks)
         - sum(second)
         + sum(e[0] for e in extra)
-        + len(stack.table)
+        + len(scenario.pairs)
     )
     assert summary["additions_total"] == (
         526868 - 2 * width * (830 + 823 + 809) + sum(m[1] for m in masks) + sum(e[1] for e in extra)
@@ -577,19 +576,18 @@ def _pinned_digest(payload) -> str:
 
 def _pinned_totals(scenario: _Scenario, result: ScenarioResult, figures: tuple, shift: int) -> tuple:
     """The run's totals less what the pair secrets move, with `figures`
-    from `pair_figures`: PRF blocks less setup's block per pair of every
-    stack's table, less two ordered rows' mask blocks for each selected
+    from `pair_figures`: PRF blocks less setup's block per pair of the
+    scenario's table, less two ordered rows' mask blocks for each selected
     pair, plus the second ends and less the delta path's extra blocks;
     additions less two ordered rows' for each selected pair and less the
     extra additions; and server bytes less window 0's `shift`."""
     edges, second, extra = figures
     width = scenario.plan.output_width
     blocks = (width + 1) // 2
-    setup = sum(len(stack.table) for stack in scenario.stacks)
     s = result.summary
     return (
         s["prf_calls_total"]
-        - setup
+        - len(scenario.pairs)
         - 2 * blocks * sum(edges)
         + sum(second)
         - sum(e[0] for e in extra),
@@ -634,6 +632,10 @@ def test_dream_run_with_dp_noise_is_pinned():
         small_config(preset="web", producers=60, partition_size=30, seed=7, protocol="dream")
     )
     assert scenario.plan.dp_epsilon is not None
+    # the 58 plan members are cut 29 + 29, where the pins below were
+    # recorded for a cut of 30 + 28: what the cut moves is the pairs'
+    # figures, which `_pinned_totals` takes out
+    assert partition_sizes(scenario) == [29, 29]
     owner_sets = recording_owner_sets(scenario)
     seen = recording_releases(scenario)
     result = scenario.run()
@@ -662,25 +664,108 @@ def test_dream_run_with_dp_noise_is_pinned():
 
 
 def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
-    # 59 plan members in partitions of 29: the last partition holds one
+    # 58 plan members in partitions of two: a member whose partner is
+    # absent from a window is left without a pair in it
     scenario = _Scenario(
         small_config(
-            preset="car", producers=61, partition_size=29, windows=2,
-            dropout_rate=0.0, drop_rate=0.0,
+            preset="car", producers=60, partition_size=2, windows=2,
+            dropout_rate=0.05, drop_rate=0.0, seed=3,
         )
     )
-    assert partition_sizes(scenario) == [29, 29, 1]
-    (alone,) = scenario.parties[scenario.partitions[2]]
+    assert partition_sizes(scenario) == [2] * 29
+    seen = recording_releases(scenario)
     result = scenario.run()
+    alone = []  # per window: the members whose partner is absent
+    for w in result.windows:
+        members, _ = seen[w.window]
+        paired = np.repeat(members.reshape(-1, 2).all(axis=1), 2)
+        alone.append(list(compress(scenario.parties, members & ~paired)))
+    assert sum(map(len, alone)) > 0
     # a connectivity failure is reported, not a failed window
     assert [(w.status, w.shadow_ok, w.extras["isolated"]) for w in result.windows] == [
-        ("ok", True, 1),
-        ("ok", True, 1),
+        ("ok", True, len(a)) for a in alone
     ]
     warned = [r.getMessage() for r in caplog.records if "no active peers" in r.getMessage()]
-    assert len(warned) == 2 and all(repr(alone) in m for m in warned)
+    assert len(warned) == sum(map(len, alone))
+    assert all(any(repr(p) in m for m in warned) for a in alone for p in a)
     # partitions in which every member keeps a pair count none
     assert run_scenario(small_config(windows=1)).windows[0].extras["isolated"] == 0
+
+
+def test_a_plan_cut_with_a_one_member_partition_is_refused():
+    # 59 plan members in partitions of at most two: 29 of two and one of
+    # one, whose token would go out unmasked
+    with pytest.raises(ValueError, match="the 59 plan members into partitions of 2 and 1: "):
+        _Scenario(small_config(preset="car", producers=61, partition_size=2))
+    with pytest.raises(ValueError, match="the 58 plan members into partitions of 1: "):
+        run_scenario(small_config(preset="car", producers=60, partition_size=1))
+    # a plan of one member is its own partition
+    solo = _Scenario(SimConfig(custom=SOLO_SCENARIO, producers=1, partition_size=1, windows=1))
+    assert partition_sizes(solo) == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5000), size=st.integers(1, 400))
+def test_partitions_are_balanced_and_cover_the_plan_in_order(n, size):
+    parts = balanced_partitions(n, size)
+    assert len(parts) == -(-n // size)
+    # consecutive, from the first plan member to the last
+    assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
+    assert parts[-1].stop == n
+    sizes = [p.stop - p.start for p in parts]
+    assert max(sizes) <= size and max(sizes) - min(sizes) <= 1
+    assert sizes == sorted(sizes, reverse=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(3, 600),
+    colluding=st.sampled_from([0.0, 0.2, 0.5, 0.8]),
+    budget=st.sampled_from([0.1, 1e-3, 1e-7, 1e-12]),
+)
+def test_the_smallest_partitions_rule_holds_for_the_larger(k, colluding, budget):
+    # the rule a scenario works out for its smallest partition, of k
+    # members, also meets the failure budget at k + 1
+    rule = optimize_b(k, colluding, budget)
+    if rule.feasible:
+        honest = math.ceil((1 - colluding) * (k + 1))
+        assert disconnect_bound(honest, rule.edge_probability, rule.rounds) <= budget
+
+
+@pytest.mark.parametrize("protocol", ["clique", "dream", "zeph"])
+def test_a_scenario_holds_one_table_rule_epoch_plan_and_base(protocol):
+    scenario = _Scenario(
+        small_config(
+            protocol=protocol, producers=250, partition_size=100, windows=2,
+            colluding_fraction=0.2, failure_budget=0.01,
+        )
+    )
+    # 245 plan members in three partitions, one group each of one table
+    assert partition_sizes(scenario) == [82, 82, 81]
+    assert isinstance(scenario.pairs, PeerTable)
+    parts = scenario.partitions
+    assert scenario.pairs.bounds.tolist() == [p.start for p in parts] + [parts[-1].stop]
+    assert scenario.pairs.parties == scenario.parties
+    assert (scenario.b is None) == (protocol == "clique")
+    assert (scenario.threshold is None) == (protocol != "dream")
+    bases = []
+    mask_base_of = scenario._mask_base
+
+    def spy(w):
+        mask_base_of(w)
+        bases.append(scenario.base)
+
+    scenario._mask_base = spy
+    result = scenario.run()
+    assert result.summary["shadow_ok"] is True
+    # one base per window, over every plan member, spent by its release
+    assert [base.round_index for base in bases] == [0, 1]
+    assert all(len(base.live) == len(scenario.parties) for base in bases)
+    assert scenario.base is None
+    if protocol == "zeph":
+        assert scenario.epoch_plan.bits.shape[0] == len(scenario.pairs)
+    else:
+        assert scenario.epoch_plan is None
 
 
 def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkeypatch):
@@ -846,9 +931,8 @@ def test_a_window_token_is_minted_once():
     (window,) = result.windows
     assert window.status == "ok" and window.extras["per_user"]["status"] == "ok"
     # base masks for window 0 again, so that only the one-token rule refuses
-    (stack,) = scenario.stacks
     every = partition_members(scenario, *scenario.partitions)
-    stack.base = mask_base(stack.table, every[stack.span], 0, scenario.plan.output_width)
+    scenario.base = mask_base(scenario.pairs, every, 0, scenario.plan.output_width)
     calls = scenario.prf.calls
     for part in scenario.partitions:
         with pytest.raises(RuntimeError, match="already minted"):
@@ -878,13 +962,9 @@ def test_tokens_are_minted_per_plan_partition_and_window():
     assert scenario.set_ids == tuple(stream_set_hash([sid]) for sid in scenario.plan.members)
     # a window not yet released still mints, from its base masks
     part, other = scenario.partitions
-    (stack,) = scenario.stacks
     members = partition_members(scenario, part)
-    live = members[stack.span]
-    stack.base = mask_base(stack.table, live, 2, scenario.plan.output_width)
-    batches, *_ = scenario._controller_tokens(2, members)
-    ((minted, masked),) = batches
-    assert minted is stack
+    scenario.base = mask_base(scenario.pairs, members, 2, scenario.plan.output_width)
+    masked, *_ = scenario._controller_tokens(2, members)
     assert masked.window == (2 * L, 3 * L)
     assert masked.stream_set_ids == scenario.set_ids[part]
     # without base masks for the window there is no fallback: the release
@@ -893,7 +973,7 @@ def test_tokens_are_minted_per_plan_partition_and_window():
     members = partition_members(scenario, other)
     with pytest.raises(RuntimeError, match="no base masks for window 2"):
         scenario._controller_tokens(2, members)
-    stack.base = mask_base(stack.table, members[stack.span], 3, scenario.plan.output_width)
+    scenario.base = mask_base(scenario.pairs, members, 3, scenario.plan.output_width)
     with pytest.raises(RuntimeError, match="no base masks for window 4"):
         scenario._controller_tokens(4, members)
     assert scenario.prf.calls == calls
@@ -902,24 +982,23 @@ def test_tokens_are_minted_per_plan_partition_and_window():
 def test_a_refused_release_records_no_claim():
     scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
     scenario.run()
-    (stack,) = scenario.stacks
     members = partition_members(scenario, *scenario.partitions)
     minted = set(scenario.minted)
     with pytest.raises(RuntimeError, match="no base masks for window 1"):
         scenario._controller_tokens(1, members)
     assert scenario.minted == minted
     # the same call goes through once the window has its base masks
-    stack.base = mask_base(stack.table, members[stack.span], 1, scenario.plan.output_width)
-    batches, *_ = scenario._controller_tokens(1, members)
-    assert [minted for minted, _ in batches] == [stack]
+    scenario.base = mask_base(scenario.pairs, members, 1, scenario.plan.output_width)
+    masked, *_ = scenario._controller_tokens(1, members)
+    assert masked.parties == scenario.parties
     L = scenario.config.logical_window
     assert scenario.minted == minted | {(scenario.plan.plan_id, (L, 2 * L))}
 
 
 def test_a_scenario_holds_each_pair_once():
-    # population-churn's preset, protocol and loss at 350 producers: three
-    # dream partitions of 100 share a stack, and the last, of 43 and too
-    # small to stay connected at this collusion, masks as a clique stack
+    # population-churn's preset, protocol and loss at 350 producers: the
+    # 343 plan members are cut into four dream partitions of at most 100,
+    # as even as can be, all under the rule of the smallest
     scenario = _Scenario(
         small_config(
             preset="web", protocol="dream", producers=350, partition_size=100, windows=2,
@@ -927,46 +1006,38 @@ def test_a_scenario_holds_each_pair_once():
         )
     )
     sizes = partition_sizes(scenario)
-    assert sizes == [100, 100, 100, 43]
-    # each stack is a span of consecutive partitions, one group of its
-    # table per partition
-    assert [(stack.span.start, stack.span.stop) for stack in scenario.stacks] == [
-        (0, 300),
-        (300, 343),
-    ]
-    assert [len(stack.table.bounds) - 1 for stack in scenario.stacks] == [3, 1]
-    # one row per pair of a partition, held by its stack's table alone
-    pairs = sum(n * (n - 1) // 2 for n in sizes)
-    assert sum(len(stack.table) for stack in scenario.stacks) == pairs
-    assert all(isinstance(part, slice) for part in scenario.partitions)
-    for stack in scenario.stacks:
-        table, row = stack.table, 0
-        parts = [part for part in scenario.partitions if stack_of(scenario, part) is stack]
-        for g, part in enumerate(parts):
-            assert table.bounds[g] == part.start - stack.span.start
-            alone = partition_table(scenario, part)
-            rows = slice(row, row + len(alone))
-            assert table.keys[rows].tobytes() == alone.keys.tobytes()
-            assert table.low[rows].tolist() == (alone.low + table.bounds[g]).tolist()
-            assert table.high[rows].tolist() == (alone.high + table.bounds[g]).tolist()
-            row = rows.stop
-        assert row == len(table)
+    assert sizes == [86, 86, 86, 85]
+    assert scenario.b is not None and scenario.threshold is not None
+    # one table, one group per partition
+    table = scenario.pairs
+    assert table.bounds.tolist() == [0, 86, 172, 258, 343]
+    assert table.parties == scenario.parties
+    # one row per pair of a partition, held by the scenario's table alone
+    assert len(table) == sum(n * (n - 1) // 2 for n in sizes)
+    row = 0
+    for g, part in enumerate(scenario.partitions):
+        assert table.bounds[g] == part.start
+        alone = partition_table(scenario, part)
+        rows = slice(row, row + len(alone))
+        assert table.keys[rows].tobytes() == alone.keys.tobytes()
+        assert table.low[rows].tolist() == (alone.low + table.bounds[g]).tolist()
+        assert table.high[rows].tolist() == (alone.high + table.bounds[g]).tolist()
+        row = rows.stop
+    assert row == len(table)
 
 
-def test_a_partition_without_members_costs_its_stack_no_mask_work(caplog):
+def test_a_partition_without_members_costs_no_mask_work(caplog):
     scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
     scenario.run()
     part, other = scenario.partitions
-    (stack,) = scenario.stacks
     # the base holds every plan member; the release only `part`'s
     every = partition_members(scenario, part, other)
-    stack.base = mask_base(stack.table, every[stack.span], 5, scenario.plan.output_width)
+    scenario.base = mask_base(scenario.pairs, every, 5, scenario.plan.output_width)
     before = scenario.prf.calls
-    batches, _, additions, isolated = scenario._controller_tokens(
+    masked, _, additions, isolated = scenario._controller_tokens(
         5, partition_members(scenario, part)
     )
-    ((minted, masked),) = batches
-    assert minted is stack and masked.parties == scenario.parties[part]
+    assert masked.parties == scenario.parties[part]
     # `other` releases nothing, so its pairs are neither backed out nor
     # logged: the release spends only `part`'s token keys
     assert (additions, isolated) == (0, 0)
@@ -975,19 +1046,17 @@ def test_a_partition_without_members_costs_its_stack_no_mask_work(caplog):
     assert not [r for r in caplog.records if "no active peers" in r.getMessage()]
 
 
-def test_a_release_makes_one_token_and_noise_pass_and_one_delta_per_stack(monkeypatch):
-    # 281 plan members in partitions of 20: fourteen dream partitions of
-    # 20 share one stack, and the last partition, a single member and too
-    # small to plan, is a clique stack of its own
+def test_a_release_makes_one_pass_of_each_step(monkeypatch, caplog):
+    # 281 plan members in partitions of at most 20: fifteen dream
+    # partitions of 19 and 18, so none is left with a lone member
     scenario = _Scenario(
         small_config(
             preset="web", protocol="dream", producers=287, partition_size=20, windows=2,
             seed=2, dropout_rate=0.05, colluding_fraction=0.0, failure_budget=0.1,
         )
     )
-    assert partition_sizes(scenario) == [20] * 14 + [1]
-    assert [len(stack.table.bounds) - 1 for stack in scenario.stacks] == [14, 1]
-    assert scenario.stacks[0].b is not None and scenario.stacks[1].b is None
+    assert partition_sizes(scenario) == [19] * 11 + [18] * 4
+    assert len(scenario.pairs.bounds) - 1 == 15 and scenario.b is not None
     releases = []  # per release: the functions it called, in order
     inside = False  # the shadow's noise pass is not the release's
 
@@ -999,24 +1068,18 @@ def test_a_release_makes_one_token_and_noise_pass_and_one_delta_per_stack(monkey
 
         return counted
 
-    opening = ("unmask_aggregate", "merge_elements", "apply_token")
-    for name in ("token_matrix", "noise_normals", "mask_delta") + opening:
+    opening = ["unmask_aggregate", "merge_elements", "apply_token"]
+    for name in ["token_matrix", "noise_normals", "mask_delta"] + opening:
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     monkeypatch.setattr(MaskedBatch, "serialize", counting("serialize", MaskedBatch.serialize))
     tokens, release_window, shadow = (
         scenario._controller_tokens, scenario._release_window, scenario._shadow
     )
-    held = []  # per release: the stacks holding a member
 
     def controller_tokens(w, members):
-        stacks = [stack for stack in scenario.stacks if members[stack.span].any()]
-        held.append(len(stacks))
         out = tokens(w, members)
-        # one batch per stack holding a member: its live parties, in plan order
-        assert [stack for stack, _ in out[0]] == stacks
-        for stack, masked in out[0]:
-            live = members[stack.span]
-            assert masked.parties == tuple(compress(scenario.parties[stack.span], live))
+        # one batch of the window's members, in plan order
+        assert out[0].parties == tuple(compress(scenario.parties, members))
         return out
 
     def release(*args):
@@ -1039,15 +1102,13 @@ def test_a_release_makes_one_token_and_noise_pass_and_one_delta_per_stack(monkey
     result = scenario.run()
     assert [w.status for w in result.windows] == ["ok", "ok"]
     assert any(w.members < result.plan_members for w in result.windows)
-    assert 2 in held
-    # per release: one token and one noise pass; per stack holding a
-    # member, one delta and one batch encode, then one unmasking
-    assert releases == [
-        ["token_matrix", "noise_normals"]
-        + ["mask_delta", "serialize"] * n
-        + list(opening) * n
-        for n in held
-    ]
+    # per release: one token, noise, delta and batch encode pass, then one
+    # unmasking
+    step = ["token_matrix", "noise_normals", "mask_delta", "serialize"] + opening
+    assert releases == [step, step]
+    # every member keeps a pair, so no token goes out unmasked
+    assert [w.extras["isolated"] for w in result.windows] == [0, 0]
+    assert not [r for r in caplog.records if "no active peers" in r.getMessage()]
 
 
 def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
@@ -1065,8 +1126,7 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
         seed=1,
     )
     scenario = _Scenario(config)
-    (stack,) = scenario.stacks
-    assert stack.epoch_width == 256  # window 256 opens the second epoch
+    assert scenario.epoch_width == 256  # window 256 opens the second epoch
     passes = []  # (epoch, rows, PRF blocks) of each graph_bits pass
     original = pipeline.graph_bits
 
@@ -1082,8 +1142,8 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
     assert result.summary["windows_ok"] == 257
     # each epoch derives its plan whole, in one pass of a block per pair
     assert passes == [(0, 190, 190), (1, 190, 190)]
-    assert stack.epoch_plan.epoch_id == 1
-    assert stack.epoch_plan.bits.shape == (190, 128)
+    assert scenario.epoch_plan.epoch_id == 1
+    assert scenario.epoch_plan.bits.shape == (190, 128)
 
 
 def test_suppressed_window_charges_no_budget():
@@ -1276,8 +1336,7 @@ def test_run_json_writes_numbers_as_numbers(capsys):
 def test_setup_spends_one_prf_block_per_pair_and_reports_it():
     scenario = _Scenario(small_config(preset="web", protocol="dream", partition_size=20))
     result = scenario.run()
-    pairs = sum(len(stack.table) for stack in scenario.stacks)
-    assert result.summary["prf_calls_setup"] == pairs > 0
+    assert result.summary["prf_calls_setup"] == len(scenario.pairs) > 0
     assert type(json.loads(result.to_json())["summary"]["prf_calls_setup"]) is int
 
 
