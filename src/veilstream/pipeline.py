@@ -730,19 +730,19 @@ SLAB_BYTES = 2 << 20
 
 
 class _Window:
-    """One open window, one row per plan member: its ciphertext
-    window sum, its plaintext sum on the shadow's lanes, and how many of
-    its L pieces arrived strictly before the assembly deadline. The rows
-    of a stream offline in the window stay zero unless a catch-up event
-    spanning the window arrives in time. `online` and `lost` record, per
-    stream, whether it sent the window and whether a piece of it was lost,
-    which explain a missing member. The window's costs accumulate here:
-    its producers' bytes and encryption time, and the PRF blocks, ring
-    additions and seconds of its base and release."""
+    """One open window, one row per plan member and one column per lane
+    of the lane map: its ciphertext window sum, its plaintext sum, and how
+    many of its L pieces arrived strictly before the assembly deadline.
+    The rows of a stream offline in the window stay zero unless a catch-up
+    event spanning the window arrives in time. `online` and `lost` record,
+    per stream, whether it sent the window and whether a piece of it was
+    lost, which explain a missing member. The window's costs accumulate
+    here: its producers' bytes and encryption time, and the PRF blocks,
+    ring additions and seconds of its base and release."""
 
-    def __init__(self, deadline: float, streams: int, width: int, lanes: int):
+    def __init__(self, deadline: float, streams: int, lanes: int):
         self.deadline = deadline
-        self.sums = np.zeros((streams, width), dtype=np.uint64)
+        self.sums = np.zeros((streams, lanes), dtype=np.uint64)
         self.plain = np.zeros((streams, lanes), dtype=np.uint64)
         self.arrived = np.zeros(streams, dtype=np.int64)
         self.online = np.zeros(streams, dtype=bool)
@@ -939,16 +939,12 @@ class _Scenario:
         self.last_key = np.zeros((len(self.plan.members), self.width), dtype=np.uint64)
         self.neutral = encode_neutral_vector(self.schema)
         self.event_bytes = StreamCiphertext(0, 1, self.neutral).wire_size()
-        # the shadows read only the lanes the plans release: each online
-        # stream's window sum is kept on those lanes alone, in this order
-        user_lanes = (
-            range(*self.slices[self.user_plan.outputs[0].attribute]) if self.user_plan else ()
-        )
-        lanes = sorted({j for sources in self.plan.layout for j in sources} | set(user_lanes))
-        self.shadow_lanes = np.array(lanes, dtype=np.intp)
-        column = {j: c for c, j in enumerate(lanes)}
-        self.shadow_layout = [[column[j] for j in sources] for sources in self.plan.layout]
-        self.user_columns = [column[j] for j in user_lanes]
+        # the lane map: the server keeps each stream's window sums, cipher
+        # and plain, only on the lanes the plans release, in this order, and
+        # reads each plan's layout from those columns
+        plans = [p for p in (self.plan, self.user_plan) if p is not None]
+        self.lanes = np.unique(np.concatenate([p.token_layout.sources for p in plans]))
+        self.lane_layouts = {p.plan_id: p.token_layout.on_lanes(self.lanes) for p in plans}
         n_attrs = len(self.schema.attributes)
         self.overhead_factor = (16 + 8 * self.width) / (16 + 8 * n_attrs)
 
@@ -1043,7 +1039,7 @@ class _Scenario:
         draws = {name: gen(self.rng, (n, E)) for name, gen in self.generators.items()}
         jitter = self.rng.random((n, E))
         indices = np.flatnonzero(online)
-        rec = self.open[w] = _Window((w + 1) * T + cfg.grace, n, self.width, len(self.shadow_lanes))
+        rec = self.open[w] = _Window((w + 1) * T + cfg.grace, n, len(self.lanes))
         rec.online = online
         if w == 0:
             # no assembly precedes window 0 to compute its base
@@ -1053,17 +1049,17 @@ class _Scenario:
         for lo in range(0, len(indices), step):
             slab = indices[lo : lo + step]
             block = self._encode_window(slab, draws)
-            rec.plain[slab] = block[:, :E, self.shadow_lanes].sum(axis=1)
+            rec.plain[slab] = block[:, :E, self.lanes].sum(axis=1)
             t0 = time.perf_counter()
             catch_up.update(self._encrypt_chunk(w, slab, block))
             rec.t_encrypt += time.perf_counter() - t0
-            rec.sums[slab] = block.sum(axis=1)
+            rec.sums[slab] = block.sum(axis=1)[:, self.lanes]  # sum, then pick lanes
         prev = self.open.get(w - 1)  # open until at least this window's start, as grace > 0
         for si, ct in catch_up.items():
             rec.bytes_producer += ct.wire_size()
             arrival = self.transport.send(ct.wire_size(), w * T)
             if ct.t_prev == (w - 1) * L and arrival is not None and arrival < prev.deadline:
-                prev.sums[si] = ct.body
+                prev.sums[si] = ct.body[self.lanes]
                 prev.arrived[si] = L
         times = w * T + (np.arange(E) + 0.1 + 0.8 * jitter[indices]) * T / (L + 1)
         order = np.argsort(times, axis=None, kind="stable")  # ties in (stream, event) order
@@ -1318,25 +1314,28 @@ class _Scenario:
             return
         t0 = time.perf_counter()
         masked, sent, additions, isolated = self._controller_tokens(w, members)
-        if eps is not None:
-            self.spent[members] += eps
         result.t_token = time.perf_counter() - t0
-        result.bytes_controller += sent
         rec.additions += additions
         result.extras["isolated"] = isolated
+        if isolated and result.members > 1:
+            # an unpaired member's token would go out unmasked: withhold the batch
+            result.status = "isolated_member"
+            return
+        if eps is not None:
+            self.spent[members] += eps
+        result.bytes_controller += sent
 
         t0 = time.perf_counter()
         active = list(compress(self.plan.members, members))
         combined = unmask_aggregate(masked, stream_ids=active)
-        # the members' window sums share the window's range: the sum of
-        # every row less the absent rows', with no gather of the members'
-        body = rec.sums.sum(axis=0) - rec.sums[~members].sum(axis=0)
-        merged = merge_elements(StreamCiphertext(*masked.window, body), self.plan.token_layout)
+        # the members' window sums share the window's range
+        body = rec.sums[members].sum(axis=0)
+        layout = self.lane_layouts[self.plan.plan_id]
+        merged = merge_elements(StreamCiphertext(*masked.window, body), layout)
         released_total = apply_token(merged, combined, stream_set_id=stream_set_hash(active))
         result.t_unmask = time.perf_counter() - t0
 
         result.released = released_total
-        result.outputs = {}
         warnings = {}
         for spec in self.plan.outputs:
             stats = decode_stats(released_total[spec.out_start : spec.out_stop], spec.decode)
@@ -1353,9 +1352,9 @@ class _Scenario:
         """Plaintext recomputation of the released vector, noise included.
         A member that spent the window offline contributed one neutral
         catch-up event, i.e. its zero row of `plain`."""
-        total = plain[members].sum(axis=0)
         # uint64 sums wrap exactly as the ring does
-        out = np.array([total[sources].sum() for sources in self.shadow_layout])
+        layout = self.lane_layouts[self.plan.plan_id]
+        out = np.add.reduceat(plain[members].sum(axis=0)[layout.sources], layout.offsets)
         if self.plan.dp_epsilon is not None:
             # every member's draw again, in one pass
             normals = noise_normals(self.noise_keys[members], w, len(out), prf=self.prf)
@@ -1380,11 +1379,12 @@ class _Scenario:
             prf=self.prf,
         )
         result.bytes_controller += token.wire_size()
-        merged = merge_elements(StreamCiphertext(*window, rec.sums[row]), plan.token_layout)
+        layout = self.lane_layouts[plan.plan_id]
+        merged = merge_elements(StreamCiphertext(*window, rec.sums[row]), layout)
         opened = apply_token(merged, token, stream_set_id=stream_set_hash([sid]))
         spec = plan.outputs[0]
         stats = decode_stats(opened[spec.out_start : spec.out_stop], spec.decode)
-        shadow = rec.plain[row, self.user_columns].tolist()
+        shadow = np.add.reduceat(rec.plain[row, layout.sources], layout.offsets).tolist()
         result.extras["per_user"] = {
             "status": "ok",
             "stream": sid,

@@ -23,7 +23,7 @@ import hashlib
 import math
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -206,6 +206,10 @@ class TokenLayout:
         sources.flags.writeable = False
         offsets.flags.writeable = False
         return TokenLayout(len(directives), sources, offsets, adjusted)
+
+    def on_lanes(self, lanes: np.ndarray) -> "TokenLayout":
+        """This layout read from a vector of the sorted `lanes` alone, which hold its sources."""
+        return replace(self, width=len(lanes), sources=np.searchsorted(lanes, self.sources))
 
 
 def stream_set_hash(stream_ids: Iterable[str]) -> bytes:

@@ -210,7 +210,7 @@ def window0_bytes_shift(scenario: _Scenario, owner_sets: list) -> int:
 
 def recording_releases(scenario: _Scenario) -> dict:
     """Make `scenario` record, per window it releases, the members and
-    the plaintext window sums on the shadow's lanes."""
+    the plaintext window sums on the lane map's lanes."""
     seen = {}
     release = scenario._release_window
 
@@ -228,7 +228,8 @@ def expected_release(scenario: _Scenario, w: int, members, plain) -> list[int]:
     drawn by a one-key call under SHA-256 of (run seed, party) and sized
     for the window's members."""
     total = plain[members].sum(axis=0)
-    out = np.array([total[sources].sum() for sources in scenario.shadow_layout])
+    columns = [np.searchsorted(scenario.lanes, sources) for sources in scenario.plan.layout]
+    out = np.array([total[c].sum() for c in columns])
     if scenario.plan.dp_epsilon is not None:
         noise = dataclasses.replace(scenario.plan.noise, party_count=int(members.sum()))
         seed = (scenario.config.seed % 2**64).to_bytes(8, "little")
@@ -681,15 +682,34 @@ def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
         paired = np.repeat(members.reshape(-1, 2).all(axis=1), 2)
         alone.append(list(compress(scenario.parties, members & ~paired)))
     assert sum(map(len, alone)) > 0
-    # a connectivity failure is reported, not a failed window
+    # a window that leaves a member without a pair is refused: its batch
+    # is neither unmasked nor billed
     assert [(w.status, w.shadow_ok, w.extras["isolated"]) for w in result.windows] == [
-        ("ok", True, len(a)) for a in alone
+        ("isolated_member", None, len(a)) if a else ("ok", True, 0) for a in alone
     ]
+    refused = [w for w in result.windows if w.status == "isolated_member"]
+    assert refused and all(w.released is None and w.outputs == {} for w in refused)
+    # only the per-user token is billed in a refused window
+    user_token = measure_bandwidth(scenario.width, scenario.user_plan.output_width)["token_bytes"]
+    assert all(w.bytes_controller == user_token for w in refused)
     warned = [r.getMessage() for r in caplog.records if "no active peers" in r.getMessage()]
     assert len(warned) == sum(map(len, alone))
     assert all(any(repr(p) in m for m in warned) for a in alone for p in a)
     # partitions in which every member keeps a pair count none
     assert run_scenario(small_config(windows=1)).windows[0].extras["isolated"] == 0
+    # a refused DP window charges no member's budget and bills no batch
+    scenario = _Scenario(
+        small_config(
+            preset="web", producers=60, partition_size=2, windows=3,
+            dropout_rate=0.05, drop_rate=0.0, seed=1,
+        )
+    )
+    result = scenario.run()
+    assert [(w.status, w.extras["isolated"]) for w in result.windows] == [
+        ("ok", 0), ("ok", 0), ("isolated_member", 2)
+    ]
+    assert result.windows[2].bytes_controller == 0
+    assert np.all(scenario.spent == 2 * scenario.plan.dp_epsilon)
 
 
 def test_a_plan_cut_with_a_one_member_partition_is_refused():
@@ -878,6 +898,62 @@ def test_late_pieces_and_catch_ups_decide_membership(
     assert [w.bytes_producer for w in result.windows] == bytes_producer
 
 
+@pytest.mark.parametrize("preset, lanes", [("fitness", 407), ("web", 8), ("car", 65)])
+def test_the_lane_map_reads_each_plans_layout(preset, lanes):
+    scenario = _Scenario(small_config(preset=preset, windows=1))
+    plans = [scenario.plan] + ([scenario.user_plan] if preset == "car" else [])
+    assert list(scenario.lane_layouts) == [plan.plan_id for plan in plans]
+    # the lanes are the sources of the plans' layouts, in lane order
+    sources = {j for plan in plans for srcs in plan.layout for j in srcs}
+    assert scenario.lanes.tolist() == sorted(sources) and len(sources) == lanes
+    for plan in plans:
+        layout = scenario.lane_layouts[plan.plan_id]
+        # each output's columns, mapped back through the lanes, are its sources
+        bounds = layout.offsets.tolist() + [len(layout.sources)]
+        columns = [layout.sources[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        assert tuple(tuple(scenario.lanes[c].tolist()) for c in columns) == plan.layout
+        assert layout.width == lanes
+    # an open window keeps its sums, cipher and plain, on those lanes only
+    scenario._schedule_window(0)
+    record = scenario.open[0]
+    assert record.sums.shape == record.plain.shape == (len(scenario.plan.members), lanes)
+
+
+def test_a_catch_up_fills_the_previous_window_on_the_lanes():
+    # the car-clique-catch-ups configuration: 11 catch-up events count for
+    # the window they span
+    config = SimConfig(
+        preset="car", protocol="clique", producers=60, partition_size=60, windows=5,
+        seed=3, dropout_rate=0.05, latency_sigma=1.0, grace=2.0,
+    )
+    scenario = _Scenario(config)
+    catch_ups, records = {}, {}
+    encrypt_chunk, assemble = scenario._encrypt_chunk, scenario._assemble
+
+    def spy_encrypt(w, chunk, block):
+        sent = encrypt_chunk(w, chunk, block)
+        catch_ups.setdefault(w, {}).update(sent)
+        return sent
+
+    def spy_assemble(w):
+        records[w] = scenario.open[w]
+        assemble(w)
+
+    scenario._encrypt_chunk, scenario._assemble = spy_encrypt, spy_assemble
+    scenario.run()
+    L = config.logical_window
+    filled = 0
+    for w, sent in catch_ups.items():
+        for si, ct in sent.items():
+            assert len(ct.body) == scenario.width  # the wire carries every lane
+            # a stream offline for window w - 1 has all L pieces there
+            # only when its catch-up arrived in time
+            if ct.t_prev == (w - 1) * L and records[w - 1].arrived[si] == L:
+                assert np.array_equal(records[w - 1].sums[si], ct.body[scenario.lanes])
+                filled += 1
+    assert filled == 11
+
+
 def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
     from veilstream import pipeline, policy, tokens
 
@@ -938,7 +1014,7 @@ def test_a_window_token_is_minted_once():
         with pytest.raises(RuntimeError, match="already minted"):
             scenario._controller_tokens(0, partition_members(scenario, part))
     # a record in which the per-user stream's chain is complete
-    record = pipeline._Window(0.0, len(scenario.plan.members), scenario.width, 1)
+    record = pipeline._Window(0.0, len(scenario.plan.members), len(scenario.lanes))
     record.arrived[:] = scenario.config.logical_window
     with pytest.raises(RuntimeError, match="already minted"):
         scenario._release_user_window(0, record, window)
