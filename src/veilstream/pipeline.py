@@ -36,6 +36,11 @@ base, and its release's tokens, noise, mask delta, masked batch and
 unmasking, make a fixed number of array passes however many partitions
 there are. Every pair lies inside one partition, so the masks cancel in
 each partition's sum and hence in the plan's.
+
+The scenario holds a list of plans, each with all of this state of its
+own: the population plan, then the per-user plan when there is one. One
+release path serves them all. A plan of one member has no pairs, so its
+token goes out unmasked, in the one-stream token's wire format.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import numpy as np
 from .encoding import DecodedStats, decode_stats, encode_batch, encode_neutral
 from .policy import (
     Rejection,
+    TransformationPlan,
     StreamAnnotation,
     StreamSchema,
     ReservationLedger,
@@ -94,12 +100,12 @@ from .secure_agg import (
     unmask_aggregate,
 )
 from .tokens import (
+    TransformationToken,
     noise_normals,
     noise_shares,
-    release,
-    single_stream_token,
     stream_set_hash,
     token_matrix,
+    token_records,
 )
 
 __all__ = [
@@ -586,16 +592,16 @@ class WindowResult:
     window: int
     status: str
     members: int
-    prf_calls: int
-    additions: int
-    bytes_producer: int
-    bytes_controller: int
-    bytes_server: int
-    t_encrypt: float
-    t_base: float
-    t_token: float
-    t_unmask: float
-    overhead_factor: float
+    prf_calls: int = 0
+    additions: int = 0
+    bytes_producer: int = 0
+    bytes_controller: int = 0
+    bytes_server: int = 0
+    t_encrypt: float = 0.0
+    t_base: float = 0.0
+    t_token: float = 0.0
+    t_unmask: float = 0.0
+    overhead_factor: float = 0.0
     outputs: dict = field(default_factory=dict)
     released: Optional[list] = None
     shadow_ok: Optional[bool] = None
@@ -689,8 +695,8 @@ def measure_bandwidth(width: int, released: int = 1) -> dict:
     master = MasterSecret(b"\x00" * 16, "probe")
     ct = encrypt(master, 0, 1, [0] * width, prf=prf)
     event_bytes = len(serialize_event(ct))
-    directives = [release()] * released
-    token = single_stream_token(master, (0, 1), directives, prf=prf)
+    # a one-stream token's elements; its size does not depend on their values
+    token = TransformationToken(0, 1, stream_set_hash([master.stream_id]), (0,) * released)
     token_bytes = token.wire_size()
     masked = mask_token(
         token, [0] * released, round_index=0, epoch_id=0, party=PartyId(b"\x00" * 32)
@@ -754,6 +760,99 @@ class _Window:
         self.t_base = 0.0
 
 
+class _Plan:
+    """A plan the scenario releases every window and its releases' state,
+    per-member arrays in plan member order: `rows`, its members' rows in
+    the window record; `layout`, its token layout over the lane map's
+    columns; its partitions, one `PeerTable` (`pairs`, a group per
+    partition) and one selection rule (b, dream threshold, epoch width);
+    the current zeph epoch plan and the next window's base masks; its
+    members' parties and one-stream set ids; with DP, their noise keys
+    (held by their controllers), epsilon limit and spent epsilon; and
+    `members`, the membership its next delta is measured against: every
+    plan member, as its broadcast lists them, then each window's members.
+
+    A plan of one member has no pairs (`pairs` is None): the planner
+    admits it only below `aggregate`, so its owner chose to release their
+    stream alone. It computes no base or delta masks, logs no connectivity
+    warning, and bills no plan broadcast and no membership delta.
+    """
+
+    def __init__(self, plan: TransformationPlan, rows: list[int], scenario: "_Scenario"):
+        cfg = scenario.config
+        members = plan.members  # already sorted
+        n = len(members)
+        self.plan = plan
+        self.rows = np.array(rows, dtype=np.intp)
+        self.layout = plan.token_layout.on_lanes(scenario.lanes)
+        self.partitions = balanced_partitions(n, cfg.partition_size)
+        sizes = sorted({part.stop - part.start for part in self.partitions}, reverse=True)
+        if n > 1 and sizes[-1] == 1:
+            # a lone member has no pair, so its token would go out unmasked
+            raise ValueError(
+                f"partition_size {cfg.partition_size} cuts the {n} plan members into "
+                f"partitions of {' and '.join(map(str, sizes))}: a one-member "
+                "partition's token would be released unmasked"
+            )
+        # one rule for every partition, worked out for the smallest: the
+        # sizes differ by at most one, and a rule that meets the failure
+        # budget at k parties meets it at k + 1
+        self.b, self.threshold, self.epoch_width = None, None, 0
+        if cfg.protocol in ("dream", "zeph") and sizes[-1] >= 3:
+            res = optimize_b(sizes[-1], cfg.colluding_fraction, cfg.failure_budget)
+            if res.feasible:
+                if cfg.protocol == "dream":
+                    self.threshold = threshold_for_probability(res.edge_probability)
+                self.b, self.epoch_width = res.b, res.rounds
+        self.zeph = cfg.protocol == "zeph" and self.b is not None
+        self.pairs: Optional[PeerTable] = None
+        if n > 1:
+            groups = [[scenario.keypairs[sid] for sid in members[part]] for part in self.partitions]
+            self.pairs = PeerTable(groups, scenario.registry, prf=scenario.prf)
+        self.epoch_plan: Optional[EpochPlan] = None
+        self.base: Optional[EdgeMasks] = None
+        self.parties = tuple(scenario.keypairs[sid].party_id for sid in members)
+        self.set_ids = tuple(stream_set_hash([sid]) for sid in members)
+        self.noise_keys = None
+        if plan.dp_epsilon is not None:
+            seed = b"dp-noise\x00" + (cfg.seed & RING_MASK).to_bytes(8, "little")
+            keys = b"".join(hashlib.sha256(seed + p.value).digest()[:16] for p in self.parties)
+            self.noise_keys = np.frombuffer(keys, np.uint8).reshape(-1, 16)
+            self.epsilon_limit = min(
+                scenario.schema.attribute(a).option("dp-aggregate").epsilon_budget
+                for a in plan.queried_attributes()
+            )
+            self.spent = np.zeros(n)
+        self.members = np.ones(n, dtype=bool)
+        broadcast = {
+            "plan": plan.plan_id, "members": members, "window": plan.window,
+            "chain": plan.chain, "outputs": [o.name for o in plan.outputs],
+        }
+        self.plan_bytes = len(json.dumps(broadcast).encode())
+
+    def epoch(self, w: int) -> int:
+        return w // self.epoch_width if self.epoch_width else 0
+
+    def zeph_plan(self, w: int, prf) -> Optional[EpochPlan]:
+        """Window w's zeph plan, replacing the plan of the previous epoch:
+        every pair row of the `PeerTable`, derived in one `graph_bits` pass
+        by the epoch's first base or release. None for the other protocols
+        and for partitions too small to plan."""
+        if not self.zeph:
+            return None
+        epoch = self.epoch(w)
+        if self.epoch_plan is None or self.epoch_plan.epoch_id != epoch:
+            bits = graph_bits(self.pairs.keys, epoch, prf=prf)
+            self.epoch_plan = EpochPlan(epoch, self.b, (), bits)
+        return self.epoch_plan
+
+    def window_noise(self, members: np.ndarray):
+        """The plan's noise spec sized for a window's members: each share
+        is calibrated so that the window's honest members alone reach
+        `sigma_target`, however many plan members are absent."""
+        return replace(self.plan.noise, party_count=int(np.count_nonzero(members)))
+
+
 class _Scenario:
     def __init__(self, config: SimConfig):
         self.config = config
@@ -790,27 +889,13 @@ class _Scenario:
             drop_rate=config.drop_rate,
         )
         self._setup_population()
-        self._setup_plan()
-        self._setup_partitions()
+        self._setup_plans()
         # the pair tables' secrets are setup's only PRF blocks
         self.prf_calls_setup = self.prf.calls
         self.results: list[WindowResult] = []
+        # the shadow verdict of every release, of every plan
+        self.verdicts: list[bool] = []
         self.open: dict[int, _Window] = {}  # scheduled, not yet assembled
-        # the membership the next delta is measured against, one boolean
-        # per plan member: every plan member, as the plan broadcast lists
-        # them, then each assembled window's members
-        self.members = np.ones(len(self.plan.members), dtype=bool)
-        self.plan_bytes = len(
-            json.dumps(
-                {
-                    "plan": self.plan.plan_id,
-                    "members": self.plan.members,
-                    "window": self.plan.window,
-                    "chain": self.plan.chain,
-                    "outputs": [o.name for o in self.plan.outputs],
-                }
-            ).encode()
-        )
 
     # -- setup ---------------------------------------------------------------
 
@@ -884,7 +969,7 @@ class _Scenario:
                 )
             )
 
-    def _setup_plan(self):
+    def _setup_plans(self):
         cfg = self.config
         self.ledger = ReservationLedger()
         query_doc = {
@@ -896,55 +981,37 @@ class _Scenario:
         if self.table["dp"]:
             query_doc["dp"] = self.table["dp"]
         self.query = parse_query(query_doc)
-        self.plan = self._plan_and_verify(
-            self.query, "preset query", colluding_fraction=cfg.colluding_fraction
-        )
-        self.user_plan = None
-        self.user_stream = None
+        options = {"colluding_fraction": cfg.colluding_fraction}
+        plans = [self._plan_and_verify(self.query, "preset query", **options)]
         per_user_attr = self.table.get("per_user_attribute")
         if per_user_attr:
-            self.user_stream = self.streams[1]  # not a privacy holdout
-            user_query = parse_query(
-                {
-                    "name": "single-driver-profile",
-                    "select": {
-                        "profile_hist": {
-                            "attribute": per_user_attr,
-                            "function": "histogram",
-                        }
-                    },
-                    "where": [{"attribute": "stream_id", "equals": self.user_stream}],
-                    "window": cfg.logical_window,
-                }
-            )
-            self.user_plan = self._plan_and_verify(user_query, "per-user query")
-            # every stream but the holdouts makes the same choices and the
-            # population query has no `where`, so the user is a plan member
-            self.user_row = self.plan.members.index(self.user_stream)
-
-        if self.table["dp"]:
-            # every plan member's epsilon budget: one limit, and what each
-            # has spent, charged a window at a time
-            self.epsilon_limit = min(
-                self.schema.attribute(a).option("dp-aggregate").epsilon_budget
-                for a in self.queried_attrs
-            )
-            self.spent = np.zeros(len(self.plan.members))
+            profile = {"attribute": per_user_attr, "function": "histogram"}
+            user_query = {
+                "name": "single-driver-profile",
+                "select": {"profile_hist": profile},
+                # the second stream: not a privacy holdout
+                "where": [{"attribute": "stream_id", "equals": self.streams[1]}],
+                "window": cfg.logical_window,
+            }
+            plans.append(self._plan_and_verify(parse_query(user_query), "per-user query"))
         # the one-token rule: the (plan id, window) of every token minted
         self.minted: set[tuple] = set()
-        # producer key state, one row per plan member: the clock (the
-        # timestamp of its last event, 0 before the first) and the key
-        # vector at that clock, held from the last window it sent
-        self.clock = np.zeros(len(self.plan.members), dtype=np.int64)
-        self.last_key = np.zeros((len(self.plan.members), self.width), dtype=np.uint64)
+        # the window record and the producer key state have one row per
+        # member of the first plan: the clock (the timestamp of its last
+        # event, 0 before the first) and the key vector at that clock
+        n = len(plans[0].members)
+        self.clock = np.zeros(n, dtype=np.int64)
+        self.last_key = np.zeros((n, self.width), dtype=np.uint64)
         self.neutral = encode_neutral_vector(self.schema)
         self.event_bytes = StreamCiphertext(0, 1, self.neutral).wire_size()
         # the lane map: the server keeps each stream's window sums, cipher
         # and plain, only on the lanes the plans release, in this order, and
-        # reads each plan's layout from those columns
-        plans = [p for p in (self.plan, self.user_plan) if p is not None]
-        self.lanes = np.unique(np.concatenate([p.token_layout.sources for p in plans]))
-        self.lane_layouts = {p.plan_id: p.token_layout.on_lanes(self.lanes) for p in plans}
+        # each plan reads its layout from those columns
+        self.lanes = np.unique(np.concatenate([plan.token_layout.sources for plan in plans]))
+        # every stream but the holdouts makes the same choices and the
+        # population query has no `where`, so the per-user stream has a row
+        row = {sid: i for i, sid in enumerate(plans[0].members)}
+        self.plans = [_Plan(plan, [row[sid] for sid in plan.members], self) for plan in plans]
         n_attrs = len(self.schema.attributes)
         self.overhead_factor = (16 + 8 * self.width) / (16 + 8 * n_attrs)
 
@@ -972,50 +1039,6 @@ class _Scenario:
                 raise RuntimeError(f"controller {sid} refused the {name}'s plan: {mine.reason}")
         raise RuntimeError(f"the {name}'s plan was refused: {verdict.reason}")
 
-    def _setup_partitions(self):
-        cfg = self.config
-        members = self.plan.members  # already sorted
-        n = len(members)
-        self.partitions = balanced_partitions(n, cfg.partition_size)
-        sizes = sorted({part.stop - part.start for part in self.partitions}, reverse=True)
-        if n > 1 and sizes[-1] == 1:
-            # a lone member has no pair, so its token would go out unmasked
-            raise ValueError(
-                f"partition_size {cfg.partition_size} cuts the {n} plan members into "
-                f"partitions of {' and '.join(map(str, sizes))}: a one-member "
-                "partition's token would be released unmasked"
-            )
-        # one selection rule (b, dream threshold, epoch width) for every
-        # partition, worked out for the smallest: the sizes differ by at
-        # most one, and a rule that meets the failure budget at k parties
-        # meets it at k + 1
-        self.b, self.threshold, self.epoch_width = None, None, 0
-        if cfg.protocol in ("dream", "zeph") and sizes[-1] >= 3:
-            res = optimize_b(sizes[-1], cfg.colluding_fraction, cfg.failure_budget)
-            if res.feasible:
-                if cfg.protocol == "dream":
-                    self.threshold = threshold_for_probability(res.edge_probability)
-                self.b, self.epoch_width = res.b, res.rounds
-        # one pair table over the plan members, one group per partition;
-        # the current epoch's zeph plan, one plan row per pair row; and the
-        # next window's masks, over the membership its delta starts from
-        groups = [[self.keypairs[sid] for sid in members[part]] for part in self.partitions]
-        self.pairs = PeerTable(groups, self.registry, prf=self.prf)
-        self.epoch_plan: Optional[EpochPlan] = None
-        self.base: Optional[EdgeMasks] = None
-        # every plan member's party and one-stream set id, in plan member order
-        self.parties = tuple(self.keypairs[sid].party_id for sid in members)
-        self.set_ids = tuple(stream_set_hash([sid]) for sid in members)
-        if self.plan.dp_epsilon is not None:
-            # each member's DP-noise key, held by its controller, one row
-            # per plan member
-            seed = (self.config.seed & RING_MASK).to_bytes(8, "little")
-            keys = b"".join(
-                hashlib.sha256(b"dp-noise\x00" + seed + p.value).digest()[:16]
-                for p in self.parties
-            )
-            self.noise_keys = np.frombuffer(keys, np.uint8).reshape(-1, 16)
-
     # -- producer side --------------------------------------------------------
 
     def _schedule_window(self, w: int):
@@ -1034,7 +1057,7 @@ class _Scenario:
         E = cfg.events_per_window
         L = cfg.logical_window
         T = cfg.window_size
-        n = len(self.plan.members)
+        n = len(self.plans[0].rows)
         online = self.rng.random(n) >= cfg.dropout_rate
         draws = {name: gen(self.rng, (n, E)) for name, gen in self.generators.items()}
         jitter = self.rng.random((n, E))
@@ -1092,7 +1115,8 @@ class _Scenario:
         start for the streams whose clock is behind it. Returns those
         catch-up ciphertexts by plan member."""
         L = self.config.logical_window
-        masters = [self.masters[self.plan.members[si]] for si in chunk]
+        streams = self.plans[0].plan.members
+        masters = [self.masters[streams[si]] for si in chunk]
         clocks = self.clock[chunk]
         keys = self.last_key[chunk]
         fresh = np.flatnonzero(clocks == 0)
@@ -1135,55 +1159,51 @@ class _Scenario:
     # -- server + controllers --------------------------------------------------
 
     def _assemble(self, w: int):
-        """Close window w: a plan stream is a member exactly when all L of
-        its pieces arrived before the deadline. The server broadcasts the
-        change from the last window's membership (window 0's from the plan's
-        members, which the plan broadcast lists), whatever this window's
-        status: the release corrects the window's base masks by it, and the
-        next window's base masks are computed over this window's members,
-        which the controllers learn from that delta."""
+        """Close window w: a stream of the record is a member exactly when
+        all L of its pieces arrived before the deadline. For each plan with
+        pairs the server broadcasts the change from the plan's last
+        membership (window 0's from its members, which the plan broadcast
+        lists), whatever this window's status: the release corrects the
+        window's base masks by it, and the next window's base masks are
+        computed over this window's members, which the controllers learn
+        from that delta. Then each plan is released: the first plan's
+        outcome is the window's, and a later plan's is reported in it."""
         rec = self.open.pop(w)
-        members = rec.arrived == self.config.logical_window
-        delta = MembershipDelta(
-            w,
-            joined=frozenset(compress(self.parties, members & ~self.members)),
-            dropped=frozenset(compress(self.parties, self.members & ~members)),
-        )
-        bytes_server = self.plan_bytes if w == 0 else 0
-        if delta.joined or delta.dropped:
-            bytes_server += delta.wire_size()
-        self.members = members
+        arrived = rec.arrived == self.config.logical_window
+        bytes_server = 0
+        for p in self.plans:
+            members = arrived[p.rows]
+            if p.pairs is not None:
+                joined = frozenset(compress(p.parties, members & ~p.members))
+                dropped = frozenset(compress(p.parties, p.members & ~members))
+                bytes_server += p.plan_bytes if w == 0 else 0
+                if joined or dropped:
+                    bytes_server += MembershipDelta(w, joined, dropped).wire_size()
+            p.members = members
 
         result = WindowResult(
-            window=w,
-            status="ok",
-            members=int(np.count_nonzero(members)),
-            prf_calls=0,
-            additions=0,
+            w, "ok", int(np.count_nonzero(arrived)),
             bytes_producer=rec.bytes_producer,
-            bytes_controller=0,
             bytes_server=bytes_server,
             t_encrypt=rec.t_encrypt,
             t_base=rec.t_base,
-            t_token=0.0,
-            t_unmask=0.0,
             overhead_factor=self.overhead_factor,
         )
-        # each plan stream that is no member, under the first reason that
-        # applies: offline for the window, a piece lost, or a piece late
-        offline = int(np.count_nonzero(~members & ~rec.online))
-        lost = int(np.count_nonzero(~members & rec.online & rec.lost))
-        late = len(members) - result.members - offline - lost
+        # each stream of the record that is no member, under the first
+        # reason that applies: offline for the window, a piece lost, or a
+        # piece late
+        offline = int(np.count_nonzero(~arrived & ~rec.online))
+        lost = int(np.count_nonzero(~arrived & rec.online & rec.lost))
+        late = len(arrived) - result.members - offline - lost
         result.extras["missing"] = {"offline": offline, "lost": lost, "late": late}
 
         prf0 = self.prf.calls
-        if result.members < self.plan.min_members:
-            result.status = "failed_min_members"
-        else:
-            self._release_window(w, members, rec, result)
-
-        if self.user_plan is not None:
-            self._release_user_window(w, rec, result)
+        first, *later = self.plans
+        self._release(first, w, rec, result)
+        for p in later:
+            outcome = WindowResult(w, "ok", int(np.count_nonzero(p.members)))
+            self._release(p, w, rec, outcome)
+            self._report(p, outcome, result)
 
         rec.prf_calls += self.prf.calls - prf0
         result.prf_calls = rec.prf_calls
@@ -1193,151 +1213,142 @@ class _Scenario:
             self._mask_base(w + 1)
 
     def _mask_base(self, w: int):
-        """Compute window w's base masks over `self.members`, the
-        membership the next delta is measured against: every plan member
-        for window 0, computed as it opens, and the last window's members
-        for window w ≥ 1, computed right after window w − 1's assembly. The
-        zeph epoch plan, dream's selection draws and the masks are spent
-        here, so that window w's release applies only the membership delta.
-        Their PRF blocks, additions and time go on window w's record, open
-        since w·T."""
+        """Compute window w's base masks for every plan with pairs, over
+        the membership its next delta is measured against: every plan
+        member for window 0, computed as it opens, and the last window's
+        members for window w ≥ 1, computed right after window w − 1's
+        assembly. The zeph epoch plan, dream's selection draws and the
+        masks are spent here, so that window w's release applies only the
+        membership delta. Their PRF blocks, additions and time go on window
+        w's record, open since w·T."""
         rec = self.open[w]
         prf0, t0 = self.prf.calls, time.perf_counter()
-        width = self.plan.output_width
-        plan = self._epoch_plan(w)
-        self.base = mask_base(
-            self.pairs, self.members, w, width, plan=plan, threshold=self.threshold, prf=self.prf
-        )
-        rec.additions += 2 * self.base.changed * width
+        for p in [p for p in self.plans if p.pairs is not None]:
+            width = p.plan.output_width
+            p.base = mask_base(
+                p.pairs, p.members, w, width,
+                plan=p.zeph_plan(w, self.prf), threshold=p.threshold, prf=self.prf,
+            )
+            rec.additions += 2 * p.base.changed * width
         rec.prf_calls += self.prf.calls - prf0
         rec.t_base += time.perf_counter() - t0
 
-    def _controller_tokens(self, w: int, members: np.ndarray):
-        """Build, noise and mask window w's tokens for the members
+    def _controller_tokens(self, p: _Plan, w: int, members: np.ndarray):
+        """Build, noise and mask plan `p`'s window-w tokens for the members
         `members` (a boolean per plan member) as one masked batch.
 
-        The window must have base masks, and the plan must not have minted
-        the window's token yet: missing or stale base masks, or a second
-        claim, raise before any key is derived, and a refused release
-        records no claim. Then each step is a fixed number of array
-        operations however many partitions and parties there are: one
-        token batch over every member's streams, one noise pass drawing
-        every member's share under its own noise key, sized for the
-        window's members (`noise_normals`), one membership delta over the
-        base masks (`mask_delta`: selection only for edges new to the
-        round, masks only for the edges that changed) added to the
-        members' rows, then one masked batch of the members in plan order
-        and its wire encode. A partition without members releases
-        nothing: the delta leaves its parties out, so it neither masks nor
-        logs them. Returns the masked batch, the bytes sent, the ring
-        additions spent on the delta and the members it left without a
-        pair. Charging the members' budgets is the caller's.
+        Missing or stale base masks (for a plan with pairs) or a second
+        claim of the plan's window token raise before any key is derived,
+        and a refused release records no claim. Then each step is a fixed
+        number of array operations however many partitions and parties
+        there are: one membership delta over the base masks (`mask_delta`:
+        selection only for edges new to the round, masks only for edges
+        that changed), which leaves a partition without members out; if it
+        leaves a member without a pair, whose token would go out unmasked,
+        nothing more. Else one token batch over the members' streams, one
+        noise pass drawing each member's share under its own noise key,
+        sized for the window's members, the delta added, and one masked
+        batch in plan order and its wire encode, or for a plan of one
+        member the one-stream token's. Returns the masked batch (None when
+        refused), the bytes sent, the delta's ring additions and the
+        members left without a pair. Charging budgets is the caller's.
         """
         L = self.config.logical_window
         window = (w * L, (w + 1) * L)
-        if self.base is None or self.base.round_index != w:
+        if p.pairs is not None and (p.base is None or p.base.round_index != w):
             raise RuntimeError(f"no base masks for window {w}")
-        self._claim_token(self.plan.plan_id, window)
-        streams = tuple(compress(self.plan.members, members))
+        # the one-token rule: fresh key material for a released window
+        # would widen what it reveals
+        claim = (p.plan.plan_id, window)
+        if claim in self.minted:
+            raise RuntimeError(f"token already minted for {claim}")
+        self.minted.add(claim)
+        width = p.plan.output_width
+        masks = None
+        additions = isolated = 0
+        if p.pairs is not None:
+            base, p.base = p.base, None
+            bounds = p.pairs.bounds
+            idle = ~np.repeat(np.logical_or.reduceat(members, bounds[:-1]), np.diff(bounds))
+            if idle.any():
+                base = base._replace(live=base.live & ~idle)
+            masks = mask_delta(
+                p.pairs, base, members,
+                plan=p.zeph_plan(w, self.prf), threshold=p.threshold, prf=self.prf,
+            )
+            additions = 2 * masks.changed * width
+            isolated = int(np.count_nonzero(members & (masks.degree == 0)))
+            if isolated:
+                return None, 0, additions, isolated
+        streams = tuple(compress(p.plan.members, members))
+        masters = [self.masters[sid] for sid in streams]
         values = token_matrix(
-            [self.masters[sid] for sid in streams],
-            window,
-            self.plan.directives,
-            layout=self.plan.token_layout,
-            prf=self.prf,
+            masters, window, p.plan.directives, layout=p.plan.token_layout, prf=self.prf
         )
-        width = values.shape[1]
-        if self.plan.dp_epsilon is not None:
-            normals = noise_normals(self.noise_keys[members], w, width, prf=self.prf)
-            values += noise_shares(self._window_noise(members), normals)
-        base, self.base = self.base, None
-        bounds = self.pairs.bounds
-        idle = ~np.repeat(np.logical_or.reduceat(members, bounds[:-1]), np.diff(bounds))
-        if idle.any():
-            base = base._replace(live=base.live & ~idle)
-        plan = self._epoch_plan(w)
-        masks = mask_delta(
-            self.pairs, base, members, plan=plan, threshold=self.threshold, prf=self.prf
-        )
-        values += masks.nonces[members]
+        if p.plan.dp_epsilon is not None:
+            normals = noise_normals(p.noise_keys[members], w, width, prf=self.prf)
+            values += noise_shares(p.window_noise(members), normals)
+        if masks is not None:
+            values += masks.nonces[members]
         masked = MaskedBatch(
             round_index=w,
-            epoch_id=self._epoch(w),
+            epoch_id=p.epoch(w),
             window=window,
-            parties=tuple(compress(self.parties, members)),
-            stream_set_ids=tuple(compress(self.set_ids, members)),
+            parties=tuple(compress(p.parties, members)),
+            stream_set_ids=tuple(compress(p.set_ids, members)),
             elements=values,
-            noised=self.plan.dp_epsilon is not None,
+            noised=p.plan.dp_epsilon is not None,
             stream_ids=streams,
         )
-        isolated = int(np.count_nonzero(members & (masks.degree == 0)))
-        return masked, len(masked.serialize()), 2 * masks.changed * width, isolated
+        if masks is None:  # the one-stream token's wire record, no masked header
+            sent = token_records(window, masked.stream_set_ids, values).nbytes
+        else:
+            sent = len(masked.serialize())
+        return masked, sent, additions, isolated
 
-    def _claim_token(self, plan_id: str, window: tuple[int, int]):
-        """Record the plan's token mint for the window or, if it was
-        minted already, raise: fresh key material for a released window
-        would widen what it reveals."""
-        if (plan_id, window) in self.minted:
-            raise RuntimeError(f"token already minted for {(plan_id, window)}")
-        self.minted.add((plan_id, window))
-
-    def _epoch(self, w: int) -> int:
-        return w // self.epoch_width if self.epoch_width else 0
-
-    def _epoch_plan(self, w: int):
-        """Window w's zeph plan, replacing the plan of the previous epoch:
-        every pair row of the `PeerTable`, derived in one `graph_bits` pass
-        by the epoch's first base or release. None for the other protocols
-        and for partitions too small to plan."""
-        if self.config.protocol != "zeph" or self.b is None:
-            return None
-        epoch = self._epoch(w)
-        if self.epoch_plan is None or self.epoch_plan.epoch_id != epoch:
-            bits = graph_bits(self.pairs.keys, epoch, prf=self.prf)
-            self.epoch_plan = EpochPlan(epoch, self.b, (), bits)
-        return self.epoch_plan
-
-    def _window_noise(self, members: np.ndarray):
-        """The plan's noise spec sized for a window's members: each share
-        is calibrated so that the window's honest members alone reach
-        `sigma_target`, however many plan members are absent."""
-        return replace(self.plan.noise, party_count=int(np.count_nonzero(members)))
-
-    def _release_window(self, w: int, members: np.ndarray, rec: _Window, result: WindowResult):
-        eps = self.plan.dp_epsilon
+    def _release(self, p: _Plan, w: int, rec: _Window, result: WindowResult):
+        """Release plan `p`'s window w over its members `p.members` into
+        `result`, or record why not: too few members, an epsilon budget
+        that cannot pay, or a member the delta left without a pair. A
+        release is unmasked, merged, opened and decoded, and its shadow
+        verdict is recorded."""
+        members = p.members
+        if np.count_nonzero(members) < p.plan.min_members:
+            result.status = "failed_min_members"
+            return
+        eps = p.plan.dp_epsilon
         # tiny tolerance so budgets sized as k * eps survive float sums
-        if eps is not None and not np.all(self.spent[members] + eps <= self.epsilon_limit + 1e-9):
+        if eps is not None and not np.all(p.spent[members] + eps <= p.epsilon_limit + 1e-9):
             # one exhausted member suppresses the whole window before any
             # token is built, so no member's budget is charged
             result.status = "suppressed"
             result.extras["suppressed"] = "epsilon budget exhausted"
             return
         t0 = time.perf_counter()
-        masked, sent, additions, isolated = self._controller_tokens(w, members)
+        masked, sent, additions, isolated = self._controller_tokens(p, w, members)
         result.t_token = time.perf_counter() - t0
         rec.additions += additions
         result.extras["isolated"] = isolated
-        if isolated and result.members > 1:
+        if masked is None:
             # an unpaired member's token would go out unmasked: withhold the batch
             result.status = "isolated_member"
             return
         if eps is not None:
-            self.spent[members] += eps
+            p.spent[members] += eps
         result.bytes_controller += sent
 
         t0 = time.perf_counter()
-        active = list(compress(self.plan.members, members))
+        active = list(compress(p.plan.members, members))
         combined = unmask_aggregate(masked, stream_ids=active)
         # the members' window sums share the window's range
-        body = rec.sums[members].sum(axis=0)
-        layout = self.lane_layouts[self.plan.plan_id]
-        merged = merge_elements(StreamCiphertext(*masked.window, body), layout)
+        body = rec.sums[p.rows[members]].sum(axis=0)
+        merged = merge_elements(StreamCiphertext(*masked.window, body), p.layout)
         released_total = apply_token(merged, combined, stream_set_id=stream_set_hash(active))
         result.t_unmask = time.perf_counter() - t0
 
         result.released = released_total
         warnings = {}
-        for spec in self.plan.outputs:
+        for spec in p.plan.outputs:
             stats = decode_stats(released_total[spec.out_start : spec.out_stop], spec.decode)
             result.outputs[spec.name] = _headline(stats, spec.function, spec.param)
             if stats.warnings:
@@ -1346,52 +1357,42 @@ class _Scenario:
             # a wrapped count, bin or sum of squares decodes to a wrong value
             result.status = "decode_warning"
             result.extras["decode_warnings"] = warnings
-        result.shadow_ok = released_total == self._shadow(w, members, rec.plain)
+        result.shadow_ok = released_total == self._shadow(p, w, members, rec.plain)
+        self.verdicts.append(result.shadow_ok)
 
-    def _shadow(self, w: int, members: np.ndarray, plain: np.ndarray) -> list[int]:
-        """Plaintext recomputation of the released vector, noise included.
-        A member that spent the window offline contributed one neutral
-        catch-up event, i.e. its zero row of `plain`."""
+    def _shadow(self, p: _Plan, w: int, members: np.ndarray, plain: np.ndarray) -> list[int]:
+        """Plaintext recomputation of plan `p`'s released vector, noise
+        included, from the record's plaintext sums `plain`. A member that
+        spent the window offline contributed one neutral catch-up event,
+        i.e. its zero row of `plain`."""
         # uint64 sums wrap exactly as the ring does
-        layout = self.lane_layouts[self.plan.plan_id]
-        out = np.add.reduceat(plain[members].sum(axis=0)[layout.sources], layout.offsets)
-        if self.plan.dp_epsilon is not None:
+        total = plain[p.rows[members]].sum(axis=0)
+        out = np.add.reduceat(total[p.layout.sources], p.layout.offsets)
+        if p.plan.dp_epsilon is not None:
             # every member's draw again, in one pass
-            normals = noise_normals(self.noise_keys[members], w, len(out), prf=self.prf)
-            out += noise_shares(self._window_noise(members), normals).sum(axis=0)
+            normals = noise_normals(p.noise_keys[members], w, len(out), prf=self.prf)
+            out += noise_shares(p.window_noise(members), normals).sum(axis=0)
         return out.tolist()
 
-    def _release_user_window(self, w: int, rec: _Window, result: WindowResult):
-        L = self.config.logical_window
-        sid = self.user_stream
-        row = self.user_row
-        if rec.arrived[row] != L:
+    def _report(self, p: _Plan, outcome: WindowResult, result: WindowResult):
+        """Report a later plan's release `outcome` in the window's `result`:
+        its bytes, and under `extras["per_user"]` either `no_data`, when
+        none of its members' chains assembled, or its status, stream,
+        headline and shadow verdict, with its decode warnings if any. A
+        refusal, a decode warning or a shadow mismatch of its own fails a
+        window that was `ok`."""
+        result.bytes_controller += outcome.bytes_controller
+        if not outcome.members:
             result.extras["per_user"] = {"status": "no_data"}
             return
-        window = (w * L, (w + 1) * L)
-        plan = self.user_plan
-        self._claim_token(plan.plan_id, window)
-        token = single_stream_token(
-            self.masters[sid],
-            window,
-            plan.directives,
-            layout=plan.token_layout,
-            prf=self.prf,
-        )
-        result.bytes_controller += token.wire_size()
-        layout = self.lane_layouts[plan.plan_id]
-        merged = merge_elements(StreamCiphertext(*window, rec.sums[row]), layout)
-        opened = apply_token(merged, token, stream_set_id=stream_set_hash([sid]))
-        spec = plan.outputs[0]
-        stats = decode_stats(opened[spec.out_start : spec.out_stop], spec.decode)
-        shadow = np.add.reduceat(rec.plain[row, layout.sources], layout.offsets).tolist()
-        result.extras["per_user"] = {
-            "status": "ok",
-            "stream": sid,
-            "headline": _headline(stats, spec.function, spec.param),
-            "shadow_ok": opened == shadow,
-        }
-        if opened != shadow and result.status == "ok":
+        headline = next(iter(outcome.outputs.values()), None)
+        report = result.extras["per_user"] = {"status": outcome.status, "stream": p.plan.members[0]}
+        report.update(headline=headline, shadow_ok=outcome.shadow_ok)
+        if "decode_warnings" in outcome.extras:
+            report["decode_warnings"] = outcome.extras["decode_warnings"]
+        if result.status == "ok" and outcome.status != "ok":
+            result.status = outcome.status
+        elif result.status == "ok" and outcome.shadow_ok is False:
             result.status = "per_user_mismatch"
 
     # -- driver ----------------------------------------------------------------
@@ -1408,23 +1409,20 @@ class _Scenario:
                 f"transport conservation violated: {tr.sent} != {tr.delivered} + {tr.dropped}"
             )
         ok = sum(1 for r in self.results if r.status == "ok")
-        # the population releases and the per-user releases alike
-        verdicts = [r.shadow_ok for r in self.results]
-        verdicts += [r.extras.get("per_user", {}).get("shadow_ok") for r in self.results]
-        shadow_all = all(v for v in verdicts if v is not None)
+        first = self.plans[0]
         summary = {
             "preset": self.schema.name,
             "protocol": self.config.protocol,
             "seed": self.config.seed,
             "producers": self.config.producers,
-            "plan_members": len(self.plan.members),
-            "partitions": len(self.partitions),
-            "output_width": self.plan.output_width,
+            "plan_members": len(first.plan.members),
+            "partitions": len(first.partitions),
+            "output_width": first.plan.output_width,
             "stream_width": self.width,
             "windows": self.config.windows,
             "windows_ok": ok,
             "liveness": ok / max(1, self.config.windows),
-            "shadow_ok": shadow_all,
+            "shadow_ok": all(self.verdicts),
             "prf_calls_total": self.prf.calls,
             "prf_calls_setup": self.prf_calls_setup,
             "additions_total": sum(r.additions for r in self.results),
@@ -1443,8 +1441,8 @@ class _Scenario:
         return ScenarioResult(
             preset=self.schema.name,
             config=self.config,
-            plan_members=len(self.plan.members),
-            output_width=self.plan.output_width,
+            plan_members=len(first.plan.members),
+            output_width=first.plan.output_width,
             windows=self.results,
             summary=summary,
         )

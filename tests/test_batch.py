@@ -696,7 +696,7 @@ def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
         )
         if protocol != "clique":
             # dream draws and zeph plans in every partition
-            assert scenario.b is not None
+            assert scenario.plans[0].b is not None
         recorder = RecordingPrf(scenario.prf.inner)
         scenario.prf.inner = recorder
         per_window = []
@@ -709,12 +709,13 @@ def test_controller_prf_calls_follow_stacks_not_partitions(protocol):
 
             return run
 
-        scenario._release_window = metered(scenario._release_window)
+        scenario._release = metered(scenario._release)
         scenario._mask_base = metered(scenario._mask_base)
         result = scenario.run()
         assert [w.status for w in result.windows] == ["ok", "ok"]
-        assert [part.stop - part.start for part in scenario.partitions] == [30] * partitions
-        assert scenario.pairs.bounds.tolist() == [30 * g for g in range(partitions + 1)]
+        population = scenario.plans[0]
+        assert [part.stop - part.start for part in population.partitions] == [30] * partitions
+        assert population.pairs.bounds.tolist() == [30 * g for g in range(partitions + 1)]
         calls[partitions] = per_window
     assert calls[2] == calls[4]
     # in window order: each window's base makes one selection pass for

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -186,14 +187,15 @@ def test_run_preset_writes_results(capsys, tmp_path):
 def test_run_fails_on_a_wrong_per_user_release(capsys, tmp_path, monkeypatch):
     from veilstream import pipeline
 
-    original = pipeline.single_stream_token
+    original = pipeline.token_matrix
 
-    def corrupted(*args, **kwargs):
-        token = original(*args, **kwargs)
-        first = (token.elements[0] + 1) & ((1 << 64) - 1)
-        return dataclasses.replace(token, elements=(first,) + token.elements[1:])
+    def corrupted(masters, *args, **kwargs):
+        values = original(masters, *args, **kwargs)
+        if len(masters) == 1:  # the per-user plan's one member
+            values[0, 0] += np.uint64(1)
+        return values
 
-    monkeypatch.setattr(pipeline, "single_stream_token", corrupted)
+    monkeypatch.setattr(pipeline, "token_matrix", corrupted)
     code, out, err = run_cli(
         capsys,
         "run",
@@ -213,6 +215,43 @@ def test_run_fails_on_a_wrong_per_user_release(capsys, tmp_path, monkeypatch):
     windows = report["windows"]
     assert [(w["status"], w["shadow_ok"]) for w in windows] == [("per_user_mismatch", True)] * 2
     assert [w["extras"]["per_user"]["shadow_ok"] for w in windows] == [False] * 2
+
+
+def test_run_fails_on_a_per_user_decode_warning(capsys, tmp_path, monkeypatch):
+    from veilstream import pipeline
+
+    original = pipeline.decode_stats
+    warning = "bin count wrapped past M/2; window likely overflowed"
+
+    def warned(values, spec):
+        stats = original(values, spec)
+        if spec.kind == "histogram":  # on car, only the per-user profile
+            return dataclasses.replace(stats, warnings=(warning,))
+        return stats
+
+    monkeypatch.setattr(pipeline, "decode_stats", warned)
+    code, out, err = run_cli(
+        capsys,
+        "run",
+        "--scenario", "car",
+        "--producers", "60",
+        "--windows", "2",
+        "--seed", "5",
+        "--protocol", "clique",
+        "--dropout-rate", "0",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert json.loads(out)["shadow_ok"] is True
+    assert "decoded statistics wrapped in windows [0, 1]" in err
+    # the per-user release's warnings fail its window, and its report lists them
+    report = json.loads((tmp_path / "run_car_5.json").read_text())
+    windows = report["windows"]
+    assert [(w["status"], w["shadow_ok"]) for w in windows] == [("decode_warning", True)] * 2
+    assert all("decode_warnings" not in w["extras"] for w in windows)
+    per_user = [w["extras"]["per_user"] for w in windows]
+    assert [(p["status"], p["shadow_ok"]) for p in per_user] == [("decode_warning", True)] * 2
+    assert all(p["decode_warnings"] == {"profile_hist": [warning]} for p in per_user)
 
 
 def test_run_unknown_scenario_is_usage_error(capsys):

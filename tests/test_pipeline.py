@@ -84,8 +84,9 @@ def small_config(**kwargs):
 
 
 def member_owners(scenario: _Scenario) -> frozenset:
-    """The owners of the last assembled window's members."""
-    return frozenset(compress(scenario.parties, scenario.members))
+    """The owners of the last assembled window's population members."""
+    population = scenario.plans[0]
+    return frozenset(compress(population.parties, population.members))
 
 
 def recording_owner_sets(scenario: _Scenario) -> list:
@@ -125,14 +126,14 @@ def partition_table(scenario: _Scenario, part: slice) -> PeerTable:
     """The pairs of the partition `part` (a span of plan members) as a
     one-group table, built here from the scenario's key pairs pair by pair
     (`PerPairKeyPair`) rather than read from the scenario's table."""
-    streams = scenario.plan.members[part]
+    streams = scenario.plans[0].plan.members[part]
     keypairs = [PerPairKeyPair(scenario.keypairs[sid]) for sid in streams]
     return PeerTable([keypairs], scenario.registry)
 
 
 def partition_sizes(scenario: _Scenario) -> list[int]:
     """Each partition's number of plan members."""
-    return [part.stop - part.start for part in scenario.partitions]
+    return [part.stop - part.start for part in scenario.plans[0].partitions]
 
 
 def base_edges(scenario: _Scenario, part, owners, w, prf):
@@ -140,12 +141,13 @@ def base_edges(scenario: _Scenario, part, owners, w, prf):
     over the owners `owners` under the scenario's rule, with a zeph plan
     derived here for every row."""
     table = partition_table(scenario, part)
+    population = scenario.plans[0]
     plan = None
-    if scenario.config.protocol == "zeph" and scenario.b is not None:
-        epoch = w // scenario.epoch_width
-        plan = EpochPlan(epoch, scenario.b, (), graph_bits(table.keys, epoch, prf=prf))
+    if population.zeph:
+        epoch = w // population.epoch_width
+        plan = EpochPlan(epoch, population.b, (), graph_bits(table.keys, epoch, prf=prf))
     live = live_vector(table, owners)
-    return live, round_edges(table, live, w, plan=plan, threshold=scenario.threshold, prf=prf)
+    return live, round_edges(table, live, w, plan=plan, threshold=population.threshold, prf=prf)
 
 
 def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list[int], list]:
@@ -165,27 +167,28 @@ def pair_figures(scenario: _Scenario, owner_sets: list) -> tuple[list[int], list
     its two ends' rows, and dream draws once more for each base candidate
     that is no candidate now. Every window must release, all in one zeph
     epoch, so the plan's rows do not move."""
-    width = scenario.plan.output_width
+    population = scenario.plans[0]
+    width = population.plan.output_width
     blocks = (width + 1) // 2
     prf = AesPrf()
     edges, second_ends, extra = [], [], []
-    for w, before in enumerate([frozenset(scenario.parties), *owner_sets[:-1]]):
+    for w, before in enumerate([frozenset(population.parties), *owner_sets[:-1]]):
         selected = second = prf_blocks = additions = 0
-        for part in scenario.partitions:
+        for part in population.partitions:
             table = partition_table(scenario, part)
             now, rows_now = base_edges(scenario, part, owner_sets[w], w, prf)
             candidate_now = now[table.low] & now[table.high]
             selected += len(rows_now)
             second += len(rows_now) * blocks
-            if scenario.threshold is not None:
+            if population.threshold is not None:
                 second += int(np.count_nonzero(candidate_now))
-            if w == 0 and scenario.config.protocol == "zeph" and scenario.b is not None:
+            if w == 0 and population.zeph:
                 second += len(table)
             base, rows = base_edges(scenario, part, before, w, prf)
             removed = int(np.count_nonzero(~candidate_now[rows]))
             prf_blocks += 2 * removed * blocks
             additions += 2 * 2 * removed * width
-            if scenario.threshold is not None:
+            if population.threshold is not None:
                 candidate_base = base[table.low] & base[table.high]
                 prf_blocks += int(np.count_nonzero(candidate_base & ~candidate_now))
         edges.append(selected)
@@ -205,20 +208,22 @@ def window0_bytes_shift(scenario: _Scenario, owner_sets: list) -> int:
     every plan member instead of from nobody: less the wire size of every
     member joining, plus that of the change from the plan's members."""
     first = owner_sets[0]
-    return delta_bytes(frozenset(scenario.parties), first) - delta_bytes(frozenset(), first)
+    parties = frozenset(scenario.plans[0].parties)
+    return delta_bytes(parties, first) - delta_bytes(frozenset(), first)
 
 
 def recording_releases(scenario: _Scenario) -> dict:
-    """Make `scenario` record, per window it releases, the members and
-    the plaintext window sums on the lane map's lanes."""
+    """Make `scenario` record, per window its population plan releases,
+    the members and the plaintext window sums on the lane map's lanes."""
     seen = {}
-    release = scenario._release_window
+    release = scenario._release
 
-    def spy(w, members, rec, result):
-        seen[w] = (members.copy(), rec.plain.copy())
-        release(w, members, rec, result)
+    def spy(p, w, rec, result):
+        if p is scenario.plans[0]:
+            seen[w] = (p.members.copy(), rec.plain.copy())
+        release(p, w, rec, result)
 
-    scenario._release_window = spy
+    scenario._release = spy
     return seen
 
 
@@ -227,14 +232,15 @@ def expected_release(scenario: _Scenario, w: int, members, plain) -> list[int]:
     plaintext sums on the plan's layout, plus each member's noise share,
     drawn by a one-key call under SHA-256 of (run seed, party) and sized
     for the window's members."""
+    population = scenario.plans[0]
     total = plain[members].sum(axis=0)
-    columns = [np.searchsorted(scenario.lanes, sources) for sources in scenario.plan.layout]
+    columns = [np.searchsorted(scenario.lanes, sources) for sources in population.plan.layout]
     out = np.array([total[c].sum() for c in columns])
-    if scenario.plan.dp_epsilon is not None:
-        noise = dataclasses.replace(scenario.plan.noise, party_count=int(members.sum()))
+    if population.plan.dp_epsilon is not None:
+        noise = dataclasses.replace(population.plan.noise, party_count=int(members.sum()))
         seed = (scenario.config.seed % 2**64).to_bytes(8, "little")
         prf = AesPrf()
-        for party in compress(scenario.parties, members):
+        for party in compress(population.parties, members):
             key = hashlib.sha256(b"dp-noise\x00" + seed + party.value).digest()[:16]
             z = noise_normals(np.frombuffer(key, np.uint8).reshape(1, 16), w, len(out), prf=prf)
             out += np.rint(noise.per_party_sigma * z[0]).astype(np.int64).astype(np.uint64)
@@ -245,7 +251,7 @@ def noise_blocks(scenario: _Scenario, result: ScenarioResult) -> list[int]:
     """Per window, the PRF blocks of its noise: each member's share costs
     a block per two outputs, drawn by its controller and again by the
     shadow."""
-    blocks = (scenario.plan.output_width + 1) // 2
+    blocks = (scenario.plans[0].plan.output_width + 1) // 2
     return [2 * w.members * blocks if w.status == "ok" else 0 for w in result.windows]
 
 
@@ -498,8 +504,8 @@ def test_zeph_run_is_pinned():
     )
     owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
-    assert len(scenario.partitions) == 1 and scenario.b == 1
-    assert scenario.epoch_width > len(result.windows)
+    assert len(scenario.plans[0].partitions) == 1 and scenario.plans[0].b == 1
+    assert scenario.plans[0].epoch_width > len(result.windows)
     assert all(w.status == "ok" and w.shadow_ok for w in result.windows)
     released = json.dumps([w.released for w in result.windows]).encode()
     assert (
@@ -527,7 +533,7 @@ def test_zeph_run_is_pinned():
     # selected pairs' masks under the SHA-256 secrets (830, 823 and 809
     # pairs, two ordered rows of `blocks` blocks and `width` additions
     # each), plus those of the pairs `round_edges` selects now.
-    width = scenario.plan.output_width
+    width = scenario.plans[0].plan.output_width
     blocks = (width + 1) // 2
     masks = [(2 * blocks * e, 2 * width * e) for e in edges]
     counts = [
@@ -561,7 +567,7 @@ def test_zeph_run_is_pinned():
         + sum(m[0] for m in masks)
         - sum(second)
         + sum(e[0] for e in extra)
-        + len(scenario.pairs)
+        + len(scenario.plans[0].pairs)
     )
     assert summary["additions_total"] == (
         526868 - 2 * width * (830 + 823 + 809) + sum(m[1] for m in masks) + sum(e[1] for e in extra)
@@ -583,12 +589,12 @@ def _pinned_totals(scenario: _Scenario, result: ScenarioResult, figures: tuple, 
     additions less two ordered rows' for each selected pair and less the
     extra additions; and server bytes less window 0's `shift`."""
     edges, second, extra = figures
-    width = scenario.plan.output_width
+    width = scenario.plans[0].plan.output_width
     blocks = (width + 1) // 2
     s = result.summary
     return (
         s["prf_calls_total"]
-        - len(scenario.pairs)
+        - len(scenario.plans[0].pairs)
         - 2 * blocks * sum(edges)
         + sum(second)
         - sum(e[0] for e in extra),
@@ -632,7 +638,7 @@ def test_dream_run_with_dp_noise_is_pinned():
     scenario = _Scenario(
         small_config(preset="web", producers=60, partition_size=30, seed=7, protocol="dream")
     )
-    assert scenario.plan.dp_epsilon is not None
+    assert scenario.plans[0].plan.dp_epsilon is not None
     # the 58 plan members are cut 29 + 29, where the pins below were
     # recorded for a cut of 30 + 28: what the cut moves is the pairs'
     # figures, which `_pinned_totals` takes out
@@ -680,7 +686,7 @@ def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
     for w in result.windows:
         members, _ = seen[w.window]
         paired = np.repeat(members.reshape(-1, 2).all(axis=1), 2)
-        alone.append(list(compress(scenario.parties, members & ~paired)))
+        alone.append(list(compress(scenario.plans[0].parties, members & ~paired)))
     assert sum(map(len, alone)) > 0
     # a window that leaves a member without a pair is refused: its batch
     # is neither unmasked nor billed
@@ -690,7 +696,8 @@ def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
     refused = [w for w in result.windows if w.status == "isolated_member"]
     assert refused and all(w.released is None and w.outputs == {} for w in refused)
     # only the per-user token is billed in a refused window
-    user_token = measure_bandwidth(scenario.width, scenario.user_plan.output_width)["token_bytes"]
+    user_plan = scenario.plans[1].plan
+    user_token = measure_bandwidth(scenario.width, user_plan.output_width)["token_bytes"]
     assert all(w.bytes_controller == user_token for w in refused)
     warned = [r.getMessage() for r in caplog.records if "no active peers" in r.getMessage()]
     assert len(warned) == sum(map(len, alone))
@@ -709,7 +716,51 @@ def test_a_window_counts_the_members_its_delta_left_without_a_pair(caplog):
         ("ok", 0), ("ok", 0), ("isolated_member", 2)
     ]
     assert result.windows[2].bytes_controller == 0
-    assert np.all(scenario.spent == 2 * scenario.plan.dp_epsilon)
+    assert np.all(scenario.plans[0].spent == 2 * scenario.plans[0].plan.dp_epsilon)
+
+
+@pytest.mark.parametrize(
+    "preset, windows, seed, built",
+    [("car", 4, 3, 4238), ("web", 3, 1, 1244)],
+    ids=["car", "web-dp"],
+)
+def test_a_refused_window_derives_no_token_key_and_no_noise(monkeypatch, preset, windows, seed, built):
+    # partitions of two, as above. The delta runs before the tokens, so the
+    # window it leaves a member without a pair in (the last) builds no
+    # population token and draws no noise: it spends `built` PRF blocks
+    # less its members' token keys and noise blocks, where `built` is what
+    # it spent when it built them
+    scenario = _Scenario(
+        small_config(
+            preset=preset, producers=60, partition_size=2, windows=windows,
+            dropout_rate=0.05, drop_rate=0.0, seed=seed,
+        )
+    )
+    L = scenario.config.logical_window
+    calls = []  # (function, window, rows) of every token batch and noise pass
+    for name, window_of in (
+        ("token_matrix", lambda args: args[1][0] // L),
+        ("noise_normals", lambda args: args[1]),
+    ):
+
+        def spy(*args, name=name, window_of=window_of, original=getattr(pipeline, name), **kw):
+            calls.append((name, window_of(args), len(args[0])))
+            return original(*args, **kw)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    result = scenario.run()
+    refused = windows - 1
+    assert [w.status for w in result.windows] == ["ok"] * refused + ["isolated_member"]
+    # in the refused window only car's per-user plan, of one member, builds a token
+    per_user = [("token_matrix", refused, 1)] if preset == "car" else []
+    assert [c for c in calls if c[1] == refused] == per_user
+    plan = scenario.plans[0].plan
+    sources = len(plan.token_layout.sources)
+    noise = (plan.output_width + 1) // 2 if plan.dp_epsilon is not None else 0
+    w = result.windows[refused]
+    assert w.prf_calls == built - w.members * (2 * sources + noise)
+    # the one-token claim is still recorded, before any key work
+    assert (plan.plan_id, (refused * L, windows * L)) in scenario.minted
 
 
 def test_a_plan_cut_with_a_one_member_partition_is_refused():
@@ -760,32 +811,33 @@ def test_a_scenario_holds_one_table_rule_epoch_plan_and_base(protocol):
             colluding_fraction=0.2, failure_budget=0.01,
         )
     )
-    # 245 plan members in three partitions, one group each of one table
+    # one plan: 245 plan members in three partitions, one group each of one table
+    (population,) = scenario.plans
     assert partition_sizes(scenario) == [82, 82, 81]
-    assert isinstance(scenario.pairs, PeerTable)
-    parts = scenario.partitions
-    assert scenario.pairs.bounds.tolist() == [p.start for p in parts] + [parts[-1].stop]
-    assert scenario.pairs.parties == scenario.parties
-    assert (scenario.b is None) == (protocol == "clique")
-    assert (scenario.threshold is None) == (protocol != "dream")
+    assert isinstance(population.pairs, PeerTable)
+    parts = population.partitions
+    assert population.pairs.bounds.tolist() == [p.start for p in parts] + [parts[-1].stop]
+    assert population.pairs.parties == population.parties
+    assert (population.b is None) == (protocol == "clique")
+    assert (population.threshold is None) == (protocol != "dream")
     bases = []
     mask_base_of = scenario._mask_base
 
     def spy(w):
         mask_base_of(w)
-        bases.append(scenario.base)
+        bases.append(population.base)
 
     scenario._mask_base = spy
     result = scenario.run()
     assert result.summary["shadow_ok"] is True
     # one base per window, over every plan member, spent by its release
     assert [base.round_index for base in bases] == [0, 1]
-    assert all(len(base.live) == len(scenario.parties) for base in bases)
-    assert scenario.base is None
+    assert all(len(base.live) == len(population.parties) for base in bases)
+    assert population.base is None
     if protocol == "zeph":
-        assert scenario.epoch_plan.bits.shape[0] == len(scenario.pairs)
+        assert population.epoch_plan.bits.shape[0] == len(population.pairs)
     else:
-        assert scenario.epoch_plan is None
+        assert population.epoch_plan is None
 
 
 def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkeypatch):
@@ -806,7 +858,7 @@ def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkey
     assert [(w.members, w.status) for w in result.windows] == [(77, "ok"), (78, "ok"), (72, "ok")]
     # each window's shares, drawn for both partitions in one pass, are
     # sized for its members
-    assert len(scenario.partitions) == 2
+    assert len(scenario.plans[0].partitions) == 2
     for w in result.windows:
         # the release's shares, then the shadow's
         for _ in range(2):
@@ -817,9 +869,9 @@ def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkey
     # noise whose sum reaches sigma_target within acceptance 08's 5%, over
     # 10^4 draws of the same rule: 1,250 windows of 8 outputs
     members, _ = seen[2]
-    noise = dataclasses.replace(scenario.plan.noise, party_count=72)
-    honest = scenario.noise_keys[members][: round(noise.honest_fraction * 72)]
-    width = scenario.plan.output_width
+    noise = dataclasses.replace(scenario.plans[0].plan.noise, party_count=72)
+    honest = scenario.plans[0].noise_keys[members][: round(noise.honest_fraction * 72)]
+    width = scenario.plans[0].plan.output_width
     sums = []
     for t in range(10_000 // width):
         drawn = shares(noise, noise_normals(honest, t, width))
@@ -829,13 +881,17 @@ def test_a_window_with_absent_members_sizes_its_noise_to_reach_the_target(monkey
 
 
 def test_noise_keys_follow_the_run_seed():
-    a, b, c = (_Scenario(small_config(preset="web", windows=1, seed=s)) for s in (7, 7, 8))
+    a, b, c = (
+        _Scenario(small_config(preset="web", windows=1, seed=s)).plans[0] for s in (7, 7, 8)
+    )
     assert a.parties == c.parties
     assert np.array_equal(a.noise_keys, b.noise_keys)
     assert not np.any(np.all(a.noise_keys == c.noise_keys, axis=1))
     assert len(set(map(bytes, a.noise_keys))) == len(a.parties)
-    # runs without DP noise hold no noise keys
-    assert not hasattr(_Scenario(small_config(windows=1)), "noise_keys")
+    # plans without DP noise hold no noise keys
+    assert _Scenario(small_config(windows=1)).plans[0].noise_keys is None
+    car = _Scenario(small_config(preset="car", windows=1))
+    assert [p.noise_keys for p in car.plans] == [None, None]
 
 
 @pytest.mark.parametrize(
@@ -901,22 +957,26 @@ def test_late_pieces_and_catch_ups_decide_membership(
 @pytest.mark.parametrize("preset, lanes", [("fitness", 407), ("web", 8), ("car", 65)])
 def test_the_lane_map_reads_each_plans_layout(preset, lanes):
     scenario = _Scenario(small_config(preset=preset, windows=1))
-    plans = [scenario.plan] + ([scenario.user_plan] if preset == "car" else [])
-    assert list(scenario.lane_layouts) == [plan.plan_id for plan in plans]
+    # the population plan, then car's per-user plan
+    plans = [p.plan for p in scenario.plans]
+    assert len(plans) == (2 if preset == "car" else 1)
     # the lanes are the sources of the plans' layouts, in lane order
     sources = {j for plan in plans for srcs in plan.layout for j in srcs}
     assert scenario.lanes.tolist() == sorted(sources) and len(sources) == lanes
-    for plan in plans:
-        layout = scenario.lane_layouts[plan.plan_id]
+    record_streams = plans[0].members
+    for p in scenario.plans:
+        layout = p.layout
         # each output's columns, mapped back through the lanes, are its sources
         bounds = layout.offsets.tolist() + [len(layout.sources)]
         columns = [layout.sources[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        assert tuple(tuple(scenario.lanes[c].tolist()) for c in columns) == plan.layout
+        assert tuple(tuple(scenario.lanes[c].tolist()) for c in columns) == p.plan.layout
         assert layout.width == lanes
+        # each plan's rows of the window record are its members'
+        assert [record_streams[r] for r in p.rows] == list(p.plan.members)
     # an open window keeps its sums, cipher and plain, on those lanes only
     scenario._schedule_window(0)
     record = scenario.open[0]
-    assert record.sums.shape == record.plain.shape == (len(scenario.plan.members), lanes)
+    assert record.sums.shape == record.plain.shape == (len(scenario.plans[0].plan.members), lanes)
 
 
 def test_a_catch_up_fills_the_previous_window_on_the_lanes():
@@ -962,8 +1022,8 @@ def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
             protocol="zeph", partition_size=60, colluding_fraction=0.2, seed=3, windows=2
         )
     )
-    assert len(scenario.plan.directives) == 683
-    assert len(scenario.plan.token_layout.sources) == 407
+    assert len(scenario.plans[0].plan.directives) == 683
+    assert len(scenario.plans[0].plan.token_layout.sources) == 407
     layout_calls = []
     original_layout = tokens.output_layout
 
@@ -995,7 +1055,7 @@ def test_tokens_use_the_plans_layout_and_source_keys_only(monkeypatch):
 def partition_members(scenario: _Scenario, *parts) -> np.ndarray:
     """A membership vector over the plan members holding every member of
     the partitions `parts` and no other."""
-    members = np.zeros(len(scenario.plan.members), dtype=bool)
+    members = np.zeros(len(scenario.plans[0].plan.members), dtype=bool)
     for part in parts:
         members[part] = True
     return members
@@ -1006,18 +1066,19 @@ def test_a_window_token_is_minted_once():
     result = scenario.run()
     (window,) = result.windows
     assert window.status == "ok" and window.extras["per_user"]["status"] == "ok"
+    population, user = scenario.plans
     # base masks for window 0 again, so that only the one-token rule refuses
-    every = partition_members(scenario, *scenario.partitions)
-    scenario.base = mask_base(scenario.pairs, every, 0, scenario.plan.output_width)
+    every = partition_members(scenario, *population.partitions)
+    population.base = mask_base(population.pairs, every, 0, population.plan.output_width)
     calls = scenario.prf.calls
-    for part in scenario.partitions:
+    for part in population.partitions:
         with pytest.raises(RuntimeError, match="already minted"):
-            scenario._controller_tokens(0, partition_members(scenario, part))
+            scenario._controller_tokens(population, 0, partition_members(scenario, part))
     # a record in which the per-user stream's chain is complete
-    record = pipeline._Window(0.0, len(scenario.plan.members), len(scenario.lanes))
-    record.arrived[:] = scenario.config.logical_window
+    record = pipeline._Window(0.0, len(population.plan.members), len(scenario.lanes))
+    user.members = np.ones(1, dtype=bool)
     with pytest.raises(RuntimeError, match="already minted"):
-        scenario._release_user_window(0, record, window)
+        scenario._release(user, 0, record, window)
     # refused before any key material is derived
     assert scenario.prf.calls == calls
     assert len(scenario.minted) == 2
@@ -1030,45 +1091,48 @@ def test_tokens_are_minted_per_plan_partition_and_window():
     L = scenario.config.logical_window
     windows = [(w * L, (w + 1) * L) for w in range(2)]
     # one token per plan and window, however many partitions release
-    assert len(scenario.partitions) == 2
+    population, user = scenario.plans
+    assert len(population.partitions) == 2
     assert scenario.minted == {
-        (plan.plan_id, window) for plan in (scenario.plan, scenario.user_plan) for window in windows
+        (p.plan.plan_id, window) for p in (population, user) for window in windows
     }
-    # each stream's one-stream set id, hashed once at partition setup
-    assert scenario.set_ids == tuple(stream_set_hash([sid]) for sid in scenario.plan.members)
+    # each stream's one-stream set id, hashed once at plan setup
+    assert population.set_ids == tuple(stream_set_hash([sid]) for sid in population.plan.members)
     # a window not yet released still mints, from its base masks
-    part, other = scenario.partitions
+    part, other = population.partitions
     members = partition_members(scenario, part)
-    scenario.base = mask_base(scenario.pairs, members, 2, scenario.plan.output_width)
-    masked, *_ = scenario._controller_tokens(2, members)
+    width = population.plan.output_width
+    population.base = mask_base(population.pairs, members, 2, width)
+    masked, *_ = scenario._controller_tokens(population, 2, members)
     assert masked.window == (2 * L, 3 * L)
-    assert masked.stream_set_ids == scenario.set_ids[part]
+    assert masked.stream_set_ids == population.set_ids[part]
     # without base masks for the window there is no fallback: the release
     # raises before any key is derived
     calls = scenario.prf.calls
     members = partition_members(scenario, other)
     with pytest.raises(RuntimeError, match="no base masks for window 2"):
-        scenario._controller_tokens(2, members)
-    scenario.base = mask_base(scenario.pairs, members, 3, scenario.plan.output_width)
+        scenario._controller_tokens(population, 2, members)
+    population.base = mask_base(population.pairs, members, 3, width)
     with pytest.raises(RuntimeError, match="no base masks for window 4"):
-        scenario._controller_tokens(4, members)
+        scenario._controller_tokens(population, 4, members)
     assert scenario.prf.calls == calls
 
 
 def test_a_refused_release_records_no_claim():
     scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
     scenario.run()
-    members = partition_members(scenario, *scenario.partitions)
+    population = scenario.plans[0]
+    members = partition_members(scenario, *population.partitions)
     minted = set(scenario.minted)
     with pytest.raises(RuntimeError, match="no base masks for window 1"):
-        scenario._controller_tokens(1, members)
+        scenario._controller_tokens(population, 1, members)
     assert scenario.minted == minted
     # the same call goes through once the window has its base masks
-    scenario.base = mask_base(scenario.pairs, members, 1, scenario.plan.output_width)
-    masked, *_ = scenario._controller_tokens(1, members)
-    assert masked.parties == scenario.parties
+    population.base = mask_base(population.pairs, members, 1, population.plan.output_width)
+    masked, *_ = scenario._controller_tokens(population, 1, members)
+    assert masked.parties == population.parties
     L = scenario.config.logical_window
-    assert scenario.minted == minted | {(scenario.plan.plan_id, (L, 2 * L))}
+    assert scenario.minted == minted | {(population.plan.plan_id, (L, 2 * L))}
 
 
 def test_a_scenario_holds_each_pair_once():
@@ -1083,15 +1147,16 @@ def test_a_scenario_holds_each_pair_once():
     )
     sizes = partition_sizes(scenario)
     assert sizes == [86, 86, 86, 85]
-    assert scenario.b is not None and scenario.threshold is not None
+    population = scenario.plans[0]
+    assert population.b is not None and population.threshold is not None
     # one table, one group per partition
-    table = scenario.pairs
+    table = population.pairs
     assert table.bounds.tolist() == [0, 86, 172, 258, 343]
-    assert table.parties == scenario.parties
+    assert table.parties == population.parties
     # one row per pair of a partition, held by the scenario's table alone
     assert len(table) == sum(n * (n - 1) // 2 for n in sizes)
     row = 0
-    for g, part in enumerate(scenario.partitions):
+    for g, part in enumerate(population.partitions):
         assert table.bounds[g] == part.start
         alone = partition_table(scenario, part)
         rows = slice(row, row + len(alone))
@@ -1105,19 +1170,20 @@ def test_a_scenario_holds_each_pair_once():
 def test_a_partition_without_members_costs_no_mask_work(caplog):
     scenario = _Scenario(small_config(preset="car", windows=1, dropout_rate=0.0))
     scenario.run()
-    part, other = scenario.partitions
+    population = scenario.plans[0]
+    part, other = population.partitions
     # the base holds every plan member; the release only `part`'s
     every = partition_members(scenario, part, other)
-    scenario.base = mask_base(scenario.pairs, every, 5, scenario.plan.output_width)
+    population.base = mask_base(population.pairs, every, 5, population.plan.output_width)
     before = scenario.prf.calls
     masked, _, additions, isolated = scenario._controller_tokens(
-        5, partition_members(scenario, part)
+        population, 5, partition_members(scenario, part)
     )
-    assert masked.parties == scenario.parties[part]
+    assert masked.parties == population.parties[part]
     # `other` releases nothing, so its pairs are neither backed out nor
     # logged: the release spends only `part`'s token keys
     assert (additions, isolated) == (0, 0)
-    sources = len(scenario.plan.token_layout.sources)
+    sources = len(population.plan.token_layout.sources)
     assert scenario.prf.calls - before == len(masked.parties) * 2 * sources
     assert not [r for r in caplog.records if "no active peers" in r.getMessage()]
 
@@ -1132,7 +1198,7 @@ def test_a_release_makes_one_pass_of_each_step(monkeypatch, caplog):
         )
     )
     assert partition_sizes(scenario) == [19] * 11 + [18] * 4
-    assert len(scenario.pairs.bounds) - 1 == 15 and scenario.b is not None
+    assert len(scenario.plans[0].pairs.bounds) - 1 == 15 and scenario.plans[0].b is not None
     releases = []  # per release: the functions it called, in order
     inside = False  # the shadow's noise pass is not the release's
 
@@ -1148,14 +1214,12 @@ def test_a_release_makes_one_pass_of_each_step(monkeypatch, caplog):
     for name in ["token_matrix", "noise_normals", "mask_delta"] + opening:
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     monkeypatch.setattr(MaskedBatch, "serialize", counting("serialize", MaskedBatch.serialize))
-    tokens, release_window, shadow = (
-        scenario._controller_tokens, scenario._release_window, scenario._shadow
-    )
+    tokens, release_plan, shadow = scenario._controller_tokens, scenario._release, scenario._shadow
 
-    def controller_tokens(w, members):
-        out = tokens(w, members)
+    def controller_tokens(p, w, members):
+        out = tokens(p, w, members)
         # one batch of the window's members, in plan order
-        assert out[0].parties == tuple(compress(scenario.parties, members))
+        assert out[0].parties == tuple(compress(p.parties, members))
         return out
 
     def release(*args):
@@ -1163,7 +1227,7 @@ def test_a_release_makes_one_pass_of_each_step(monkeypatch, caplog):
         releases.append([])
         inside = True
         try:
-            release_window(*args)
+            release_plan(*args)
         finally:
             inside = False
 
@@ -1173,14 +1237,14 @@ def test_a_release_makes_one_pass_of_each_step(monkeypatch, caplog):
         return shadow(*args)
 
     scenario._controller_tokens = controller_tokens
-    scenario._release_window = release
+    scenario._release = release
     scenario._shadow = unmetered_shadow
     result = scenario.run()
     assert [w.status for w in result.windows] == ["ok", "ok"]
     assert any(w.members < result.plan_members for w in result.windows)
-    # per release: one token, noise, delta and batch encode pass, then one
+    # per release: one delta, token, noise and batch encode pass, then one
     # unmasking
-    step = ["token_matrix", "noise_normals", "mask_delta", "serialize"] + opening
+    step = ["mask_delta", "token_matrix", "noise_normals", "serialize"] + opening
     assert releases == [step, step]
     # every member keeps a pair, so no token goes out unmasked
     assert [w.extras["isolated"] for w in result.windows] == [0, 0]
@@ -1202,7 +1266,7 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
         seed=1,
     )
     scenario = _Scenario(config)
-    assert scenario.epoch_width == 256  # window 256 opens the second epoch
+    assert scenario.plans[0].epoch_width == 256  # window 256 opens the second epoch
     passes = []  # (epoch, rows, PRF blocks) of each graph_bits pass
     original = pipeline.graph_bits
 
@@ -1218,8 +1282,8 @@ def test_zeph_keeps_only_the_current_epoch_plan(monkeypatch):
     assert result.summary["windows_ok"] == 257
     # each epoch derives its plan whole, in one pass of a block per pair
     assert passes == [(0, 190, 190), (1, 190, 190)]
-    assert scenario.epoch_plan.epoch_id == 1
-    assert scenario.epoch_plan.bits.shape == (190, 128)
+    assert scenario.plans[0].epoch_plan.epoch_id == 1
+    assert scenario.plans[0].epoch_plan.bits.shape == (190, 128)
 
 
 def test_suppressed_window_charges_no_budget():
@@ -1241,16 +1305,16 @@ def test_suppressed_window_charges_no_budget():
     owner_sets = []
 
     def spy(w):
-        before = scenario.spent.tolist()
+        before = scenario.plans[0].spent.tolist()
         assemble(w)
-        spent[w] = (before, scenario.spent.tolist())
+        spent[w] = (before, scenario.plans[0].spent.tolist())
         owner_sets.append(member_owners(scenario))
 
     scenario._assemble = spy
     result = scenario.run()
     suppressed = [w for w in result.windows if w.status == "suppressed"]
     assert [w.window for w in suppressed] == [40, 41, 42, 43]
-    width = scenario.plan.output_width
+    width = scenario.plans[0].plan.output_width
     for w in suppressed:
         before, after = spent[w.window]
         assert before == after
@@ -1260,7 +1324,7 @@ def test_suppressed_window_charges_no_budget():
         prf = CountingPrf(AesPrf())
         pairs = sum(
             len(base_edges(scenario, part, owner_sets[w.window - 1], w.window, prf)[1])
-            for part in scenario.partitions
+            for part in scenario.plans[0].partitions
         )
         assert pairs > 0
         base_cost = (prf.calls + pairs * ((width + 1) // 2), 2 * pairs * width)
@@ -1293,7 +1357,7 @@ def test_bytes_server_bills_the_membership_delta_each_release_applies(monkeypatc
     for w in result.windows:
         joined, dropped = applied[w.window]
         wire = MembershipDelta(w.window, frozenset(joined), frozenset(dropped)).wire_size()
-        assert w.bytes_server == (scenario.plan_bytes if w.window == 0 else 0) + wire
+        assert w.bytes_server == (scenario.plans[0].plan_bytes if w.window == 0 else 0) + wire
 
 
 @pytest.mark.parametrize("protocol", ["clique", "dream", "zeph"])
@@ -1314,16 +1378,16 @@ def test_a_steady_membership_spends_no_mask_blocks_at_release(monkeypatch, proto
         return values
 
     release_blocks = []
-    release_window = scenario._release_window
+    release_plan = scenario._release
 
-    def metered_release(w, *args):
+    def metered_release(*args):
         token_blocks.append(0)
         before = scenario.prf.calls
-        release_window(w, *args)
+        release_plan(*args)
         release_blocks.append(scenario.prf.calls - before)
 
     monkeypatch.setattr(pipeline, "token_matrix", metered_tokens)
-    scenario._release_window = metered_release
+    scenario._release = metered_release
     result = scenario.run()
     assert [w.members for w in result.windows] == [result.plan_members] * 3
     # every release, window 0's included, only builds tokens and draws noise
@@ -1348,12 +1412,12 @@ def test_a_window_that_does_not_release_still_bills_its_membership_delta():
     owner_sets = recording_owner_sets(scenario)
     result = scenario.run()
     assert [w.window for w in result.windows if w.status != "ok"] == [2, 4, 5]
-    before = frozenset(scenario.parties)  # window 0's delta: from the plan's members
+    before = frozenset(scenario.plans[0].parties)  # window 0's delta: from the plan's members
     for w, owners in zip(result.windows, owner_sets):
         assert len(owners) == w.members
         assert owners != before
         wire = MembershipDelta(w.window, owners - before, before - owners).wire_size()
-        assert w.bytes_server == (scenario.plan_bytes if w.window == 0 else 0) + wire
+        assert w.bytes_server == (scenario.plans[0].plan_bytes if w.window == 0 else 0) + wire
         before = owners
 
 
@@ -1412,7 +1476,7 @@ def test_run_json_writes_numbers_as_numbers(capsys):
 def test_setup_spends_one_prf_block_per_pair_and_reports_it():
     scenario = _Scenario(small_config(preset="web", protocol="dream", partition_size=20))
     result = scenario.run()
-    assert result.summary["prf_calls_setup"] == len(scenario.pairs) > 0
+    assert result.summary["prf_calls_setup"] == len(scenario.plans[0].pairs) > 0
     assert type(json.loads(result.to_json())["summary"]["prf_calls_setup"]) is int
 
 
@@ -1495,6 +1559,49 @@ def test_single_producer_custom_scenario():
         assert w.status == "ok"
         assert 5 <= w.outputs["temp_avg"] <= 45
         assert 0 <= w.outputs["moisture_total"] <= 2 * 4
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_config(preset="car", dropout_rate=0.0),
+        SimConfig(
+            custom=SOLO_SCENARIO, producers=1, partition_size=8, windows=3, seed=3,
+            protocol="clique", dropout_rate=0.0, drop_rate=0.0,
+        ),
+    ],
+    ids=["car-per-user", "solo"],
+)
+def test_one_member_plans_release_alike(caplog, config):
+    # car's per-user plan and the solo scenario's population plan have one
+    # member each, so no pairs: they compute no base or delta masks, log no
+    # connectivity warning, count no isolated member and send their token
+    # in the one-stream token's wire format
+    scenario = _Scenario(config)
+    (single,) = [p for p in scenario.plans if len(p.plan.members) == 1]
+    sent = []  # (bytes, additions, isolated) of each of its releases
+    tokens = scenario._controller_tokens
+
+    def spy(p, w, members):
+        out = tokens(p, w, members)
+        if p is single:
+            sent.append(out[1:])
+        return out
+
+    scenario._controller_tokens = spy
+    result = scenario.run()
+    assert single.pairs is None and single.base is None
+    assert not [r for r in caplog.records if "no active peers" in r.getMessage()]
+    token = 48 + 10 * single.plan.output_width
+    assert sent == [(token, 0, 0)] * len(result.windows)
+    assert result.summary["shadow_ok"] is True
+    if single is scenario.plans[0]:
+        # the solo release is the window's: no plan broadcast, no delta
+        for w in result.windows:
+            assert (w.status, w.shadow_ok, w.extras["isolated"]) == ("ok", True, 0)
+            assert (w.bytes_controller, w.bytes_server) == (token, 0)
+    else:
+        assert all(w.extras["per_user"]["shadow_ok"] for w in result.windows)
 
 
 def test_wrapped_sum_of_squares_fails_the_window():
@@ -1589,7 +1696,8 @@ def test_one_plan_check_per_plan_and_a_refusal_names_the_first_controller(monkey
     scenario = _Scenario(small_config(preset="car", windows=1))
     # the population plan and the per-user plan, each checked once over
     # every member's annotation
-    assert checked == [list(scenario.plan.members), list(scenario.user_plan.members)]
+    assert checked == [list(p.plan.members) for p in scenario.plans]
+    assert len(scenario.plans) == 2
 
     def patched_plan(query, schema, annotations, ledger, **options):
         plan = plan_query(query, schema, annotations, ledger, **options)
@@ -1610,7 +1718,7 @@ def test_one_plan_check_per_plan_and_a_refusal_names_the_first_controller(monkey
 
     checked.clear()
     monkeypatch.setattr(pipeline, "plan_query", patched_plan)
-    members = scenario.plan.members
+    members = scenario.plans[0].plan.members
     with pytest.raises(
         RuntimeError,
         match=f"controller {members[1]} refused the preset query's plan: no_option_selected",

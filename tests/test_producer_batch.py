@@ -190,7 +190,7 @@ def test_window_chunks_encrypt_like_a_chain_encryptor_per_stream():
     reference_prf = CountingPrf(AesPrf())
     encryptors = [
         ChainEncryptor(scenario.masters[sid], width, prf=reference_prf)
-        for sid in scenario.plan.members
+        for sid in scenario.plans[0].plan.members
     ]
     # row 0 sends every window; row 1 is first online in window 2, so it
     # needs the key at 0 and a catch-up; row 2 skips window 1 and catches
