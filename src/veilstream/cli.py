@@ -183,6 +183,13 @@ _RUN_OPTIONS = (
     ("delta", "failure_budget", float),
 )
 
+# argparse keywords of the `run` flags that take more than a type
+_RUN_FLAG_EXTRAS = {
+    "protocol": dict(choices=("clique", "dream", "zeph")),
+    "alpha": dict(help="colluding fraction"),
+    "delta": dict(help="connectivity failure budget"),
+}
+
 
 def _cmd_run(res: Resolver) -> int:
     scenario = res.get("scenario", default="fitness")
@@ -259,22 +266,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a scenario end to end")
     p_run.add_argument("--scenario", help="fitness | web | car | custom")
     p_run.add_argument("--config")
-    p_run.add_argument("--producers", type=int)
-    p_run.add_argument("--windows", type=int)
-    p_run.add_argument("--window-size", dest="window_size", type=float)
-    p_run.add_argument(
-        "--events-per-window", dest="events_per_window", type=int
-    )
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--protocol", choices=("clique", "dream", "zeph"))
-    p_run.add_argument("--partition-size", dest="partition_size", type=int)
-    p_run.add_argument("--drop-rate", dest="drop_rate", type=float)
-    p_run.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p_run.add_argument("--latency-mean", dest="latency_mean", type=float)
-    p_run.add_argument("--latency-sigma", dest="latency_sigma", type=float)
-    p_run.add_argument("--grace", type=float)
-    p_run.add_argument("--alpha", type=float, help="colluding fraction")
-    p_run.add_argument("--delta", type=float, help="connectivity failure budget")
+    for option, _field, cast in _RUN_OPTIONS:
+        p_run.add_argument(
+            "--" + option.replace("_", "-"), dest=option, type=cast,
+            **_RUN_FLAG_EXTRAS.get(option, {}),
+        )
     p_run.add_argument("--out-dir", dest="out_dir")
     return parser
 

@@ -538,6 +538,8 @@ def _make_generator(spec: Optional[dict]):
     """
     if spec is None:
         return _unif(0, 100)
+    if not isinstance(spec, dict):
+        raise ValueError(f"generator {spec!r} is not a mapping")
     kind = spec.get("kind")
     entry = _GENERATOR_KINDS.get(kind)
     if entry is None:
@@ -568,6 +570,8 @@ def custom_table(doc: dict) -> dict:
         raise ValueError("custom schema needs at least one attribute")
     attrs = []
     for a in raw_attrs:
+        if not isinstance(a, dict):
+            raise ValueError(f"custom schema attribute {a!r} is not a mapping")
         spec = {k: v for k, v in a.items() if k != "generator"}
         attrs.append((spec, _make_generator(a.get("generator"))))
     select = doc.get("select")
@@ -874,6 +878,15 @@ class _Scenario:
                 "attributes": [spec for spec, _gen in self.table["attrs"]],
             }
         )
+        query_doc = {
+            "name": f"{config.preset}-population",
+            "select": self.table["select"],
+            "window": config.logical_window,
+            "max_population": 10 * config.producers,
+        }
+        if self.table["dp"]:
+            query_doc["dp"] = self.table["dp"]
+        self.query = parse_query(query_doc)
         self.width = self.schema.width
         self.attr_specs = [(a.name, a.encoding) for a in self.schema.attributes]
         self.slices = self.schema.slices
@@ -910,7 +923,7 @@ class _Scenario:
         self.keypairs = {}
         self.masters = {}
         regions = ("eu", "us", "ap")
-        queried = [body["attribute"] for body in self.table["select"].values()]
+        queried = [item.attribute for item in self.query.select]
         self.queried_attrs = queried
         dp_query = self.table["dp"] is not None
         wanted = "dp-aggregate" if dp_query else "aggregate"
@@ -934,12 +947,13 @@ class _Scenario:
             for a in self.schema.attributes
         }
         for attr in queried:
-            regular[attr] = pick(attr, wanted, "aggregate", "stream-aggregate")
+            if attr in offered:  # the planner refuses an attribute the schema lacks
+                regular[attr] = pick(attr, wanted, "aggregate", "stream-aggregate")
         if per_user_attr:
             regular[per_user_attr] = "stream-aggregate"
         # a few owners keep the first queried attribute private
         holdout = regular
-        if holdout_every and "private" in offered[queried[0]]:
+        if holdout_every and "private" in offered.get(queried[0], ()):
             holdout = {**regular, queried[0]: "private"}
 
         self.annotations = []
@@ -952,13 +966,13 @@ class _Scenario:
             )
             selected = holdout if holdout_every and i % holdout_every == 0 else regular
             meta = {}
-            for fi, f in enumerate(self.table["metadata"]):
-                if f["type"] == "int":
-                    meta[f["name"]] = int(self.rng.integers(2015, 2026))
+            for fi, (name, mtype) in enumerate(self.schema.metadata):
+                if mtype == "int":
+                    meta[name] = int(self.rng.integers(2015, 2026))
                 elif fi == 0:
-                    meta[f["name"]] = regions[int(self.rng.integers(0, len(regions)))]
+                    meta[name] = regions[int(self.rng.integers(0, len(regions)))]
                 else:
-                    meta[f["name"]] = ["a", "b", "c"][int(self.rng.integers(0, 3))]
+                    meta[name] = ["a", "b", "c"][int(self.rng.integers(0, 3))]
             self.annotations.append(
                 StreamAnnotation(
                     stream_id=sid,
@@ -972,15 +986,6 @@ class _Scenario:
     def _setup_plans(self):
         cfg = self.config
         self.ledger = ReservationLedger()
-        query_doc = {
-            "name": f"{cfg.preset}-population",
-            "select": self.table["select"],
-            "window": cfg.logical_window,
-            "max_population": 10 * cfg.producers,
-        }
-        if self.table["dp"]:
-            query_doc["dp"] = self.table["dp"]
-        self.query = parse_query(query_doc)
         options = {"colluding_fraction": cfg.colluding_fraction}
         plans = [self._plan_and_verify(self.query, "preset query", **options)]
         per_user_attr = self.table.get("per_user_attribute")

@@ -158,6 +158,14 @@ class StreamSchema:
         return out
 
 
+def _required(doc, key: str, where: str):
+    """`doc[key]`, refused with a ValueError naming the key when `doc` is
+    not a mapping that holds it."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{where} needs {key!r}")
+    return doc[key]
+
+
 def _encoding_for(attr: dict) -> EncodingSpec:
     aggs = attr.get("aggregates") or []
     scale = int(attr.get("scale", SCALE_DEFAULT))
@@ -171,18 +179,20 @@ def _encoding_for(attr: dict) -> EncodingSpec:
         bins = attr.get("bins")
         domain = attr.get("domain")
         if bins is not None:
+            where = f"attribute {name!r}: bins"
             return EncodingSpec(
                 "histogram",
-                domain_min=float(bins["min"]),
-                domain_max=float(bins["max"]),
-                bin_width=float(bins["width"]),
+                domain_min=float(_required(bins, "min", where)),
+                domain_max=float(_required(bins, "max", where)),
+                bin_width=float(_required(bins, "width", where)),
                 scale=scale,
             )
         if domain is not None:
+            where = f"attribute {name!r}: domain"
             return EncodingSpec(
                 "one_hot",
-                domain_min=int(domain["min"]),
-                domain_max=int(domain["max"]),
+                domain_min=int(_required(domain, "min", where)),
+                domain_max=int(_required(domain, "max", where)),
                 scale=scale,
             )
         raise ValueError(
@@ -211,10 +221,11 @@ def parse_schema(source: Union[str, dict]) -> StreamSchema:
         raise ValueError("schema needs a name")
     metadata = []
     for m in doc.get("metadata", []) or []:
+        mname = _required(m, "name", "metadata field")
         mtype = m.get("type", "string")
         if mtype not in ("string", "int", "float"):
-            raise ValueError(f"metadata {m.get('name')!r}: unknown type {mtype!r}")
-        metadata.append((m["name"], mtype))
+            raise ValueError(f"metadata {mname!r}: unknown type {mtype!r}")
+        metadata.append((mname, mtype))
     raw_attrs = doc.get("attributes")
     if not raw_attrs:
         raise ValueError("schema declares no stream attributes")
@@ -231,7 +242,7 @@ def parse_schema(source: Union[str, dict]) -> StreamSchema:
         for o in a.get("options", []) or []:
             options.append(
                 PrivacyOption(
-                    kind=o["kind"],
+                    kind=_required(o, "kind", f"attribute {aname!r}: option"),
                     min_population=int(o.get("min_population", 1)),
                     min_window=int(o.get("min_window", 0)),
                     epsilon_budget=o.get("epsilon"),
@@ -346,32 +357,33 @@ def parse_query(source: Union[str, dict]) -> Query:
         select.append(
             SelectItem(
                 output_name=out_name,
-                attribute=body["attribute"],
-                function=body["function"],
+                attribute=_required(body, "attribute", f"select {out_name!r}"),
+                function=_required(body, "function", f"select {out_name!r}"),
                 bucket_width=body.get("bucket_width"),
                 param=body.get("param"),
             )
         )
     where = []
     for pred in doc.get("where", []) or []:
+        attribute = _required(pred, "attribute", "where predicate")
         if "equals" in pred:
-            where.append(Predicate(pred["attribute"], "eq", value=pred["equals"]))
+            where.append(Predicate(attribute, "eq", value=pred["equals"]))
         elif "between" in pred:
             lo, hi = pred["between"]
-            where.append(Predicate(pred["attribute"], "range", low=lo, high=hi))
+            where.append(Predicate(attribute, "range", low=lo, high=hi))
         else:
             raise ValueError(f"predicate needs 'equals' or 'between': {pred!r}")
     dp = None
     if doc.get("dp"):
         dp = DpRequest(
-            epsilon_cost=float(doc["dp"]["epsilon"]),
+            epsilon_cost=float(_required(doc["dp"], "epsilon", "dp")),
             sigma_target=float(doc["dp"].get("sigma", 1.0)),
         )
     return Query(
         name=doc.get("name", "query"),
         select=tuple(select),
         where=tuple(where),
-        window=int(doc["window"]),
+        window=int(_required(doc, "window", "query")),
         max_population=int(doc.get("max_population", 1_000_000)),
         dp=dp,
     )

@@ -38,13 +38,12 @@ masks depend only on the secret, the round and the membership:
 known then, and `mask_delta` moves them to the membership at release,
 backing out the masks of pairs with an end no longer live and adding
 those of pairs that became candidates. Its work follows the change in
-membership: finding the changed parties and updating the parties x width
-nonces and the degrees is O(parties), and it reads, selects and masks
-only the pairs with a changed end, which `PeerTable`'s id-ordered rows
-index by formula. `apply_delta` is its one-party case. Every PRF call
-goes through `Prf.evaluate_batch` with one key per pair covering that
-pair's blocks, every pair's blocks in one pass of calls of at most
-`ring.BATCH_BLOCKS` blocks.
+membership: it finds the pairs with a changed end in one pass over the
+table's ends, and reads, selects and masks only those; updating the
+parties x width nonces and the degrees is O(parties). `apply_delta` is
+its one-party case. Every PRF call goes through `Prf.evaluate_batch`
+with one key per pair covering that pair's blocks, every pair's blocks
+in one pass of calls of at most `ring.BATCH_BLOCKS` blocks.
 
 The epoch variant ("zeph" on the command line) gives W = floor(128/b) * 2^b
 rounds per epoch with expected round degree (N-1)/2^b. Privacy holds as
@@ -377,15 +376,13 @@ class PeerTable:
     `registry.get` (an unknown one raises `UnknownIdentityError`), and each
     group's secrets come from one `derive_pairs` of its key pairs' type, or
     of `KeyPair` (the per-pair `derive_shared` loop) when its types differ,
-    spending any PRF blocks through `prf`. Rows run group by group and in
-    id order within a group: with n parties in a group whose rows start at
-    row r, the pair of its a-th and b-th lowest ids (a < b) is row
-    r + a·(2n − a − 1)/2 + b − a − 1, so each party's rows as the lower id
-    are contiguous. `keys` (pairs x 16 `uint8`) holds each pair's secret,
-    and `low` and `high` the indices into `parties` of its lower id, which
-    adds the pair's mask, and its higher id, which subtracts it. `rank`
-    holds each party's position in its group's id order, and group g holds
-    the parties `bounds[g]` to `bounds[g + 1]`. One group of key pairs is
+    spending any PRF blocks through `prf`. Rows run group by group and,
+    within a group, by the pair's lower id and then its higher id, so each
+    party's rows as the lower id are contiguous, which `mask_edges` relies
+    on. `keys` (pairs x 16 `uint8`) holds each pair's secret, and `low`
+    and `high` the indices into `parties` of its lower id, which adds the
+    pair's mask, and its higher id, which subtracts it. Group g holds the
+    parties `bounds[g]` to `bounds[g + 1]`. One group of key pairs is
     `PeerTable([keypairs], ...)`.
     """
 
@@ -420,8 +417,6 @@ class PeerTable:
             derive = kinds.pop().derive_pairs if len(kinds) == 1 else KeyPair.derive_pairs
             self.keys[rows] = derive(group, public[start : start + n], a, b, prf)
             self.low[rows], self.high[rows] = order[a + start], order[b + start]
-        self.rank = np.empty(len(order), dtype=np.intp)
-        self.rank[order] = np.arange(len(order)) - np.repeat(starts[:-1], sizes)
         self.bounds = np.array(starts, dtype=np.intp)
 
     def __len__(self):
@@ -707,10 +702,11 @@ def mask_delta(
     are candidates now (both ends live) were none in the base: the round's
     selection (`plan` for zeph, `threshold` for dream, neither for clique)
     runs on them alone, so dream draws only for them, and the masks of the
-    pairs selected are added. Finding the changed parties, updating the
-    nonce matrix and the degrees, and the connectivity check are
-    O(parties); the rest is O(changed pairs), besides one copy of the row
-    selection, and an unchanged membership returns the base's nonces at no
+    pairs selected are added. Finding those pairs is one boolean pass over
+    the table's pair ends, and the row selection is copied once; updating
+    the nonce matrix and the degrees and the connectivity check are
+    O(parties); reading, selecting and masking are O(changed pairs). An
+    unchanged membership returns the base's nonces with no pass and at no
     PRF cost. The result equals `mask_edges` over `round_edges` for `live`
     exactly, since the ring arithmetic is exact, and every live party left
     without a pair is logged as `round_edges` logs it.
@@ -723,10 +719,10 @@ def mask_delta(
 def _delta(table, base, live, plan, threshold, prf) -> EdgeMasks:
     """`mask_delta` without its connectivity log."""
     live = np.asarray(live, dtype=bool)
-    changed = np.flatnonzero(live != base.live)
-    if not len(changed):
+    changed = live != base.live
+    if not changed.any():
         return base._replace(changed=0)
-    touched = _touched_rows(table, changed)
+    touched = np.flatnonzero(changed[table.low] | changed[table.high])
     # a selected pair with a changed end lost that end; a candidate pair
     # with a changed end gained it
     gone = touched[base.selected[touched]]
@@ -750,27 +746,6 @@ def _delta(table, base, live, plan, threshold, prf) -> EdgeMasks:
     return EdgeMasks(
         base.round_index, live, selected, degree, nonces, len(gone) + len(added)
     )
-
-
-def _touched_rows(table: PeerTable, changed: np.ndarray) -> np.ndarray:
-    """The pair rows of `table` with an end in `changed` (party indices),
-    ascending, by the triangular row index: a changed party of rank m in
-    a group of n parties whose rows start at row r pairs with the party
-    of rank k at row r + a·(2n − a − 1)/2 + b − a − 1, a = min(m, k) and
-    b = max(m, k). A pair of two changed parties is listed once."""
-    bounds = table.bounds
-    sizes = np.diff(bounds)
-    starts = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
-    group = np.searchsorted(bounds, changed, side="right") - 1
-    first, n, row = (x[group][:, None] for x in (bounds, sizes, starts))
-    mine, other = table.rank[changed][:, None], np.arange(sizes.max(initial=0))
-    # flagged[first + k]: is the party of rank k in the group changed?
-    flagged = np.zeros(len(table.parties) + len(other), dtype=bool)
-    flagged[first + mine] = True
-    # a pair of two changed parties is listed from its lower rank only
-    keep = (other < n) & ((other > mine) | ~flagged[first + other])
-    a, b = np.minimum(mine, other), np.maximum(mine, other)
-    return np.sort((row + a * (2 * n - a - 1) // 2 + b - a - 1)[keep])
 
 
 def _change_masks(keys, low, high, nonces, gone, fresh, round_index, plan, threshold, prf):
@@ -1025,7 +1000,7 @@ _MASKED_HEADER = (("round", "<u8"), ("epoch", "<u8"), ("party", "V32"))
 @dataclass(frozen=True, eq=False)
 class MaskedBatch:
     """Blinded partial tokens of one round, one row per party: what the
-    controllers of a partition send together.
+    controllers of a plan's members send for one release.
 
     Row i of `elements` (parties x outputs, uint64) is the blinded token of
     `parties[i]` over the stream set `stream_set_ids[i]`. `stream_ids`,

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
+from veilstream import cli
 from veilstream.cli import BENCH_CSV_COLUMNS, main
+from veilstream.pipeline import SimConfig
 
 SOLO_DOC = {
     "schema": {
@@ -260,6 +262,39 @@ def test_run_unknown_scenario_is_usage_error(capsys):
     assert "banking" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field, expected",
+    [
+        ("--producers", "17", "producers", 17),
+        ("--windows", "3", "windows", 3),
+        ("--window-size", "2.5", "window_size", 2.5),
+        ("--events-per-window", "6", "events_per_window", 6),
+        ("--seed", "11", "seed", 11),
+        ("--protocol", "dream", "protocol", "dream"),
+        ("--partition-size", "40", "partition_size", 40),
+        ("--drop-rate", "0.02", "drop_rate", 0.02),
+        ("--dropout-rate", "0.03", "dropout_rate", 0.03),
+        ("--latency-mean", "0.4", "latency_mean", 0.4),
+        ("--latency-sigma", "0.25", "latency_sigma", 0.25),
+        ("--grace", "3.5", "grace", 3.5),
+        ("--alpha", "0.3", "colluding_fraction", 0.3),
+        ("--delta", "1e-6", "failure_budget", 1e-6),
+    ],
+)
+def test_each_run_flag_reaches_its_config_field(capsys, monkeypatch, flag, value, field, expected):
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(cli, "run_scenario", capture)
+    code, _, err = run_cli(capsys, "run", "--scenario", "web", flag, value)
+    assert code == 1 and "captured" in err
+    # the flag sets its field and leaves every other at its default
+    assert seen == [dataclasses.replace(SimConfig(preset="web"), **{field: expected})]
+
+
 def test_run_custom_needs_config(capsys):
     code, _, err = run_cli(capsys, "run", "--scenario", "custom")
     assert code == 2
@@ -342,7 +377,36 @@ def test_run_rejects_invalid_config_values(capsys, tmp_path):
         )
         assert code == 1
         assert "scenario failed" in err
-    assert not list(tmp_path.iterdir())
+    # a malformed custom scenario is refused before it runs, naming the key
+    attribute = SOLO_DOC["schema"]["attributes"][0]
+    malformed = {
+        "'kind'": dict(SOLO_DOC, schema=dict(
+            SOLO_DOC["schema"], attributes=[dict(attribute, options=[{"min_population": 1}])]
+        )),
+        "'name'": dict(SOLO_DOC, schema=dict(SOLO_DOC["schema"], metadata=[{"type": "int"}])),
+        "'attribute'": dict(SOLO_DOC, select={"t": {"function": "avg"}}),
+        "'function'": dict(SOLO_DOC, select={"t": {"attribute": "temperature"}}),
+        "'epsilon'": dict(SOLO_DOC, dp={"sigma": 2.0}),
+        "unknown_attribute": dict(SOLO_DOC, select={"t": {"attribute": "humidity", "function": "avg"}}),
+        "'temperature' is not a mapping": dict(SOLO_DOC, schema=dict(
+            SOLO_DOC["schema"], attributes=["temperature"]
+        )),
+        "'normal' is not a mapping": dict(SOLO_DOC, schema=dict(
+            SOLO_DOC["schema"], attributes=[dict(attribute, generator="normal")]
+        )),
+    }
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for named, doc in malformed.items():
+        cfg = configs / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        code, _, err = run_cli(
+            capsys, "run", "--scenario", "custom", "--config", str(cfg),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "scenario failed" in err and named in err
+    assert list(tmp_path.iterdir()) == [configs]
 
 
 def test_missing_config_file_is_usage_error(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Schema parsing, query planning, reservations, and controller verification."""
 
+import copy
 import dataclasses
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,67 @@ def test_schema_parsing_rejects_malformed_documents():
                 ],
             }
         )
+
+
+SCHEMA_DOC = {
+    "name": "x",
+    "metadata": [{"name": "m"}],
+    "attributes": [{"name": "a", "aggregates": ["sum"], "options": [{"kind": "aggregate"}]}],
+}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["attributes"][0]["options"][0].pop("kind"), "attribute 'a': option needs 'kind'"),
+        (lambda d: d["metadata"][0].pop("name"), "metadata field needs 'name'"),
+        (lambda d: d["metadata"].__setitem__(0, "m"), "metadata field needs 'name'"),
+        (
+            lambda d: d["attributes"][0].update(aggregates=["median"], bins={"min": 0, "max": 9}),
+            "attribute 'a': bins needs 'width'",
+        ),
+        (
+            lambda d: d["attributes"][0].update(aggregates=["mode"], domain={"min": 0}),
+            "attribute 'a': domain needs 'max'",
+        ),
+    ],
+    ids=["option-kind", "metadata-name", "metadata-not-a-mapping", "bins-width", "domain-max"],
+)
+def test_a_schema_missing_a_key_is_refused_by_name(edit, message):
+    doc = copy.deepcopy(SCHEMA_DOC)
+    parse_schema(doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_schema(doc)
+
+
+QUERY_DOC = {
+    "window": 5,
+    "select": {"x": {"attribute": "a", "function": "sum"}},
+    "where": [{"attribute": "m", "equals": 1}],
+    "dp": {"epsilon": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["select"]["x"].pop("attribute"), "select 'x' needs 'attribute'"),
+        (lambda d: d["select"]["x"].pop("function"), "select 'x' needs 'function'"),
+        (lambda d: d["select"].update(x="a"), "select 'x' needs 'attribute'"),
+        (lambda d: d["where"][0].pop("attribute"), "where predicate needs 'attribute'"),
+        (lambda d: d.update(dp={"sigma": 20}), "dp needs 'epsilon'"),
+        (lambda d: d.pop("window"), "query needs 'window'"),
+    ],
+    ids=["select-attribute", "select-function", "select-not-a-mapping", "where-attribute",
+         "dp-epsilon", "window"],
+)
+def test_a_query_missing_a_key_is_refused_by_name(edit, message):
+    doc = copy.deepcopy(QUERY_DOC)
+    parse_query(doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_query(doc)
 
 
 def test_privacy_option_validation():
