@@ -63,6 +63,7 @@ from .policy import (
     StreamAnnotation,
     StreamSchema,
     ReservationLedger,
+    _epsilon_limit,
     parse_query,
     parse_schema,
     plan_query,
@@ -772,7 +773,7 @@ class _Plan:
     partition) and one selection rule (b, dream threshold, epoch width);
     the current zeph epoch plan and the next window's base masks; its
     members' parties and one-stream set ids; with DP, their noise keys
-    (held by their controllers), epsilon limit and spent epsilon; and
+    (held by their controllers), epsilon limits and spent epsilon; and
     `members`, the membership its next delta is measured against: every
     plan member, as its broadcast lists them, then each window's members.
 
@@ -822,10 +823,14 @@ class _Plan:
             seed = b"dp-noise\x00" + (cfg.seed & RING_MASK).to_bytes(8, "little")
             keys = b"".join(hashlib.sha256(seed + p.value).digest()[:16] for p in self.parties)
             self.noise_keys = np.frombuffer(keys, np.uint8).reshape(-1, 16)
-            self.epsilon_limit = min(
-                scenario.schema.attribute(a).option("dp-aggregate").epsilon_budget
-                for a in plan.queried_attributes()
-            )
+            # each member's limit, the least its queried options allow, by
+            # the rule the planner and its controller use
+            options = scenario.schema._options
+            selected = {a.stream_id: a.selected for a in scenario.annotations}
+            attrs = plan.queried_attributes()
+            self.epsilon_limit = np.array([
+                min(_epsilon_limit(options[a, selected[sid][a]]) for a in attrs) for sid in members
+            ])
             self.spent = np.zeros(n)
         self.members = np.ones(n, dtype=bool)
         broadcast = {
@@ -1323,7 +1328,7 @@ class _Scenario:
             return
         eps = p.plan.dp_epsilon
         # tiny tolerance so budgets sized as k * eps survive float sums
-        if eps is not None and not np.all(p.spent[members] + eps <= p.epsilon_limit + 1e-9):
+        if eps is not None and np.any(p.spent[members] + eps > p.epsilon_limit[members] + 1e-9):
             # one exhausted member suppresses the whole window before any
             # token is built, so no member's budget is charged
             result.status = "suppressed"

@@ -14,14 +14,20 @@ attribute. Options form a ladder, least to most private:
 A transformation complies with an attribute's selected option when the
 query's chain sits at or above the option on this ladder and satisfies the
 option's constraints (minimum window, minimum population, resolution
-floor, epsilon budget). The planner filters candidate streams in three
-passes, mirroring what every data owner's controller re-derives before it
-will co-operate:
+floor, epsilon budget). One rule, `_admission`, decides this for a stream,
+and one helper, `_epsilon_limit`, gives each (stream, attribute) its
+epsilon limit. The planner filters candidate streams in three passes:
 
     (i)   metadata predicates select candidate streams,
-    (ii)  per-stream checks drop streams whose options, constraints,
-          reservations, or budgets forbid the requested transformation,
-    (iii) population constraints settle the final member set.
+    (ii)  the rule drops streams whose options forbid the requested
+          transformation, then the ledger drops reserved streams,
+    (iii) the population floors the rule derived settle the final member
+          set and the dropouts a window may absorb.
+
+Every data owner's controller re-derives the plan with the same rule
+before it will co-operate (`verify_plan`), holding each stream's
+population floor to the plan's `min_members`, and the simulator charges
+each member's epsilon against the same limit.
 
 Non-private plans hold an exclusive reservation per (stream, attribute);
 DP plans instead draw down the attribute's epsilon budget and may overlap.
@@ -34,7 +40,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import yaml
 
@@ -87,6 +93,10 @@ _MAX_DROPOUT_FRACTION = 0.1
 
 def _level(kind: str) -> int:
     return OPTION_KINDS.index(kind)
+
+
+# the lowest level whose release mixes streams, so needs two of them
+_AGGREGATE = _level("aggregate")
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,14 @@ class StreamSchema:
     @functools.cached_property
     def _by_name(self) -> dict[str, AttributeSchema]:
         return {a.name: a for a in reversed(self.attributes)}  # the first of a name wins
+
+    @functools.cached_property
+    def _options(self) -> dict[tuple[str, str], PrivacyOption]:
+        """`attribute(name).option(kind)` by (name, kind), for the checks
+        that look up every member's options."""
+        return {
+            (name, o.kind): o for name, a in self._by_name.items() for o in reversed(a.options)
+        }
 
     @property
     def width(self) -> int:
@@ -548,17 +566,17 @@ def _stream_hash(stream_id: str) -> bytes:
     return hashlib.sha256(b"member-order\x00" + stream_id.encode()).digest()
 
 
-def _chain_for(query: Query, member_count: int) -> tuple[str, ...]:
+def _chain_for(dp: bool, member_count: int) -> tuple[str, ...]:
     chain = ["window_aggregate"]
     if member_count > 1:
         chain.append("cross_stream_sum")
-    if query.dp is not None:
+    if dp:
         chain.append("dp_noise")
     return tuple(chain)
 
 
-def _chain_level(query: Query, member_count: int) -> int:
-    if query.dp is not None:
+def _chain_level(dp: bool, member_count: int) -> int:
+    if dp:
         return _level("dp-aggregate")
     if member_count > 1:
         return _level("aggregate")
@@ -692,75 +710,65 @@ def _resolve_outputs(
     return tuple(directives), outputs
 
 
-def _effective_resolution(schema: StreamSchema, query: Query, attribute: str) -> Optional[float]:
-    enc = schema.attribute(attribute).encoding
-    for item in query.select:
-        if item.attribute == attribute and item.function in _HISTOGRAM_FUNCTIONS:
-            if item.bucket_width is not None:
-                return item.bucket_width
-            if enc.kind == "histogram":
-                return enc.bin_width
-            return 1.0
-    return None
+def _epsilon_limit(option: PrivacyOption) -> float:
+    """The epsilon a stream's releases of an attribute may spend in all,
+    under the option it selected for it: the option's `epsilon_budget`,
+    unlimited when the option sets none."""
+    return math.inf if option.epsilon_budget is None else option.epsilon_budget
 
 
-def _stream_compliance(
+def _admission(
     annotation: StreamAnnotation,
     schema: StreamSchema,
-    query: Query,
-    chain_level: int,
-    ledger: ReservationLedger,
-) -> Optional[str]:
-    """None when the stream can join the plan, else the exclusion reason."""
-    for item in query.select:
-        attr = item.attribute
-        kind = annotation.selected.get(attr)
+    outputs: Sequence[OutputSpec],
+    level: int,
+    window: int,
+    population: Optional[int],
+    epsilon: Optional[float],
+    left: Optional[Callable[[tuple[str, str], float], Optional[float]]],
+) -> Union[str, int]:
+    """Whether a stream's selected options admit a release: the reason they
+    refuse it, or, when they admit it, the stream's population floor.
+
+    The release reaches ladder `level`, sums windows of `window`, keeps at
+    least `population` members (None: not known yet) and, with `epsilon`,
+    spends that much of each queried (stream, attribute) budget, of whose
+    limit `left(pair, limit)` is left (None: unknown), or all of it when
+    `left` is None. Each output's decode
+    fixes the resolution it reveals: a histogram's bin width, 1 for a
+    one-hot domain. The floor is the largest `min_population` of the
+    selected options, and at least 2 at `aggregate` or above. Outputs are
+    checked in order and the first refusal is returned.
+    """
+    floor = 1
+    for o in outputs:
+        kind = annotation.selected.get(o.attribute)
         if kind is None:
             return "no_option_selected"
         if kind == "private":
             return "option_forbids"
-        try:
-            option = schema.attribute(attr).option(kind)
-        except KeyError:
+        option = schema._options.get((o.attribute, kind))
+        if option is None:
             return "option_not_offered"
-        if _level(kind) > chain_level:
+        at = _level(kind)
+        if at > level:
             return "option_forbids"
-        if query.window < option.min_window:
+        if window < option.min_window:
             return "min_window"
-        if option.max_resolution is not None:
-            res = _effective_resolution(schema, query, attr)
-            if res is not None and res < option.max_resolution:
+        floor = max(floor, option.min_population, 2 if at >= _AGGREGATE else 1)
+        if population is not None and population < floor:
+            return "min_population"
+        if option.max_resolution is not None and o.decode.kind in ("histogram", "one_hot"):
+            step = o.decode.bin_width if o.decode.kind == "histogram" else 1.0
+            if step < option.max_resolution:
                 return "max_resolution"
-        pair = (annotation.stream_id, attr)
-        if query.dp is None:
-            if ledger.is_blocked(pair) or ledger.has_dp_activity(pair):
-                return "reserved"
-        else:
-            if ledger.is_blocked(pair):
-                return "reserved"
-            if kind == "dp-aggregate":
-                limit = option.epsilon_budget
-            else:
-                limit = option.epsilon_budget if option.epsilon_budget is not None else math.inf
-            if ledger.dp_spent(pair) + query.dp.epsilon_cost > limit + 1e-9:
+        if epsilon is not None:
+            room = _epsilon_limit(option)
+            if left is not None:
+                room = left((annotation.stream_id, o.attribute), room)
+            if room is None or epsilon > room + 1e-9:
                 return "epsilon_budget"
-    return None
-
-
-def _member_requirements(
-    annotation: StreamAnnotation, schema: StreamSchema, query: Query
-) -> tuple[int, bool]:
-    """min_population requirement and whether the member demands >= 2 peers."""
-    min_pop = 1
-    needs_multi = False
-    for item in query.select:
-        option = schema.attribute(item.attribute).option(
-            annotation.selected[item.attribute]
-        )
-        min_pop = max(min_pop, option.min_population)
-        if _level(option.kind) >= _level("aggregate"):
-            needs_multi = True
-    return min_pop, needs_multi
+    return floor
 
 
 def plan_query(
@@ -792,35 +800,45 @@ def plan_query(
     if not candidates:
         return Rejection("no_matching_streams", "metadata predicates matched nothing")
 
-    # pass (ii): per-stream option and constraint compliance. The chain
-    # level is evaluated optimistically (multi-stream if >1 candidates);
-    # a later collapse to one member is re-checked below.
-    chain_level = _chain_level(query, len(candidates))
+    # pass (ii): each stream's options, judged as its controller will, at
+    # the chain level of a multi-stream plan when there are several
+    # candidates, then its reservations. A set that later shrinks to one
+    # member keeps only streams whose floor is 1, whose options sit below
+    # `aggregate`: they admit the single-stream chain too.
+    dp = query.dp is not None
+    chain_level = _chain_level(dp, len(candidates))
+    epsilon = query.dp.epsilon_cost if dp else None
+
+    def held(pair):
+        return ledger.is_blocked(pair) or (not dp and ledger.has_dp_activity(pair))
+
+    def left(pair, limit):
+        return limit - ledger.dp_spent(pair)
+
     survivors = []
+    floors: dict[str, int] = {}
     exclusions: dict[str, int] = {}
     for a in candidates:
-        why = _stream_compliance(a, schema, query, chain_level, ledger)
-        if why is None:
-            survivors.append(a)
-        else:
+        why = _admission(a, schema, outputs, chain_level, query.window, None, epsilon, left)
+        if not isinstance(why, str) and any(held((a.stream_id, o.attribute)) for o in outputs):
+            why = "reserved"
+        if isinstance(why, str):
             exclusions[why] = exclusions.get(why, 0) + 1
+        else:
+            floors[a.stream_id] = why
+            survivors.append(a)
     if not survivors:
         dominant = max(sorted(exclusions), key=lambda k: exclusions[k])
         return Rejection(dominant, f"all candidate streams excluded: {exclusions}")
 
-    # pass (iii): population constraints with deterministic capping
+    # pass (iii): population floors with deterministic capping
     survivors.sort(key=lambda a: _stream_hash(a.stream_id))
-    reqs = {a.stream_id: _member_requirements(a, schema, query) for a in survivors}
     current = survivors
     while True:
         if len(current) > query.max_population:
             current = current[: query.max_population]
         n = len(current)
-        kept = [
-            a
-            for a in current
-            if reqs[a.stream_id][0] <= n and (not reqs[a.stream_id][1] or n >= 2)
-        ]
+        kept = [a for a in current if floors[a.stream_id] <= n]
         if len(kept) == len(current):
             break
         current = kept
@@ -829,15 +847,10 @@ def plan_query(
             "min_population",
             f"population constraints admit no member set from {len(survivors)} survivors",
         )
-    if len(current) == 1 and _chain_level(query, 1) < chain_level:
-        # collapsed to a single stream: re-check its option at the weaker level
-        why = _stream_compliance(current[0], schema, query, _chain_level(query, 1), ledger)
-        if why is not None:
-            return Rejection(why, "single surviving stream refuses a per-stream release")
 
     members = tuple(sorted(a.stream_id for a in current))
     owners = tuple(sorted({a.owner_id for a in current}))
-    chain = _chain_for(query, len(members))
+    chain = _chain_for(dp, len(members))
     plan_id = hashlib.sha256(
         json.dumps(
             {
@@ -846,17 +859,15 @@ def plan_query(
                 "chain": chain,
                 "window": query.window,
                 "outputs": [(o.name, o.attribute, o.function) for o in outputs],
-                "dp": query.dp.epsilon_cost if query.dp else None,
+                "dp": epsilon,
             },
             sort_keys=True,
         ).encode()
     ).hexdigest()[:32]
 
-    max_min_pop = max(reqs[m][0] for m in members)
-    floor = max(max_min_pop, 2 if any(reqs[m][1] for m in members) else 1)
-    max_dropouts = max(0, min(
-        int(_MAX_DROPOUT_FRACTION * len(members)), len(members) - floor
-    ))
+    # as many dropouts as keep every member's floor
+    floor = max(floors[m] for m in members)
+    max_dropouts = min(int(_MAX_DROPOUT_FRACTION * len(members)), len(members) - floor)
 
     noise = None
     if query.dp is not None:
@@ -870,13 +881,10 @@ def plan_query(
     if query.dp is None:
         granted = ledger.try_reserve_exclusive(plan_id, pairs)
     else:
-        budget_for = {}
-        by_stream = {a.stream_id: a for a in current}
-        for m, attr in pairs:
-            option = schema.attribute(attr).option(by_stream[m].selected[attr])
-            budget_for[(m, attr)] = (
-                option.epsilon_budget if option.epsilon_budget is not None else math.inf
-            )
+        selected = {a.stream_id: a.selected for a in current}
+        budget_for = {
+            (m, attr): _epsilon_limit(schema._options[attr, selected[m][attr]]) for m, attr in pairs
+        }
         granted = ledger.try_charge_dp(plan_id, pairs, query.dp.epsilon_cost, budget_for)
     if not granted:
         return Rejection("reserved", "reservation or budget race lost")
@@ -893,7 +901,7 @@ def plan_query(
         layout=output_layout(directives),
         outputs=outputs,
         max_dropouts=max_dropouts,
-        dp_epsilon=query.dp.epsilon_cost if query.dp else None,
+        dp_epsilon=epsilon,
         noise=noise,
     )
 
@@ -909,9 +917,12 @@ def verify_plan(
     """A controller's independent re-derivation of plan compliance.
 
     Controllers run this before contributing tokens: the planner is not
-    trusted. Checks cover structural integrity, the privacy ladder, every
-    constraint of the selected options on this controller's streams, and
-    that all participating owners have known identities.
+    trusted. Checks cover structural integrity, that the chain is the one
+    the planner builds for the plan's members and DP request, the
+    planner's own admission rule on this controller's streams, with each
+    stream's population floor held to `min_members`, the members a
+    window may not fall below, and that all participating owners have
+    known identities.
 
     `own_annotations` may hold several member streams; they are checked
     in plan order and the first refusal is returned. Given every
@@ -927,53 +938,28 @@ def verify_plan(
         return Verdict.refuse("width_mismatch")
     if plan.window <= 0:
         return Verdict.refuse("bad_window")
-    if ("dp_noise" in plan.chain) != (plan.dp_epsilon is not None):
+    dp = plan.dp_epsilon is not None
+    if ("dp_noise" in plan.chain) != dp or (dp and plan.noise is None):
         return Verdict.refuse("dp_chain_mismatch")
-    if plan.dp_epsilon is not None and plan.noise is None:
-        return Verdict.refuse("dp_chain_mismatch")
-    if len(plan.members) > 1 and "cross_stream_sum" not in plan.chain:
+    if plan.chain != _chain_for(dp, len(plan.members)):
         return Verdict.refuse("chain_mismatch")
-
-    if plan.dp_epsilon is not None:
-        level = _level("dp-aggregate")
-    elif len(plan.members) > 1:
-        level = _level("aggregate")
-    else:
-        level = _level("stream-aggregate")
+    level = _chain_level(dp, len(plan.members))
 
     # the caller's own streams, in plan order, without a pass over members
     rank = plan._member_rank
     mine = sorted((sid for sid in own_annotations if sid in rank), key=rank.__getitem__)
     if not mine:
         return Verdict.refuse("not_a_member")
+
+    # without its own account, a controller holds each budget's whole limit
+    left = None if remaining_epsilon is None else (lambda pair, _: remaining_epsilon.get(pair))
     for sid in mine:
-        annotation = own_annotations[sid]
-        for attr_name in plan.queried_attributes():
-            kind = annotation.selected.get(attr_name)
-            if kind is None:
-                return Verdict.refuse("no_option_selected")
-            if kind == "private" or _level(kind) > level:
-                return Verdict.refuse("option_forbids")
-            try:
-                option = schema.attribute(attr_name).option(kind)
-            except KeyError:
-                return Verdict.refuse("option_not_offered")
-            if plan.window < option.min_window:
-                return Verdict.refuse("min_window")
-            if len(plan.members) < option.min_population:
-                return Verdict.refuse("min_population")
-            if option.max_resolution is not None:
-                for o in plan.outputs:
-                    if o.attribute == attr_name and o.decode.kind == "histogram":
-                        if o.decode.bin_width < option.max_resolution:
-                            return Verdict.refuse("max_resolution")
-            if plan.dp_epsilon is not None:
-                if remaining_epsilon is not None:
-                    left = remaining_epsilon.get((sid, attr_name))
-                    if left is None or plan.dp_epsilon > left + 1e-9:
-                        return Verdict.refuse("epsilon_budget")
-                elif kind == "dp-aggregate" and plan.dp_epsilon > option.epsilon_budget + 1e-9:
-                    return Verdict.refuse("epsilon_budget")
+        why = _admission(
+            own_annotations[sid], schema, plan.outputs, level, plan.window,
+            plan.min_members, plan.dp_epsilon, left,
+        )
+        if isinstance(why, str):
+            return Verdict.refuse(why)
     if registry is not None and not registry.knows_all(plan.owners):
         return Verdict.refuse("unknown_identity")
     return Verdict.accept()

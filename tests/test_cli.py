@@ -327,6 +327,24 @@ def test_run_custom_scenario_and_option_precedence(capsys, tmp_path, monkeypatch
     assert doc["plan_members"] == 1
 
 
+def test_run_custom_dp_over_options_without_a_budget(capsys, tmp_path):
+    # an `aggregate` option sets no epsilon budget: its members' limit is
+    # unlimited, for the run as for the planner's ledger
+    attribute = dict(SOLO_DOC["schema"]["attributes"][0], options=[{"kind": "aggregate"}])
+    cfg = tmp_path / "dp.yaml"
+    doc = dict(SOLO_DOC, schema=dict(SOLO_DOC["schema"], attributes=[attribute]),
+               dp={"epsilon": 0.1, "sigma": 5}, producers=30, windows=3,
+               protocol="clique", seed=2)
+    cfg.write_text(yaml.safe_dump(doc))
+    code, out, _ = run_cli(capsys, "run", "--scenario", "custom", "--config", str(cfg),
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["shadow_ok"] is True
+    report = json.loads((tmp_path / "run_greenhouse_2.json").read_text())
+    statuses = [w["status"] for w in report["windows"]]
+    assert "ok" in statuses and "suppressed" not in statuses
+
+
 def test_run_with_a_wrapped_statistic_exits_one(capsys, tmp_path):
     # window sums of squares of 40 values near 3e6 wrap past 2**63
     cfg = tmp_path / "wrap.yaml"

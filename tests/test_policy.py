@@ -680,6 +680,16 @@ def test_verify_rejects_structural_tampering():
     assert verify_plan(plan, SCHEMA, stranger).reason == "not_a_member"
 
 
+def test_verify_refuses_any_chain_but_the_planners():
+    anns = [annotation(0, selected={"heart_rate": "stream-aggregate"})]
+    plan = plan_query(avg_query(), SCHEMA, anns, ReservationLedger())
+    own = {a.stream_id: a for a in anns}
+    assert plan.chain == ("window_aggregate",) and verify_plan(plan, SCHEMA, own).ok
+    for chain in (("window_aggregate", "cross_stream_sum"), ("window_aggregate", "publish")):
+        forged = dataclasses.replace(plan, chain=chain)
+        assert verify_plan(forged, SCHEMA, own).reason == "chain_mismatch"
+
+
 def test_verify_rechecks_options_and_constraints():
     ledger = ReservationLedger()
     anns = [annotation(i) for i in range(5)]
@@ -750,7 +760,68 @@ def test_verify_checks_dp_budgets_and_identities():
         )
 
 
-def test_verify_resolution_floor_on_decode_spec():
+def test_verify_holds_the_population_floor_to_min_members():
+    ward = parse_schema(
+        {
+            "name": "wearable",
+            "attributes": [
+                {
+                    "name": "steps",
+                    "aggregates": ["sum"],
+                    "options": [{"kind": "aggregate", "min_population": 5}],
+                },
+                {"name": "floors", "aggregates": ["sum"], "options": [{"kind": "aggregate"}]},
+            ],
+        }
+    )
+    for attribute, n, dropouts in (("steps", 8, 7), ("floors", 3, 2)):
+        anns = [annotation(i, selected={attribute: "aggregate"}) for i in range(n)]
+        query = Query(name="q", select=(SelectItem("s", attribute, "sum"),), window=5)
+        plan = plan_query(query, ward, anns, ReservationLedger())
+        own = {a.stream_id: a for a in anns}
+        assert verify_plan(plan, ward, own).ok
+        # a window could then release the sum of a single member
+        lax = dataclasses.replace(plan, max_dropouts=dropouts)
+        assert lax.min_members == 1
+        assert verify_plan(lax, ward, own).reason == "min_population"
+
+
+# each encoding's finest step is finer than 5: 2-wide bins, one-hot steps of 1
+LEVELS = {
+    "histogram": {"bins": {"min": 0, "max": 10, "width": 2}},
+    "one_hot": {"domain": {"min": 0, "max": 9}},
+}
+
+
+def level_schema(encoding, **option):
+    return parse_schema(
+        {
+            "name": "wearable",
+            "attributes": [
+                {
+                    "name": "level",
+                    "aggregates": ["histogram"],
+                    **LEVELS[encoding],
+                    "options": [{"kind": "aggregate", **option}],
+                }
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("encoding", list(LEVELS))
+def test_verify_resolution_floor_on_decode_spec(encoding):
+    strict, permissive = level_schema(encoding, max_resolution=5), level_schema(encoding)
+    anns = [annotation(i, selected={"level": "aggregate"}) for i in range(3)]
+    query = Query(name="lvl", select=(SelectItem("h", "level", "histogram"),), window=5)
+    assert plan_query(query, strict, anns, ReservationLedger()).reason == "max_resolution"
+    plan = plan_query(query, permissive, anns, ReservationLedger())
+    own = {a.stream_id: a for a in anns}
+    assert verify_plan(plan, permissive, own).ok
+    assert verify_plan(plan, strict, own).reason == "max_resolution"
+
+
+def test_verify_reads_the_resolution_of_bucketed_bins():
     ledger = ReservationLedger()
     anns = [annotation(i) for i in range(3)]
     query = Query(
@@ -795,8 +866,15 @@ ALTIMETER = parse_schema(
     }
 )
 
-# the selection with which a member breaks one rule of a DP histogram
-# plan over 5-wide bins with a window of 5, or (None) breaks nothing
+ALT_HIST = Query(
+    name="alt-hist",
+    select=(SelectItem("h", "alt", "histogram"),),
+    window=5,
+    dp=DpRequest(epsilon_cost=0.4, sigma_target=5.0),
+)
+
+# the selection with which a member breaks one rule of ALT_HIST, a DP
+# histogram plan over 5-wide bins with a window of 5, or (None) breaks nothing
 BREAKS = {
     None: {"alt": "aggregate"},
     "option_forbids": {"alt": "private"},
@@ -823,14 +901,8 @@ def altimeter_annotation(i, selected):
     data=st.data(),
 )
 def test_one_check_over_all_members_equals_the_first_refusing_controller(rules, data):
-    query = Query(
-        name="alt-hist",
-        select=(SelectItem("h", "alt", "histogram"),),
-        window=5,
-        dp=DpRequest(epsilon_cost=0.4, sigma_target=5.0),
-    )
     anns = [altimeter_annotation(i, BREAKS[None]) for i in range(len(rules))]
-    plan = plan_query(query, ALTIMETER, anns, ReservationLedger())
+    plan = plan_query(ALT_HIST, ALTIMETER, anns, ReservationLedger())
     assert isinstance(plan, TransformationPlan)
     registry = IdentityRegistry()
     for o in plan.owners:
@@ -851,3 +923,14 @@ def test_one_check_over_all_members_equals_the_first_refusing_controller(rules, 
     order = data.draw(st.permutations(list(broken)))
     together = {sid: broken[sid] for sid in order}
     assert verify_plan(plan, ALTIMETER, together, registry=registry) == first
+
+
+@pytest.mark.parametrize("rule", [rule for rule in BREAKS if rule is not None])
+def test_the_planner_refuses_with_the_controllers_reason(rule):
+    sound = [altimeter_annotation(i, BREAKS[None]) for i in range(4)]
+    plan = plan_query(ALT_HIST, ALTIMETER, sound, ReservationLedger())
+    broken = [altimeter_annotation(i, BREAKS[rule]) for i in range(4)]
+    refusal = verify_plan(plan, ALTIMETER, {broken[0].stream_id: broken[0]})
+    rejection = plan_query(ALT_HIST, ALTIMETER, broken, ReservationLedger())
+    assert isinstance(rejection, Rejection)
+    assert rejection.reason == refusal.reason == rule
