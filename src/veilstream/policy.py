@@ -24,10 +24,14 @@ epsilon limit. The planner filters candidate streams in three passes:
     (iii) the population floors the rule derived settle the final member
           set and the dropouts a window may absorb.
 
-Every data owner's controller re-derives the plan with the same rule
-before it will co-operate (`verify_plan`), holding each stream's
-population floor to the plan's `min_members`, and the simulator charges
-each member's epsilon against the same limit.
+Every data owner's controller re-derives the plan with the same rules
+before it will co-operate (`verify_plan`): it holds each stream's
+population floor to the plan's `min_members`; after that rule and before
+the owners' identities, it recompiles the plan's outputs with the
+planner's output rule, `_resolve_outputs`, and refuses with
+`outputs_mismatch` unless that gives exactly the plan's directives and
+outputs. The simulator charges each member's epsilon against the same
+limit.
 
 Non-private plans hold an exclusive reservation per (stream, attribute);
 DP plans instead draw down the attribute's epsilon budget and may overlap.
@@ -35,6 +39,7 @@ DP plans instead draw down the attribute's epsilon budget and may overlap.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -80,12 +85,23 @@ __all__ = [
 # privacy ladder, least private first; index is the compliance level
 OPTION_KINDS = ("public", "stream-aggregate", "aggregate", "dp-aggregate", "private")
 
+# Each function outside the histogram family: the lanes of its attribute
+# it releases under each encoding kind that carries it, and what they
+# decode as, a (kind, scaled) pair, or None for the attribute's own encoding.
+_LANES: dict[str, tuple[dict[str, tuple[int, ...]], Optional[tuple[str, bool]]]] = {
+    "sum": ({"sum": (0,), "sum_count": (0,), "variance": (0,)}, ("sum", True)),
+    "count": ({"sum_count": (1,), "variance": (2,)}, ("sum", False)),
+    "avg": ({"sum_count": (0, 1), "variance": (0, 2)}, ("sum_count", True)),
+    "var": ({"variance": (0, 1, 2)}, None),
+    "sum_above": ({"predicate_threshold": (0, 1)}, None),
+    "sum_below": ({"predicate_threshold": (0, 1)}, None),
+}
+# these release every bin of a histogram or one_hot attribute, or merge
+# them into buckets of a whole number of bins
 _HISTOGRAM_FUNCTIONS = frozenset(
     ["histogram", "median", "percentile", "min", "max", "mode", "range", "topk"]
 )
-_FUNCTIONS = frozenset(["sum", "count", "avg", "var", "sum_above", "sum_below"]) | (
-    _HISTOGRAM_FUNCTIONS
-)
+_FUNCTIONS = frozenset(_LANES) | _HISTOGRAM_FUNCTIONS
 
 # share of a plan's members that may miss a window before it fails closed
 _MAX_DROPOUT_FRACTION = 0.1
@@ -335,6 +351,14 @@ class SelectItem:
     def __post_init__(self):
         if self.function not in _FUNCTIONS:
             raise ValueError(f"unknown aggregate function {self.function!r}")
+        p = self.param
+        if p is None or self.function not in ("percentile", "topk"):
+            return
+        number = isinstance(p, (int, float))
+        if self.function == "percentile" and not (number and 0 < p <= 100):
+            raise ValueError(f"percentile param must be in (0, 100], got {p!r}")
+        if self.function == "topk" and not (number and p >= 1 and float(p).is_integer()):
+            raise ValueError(f"topk param must be a positive integer, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -433,8 +457,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class OutputSpec:
-    """One query output: where it lives in the plan's output vector and
-    how to decode it."""
+    """One query output: where it lives in the plan's output vector, how
+    to decode it, and the select item it was compiled from."""
 
     name: str
     attribute: str
@@ -443,6 +467,7 @@ class OutputSpec:
     out_start: int
     out_stop: int
     param: Optional[float] = None
+    bucket_width: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -583,15 +608,48 @@ def _chain_level(dp: bool, member_count: int) -> int:
     return _level("stream-aggregate")
 
 
+def _compile(
+    item: SelectItem, enc: EncodingSpec
+) -> Union[tuple[dict[int, ElementDirective], EncodingSpec, int], Rejection]:
+    """The directives on its attribute's lanes, by lane, with which `item`
+    releases its function over encoding `enc`, what the released elements
+    decode as, and how many there are."""
+    fn = item.function
+    if fn not in _HISTOGRAM_FUNCTIONS:
+        by_kind, decode = _LANES[fn]
+        lanes = by_kind.get(enc.kind)
+        if lanes is None:
+            return Rejection("unsupported_function", f"{item.attribute} carries no {fn}")
+        if decode is not None:
+            kind, scaled = decode
+            enc = EncodingSpec(kind, scale=enc.scale if scaled else 1)
+        return {j: release() for j in lanes}, enc, len(lanes)
+    if enc.kind not in ("histogram", "one_hot"):
+        return Rejection("unsupported_function", f"{item.attribute} has no bins")
+    if item.bucket_width is None:
+        return {j: release() for j in range(enc.width)}, enc, enc.width
+    if enc.kind != "histogram":
+        return Rejection("max_resolution", "bucketing needs a histogram encoding")
+    ratio = item.bucket_width / enc.bin_width
+    if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
+        return Rejection(
+            "max_resolution", "bucket_width must be a whole multiple of the bin width"
+        )
+    ratio = int(round(ratio))
+    merged = {j: merge((item.attribute, j // ratio)) for j in range(enc.width)}
+    decode = dataclasses.replace(enc, bin_width=enc.bin_width * ratio)
+    return merged, decode, math.ceil(enc.width / ratio)
+
+
 def _resolve_outputs(
-    schema: StreamSchema, query: Query
+    schema: StreamSchema, select: Sequence[SelectItem]
 ) -> Union[tuple[tuple[ElementDirective, ...], tuple[OutputSpec, ...]], Rejection]:
-    """Compile select items into full-width directives and output specs."""
+    """Compile select items into full-width directives and output specs:
+    a query's for the planner, a plan's outputs for `verify_plan`."""
     slices = schema.slices
     directives: list[ElementDirective] = [withhold()] * schema.width
-    pending: list[dict] = []
-    claimed: set[str] = set()
-    for item in query.select:
+    compiled: dict[str, tuple[SelectItem, EncodingSpec, int]] = {}
+    for item in select:
         try:
             attr = schema.attribute(item.attribute)
         except KeyError:
@@ -600,112 +658,37 @@ def _resolve_outputs(
             return Rejection(
                 "unsupported_function", f"{item.attribute} does not offer {item.function}"
             )
-        if item.attribute in claimed:
+        if item.attribute in compiled:
             return Rejection(
                 "duplicate_attribute", f"{item.attribute} selected more than once"
             )
-        claimed.add(item.attribute)
-        start, _stop = slices[item.attribute]
-        enc = attr.encoding
-        scale = enc.scale
-        fn = item.function
-        if fn in _HISTOGRAM_FUNCTIONS:
-            if enc.kind not in ("histogram", "one_hot"):
-                return Rejection("unsupported_function", f"{item.attribute} has no bins")
-            if item.bucket_width is not None:
-                if enc.kind != "histogram":
-                    return Rejection("max_resolution", "bucketing needs a histogram encoding")
-                ratio = item.bucket_width / enc.bin_width
-                if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-                    return Rejection(
-                        "max_resolution",
-                        "bucket_width must be a whole multiple of the bin width",
-                    )
-                ratio = int(round(ratio))
-                merged = math.ceil(enc.width / ratio)
-                for j in range(enc.width):
-                    directives[start + j] = merge((item.attribute, j // ratio))
-                decode = EncodingSpec(
-                    "histogram",
-                    domain_min=enc.domain_min,
-                    domain_max=enc.domain_max,
-                    bin_width=enc.bin_width * ratio,
-                    scale=scale,
-                )
-                width_out = merged
-            else:
-                for j in range(enc.width):
-                    directives[start + j] = release()
-                decode = enc
-                width_out = enc.width
-        elif fn == "sum":
-            if enc.kind not in ("sum", "sum_count", "variance"):
-                return Rejection("unsupported_function", f"{item.attribute} carries no sum")
-            directives[start] = release()
-            decode = EncodingSpec("sum", scale=scale)
-            width_out = 1
-        elif fn == "count":
-            if enc.kind == "sum_count":
-                directives[start + 1] = release()
-            elif enc.kind == "variance":
-                directives[start + 2] = release()
-            else:
-                return Rejection("unsupported_function", f"{item.attribute} carries no count")
-            decode = EncodingSpec("sum", scale=1)
-            width_out = 1
-        elif fn == "avg":
-            if enc.kind == "sum_count":
-                directives[start] = release()
-                directives[start + 1] = release()
-            elif enc.kind == "variance":
-                directives[start] = release()
-                directives[start + 2] = release()
-            else:
-                return Rejection("unsupported_function", f"{item.attribute} carries no count")
-            decode = EncodingSpec("sum_count", scale=scale)
-            width_out = 2
-        elif fn == "var":
-            if enc.kind != "variance":
-                return Rejection("unsupported_function", f"{item.attribute} has no squares")
-            for j in range(3):
-                directives[start + j] = release()
-            decode = enc
-            width_out = 3
-        else:  # sum_above / sum_below
-            if enc.kind != "predicate_threshold":
-                return Rejection("unsupported_function", f"{item.attribute} has no predicate")
-            directives[start] = release()
-            directives[start + 1] = release()
-            decode = enc
-            width_out = 2
-        pending.append(
-            {
-                "name": item.output_name,
-                "attribute": item.attribute,
-                "function": fn,
-                "decode": decode,
-                "width": width_out,
-                "param": item.param,
-                "element_start": start,
-            }
-        )
+        lanes = _compile(item, attr.encoding)
+        if isinstance(lanes, Rejection):
+            return lanes
+        by_lane, decode, width = lanes
+        start = slices[item.attribute][0]
+        for j, directive in by_lane.items():
+            directives[start + j] = directive
+        compiled[item.attribute] = (item, decode, width)
     # Released elements keep stream order on the wire, so offsets follow the
     # attribute slice positions rather than the order the query listed them.
-    out_at = 0
-    for rec in sorted(pending, key=lambda r: r["element_start"]):
-        rec["out_start"] = out_at
-        out_at += rec["width"]
+    out_start = {}
+    at = 0
+    for name in sorted(compiled, key=lambda name: slices[name]):
+        out_start[name] = at
+        at += compiled[name][2]
     outputs = tuple(
         OutputSpec(
-            name=rec["name"],
-            attribute=rec["attribute"],
-            function=rec["function"],
-            decode=rec["decode"],
-            out_start=rec["out_start"],
-            out_stop=rec["out_start"] + rec["width"],
-            param=rec["param"],
+            name=item.output_name,
+            attribute=name,
+            function=item.function,
+            decode=decode,
+            out_start=out_start[name],
+            out_stop=out_start[name] + width,
+            param=item.param,
+            bucket_width=item.bucket_width,
         )
-        for rec in pending
+        for name, (item, decode, width) in compiled.items()
     )
     return tuple(directives), outputs
 
@@ -786,7 +769,7 @@ def plan_query(
     are already taken; callers hand the plan id to release_reservation
     when the transformation retires.
     """
-    resolved = _resolve_outputs(schema, query)
+    resolved = _resolve_outputs(schema, query.select)
     if isinstance(resolved, Rejection):
         return resolved
     directives, outputs = resolved
@@ -921,8 +904,11 @@ def verify_plan(
     the planner builds for the plan's members and DP request, the
     planner's own admission rule on this controller's streams, with each
     stream's population floor held to `min_members`, the members a
-    window may not fall below, and that all participating owners have
-    known identities.
+    window may not fall below, that the planner's output rule
+    (`_resolve_outputs`), rerun on the plan's outputs as select items,
+    gives exactly the plan's directives and outputs (else
+    `outputs_mismatch`, checked after the admission rule and before the
+    identities), and that all participating owners have known identities.
 
     `own_annotations` may hold several member streams; they are checked
     in plan order and the first refusal is returned. Given every
@@ -960,6 +946,18 @@ def verify_plan(
         )
         if isinstance(why, str):
             return Verdict.refuse(why)
+    # the planner's output rule, rerun on the plan's own outputs, must give
+    # exactly its directives and outputs: the lanes and decoders checked
+    # above are then the ones this controller derives itself
+    try:
+        select = [
+            SelectItem(o.name, o.attribute, o.function, o.bucket_width, o.param)
+            for o in plan.outputs
+        ]
+    except ValueError:
+        return Verdict.refuse("outputs_mismatch")
+    if _resolve_outputs(schema, select) != (plan.directives, plan.outputs):
+        return Verdict.refuse("outputs_mismatch")
     if registry is not None and not registry.knows_all(plan.owners):
         return Verdict.refuse("unknown_identity")
     return Verdict.accept()

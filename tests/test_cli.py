@@ -427,6 +427,26 @@ def test_run_rejects_invalid_config_values(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [configs]
 
 
+@pytest.mark.parametrize("function, param", [("percentile", 150), ("topk", -1), ("topk", 0)])
+def test_run_refuses_a_param_outside_its_function_range(capsys, tmp_path, function, param):
+    # refused when the query is parsed, before any window runs or any file
+    # is written
+    attribute = dict(
+        SOLO_DOC["schema"]["attributes"][0],
+        aggregates=[function],
+        bins={"min": 0, "max": 50, "width": 1},
+    )
+    cfg = tmp_path / "param.yaml"
+    doc = dict(SOLO_DOC, schema=dict(SOLO_DOC["schema"], attributes=[attribute]),
+               select={"t": {"attribute": "temperature", "function": function, "param": param}})
+    cfg.write_text(yaml.safe_dump(doc))
+    code, _, err = run_cli(capsys, "run", "--scenario", "custom", "--config", str(cfg),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "scenario failed" in err and f"{function} param" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_missing_config_file_is_usage_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "optimize", "--config", str(tmp_path / "nope.yaml")

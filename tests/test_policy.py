@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veilstream.encoding import decode_stats, encode_batch
+from veilstream.pipeline import _headline
 from veilstream.policy import (
+    _FUNCTIONS,
+    _HISTOGRAM_FUNCTIONS,
     DpRequest,
     Predicate,
     PrivacyOption,
@@ -27,7 +31,7 @@ from veilstream.policy import (
     verify_plan,
 )
 from veilstream.secure_agg import IdentityRegistry, PartyId, PublicIdentity
-from veilstream.tokens import output_layout
+from veilstream.tokens import output_layout, release
 
 SCHEMA = parse_schema(
     {
@@ -934,3 +938,155 @@ def test_the_planner_refuses_with_the_controllers_reason(rule):
     rejection = plan_query(ALT_HIST, ALTIMETER, broken, ReservationLedger())
     assert isinstance(rejection, Rejection)
     assert rejection.reason == refusal.reason == rule
+
+
+# ---- one output rule -----------------------------------------------------------------
+
+
+def _widened(plan, lanes):
+    """`plan` with every lane in `lanes` released too, its layout to match."""
+    directives = list(plan.directives)
+    for lane in lanes:
+        directives[lane] = release()
+    return dataclasses.replace(
+        plan, directives=tuple(directives), layout=output_layout(directives)
+    )
+
+
+HR = SCHEMA.slices["heart_rate"][0]
+
+# 100 one-wide bins, released at a resolution of 5 at the finest
+LEVEL_100 = parse_schema(
+    {
+        "name": "wearable",
+        "attributes": [
+            {
+                "name": "level",
+                "aggregates": ["histogram"],
+                "bins": {"min": 0, "max": 100, "width": 1},
+                "options": [{"kind": "aggregate", "max_resolution": 5}],
+            }
+        ],
+    }
+)
+
+# a schema, the streams' selections, the one select item of a sound plan,
+# and how a planner forges that plan
+FORGERIES = {
+    # an avg over a variance attribute that also releases the sums of squares
+    "avg_with_squares": (
+        SCHEMA, DEFAULT_SELECTED, SelectItem("a", "heart_rate", "avg"),
+        lambda plan: _widened(plan, [HR + 1]),
+    ),
+    # a lane of an attribute no output names, which the streams keep private
+    "unnamed_private_lane": (
+        SCHEMA, {"steps": "aggregate", "heart_rate": "private"}, SelectItem("s", "steps", "sum"),
+        lambda plan: _widened(plan, [HR]),
+    ),
+    # every one-wide bin released while the decode still claims 5-wide bins
+    "fine_bins_under_coarse_decode": (
+        LEVEL_100, {"level": "aggregate"}, SelectItem("h", "level", "histogram", bucket_width=5),
+        lambda plan: _widened(plan, range(100)),
+    ),
+    # lanes released with no output, so no option is checked at all
+    "no_outputs": (
+        SCHEMA, DEFAULT_SELECTED, SelectItem("a", "heart_rate", "avg"),
+        lambda plan: dataclasses.replace(plan, outputs=()),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FORGERIES))
+def test_verify_refuses_directives_its_outputs_do_not_compile_to(case):
+    schema, selected, item, forge = FORGERIES[case]
+    anns = [annotation(i, selected=selected) for i in range(3)]
+    query = Query(name="q", select=(item,), window=5)
+    plan = plan_query(query, schema, anns, ReservationLedger())
+    own = {a.stream_id: a for a in anns}
+    assert verify_plan(plan, schema, own).ok
+    forged = forge(plan)
+    assert forged.layout == output_layout(forged.directives)
+    assert verify_plan(forged, schema, own).reason == "outputs_mismatch"
+
+
+@pytest.mark.parametrize(
+    "function, param",
+    [("percentile", 150), ("percentile", 0), ("percentile", -5), ("percentile", "high"),
+     ("topk", -1), ("topk", 0), ("topk", 2.5), ("topk", float("inf"))],
+)
+def test_select_items_refuse_a_param_outside_its_range(function, param):
+    with pytest.raises(ValueError, match="param"):
+        SelectItem("a", "altitude", function, param=param)
+    doc = {"select": {"a": {"attribute": "altitude", "function": function, "param": param}},
+           "window": 5}
+    with pytest.raises(ValueError, match="param"):
+        parse_query(doc)
+
+
+def test_select_items_keep_a_param_in_range_and_controllers_recheck_it():
+    for function, param in (("percentile", 100), ("percentile", 0.5), ("percentile", None),
+                            ("topk", 1), ("topk", 3.0), ("topk", None)):
+        assert SelectItem("a", "altitude", function, param=param).param == param
+    schema = parse_schema(
+        {
+            "name": "wearable",
+            "attributes": [
+                {
+                    "name": "level",
+                    "aggregates": ["percentile"],
+                    "bins": {"min": 0, "max": 10, "width": 1},
+                    "options": [{"kind": "aggregate"}],
+                }
+            ],
+        }
+    )
+    anns = [annotation(i, selected={"level": "aggregate"}) for i in range(3)]
+    item = SelectItem("p", "level", "percentile", param=90)
+    plan = plan_query(Query(name="p", select=(item,), window=5), schema, anns, ReservationLedger())
+    own = {a.stream_id: a for a in anns}
+    assert verify_plan(plan, schema, own).ok
+    # a plan's outputs are checked as select items: a forged param is refused
+    (output,) = plan.outputs
+    forged = dataclasses.replace(plan, outputs=(dataclasses.replace(output, param=150),))
+    assert verify_plan(forged, schema, own).reason == "outputs_mismatch"
+
+
+# the encoding fields a one-function attribute needs, by function family
+_ENCODING_FIELDS = {
+    "bins": {"bins": {"min": 0, "max": 20, "width": 1}},
+    "threshold": {"threshold": 5},
+    None: {},
+}
+
+
+@pytest.mark.parametrize("function", sorted(_FUNCTIONS))
+def test_every_function_plans_verifies_and_has_a_headline(function):
+    family = (
+        "bins" if function in _HISTOGRAM_FUNCTIONS
+        else "threshold" if function in ("sum_above", "sum_below") else None
+    )
+    schema = parse_schema(
+        {
+            "name": "wearable",
+            "attributes": [
+                {
+                    "name": "x",
+                    "aggregates": [function],
+                    **_ENCODING_FIELDS[family],
+                    "options": [{"kind": "aggregate"}],
+                }
+            ],
+        }
+    )
+    anns = [annotation(i, selected={"x": "aggregate"}) for i in range(3)]
+    query = Query(name="q", select=(SelectItem("out", "x", function),), window=5)
+    plan = plan_query(query, schema, anns, ReservationLedger())
+    assert isinstance(plan, TransformationPlan), plan
+    for own in controllers_for(anns).values():
+        assert verify_plan(plan, schema, own).ok
+    rows = encode_batch([3.0, 7.0, 12.0], schema.attributes[0].encoding)
+    aggregate = [int(v) for v in rows.sum(axis=0)]
+    released = [sum(aggregate[j] for j in group) for group in plan.layout]
+    (output,) = plan.outputs
+    stats = decode_stats(released[output.out_start : output.out_stop], output.decode)
+    assert _headline(stats, output.function, output.param) is not None
