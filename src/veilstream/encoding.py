@@ -11,6 +11,11 @@ encryption. The supported shapes:
     histogram            indicator over fixed-width bins
     predicate_threshold  [x, 0] if x >= threshold else [0, x]
 
+`LANES` names the lanes of each scalar kind in order: a kind's width, its
+decode and its overflow budget read them by name, and the policy planner
+reads them to find the lanes a function releases. One_hot and histogram
+have one lane per bin.
+
 Real-valued inputs are carried in fixed point: values are scaled by a
 configurable factor (100 by default, two decimal digits) and rounded, and
 decoding divides back out. Counts and bin occupancies are exact.
@@ -28,6 +33,7 @@ from .ring import MODULUS_DEFAULT, RING_MASK
 
 __all__ = [
     "KINDS",
+    "LANES",
     "EncodingSpec",
     "DecodedStats",
     "OverflowBudgetError",
@@ -39,6 +45,14 @@ __all__ = [
 ]
 
 KINDS = ("sum", "sum_count", "variance", "one_hot", "histogram", "predicate_threshold")
+
+# the lanes of each scalar kind, in order; `encode_batch` writes them so
+LANES = {
+    "sum": ("sum",),
+    "sum_count": ("sum", "count"),
+    "variance": ("sum", "sum_sq", "count"),
+    "predicate_threshold": ("above", "below"),
+}
 
 SCALE_DEFAULT = 100
 
@@ -86,12 +100,8 @@ class EncodingSpec:
 
     @property
     def width(self) -> int:
-        if self.kind == "sum":
-            return 1
-        if self.kind in ("sum_count", "predicate_threshold"):
-            return 2
-        if self.kind == "variance":
-            return 3
+        if self.kind in LANES:
+            return len(LANES[self.kind])
         if self.kind == "one_hot":
             return int(self.domain_max) - int(self.domain_min) + 1
         return math.ceil((self.domain_max - self.domain_min) / self.bin_width)
@@ -304,40 +314,27 @@ def decode_stats(aggregate: Sequence[int], spec: EncodingSpec) -> DecodedStats:
             warnings.append(f"{what} wrapped past M/2; window likely overflowed")
         return lifted
 
-    if kind == "sum":
-        return DecodedStats(
-            kind, total=_lift(vals[0]) / scale, warnings=tuple(warnings), _spec=spec
+    if kind in LANES:
+        lane = dict(zip(LANES[kind], vals))
+        count = unsigned(lane["count"], "count") if "count" in lane else None
+        sumsq = unsigned(lane["sum_sq"], "sum of squares") if "sum_sq" in lane else None
+        total, above, below = (
+            _lift(lane[name]) / scale if name in lane else None
+            for name in ("sum", "above", "below")
         )
-    if kind == "sum_count":
-        count = unsigned(vals[1], "count")
-        total = _lift(vals[0]) / scale
-        mean = total / count if count > 0 else None
-        return DecodedStats(
-            kind, count=count, total=total, mean=mean, warnings=tuple(warnings), _spec=spec
-        )
-    if kind == "variance":
-        count = unsigned(vals[2], "count")
-        total = _lift(vals[0]) / scale
-        sumsq = unsigned(vals[1], "sum of squares") / (scale * scale)
-        if count > 0:
+        mean = variance = None
+        if count is not None and count > 0:
             mean = total / count
-            variance = sumsq / count - mean * mean
-        else:
-            mean = variance = None
+            if sumsq is not None:
+                variance = sumsq / (scale * scale) / count - mean * mean
         return DecodedStats(
             kind,
             count=count,
             total=total,
             mean=mean,
             variance=variance,
-            warnings=tuple(warnings),
-            _spec=spec,
-        )
-    if kind == "predicate_threshold":
-        return DecodedStats(
-            kind,
-            sum_above=_lift(vals[0]) / scale,
-            sum_below=_lift(vals[1]) / scale,
+            sum_above=above,
+            sum_below=below,
             warnings=tuple(warnings),
             _spec=spec,
         )
@@ -360,12 +357,8 @@ def check_overflow_budget(
     if max_events < 1:
         raise ValueError("max_events must be at least 1")
     q = abs(round(max_magnitude * spec.scale))
-    if spec.kind == "variance":
-        per_event = max(q * q, 1)
-    elif spec.kind in ("sum", "sum_count", "predicate_threshold"):
-        per_event = max(q, 1)
-    else:
-        per_event = 1
+    lanes = LANES.get(spec.kind, ())
+    per_event = max(q * q if "sum_sq" in lanes else q, 1) if lanes else 1
     worst = per_event * max_events
     half = MODULUS_DEFAULT // 2
     if worst >= half:

@@ -56,13 +56,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .encoding import DecodedStats, decode_stats, encode_batch, encode_neutral
+from .encoding import decode_stats, encode_batch, encode_neutral
 from .policy import (
     Rejection,
     TransformationPlan,
     StreamAnnotation,
     StreamSchema,
     ReservationLedger,
+    _FUNCTIONS,
     _epsilon_limit,
     parse_query,
     parse_schema,
@@ -662,36 +663,6 @@ def _json_scalar(value):
     if isinstance(value, np.generic):
         return value.item()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _headline(stats: DecodedStats, function: str, param: Optional[float]):
-    if function == "avg":
-        return stats.mean
-    if function == "var":
-        return stats.variance
-    if function in ("sum", "count"):
-        return stats.total
-    if function == "median":
-        return stats.median
-    if function == "percentile":
-        return stats.percentile(param if param is not None else 50.0)
-    if function == "min":
-        return stats.minimum
-    if function == "max":
-        return stats.maximum
-    if function == "range":
-        return stats.value_range
-    if function == "mode":
-        return stats.mode
-    if function == "topk":
-        return stats.top_bins(int(param) if param else 3)
-    if function == "histogram":
-        return {"count": stats.count, "mode": stats.mode, "median": stats.median}
-    if function == "sum_above":
-        return stats.sum_above
-    if function == "sum_below":
-        return stats.sum_below
-    return None
 
 
 def measure_bandwidth(width: int, released: int = 1) -> dict:
@@ -1360,7 +1331,8 @@ class _Scenario:
         warnings = {}
         for spec in p.plan.outputs:
             stats = decode_stats(released_total[spec.out_start : spec.out_stop], spec.decode)
-            result.outputs[spec.name] = _headline(stats, spec.function, spec.param)
+            headline = _FUNCTIONS[spec.function][-1]
+            result.outputs[spec.name] = headline(stats, spec.param)
             if stats.warnings:
                 warnings[spec.name] = list(stats.warnings)
         if warnings:

@@ -3,7 +3,14 @@
 Stream owners publish a schema describing metadata attributes, the data
 attributes a stream carries (whose supported aggregate functions fix the
 additive encoding), and the privacy options a producer may select per
-attribute. Options form a ladder, least to most private:
+attribute. One table, `_FUNCTIONS`, holds each aggregate function's rules:
+the lanes it releases, by their names in `encoding.LANES`, what they decode
+as, the `param` it takes and its headline. The schema parser, select items,
+the planner, `verify_plan` and the simulator's headlines all read it. An
+attribute gets the first encoding kind that carries every function it
+declares; a declaration no one kind carries is refused.
+
+Options form a ladder, least to most private:
 
     public            raw access permitted
     stream-aggregate  per-stream window aggregates
@@ -30,8 +37,8 @@ population floor to the plan's `min_members`; after that rule and before
 the owners' identities, it recompiles the plan's outputs with the
 planner's output rule, `_resolve_outputs`, and refuses with
 `outputs_mismatch` unless that gives exactly the plan's directives and
-outputs. The simulator charges each member's epsilon against the same
-limit.
+outputs, as a plan with no outputs never does. The simulator charges
+each member's epsilon against the same limit.
 
 Non-private plans hold an exclusive reservation per (stream, attribute);
 DP plans instead draw down the attribute's epsilon budget and may overlap.
@@ -49,7 +56,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import yaml
 
-from .encoding import EncodingSpec, SCALE_DEFAULT
+from .encoding import KINDS, LANES, EncodingSpec, SCALE_DEFAULT
 from .tokens import (
     ElementDirective,
     NoiseSpec,
@@ -85,23 +92,36 @@ __all__ = [
 # privacy ladder, least private first; index is the compliance level
 OPTION_KINDS = ("public", "stream-aggregate", "aggregate", "dp-aggregate", "private")
 
-# Each function outside the histogram family: the lanes of its attribute
-# it releases under each encoding kind that carries it, and what they
-# decode as, a (kind, scaled) pair, or None for the attribute's own encoding.
-_LANES: dict[str, tuple[dict[str, tuple[int, ...]], Optional[tuple[str, bool]]]] = {
-    "sum": ({"sum": (0,), "sum_count": (0,), "variance": (0,)}, ("sum", True)),
-    "count": ({"sum_count": (1,), "variance": (2,)}, ("sum", False)),
-    "avg": ({"sum_count": (0, 1), "variance": (0, 2)}, ("sum_count", True)),
-    "var": ({"variance": (0, 1, 2)}, None),
-    "sum_above": ({"predicate_threshold": (0, 1)}, None),
-    "sum_below": ({"predicate_threshold": (0, 1)}, None),
+# One row per aggregate function:
+#   - the lanes it releases, by their `encoding.LANES` names in lane order,
+#     or None for every bin of a histogram or one_hot attribute (only these
+#     take a `bucket_width`, which merges bins into buckets of a whole number);
+#   - what they decode as, (kind, scaled), or None: the attribute's encoding;
+#   - the rule its `param` must meet, (test, what it must be), or None: no param;
+#   - its headline, from the decoded statistics and the param.
+_FUNCTIONS = {
+    "sum": (("sum",), ("sum", True), None, lambda s, p: s.total),
+    "count": (("count",), ("sum", False), None, lambda s, p: s.total),
+    "avg": (("sum", "count"), ("sum_count", True), None, lambda s, p: s.mean),
+    "var": (("sum", "sum_sq", "count"), None, None, lambda s, p: s.variance),
+    "sum_above": (("above", "below"), None, None, lambda s, p: s.sum_above),
+    "sum_below": (("above", "below"), None, None, lambda s, p: s.sum_below),
+    "histogram": (None, None, None, lambda s, p: dict(count=s.count, mode=s.mode, median=s.median)),
+    "median": (None, None, None, lambda s, p: s.median),
+    "percentile": (
+        None, None, (lambda p: 0 < p <= 100, "in (0, 100]"),
+        lambda s, p: s.percentile(50.0 if p is None else p),
+    ),
+    "min": (None, None, None, lambda s, p: s.minimum),
+    "max": (None, None, None, lambda s, p: s.maximum),
+    "mode": (None, None, None, lambda s, p: s.mode),
+    "range": (None, None, None, lambda s, p: s.value_range),
+    "topk": (
+        None, None, (lambda p: p >= 1 and float(p).is_integer(), "a positive integer"),
+        lambda s, p: s.top_bins(int(p) if p else 3),
+    ),
 }
-# these release every bin of a histogram or one_hot attribute, or merge
-# them into buckets of a whole number of bins
-_HISTOGRAM_FUNCTIONS = frozenset(
-    ["histogram", "median", "percentile", "min", "max", "mode", "range", "topk"]
-)
-_FUNCTIONS = frozenset(_LANES) | _HISTOGRAM_FUNCTIONS
+_HISTOGRAM_FUNCTIONS = frozenset(fn for fn, row in _FUNCTIONS.items() if row[0] is None)
 
 # share of a plan's members that may miss a window before it fails closed
 _MAX_DROPOUT_FRACTION = 0.1
@@ -200,6 +220,13 @@ def _required(doc, key: str, where: str):
     return doc[key]
 
 
+def _carries(kind: str, function: str) -> bool:
+    """Whether an attribute of encoding `kind` carries `function`."""
+    if function in _HISTOGRAM_FUNCTIONS:
+        return kind not in LANES
+    return set(_FUNCTIONS[function][0]) <= set(LANES.get(kind, ()))
+
+
 def _encoding_for(attr: dict) -> EncodingSpec:
     aggs = attr.get("aggregates") or []
     scale = int(attr.get("scale", SCALE_DEFAULT))
@@ -209,40 +236,34 @@ def _encoding_for(attr: dict) -> EncodingSpec:
             raise ValueError(f"attribute {name!r}: unknown aggregate {fn!r}")
     if not aggs:
         raise ValueError(f"attribute {name!r} declares no aggregates")
-    if _HISTOGRAM_FUNCTIONS & set(aggs):
-        bins = attr.get("bins")
-        domain = attr.get("domain")
-        if bins is not None:
-            where = f"attribute {name!r}: bins"
-            return EncodingSpec(
-                "histogram",
-                domain_min=float(_required(bins, "min", where)),
-                domain_max=float(_required(bins, "max", where)),
-                bin_width=float(_required(bins, "width", where)),
-                scale=scale,
-            )
-        if domain is not None:
-            where = f"attribute {name!r}: domain"
-            return EncodingSpec(
-                "one_hot",
-                domain_min=int(_required(domain, "min", where)),
-                domain_max=int(_required(domain, "max", where)),
-                scale=scale,
-            )
-        raise ValueError(
-            f"attribute {name!r}: histogram aggregates need 'bins' or 'domain'"
-        )
-    if "sum_above" in aggs or "sum_below" in aggs:
+    kind = next((k for k in KINDS if all(_carries(k, fn) for fn in aggs)), None)
+    if kind is None:
+        raise ValueError(f"attribute {name!r}: no one encoding carries {', '.join(aggs)}")
+    if kind == "predicate_threshold":
         if "threshold" not in attr:
             raise ValueError(f"attribute {name!r}: predicate aggregates need 'threshold'")
+        return EncodingSpec(kind, threshold=float(attr["threshold"]), scale=scale)
+    if kind in LANES:
+        return EncodingSpec(kind, scale=scale)
+    bins, domain = attr.get("bins"), attr.get("domain")
+    if bins is not None:
+        where = f"attribute {name!r}: bins"
         return EncodingSpec(
-            "predicate_threshold", threshold=float(attr["threshold"]), scale=scale
+            "histogram",
+            domain_min=float(_required(bins, "min", where)),
+            domain_max=float(_required(bins, "max", where)),
+            bin_width=float(_required(bins, "width", where)),
+            scale=scale,
         )
-    if "var" in aggs:
-        return EncodingSpec("variance", scale=scale)
-    if "avg" in aggs or "count" in aggs:
-        return EncodingSpec("sum_count", scale=scale)
-    return EncodingSpec("sum", scale=scale)
+    if domain is not None:
+        where = f"attribute {name!r}: domain"
+        return EncodingSpec(
+            "one_hot",
+            domain_min=int(_required(domain, "min", where)),
+            domain_max=int(_required(domain, "max", where)),
+            scale=scale,
+        )
+    raise ValueError(f"attribute {name!r}: histogram aggregates need 'bins' or 'domain'")
 
 
 def parse_schema(source: Union[str, dict]) -> StreamSchema:
@@ -349,16 +370,16 @@ class SelectItem:
     param: Optional[float] = None  # e.g. the q of a percentile
 
     def __post_init__(self):
-        if self.function not in _FUNCTIONS:
-            raise ValueError(f"unknown aggregate function {self.function!r}")
-        p = self.param
-        if p is None or self.function not in ("percentile", "topk"):
-            return
-        number = isinstance(p, (int, float))
-        if self.function == "percentile" and not (number and 0 < p <= 100):
-            raise ValueError(f"percentile param must be in (0, 100], got {p!r}")
-        if self.function == "topk" and not (number and p >= 1 and float(p).is_integer()):
-            raise ValueError(f"topk param must be a positive integer, got {p!r}")
+        fn, p = self.function, self.param
+        if fn not in _FUNCTIONS:
+            raise ValueError(f"unknown aggregate function {fn!r}")
+        if self.bucket_width is not None and fn not in _HISTOGRAM_FUNCTIONS:
+            raise ValueError(f"{fn} takes no bucket_width, got {self.bucket_width!r}")
+        rule = _FUNCTIONS[fn][2]
+        if p is not None and rule is None:
+            raise ValueError(f"{fn} takes no param, got {p!r}")
+        if p is not None and not (isinstance(p, (int, float)) and rule[0](p)):
+            raise ValueError(f"{fn} param must be {rule[1]}, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -615,17 +636,15 @@ def _compile(
     releases its function over encoding `enc`, what the released elements
     decode as, and how many there are."""
     fn = item.function
-    if fn not in _HISTOGRAM_FUNCTIONS:
-        by_kind, decode = _LANES[fn]
-        lanes = by_kind.get(enc.kind)
-        if lanes is None:
-            return Rejection("unsupported_function", f"{item.attribute} carries no {fn}")
+    if not _carries(enc.kind, fn):
+        return Rejection("unsupported_function", f"{item.attribute} carries no {fn}")
+    names, decode, _, _ = _FUNCTIONS[fn]
+    if names is not None:
+        lanes = [LANES[enc.kind].index(name) for name in names]
         if decode is not None:
             kind, scaled = decode
             enc = EncodingSpec(kind, scale=enc.scale if scaled else 1)
         return {j: release() for j in lanes}, enc, len(lanes)
-    if enc.kind not in ("histogram", "one_hot"):
-        return Rejection("unsupported_function", f"{item.attribute} has no bins")
     if item.bucket_width is None:
         return {j: release() for j in range(enc.width)}, enc, enc.width
     if enc.kind != "histogram":
@@ -645,7 +664,10 @@ def _resolve_outputs(
     schema: StreamSchema, select: Sequence[SelectItem]
 ) -> Union[tuple[tuple[ElementDirective, ...], tuple[OutputSpec, ...]], Rejection]:
     """Compile select items into full-width directives and output specs:
-    a query's for the planner, a plan's outputs for `verify_plan`."""
+    a query's for the planner, a plan's outputs for `verify_plan`. An
+    empty select is refused: a plan must release something."""
+    if not select:
+        return Rejection("empty_select", "selects nothing")
     slices = schema.slices
     directives: list[ElementDirective] = [withhold()] * schema.width
     compiled: dict[str, tuple[SelectItem, EncodingSpec, int]] = {}

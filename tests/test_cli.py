@@ -447,6 +447,22 @@ def test_run_refuses_a_param_outside_its_function_range(capsys, tmp_path, functi
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("field, value", [("bucket_width", 10), ("param", 3)])
+def test_run_refuses_a_field_its_function_takes_not(capsys, tmp_path, field, value):
+    # an avg neither buckets nor takes a param: refused when the query is
+    # parsed, before any file is written
+    cfg = tmp_path / "field.yaml"
+    doc = dict(SOLO_DOC, select={
+        "t": {"attribute": "temperature", "function": "avg", field: value},
+    })
+    cfg.write_text(yaml.safe_dump(doc))
+    code, _, err = run_cli(capsys, "run", "--scenario", "custom", "--config", str(cfg),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "scenario failed" in err and field in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_missing_config_file_is_usage_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "optimize", "--config", str(tmp_path / "nope.yaml")

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veilstream.encoding import (
+    LANES,
     DecodedStats,
     EncodingSpec,
     OverflowBudgetError,
     check_overflow_budget,
     decode_stats,
     encode,
+    encode_batch,
     encode_neutral,
 )
 from veilstream.ring import MODULUS_DEFAULT
@@ -80,6 +82,24 @@ def test_widths():
     assert EncodingSpec("one_hot", domain_min=2, domain_max=6).width == 5
     # 0..10 in steps of 3 -> ceil(10/3) = 4 bins
     assert EncodingSpec("histogram", domain_min=0, domain_max=10, bin_width=3).width == 4
+
+
+@pytest.mark.parametrize("kind", list(LANES))
+def test_encode_batch_writes_each_lane_the_table_names(kind):
+    spec = EncodingSpec(kind, threshold=5.0 if kind == "predicate_threshold" else None)
+    values = [3.25, 7.5, -2.5]  # below and above the threshold, and negative
+    rows = encode_batch(values, spec)
+    assert rows.shape == (3, spec.width) and spec.width == len(LANES[kind])
+    for v, row in zip(values, rows):
+        q = round(v * spec.scale)
+        lane = {
+            "sum": q,
+            "sum_sq": q * q,
+            "count": 1,
+            "above": q if v >= 5 else 0,
+            "below": 0 if v >= 5 else q,
+        }
+        assert [int(x) for x in row] == [lane[name] % M for name in LANES[kind]]
 
 
 def test_bin_values():

@@ -4,16 +4,17 @@ import copy
 import dataclasses
 import hashlib
 import re
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veilstream.encoding import decode_stats, encode_batch
-from veilstream.pipeline import _headline
+from veilstream.encoding import KINDS, decode_stats, encode_batch
 from veilstream.policy import (
     _FUNCTIONS,
     _HISTOGRAM_FUNCTIONS,
+    _carries,
     DpRequest,
     Predicate,
     PrivacyOption,
@@ -31,7 +32,7 @@ from veilstream.policy import (
     verify_plan,
 )
 from veilstream.secure_agg import IdentityRegistry, PartyId, PublicIdentity
-from veilstream.tokens import output_layout, release
+from veilstream.tokens import output_layout, release, withhold
 
 SCHEMA = parse_schema(
     {
@@ -155,6 +156,18 @@ def test_encoding_inference_for_predicates_and_domains():
     assert schema.attribute("load").encoding.threshold == 0.8
     assert schema.attribute("grade").encoding.kind == "one_hot"
     assert schema.attribute("grade").encoding.width == 6
+
+
+@pytest.mark.parametrize(
+    "aggregates, fields",
+    [(["histogram", "avg"], {"bins": {"min": 0, "max": 10, "width": 1}}),
+     (["sum", "sum_above"], {"threshold": 5})],
+)
+def test_a_declaration_no_one_encoding_carries_is_refused(aggregates, fields):
+    attribute = {"name": "mixed", "aggregates": aggregates, **fields,
+                 "options": [{"kind": "aggregate"}]}
+    with pytest.raises(ValueError, match="attribute 'mixed'"):
+        parse_schema({"name": "s", "attributes": [attribute]})
 
 
 def test_schema_parsing_rejects_malformed_documents():
@@ -993,6 +1006,20 @@ FORGERIES = {
         SCHEMA, DEFAULT_SELECTED, SelectItem("a", "heart_rate", "avg"),
         lambda plan: dataclasses.replace(plan, outputs=()),
     ),
+    # no output and nothing released: no token could be built for it
+    "nothing_released": (
+        SCHEMA, DEFAULT_SELECTED, SelectItem("a", "heart_rate", "avg"),
+        lambda plan: dataclasses.replace(
+            plan, outputs=(), directives=(withhold(),) * SCHEMA.width, layout=()
+        ),
+    ),
+    # a bucket width on a function that never buckets
+    "bucketed_sum": (
+        SCHEMA, DEFAULT_SELECTED, SelectItem("s", "steps", "sum"),
+        lambda plan: dataclasses.replace(
+            plan, outputs=(dataclasses.replace(plan.outputs[0], bucket_width=10),)
+        ),
+    ),
 }
 
 
@@ -1012,7 +1039,8 @@ def test_verify_refuses_directives_its_outputs_do_not_compile_to(case):
 @pytest.mark.parametrize(
     "function, param",
     [("percentile", 150), ("percentile", 0), ("percentile", -5), ("percentile", "high"),
-     ("topk", -1), ("topk", 0), ("topk", 2.5), ("topk", float("inf"))],
+     ("topk", -1), ("topk", 0), ("topk", 2.5), ("topk", float("inf")),
+     ("sum", 3), ("var", 1), ("median", 50), ("histogram", 2), ("mode", 1)],
 )
 def test_select_items_refuse_a_param_outside_its_range(function, param):
     with pytest.raises(ValueError, match="param"):
@@ -1020,6 +1048,16 @@ def test_select_items_refuse_a_param_outside_its_range(function, param):
     doc = {"select": {"a": {"attribute": "altitude", "function": function, "param": param}},
            "window": 5}
     with pytest.raises(ValueError, match="param"):
+        parse_query(doc)
+
+
+@pytest.mark.parametrize("function", ["sum", "count", "avg", "var", "sum_above", "sum_below"])
+def test_select_items_refuse_a_bucket_width_outside_the_histogram_family(function):
+    with pytest.raises(ValueError, match="bucket_width"):
+        SelectItem("s", "steps", function, bucket_width=10)
+    doc = {"select": {"s": {"attribute": "steps", "function": function, "bucket_width": 10}},
+           "window": 5}
+    with pytest.raises(ValueError, match="bucket_width"):
         parse_query(doc)
 
 
@@ -1051,42 +1089,86 @@ def test_select_items_keep_a_param_in_range_and_controllers_recheck_it():
     assert verify_plan(forged, schema, own).reason == "outputs_mismatch"
 
 
-# the encoding fields a one-function attribute needs, by function family
-_ENCODING_FIELDS = {
-    "bins": {"bins": {"min": 0, "max": 20, "width": 1}},
-    "threshold": {"threshold": 5},
-    None: {},
+# each function's encoding kinds, in `KINDS` order, which the table must match
+CARRIERS = {
+    "sum": ("sum", "sum_count", "variance"),
+    "count": ("sum_count", "variance"),
+    "avg": ("sum_count", "variance"),
+    "var": ("variance",),
+    "sum_above": ("predicate_threshold",),
+    "sum_below": ("predicate_threshold",),
+    **{fn: ("one_hot", "histogram") for fn in _HISTOGRAM_FUNCTIONS},
 }
+
+# the encoding fields each kind needs: one-wide bins, or a domain of 0..20
+_ENCODING_FIELDS = {
+    "one_hot": {"domain": {"min": 0, "max": 20}},
+    "histogram": {"bins": {"min": 0, "max": 20, "width": 1}},
+    "predicate_threshold": {"threshold": 5},
+}
+
+VALUES = [3, 7, 12]
+
+
+def _direct(function, reps):
+    """`function` of VALUES computed in plaintext, its order statistics over
+    `reps`, each value's bin representative."""
+    return {
+        "sum": sum(VALUES),
+        "count": len(VALUES),
+        "avg": statistics.mean(VALUES),
+        "var": statistics.pvariance(VALUES),
+        "sum_above": sum(v for v in VALUES if v >= 5),
+        "sum_below": sum(v for v in VALUES if v < 5),
+        "histogram": {
+            "count": len(reps), "mode": statistics.mode(reps), "median": statistics.median(reps),
+        },
+        "median": statistics.median(reps),
+        "percentile": statistics.median(reps),
+        "min": min(reps),
+        "max": max(reps),
+        "range": max(reps) - min(reps),
+        "mode": statistics.mode(reps),
+        "topk": [(r, 1) for r in sorted(reps)],
+    }[function]
 
 
 @pytest.mark.parametrize("function", sorted(_FUNCTIONS))
 def test_every_function_plans_verifies_and_has_a_headline(function):
-    family = (
-        "bins" if function in _HISTOGRAM_FUNCTIONS
-        else "threshold" if function in ("sum_above", "sum_below") else None
-    )
-    schema = parse_schema(
-        {
-            "name": "wearable",
-            "attributes": [
-                {
-                    "name": "x",
-                    "aggregates": [function],
-                    **_ENCODING_FIELDS[family],
-                    "options": [{"kind": "aggregate"}],
-                }
-            ],
-        }
-    )
-    anns = [annotation(i, selected={"x": "aggregate"}) for i in range(3)]
-    query = Query(name="q", select=(SelectItem("out", "x", function),), window=5)
-    plan = plan_query(query, schema, anns, ReservationLedger())
-    assert isinstance(plan, TransformationPlan), plan
-    for own in controllers_for(anns).values():
-        assert verify_plan(plan, schema, own).ok
-    rows = encode_batch([3.0, 7.0, 12.0], schema.attributes[0].encoding)
-    aggregate = [int(v) for v in rows.sum(axis=0)]
-    released = [sum(aggregate[j] for j in group) for group in plan.layout]
-    (output,) = plan.outputs
-    stats = decode_stats(released[output.out_start : output.out_stop], output.decode)
-    assert _headline(stats, output.function, output.param) is not None
+    kinds = [k for k in KINDS if _carries(k, function)]
+    assert tuple(kinds) == CARRIERS[function]
+    for kind in kinds:
+        # an attribute declaring every function its kind carries gets that kind
+        schema = parse_schema(
+            {
+                "name": "wearable",
+                "attributes": [
+                    {
+                        "name": "x",
+                        "aggregates": [fn for fn in _FUNCTIONS if kind in CARRIERS[fn]],
+                        **_ENCODING_FIELDS.get(kind, {}),
+                        "options": [{"kind": "aggregate"}],
+                    }
+                ],
+            }
+        )
+        encoding = schema.attributes[0].encoding
+        assert encoding.kind == kind
+        anns = [annotation(i, selected={"x": "aggregate"}) for i in range(3)]
+        query = Query(name="q", select=(SelectItem("out", "x", function),), window=5)
+        plan = plan_query(query, schema, anns, ReservationLedger())
+        assert isinstance(plan, TransformationPlan), plan
+        for own in controllers_for(anns).values():
+            assert verify_plan(plan, schema, own).ok
+        aggregate = [int(v) for v in encode_batch(VALUES, encoding).sum(axis=0)]
+        released = [sum(aggregate[j] for j in group) for group in plan.layout]
+        (output,) = plan.outputs
+        stats = decode_stats(released[output.out_start : output.out_stop], output.decode)
+        headline = _FUNCTIONS[function][-1](stats, output.param)
+        # each value sits in bin v of either domain
+        binned = kind in ("one_hot", "histogram")
+        expected = _direct(function, [encoding.bin_value(v) for v in VALUES] if binned else VALUES)
+        if isinstance(expected, list):
+            assert headline == expected, kind
+        else:
+            assert headline == pytest.approx(expected), kind
