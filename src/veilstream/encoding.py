@@ -35,6 +35,7 @@ __all__ = [
     "KINDS",
     "LANES",
     "EncodingSpec",
+    "SlabEncoder",
     "DecodedStats",
     "OverflowBudgetError",
     "encode",
@@ -46,7 +47,7 @@ __all__ = [
 
 KINDS = ("sum", "sum_count", "variance", "one_hot", "histogram", "predicate_threshold")
 
-# the lanes of each scalar kind, in order; `encode_batch` writes them so
+# the lanes of each scalar kind, in order; `SlabEncoder` writes them so
 LANES = {
     "sum": ("sum",),
     "sum_count": ("sum", "count"),
@@ -116,83 +117,103 @@ class EncodingSpec:
         raise ValueError(f"{self.kind} has no bins")
 
 
-def _quantize(values, x: np.ndarray, scale: int) -> np.ndarray:
-    """round(v * scale) mod 2**64 of every value, ties to even as Python's
-    `round` gives them. `x` is `values` as float64; a value whose product
-    is not finite, or too large for exact float arithmetic, takes Python's
-    `round` itself, which raises for NaN and infinity."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.rint(x * scale)
-        limit = 2.0**63 if np.asarray(values).dtype.kind == "f" else 2.0**53
-        exact = np.abs(scaled) < limit
-        q = np.where(exact, scaled, 0).astype(np.int64).view(np.uint64)
-    rare = np.flatnonzero(~exact)
-    if len(rare):
-        given = _as_given(values)
-        for i in rare:
-            q.flat[i] = round(given[i] * scale) & RING_MASK
-    return q
+class SlabEncoder:
+    """Encodings compiled into lane tables, to encode a value of each at
+    once: one zeroing, one `put_along_axis` for every one_hot and histogram
+    attribute and one quantize-and-scatter for every scalar one. Values
+    are read as float64 (integers up to 2**53 exactly); a value outside a
+    one_hot or histogram domain, or a non-integer one_hot value, raises the
+    `ValueError` of the first such value of the first attribute with one,
+    and a value Python's `round` refuses raises its error."""
 
+    def __init__(self, specs: Sequence[EncodingSpec]):
+        self.specs = tuple(specs)
+        start = np.cumsum([0] + [s.width for s in self.specs])
+        self.width = int(start[-1])
+        self._binned = [a for a, s in enumerate(self.specs) if s.kind not in LANES]
+        self._scalar = np.array([a for a, s in enumerate(self.specs) if s.kind in LANES], np.intp)
+        bins = [self.specs[a] for a in self._binned]
+        self._one_hot = np.array([s.kind == "one_hot" for s in bins], dtype=bool)
+        table = [(s.domain_min, s.domain_max, s.width, s.bin_width or 1) for s in bins]
+        self._low, self._high, self._bins, self._bin_width = np.array(table, float).reshape(-1, 4).T
+        self._bin_lane = start[self._binned]
+        scalar = [self.specs[a] for a in self._scalar]
+        self._scale = np.array([s.scale for s in scalar], dtype=np.float64)
+        self._lane = start[self._scalar]  # the sum lane, or the above lane
+        self._square = [c for c, s in enumerate(scalar) if s.kind == "variance"]
+        counted = [a for a in self._scalar if "count" in LANES[self.specs[a].kind]]
+        self._count = start[1:][counted] - 1  # their last lanes
+        self._split = [c for c, s in enumerate(scalar) if s.kind == "predicate_threshold"]
+        self._threshold = np.array([scalar[c].threshold for c in self._split])
 
-def _as_given(values) -> np.ndarray:
-    """The values, flattened, as the Python numbers the caller passed."""
-    return np.asarray(values, dtype=object).reshape(-1)
+    def encode(self, values, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Encode `values` of shape S + (len(specs),) side by side into
+        `out`, a uint64 array of shape S + (width,) that may be a slice of
+        a larger block, and return it; allocate it when omitted."""
+        x = np.asarray(values, dtype=np.float64)
+        shape = x.shape[:-1] + (self.width,)
+        if out is None:
+            out = np.empty(shape, dtype=np.uint64)
+        elif out.shape != shape or out.dtype != np.uint64:
+            raise ValueError(f"output of shape {out.shape} for values encoding to {shape}")
+        out[...] = 0
+        xb = x[..., self._binned]
+        inside = (self._low <= xb) & (xb <= self._high) & ((xb == np.trunc(xb)) | ~self._one_hot)
+        if not inside.all():
+            self._refuse(values, x, ~inside)
+        index = np.minimum((xb - self._low) // self._bin_width, self._bins - 1).astype(np.intp)
+        np.put_along_axis(out, index + self._bin_lane, 1, axis=-1)
+        q = self._quantize(values, x, slice(None))
+        if self._split:
+            above = x[..., self._scalar[self._split]] >= self._threshold
+            split = q[..., self._split]
+            out[..., self._lane[self._split] + 1] = split * ~above
+            q[..., self._split] = split * above
+        out[..., self._lane] = q
+        square = q[..., self._square]
+        out[..., self._lane[self._square] + 1] = square * square
+        out[..., self._count] = 1
+        return out
 
+    def _quantize(self, values, x: np.ndarray, cols) -> np.ndarray:
+        """round(v * scale) mod 2**64, ties to even, of the scalar attributes
+        `cols` selects. A product not finite, or too large for exact float
+        arithmetic, takes Python's `round`, which raises for NaN and inf."""
+        attrs = self._scalar[cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.rint(x[..., attrs] * self._scale[cols])
+            limit = 2.0**63 if np.asarray(values).dtype.kind == "f" else 2.0**53
+            exact = np.abs(scaled) < limit
+            q = np.where(exact, scaled, 0).astype(np.int64).view(np.uint64)
+        if not exact.all():
+            given, flat = np.asarray(values, dtype=object).reshape(-1), q.reshape(-1, len(attrs))
+            for c, i in np.argwhere(~exact.reshape(-1, len(attrs)).T).tolist():
+                a = attrs[c]
+                flat[i, c] = round(given[i * len(self.specs) + a] * self.specs[a].scale) & RING_MASK
+        return q
 
-def _refuse(value, spec: EncodingSpec):
-    """Raise the error for one value outside a one_hot or histogram domain."""
-    if spec.kind == "one_hot":
-        if value != int(value):
+    def _refuse(self, values, x: np.ndarray, bad: np.ndarray):
+        """Raise the error of the first bad value of the first binned
+        attribute with one, after that of any scalar attribute before it."""
+        col = int(np.argmax(bad.reshape(-1, len(self._binned)).any(axis=0)))
+        a = self._binned[col]
+        self._quantize(values, x, self._scalar < a)
+        i = int(np.argmax(bad[..., col])) * len(self.specs) + a
+        value = np.asarray(values, dtype=object).flat[i]
+        spec = self.specs[a]
+        if spec.kind == "one_hot" and value != int(value):
             raise ValueError(f"one_hot input must be an integer, got {value!r}")
         raise ValueError(
-            f"value {value!r} outside one_hot domain [{spec.domain_min}, {spec.domain_max}]"
+            f"value {value!r} outside {spec.kind} domain [{spec.domain_min}, {spec.domain_max}]"
         )
-    raise ValueError(
-        f"value {value!r} outside histogram domain [{spec.domain_min}, {spec.domain_max}]"
-    )
 
 
 def encode_batch(values, spec: EncodingSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Encode every value of an array of any shape S as a ring vector.
-
-    Writes into `out`, a uint64 array of shape S + (spec.width,) that may
-    be a slice of a larger block, and returns it; allocates it when
-    omitted. Each kind costs a fixed number of array operations. Values
-    are read as float64 (integers up to 2**53 exactly); a value outside a
-    one_hot or histogram domain, or a non-integer one_hot value, raises
-    the `ValueError` of the first such value.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if out is None:
-        out = np.empty(x.shape + (spec.width,), dtype=np.uint64)
-    elif out.shape != x.shape + (spec.width,) or out.dtype != np.uint64:
-        raise ValueError(f"output of shape {out.shape} for {x.shape} values of width {spec.width}")
-    kind = spec.kind
-    if kind in ("one_hot", "histogram"):
-        if kind == "one_hot":
-            index = x - int(spec.domain_min)
-            bad = (x != np.trunc(x)) | ~((index >= 0) & (index < spec.width))
-        else:
-            bad = ~((spec.domain_min <= x) & (x <= spec.domain_max))
-        if bad.any():
-            _refuse(_as_given(values)[np.argmax(bad)], spec)
-        if kind == "histogram":
-            index = np.minimum((x - spec.domain_min) // spec.bin_width, spec.width - 1)
-        out[...] = 0
-        np.put_along_axis(out, index.astype(np.intp)[..., None], 1, axis=-1)
-        return out
-    q = _quantize(values, x, spec.scale)
-    if kind == "predicate_threshold":
-        above = x >= spec.threshold
-        np.multiply(q, above, out=out[..., 0])
-        np.multiply(q, ~above, out=out[..., 1])
-        return out
-    out[..., 0] = q
-    if kind == "variance":
-        np.multiply(q, q, out=out[..., 1])
-    if kind != "sum":
-        out[..., -1] = 1
-    return out
+    """Encode every value of an array of any shape S as a ring vector: the
+    one-attribute case of `SlabEncoder`, writing into `out`, of shape S +
+    (spec.width,), or a new array. The values are passed on as the Python
+    numbers given, so that integers beyond 2**53 round exactly."""
+    return SlabEncoder((spec,)).encode(np.asarray(values, dtype=object)[..., None], out)
 
 
 def encode(value: float, spec: EncodingSpec) -> np.ndarray:

@@ -56,7 +56,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .encoding import decode_stats, encode_batch, encode_neutral
+from .encoding import SlabEncoder, decode_stats, encode_neutral
 from .policy import (
     Rejection,
     TransformationPlan,
@@ -795,13 +795,12 @@ class _Plan:
             keys = b"".join(hashlib.sha256(seed + p.value).digest()[:16] for p in self.parties)
             self.noise_keys = np.frombuffer(keys, np.uint8).reshape(-1, 16)
             # each member's limit, the least its queried options allow, by
-            # the rule the planner and its controller use
-            options = scenario.schema._options
+            # the rule the planner and its controller use, once per choice
+            options, attrs = scenario.schema._options, plan.queried_attributes()
             selected = {a.stream_id: a.selected for a in scenario.annotations}
-            attrs = plan.queried_attributes()
-            self.epsilon_limit = np.array([
-                min(_epsilon_limit(options[a, selected[sid][a]]) for a in attrs) for sid in members
-            ])
+            chosen = [tuple(map(selected[sid].get, attrs)) for sid in members]
+            limit = {c: min(_epsilon_limit(options[o]) for o in zip(attrs, c)) for c in set(chosen)}
+            self.epsilon_limit = np.array([limit[c] for c in chosen])
             self.spent = np.zeros(n)
         self.members = np.ones(n, dtype=bool)
         broadcast = {
@@ -864,8 +863,9 @@ class _Scenario:
             query_doc["dp"] = self.table["dp"]
         self.query = parse_query(query_doc)
         self.width = self.schema.width
-        self.attr_specs = [(a.name, a.encoding) for a in self.schema.attributes]
-        self.slices = self.schema.slices
+        self.encoder = SlabEncoder([a.encoding for a in self.schema.attributes])
+        # one_hot draws are truncated to the integers their encoding reads
+        self.one_hot = [a.encoding.kind == "one_hot" for a in self.schema.attributes]
         self.prf = CountingPrf(AesPrf())
         seq = np.random.SeedSequence(config.seed)
         data_seed, transport_seed = seq.spawn(2)
@@ -891,9 +891,6 @@ class _Scenario:
     def _setup_population(self):
         cfg = self.config
         self.streams = [f"{self.schema.name}-{i:04d}" for i in range(cfg.producers)]
-        self.generators = {
-            spec["name"]: gen for spec, gen in self.table["attrs"]
-        }
         agreement = StaticKeyAgreement()
         self.registry = IdentityRegistry()
         self.keypairs = {}
@@ -1040,7 +1037,8 @@ class _Scenario:
         T = cfg.window_size
         n = len(self.plans[0].rows)
         online = self.rng.random(n) >= cfg.dropout_rate
-        draws = {name: gen(self.rng, (n, E)) for name, gen in self.generators.items()}
+        draws = np.stack([gen(self.rng, (n, E)) for _spec, gen in self.table["attrs"]], axis=-1)
+        draws[..., self.one_hot] = np.trunc(draws[..., self.one_hot])
         jitter = self.rng.random((n, E))
         indices = np.flatnonzero(online)
         rec = self.open[w] = _Window((w + 1) * T + cfg.grace, n, len(self.lanes))
@@ -1057,7 +1055,7 @@ class _Scenario:
             t0 = time.perf_counter()
             catch_up.update(self._encrypt_chunk(w, slab, block))
             rec.t_encrypt += time.perf_counter() - t0
-            rec.sums[slab] = block.sum(axis=1)[:, self.lanes]  # sum, then pick lanes
+            rec.sums[slab] = block[:, :, self.lanes].sum(axis=1)
         prev = self.open.get(w - 1)  # open until at least this window's start, as grace > 0
         for si, ct in catch_up.items():
             rec.bytes_producer += ct.wire_size()
@@ -1073,18 +1071,14 @@ class _Scenario:
         self.scheduler.at((w + 1) * T, lambda: self._send_pieces(rec, indices, ends, 16))
         self.scheduler.at(rec.deadline, lambda: self._assemble(w))
 
-    def _encode_window(self, indices: np.ndarray, draws: dict) -> np.ndarray:
+    def _encode_window(self, indices: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """The window's plaintext events of the plan members `indices` as
-        one streams x (events + border) x width block, with one
-        `encode_batch` per attribute; the border event is neutral."""
+        one streams x (events + border) x width block, in one pass of the
+        schema's `SlabEncoder` over their draws (streams x events x
+        attributes); the border event is neutral."""
         E = self.config.events_per_window
         block = np.empty((len(indices), E + 1, self.width), dtype=np.uint64)
-        for name, spec in self.attr_specs:
-            values = draws[name][indices]
-            if spec.kind == "one_hot":
-                values = np.trunc(values)
-            lo, hi = self.slices[name]
-            encode_batch(values, spec, out=block[:, :E, lo:hi])
+        self.encoder.encode(draws[indices], out=block[:, :E])
         block[:, E] = self.neutral
         return block
 

@@ -239,13 +239,20 @@ def _encoding_for(attr: dict) -> EncodingSpec:
     kind = next((k for k in KINDS if all(_carries(k, fn) for fn in aggs)), None)
     if kind is None:
         raise ValueError(f"attribute {name!r}: no one encoding carries {', '.join(aggs)}")
+    bins, domain = attr.get("bins"), attr.get("domain")
+    # a field the encoding does not read is refused, not silently dropped
+    unread = ("bins", "domain") if kind in LANES else ()
+    for key in unread + ("threshold",) * (kind != "predicate_threshold"):
+        if attr.get(key) is not None:
+            raise ValueError(f"attribute {name!r}: no encoding of {'/'.join(aggs)} reads {key!r}")
+    if bins is not None and domain is not None:
+        raise ValueError(f"attribute {name!r}: give 'bins' or 'domain', not both")
     if kind == "predicate_threshold":
         if "threshold" not in attr:
             raise ValueError(f"attribute {name!r}: predicate aggregates need 'threshold'")
         return EncodingSpec(kind, threshold=float(attr["threshold"]), scale=scale)
     if kind in LANES:
         return EncodingSpec(kind, scale=scale)
-    bins, domain = attr.get("bins"), attr.get("domain")
     if bins is not None:
         where = f"attribute {name!r}: bins"
         return EncodingSpec(
@@ -370,16 +377,23 @@ class SelectItem:
     param: Optional[float] = None  # e.g. the q of a percentile
 
     def __post_init__(self):
-        fn, p = self.function, self.param
+        fn, p, width = self.function, self.param, self.bucket_width
         if fn not in _FUNCTIONS:
             raise ValueError(f"unknown aggregate function {fn!r}")
-        if self.bucket_width is not None and fn not in _HISTOGRAM_FUNCTIONS:
-            raise ValueError(f"{fn} takes no bucket_width, got {self.bucket_width!r}")
+        if width is not None and fn not in _HISTOGRAM_FUNCTIONS:
+            raise ValueError(f"{fn} takes no bucket_width, got {width!r}")
+        if width is not None and not (_is_number(width) and 0 < width < math.inf):
+            raise ValueError(f"bucket_width must be a positive finite number, got {width!r}")
         rule = _FUNCTIONS[fn][2]
         if p is not None and rule is None:
             raise ValueError(f"{fn} takes no param, got {p!r}")
-        if p is not None and not (isinstance(p, (int, float)) and rule[0](p)):
+        if p is not None and not (_is_number(p) and rule[0](p)):
             raise ValueError(f"{fn} param must be {rule[1]}, got {p!r}")
+
+
+def _is_number(value) -> bool:
+    """A real number, not a boolean: YAML's `true` is no count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,8 @@ def _check_key(key, messages) -> tuple[int, int]:
 # fractional part of pi (0x243F6A88...), a nothing-up-my-sleeve constant.
 FIXED_AES_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
 
+FEW_BLOCKS = 16  # blocks up to which a one-key call is faster on Python integers
+
 
 class AesPrf(Prf):
     """Fixed-key AES-128 PRF, F_k(x) = pi(k ^ x) ^ k ^ x with pi AES-128
@@ -130,11 +132,12 @@ class AesPrf(Prf):
     (Guo, Katz, Wang and Yu, S&P 2020). Secure in the random-permutation
     model while (blocks evaluated) x (offline pi queries) << 2**128.
 
-    A call allocates nothing once the held buffers fit it: the whitened
-    input k ^ x is written into one, `update_into` writes pi of it into the
-    other, and that is XORed with the input in place and returned. The
-    buffers grow to the largest call seen. Like its cipher context, an
-    instance is not for concurrent use."""
+    A call allocates nothing once the held buffers fit it: each key is
+    written over its run of one as one 16-byte item, the messages XORed on,
+    `update_into` writes pi of that into the other, and that is XORed with
+    the input in place and returned. The buffers grow to the largest call
+    seen; a one-key call of up to `FEW_BLOCKS` blocks uses Python integers.
+    Like its cipher context, an instance is not for concurrent use."""
 
     def __init__(self):
         self._pi = Cipher(algorithms.AES(FIXED_AES_KEY), modes.ECB()).encryptor()
@@ -148,18 +151,21 @@ class AesPrf(Prf):
 
     def evaluate_batch(self, key, messages) -> np.ndarray:
         k, blocks = _check_key(key, messages)
+        if k == 1 and blocks <= FEW_BLOCKS:
+            x = int.from_bytes(messages, "big") ^ int.from_bytes(bytes(key) * blocks, "big")
+            y = int.from_bytes(self._pi.update(x.to_bytes(16 * blocks, "big")), "big") ^ x
+            return np.frombuffer(bytearray(y.to_bytes(16 * blocks, "big")), ">u8").reshape(-1, 2)
         n = 2 * blocks
         if len(self._x) < n:
             self._grow(n)
         x = self._x[:n]
-        words, keys = np.frombuffer(messages, np.uint64), np.frombuffer(key, np.uint64)
+        words = np.frombuffer(messages, np.uint64)
         if k == blocks:  # a key a block: one XOR over every word
-            np.bitwise_xor(words, keys, out=x)
-        else:  # one strided XOR per 64-bit column, each key over its run
-            runs = x.reshape(k, blocks // k, 2)
-            words, keys = words.reshape(runs.shape), keys.reshape(k, 1, 2)
-            for c in (0, 1):
-                np.bitwise_xor(words[..., c], keys[..., c], out=runs[..., c])
+            np.bitwise_xor(words, np.frombuffer(key, np.uint64), out=x)
+        else:  # each key over its run as one 16-byte item, then one XOR
+            keys = np.frombuffer(key, np.complex128).reshape(k, 1)
+            np.copyto(x.view(np.complex128).reshape(k, -1), keys)
+            np.bitwise_xor(x, words, out=x)
         self._pi.update_into(x.view(np.uint8), self._out.view(np.uint8))
         out = self._out[:n]
         np.bitwise_xor(out, x, out=out)
@@ -395,7 +401,8 @@ def encrypt_block(
     stream's key vector at its clock, the timestamp before `times[0]`.
     Each message becomes the body msg + k(times[i]) - k(times[i-1]). The
     keys come in calls of whole streams, at most `BATCH_BLOCKS` blocks
-    each, and each call's keys go straight into its streams' rows.
+    each, and each call's keys are copied once into a held buffer in
+    native order, from which they go into its streams' rows.
     Returns each stream's key vector at `times[-1]`, a streams x width
     array.
     """
@@ -408,13 +415,17 @@ def encrypt_block(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"timestamps must advance: {list(times)}")
     out = np.empty((n, width), dtype=np.uint64)
+    held = None  # sized by the first call, the largest
     for lo, keys in _stream_keys(masters, times, width, None, prf):
+        held = np.empty(keys.shape, dtype=np.uint64) if held is None else held
+        own = held[: len(keys)]
+        np.copyto(own, keys)  # the one byteswap: the rest runs in native order
         hi = lo + len(keys)
         rows = block[lo:hi]
-        rows += keys
+        rows += own
         rows[:, 0] -= last_keys[lo:hi]
-        rows[:, 1:] -= keys[:, :-1]
-        out[lo:hi] = keys[:, -1]
+        rows[:, 1:] -= own[:, :-1]
+        out[lo:hi] = own[:, -1]
     return out
 
 

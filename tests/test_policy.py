@@ -170,6 +170,34 @@ def test_a_declaration_no_one_encoding_carries_is_refused(aggregates, fields):
         parse_schema({"name": "s", "attributes": [attribute]})
 
 
+BINS = {"min": 0, "max": 10, "width": 1}
+
+
+@pytest.mark.parametrize(
+    "aggregates, fields, unread",
+    [(["sum"], {"bins": BINS}, "bins"),
+     (["avg"], {"domain": {"min": 0, "max": 3}}, "domain"),
+     (["var"], {"threshold": 5}, "threshold"),
+     (["median"], {"bins": BINS, "threshold": 5}, "threshold"),
+     (["sum_above"], {"threshold": 1, "bins": BINS}, "bins")],
+)
+def test_an_encoding_field_the_encoding_does_not_read_is_refused(aggregates, fields, unread):
+    attribute = {"name": "a", "aggregates": aggregates, **fields,
+                 "options": [{"kind": "aggregate"}]}
+    message = f"^attribute 'a': no encoding of {aggregates[0]} reads '{unread}'$"
+    with pytest.raises(ValueError, match=message):
+        parse_schema({"name": "s", "attributes": [attribute]})
+    del attribute[unread]
+    parse_schema({"name": "s", "attributes": [attribute]})
+
+
+def test_bins_and_a_domain_together_are_refused():
+    attribute = {"name": "a", "aggregates": ["mode"], "bins": BINS,
+                 "domain": {"min": 0, "max": 3}, "options": [{"kind": "aggregate"}]}
+    with pytest.raises(ValueError, match="give 'bins' or 'domain', not both"):
+        parse_schema({"name": "s", "attributes": [attribute]})
+
+
 def test_schema_parsing_rejects_malformed_documents():
     with pytest.raises(ValueError, match="mapping"):
         parse_schema("just a string")
@@ -1040,6 +1068,7 @@ def test_verify_refuses_directives_its_outputs_do_not_compile_to(case):
     "function, param",
     [("percentile", 150), ("percentile", 0), ("percentile", -5), ("percentile", "high"),
      ("topk", -1), ("topk", 0), ("topk", 2.5), ("topk", float("inf")),
+     ("topk", True), ("percentile", True),
      ("sum", 3), ("var", 1), ("median", 50), ("histogram", 2), ("mode", 1)],
 )
 def test_select_items_refuse_a_param_outside_its_range(function, param):
@@ -1057,6 +1086,16 @@ def test_select_items_refuse_a_bucket_width_outside_the_histogram_family(functio
         SelectItem("s", "steps", function, bucket_width=10)
     doc = {"select": {"s": {"attribute": "steps", "function": function, "bucket_width": 10}},
            "window": 5}
+    with pytest.raises(ValueError, match="bucket_width"):
+        parse_query(doc)
+
+
+@pytest.mark.parametrize("width", ["20", -5, 0, float("nan"), float("inf"), True, [20]])
+def test_select_items_refuse_a_bucket_width_not_a_positive_finite_number(width):
+    with pytest.raises(ValueError, match="bucket_width must be a positive finite number"):
+        SelectItem("h", "altitude", "histogram", bucket_width=width)
+    item = {"attribute": "altitude", "function": "histogram", "bucket_width": width}
+    doc = {"select": {"h": item}, "window": 5}
     with pytest.raises(ValueError, match="bucket_width"):
         parse_query(doc)
 

@@ -1,10 +1,10 @@
 """A producer window as one block, against the per-value and per-event paths.
 
 The pipeline encodes a window's events one slab of streams at a time,
-with one `encode_batch` per attribute, and encrypts each slab in place
+in one pass of the schema's `SlabEncoder`, and encrypts each slab in place
 with one `encrypt_block` pass. The oracles here are the paths that replaced: the
-per-value encoder, kept in this file as Python arithmetic, and a
-`ChainEncryptor` per stream driven one event at a time.
+per-value encoder, kept in this file as Python arithmetic, the per-attribute
+`encode`, and a `ChainEncryptor` per stream driven one event at a time.
 """
 
 import math
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veilstream import pipeline, ring
-from veilstream.encoding import EncodingSpec, encode, encode_batch
+from veilstream.encoding import EncodingSpec, SlabEncoder, encode, encode_batch
 from veilstream.pipeline import SimConfig, _Scenario
 from veilstream.ring import (
     RING_MASK,
@@ -142,6 +142,80 @@ def test_batch_encode_raises_what_python_raises_for_non_finite_values(kind, bad)
     for call in (lambda: encode_batch([1, bad, 2], spec), lambda: encode(bad, spec)):
         with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
             call()
+
+
+# odd integers past 2**53 have no float64 twin: only Python's round encodes them
+HUGE = st.one_of(
+    st.integers(2**53, 2**80), st.integers(-(2**80), -(2**53)), st.floats(2**53, 1e20),
+    st.integers(2**52, 2**61).map(lambda k: 2 * k + 1),
+)
+
+
+@st.composite
+def schema_and_rows(draw):
+    """Up to five attributes of any kinds, a column of values each (huge
+    ones among the scalars'), cycled to a common number of rows."""
+    cases = draw(st.lists(spec_and_values(), min_size=1, max_size=5))
+    columns = []
+    for spec, values in cases:
+        if spec.kind in ("sum", "sum_count", "variance", "predicate_threshold"):
+            values = values + draw(st.lists(HUGE, max_size=3))
+        columns.append(values)
+    rows = max(map(len, columns))
+    return [spec for spec, _ in cases], [(c * rows)[:rows] for c in columns]
+
+
+def per_attribute(specs, columns, read):
+    """Every row's concatenated per-value encodings, attribute after
+    attribute, or the error of the first value refused in that order;
+    `encode` agrees with the Python reference on each."""
+    encoded = []
+    for spec, column in zip(specs, columns):
+        try:
+            rows = [reference_encode(read(v), spec) for v in column]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                [encode(read(v), spec) for v in column]
+            return exc
+        assert rows == [encode(read(v), spec).tolist() for v in column]
+        encoded.append(rows)
+    return [sum(parts, []) for parts in zip(*encoded)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema_and_rows())
+def test_slab_encoder_equals_per_attribute_encode(case):
+    specs, columns = case
+    encoder = SlabEncoder(specs)
+    assert encoder.width == sum(s.width for s in specs)
+    given_rows = np.array(columns, dtype=object).T  # Python numbers, as given
+    floats = np.array(columns, dtype=object).astype(np.float64).T  # as the pipeline draws
+    for values, read in ((given_rows, lambda v: v), (floats, float)):
+        expected = per_attribute(specs, columns, read)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+                encoder.encode(values)
+            continue
+        block = np.full((len(values), 2, encoder.width + 3), 7, dtype=np.uint64)
+        got = encoder.encode(values, out=block[:, 0, 1:-2])
+        assert got.tolist() == expected
+        assert (block[:, 1] == 7).all() and (block[:, 0, [0, -2, -1]] == 7).all()
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_slab_encoder_raises_the_error_of_the_first_attribute_in_schema_order(nan_first):
+    # a NaN on a scalar attribute and an out-of-domain one_hot value, in
+    # either order: the attribute earlier in the schema names the error
+    scalar, one_hot = EncodingSpec("sum"), EncodingSpec("one_hot", domain_min=0, domain_max=3)
+    specs = [scalar, one_hot] if nan_first else [one_hot, scalar]
+    row = [math.nan, 9.0] if nan_first else [9.0, math.nan]
+    message = "cannot convert float NaN to integer" if nan_first else "value 9.0 outside one_hot"
+    with pytest.raises(ValueError, match=message):
+        SlabEncoder(specs).encode(np.array([[0.0, 1.0], row]))
+    # two scalar attributes: the first one's NaN, a row later than the
+    # second one's infinity, raises first
+    with pytest.raises(ValueError, match="NaN"):
+        SlabEncoder([scalar, scalar]).encode(np.array([[0.0, math.inf], [math.nan, 0.0]]))
 
 
 def test_batch_encode_writes_only_its_slice_of_a_block():

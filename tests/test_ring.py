@@ -1,5 +1,7 @@
 """Cipher-layer tests: PRF correctness, chaining algebra, wire format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -10,6 +12,7 @@ from scipy import stats
 from veilstream.ring import (
     DOMAIN_KEYSTREAM,
     DOMAIN_SELECT,
+    FEW_BLOCKS,
     FIXED_AES_KEY,
     MODULUS_DEFAULT,
     AesPrf,
@@ -130,6 +133,64 @@ def test_an_earlier_result_is_unchanged_or_shares_a_later_ones_buffer(sizes, dat
         assert out.tobytes() == kept or any(
             np.shares_memory(out, later) for later, _ in results[i + 1 :]
         )
+
+
+# 64-bit words that read as signalling and quiet NaNs, infinity and -0.0
+# when viewed as doubles: the keys are copied as 16-byte items, never as floats
+ODD_WORDS = [0x7FF0000000000001, 0xFFF8000000000001, 0x7FF0000000000000, 1 << 63]
+
+
+@pytest.mark.parametrize("form", ["bytes", "memoryview", "offset slice"])
+def test_multi_key_whitening_equals_per_key_calls(form):
+    rng = np.random.default_rng(3)
+    odd = np.array(ODD_WORDS, dtype="<u8").view(np.uint8)
+    raw = np.concatenate([odd, rng.integers(0, 256, 16 * 4, dtype=np.uint8)])  # 6 keys
+    run = FEW_BLOCKS + 5
+    msgs = rng.integers(0, 256, 16 * 6 * run, dtype=np.uint8).tobytes()
+    if form == "bytes":
+        keys = raw.tobytes()
+    elif form == "memoryview":
+        keys = memoryview(raw.tobytes())
+    else:  # starts 3 bytes into its buffer, so it is not 16-byte aligned
+        keys = np.concatenate([np.zeros(3, np.uint8), raw])[3:]
+        assert keys.ctypes.data % 16
+    out = AesPrf().evaluate_batch(keys, msgs).tobytes()
+    assert out == library_outputs(raw.tobytes(), msgs)
+    # each result is read before the next call reuses its buffer
+    size = 16 * run
+    per_key = b"".join(
+        AES.evaluate_batch(raw[16 * i : 16 * (i + 1)], msgs[size * i : size * (i + 1)]).tobytes()
+        for i in range(6)
+    )
+    assert out == per_key
+
+
+def test_one_key_calls_of_few_blocks_equal_a_key_per_block():
+    key, prf = bytes(range(16)), AesPrf()
+    for blocks in range(FEW_BLOCKS + 3):
+        msgs = bytes(range(256))[: 16 * blocks] if blocks <= 16 else bytes(16 * blocks)
+        one = prf.evaluate_batch(key, msgs)
+        assert one.dtype == np.dtype(">u8") and one.shape == (blocks, 2) and one.flags.writeable
+        assert one.tobytes() == prf.evaluate_batch(key * blocks, msgs).tobytes()
+        assert one.tobytes() == library_outputs(key, msgs)
+
+
+def test_a_warm_multi_key_call_allocates_no_block_sized_buffer():
+    """The held buffers fit a repeated call, so it allocates only its array
+    headers: far less than one of its 28,680 x 16-byte buffers."""
+    prf = AesPrf()
+    keys = np.arange(6 * 16, dtype=np.uint8).reshape(6, 16)
+    msgs = bytes(16 * 28_680)
+    prf.evaluate_batch(keys, msgs)  # warm: the buffers grow to fit
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        prf.evaluate_batch(keys, msgs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, f"a warm call allocated {peak} bytes"
 
 
 SMALL_WIDE = st.tuples(st.integers(0, (1 << 56) - 1), st.integers(0, (1 << 64) - 1))
