@@ -23,6 +23,7 @@ decoding divides back out. Counts and bin occupancies are exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -208,12 +209,18 @@ class SlabEncoder:
         )
 
 
+@functools.lru_cache(maxsize=256)
+def _one_attribute(spec: EncodingSpec) -> SlabEncoder:
+    return SlabEncoder((spec,))
+
+
 def encode_batch(values, spec: EncodingSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Encode every value of an array of any shape S as a ring vector: the
-    one-attribute case of `SlabEncoder`, writing into `out`, of shape S +
-    (spec.width,), or a new array. The values are passed on as the Python
-    numbers given, so that integers beyond 2**53 round exactly."""
-    return SlabEncoder((spec,)).encode(np.asarray(values, dtype=object)[..., None], out)
+    one-attribute case of `SlabEncoder`, built once per spec, writing into
+    `out`, of shape S + (spec.width,), or a new array. The values are
+    passed on as the Python numbers given, so that integers beyond 2**53
+    round exactly."""
+    return _one_attribute(spec).encode(np.asarray(values, dtype=object)[..., None], out)
 
 
 def encode(value: float, spec: EncodingSpec) -> np.ndarray:

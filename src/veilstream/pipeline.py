@@ -102,6 +102,7 @@ from .secure_agg import (
     unmask_aggregate,
 )
 from .tokens import (
+    EPSILON_SLACK,
     TransformationToken,
     noise_normals,
     noise_shares,
@@ -718,22 +719,19 @@ class _Window:
     The rows of a stream offline in the window stay zero unless a catch-up
     event spanning the window arrives in time. `online` and `lost` record,
     per stream, whether it sent the window and whether a piece of it was
-    lost, which explain a missing member. The window's costs accumulate
-    here: its producers' bytes and encryption time, and the PRF blocks,
-    ring additions and seconds of its base and release."""
+    lost, which explain a missing member. `result`, the window's
+    `WindowResult`, opens with the window, and its costs are added to it
+    as they are spent: its producers' bytes and encryption time, and the
+    PRF blocks, ring additions and seconds of its base and release."""
 
-    def __init__(self, deadline: float, streams: int, lanes: int):
+    def __init__(self, w: int, deadline: float, online: np.ndarray, lanes: int, overhead: float):
+        self.result = WindowResult(w, "ok", 0, overhead_factor=overhead)
         self.deadline = deadline
-        self.sums = np.zeros((streams, lanes), dtype=np.uint64)
-        self.plain = np.zeros((streams, lanes), dtype=np.uint64)
-        self.arrived = np.zeros(streams, dtype=np.int64)
-        self.online = np.zeros(streams, dtype=bool)
-        self.lost = np.zeros(streams, dtype=bool)
-        self.bytes_producer = 0
-        self.t_encrypt = 0.0
-        self.prf_calls = 0
-        self.additions = 0
-        self.t_base = 0.0
+        self.sums = np.zeros((len(online), lanes), dtype=np.uint64)
+        self.plain = np.zeros_like(self.sums)
+        self.arrived = np.zeros(len(online), dtype=np.int64)
+        self.online = online
+        self.lost = np.zeros_like(online)
 
 
 class _Plan:
@@ -792,7 +790,7 @@ class _Plan:
         self.noise_keys = None
         if plan.dp_epsilon is not None:
             seed = b"dp-noise\x00" + (cfg.seed & RING_MASK).to_bytes(8, "little")
-            keys = b"".join(hashlib.sha256(seed + p.value).digest()[:16] for p in self.parties)
+            keys = b"".join(hashlib.sha256(seed + p).digest()[:16] for p in self.parties)
             self.noise_keys = np.frombuffer(keys, np.uint8).reshape(-1, 16)
             # each member's limit, the least its queried options allow, by
             # the rule the planner and its controller use, once per choice
@@ -950,7 +948,7 @@ class _Scenario:
                 StreamAnnotation(
                     stream_id=sid,
                     schema_name=self.schema.name,
-                    owner_id=kp.party_id.value,
+                    owner_id=kp.party_id,
                     selected=selected,
                     metadata=meta,
                 )
@@ -1041,8 +1039,8 @@ class _Scenario:
         draws[..., self.one_hot] = np.trunc(draws[..., self.one_hot])
         jitter = self.rng.random((n, E))
         indices = np.flatnonzero(online)
-        rec = self.open[w] = _Window((w + 1) * T + cfg.grace, n, len(self.lanes))
-        rec.online = online
+        deadline = (w + 1) * T + cfg.grace
+        rec = self.open[w] = _Window(w, deadline, online, len(self.lanes), self.overhead_factor)
         if w == 0:
             # no assembly precedes window 0 to compute its base
             self._mask_base(0)
@@ -1054,11 +1052,11 @@ class _Scenario:
             rec.plain[slab] = block[:, :E, self.lanes].sum(axis=1)
             t0 = time.perf_counter()
             catch_up.update(self._encrypt_chunk(w, slab, block))
-            rec.t_encrypt += time.perf_counter() - t0
+            rec.result.t_encrypt += time.perf_counter() - t0
             rec.sums[slab] = block[:, :, self.lanes].sum(axis=1)
         prev = self.open.get(w - 1)  # open until at least this window's start, as grace > 0
         for si, ct in catch_up.items():
-            rec.bytes_producer += ct.wire_size()
+            rec.result.bytes_producer += ct.wire_size()
             arrival = self.transport.send(ct.wire_size(), w * T)
             if ct.t_prev == (w - 1) * L and arrival is not None and arrival < prev.deadline:
                 prev.sums[si] = ct.body[self.lanes]
@@ -1129,7 +1127,7 @@ class _Scenario:
                 self.transport.send(heartbeat, t)
         rec.arrived += np.bincount(landed, minlength=len(rec.arrived))
         rec.lost[lost] = True
-        rec.bytes_producer += len(rows) * (self.event_bytes + heartbeat)
+        rec.result.bytes_producer += len(rows) * (self.event_bytes + heartbeat)
 
     # -- server + controllers --------------------------------------------------
 
@@ -1144,26 +1142,19 @@ class _Scenario:
         from that delta. Then each plan is released: the first plan's
         outcome is the window's, and a later plan's is reported in it."""
         rec = self.open.pop(w)
+        result = rec.result
         arrived = rec.arrived == self.config.logical_window
-        bytes_server = 0
         for p in self.plans:
             members = arrived[p.rows]
             if p.pairs is not None:
                 joined = frozenset(compress(p.parties, members & ~p.members))
                 dropped = frozenset(compress(p.parties, p.members & ~members))
-                bytes_server += p.plan_bytes if w == 0 else 0
+                result.bytes_server += p.plan_bytes if w == 0 else 0
                 if joined or dropped:
-                    bytes_server += MembershipDelta(w, joined, dropped).wire_size()
+                    result.bytes_server += MembershipDelta(w, joined, dropped).wire_size()
             p.members = members
 
-        result = WindowResult(
-            w, "ok", int(np.count_nonzero(arrived)),
-            bytes_producer=rec.bytes_producer,
-            bytes_server=bytes_server,
-            t_encrypt=rec.t_encrypt,
-            t_base=rec.t_base,
-            overhead_factor=self.overhead_factor,
-        )
+        result.members = int(np.count_nonzero(arrived))
         # each stream of the record that is no member, under the first
         # reason that applies: offline for the window, a piece lost, or a
         # piece late
@@ -1180,9 +1171,7 @@ class _Scenario:
             self._release(p, w, rec, outcome)
             self._report(p, outcome, result)
 
-        rec.prf_calls += self.prf.calls - prf0
-        result.prf_calls = rec.prf_calls
-        result.additions = rec.additions
+        result.prf_calls += self.prf.calls - prf0
         self.results.append(result)
         if w + 1 < self.config.windows:
             self._mask_base(w + 1)
@@ -1195,8 +1184,8 @@ class _Scenario:
         assembly. The zeph epoch plan, dream's selection draws and the
         masks are spent here, so that window w's release applies only the
         membership delta. Their PRF blocks, additions and time go on window
-        w's record, open since w·T."""
-        rec = self.open[w]
+        w's result, open since w·T."""
+        result = self.open[w].result
         prf0, t0 = self.prf.calls, time.perf_counter()
         for p in [p for p in self.plans if p.pairs is not None]:
             width = p.plan.output_width
@@ -1204,9 +1193,9 @@ class _Scenario:
                 p.pairs, p.members, w, width,
                 plan=p.zeph_plan(w, self.prf), threshold=p.threshold, prf=self.prf,
             )
-            rec.additions += 2 * p.base.changed * width
-        rec.prf_calls += self.prf.calls - prf0
-        rec.t_base += time.perf_counter() - t0
+            result.additions += 2 * p.base.changed * width
+        result.prf_calls += self.prf.calls - prf0
+        result.t_base += time.perf_counter() - t0
 
     def _controller_tokens(self, p: _Plan, w: int, members: np.ndarray):
         """Build, noise and mask plan `p`'s window-w tokens for the members
@@ -1292,8 +1281,9 @@ class _Scenario:
             result.status = "failed_min_members"
             return
         eps = p.plan.dp_epsilon
-        # tiny tolerance so budgets sized as k * eps survive float sums
-        if eps is not None and np.any(p.spent[members] + eps > p.epsilon_limit[members] + 1e-9):
+        if eps is not None and np.any(
+            p.spent[members] + eps > p.epsilon_limit[members] + EPSILON_SLACK
+        ):
             # one exhausted member suppresses the whole window before any
             # token is built, so no member's budget is charged
             result.status = "suppressed"
@@ -1302,7 +1292,7 @@ class _Scenario:
         t0 = time.perf_counter()
         masked, sent, additions, isolated = self._controller_tokens(p, w, members)
         result.t_token = time.perf_counter() - t0
-        rec.additions += additions
+        rec.result.additions += additions
         result.extras["isolated"] = isolated
         if masked is None:
             # an unpaired member's token would go out unmasked: withhold the batch

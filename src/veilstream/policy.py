@@ -58,6 +58,7 @@ import yaml
 
 from .encoding import KINDS, LANES, EncodingSpec, SCALE_DEFAULT
 from .tokens import (
+    EPSILON_SLACK,
     ElementDirective,
     NoiseSpec,
     TokenLayout,
@@ -597,7 +598,7 @@ class ReservationLedger:
             limit = budget_for.get(pair)
             if limit is None:
                 return False
-            if self._dp_spent.get(pair, 0.0) + cost > limit + 1e-9:
+            if self._dp_spent.get(pair, 0.0) + cost > limit + EPSILON_SLACK:
                 return False
         for pair in pairs:
             self._dp_spent[pair] = self._dp_spent.get(pair, 0.0) + cost
@@ -785,7 +786,7 @@ def _admission(
             room = _epsilon_limit(option)
             if left is not None:
                 room = left((annotation.stream_id, o.attribute), room)
-            if room is None or epsilon > room + 1e-9:
+            if room is None or epsilon > room + EPSILON_SLACK:
                 return "epsilon_budget"
     return floor
 

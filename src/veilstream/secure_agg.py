@@ -28,7 +28,7 @@ of parties one after the other, each pair staying in its group.
 selected pair's mask to its low end's row of a parties x width nonce
 matrix and subtracts it from its high end's.
 `round_peers` and `mask_vector` are their one-party cases, sharing the
-selection rules (`_round_rows`, with the dream comparison in `_selected`,
+selection rules (`_round_rows`, with the dream draws in `_draws`,
 which the cost simulator also uses) and the one definition of an edge
 mask; the scalar `nonce_*` functions are the width-1 case.
 
@@ -58,7 +58,6 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -130,12 +129,11 @@ logger = logging.getLogger(__name__)
 _U128_MAX = (1 << 128) - 1
 
 
-class PartyId(tuple):
+class PartyId(bytes):
     """32-byte identity hash; the byte order is the protocol's total order.
 
-    A tuple subclass holding the bytes, so hashing, equality and ordering
-    run in C. A PartyId therefore compares equal to the 1-tuple of its
-    bytes, `(value,)`.
+    A bytes subclass that checks its length, so hashing, equality and
+    ordering are its raw bytes', run in C: a PartyId equals its bytes.
     """
 
     __slots__ = ()
@@ -143,16 +141,13 @@ class PartyId(tuple):
     def __new__(cls, value: bytes):
         if len(value) != 32:
             raise ValueError("party id must be 32 bytes")
-        return tuple.__new__(cls, (value,))
+        return bytes.__new__(cls, value)
 
-    def __getnewargs__(self):
-        return (self[0],)
-
-    # the raw 32 bytes, read in C
-    value = property(itemgetter(0))
+    # the raw 32 bytes as plain `bytes`, for callers that read `.value`
+    value = property(bytes)
 
     def short(self) -> str:
-        return self[0][:6].hex()
+        return self[:6].hex()
 
     def __repr__(self):
         return f"PartyId({self.short()})"
@@ -175,14 +170,12 @@ class IdentityRegistry:
 
     def __init__(self):
         self._entries: dict[PartyId, PublicIdentity] = {}
-        self._raw_ids: set[bytes] = set()
 
     def register(self, identity: PublicIdentity) -> None:
         existing = self._entries.get(identity.party_id)
         if existing is not None and existing.material != identity.material:
             raise ValueError(f"conflicting registration for {identity.party_id!r}")
         self._entries[identity.party_id] = identity
-        self._raw_ids.add(identity.party_id.value)
 
     def get(self, party_id: PartyId) -> PublicIdentity:
         try:
@@ -196,19 +189,22 @@ class IdentityRegistry:
     def knows_all(self, raw_ids: Iterable[bytes]) -> bool:
         """Whether every raw 32-byte id is registered; anything else,
         malformed ids included, is unknown."""
-        return self._raw_ids.issuperset(raw_ids)
+        return self._entries.keys() >= set(raw_ids)
 
     def __len__(self):
         return len(self._entries)
 
 
 class KeyPair:
-    """One party's key-agreement state."""
+    """One party's key-agreement state: its public material, and its
+    party id, the SHA-256 hash of that material."""
 
-    party_id: PartyId
+    def __init__(self, material: bytes):
+        self._material = material
+        self.party_id = PartyId(hashlib.sha256(material).digest())
 
     def public_identity(self) -> PublicIdentity:
-        raise NotImplementedError
+        return PublicIdentity(self.party_id, self._material)
 
     def derive_shared(self, peer: PublicIdentity) -> bytes:
         """16-byte pairwise secret, symmetric in the two parties."""
@@ -250,13 +246,7 @@ _ONE_PAIR = (np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp))
 
 class _StaticKeyPair(KeyPair):
     def __init__(self, seed: bytes):
-        self._seed = seed
-        material = hashlib.sha256(b"static-pub\x00" + seed).digest()
-        self._material = material
-        self.party_id = PartyId(hashlib.sha256(material).digest())
-
-    def public_identity(self) -> PublicIdentity:
-        return PublicIdentity(self.party_id, self._material)
+        super().__init__(hashlib.sha256(b"static-pub\x00" + seed).digest())
 
     def derive_shared(self, peer: PublicIdentity) -> bytes:
         materials = (self._material, peer.material)
@@ -286,13 +276,10 @@ class StaticKeyAgreement:
 class _EcdhKeyPair(KeyPair):
     def __init__(self, private_key):
         self._private = private_key
-        self._material = private_key.public_key().public_bytes(
+        point = private_key.public_key().public_bytes(
             serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint
         )
-        self.party_id = PartyId(hashlib.sha256(self._material).digest())
-
-    def public_identity(self) -> PublicIdentity:
-        return PublicIdentity(self.party_id, self._material)
+        super().__init__(point)
 
     def derive_shared(self, peer: PublicIdentity) -> bytes:
         peer_key = ec.EllipticCurvePublicKey.from_encoded_point(
@@ -529,32 +516,38 @@ def plan_epoch(
     return EpochPlan(epoch_id=epoch_id, b=b, peers=secrets.peers, bits=bits)
 
 
-def _selected(words: np.ndarray, threshold: int) -> np.ndarray:
-    """The dream selection rule: for each PRF output, given as its high
-    and low 64 bits (`words`, ... x 2), is it at most `threshold`?
-    Threshold -1 (p = 0) selects nothing."""
-    words = words.reshape(-1, 2)
-    if threshold < 0:
-        return np.zeros(len(words), dtype=bool)
-    hi, lo = np.uint64(threshold >> 64), np.uint64(threshold & RING_MASK)
-    return (words[:, 0] < hi) | ((words[:, 0] == hi) & (words[:, 1] <= lo))
+def _draws(keys: np.ndarray, rounds: Sequence[int], threshold: int, prf: Prf) -> np.ndarray:
+    """The dream selection rule, a rounds x rows boolean matrix: does the
+    edge of each row of `keys` enter each of `rounds`? It does when its
+    selection draw, the PRF output on the round read as a 128-bit
+    integer, is at most `threshold`: one PRF block per row and round in
+    one pass of `_keyed_calls`. Threshold -1 (p = 0), whose high word is
+    -1, selects nothing."""
+    msgs = b"".join(prf_input(DOMAIN_SELECT, 0, r) for r in rounds)
+    hi, lo = divmod(threshold, 1 << 64)
+    kept = np.empty((len(rounds), len(keys)), dtype=bool)
+    for first, words in _keyed_calls(keys, msgs, prf):
+        high, low = words.reshape(-1, 2).T
+        draws = (high < hi) | ((high == hi) & (low <= lo))
+        kept[:, first : first + len(words)] = draws.reshape(len(words), -1).T
+    return kept
 
 
 def _round_rows(keys, rows, round_index, plan, threshold, prf) -> np.ndarray:
     """Of the candidate `rows` (ascending indices into `keys`, or into the
     plan's rows), those whose edge masks enter the round: every candidate
     (clique), the plan's edges for the round (zeph), or the candidates
-    whose selection draw is at most `threshold` (dream), one PRF block per
-    candidate in one pass of `_keyed_calls`."""
+    whose selection draw is at most `threshold` (dream, `_draws`)."""
     if plan is not None:
         return rows[plan.round_mask(round_index % plan.width, rows)]
     if threshold is None:
         return rows
-    msg = prf_input(DOMAIN_SELECT, 0, round_index)
-    selected = np.empty(len(rows), dtype=bool)
-    for lo, words in _keyed_calls(keys[rows], msg, prf):
-        selected[lo : lo + len(words)] = _selected(words, threshold)
-    return rows[selected]
+    return rows[_draws(keys[rows], (round_index,), threshold, prf)[0]]
+
+
+def _rows_in(peers: Sequence[PartyId], group: frozenset) -> np.ndarray:
+    """The indices, ascending, of the `peers` in the set `group`."""
+    return np.flatnonzero(np.fromiter((p in group for p in peers), bool, count=len(peers)))
 
 
 def round_peers(
@@ -582,12 +575,7 @@ def round_peers(
     parameter optimizer exists to make it vanishingly rare.
     """
     peers = secrets.peers if plan is None else plan.peers
-    if members is None:
-        rows = np.arange(len(peers))
-    else:
-        members = frozenset(members)
-        live = np.fromiter((p in members for p in peers), bool, count=len(peers))
-        rows = np.flatnonzero(live)
+    rows = np.arange(len(peers)) if members is None else _rows_in(peers, frozenset(members))
     rows = _round_rows(secrets.keys, rows, round_index, plan, threshold, prf)
     if not len(rows):
         _warn_unprotected(round_index, secrets.self_id)
@@ -873,11 +861,7 @@ def apply_delta(
     blocks: a mask block per listed edge in the round, and for dream a
     selection draw per listed party. The party is never its own peer.
     """
-    peers = secrets.peers
-    dropped, joined = (
-        np.flatnonzero(np.fromiter((p in group for p in peers), bool, count=len(peers)))
-        for group in (delta.dropped, delta.joined)
-    )
+    dropped, joined = (_rows_in(secrets.peers, group) for group in (delta.dropped, delta.joined))
     # the base's rows to dropped peers: those the round selected
     gone = _round_rows(secrets.keys, dropped, round_index, plan, threshold, prf)
     nonces, _ = _change_masks(
@@ -1061,7 +1045,7 @@ class MaskedBatch:
         )
         records["round"] = self.round_index
         records["epoch"] = self.epoch_id
-        records["party"] = np.frombuffer(b"".join(p.value for p in self.parties), dtype="V32")
+        records["party"] = np.frombuffer(b"".join(self.parties), dtype="V32")
         return records.tobytes()
 
 
@@ -1276,10 +1260,10 @@ def simulate_party_counters(
                 one mask call and one addition per scheduled live edge
 
     Every draw is an AES block, the PRF `run` uses. The zeph schedule
-    comes from the planner's `graph_bits`; dream draws go through `round_peers`'
-    selection rule, one `evaluate_batch` over every peer for a chunk of
-    whole rounds, at most `BATCH_BLOCKS` draws (a round of more peers than
-    that is split across calls). Mask
+    comes from the planner's `graph_bits`; dream draws come from `_draws`,
+    the selection rule `round_peers` and `round_edges` use, over every
+    peer for a chunk of whole rounds of at most `BATCH_BLOCKS` draws (a
+    round of more peers than that is split across calls). Mask
     calls are tallied at one per edge, the per-edge cost `mask_vector`
     pays for a scalar token. `dropout` removes each peer independently per
     round. When `b` is omitted the epoch parameters (and the dream edge
@@ -1332,22 +1316,12 @@ def simulate_party_counters(
         out = []
         for first in range(0, rounds, step):
             chunk = range(first, min(first + step, rounds))
-            msgs = b"".join(prf_input(DOMAIN_SELECT, 0, r) for r in chunk)
-            # peer-major: each peer's key once per round of the chunk
-            selected = np.empty((peers, len(chunk)), dtype=bool)
-            for lo, words in _keyed_calls(keys, msgs, prf):
-                hits = _selected(words, threshold)
-                selected[lo : lo + len(words)] = hits.reshape(len(words), len(chunk))
-            for i, r in enumerate(chunk):
-                hits = selected[:, i]
-                if dropout:
-                    alive_mask = rng.random(peers) >= dropout
-                    hits = hits & alive_mask
-                    alive = int(alive_mask.sum())
-                else:
-                    alive = peers
-                degree = int(hits.sum())
-                out.append(RoundCost(r, alive, degree, alive + degree, degree))
+            hits = _draws(keys, chunk, threshold, prf)
+            # each round's dropouts, drawn round after round
+            live = rng.random(hits.shape) >= dropout if dropout else np.ones_like(hits)
+            alive = np.count_nonzero(live, axis=1).tolist()
+            degree = np.count_nonzero(hits & live, axis=1).tolist()
+            out += [RoundCost(r, a, d, a + d, d) for r, a, d in zip(chunk, alive, degree)]
         return out
 
     # zeph: replay the epoch graph, then walk its round schedule

@@ -19,6 +19,7 @@ masking, gated by an epsilon budget with atomic charge-or-refuse semantics.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -53,6 +54,7 @@ __all__ = [
     "TransformationToken",
     "NoiseSpec",
     "PrivacyBudget",
+    "EPSILON_SLACK",
     "Suppressed",
     "token_matrix",
     "single_stream_token",
@@ -64,6 +66,9 @@ __all__ = [
     "serialize_token",
     "deserialize_token",
 ]
+
+# every epsilon check's float slack: budgets sized as k * cost survive float sums
+EPSILON_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,19 @@ class ElementDirective:
             raise ValueError("perturb directive needs a noise spec")
 
 
+# shared instances, merge's one per group: `verify_plan` compares whole
+# directive tuples, and a tuple comparison short-cuts on identity
+@functools.cache
 def release() -> ElementDirective:
     return ElementDirective("release")
 
 
+@functools.cache
 def withhold() -> ElementDirective:
     return ElementDirective("withhold")
 
 
+@functools.lru_cache(maxsize=4096)
 def merge(group: Hashable) -> ElementDirective:
     return ElementDirective("merge", group=group)
 
@@ -402,8 +412,7 @@ class PrivacyBudget:
         if cost <= 0:
             raise ValueError("epsilon cost must be positive")
         with self._lock:
-            # tiny tolerance so budgets sized as k * cost survive float sums
-            if self._spent + cost > self.epsilon_total + 1e-9:
+            if self._spent + cost > self.epsilon_total + EPSILON_SLACK:
                 return False
             self._spent += cost
             return True

@@ -1075,7 +1075,8 @@ def test_a_window_token_is_minted_once():
         with pytest.raises(RuntimeError, match="already minted"):
             scenario._controller_tokens(population, 0, partition_members(scenario, part))
     # a record in which the per-user stream's chain is complete
-    record = pipeline._Window(0.0, len(population.plan.members), len(scenario.lanes))
+    online = np.ones(len(population.plan.members), dtype=bool)
+    record = pipeline._Window(0, 0.0, online, len(scenario.lanes), scenario.overhead_factor)
     user.members = np.ones(1, dtype=bool)
     with pytest.raises(RuntimeError, match="already minted"):
         scenario._release(user, 0, record, window)

@@ -93,17 +93,38 @@ def test_party_id_validation_and_order():
     assert a.short() == "000000000000"
 
 
-def test_party_id_is_the_tuple_of_its_bytes():
+def test_a_party_id_is_its_bytes():
     raw = bytes(range(32))
     pid = PartyId(raw)
-    # hashing, equality and order are the tuple's, computed in C
-    assert pid == (raw,) and hash(pid) == hash((raw,))
-    assert pid.value == raw and repr(pid) == "PartyId(000102030405)"
-    assert {pid: 1}[PartyId(raw)] == 1
-    assert sorted([PartyId(b"\x02" * 32), pid]) == [pid, PartyId(b"\x02" * 32)]
+    # hashing, equality and order are the raw bytes', computed in C
+    assert pid == raw and hash(pid) == hash(raw)
+    assert {raw: 1}[pid] == 1 and {pid: 1}[raw] == 1
+    assert pid.value == raw and type(pid.value) is bytes
+    assert repr(pid) == "PartyId(000102030405)"
+    high = PartyId(b"\x02" * 32)
+    assert sorted([high, pid]) == [pid, high] and pid < high
+    assert PartyId(b"\x00" * 31 + b"\x01") < PartyId(b"\x01" + b"\x00" * 31)
+    copy = pickle.loads(pickle.dumps(pid))
+    assert copy == pid and type(copy) is PartyId
+    for wrong in (b"", raw[:31], raw + b"\x00"):
+        with pytest.raises(ValueError, match="32 bytes"):
+            PartyId(wrong)
     with pytest.raises(AttributeError):
         pid.extra = 1
-    assert pickle.loads(pickle.dumps(pid)) == pid
+
+
+def test_registry_knows_raw_owner_ids_and_refuses_malformed_ones():
+    registry = IdentityRegistry()
+    agreement = StaticKeyAgreement()
+    a, b = (agreement.generate(bytes([i])) for i in range(2))
+    registry.register(a.public_identity())
+    raw = bytes(a.party_id)
+    assert type(raw) is bytes
+    assert registry.knows_all([raw]) and registry.knows_all([a.party_id])
+    assert registry.knows_all([]) and registry.knows_all((raw, raw))
+    assert not registry.knows_all([raw, bytes(b.party_id)])
+    for malformed in (raw[:31], raw + b"\x00", b"", raw.hex()):
+        assert not registry.knows_all([raw, malformed])
 
 
 def test_registry_conflicts_and_lookup():
