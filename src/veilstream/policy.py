@@ -21,13 +21,13 @@ Options form a ladder, least to most private:
 A transformation complies with an attribute's selected option when the
 query's chain sits at or above the option on this ladder and satisfies the
 option's constraints (minimum window, minimum population, resolution
-floor, epsilon budget). One rule, `_admission`, decides this for a stream,
-and one helper, `_epsilon_limit`, gives each (stream, attribute) its
-epsilon limit. The planner filters candidate streams in three passes:
+floor, epsilon budget). One rule, `_admission`, decides this per class of
+streams, and one helper, `_epsilon_limit`, gives each (stream, attribute)
+its epsilon limit. The planner filters candidate streams in three passes:
 
     (i)   metadata predicates select candidate streams,
-    (ii)  the rule drops streams whose options forbid the requested
-          transformation, then the ledger drops reserved streams,
+    (ii)  the rule drops streams whose options forbid the transformation,
+          then the ledger, read per attribute, drops reserved streams,
     (iii) the population floors the rule derived settle the final member
           set and the dropouts a window may absorb.
 
@@ -52,6 +52,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import yaml
@@ -531,14 +532,6 @@ class TransformationPlan:
         """
         return TokenLayout.build(self.directives, self.layout)
 
-    @functools.cached_property
-    def _member_rank(self) -> dict[str, int]:
-        """First position of each member, so checks can follow plan order."""
-        rank: dict[str, int] = {}
-        for i, sid in enumerate(self.members):
-            rank.setdefault(sid, i)
-        return rank
-
     @property
     def min_members(self) -> int:
         return len(self.members) - self.max_dropouts
@@ -559,64 +552,68 @@ class ReservationLedger:
     """Tracks exclusive holds and DP budget draw-down per (stream, attribute).
 
     Every reservation is all-or-nothing: a refused one changes nothing.
+    Holds and spent epsilon are read for whole attributes at once.
     """
 
     def __init__(self):
-        self._exclusive: dict[tuple[str, str], str] = {}
-        self._dp_active: dict[tuple[str, str], set[str]] = {}
-        self._dp_spent: dict[tuple[str, str], float] = {}
-        self._plan_pairs: dict[str, list[tuple[str, str]]] = {}
+        # live reservations: (plan id, exclusive, streams, attributes)
+        self._holds: list[tuple[str, bool, frozenset[str], frozenset[str]]] = []
+        self._spent: dict[str, dict[str, float]] = {}  # attribute -> stream -> epsilon
+
+    def held(self, attributes: Sequence[str], exclusive: bool) -> set[str]:
+        """The streams that a new reservation of `attributes` may not take:
+        held by an exclusive plan or, for an `exclusive` one, a DP plan."""
+        out: set[str] = set()
+        for _, excl, streams, attrs in self._holds:
+            if (excl or exclusive) and not attrs.isdisjoint(attributes):
+                out |= streams
+        return out
+
+    def spent(self, attribute: str) -> Mapping[str, float]:
+        """The epsilon spent on `attribute`, by stream (none: 0)."""
+        return self._spent.get(attribute, {})
 
     def dp_spent(self, pair: tuple[str, str]) -> float:
-        return self._dp_spent.get(pair, 0.0)
+        return self.spent(pair[1]).get(pair[0], 0.0)
 
-    def is_blocked(self, pair: tuple[str, str]) -> bool:
-        return pair in self._exclusive
-
-    def has_dp_activity(self, pair: tuple[str, str]) -> bool:
-        return bool(self._dp_active.get(pair))
-
-    def try_reserve_exclusive(self, plan_id: str, pairs: Sequence[tuple[str, str]]) -> bool:
-        for pair in pairs:
-            if pair in self._exclusive or self._dp_active.get(pair):
-                return False
-        for pair in pairs:
-            self._exclusive[pair] = plan_id
-        self._plan_pairs.setdefault(plan_id, []).extend(pairs)
+    def try_reserve_exclusive(
+        self, plan_id: str, streams: Sequence[str], attributes: Sequence[str]
+    ) -> bool:
+        if not self.held(attributes, True).isdisjoint(streams):
+            return False
+        self._holds.append((plan_id, True, frozenset(streams), frozenset(attributes)))
         return True
 
     def try_charge_dp(
         self,
         plan_id: str,
-        pairs: Sequence[tuple[str, str]],
+        groups: Sequence[tuple[Sequence[str], Sequence[float]]],
+        attributes: Sequence[str],
         cost: float,
-        budget_for: Mapping[tuple[str, str], float],
     ) -> bool:
-        for pair in pairs:
-            if pair in self._exclusive:
-                return False
-            limit = budget_for.get(pair)
-            if limit is None:
-                return False
-            if self._dp_spent.get(pair, 0.0) + cost > limit + EPSILON_SLACK:
-                return False
-        for pair in pairs:
-            self._dp_spent[pair] = self._dp_spent.get(pair, 0.0) + cost
-            self._dp_active.setdefault(pair, set()).add(plan_id)
-        self._plan_pairs.setdefault(plan_id, []).extend(pairs)
+        """Draw `cost` from every attribute's budget of every stream in
+        `groups`, each some streams and the limits, one per attribute, that
+        their budgets share."""
+        columns = [self.spent(attr) for attr in attributes]
+        for streams, limits in groups:
+            for s, limit in zip(columns, limits):
+                # the stream that has spent most reaches the limit first
+                most = max(map(s.get, streams, repeat(0.0)), default=0.0)
+                if most + cost > limit + EPSILON_SLACK:
+                    return False
+        streams = [sid for group, _ in groups for sid in group]
+        if not self.held(attributes, False).isdisjoint(streams):
+            return False
+        self._holds.append((plan_id, False, frozenset(streams), frozenset(attributes)))
+        for attr in attributes:
+            spent = self._spent.setdefault(attr, {})
+            for sid in streams:
+                spent[sid] = spent.get(sid, 0.0) + cost
         return True
 
     def release(self, plan_id: str) -> None:
         """Free the plan's holds. Idempotent. Spent epsilon stays spent."""
-        pairs = self._plan_pairs.pop(plan_id, [])
-        for pair in pairs:
-            if self._exclusive.get(pair) == plan_id:
-                del self._exclusive[pair]
-            active = self._dp_active.get(pair)
-            if active:
-                active.discard(plan_id)
-                if not active:
-                    del self._dp_active[pair]
+        self._holds = [hold for hold in self._holds if hold[0] != plan_id]
 
 
 def release_reservation(ledger: ReservationLedger, plan_id: str) -> None:
@@ -627,21 +624,15 @@ def _stream_hash(stream_id: str) -> bytes:
     return hashlib.sha256(b"member-order\x00" + stream_id.encode()).digest()
 
 
-def _chain_for(dp: bool, member_count: int) -> tuple[str, ...]:
-    chain = ["window_aggregate"]
+def _chain_for(dp: bool, member_count: int) -> tuple[tuple[str, ...], int]:
+    """The chain the planner builds for a DP request and member count, and
+    the ladder level its release reaches."""
+    chain, level = ("window_aggregate",), "stream-aggregate"
     if member_count > 1:
-        chain.append("cross_stream_sum")
+        chain, level = chain + ("cross_stream_sum",), "aggregate"
     if dp:
-        chain.append("dp_noise")
-    return tuple(chain)
-
-
-def _chain_level(dp: bool, member_count: int) -> int:
-    if dp:
-        return _level("dp-aggregate")
-    if member_count > 1:
-        return _level("aggregate")
-    return _level("stream-aggregate")
+        chain, level = chain + ("dp_noise",), "dp-aggregate"
+    return chain, _level(level)
 
 
 def _compile(
@@ -738,31 +729,33 @@ def _epsilon_limit(option: PrivacyOption) -> float:
 
 
 def _admission(
-    annotation: StreamAnnotation,
+    kinds: Sequence[Optional[str]],
     schema: StreamSchema,
     outputs: Sequence[OutputSpec],
     level: int,
     window: int,
     population: Optional[int],
     epsilon: Optional[float],
-    left: Optional[Callable[[tuple[str, str], float], Optional[float]]],
+    left: Optional[Callable[[int, float], Optional[float]]],
 ) -> Union[str, int]:
-    """Whether a stream's selected options admit a release: the reason they
-    refuse it, or, when they admit it, the stream's population floor.
+    """Whether the option kinds a stream selects, `kinds[j]` for output j's
+    attribute (None: none), admit a release: the reason they refuse it, or,
+    when they admit it, the stream's population floor.
 
     The release reaches ladder `level`, sums windows of `window`, keeps at
     least `population` members (None: not known yet) and, with `epsilon`,
-    spends that much of each queried (stream, attribute) budget, of whose
-    limit `left(pair, limit)` is left (None: unknown), or all of it when
-    `left` is None. Each output's decode
+    spends that much of the stream's budget on each output's attribute, of
+    whose limit `left(j, limit)` is left on output j (None: unknown), or all
+    of it when `left` is None. Each output's decode
     fixes the resolution it reveals: a histogram's bin width, 1 for a
     one-hot domain. The floor is the largest `min_population` of the
     selected options, and at least 2 at `aggregate` or above. Outputs are
-    checked in order and the first refusal is returned.
+    checked in order and the first refusal is returned. A stream's class,
+    its kinds and then what `left` reads, fixes the verdict.
     """
     floor = 1
-    for o in outputs:
-        kind = annotation.selected.get(o.attribute)
+    for j, o in enumerate(outputs):
+        kind = kinds[j]
         if kind is None:
             return "no_option_selected"
         if kind == "private":
@@ -785,7 +778,7 @@ def _admission(
         if epsilon is not None:
             room = _epsilon_limit(option)
             if left is not None:
-                room = left((annotation.stream_id, o.attribute), room)
+                room = left(j, room)
             if room is None or epsilon > room + EPSILON_SLACK:
                 return "epsilon_budget"
     return floor
@@ -801,10 +794,10 @@ def plan_query(
 ) -> Union[TransformationPlan, Rejection]:
     """Compile a query into a transformation plan or a typed rejection.
 
-    The three filtering passes are described in the module docstring. The
-    returned plan's reservations (exclusive holds or epsilon draw-down)
-    are already taken; callers hand the plan id to release_reservation
-    when the transformation retires.
+    The three filtering passes, `_admission` once per class of candidates,
+    are in the module docstring. The returned plan's reservations
+    (exclusive holds or epsilon draw-down) are already taken; callers hand
+    the plan id to release_reservation when the transformation retires.
     """
     resolved = _resolve_outputs(schema, query.select)
     if isinstance(resolved, Rejection):
@@ -812,53 +805,56 @@ def plan_query(
     directives, outputs = resolved
 
     # pass (i): metadata filtering
-    candidates = [
-        a
-        for a in annotations
-        if a.schema_name == schema.name and all(p.matches(a) for p in query.where)
-    ]
+    candidates = [a for a in annotations if a.schema_name == schema.name]
+    for p in query.where:
+        candidates = [a for a in candidates if p.matches(a)]
     if not candidates:
         return Rejection("no_matching_streams", "metadata predicates matched nothing")
 
-    # pass (ii): each stream's options, judged as its controller will, at
-    # the chain level of a multi-stream plan when there are several
-    # candidates, then its reservations. A set that later shrinks to one
-    # member keeps only streams whose floor is 1, whose options sit below
-    # `aggregate`: they admit the single-stream chain too.
+    # pass (ii): each class of candidates, by option kinds and spent epsilon,
+    # judged once as its controllers will, at the chain level of a
+    # multi-stream plan when there are several candidates, then the
+    # ledger's holds. A set that later shrinks to one member keeps only
+    # streams whose floor is 1, whose options sit below `aggregate`: they
+    # admit the single-stream chain too.
     dp = query.dp is not None
-    chain_level = _chain_level(dp, len(candidates))
+    chain_level = _chain_for(dp, len(candidates))[1]
     epsilon = query.dp.epsilon_cost if dp else None
-
-    def held(pair):
-        return ledger.is_blocked(pair) or (not dp and ledger.has_dp_activity(pair))
-
-    def left(pair, limit):
-        return limit - ledger.dp_spent(pair)
-
-    survivors = []
-    floors: dict[str, int] = {}
+    attributes = [o.attribute for o in outputs]
+    columns = [[a.selected.get(attr) for a in candidates] for attr in attributes]
+    if dp:
+        sids = [a.stream_id for a in candidates]
+        columns += [map(ledger.spent(attr).get, sids, repeat(0.0)) for attr in attributes]
+    held = ledger.held(attributes, not dp)
+    verdicts: dict[tuple, Union[str, int]] = {}
+    survivors = []  # (annotation, its class)
     exclusions: dict[str, int] = {}
-    for a in candidates:
-        why = _admission(a, schema, outputs, chain_level, query.window, None, epsilon, left)
-        if not isinstance(why, str) and any(held((a.stream_id, o.attribute)) for o in outputs):
+    for a, key in zip(candidates, zip(*columns)):
+        why = verdicts.get(key)
+        if why is None:
+            why = verdicts[key] = _admission(
+                key, schema, outputs, chain_level, query.window, None, epsilon,
+                lambda j, limit: limit - key[len(outputs) + j],
+            )
+        if not isinstance(why, str) and a.stream_id in held:
             why = "reserved"
         if isinstance(why, str):
             exclusions[why] = exclusions.get(why, 0) + 1
         else:
-            floors[a.stream_id] = why
-            survivors.append(a)
+            survivors.append((a, key))
     if not survivors:
         dominant = max(sorted(exclusions), key=lambda k: exclusions[k])
         return Rejection(dominant, f"all candidate streams excluded: {exclusions}")
 
-    # pass (iii): population floors with deterministic capping
-    survivors.sort(key=lambda a: _stream_hash(a.stream_id))
+    # pass (iii): population floors with deterministic capping; only the
+    # cap, which binds at most once, reads the order
     current = survivors
     while True:
         if len(current) > query.max_population:
+            current = sorted(current, key=lambda s: _stream_hash(s[0].stream_id))
             current = current[: query.max_population]
         n = len(current)
-        kept = [a for a in current if floors[a.stream_id] <= n]
+        kept = [s for s in current if verdicts[s[1]] <= n]
         if len(kept) == len(current):
             break
         current = kept
@@ -868,9 +864,9 @@ def plan_query(
             f"population constraints admit no member set from {len(survivors)} survivors",
         )
 
-    members = tuple(sorted(a.stream_id for a in current))
-    owners = tuple(sorted({a.owner_id for a in current}))
-    chain = _chain_for(dp, len(members))
+    members = tuple(sorted(a.stream_id for a, _ in current))
+    owners = tuple(sorted({a.owner_id for a, _ in current}))
+    chain = _chain_for(dp, len(members))[0]
     plan_id = hashlib.sha256(
         json.dumps(
             {
@@ -886,7 +882,7 @@ def plan_query(
     ).hexdigest()[:32]
 
     # as many dropouts as keep every member's floor
-    floor = max(floors[m] for m in members)
+    floor = max(verdicts[key] for _, key in current)
     max_dropouts = min(int(_MAX_DROPOUT_FRACTION * len(members)), len(members) - floor)
 
     noise = None
@@ -897,15 +893,18 @@ def plan_query(
             party_count=len(owners),
         )
 
-    pairs = [(m, item.attribute) for m in members for item in query.select]
     if query.dp is None:
-        granted = ledger.try_reserve_exclusive(plan_id, pairs)
+        granted = ledger.try_reserve_exclusive(plan_id, members, attributes)
     else:
-        selected = {a.stream_id: a.selected for a in current}
-        budget_for = {
-            (m, attr): _epsilon_limit(schema._options[attr, selected[m][attr]]) for m, attr in pairs
-        }
-        granted = ledger.try_charge_dp(plan_id, pairs, query.dp.epsilon_cost, budget_for)
+        # the members by class, with the budget limits they share
+        classes: dict[tuple, list[str]] = {}
+        for a, key in current:
+            classes.setdefault(key, []).append(a.stream_id)
+        groups = [
+            (streams, [_epsilon_limit(schema._options[pair]) for pair in zip(attributes, key)])
+            for key, streams in classes.items()
+        ]
+        granted = ledger.try_charge_dp(plan_id, groups, attributes, epsilon)
     if not granted:
         return Rejection("reserved", "reservation or budget race lost")
 
@@ -937,23 +936,25 @@ def verify_plan(
     """A controller's independent re-derivation of plan compliance.
 
     Controllers run this before contributing tokens: the planner is not
-    trusted. Checks cover structural integrity, that the chain is the one
-    the planner builds for the plan's members and DP request, the
-    planner's own admission rule on this controller's streams, with each
-    stream's population floor held to `min_members`, the members a
-    window may not fall below, that the planner's output rule
-    (`_resolve_outputs`), rerun on the plan's outputs as select items,
-    gives exactly the plan's directives and outputs (else
+    trusted. Checks cover structural integrity, members strictly increasing
+    and `0 <= max_dropouts < len(members)` (else `bad_members`), that the
+    chain is the one the planner builds for the plan's members and DP
+    request, the planner's own admission rule on this controller's
+    streams, with each stream's population floor held to `min_members`,
+    the members a window may not fall below, that the planner's output
+    rule (`_resolve_outputs`), rerun on the plan's outputs as select
+    items, gives exactly the plan's directives and outputs (else
     `outputs_mismatch`, checked after the admission rule and before the
     identities), and that all participating owners have known identities.
 
-    `own_annotations` may hold several member streams; they are checked
-    in plan order and the first refusal is returned. Given every
-    member's annotation, as the simulator passes them, it accepts
-    exactly when each member's controller alone would, and a refusal has
-    the reason of the first refusing controller in plan order, except
-    that the owners' identities are checked after every stream, where
-    each controller checks them after its own streams.
+    `own_annotations` may hold several member streams, and non-members,
+    which are ignored. The admission rule judges each class of them once,
+    and the refusal of the first member in plan order whose class refuses
+    is returned. Given every member's annotation, as the simulator passes
+    them, it accepts exactly when each member's controller alone would,
+    and a refusal has the reason of the first refusing controller in plan
+    order, except that the owners' identities are checked after every
+    stream, where each controller checks them after its own streams.
     """
     if tuple(output_layout(plan.directives)) != plan.layout:
         return Verdict.refuse("layout_mismatch")
@@ -961,25 +962,34 @@ def verify_plan(
         return Verdict.refuse("width_mismatch")
     if plan.window <= 0:
         return Verdict.refuse("bad_window")
+    members = plan.members
+    # strictly increasing, as the planner emits them: no stream counts twice
+    increasing = all(a < b for a, b in zip(members, members[1:]))
+    if not increasing or not 0 <= plan.max_dropouts < len(members):
+        return Verdict.refuse("bad_members")
     dp = plan.dp_epsilon is not None
     if ("dp_noise" in plan.chain) != dp or (dp and plan.noise is None):
         return Verdict.refuse("dp_chain_mismatch")
-    if plan.chain != _chain_for(dp, len(plan.members)):
+    chain, level = _chain_for(dp, len(members))
+    if plan.chain != chain:
         return Verdict.refuse("chain_mismatch")
-    level = _chain_level(dp, len(plan.members))
 
-    # the caller's own streams, in plan order, without a pass over members
-    rank = plan._member_rank
-    mine = sorted((sid for sid in own_annotations if sid in rank), key=rank.__getitem__)
+    # the caller's own streams, in plan order
+    mine = [own_annotations[sid] for sid in members if sid in own_annotations]
     if not mine:
         return Verdict.refuse("not_a_member")
 
-    # without its own account, a controller holds each budget's whole limit
-    left = None if remaining_epsilon is None else (lambda pair, _: remaining_epsilon.get(pair))
-    for sid in mine:
+    # each class of the caller's streams is judged once, in the order of
+    # its first member; without its own account, a controller holds each
+    # budget's whole limit
+    outputs, remaining = plan.outputs, remaining_epsilon
+    columns = [[a.selected.get(o.attribute) for a in mine] for o in outputs]
+    if remaining is not None:
+        columns += [[remaining.get((a.stream_id, o.attribute)) for a in mine] for o in outputs]
+    for key in dict.fromkeys(zip(*columns)):
         why = _admission(
-            own_annotations[sid], schema, plan.outputs, level, plan.window,
-            plan.min_members, plan.dp_epsilon, left,
+            key, schema, outputs, level, plan.window, plan.min_members, plan.dp_epsilon,
+            None if remaining is None else lambda j, _: key[len(outputs) + j],
         )
         if isinstance(why, str):
             return Verdict.refuse(why)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veilstream import pipeline
+from veilstream import pipeline, policy
 from veilstream.pipeline import (
     CSV_COLUMNS,
     Scheduler,
@@ -1684,6 +1684,20 @@ def test_result_csv_and_json_render():
     assert len(doc["windows"]) == 2
     assert doc["windows"][0]["shadow_ok"] is True
     assert set(doc["summary"]) >= {"liveness", "shadow_ok", "transport"}
+
+
+def test_admission_runs_per_option_class_not_per_stream(monkeypatch):
+    calls = []
+    admission = policy._admission
+    monkeypatch.setattr(policy, "_admission", lambda *args: calls.append(1) or admission(*args))
+    counts = []
+    for producers in (300, 1500):
+        calls.clear()
+        _Scenario(SimConfig(preset="web", protocol="dream", producers=producers, partition_size=100))
+        counts.append(len(calls))
+    # the planner judges regular streams and holdouts, the controllers the
+    # members, whatever the population
+    assert counts[0] == counts[1]
 
 
 def test_one_plan_check_per_plan_and_a_refusal_names_the_first_controller(monkeypatch):

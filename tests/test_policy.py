@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import hashlib
+import json
+import math
 import re
 import statistics
 
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veilstream import policy
 from veilstream.encoding import KINDS, decode_stats, encode_batch
 from veilstream.policy import (
+    OPTION_KINDS,
     _FUNCTIONS,
     _HISTOGRAM_FUNCTIONS,
     _carries,
@@ -32,7 +36,7 @@ from veilstream.policy import (
     verify_plan,
 )
 from veilstream.secure_agg import IdentityRegistry, PartyId, PublicIdentity
-from veilstream.tokens import output_layout, release, withhold
+from veilstream.tokens import EPSILON_SLACK, NoiseSpec, output_layout, release, withhold
 
 SCHEMA = parse_schema(
     {
@@ -403,12 +407,11 @@ def test_plan_for_population_average():
     assert plan.queried_attributes() == ("heart_rate",)
     # reservations were taken atomically for every (member, attribute) pair,
     # and only the holder's release frees them
-    pairs = [(m, "heart_rate") for m in plan.members]
-    assert all(ledger.is_blocked(pair) for pair in pairs)
+    assert ledger.held(["heart_rate"], False) == set(plan.members)
     ledger.release("another-plan")
-    assert all(ledger.is_blocked(pair) for pair in pairs)
+    assert ledger.held(["heart_rate"], False) == set(plan.members)
     ledger.release(plan.plan_id)
-    assert not any(ledger.is_blocked(pair) for pair in pairs)
+    assert not ledger.held(["heart_rate"], False)
 
 
 def test_output_offsets_follow_element_order_not_select_order():
@@ -614,14 +617,24 @@ def test_exclusive_reservation_blocks_and_releases():
 
 def test_ledger_reservation_is_all_or_nothing():
     ledger = ReservationLedger()
-    assert ledger.try_reserve_exclusive("p1", [("s1", "a"), ("s2", "a")])
-    assert not ledger.try_reserve_exclusive("p2", [("s3", "a"), ("s1", "a")])
-    assert not ledger.is_blocked(("s3", "a"))  # nothing partial
+    assert ledger.try_reserve_exclusive("p1", ["s1", "s2"], ["a"])
+    assert not ledger.try_reserve_exclusive("p2", ["s3", "s1"], ["a"])
+    assert "s3" not in ledger.held(["a"], False)  # nothing partial
     ledger.release("p2")
-    assert ledger.is_blocked(("s1", "a"))  # held by p1, not p2
+    assert "s1" in ledger.held(["a"], False)  # held by p1, not p2
     ledger.release("p1")
     ledger.release("p1")  # idempotent
-    assert not ledger.is_blocked(("s1", "a"))
+    assert "s1" not in ledger.held(["a"], False)
+
+
+def test_ledger_charge_is_refused_whole_by_its_most_spent_stream():
+    ledger = ReservationLedger()
+    assert ledger.try_charge_dp("p1", [(["s1"], [1.0])], ["a"], 0.5)
+    # s2 has room for 0.4 and s1, in the same group, does not
+    assert not ledger.try_charge_dp("p2", [(["s2", "s1"], [0.8])], ["a"], 0.4)
+    assert (ledger.dp_spent(("s1", "a")), ledger.dp_spent(("s2", "a"))) == (0.5, 0.0)
+    assert ledger.try_charge_dp("p2", [(["s2", "s1"], [0.8])], ["a"], 0.25)
+    assert (ledger.dp_spent(("s1", "a")), ledger.dp_spent(("s2", "a"))) == (0.75, 0.25)
 
 
 def test_dp_budget_draws_down_and_exhausts():
@@ -755,7 +768,7 @@ def test_verify_rechecks_options_and_constraints():
     }
     assert verify_plan(plan, SCHEMA, both).reason == "option_forbids"
     reordered = dataclasses.replace(plan, members=plan.members[::-1])
-    assert verify_plan(reordered, SCHEMA, both).reason == "no_option_selected"
+    assert verify_plan(reordered, SCHEMA, both).reason == "bad_members"
 
     shrunk = dataclasses.replace(plan, members=("stream-000", "stream-001"))
     own = {a.stream_id: a for a in anns}
@@ -829,6 +842,29 @@ def test_verify_holds_the_population_floor_to_min_members():
         lax = dataclasses.replace(plan, max_dropouts=dropouts)
         assert lax.min_members == 1
         assert verify_plan(lax, ward, own).reason == "min_population"
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        # one stream repeated stands in for a population: min_members and
+        # the chain would count every copy
+        lambda plan: dict(members=(plan.members[0],) * 4 + plan.members[1:2]),
+        lambda plan: dict(members=plan.members[::-1]),
+        lambda plan: dict(members=()),
+        # a negative allowance lifts min_members above the members
+        lambda plan: dict(max_dropouts=-100),
+        lambda plan: dict(max_dropouts=len(plan.members)),
+    ],
+    ids=["repeated", "reordered", "empty", "negative_dropouts", "every_dropout"],
+)
+def test_verify_refuses_members_the_planner_never_emits(forge):
+    anns = [annotation(i) for i in range(5)]
+    plan = plan_query(avg_query(), SCHEMA, anns, ReservationLedger())
+    own = {a.stream_id: a for a in anns}
+    assert verify_plan(plan, SCHEMA, own).ok
+    forged = dataclasses.replace(plan, **forge(plan))
+    assert verify_plan(forged, SCHEMA, own) == Verdict.refuse("bad_members")
 
 
 # each encoding's finest step is finer than 5: 2-wide bins, one-hot steps of 1
@@ -979,6 +1015,247 @@ def test_the_planner_refuses_with_the_controllers_reason(rule):
     rejection = plan_query(ALT_HIST, ALTIMETER, broken, ReservationLedger())
     assert isinstance(rejection, Rejection)
     assert rejection.reason == refusal.reason == rule
+
+
+# ---- one admission per class, against the per-stream loops ----------------------------
+
+CLASSES = parse_schema(
+    {
+        "name": "classes",
+        "metadata": [{"name": "region", "type": "string"}],
+        "attributes": [
+            {
+                "name": "a",
+                "aggregates": ["sum"],
+                "options": [
+                    {"kind": "aggregate", "min_population": 3},
+                    {"kind": "dp-aggregate", "epsilon": 1.0},
+                    {"kind": "stream-aggregate", "min_window": 3},
+                    {"kind": "private"},
+                ],
+            },
+            {
+                "name": "b",
+                "aggregates": ["sum"],
+                "options": [{"kind": "aggregate"}, {"kind": "dp-aggregate", "epsilon": 0.6}],
+            },
+            {
+                "name": "c",
+                "aggregates": ["histogram"],
+                "bins": {"min": 0, "max": 20, "width": 2},
+                "options": [
+                    {"kind": "aggregate", "max_resolution": 4},
+                    {"kind": "dp-aggregate", "epsilon": 2.0},
+                    {"kind": "public"},
+                ],
+            },
+        ],
+    }
+)
+# a stream's option kinds: often ones every query admits, or ones a DP
+# query may, else any kind or none, some of which an attribute leaves unoffered
+PROFILE = st.one_of(
+    st.just({"a": "aggregate", "b": "aggregate", "c": "public"}),
+    st.fixed_dictionaries({n: st.sampled_from(["aggregate", "dp-aggregate"]) for n in "abc"}),
+    st.fixed_dictionaries({n: st.sampled_from((None,) + OPTION_KINDS) for n in "abc"}),
+)
+
+
+def per_stream_plan(query, schema, annotations, ledger):
+    """`plan_query` judging every candidate on its own: `_admission`, the
+    ledger's holds and its spent epsilon once per stream, and the charge
+    checked pair by pair. It takes no reservation."""
+    resolved = policy._resolve_outputs(schema, query.select)
+    if isinstance(resolved, Rejection):
+        return resolved
+    directives, outputs = resolved
+    candidates = [
+        a
+        for a in annotations
+        if a.schema_name == schema.name and all(p.matches(a) for p in query.where)
+    ]
+    if not candidates:
+        return Rejection("no_matching_streams", "metadata predicates matched nothing")
+    dp = query.dp is not None
+    level = policy._chain_for(dp, len(candidates))[1]
+    epsilon = query.dp.epsilon_cost if dp else None
+    survivors, floors, exclusions = [], {}, {}
+    for a in candidates:
+        pairs = [(a.stream_id, o.attribute) for o in outputs]
+        why = policy._admission(
+            [a.selected.get(o.attribute) for o in outputs], schema, outputs, level,
+            query.window, None, epsilon, lambda j, limit: limit - ledger.dp_spent(pairs[j]),
+        )
+        if not isinstance(why, str) and any(s in ledger.held([at], not dp) for s, at in pairs):
+            why = "reserved"
+        if isinstance(why, str):
+            exclusions[why] = exclusions.get(why, 0) + 1
+        else:
+            floors[a.stream_id] = why
+            survivors.append(a)
+    if not survivors:
+        dominant = max(sorted(exclusions), key=lambda k: exclusions[k])
+        return Rejection(dominant, f"all candidate streams excluded: {exclusions}")
+    survivors.sort(key=lambda a: policy._stream_hash(a.stream_id))
+    current = survivors
+    while True:
+        current = current[: query.max_population]
+        kept = [a for a in current if floors[a.stream_id] <= len(current)]
+        if len(kept) == len(current):
+            break
+        current = kept
+    if not current:
+        return Rejection(
+            "min_population",
+            f"population constraints admit no member set from {len(survivors)} survivors",
+        )
+    members = tuple(sorted(a.stream_id for a in current))
+    owners = tuple(sorted({a.owner_id for a in current}))
+    chain = policy._chain_for(dp, len(members))[0]
+    identity = {
+        "query": query.name,
+        "members": members,
+        "chain": chain,
+        "window": query.window,
+        "outputs": [(o.name, o.attribute, o.function) for o in outputs],
+        "dp": epsilon,
+    }
+    plan_id = hashlib.sha256(json.dumps(identity, sort_keys=True).encode()).hexdigest()[:32]
+    floor = max(floors[m] for m in members)
+    max_dropouts = min(int(policy._MAX_DROPOUT_FRACTION * len(members)), len(members) - floor)
+    noise = None
+    if dp:
+        noise = NoiseSpec(query.dp.sigma_target, 0.5, len(owners))
+    selected = {a.stream_id: a.selected for a in current}
+    for m in members:
+        for item in query.select:
+            limit = math.inf
+            if dp:
+                option = schema._options[item.attribute, selected[m][item.attribute]]
+                limit = policy._epsilon_limit(option)
+            spent = ledger.dp_spent((m, item.attribute)) + (epsilon or 0.0)
+            if m in ledger.held([item.attribute], not dp) or spent > limit + EPSILON_SLACK:
+                return Rejection("reserved", "reservation or budget race lost")
+    return TransformationPlan(
+        plan_id, query.name, schema.name, members, owners, query.window, chain, directives,
+        output_layout(directives), outputs, max_dropouts, epsilon, noise,
+    )
+
+
+def per_stream_verify(plan, schema, own, remaining_epsilon):
+    """`verify_plan` judging each of the caller's members on its own, in
+    plan order; its plan-level checks are `verify_plan`'s, and its outputs
+    the planner's own."""
+    first = verify_plan(plan, schema, {})
+    if first.reason != "not_a_member":
+        return first
+    mine = [sid for sid in plan.members if sid in own]
+    if not mine:
+        return first
+    dp = plan.dp_epsilon is not None
+    level = policy._chain_for(dp, len(plan.members))[1]
+    for sid in mine:
+        a = own[sid]
+        left = None
+        if remaining_epsilon is not None:
+            left = lambda j, _: remaining_epsilon.get((a.stream_id, plan.outputs[j].attribute))
+        why = policy._admission(
+            [a.selected.get(o.attribute) for o in plan.outputs], schema, plan.outputs, level,
+            plan.window, plan.min_members, plan.dp_epsilon, left,
+        )
+        if isinstance(why, str):
+            return Verdict.refuse(why)
+    return Verdict.accept()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    profiles=st.lists(PROFILE, min_size=1, max_size=5),
+    streams=st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from(["eu", "eu", "us"])), min_size=1, max_size=24
+    ),
+    holds=st.lists(
+        st.tuples(
+            st.booleans(),  # exclusive, else a DP charge
+            st.sets(st.integers(0, 23), min_size=1, max_size=8),
+            st.sets(st.sampled_from("abc"), min_size=1),
+            st.sampled_from([0.1, 0.25, 0.5]),
+            st.booleans(),  # released again
+        ),
+        max_size=4,
+    ),
+    attributes=st.sets(st.sampled_from("abc"), min_size=1),
+    window=st.integers(1, 5),
+    bucket=st.sampled_from([None, 4.0]),
+    dp=st.sampled_from([None, None, 0.1, 0.25, 1.0]),
+    where=st.booleans(),
+    cap=st.sampled_from([2, 4, 1000]),
+    data=st.data(),
+)
+def test_admission_per_class_equals_the_per_stream_rule(
+    profiles, streams, holds, attributes, window, bucket, dp, where, cap, data
+):
+    anns = [
+        StreamAnnotation(
+            stream_id=f"s{i:02d}",
+            schema_name="classes",
+            owner_id=owner(i % 5),
+            selected={k: v for k, v in profiles[pick % len(profiles)].items() if v is not None},
+            metadata={"region": region},
+        )
+        for i, (pick, region) in enumerate(streams)
+    ]
+    ledger = ReservationLedger()
+    for k, (exclusive, held, attrs, cost, released) in enumerate(holds):
+        sids, attrs = [f"s{i:02d}" for i in sorted(held)], sorted(attrs)
+        if exclusive:
+            ledger.try_reserve_exclusive(f"pre{k}", sids, attrs)
+        else:
+            ledger.try_charge_dp(f"pre{k}", [(sids, [10.0] * len(attrs))], attrs, cost)
+        if released:
+            ledger.release(f"pre{k}")
+    select = tuple(
+        SelectItem(f"out_{n}", n, "histogram", bucket_width=bucket) if n == "c"
+        else SelectItem(f"out_{n}", n, "sum")
+        for n in sorted(attributes)
+    )
+    query = Query(
+        name="q",
+        select=select,
+        where=(Predicate("region", "eq", "eu"),) if where else (),
+        window=window,
+        max_population=cap,
+        dp=None if dp is None else DpRequest(epsilon_cost=dp, sigma_target=5.0),
+    )
+    expected = per_stream_plan(query, CLASSES, anns, ledger)
+    pairs = [(a.stream_id, n) for a in anns for n in sorted(attributes)]
+    before = {pair: ledger.dp_spent(pair) for pair in pairs}
+    plan = plan_query(query, CLASSES, anns, ledger)
+    assert plan == expected
+    if isinstance(plan, Rejection):
+        return
+    drawn = {(m, n): before[m, n] + (dp or 0.0) for m in plan.members for n in attributes}
+    assert {pair: ledger.dp_spent(pair) for pair in pairs} == {**before, **drawn}
+    assert set(plan.members) <= ledger.held(sorted(attributes), False) or dp is not None
+
+    # controllers that see the options of some members from the k-th on
+    # otherwise, in any order, with non-members among their streams and
+    # perhaps their own account
+    view = {a.stream_id: a for a in anns}
+    for sid in plan.members[data.draw(st.integers(0, len(plan.members))) :]:
+        if data.draw(st.booleans()):
+            selected = {k: v for k, v in data.draw(PROFILE).items() if v is not None}
+            view[sid] = dataclasses.replace(view[sid], selected=selected)
+    order = data.draw(st.permutations(sorted(view)))
+    own = {sid: view[sid] for sid in order[: data.draw(st.integers(1, len(order)))]}
+    remaining = None
+    if data.draw(st.booleans()):
+        left = st.sampled_from([None, 0.0, 0.3, 5.0, 5.0, 5.0, 5.0])
+        drawn = data.draw(st.lists(left, min_size=len(pairs), max_size=len(pairs)))
+        remaining = {pair: x for pair, x in zip(pairs, drawn) if x is not None}
+    assert verify_plan(plan, CLASSES, own, remaining_epsilon=remaining) == per_stream_verify(
+        plan, CLASSES, own, remaining
+    )
 
 
 # ---- one output rule -----------------------------------------------------------------
